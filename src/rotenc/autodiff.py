@@ -4,8 +4,11 @@ Every operation returns a new ``Value`` carrying the result and a closure
 that knows how to push an upstream gradient to its inputs. Calling
 ``backward`` on a scalar root sweeps the graph once in reverse topological
 order. The primitive set is exactly what the encoder, the message-passing
-layers, and the regression head need; shapes are explicit everywhere (the
-only broadcast allowed is a row-wise bias add).
+layers, and the regression head need. Shapes are explicit: the broadcasts
+allowed are a row-wise bias add, ``broadcast_to``, numpy-style stacking in
+``matmul`` (k views as one ``(k, n, d)`` operand) and per-stack statistics
+in ``batchnorm``. A broadcast operand's gradient is summed back over the
+axes it was repeated along.
 
 Pooling-style reductions (``sum_pool``, ``mean_pool``, ``scatter_add_rows``
 and the batch statistics inside ``batchnorm``) sum each column in ascending
@@ -77,12 +80,20 @@ class Value:
         backward(self)
 
 
-def constant(data) -> Value:
-    return Value(data)
-
-
 def _wrap(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
+
+
+def _sum_to(g: np.ndarray, shape) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
+    shape = tuple(shape)
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
+    )
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 def add(a: Value, b: Value) -> Value:
@@ -122,31 +133,47 @@ def scale(a: Value, s: float) -> Value:
 
 
 def matmul(a: Value, b: Value) -> Value:
-    """Matrix product for (n, m) @ (m, p) or (m,) @ (m, p)."""
+    """Matrix product for (m,) @ (m, p), or (..., n, m) @ (..., m, p).
+
+    Leading (stack) axes broadcast as in numpy, so k views can share one
+    weight matrix; an operand's gradient is summed over the axes it was
+    broadcast along.
+    """
     a, b = _wrap(a), _wrap(b)
-    if b.data.ndim != 2:
-        raise ShapeError(f"matmul: right operand must be 2-d, got {b.data.shape}")
-    if a.data.ndim == 2:
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-        out = Value(a.data @ b.data, _parents=(a, b), _op="matmul")
-
-        def _back(g):
-            a._accumulate(g @ b.data.T)
-            b._accumulate(a.data.T @ g)
-
-    elif a.data.ndim == 1:
-        if a.data.shape[0] != b.data.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-        out = Value(a.data @ b.data, _parents=(a, b), _op="matmul")
+    if a.data.ndim == 0 or b.data.ndim < 2 or (a.data.ndim == 1 and b.data.ndim != 2):
+        raise ShapeError(f"matmul: unsupported operand ranks, {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
+    try:
+        data = a.data @ b.data
+    except ValueError as exc:
+        raise ShapeError(f"matmul: stack dims do not broadcast, {a.data.shape} @ {b.data.shape}") from exc
+    out = Value(data, _parents=(a, b), _op="matmul")
+    if a.data.ndim == 1:
 
         def _back(g):
             a._accumulate(b.data @ g)
             b._accumulate(np.outer(a.data, g))
 
     else:
-        raise ShapeError(f"matmul: left operand must be 1-d or 2-d, got {a.data.shape}")
+
+        def _back(g):
+            a._accumulate(_sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            b._accumulate(_sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
     out._backward_fn = _back
+    return out
+
+
+def broadcast_to(a: Value, shape) -> Value:
+    """Repeat ``a`` along new leading axes, e.g. (n, d) -> (k, n, d)."""
+    a, shape = _wrap(a), tuple(shape)
+    if a.data.shape == shape:
+        return a
+    if len(shape) < a.data.ndim or shape[len(shape) - a.data.ndim:] != a.data.shape:
+        raise ShapeError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}")
+    out = Value(np.broadcast_to(a.data, shape), _parents=(a,), _op="broadcast_to")
+    out._backward_fn = lambda g: a._accumulate(_sum_to(g, a.data.shape))
     return out
 
 
@@ -193,16 +220,11 @@ def mean_pool(a: Value, axis: int = 0) -> Value:
 
 def max_pool(a: Value, axis: int = 0) -> Value:
     out = Value(np.max(a.data, axis=axis), _parents=(a,), _op="max_pool")
-    argmax = np.argmax(a.data, axis=axis)
+    argmax = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
     def _back(g):
         buf = np.zeros_like(a.data)
-        if a.data.ndim == 2 and axis == 0:
-            buf[argmax, np.arange(a.data.shape[1])] = g
-        elif a.data.ndim == 2 and axis == 1:
-            buf[np.arange(a.data.shape[0]), argmax] = g
-        else:
-            buf.flat[argmax] = g
+        np.put_along_axis(buf, argmax, np.expand_dims(g, axis), axis)
         a._accumulate(buf)
 
     out._backward_fn = _back
@@ -287,48 +309,53 @@ class BatchNormState:
 
 def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
               training: bool, update_running: bool = True) -> Value:
-    """Batch normalization over rows (axis 0) of a 2-d input.
+    """Batch normalization over the rows (axis -2) of a 2-d or stacked input.
 
     Training mode normalizes with the batch statistics (population
-    variance) and, unless ``update_running`` is disabled, folds them into
-    the running estimates. Eval mode is a pure affine map using the stored
-    running statistics.
+    variance); a stacked ``(k, n, d)`` input keeps separate statistics for
+    each of its k matrices. Unless ``update_running`` is disabled, the
+    statistics are folded into the running estimates one matrix at a time,
+    in stack order. Eval mode is a pure affine map using the stored running
+    statistics.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"batchnorm: need 2-d input, got {x.data.shape}")
-    width = x.data.shape[1]
+    if x.data.ndim < 2:
+        raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
+    width = x.data.shape[-1]
     if gamma.data.shape != (width,) or beta.data.shape != (width,):
         raise ShapeError(
             f"batchnorm: gamma/beta {gamma.data.shape}/{beta.data.shape} do not match width {width}"
         )
-    n = x.data.shape[0]
+    n = x.data.shape[-2]
     if training:
-        mu = _psum(x.data, axis=0) / n
-        var = _psum((x.data - mu) ** 2, axis=0) / n
+        mu = np.expand_dims(_psum(x.data, axis=-2) / n, -2)
+        var = np.expand_dims(_psum((x.data - mu) ** 2, axis=-2) / n, -2)
         if update_running:
             m = state.momentum
-            state.mean = (1 - m) * state.mean + m * mu
-            state.var = (1 - m) * state.var + m * var
+            for mu_i, var_i in zip(mu.reshape(-1, width), var.reshape(-1, width)):
+                state.mean = (1 - m) * state.mean + m * mu_i
+                state.var = (1 - m) * state.var + m * var_i
     else:
         mu, var = state.mean, state.var
     inv_std = 1.0 / np.sqrt(var + state.eps)
     xhat = (x.data - mu) * inv_std
     out = Value(gamma.data * xhat + beta.data, _parents=(x, gamma, beta), _op="batchnorm")
 
+    def _affine_back(g):
+        gamma._accumulate(_sum_to(g * xhat, (width,)))
+        beta._accumulate(_sum_to(g, (width,)))
+
     if training:
 
         def _back(g):
-            gamma._accumulate((g * xhat).sum(axis=0))
-            beta._accumulate(g.sum(axis=0))
-            g_sum = g.sum(axis=0)
-            gx_sum = (g * xhat).sum(axis=0)
+            _affine_back(g)
+            g_sum = g.sum(axis=-2, keepdims=True)
+            gx_sum = (g * xhat).sum(axis=-2, keepdims=True)
             x._accumulate(gamma.data * inv_std / n * (n * g - g_sum - xhat * gx_sum))
 
     else:
 
         def _back(g):
-            gamma._accumulate((g * xhat).sum(axis=0))
-            beta._accumulate(g.sum(axis=0))
+            _affine_back(g)
             x._accumulate(g * gamma.data * inv_std)
 
     out._backward_fn = _back

@@ -41,8 +41,10 @@ from .errors import (
     RotencError,
     UnknownElement,
 )
+from .encoder3d import EncoderConfig
 from .geometry import PointCloud
-from .model import atom_importance, measure_invariance
+from .gnn import GnnConfig
+from .model import ModelConfig, atom_importance, measure_invariance
 from .trainer import (
     TrainConfig,
     config_from_dict,
@@ -69,49 +71,6 @@ class UsageError(Exception):
     pass
 
 
-def _default_config() -> dict:
-    return {
-        "epochs": 800,
-        "batch_size": 128,
-        "lr": 1e-3,
-        "weight_decay": 0.01,
-        "betas": [0.9, 0.999],
-        "eps": 1e-8,
-        "seed": 0,
-        "lambda_l1": 1e-4,
-        "model": {
-            "g_dim": 128,
-            "head_hidden": 256,
-            "activation": "relu",
-            "cutoff": 5.0,
-            "objective": "average_output",
-            "ablate_3d": False,
-            "ablate_features": False,
-            "ablate_pointwise": False,
-            "encoder": {
-                "tau": 3,
-                "widths": [64, 128, 128],
-                "d_p": 128,
-                "pool": "mean",
-                "use_atom_embedding": True,
-                "embed_dim": 32,
-                "k": 16,
-                "seed": 0,
-                "align_mode": "none",
-                "activation": "relu",
-            },
-            "gnn": {
-                "layers": 3,
-                "hidden": 32,
-                "message_width": 32,
-                "readout": "sum",
-                "activation": "relu",
-            },
-        },
-        "split": {"mode": "holdout", "k_folds": None, "train_fraction": 0.8, "seed": 0},
-    }
-
-
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -123,7 +82,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def resolve_config(args) -> TrainConfig:
-    cfg = _default_config()
+    cfg = config_to_dict(TrainConfig(ModelConfig(EncoderConfig(), GnnConfig()), SplitSpec()))
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -195,14 +154,6 @@ def _require(path, what: str) -> Path:
     return p
 
 
-def _check_threads(args):
-    threads = getattr(args, "threads", 1) or 1
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    if threads > 1:
-        print("note: this build runs single-threaded; --threads > 1 has no effect", file=sys.stderr)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -229,7 +180,6 @@ def cmd_convert(args) -> int:
 def cmd_train(args) -> int:
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    _check_threads(args)
     cfg = resolve_config(args)
     manifest = Manifest("train", args, out)
     manifest.add_input(data_path)
@@ -268,7 +218,6 @@ def cmd_eval(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    _check_threads(args)
     manifest = Manifest("eval", args, out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
@@ -304,7 +253,6 @@ def cmd_invariance(args) -> int:
     if args.rotations < 2:
         raise UsageError(f"--rotations must be >= 2, got {args.rotations}")
     out = _out_dir(args)
-    _check_threads(args)
     manifest = Manifest("invariance", args, out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
@@ -337,7 +285,6 @@ def cmd_invariance(args) -> int:
 def cmd_sweep_k(args) -> int:
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    _check_threads(args)
     k_values = []
     for token in args.k_values.split(","):
         k = int(token)
@@ -390,7 +337,6 @@ def cmd_sweep_k(args) -> int:
 def cmd_align(args) -> int:
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    _check_threads(args)
     manifest = Manifest("align", args, out)
     manifest.add_input(data_path)
     records = load_dataset(data_path)
@@ -425,7 +371,6 @@ def cmd_importance(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    _check_threads(args)
     manifest = Manifest("importance", args, out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
@@ -458,7 +403,6 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (layered under flag overrides)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (reserved; runs serially)")
 
 
 def build_parser() -> argparse.ArgumentParser:

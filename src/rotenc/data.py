@@ -272,7 +272,7 @@ class SplitSpec:
 
     mode: str = "holdout"
     k_folds: int | None = None
-    train_fraction: float | None = None
+    train_fraction: float | None = 0.8
     seed: int = 0
 
     def __post_init__(self):

@@ -119,25 +119,29 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
     return table, bn_states
 
 
-def build_view_input(cloud: PointCloud, rotation: np.ndarray, table: AtomEmbeddingTable | None,
+def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
                      cfg: EncoderConfig, coords: Value | None = None,
                      emb: Value | None = None) -> Value:
-    """Per-view input features: rotated coordinates, optionally || Emb(z).
+    """View input features: rotated coordinates, optionally || Emb(z).
 
-    ``cloud`` must already be centered. ``coords`` can supply the
-    coordinates as a graph node and ``emb`` pre-gathered embedding rows
-    (both used for gradients w.r.t. the inputs); they default to the cloud
-    coordinates and a fresh table lookup.
+    ``rotations`` is one (3, 3) matrix, giving an (n, d) input, or a
+    (k, 3, 3) stack, giving a (k, n, d) input with one view per matrix
+    (the embedding rows are repeated for every view). ``cloud`` must
+    already be centered. ``coords`` can supply the coordinates as a graph
+    node and ``emb`` pre-gathered embedding rows (both used for gradients
+    w.r.t. the inputs); they default to the cloud coordinates and a fresh
+    table lookup.
     """
     base = coords if coords is not None else Value(cloud.coords)
-    rotated = ad.matmul(base, Value(np.ascontiguousarray(rotation.T)))
+    rotated = ad.matmul(base, Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2))))
     if not cfg.use_atom_embedding:
         return rotated
     if emb is None:
         if table is None:
             raise InvalidConfig("use_atom_embedding=True but no embedding table given")
         emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
-    return ad.concat([rotated, emb], axis=1)
+    emb = ad.broadcast_to(emb, rotated.shape[:-1] + emb.shape[-1:])
+    return ad.concat([rotated, emb], axis=-1)
 
 
 def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
@@ -147,6 +151,8 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
 
     Atoms never mix: every layer applies the same dense map to each row
     independently, so duplicating an input row duplicates the output row.
+    A stacked (k, n, d) input runs every view through the shared maps,
+    with separate batchnorm statistics per view.
     """
     act = ad.ACTIVATIONS[cfg.activation]
     x = features
@@ -159,50 +165,56 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
 
 
 def pool_view(features: Value, mode: str = "mean") -> Value:
-    """Column-wise mean or max over atoms: one fingerprint per view."""
+    """Column-wise mean or max over atoms (axis -2): one fingerprint per view."""
     if mode not in POOL_MODES:
         raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {mode!r}")
     if mode == "mean":
-        return ad.mean_pool(features, axis=0)
-    return ad.max_pool(features, axis=0)
+        return ad.mean_pool(features, axis=-2)
+    return ad.max_pool(features, axis=-2)
+
+
+def prepare_cloud(cloud: PointCloud, align: bool) -> PointCloud:
+    """Center the cloud and, when ``align`` is set, rotate it into its canonical frame.
+
+    Raises DegenerateCloud when alignment is asked for but the covariance
+    spectrum is degenerate, so no unique canonical frame exists.
+    """
+    centered, _ = center_cloud(cloud)
+    if not align:
+        return centered
+    result = canonical_align(centered)
+    if result.degenerate:
+        raise DegenerateCloud("covariance spectrum is degenerate; no unique canonical frame")
+    return result.aligned
 
 
 def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
            update_running: bool = True, rotations=None, align: bool | None = None,
-           use_stack: bool = True, prefix: str = "enc",
+           use_stack: bool = True, per_view: bool = False, prefix: str = "enc",
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: center, (optionally) align, rotate into k views, pool, average.
 
     ``rotations`` overrides the sampled view set (otherwise k rotations are
     drawn from cfg.seed); ``align`` overrides the config's alignment policy
-    (the training loop disables alignment for post-align models). The view
-    fingerprints are averaged in ascending view order for reproducibility.
-    ``coords_value``/``emb_value`` feed the coordinates and embedding rows
-    in as shared graph leaves for input-gradient attribution; the caller
-    must then supply already centered (and aligned, if applicable)
-    coordinates, and the cloud only provides atomic numbers.
+    (the training loop disables alignment for post-align models). All views
+    run as one stacked (k, n, d) tensor; their fingerprints are averaged
+    with a permutation-exact mean, so the result does not depend on the
+    order of the views. ``per_view`` skips that mean and returns one
+    fingerprint row per view. ``coords_value``/``emb_value`` feed the coordinates
+    and embedding rows in as shared graph leaves for input-gradient
+    attribution; the caller must then supply already centered (and aligned,
+    if applicable) coordinates, and the cloud only provides atomic numbers.
     """
     if coords_value is not None:
         centered = PointCloud(coords_value.data, cloud.atomic_numbers)
     else:
-        centered, _ = center_cloud(cloud)
-        if align is None:
-            align = cfg.align_mode in ("pre", "post")
-        if align:
-            result = canonical_align(centered)
-            if result.degenerate:
-                raise DegenerateCloud("covariance spectrum is degenerate; no unique canonical frame")
-            centered = result.aligned
+        centered = prepare_cloud(cloud, cfg.align_mode in ("pre", "post") if align is None else align)
     if rotations is None:
         rotations = sample_rotations(SamplingConfig(k=cfg.k, seed=cfg.seed))
-    fingerprints = []
-    for rotation in rotations:
-        view = build_view_input(centered, rotation, table, cfg, coords=coords_value, emb=emb_value)
-        if use_stack:
-            view = pointwise_stack(view, store, cfg, bn_states, training, update_running, prefix)
-        fingerprints.append(pool_view(view, cfg.pool))
-    total = fingerprints[0]
-    for fp in fingerprints[1:]:
-        total = ad.add(total, fp)
-    return ad.scale(total, 1.0 / len(fingerprints))
+    views = build_view_input(centered, np.asarray(rotations), table, cfg,
+                             coords=coords_value, emb=emb_value)
+    if use_stack:
+        views = pointwise_stack(views, store, cfg, bn_states, training, update_running, prefix)
+    fingerprints = pool_view(views, cfg.pool)
+    return fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)

@@ -3,8 +3,10 @@
 The graph vector g (projected to a fixed width) is concatenated with the
 view-averaged geometric fingerprint p; a two-layer perceptron maps the
 fused vector to the targets. The training loss is MSE plus an L1 penalty
-on the fused vector. Also provides the rotation-invariance measurement
-harness and gradient-based atom importance.
+on the fused vector. Training under the average-loss objective skips the
+view average and applies the head and loss to every view row instead.
+Also provides the rotation-invariance measurement harness and
+gradient-based atom importance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
 from .data import MoleculeRecord, build_graph
 from .encoder3d import EncoderConfig
-from .errors import DegenerateCloud, InvalidConfig, NoData, ShapeError
+from .errors import InvalidConfig, NoData
 from .geometry import PointCloud, SamplingConfig, sample_rotations
 from .gnn import GnnConfig, MolecularGraph
 
@@ -28,13 +30,10 @@ OBJECTIVES = ("average_output", "average_loss")
 @dataclass
 class LossConfig:
     lambda_l1: float = 1e-4
-    task_loss: str = "mse"
 
     def __post_init__(self):
         if self.lambda_l1 < 0:
             raise InvalidConfig(f"lambda_l1 must be >= 0, got {self.lambda_l1}")
-        if self.task_loss != "mse":
-            raise InvalidConfig(f"only 'mse' task loss is supported, got {self.task_loss!r}")
 
 
 @dataclass
@@ -83,8 +82,13 @@ class InvarianceReport:
 
 
 def fuse(g: Value, p: Value) -> Value:
-    """u = [g || p], graph part first."""
-    return ad.concat([g, p], axis=0)
+    """u = [g || p], graph part first.
+
+    With per-view fingerprints p of shape (k, d_p), g is repeated for
+    every view row and u has shape (k, d_g + d_p).
+    """
+    g = ad.broadcast_to(g, p.shape[:-1] + g.shape)
+    return ad.concat([g, p], axis=-1)
 
 
 def predict_head(u: Value, store: ParameterStore, activation: str = "relu",
@@ -96,11 +100,17 @@ def predict_head(u: Value, store: ParameterStore, activation: str = "relu",
 
 
 def loss(y_hat: Value, y, u: Value, cfg: LossConfig) -> Value:
-    """MSE(y_hat, y) + lambda * ||u||_1 for a single sample."""
-    task = ad.mse(y_hat, y)
+    """MSE(y_hat, y) + lambda * ||u||_1 for a single sample.
+
+    When y_hat and u carry one row per view (the average-loss objective),
+    the target y is compared with every row and both terms are averaged
+    over the view rows.
+    """
+    rows = y_hat.shape[0] if y_hat.data.ndim == 2 else 1
+    task = ad.mse(y_hat, ad.broadcast_to(y, y_hat.shape))
     if cfg.lambda_l1 == 0.0:
         return task
-    return ad.add(task, ad.scale(ad.l1_norm(u), cfg.lambda_l1))
+    return ad.add(task, ad.scale(ad.l1_norm(u), cfg.lambda_l1 / rows))
 
 
 class Model:
@@ -165,23 +175,6 @@ class Model:
         g = gnn.gnn_forward(graph, self.store, self.cfg.gnn, node_feats=node_feats)
         return ad.add(ad.matmul(g, self.store["gproj.W"]), self.store["gproj.b"])
 
-    def _fingerprint(self, cloud: PointCloud, *, training: bool, update_running: bool,
-                     rotations, align: bool | None, coords_value=None, emb_value=None) -> Value:
-        return encoder3d.encode(
-            cloud,
-            self.enc_table,
-            self.store,
-            self.cfg.encoder,
-            self.bn_states,
-            training=training,
-            update_running=update_running,
-            rotations=rotations,
-            align=align,
-            use_stack=not self.cfg.ablate_pointwise,
-            coords_value=coords_value,
-            emb_value=emb_value,
-        )
-
     def _align_flag(self, training: bool) -> bool:
         mode = self.cfg.encoder.align_mode
         if training:
@@ -192,53 +185,37 @@ class Model:
                 update_running: bool | None = None, rotations=None,
                 node_feats: Value | None = None, coords_value=None,
                 emb_value=None) -> tuple[Value, Value]:
-        """One molecule forward pass; returns (y_hat, u) as graph nodes."""
+        """One molecule forward pass; returns (y_hat, u) as graph nodes.
+
+        Training under the average-loss objective keeps one row per view:
+        y_hat is (k, n_tasks) and u is (k, d_u), the graph vector shared by
+        every row. Otherwise the fingerprints are averaged over views before
+        the head and y_hat is (n_tasks,).
+        """
         if update_running is None:
             update_running = training
         g = self._graph_vector(graph, node_feats=node_feats)
         if self.cfg.ablate_3d:
             u = g
         else:
-            p = self._fingerprint(
+            p = encoder3d.encode(
                 cloud,
+                self.enc_table,
+                self.store,
+                self.cfg.encoder,
+                self.bn_states,
                 training=training,
                 update_running=update_running,
                 rotations=rotations,
                 align=self._align_flag(training),
+                use_stack=not self.cfg.ablate_pointwise,
+                per_view=training and self.cfg.objective == "average_loss",
                 coords_value=coords_value,
                 emb_value=emb_value,
             )
             u = fuse(g, p)
         y_hat = predict_head(u, self.store, self.cfg.activation)
         return y_hat, u
-
-    def forward_per_view(self, graph: MolecularGraph, cloud: PointCloud, *,
-                         training: bool = False, update_running: bool | None = None,
-                         rotations=None) -> list[tuple[Value, Value]]:
-        """Per-view passes for the expectation-of-loss objective.
-
-        Every sampled view gets its own fused vector and prediction; the
-        graph vector is shared across views.
-        """
-        if self.cfg.ablate_3d:
-            return [self.forward(graph, cloud, training=training, update_running=update_running)]
-        if update_running is None:
-            update_running = training
-        if rotations is None:
-            rotations = sample_rotations(SamplingConfig(k=self.cfg.encoder.k, seed=self.inference_seed))
-        g = self._graph_vector(graph)
-        out = []
-        for rotation in rotations:
-            p = self._fingerprint(
-                cloud,
-                training=training,
-                update_running=update_running,
-                rotations=[rotation],
-                align=self._align_flag(training),
-            )
-            u = fuse(g, p)
-            out.append((predict_head(u, self.store, self.cfg.activation), u))
-        return out
 
     def predict(self, record: MoleculeRecord) -> np.ndarray:
         """Deterministic inference (normalized-target units)."""
@@ -303,15 +280,7 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     node_leaf = Value(graph.node_feats, requires_grad=True)
     coords_leaf = emb_leaf = None
     if not model.cfg.ablate_3d:
-        from .alignment import canonical_align
-        from .geometry import center_cloud
-
-        processed, _ = center_cloud(cloud)
-        if model._align_flag(training=False):
-            result = canonical_align(processed)
-            if result.degenerate:
-                raise DegenerateCloud("cannot align a degenerate cloud for importance")
-            processed = result.aligned
+        processed = encoder3d.prepare_cloud(cloud, model._align_flag(training=False))
         coords_leaf = Value(processed.coords, requires_grad=True)
         if model.enc_table is not None and model.cfg.encoder.use_atom_embedding:
             rows = model.enc_table.indices(processed.atomic_numbers)

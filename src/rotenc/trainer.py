@@ -166,27 +166,52 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(arr.tobytes())
 
 
+_HEADER_KEYS = ("format_version", "train_config", "normalizer", "vocab", "task_names",
+                "inference_seed", "bonded", "params", "bn_states")
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed or truncated file raises InvalidConfig."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidConfig(f"not a checkpoint file (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header["format_version"] != CHECKPOINT_VERSION:
-            raise InvalidConfig(f"unsupported checkpoint version {header['format_version']}")
+        blob = fh.read()
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise InvalidConfig(f"not a checkpoint file (bad magic {magic!r})")
+    pos = len(CHECKPOINT_MAGIC)
+    if len(blob) < pos + 4:
+        raise InvalidConfig(f"corrupt checkpoint {path}: truncated header length")
+    (header_len,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    if len(blob) < pos + header_len:
+        raise InvalidConfig(f"corrupt checkpoint {path}: truncated header")
+    try:
+        header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"corrupt checkpoint {path}: header is not JSON ({exc})") from exc
+    pos += header_len
+    missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise InvalidConfig(f"corrupt checkpoint {path}: header lacks {missing}")
+    if header["format_version"] != CHECKPOINT_VERSION:
+        raise InvalidConfig(f"unsupported checkpoint version {header['format_version']}")
 
-        def read_array(shape):
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    def read_array(shape):
+        nonlocal pos
+        count = int(np.prod(shape)) if shape else 1
+        if len(blob) < pos + 8 * count:
+            raise InvalidConfig(f"corrupt checkpoint {path}: array data truncated")
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        pos += 8 * count
+        return arr
 
-        params = {m["name"]: read_array(m["shape"]) for m in header["params"]}
-        bn_stats = {}
-        for m in header["bn_states"]:
-            mean = read_array([m["width"]])
-            var = read_array([m["width"]])
-            bn_stats[m["name"]] = (mean, var)
+    params = {m["name"]: read_array(m["shape"]) for m in header["params"]}
+    bn_stats = {}
+    for m in header["bn_states"]:
+        mean = read_array([m["width"]])
+        var = read_array([m["width"]])
+        bn_stats[m["name"]] = (mean, var)
+    if pos != len(blob):
+        raise InvalidConfig(f"corrupt checkpoint {path}: {len(blob) - pos} trailing bytes")
     norm = header["normalizer"]
     return Checkpoint(
         params=params,
@@ -300,21 +325,8 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
                 rotations = sample_rotations(
                     SamplingConfig(k=cfg.model.encoder.k, seed=_rotation_seed(cfg.seed, epoch, i))
                 ) if not cfg.model.ablate_3d else None
-                target = norm_targets[i]
-                if cfg.model.objective == "average_output" or cfg.model.ablate_3d:
-                    y_hat, u = model.forward(
-                        graphs[i], clouds[i], training=True, rotations=rotations
-                    )
-                    per_sample.append(sample_loss(y_hat, target, u, loss_cfg))
-                else:
-                    views = model.forward_per_view(
-                        graphs[i], clouds[i], training=True, rotations=rotations
-                    )
-                    view_losses = [sample_loss(y, target, u, loss_cfg) for y, u in views]
-                    total = view_losses[0]
-                    for vl in view_losses[1:]:
-                        total = ad.add(total, vl)
-                    per_sample.append(ad.scale(total, 1.0 / len(view_losses)))
+                y_hat, u = model.forward(graphs[i], clouds[i], training=True, rotations=rotations)
+                per_sample.append(sample_loss(y_hat, norm_targets[i], u, loss_cfg))
             batch_loss = per_sample[0]
             for term in per_sample[1:]:
                 batch_loss = ad.add(batch_loss, term)

@@ -57,6 +57,10 @@ class TestPrimitiveForward:
             ad.matmul(Value(np.zeros((2, 3))), Value(np.zeros((2, 3))))
         with pytest.raises(ShapeError):
             ad.mse(Value(np.zeros(3)), np.zeros(4))
+        with pytest.raises(ShapeError):
+            ad.matmul(Value(np.zeros((2, 4, 3))), Value(np.zeros((3, 3, 5))))
+        with pytest.raises(ShapeError):
+            ad.broadcast_to(Value(np.zeros((4, 2))), (3, 4, 3))
 
 
 class TestPermutationExactness:
@@ -141,6 +145,17 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.mean, 0.9 * 0.0 + 0.1 * np.array([2.0, 20.0]))
         np.testing.assert_allclose(state.var, 0.9 * 1.0 + 0.1 * np.array([1.0, 100.0]))
 
+    def test_stacked_input_matches_one_matrix_at_a_time(self):
+        x = np.random.default_rng(4).normal(size=(3, 5, 2)) * [1.0, 20.0]
+        gamma, beta = Value(np.array([1.5, 0.5])), Value(np.array([0.0, 1.0]))
+        stacked_state, loop_state = BatchNormState.for_width(2), BatchNormState.for_width(2)
+        stacked = ad.batchnorm(Value(x), gamma, beta, stacked_state, training=True).data
+        for i in range(3):
+            one = ad.batchnorm(Value(x[i]), gamma, beta, loop_state, training=True).data
+            np.testing.assert_array_equal(stacked[i], one)
+        np.testing.assert_array_equal(stacked_state.mean, loop_state.mean)
+        np.testing.assert_array_equal(stacked_state.var, loop_state.var)
+
     def test_update_can_be_disabled(self):
         state = BatchNormState.for_width(2)
         before = (state.mean.copy(), state.var.copy())
@@ -154,12 +169,20 @@ PRIMITIVE_CASES = [
      {"x": (4, 5), "W": (5, 3), "b": (3,)}),
     ("vec_matmul", lambda s: ad.mse(ad.matmul(s["v"], s["W"]), np.zeros(4)),
      {"v": (6,), "W": (6, 4)}),
+    ("stacked_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["W"]), np.zeros((2, 4, 3))),
+     {"x": (2, 4, 5), "W": (5, 3)}),
+    ("broadcast_left_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["R"]), np.zeros((2, 4, 3))),
+     {"x": (4, 3), "R": (2, 3, 3)}),
+    ("broadcast_to", lambda s: ad.mse(ad.broadcast_to(s["x"], (3, 4, 2)), np.ones((3, 4, 2))),
+     {"x": (4, 2)}),
     ("relu", lambda s: ad.mse(ad.relu(s["x"]), np.zeros((4, 3))), {"x": (4, 3)}),
     ("silu", lambda s: ad.mse(ad.silu(s["x"]), np.zeros((4, 3))), {"x": (4, 3)}),
     ("multiply", lambda s: ad.mse(ad.multiply(s["a"], s["b"]), np.zeros((3, 3))),
      {"a": (3, 3), "b": (3, 3)}),
     ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 0), np.zeros(3)), {"x": (6, 3)}),
     ("max_pool", lambda s: ad.mse(ad.max_pool(s["x"], 0), np.zeros(3)), {"x": (6, 3)}),
+    ("stacked_max_pool", lambda s: ad.mse(ad.max_pool(s["x"], 1), np.zeros((2, 3))),
+     {"x": (2, 6, 3)}),
     ("concat", lambda s: ad.mse(ad.concat([s["a"], s["b"]], axis=1), np.zeros((4, 5))),
      {"a": (4, 2), "b": (4, 3)}),
     ("gather", lambda s: ad.mse(ad.gather_rows(s["x"], [0, 2, 2, 1]), np.zeros((4, 3))),
@@ -183,20 +206,26 @@ def test_primitive_gradients_match_finite_differences(name, build, shapes):
 
 def test_batchnorm_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    store = store_with(x=rng.normal(size=(6, 3)), g=rng.normal(size=3), b=rng.normal(size=3))
-    c = rng.normal(size=(6, 3))  # fixed linear readout keeps gradients O(1)
-    state = BatchNormState.for_width(3)
+    for shape in ((6, 3), (2, 6, 3)):  # one matrix, and a stack with per-matrix statistics
+        store = store_with(x=rng.normal(size=shape), g=rng.normal(size=3), b=rng.normal(size=3))
+        c = rng.normal(size=shape)  # fixed linear readout keeps gradients O(1)
+        state = BatchNormState.for_width(3)
 
-    def f_train(s):
-        y = ad.batchnorm(s["x"], s["g"], s["b"], state, training=True, update_running=False)
-        return ad.pick(ad.sum_pool(ad.multiply(y, Value(c)), axis=0), 0)
+        def readout(y):
+            z = ad.multiply(y, Value(c))
+            for _ in range(len(shape) - 1):
+                z = ad.sum_pool(z, axis=0)
+            return ad.pick(z, 0)
 
-    def f_eval(s):
-        y = ad.batchnorm(s["x"], s["g"], s["b"], state, training=False)
-        return ad.pick(ad.sum_pool(ad.multiply(y, Value(c)), axis=0), 0)
+        def f_train(s):
+            return readout(ad.batchnorm(s["x"], s["g"], s["b"], state, training=True,
+                                        update_running=False))
 
-    assert ad.gradient_check(f_train, store, h=1e-6, n_probe=24, seed=2) <= 1e-6
-    assert ad.gradient_check(f_eval, store, h=1e-6, n_probe=24, seed=3) <= 1e-6
+        def f_eval(s):
+            return readout(ad.batchnorm(s["x"], s["g"], s["b"], state, training=False))
+
+        assert ad.gradient_check(f_train, store, h=1e-6, n_probe=24, seed=2) <= 1e-6
+        assert ad.gradient_check(f_eval, store, h=1e-6, n_probe=24, seed=3) <= 1e-6
 
 
 class TestGradientCheck:
@@ -212,7 +241,8 @@ class TestGradientCheck:
         )
         assert err == 0.0  # every probe sits exactly on the kink and is skipped
 
-    def test_full_stack_gradients(self, tiny_cfg):
+    @staticmethod
+    def full_stack_error(cfg):
         # bonded molecule: one-hot edge features are exactly 0/1, so every
         # message weight either has a healthy gradient or an exactly-zero
         # one (near-zero RBF features would drown tiny gradients in
@@ -222,20 +252,35 @@ class TestGradientCheck:
         from rotenc.model import LossConfig, Model, loss
 
         record = bonded_record(seed=11)
-        model = Model(tiny_cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
+        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
         graph = model.graph_for(record)
         cloud = model.cloud_for(record)
         rotations = sample_rotations(SamplingConfig(k=3, seed=7))
         base, _ = model.forward(graph, cloud, training=True, update_running=False,
                                 rotations=rotations)
-        target = base.data + 0.7
+        target = base.data.reshape(-1, base.shape[-1])[0] + 0.7
 
         def f(store):
             y_hat, u = model.forward(graph, cloud, training=True, update_running=False,
                                      rotations=rotations)
             return loss(y_hat, target, u, LossConfig(lambda_l1=1e-3))
 
-        assert ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0) <= 1e-4
+        return ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
+
+    def test_full_stack_gradients(self, tiny_cfg):
+        assert self.full_stack_error(tiny_cfg) <= 1e-4
+
+    @pytest.mark.parametrize("variant", ["max_pool", "average_loss"])
+    def test_full_stack_gradients_variant(self, variant):
+        from conftest import tiny_model_config
+        from dataclasses import replace
+
+        cfg = tiny_model_config()
+        if variant == "max_pool":
+            cfg = replace(cfg, encoder=replace(cfg.encoder, pool="max"))
+        else:
+            cfg = replace(cfg, objective="average_loss")
+        assert self.full_stack_error(cfg) <= 1e-4
 
 
 class TestParameterStore:

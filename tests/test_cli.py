@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotenc.cli import main
-from rotenc.data import MoleculeRecord, load_dataset, write_dataset
+from rotenc.cli import main, resolve_config
+from rotenc.data import MoleculeRecord, SplitSpec, load_dataset, write_dataset
+from rotenc.encoder3d import EncoderConfig
+from rotenc.gnn import GnnConfig
+from rotenc.model import ModelConfig
 from rotenc.synthetic import make_records
-from rotenc.trainer import load_checkpoint
+from rotenc.trainer import TrainConfig, load_checkpoint
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -250,10 +254,34 @@ class TestManifest:
             assert len(digest) == 64
         assert str(out / "metrics.csv") in manifest["outputs"]
 
-    def test_threads_flag_accepted(self, workspace, trained, tmp_path, capsys):
+
+class TestConfigLayers:
+    def test_flag_free_config_is_the_documented_default(self):
+        expected = TrainConfig(
+            model=ModelConfig(
+                encoder=EncoderConfig(tau=3, widths=(64, 128, 128), d_p=128, pool="mean",
+                                      use_atom_embedding=True, embed_dim=32, k=16, seed=0,
+                                      align_mode="none", activation="relu"),
+                gnn=GnnConfig(layers=3, hidden=32, message_width=32, readout="sum",
+                              activation="relu"),
+                g_dim=128, head_hidden=256, activation="relu", cutoff=5.0,
+                objective="average_output", ablate_3d=False, ablate_features=False,
+                ablate_pointwise=False,
+            ),
+            split=SplitSpec(mode="holdout", k_folds=None, train_fraction=0.8, seed=0),
+            epochs=800, batch_size=128, lr=1e-3, weight_decay=0.01, betas=(0.9, 0.999),
+            eps=1e-8, seed=0, lambda_l1=1e-4,
+        )
+        assert resolve_config(argparse.Namespace()) == expected
+
+
+class TestBadCheckpoint:
+    def test_truncated_checkpoint_exits_2(self, workspace, trained, tmp_path, capsys):
         root, data, _ = workspace
-        out = tmp_path / "thr"
-        code = main(["eval", "--checkpoint", str(trained), "--data", str(data),
-                     "--out", str(out), "--threads", "4"])
-        assert code == 0
-        assert "single-threaded" in capsys.readouterr().err
+        cut = tmp_path / "cut.rotenc"
+        blob = trained.read_bytes()
+        cut.write_bytes(blob[: len(blob) - 5])
+        code = main(["eval", "--checkpoint", str(cut), "--data", str(data),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "corrupt checkpoint" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from rotenc.autodiff import ParameterStore, Value
 from rotenc.data import MoleculeRecord
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import InvalidConfig, NoData, ShapeError
+from rotenc.geometry import SamplingConfig, sample_rotations
 from rotenc.model import (
     LossConfig,
     Model,
@@ -112,6 +113,14 @@ class TestLoss:
         without = loss(Value(y_hat), y, Value(u), LossConfig(0.0)).data
         np.testing.assert_allclose(with_pen - without, lam * np.sum(np.abs(u)), rtol=1e-12,
                                    atol=1e-14)
+
+    def test_view_rows_average_the_per_row_losses(self):
+        rng = np.random.default_rng(3)
+        y_hat, y, u = rng.normal(size=(4, 2)), rng.normal(size=2), rng.normal(size=(4, 5))
+        cfg = LossConfig(0.1)
+        per_row = [loss(Value(y_hat[v]), y, Value(u[v]), cfg).data for v in range(4)]
+        np.testing.assert_allclose(loss(Value(y_hat), y, Value(u), cfg).data, np.mean(per_row),
+                                   rtol=1e-12)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -265,14 +274,24 @@ class TestAtomImportance:
 
 class TestObjectiveVariants:
     def test_per_view_objective_runs_and_differs(self, small_records):
-        cfg_avg = tiny_model_config()
-        model = Model(cfg_avg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
+        cfg = tiny_model_config(objective="average_loss")
+        k = cfg.encoder.k
+        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
         record = small_records[0]
         graph, cloud = model.graph_for(record), model.cloud_for(record)
-        pairs = model.forward_per_view(graph, cloud, training=False)
-        assert len(pairs) == cfg_avg.encoder.k
+        rotations = sample_rotations(SamplingConfig(k=k, seed=5))
+        y_views, u_views = model.forward(graph, cloud, training=True, update_running=False,
+                                         rotations=rotations)
+        assert y_views.shape == (k, 1) and u_views.shape == (k, cfg.d_u)
+        # one graph vector, repeated for every view row
+        g_rows = u_views.data[:, : cfg.g_dim]
+        np.testing.assert_array_equal(g_rows, np.broadcast_to(g_rows[0], g_rows.shape))
+        # row v is the single-view pass of rotation v (up to the summation
+        # order BLAS picks for a k-row versus a 1-row product)
+        for v, rotation in enumerate(rotations):
+            y_one, _ = model.forward(graph, cloud, training=True, update_running=False,
+                                     rotations=[rotation])
+            np.testing.assert_allclose(y_views.data[v], y_one.data[0], rtol=1e-12, atol=0)
+        # inference fuses the view-averaged fingerprint first: one prediction
         fused, _ = model.forward(graph, cloud, training=False)
-        avg_of_views = np.mean([y.data for y, _ in pairs], axis=0)
-        # fusing first then predicting differs from averaging per-view
-        # predictions (the head is nonlinear)
-        assert fused.data.shape == avg_of_views.shape
+        assert fused.shape == (1,)

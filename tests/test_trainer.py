@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore
-from rotenc.data import SplitSpec, split as split_records
+from rotenc.data import Normalizer, SplitSpec, split as split_records
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import Diverged, InvalidConfig, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
@@ -230,6 +233,44 @@ class TestCheckpoint:
             bad = tmp_path / "junk.rotenc"
             bad.write_bytes(b"NOTACKP" + b"\x00" * 16)
             load_checkpoint(bad)
+
+    @staticmethod
+    def small_checkpoint_bytes(tmp_path) -> bytes:
+        ckpt = Checkpoint(
+            params={"b": np.array([0.5]), "w": np.arange(6.0).reshape(2, 3)},
+            bn_stats={"bn": (np.zeros(2), np.ones(2))},
+            normalizer=Normalizer(("y",), np.array([1.0]), np.array([2.0])),
+            train_config=smoke_config(), vocab=(1, 6), task_names=("y",),
+            inference_seed=0, bonded=False,
+        )
+        path = tmp_path / "small.rotenc"
+        save_checkpoint(ckpt, path)
+        load_checkpoint(path)  # the untouched file is valid
+        return path.read_bytes()
+
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        blob = self.small_checkpoint_bytes(tmp_path)
+        bad = tmp_path / "bad.rotenc"
+        for cut in range(len(blob)):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(InvalidConfig):
+                load_checkpoint(bad)
+        bad.write_bytes(blob + b"\x00")
+        with pytest.raises(InvalidConfig, match="trailing"):
+            load_checkpoint(bad)
+
+    def test_corrupt_header_rejected(self, tmp_path):
+        blob = self.small_checkpoint_bytes(tmp_path)
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header, body = json.loads(blob[12 : 12 + header_len]), blob[12 + header_len :]
+        del header["params"]
+        no_params = json.dumps(header).encode()
+        bad = tmp_path / "bad.rotenc"
+        for new_header, reason in ((b"\xff{" * 3, "not JSON"), (b"[1, 2]", "lacks"),
+                                   (no_params, "lacks")):
+            bad.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + body)
+            with pytest.raises(InvalidConfig, match=reason):
+                load_checkpoint(bad)
 
     def test_config_dict_roundtrip(self):
         cfg = smoke_config()
