@@ -34,10 +34,10 @@ def mean_deviation(cfg):
 print("mean fingerprint deviation under rotation vs view count")
 print(f"{'k':>4}  {'deviation':>10}  {'x sqrt(k)':>10}")
 for k in (1, 4, 16, 64):
-    cfg = EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=k, seed=0, align_mode="none")
+    cfg = EncoderConfig(widths=(16, 8), embed_dim=4, k=k, seed=0, align_mode="none")
     dev = mean_deviation(cfg)
     print(f"{k:>4}  {dev:>10.5f}  {dev * np.sqrt(k):>10.5f}")
 print("(the last column being roughly constant is the 1/sqrt(k) scaling)")
 
-cfg_post = EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=4, seed=0, align_mode="post")
+cfg_post = EncoderConfig(widths=(16, 8), embed_dim=4, k=4, seed=0, align_mode="post")
 print(f"\nwith canonical alignment: deviation = {mean_deviation(cfg_post):.2e} (exact invariance)")

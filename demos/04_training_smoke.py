@@ -19,8 +19,7 @@ from rotenc.trainer import TrainConfig, evaluate, model_from_checkpoint, train
 records = make_records(250, seed=8)
 cfg = TrainConfig(
     model=ModelConfig(
-        encoder=EncoderConfig(tau=2, widths=(32, 32), d_p=32, embed_dim=8, k=4, seed=0,
-                              align_mode="none"),
+        encoder=EncoderConfig(widths=(32, 32), embed_dim=8, k=4, seed=0, align_mode="none"),
         gnn=GnnConfig(layers=2, hidden=16, message_width=16, readout="mean"),
         g_dim=16, head_hidden=64, cutoff=8.0,
     ),

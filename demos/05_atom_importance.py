@@ -19,7 +19,7 @@ from rotenc.model import ModelConfig
 records = make_records(60, seed=5)
 cfg = TrainConfig(
     model=ModelConfig(
-        encoder=EncoderConfig(tau=2, widths=(16, 16), d_p=16, embed_dim=4, k=4, seed=0),
+        encoder=EncoderConfig(widths=(16, 16), embed_dim=4, k=4, seed=0),
         gnn=GnnConfig(layers=2, hidden=12, message_width=12, readout="mean"),
         g_dim=12, head_hidden=32, cutoff=8.0,
     ),

@@ -36,7 +36,6 @@ from .geometry import (
 from .gnn import GnnConfig, MolecularGraph, message_pass, readout
 from .model import (
     InvarianceReport,
-    LossConfig,
     Model,
     ModelConfig,
     atom_importance,

@@ -62,23 +62,6 @@ class Value:
     def __repr__(self):
         return f"Value(shape={self.data.shape}, op={self._op})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self):
-        backward(self)
-
 
 def _wrap(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
@@ -185,17 +168,6 @@ def relu(a: Value) -> Value:
     return out
 
 
-def silu(a: Value) -> Value:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = Value(a.data * sig, _parents=(a,), _op="silu")
-    local = sig * (1.0 + a.data * (1.0 - sig))
-    out._backward_fn = lambda g: a._accumulate(g * local)
-    return out
-
-
-ACTIVATIONS = {"relu": relu, "silu": silu}
-
-
 def sum_pool(a: Value, axis: int = 0) -> Value:
     """Column-wise sum over one axis, permutation-exact in the reduced rows."""
     out = Value(_psum(a.data, axis=axis), _parents=(a,), _op="sum_pool")
@@ -290,21 +262,20 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
     return out
 
 
+BN_MOMENTUM = 0.1  # weight of a new batch statistic in the running estimate
+BN_EPS = 1e-5  # added to the variance before the square root
+
+
 @dataclass
 class BatchNormState:
     """Running statistics for one batchnorm site (not trainable)."""
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
-    def for_width(cls, width: int, momentum: float = 0.1, eps: float = 1e-5):
-        return cls(np.zeros(width), np.ones(width), momentum, eps)
-
-    def copy(self):
-        return BatchNormState(self.mean.copy(), self.var.copy(), self.momentum, self.eps)
+    def for_width(cls, width: int):
+        return cls(np.zeros(width), np.ones(width))
 
 
 def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
@@ -330,13 +301,13 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         mu = np.expand_dims(_psum(x.data, axis=-2) / n, -2)
         var = np.expand_dims(_psum((x.data - mu) ** 2, axis=-2) / n, -2)
         if update_running:
-            m = state.momentum
+            m = BN_MOMENTUM
             for mu_i, var_i in zip(mu.reshape(-1, width), var.reshape(-1, width)):
                 state.mean = (1 - m) * state.mean + m * mu_i
                 state.var = (1 - m) * state.var + m * var_i
     else:
         mu, var = state.mean, state.var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv_std
     out = Value(gamma.data * xhat + beta.data, _parents=(x, gamma, beta), _op="batchnorm")
 
@@ -476,9 +447,6 @@ class ParameterStore:
     def zero_grad(self):
         for v in self._params.values():
             v._grad = None
-
-    def n_scalars(self) -> int:
-        return sum(v.data.size for v in self._params.values())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.items()}

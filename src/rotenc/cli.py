@@ -33,15 +33,17 @@ from .data import (
     write_dataset,
 )
 from .errors import (
+    DegenerateCloud,
     DuplicateId,
     InvalidConfig,
     InvalidSplit,
     NoData,
     ParseError,
     RotencError,
+    TooFewPoints,
     UnknownElement,
 )
-from .encoder3d import EncoderConfig
+from .encoder3d import ALIGN_MODES, EncoderConfig
 from .geometry import PointCloud
 from .gnn import GnnConfig
 from .model import ModelConfig, atom_importance, measure_invariance
@@ -64,7 +66,12 @@ USAGE_ERRORS = (
     InvalidSplit,
     UnknownElement,
     NoData,
+    DegenerateCloud,
+    TooFewPoints,
 )
+
+# --ablate value -> the ModelConfig flag it sets
+ABLATIONS = {"no-3d": "ablate_3d", "no-features": "ablate_features", "no-pointnet": "ablate_pointwise"}
 
 
 class UsageError(Exception):
@@ -87,8 +94,13 @@ def resolve_config(args) -> TrainConfig:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            cfg = _deep_merge(cfg, json.load(fh))
+        try:
+            override = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"config file {path} is not JSON ({exc})") from exc
+        if not isinstance(override, dict):
+            raise InvalidConfig(f"config file {path} must hold a JSON object")
+        cfg = _deep_merge(cfg, override)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
@@ -98,8 +110,7 @@ def resolve_config(args) -> TrainConfig:
     if getattr(args, "align_mode", None) is not None:
         cfg["model"]["encoder"]["align_mode"] = args.align_mode
     for ablate in getattr(args, "ablate", None) or []:
-        key = {"no-3d": "ablate_3d", "no-features": "ablate_features", "no-pointnet": "ablate_pointwise"}[ablate]
-        cfg["model"][key] = True
+        cfg["model"][ABLATIONS[ablate]] = True
     return config_from_dict(cfg)
 
 
@@ -114,7 +125,7 @@ def _sha256(path) -> str:
 class Manifest:
     """Collects command provenance and writes manifest.json at the end."""
 
-    def __init__(self, command: str, args, out_dir: Path):
+    def __init__(self, command: str, out_dir: Path):
         self.data = {
             "tool": f"rotenc {__version__}",
             "command": command,
@@ -165,7 +176,7 @@ def cmd_convert(args) -> int:
     xyz = _require(args.xyz, "XYZ file")
     targets = _require(args.targets, "targets table")
     out = _out_dir(args)
-    manifest = Manifest("convert", args, out)
+    manifest = Manifest("convert", out)
     manifest.add_input(xyz)
     manifest.add_input(targets)
     records = convert_xyz(xyz, targets)
@@ -181,7 +192,7 @@ def cmd_train(args) -> int:
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
     cfg = resolve_config(args)
-    manifest = Manifest("train", args, out)
+    manifest = Manifest("train", out)
     manifest.add_input(data_path)
     manifest.data["config"] = config_to_dict(cfg)
     manifest.data["seeds"] = {"train": cfg.seed, "inference": cfg.model.encoder.seed, "split": cfg.split.seed}
@@ -218,12 +229,12 @@ def cmd_eval(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    manifest = Manifest("eval", args, out)
+    manifest = Manifest("eval", out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
     ckpt = load_checkpoint(ckpt_path)
     manifest.data["config"] = config_to_dict(ckpt.train_config)
-    manifest.data["seeds"] = {"inference": ckpt.inference_seed}
+    manifest.data["seeds"] = {"inference": ckpt.train_config.model.encoder.seed}
     records = load_dataset(data_path)
     model, normalizer = model_from_checkpoint(ckpt)
     metrics = evaluate_model(model, normalizer, records, split_name="eval")
@@ -253,7 +264,7 @@ def cmd_invariance(args) -> int:
     if args.rotations < 2:
         raise UsageError(f"--rotations must be >= 2, got {args.rotations}")
     out = _out_dir(args)
-    manifest = Manifest("invariance", args, out)
+    manifest = Manifest("invariance", out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
     manifest.data["seeds"] = {"rotations": args.seed if args.seed is not None else 0}
@@ -294,7 +305,7 @@ def cmd_sweep_k(args) -> int:
         k_values.append(k)
     if not k_values:
         raise UsageError("no k values given")
-    manifest = Manifest("sweep-k", args, out)
+    manifest = Manifest("sweep-k", out)
     manifest.add_input(data_path)
     records = load_dataset(data_path)
     seed = args.seed if args.seed is not None else 0
@@ -337,7 +348,7 @@ def cmd_sweep_k(args) -> int:
 def cmd_align(args) -> int:
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    manifest = Manifest("align", args, out)
+    manifest = Manifest("align", out)
     manifest.add_input(data_path)
     records = load_dataset(data_path)
     aligned_records = []
@@ -371,11 +382,11 @@ def cmd_importance(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    manifest = Manifest("importance", args, out)
+    manifest = Manifest("importance", out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
     ckpt = load_checkpoint(ckpt_path)
-    manifest.data["seeds"] = {"inference": ckpt.inference_seed}
+    manifest.data["seeds"] = {"inference": ckpt.train_config.model.encoder.seed}
     records = load_dataset(data_path)
     matches = [r for r in records if r.id == args.id]
     if not matches:
@@ -422,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="view count override")
-    p.add_argument("--align-mode", choices=["none", "pre", "post"], default=None)
-    p.add_argument("--ablate", action="append", choices=["no-3d", "no-features", "no-pointnet"],
+    p.add_argument("--align-mode", choices=ALIGN_MODES, default=None)
+    p.add_argument("--ablate", action="append", choices=list(ABLATIONS),
                    help="disable a component (repeatable)")
     _add_common(p)
     p.set_defaults(func=cmd_train)
@@ -450,9 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotations", type=int, default=10)
     p.add_argument("--max-molecules", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--align-mode", choices=["none", "pre", "post"], default=None)
-    p.add_argument("--ablate", action="append", choices=["no-3d", "no-features", "no-pointnet"])
+    p.add_argument("--align-mode", choices=ALIGN_MODES, default=None)
+    p.add_argument("--ablate", action="append", choices=list(ABLATIONS))
     _add_common(p)
     p.set_defaults(func=cmd_sweep_k)
 

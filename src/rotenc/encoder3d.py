@@ -2,7 +2,7 @@
 
 A molecule's centered coordinates are rotated into k sampled views. Each
 view runs through a stack of shared per-atom affine maps (1x1 convolutions)
-with batchnorm and an activation, is pooled over atoms into a fixed-length
+with batchnorm and relu, is pooled over atoms into a fixed-length
 fingerprint, and the k fingerprints are averaged. The average is a
 Monte-Carlo estimate of the rotation-group expectation of the single-view
 encoder, so the result is approximately rotation invariant, with the
@@ -30,41 +30,34 @@ ALIGN_MODES = ("none", "pre", "post")
 class EncoderConfig:
     """Widths and sampling policy of the geometric encoder.
 
-    ``widths`` has one output width per stack layer and must end at the
+    ``widths`` has one output width per stack layer; the last one is the
     fingerprint length ``d_p``. ``align_mode`` selects when canonical
     alignment is applied: never, before training ("pre"), or only at
     inference on a model trained without it ("post").
     """
 
-    tau: int = 3
     widths: tuple[int, ...] = (64, 128, 128)
-    d_p: int = 128
     pool: str = "mean"
     use_atom_embedding: bool = True
     embed_dim: int = 32
     k: int = 16
     seed: int = 0
     align_mode: str = "none"
-    activation: str = "relu"
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        if self.tau < 1:
-            raise InvalidConfig(f"tau must be >= 1, got {self.tau}")
-        if len(self.widths) != self.tau:
-            raise InvalidConfig(f"widths {self.widths} must have tau={self.tau} entries")
-        if self.d_p < 1:
-            raise InvalidConfig(f"d_p must be >= 1, got {self.d_p}")
-        if self.widths[-1] != self.d_p:
-            raise InvalidConfig(f"last width {self.widths[-1]} must equal d_p {self.d_p}")
+        if not self.widths or min(self.widths) < 1:
+            raise InvalidConfig(f"widths must be non-empty and positive, got {self.widths}")
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.pool not in POOL_MODES:
             raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {self.pool!r}")
         if self.align_mode not in ALIGN_MODES:
             raise InvalidConfig(f"align_mode must be one of {ALIGN_MODES}, got {self.align_mode!r}")
-        if self.activation not in ad.ACTIVATIONS:
-            raise InvalidConfig(f"unknown activation {self.activation!r}")
+
+    @property
+    def d_p(self) -> int:
+        return self.widths[-1]
 
     @property
     def input_width(self) -> int:
@@ -97,7 +90,7 @@ class AtomEmbeddingTable:
 
 
 def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
-                        rng: np.random.Generator, prefix: str = "enc"):
+                        rng: np.random.Generator):
     """Create stack weights, batchnorm parameters/states, and the embedding table.
 
     Returns (table, bn_states) where bn_states maps state names to
@@ -105,16 +98,16 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
     """
     table = None
     if cfg.use_atom_embedding:
-        table = AtomEmbeddingTable(vocab, store.add(f"{prefix}.embed", rng.normal(0.0, 1.0, (len(vocab), cfg.embed_dim))))
+        table = AtomEmbeddingTable(vocab, store.add("enc.embed", rng.normal(0.0, 1.0, (len(vocab), cfg.embed_dim))))
     bn_states = {}
     fan_in = cfg.input_width
     for layer, width in enumerate(cfg.widths):
         # no conv bias: the batchnorm beta that follows would absorb it,
         # leaving the bias with an identically-zero gradient
-        store.add(f"{prefix}.conv{layer}.W", rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, width)))
-        store.add(f"{prefix}.bn{layer}.gamma", np.ones(width))
-        store.add(f"{prefix}.bn{layer}.beta", np.zeros(width))
-        bn_states[f"{prefix}.bn{layer}"] = BatchNormState.for_width(width)
+        store.add(f"enc.conv{layer}.W", rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, width)))
+        store.add(f"enc.bn{layer}.gamma", np.ones(width))
+        store.add(f"enc.bn{layer}.beta", np.zeros(width))
+        bn_states[f"enc.bn{layer}"] = BatchNormState.for_width(width)
         fan_in = width
     return table, bn_states
 
@@ -145,22 +138,20 @@ def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbedd
 
 
 def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
-                    bn_states: dict, training: bool = False, update_running: bool = True,
-                    prefix: str = "enc") -> Value:
-    """Stack of per-atom affine maps with batchnorm and activation.
+                    bn_states: dict, training: bool = False, update_running: bool = True) -> Value:
+    """Stack of per-atom affine maps with batchnorm and relu.
 
     Atoms never mix: every layer applies the same dense map to each row
     independently, so duplicating an input row duplicates the output row.
     A stacked (k, n, d) input runs every view through the shared maps,
     with separate batchnorm statistics per view.
     """
-    act = ad.ACTIVATIONS[cfg.activation]
     x = features
-    for layer in range(cfg.tau):
-        x = ad.matmul(x, store[f"{prefix}.conv{layer}.W"])
-        x = ad.batchnorm(x, store[f"{prefix}.bn{layer}.gamma"], store[f"{prefix}.bn{layer}.beta"],
-                         bn_states[f"{prefix}.bn{layer}"], training, update_running)
-        x = act(x)
+    for layer in range(len(cfg.widths)):
+        x = ad.matmul(x, store[f"enc.conv{layer}.W"])
+        x = ad.batchnorm(x, store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"],
+                         bn_states[f"enc.bn{layer}"], training, update_running)
+        x = ad.relu(x)
     return x
 
 
@@ -191,7 +182,7 @@ def prepare_cloud(cloud: PointCloud, align: bool) -> PointCloud:
 def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
            update_running: bool = True, rotations=None, align: bool | None = None,
-           use_stack: bool = True, per_view: bool = False, prefix: str = "enc",
+           use_stack: bool = True, per_view: bool = False,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: center, (optionally) align, rotate into k views, pool, average.
 
@@ -215,6 +206,6 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     views = build_view_input(centered, np.asarray(rotations), table, cfg,
                              coords=coords_value, emb=emb_value)
     if use_stack:
-        views = pointwise_stack(views, store, cfg, bn_states, training, update_running, prefix)
+        views = pointwise_stack(views, store, cfg, bn_states, training, update_running)
     fingerprints = pool_view(views, cfg.pool)
     return fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)

@@ -65,24 +65,21 @@ class GnnConfig:
     hidden: int = 32
     message_width: int = 32
     readout: str = "sum"
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.layers < 1:
             raise InvalidConfig(f"layers must be >= 1, got {self.layers}")
         if self.readout not in READOUTS:
             raise InvalidConfig(f"readout must be one of {READOUTS}, got {self.readout!r}")
-        if self.activation not in ad.ACTIVATIONS:
-            raise InvalidConfig(f"unknown activation {self.activation!r}")
 
 
 def init_gnn_params(store: ParameterStore, cfg: GnnConfig, d0: int, d_edge: int,
-                    rng: np.random.Generator, prefix: str = "gnn") -> None:
+                    rng: np.random.Generator) -> None:
     """Create embedding, message, and update parameters in the store."""
 
     def dense(name, fan_in, fan_out):
-        store.add(f"{prefix}.{name}.W", rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out)))
-        store.add(f"{prefix}.{name}.b", np.zeros(fan_out))
+        store.add(f"gnn.{name}.W", rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out)))
+        store.add(f"gnn.{name}.b", np.zeros(fan_out))
 
     dense("embed", d0, cfg.hidden)
     for layer in range(cfg.layers):
@@ -92,40 +89,39 @@ def init_gnn_params(store: ParameterStore, cfg: GnnConfig, d0: int, d_edge: int,
 
 
 def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                   prefix: str = "gnn", node_feats: Value | None = None) -> Value:
+                   node_feats: Value | None = None) -> Value:
     """h^0 = node_feats @ W_embed + b (a learned per-atom embedding)."""
     feats = node_feats if node_feats is not None else Value(graph.node_feats)
-    return ad.add(ad.matmul(feats, store[f"{prefix}.embed.W"]), store[f"{prefix}.embed.b"])
+    return ad.add(ad.matmul(feats, store["gnn.embed.W"]), store["gnn.embed.b"])
 
 
 def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                 layer: int, prefix: str = "gnn") -> Value:
+                 layer: int) -> Value:
     """One round of message passing and node update.
 
     Messages go along directed edges: the destination node v receives
     M(h_v, h_src, e) from each incoming edge, where M is a one-hidden-layer
     perceptron; incoming messages are summed per node (nodes without
     incoming edges get a zero message). The update is
-    h' = act(affine(concat(h, m))).
+    h' = relu(affine(concat(h, m))).
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
-    act = ad.ACTIVATIONS[cfg.activation]
     if graph.n_edges > 0:
         src, dst = graph.edges[:, 0], graph.edges[:, 1]
         h_dst = ad.gather_rows(h, dst)
         h_src = ad.gather_rows(h, src)
         pair = ad.concat([h_dst, h_src, Value(graph.edge_feats)], axis=1)
-        hidden = act(ad.add(ad.matmul(pair, store[f"{prefix}.l{layer}.msg1.W"]),
-                            store[f"{prefix}.l{layer}.msg1.b"]))
-        messages = ad.add(ad.matmul(hidden, store[f"{prefix}.l{layer}.msg2.W"]),
-                          store[f"{prefix}.l{layer}.msg2.b"])
+        hidden = ad.relu(ad.add(ad.matmul(pair, store[f"gnn.l{layer}.msg1.W"]),
+                                store[f"gnn.l{layer}.msg1.b"]))
+        messages = ad.add(ad.matmul(hidden, store[f"gnn.l{layer}.msg2.W"]),
+                          store[f"gnn.l{layer}.msg2.b"])
         m = ad.scatter_add_rows(messages, dst, graph.n_nodes)
     else:
         m = Value(np.zeros((graph.n_nodes, cfg.message_width)))
     joint = ad.concat([h, m], axis=1)
-    return act(ad.add(ad.matmul(joint, store[f"{prefix}.l{layer}.upd.W"]),
-                      store[f"{prefix}.l{layer}.upd.b"]))
+    return ad.relu(ad.add(ad.matmul(joint, store[f"gnn.l{layer}.upd.W"]),
+                          store[f"gnn.l{layer}.upd.b"]))
 
 
 def readout(node_states: Value, mode: str = "sum") -> Value:
@@ -138,9 +134,9 @@ def readout(node_states: Value, mode: str = "sum") -> Value:
 
 
 def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                prefix: str = "gnn", node_feats: Value | None = None) -> Value:
+                node_feats: Value | None = None) -> Value:
     """Full backbone: embed, L message-passing rounds, readout."""
-    h = initial_states(graph, store, cfg, prefix, node_feats=node_feats)
+    h = initial_states(graph, store, cfg, node_feats=node_feats)
     for layer in range(cfg.layers):
-        h = message_pass(h, graph, store, cfg, layer, prefix)
+        h = message_pass(h, graph, store, cfg, layer)
     return readout(h, cfg.readout)

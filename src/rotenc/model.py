@@ -11,6 +11,7 @@ gradient-based atom importance.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,11 @@ from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
 from .data import MoleculeRecord, build_graph
 from .encoder3d import EncoderConfig
-from .errors import InvalidConfig, NoData
+from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
 from .geometry import PointCloud, SamplingConfig, sample_rotations
 from .gnn import GnnConfig, MolecularGraph
 
 OBJECTIVES = ("average_output", "average_loss")
-
-
-@dataclass
-class LossConfig:
-    lambda_l1: float = 1e-4
-
-    def __post_init__(self):
-        if self.lambda_l1 < 0:
-            raise InvalidConfig(f"lambda_l1 must be >= 0, got {self.lambda_l1}")
 
 
 @dataclass
@@ -42,7 +34,6 @@ class ModelConfig:
     gnn: GnnConfig
     g_dim: int = 128
     head_hidden: int = 256
-    activation: str = "relu"
     cutoff: float = 5.0
     objective: str = "average_output"
     ablate_3d: bool = False
@@ -52,8 +43,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.g_dim < 1 or self.head_hidden < 1:
             raise InvalidConfig("g_dim and head_hidden must be positive")
-        if self.activation not in ad.ACTIVATIONS:
-            raise InvalidConfig(f"unknown activation {self.activation!r}")
         if self.objective not in OBJECTIVES:
             raise InvalidConfig(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
@@ -91,15 +80,13 @@ def fuse(g: Value, p: Value) -> Value:
     return ad.concat([g, p], axis=-1)
 
 
-def predict_head(u: Value, store: ParameterStore, activation: str = "relu",
-                 prefix: str = "head") -> Value:
-    """Two-layer perceptron from the fused vector to the task outputs."""
-    act = ad.ACTIVATIONS[activation]
-    hidden = act(ad.add(ad.matmul(u, store[f"{prefix}.W1"]), store[f"{prefix}.b1"]))
-    return ad.add(ad.matmul(hidden, store[f"{prefix}.W2"]), store[f"{prefix}.b2"])
+def predict_head(u: Value, store: ParameterStore) -> Value:
+    """Two-layer relu perceptron from the fused vector to the task outputs."""
+    hidden = ad.relu(ad.add(ad.matmul(u, store["head.W1"]), store["head.b1"]))
+    return ad.add(ad.matmul(hidden, store["head.W2"]), store["head.b2"])
 
 
-def loss(y_hat: Value, y, u: Value, cfg: LossConfig) -> Value:
+def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
     """MSE(y_hat, y) + lambda * ||u||_1 for a single sample.
 
     When y_hat and u carry one row per view (the average-loss objective),
@@ -108,9 +95,18 @@ def loss(y_hat: Value, y, u: Value, cfg: LossConfig) -> Value:
     """
     rows = y_hat.shape[0] if y_hat.data.ndim == 2 else 1
     task = ad.mse(y_hat, ad.broadcast_to(y, y_hat.shape))
-    if cfg.lambda_l1 == 0.0:
+    if lambda_l1 == 0.0:
         return task
-    return ad.add(task, ad.scale(ad.l1_norm(u), cfg.lambda_l1 / rows))
+    return ad.add(task, ad.scale(ad.l1_norm(u), lambda_l1 / rows))
+
+
+@contextmanager
+def for_molecule(record: MoleculeRecord):
+    """Re-raise a molecule that cannot be aligned with its id in the message."""
+    try:
+        yield
+    except (DegenerateCloud, TooFewPoints) as exc:
+        raise type(exc)(f"molecule {record.id}: {exc}") from exc
 
 
 class Model:
@@ -126,7 +122,6 @@ class Model:
         self.vocab = tuple(vocab)
         self.task_names = tuple(task_names)
         self.bonded = bonded
-        self.inference_seed = cfg.encoder.seed
         self.store = ParameterStore()
         self.bn_states = {}
         self.enc_table = None
@@ -214,12 +209,17 @@ class Model:
                 emb_value=emb_value,
             )
             u = fuse(g, p)
-        y_hat = predict_head(u, self.store, self.cfg.activation)
+        y_hat = predict_head(u, self.store)
         return y_hat, u
 
     def predict(self, record: MoleculeRecord) -> np.ndarray:
-        """Deterministic inference (normalized-target units)."""
-        y_hat, _ = self.forward(self.graph_for(record), self.cloud_for(record), training=False)
+        """Deterministic inference (normalized-target units).
+
+        Under an aligning policy, a molecule with a degenerate spectrum or a
+        single atom raises DegenerateCloud or TooFewPoints naming its id.
+        """
+        with for_molecule(record):
+            y_hat, _ = self.forward(self.graph_for(record), self.cloud_for(record), training=False)
         return y_hat.data.copy()
 
 
@@ -280,7 +280,8 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     node_leaf = Value(graph.node_feats, requires_grad=True)
     coords_leaf = emb_leaf = None
     if not model.cfg.ablate_3d:
-        processed = encoder3d.prepare_cloud(cloud, model._align_flag(training=False))
+        with for_molecule(record):
+            processed = encoder3d.prepare_cloud(cloud, model._align_flag(training=False))
         coords_leaf = Value(processed.coords, requires_grad=True)
         if model.enc_table is not None and model.cfg.encoder.use_atom_embedding:
             rows = model.enc_table.indices(processed.atomic_numbers)

@@ -10,8 +10,10 @@ the target normalizer, and the fully resolved training config.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,14 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore
 from .data import MoleculeRecord, Normalizer, SplitSpec, dataset_task_names, dataset_vocab, normalize_targets, split
-from .encoder3d import EncoderConfig
 from .errors import Diverged, InvalidConfig, StaleGradient, TaskMismatch
 from .geometry import SamplingConfig, sample_rotations
-from .gnn import GnnConfig
-from .model import LossConfig, Model, ModelConfig, loss as sample_loss
+from .model import Model, ModelConfig, for_molecule, loss as sample_loss
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -110,23 +110,55 @@ class Checkpoint:
     train_config: TrainConfig
     vocab: tuple[int, ...]
     task_names: tuple[str, ...]
-    inference_seed: int
     bonded: bool
-    format_version: int = CHECKPOINT_VERSION
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
+def _matches(value, hint) -> bool:
+    """True when a JSON value fits a config field's type hint (ints pass as floats)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        return len(value) == len(args) and all(_matches(v, a) for v, a in zip(value, args))
+    if args:  # a union such as int | None
+        return any(_matches(value, a) for a in args)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build_config(cls, d, path: str = ""):
+    """One config dataclass from a dict; an unknown, mistyped or missing key raises InvalidConfig."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"config {path.rstrip('.') or 'root'} must be an object, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise InvalidConfig(f"unknown config key {path}{unknown[0]}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        key = path + name
+        if name not in d:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise InvalidConfig(f"config lacks {key}")
+        elif dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _build_config(hints[name], d[name], key + ".")
+        elif _matches(d[name], hints[name]):
+            kwargs[name] = d[name]
+        else:
+            raise InvalidConfig(f"config key {key} must be {f.type}, got {d[name]!r}")
+    return cls(**kwargs)
+
+
 def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    model = dict(d.pop("model"))
-    model["encoder"] = EncoderConfig(**model.pop("encoder"))
-    model["gnn"] = GnnConfig(**model.pop("gnn"))
-    d["model"] = ModelConfig(**model)
-    d["split"] = SplitSpec(**d.pop("split"))
-    return TrainConfig(**d)
+    return _build_config(TrainConfig, d)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -143,7 +175,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         arrays.append(np.ascontiguousarray(mean, dtype="<f8"))
         arrays.append(np.ascontiguousarray(var, dtype="<f8"))
     header = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "train_config": config_to_dict(ckpt.train_config),
         "normalizer": {
             "task_names": list(ckpt.normalizer.task_names),
@@ -152,7 +184,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         },
         "vocab": list(ckpt.vocab),
         "task_names": list(ckpt.task_names),
-        "inference_seed": int(ckpt.inference_seed),
         "bonded": bool(ckpt.bonded),
         "params": param_meta,
         "bn_states": bn_meta,
@@ -167,7 +198,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 _HEADER_KEYS = ("format_version", "train_config", "normalizer", "vocab", "task_names",
-                "inference_seed", "bonded", "params", "bn_states")
+                "bonded", "params", "bn_states")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -222,9 +253,7 @@ def load_checkpoint(path) -> Checkpoint:
         train_config=config_from_dict(header["train_config"]),
         vocab=tuple(header["vocab"]),
         task_names=tuple(header["task_names"]),
-        inference_seed=int(header["inference_seed"]),
         bonded=bool(header["bonded"]),
-        format_version=int(header["format_version"]),
     )
 
 
@@ -236,7 +265,6 @@ def checkpoint_from_model(model: Model, normalizer: Normalizer, cfg: TrainConfig
         train_config=cfg,
         vocab=model.vocab,
         task_names=model.task_names,
-        inference_seed=model.inference_seed,
         bonded=model.bonded,
     )
 
@@ -253,7 +281,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, Normalizer]:
     for name, (mean, var) in ckpt.bn_stats.items():
         model.bn_states[name].mean = mean.copy()
         model.bn_states[name].var = var.copy()
-    model.inference_seed = ckpt.inference_seed
     return model, ckpt.normalizer
 
 
@@ -303,7 +330,6 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
     normalizer = normalize_targets(records, train_idx)
     model = Model(cfg.model, vocab, task_names, seed=cfg.seed, bonded=bonded)
     opt = AdamWState()
-    loss_cfg = LossConfig(lambda_l1=cfg.lambda_l1)
 
     graphs = {int(i): model.graph_for(records[i]) for i in np.concatenate([train_idx, val_idx])}
     clouds = {int(i): model.cloud_for(records[i]) for i in graphs}
@@ -325,8 +351,9 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
                 rotations = sample_rotations(
                     SamplingConfig(k=cfg.model.encoder.k, seed=_rotation_seed(cfg.seed, epoch, i))
                 ) if not cfg.model.ablate_3d else None
-                y_hat, u = model.forward(graphs[i], clouds[i], training=True, rotations=rotations)
-                per_sample.append(sample_loss(y_hat, norm_targets[i], u, loss_cfg))
+                with for_molecule(records[i]):
+                    y_hat, u = model.forward(graphs[i], clouds[i], training=True, rotations=rotations)
+                per_sample.append(sample_loss(y_hat, norm_targets[i], u, cfg.lambda_l1))
             batch_loss = per_sample[0]
             for term in per_sample[1:]:
                 batch_loss = ad.add(batch_loss, term)

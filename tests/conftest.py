@@ -11,7 +11,7 @@ from rotenc.synthetic import make_records
 def tiny_model_config(**overrides) -> ModelConfig:
     """Small but real model: every component present, fast to run."""
     enc = overrides.pop("encoder", None) or EncoderConfig(
-        tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=3, seed=1, align_mode="none"
+        widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode="none"
     )
     gcf = overrides.pop("gnn", None) or GnnConfig(layers=2, hidden=8, message_width=8, readout="mean")
     defaults = dict(encoder=enc, gnn=gcf, g_dim=8, head_hidden=16, cutoff=8.0)

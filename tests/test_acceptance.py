@@ -24,7 +24,7 @@ from rotenc.geometry import (
     rotation_defect,
     sample_rotations,
 )
-from rotenc.model import LossConfig, Model, loss as sample_loss, measure_invariance
+from rotenc.model import Model, loss as sample_loss, measure_invariance
 from rotenc.synthetic import make_records, mirror_cloud, random_cloud
 from rotenc.trainer import (
     TrainConfig,
@@ -52,8 +52,7 @@ def criterion(number: int, title: str, budget_seconds: float):
 def test_01_strict_invariance_after_alignment():
     with criterion(1, "post-align invariance: mean = max = 0 within 1e-9", 120):
         cfg = tiny_model_config(
-            encoder=EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=4, seed=0,
-                                  align_mode="post")
+            encoder=EncoderConfig(widths=(16, 8), embed_dim=4, k=4, seed=0, align_mode="post")
         )
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
         molecules = make_records(50, seed=101, n_atoms_range=(4, 10))
@@ -69,8 +68,7 @@ def test_02_inverse_sqrt_k_deviation_scaling():
         devs = {}
         for k in (4, 64):
             cfg = tiny_model_config(
-                encoder=EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=k, seed=0,
-                                      align_mode="none")
+                encoder=EncoderConfig(widths=(16, 8), embed_dim=4, k=k, seed=0, align_mode="none")
             )
             model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
             devs[k] = measure_invariance(model, molecules, n_rotations=30, seed=77).mean_dev
@@ -106,8 +104,7 @@ def test_04_alignment_invariance_and_idempotence():
 
 def test_05_chirality_separation():
     with criterion(5, "20 chiral clouds: fingerprints split > 1e-3, RBF blind @ 1e-12", 60):
-        cfg = EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=4, seed=0,
-                            align_mode="none")
+        cfg = EncoderConfig(widths=(16, 8), embed_dim=4, k=4, seed=0, align_mode="none")
         store = ad.ParameterStore()
         table, states = init_encoder_params(store, cfg, (1, 6, 7, 8), np.random.default_rng(5))
         rng = np.random.default_rng(105)
@@ -140,7 +137,7 @@ def test_06_gradient_correctness():
         def f(store):
             y_hat, u = model.forward(graph, cloud, training=True, update_running=False,
                                      rotations=rotations)
-            return sample_loss(y_hat, target, u, LossConfig(lambda_l1=1e-3))
+            return sample_loss(y_hat, target, u, 1e-3)
 
         err = ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
         assert err <= 1e-4, f"max relative error {err:.3e}"
@@ -177,8 +174,7 @@ def test_08_learning_smoke():
         records = make_records(250, seed=108)
         cfg = TrainConfig(
             model=tiny_model_config(
-                encoder=EncoderConfig(tau=2, widths=(32, 32), d_p=32, embed_dim=8, k=4, seed=0,
-                                      align_mode="none"),
+                encoder=EncoderConfig(widths=(32, 32), embed_dim=8, k=4, seed=0, align_mode="none"),
                 gnn=__import__("rotenc.gnn", fromlist=["GnnConfig"]).GnnConfig(
                     layers=2, hidden=16, message_width=16, readout="mean"),
                 g_dim=16, head_hidden=64, cutoff=8.0,

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ TOY_CONFIG = {
         "g_dim": 8,
         "head_hidden": 16,
         "cutoff": 8.0,
-        "encoder": {"tau": 1, "widths": [8], "d_p": 8, "embed_dim": 4, "k": 2},
+        "encoder": {"widths": [8], "embed_dim": 4, "k": 2},
         "gnn": {"layers": 1, "hidden": 8, "message_width": 8, "readout": "mean"},
     },
     "split": {"mode": "holdout", "train_fraction": 0.8, "seed": 3},
@@ -259,12 +260,11 @@ class TestConfigLayers:
     def test_flag_free_config_is_the_documented_default(self):
         expected = TrainConfig(
             model=ModelConfig(
-                encoder=EncoderConfig(tau=3, widths=(64, 128, 128), d_p=128, pool="mean",
+                encoder=EncoderConfig(widths=(64, 128, 128), pool="mean",
                                       use_atom_embedding=True, embed_dim=32, k=16, seed=0,
-                                      align_mode="none", activation="relu"),
-                gnn=GnnConfig(layers=3, hidden=32, message_width=32, readout="sum",
-                              activation="relu"),
-                g_dim=128, head_hidden=256, activation="relu", cutoff=5.0,
+                                      align_mode="none"),
+                gnn=GnnConfig(layers=3, hidden=32, message_width=32, readout="sum"),
+                g_dim=128, head_hidden=256, cutoff=5.0,
                 objective="average_output", ablate_3d=False, ablate_features=False,
                 ablate_pointwise=False,
             ),
@@ -273,6 +273,35 @@ class TestConfigLayers:
             eps=1e-8, seed=0, lambda_l1=1e-4,
         )
         assert resolve_config(argparse.Namespace()) == expected
+
+    @pytest.mark.parametrize("encoder, key", [({"tau": 3}, "model.encoder.tau"),
+                                              ({"k": "16"}, "model.encoder.k")])
+    def test_bad_config_key_exits_2_naming_it(self, workspace, tmp_path, capsys, encoder, key):
+        root, data, _ = workspace
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**TOY_CONFIG, "model": {**TOY_CONFIG["model"], "encoder": {
+            **TOY_CONFIG["model"]["encoder"], **encoder}}}))
+        code = main(["train", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_json_config_exits_2(self, workspace, tmp_path, capsys):
+        root, data, _ = workspace
+        config = tmp_path / "bad.json"
+        config.write_text("{epochs: 2")
+        code = main(["train", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "not JSON" in capsys.readouterr().err
+
+    def test_manifest_reports_the_encoder_seed(self, workspace, trained, tmp_path):
+        root, data, _ = workspace
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(trained), "--data", str(data),
+                     "--out", str(out)]) == 0
+        seeds = json.loads((out / "manifest.json").read_text())["seeds"]
+        assert seeds == {"inference": load_checkpoint(trained).train_config.model.encoder.seed}
 
 
 class TestBadCheckpoint:
@@ -285,3 +314,53 @@ class TestBadCheckpoint:
                      "--out", str(tmp_path / "ev")])
         assert code == 2
         assert "corrupt checkpoint" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_exits_2(self, workspace, trained, tmp_path, capsys):
+        root, data, _ = workspace
+        blob = trained.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        header.update(format_version=1, inference_seed=0)
+        new_header = json.dumps(header).encode()
+        old = tmp_path / "v1.rotenc"
+        old.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header
+                        + blob[12 + header_len :])
+        code = main(["eval", "--checkpoint", str(old), "--data", str(data),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def _with_record(tmp_path, record) -> Path:
+    """Three ordinary molecules followed by ``record``, written as a dataset."""
+    path = tmp_path / f"{record.id}.jsonl"
+    write_dataset(make_records(3, seed=9) + [record], path)
+    return path
+
+
+class TestMoleculeThatCannotBeAligned:
+    def test_eval_of_degenerate_molecule_under_post_exits_2(self, workspace, tmp_path, capsys):
+        root, data, config = workspace
+        out = tmp_path / "post"
+        assert main(["train", "--data", str(data), "--config", str(config),
+                     "--align-mode", "post", "--out", str(out)]) == 0
+        co = MoleculeRecord(id="carbon-monoxide", atomic_numbers=[6, 8],
+                            coords=np.array([[0.0, 0.0, 0.0], [1.13, 0.0, 0.0]]), bonds=None,
+                            targets={"rg": 0.6})
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.rotenc"),
+                     "--data", str(_with_record(tmp_path, co)), "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "carbon-monoxide" in err and "degenerate" in err
+        assert "internal error" not in err
+
+    def test_invariance_of_one_atom_molecule_under_post_exits_2(self, workspace, trained,
+                                                                 tmp_path, capsys):
+        lone = MoleculeRecord(id="lone-carbon", atomic_numbers=[6],
+                              coords=np.zeros((1, 3)), bonds=None, targets={"rg": 0.0})
+        code = main(["invariance", "--checkpoint", str(trained),
+                     "--data", str(_with_record(tmp_path, lone)), "--align-modes", "post",
+                     "--rotations", "2", "--out", str(tmp_path / "inv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "lone-carbon" in err and "internal error" not in err

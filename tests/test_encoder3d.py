@@ -18,7 +18,7 @@ from rotenc.synthetic import mirror_cloud, random_cloud
 
 
 def small_cfg(**overrides):
-    defaults = dict(tau=2, widths=(8, 6), d_p=6, embed_dim=4, k=3, seed=0, align_mode="none")
+    defaults = dict(widths=(8, 6), embed_dim=4, k=3, seed=0, align_mode="none")
     defaults.update(overrides)
     return EncoderConfig(**defaults)
 
@@ -35,13 +35,13 @@ def centered_cloud(n=7, seed=0):
 
 
 class TestConfigValidation:
-    def test_widths_must_match_tau(self):
+    @pytest.mark.parametrize("widths", [(), (8, 0)])
+    def test_widths_must_be_non_empty_and_positive(self, widths):
         with pytest.raises(InvalidConfig):
-            EncoderConfig(tau=2, widths=(8,), d_p=8)
+            EncoderConfig(widths=widths)
 
-    def test_last_width_must_equal_dp(self):
-        with pytest.raises(InvalidConfig):
-            EncoderConfig(tau=1, widths=(8,), d_p=4)
+    def test_fingerprint_length_is_the_last_width(self):
+        assert small_cfg(widths=(8, 3)).d_p == 3
 
     def test_k_positive(self):
         with pytest.raises(InvalidConfig):
@@ -49,7 +49,7 @@ class TestConfigValidation:
 
     def test_defaults_follow_reported_setup(self):
         cfg = EncoderConfig()
-        assert cfg.tau == 3 and cfg.widths == (64, 128, 128) and cfg.d_p == 128
+        assert cfg.widths == (64, 128, 128) and cfg.d_p == 128
         assert cfg.embed_dim == 32 and cfg.k == 16 and cfg.pool == "mean"
 
 
@@ -92,7 +92,7 @@ class TestPointwiseStack:
     def test_identity_composition(self):
         # one layer, identity weights, eval-mode batchnorm tuned to the
         # identity map, positive inputs: the stack is a no-op
-        cfg = small_cfg(tau=1, widths=(3,), d_p=3, use_atom_embedding=False)
+        cfg = small_cfg(widths=(3,), use_atom_embedding=False)
         store = ParameterStore()
         store.add("enc.conv0.W", np.eye(3))
         store.add("enc.bn0.gamma", np.full(3, np.sqrt(1.0 + 1e-5)))

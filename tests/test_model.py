@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from conftest import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore, Value
-from rotenc.data import MoleculeRecord
+from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import InvalidConfig, NoData, ShapeError
 from rotenc.geometry import SamplingConfig, sample_rotations
 from rotenc.model import (
-    LossConfig,
     Model,
     ModelConfig,
     atom_importance,
@@ -21,6 +20,7 @@ from rotenc.model import (
     predict_head,
 )
 from rotenc.synthetic import make_records
+from rotenc.trainer import TrainConfig
 
 
 def permuted_record(record, perm):
@@ -90,17 +90,17 @@ class TestPredictHead:
 
 class TestLoss:
     def test_lambda_zero_is_pure_mse(self):
-        out = loss(Value(np.array([0.0])), np.array([2.0]), Value(np.ones(3)), LossConfig(0.0))
+        out = loss(Value(np.array([0.0])), np.array([2.0]), Value(np.ones(3)), 0.0)
         assert out.data == 4.0
 
     def test_penalty_arithmetic(self):
         out = loss(Value(np.array([1.0, 2.0])), np.array([1.0, 2.0]),
-                   Value(np.array([1.0, -2.0, 0.5])), LossConfig(0.1))
+                   Value(np.array([1.0, -2.0, 0.5])), 0.1)
         np.testing.assert_allclose(out.data, 0.35)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss(Value(np.zeros(2)), np.zeros(3), Value(np.zeros(2)), LossConfig(0.0))
+            loss(Value(np.zeros(2)), np.zeros(3), Value(np.zeros(2)), 0.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -109,22 +109,22 @@ class TestLoss:
         y_hat, y = rng.normal(size=3), rng.normal(size=3)
         u = rng.normal(size=5)
         lam = float(rng.uniform(0, 0.5))
-        with_pen = loss(Value(y_hat), y, Value(u), LossConfig(lam)).data
-        without = loss(Value(y_hat), y, Value(u), LossConfig(0.0)).data
+        with_pen = loss(Value(y_hat), y, Value(u), lam).data
+        without = loss(Value(y_hat), y, Value(u), 0.0).data
         np.testing.assert_allclose(with_pen - without, lam * np.sum(np.abs(u)), rtol=1e-12,
                                    atol=1e-14)
 
     def test_view_rows_average_the_per_row_losses(self):
         rng = np.random.default_rng(3)
         y_hat, y, u = rng.normal(size=(4, 2)), rng.normal(size=2), rng.normal(size=(4, 5))
-        cfg = LossConfig(0.1)
-        per_row = [loss(Value(y_hat[v]), y, Value(u[v]), cfg).data for v in range(4)]
-        np.testing.assert_allclose(loss(Value(y_hat), y, Value(u), cfg).data, np.mean(per_row),
+        per_row = [loss(Value(y_hat[v]), y, Value(u[v]), 0.1).data for v in range(4)]
+        np.testing.assert_allclose(loss(Value(y_hat), y, Value(u), 0.1).data, np.mean(per_row),
                                    rtol=1e-12)
 
     def test_negative_lambda_rejected(self):
+        # the loss takes its L1 weight from TrainConfig, which validates it
         with pytest.raises(InvalidConfig):
-            LossConfig(-0.1)
+            TrainConfig(tiny_model_config(), SplitSpec(), lambda_l1=-0.1)
 
 
 class TestEndToEndSymmetries:
@@ -162,8 +162,7 @@ class TestEndToEndSymmetries:
 class TestMeasureInvariance:
     def test_post_align_is_exact(self, small_records):
         cfg = tiny_model_config(
-            encoder=EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=4, seed=1,
-                                  align_mode="post")
+            encoder=EncoderConfig(widths=(16, 8), embed_dim=4, k=4, seed=1, align_mode="post")
         )
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=2)
         report = measure_invariance(model, small_records[:5], n_rotations=20, seed=3)
@@ -175,8 +174,7 @@ class TestMeasureInvariance:
         devs = {}
         for k in (4, 16):
             cfg = tiny_model_config(
-                encoder=EncoderConfig(tau=2, widths=(16, 8), d_p=8, embed_dim=4, k=k, seed=1,
-                                      align_mode="none")
+                encoder=EncoderConfig(widths=(16, 8), embed_dim=4, k=k, seed=1, align_mode="none")
             )
             model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=2)
             devs[k] = measure_invariance(model, small_records, n_rotations=25, seed=4).mean_dev
@@ -245,7 +243,7 @@ class TestAtomImportance:
         from scipy.stats import spearmanr
 
         cfg = tiny_model_config(
-            encoder=EncoderConfig(tau=2, widths=(16, 8), d_p=8, use_atom_embedding=False,
+            encoder=EncoderConfig(widths=(16, 8), use_atom_embedding=False,
                                   k=3, seed=1, align_mode="none")
         )
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=5)

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore
-from rotenc.data import Normalizer, SplitSpec, split as split_records
+from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, split as split_records
 from rotenc.encoder3d import EncoderConfig
-from rotenc.errors import Diverged, InvalidConfig, StaleGradient, TaskMismatch
+from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
 from rotenc.model import Model, ModelConfig
 from rotenc.synthetic import make_records
@@ -210,6 +211,15 @@ class TestTraining:
         ckpt, history = train(cfg, records)
         assert np.isfinite(history[-1]["train_loss"])
 
+    def test_pre_align_names_a_degenerate_molecule(self):
+        co = MoleculeRecord(id="co", atomic_numbers=[6, 8],
+                            coords=np.array([[0.0, 0.0, 0.0], [1.13, 0.0, 0.0]]), bonds=None,
+                            targets={"rg": 0.6})
+        enc = EncoderConfig(widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode="pre")
+        cfg = smoke_config(epochs=1, model=tiny_model_config(encoder=enc))
+        with pytest.raises(DegenerateCloud, match="molecule co:"):
+            train(cfg, make_records(7, seed=12) + [co])
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical_predictions(self, tmp_path):
@@ -241,7 +251,7 @@ class TestCheckpoint:
             bn_stats={"bn": (np.zeros(2), np.ones(2))},
             normalizer=Normalizer(("y",), np.array([1.0]), np.array([2.0])),
             train_config=smoke_config(), vocab=(1, 6), task_names=("y",),
-            inference_seed=0, bonded=False,
+            bonded=False,
         )
         path = tmp_path / "small.rotenc"
         save_checkpoint(ckpt, path)
@@ -272,6 +282,17 @@ class TestCheckpoint:
             with pytest.raises(InvalidConfig, match=reason):
                 load_checkpoint(bad)
 
+    def test_header_without_config_sections_rejected(self, tmp_path):
+        blob = self.small_checkpoint_bytes(tmp_path)
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header, body = json.loads(blob[12 : 12 + header_len]), blob[12 + header_len :]
+        header["train_config"] = {}
+        new_header = json.dumps(header).encode()
+        bad = tmp_path / "bad.rotenc"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + body)
+        with pytest.raises(InvalidConfig, match="config lacks model"):
+            load_checkpoint(bad)
+
     def test_config_dict_roundtrip(self):
         cfg = smoke_config()
         back = config_from_dict(config_to_dict(cfg))
@@ -297,6 +318,53 @@ class TestCheckpoint:
                                targets={"other": 1.0})
         with pytest.raises(TaskMismatch):
             evaluate_model(model, normalizer, [alien])
+
+
+def _owner(d: dict, path: str) -> tuple[dict, str]:
+    """The dict holding a dotted config key, and the key's last part."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        d = d[key]
+    return d, leaf
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("path, value", [
+        ("model.encoder.bogus", 1),
+        ("model.encoder.tau", 3),
+        ("model.encoder.k", "16"),
+        ("model.encoder.widths", [8, "8"]),
+        ("model.ablate_3d", 1),
+        ("betas", [0.9]),
+        ("split.k_folds", 2.5),
+        ("lr", True),
+        ("model.gnn", [3]),
+    ])
+    def test_bad_key_raises_invalid_config_naming_it(self, path, value):
+        d = config_to_dict(smoke_config())
+        owner, leaf = _owner(d, path)
+        owner[leaf] = value
+        with pytest.raises(InvalidConfig, match=re.escape(path)):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("path", ["model", "split", "model.encoder", "model.gnn"])
+    def test_missing_section_raises_invalid_config_naming_it(self, path):
+        d = config_to_dict(smoke_config())
+        owner, leaf = _owner(d, path)
+        del owner[leaf]
+        with pytest.raises(InvalidConfig, match=f"lacks {re.escape(path)}$"):
+            config_from_dict(d)
+
+    def test_missing_field_with_default_takes_the_default(self):
+        d = config_to_dict(smoke_config())
+        del d["model"]["encoder"]["pool"]
+        assert config_from_dict(d) == smoke_config()
+
+    def test_ints_pass_as_floats(self):
+        d = config_to_dict(smoke_config())
+        d["lr"], d["model"]["cutoff"] = 1, 8
+        cfg = config_from_dict(d)
+        assert cfg.lr == 1 and cfg.model.cutoff == 8
 
 
 class TestAblations:
