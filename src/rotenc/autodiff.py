@@ -242,6 +242,15 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
     Row i of the output is the sum of all rows j with indices[j] == i
     (zero when there are none). This is the neighbor-sum aggregation for
     message passing; each destination is summed permutation-exactly.
+
+    The rows go into one zero-padded ``(n_rows, max_in_degree, d)`` buffer,
+    destination by destination, which is sorted and summed along its middle
+    axis. numpy adds along a strided axis one slice at a time, starting
+    from +0.0, so the padding zeros change no partial sum and each output
+    row equals ``_psum`` of that destination's rows bit for bit. A single
+    column is summed along a contiguous axis, where numpy sums pairwise and
+    the grouping depends on the row count; one-column inputs are therefore
+    summed one in-degree class at a time, without padding.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if a.data.ndim != 2:
@@ -250,13 +259,22 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
         raise ShapeError(
             f"scatter_add_rows: index shape {indices.shape} does not match rows {a.data.shape}"
         )
-    result = np.zeros((n_rows, a.data.shape[1]))
+    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
+        raise ShapeError(f"scatter_add_rows: indices out of range for {n_rows} rows")
+    counts = np.bincount(indices, minlength=n_rows)
     order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
-    for chunk in np.split(order, boundaries):
-        if chunk.size:
-            result[indices[chunk[0]]] = _psum(a.data[chunk], axis=0)
+    dest = indices[order]
+    slot = np.arange(dest.size) - (np.cumsum(counts) - counts)[dest]
+    width = a.data.shape[1]
+    buf = np.zeros((n_rows, int(counts.max(initial=0)), width))
+    buf[dest, slot] = a.data[order]
+    if width > 1:
+        result = np.sum(np.sort(buf, axis=1), axis=1)
+    else:
+        result = np.zeros((n_rows, 1))
+        for c in np.unique(counts[counts > 0]):
+            rows = counts == c
+            result[rows] = np.sum(np.sort(buf[rows, :c], axis=1), axis=1)
     out = Value(result, _parents=(a,), _op="scatter_add_rows")
     out._backward_fn = lambda g: a._accumulate(g[indices])
     return out

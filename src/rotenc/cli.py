@@ -298,7 +298,10 @@ def cmd_sweep_k(args) -> int:
     out = _out_dir(args)
     k_values = []
     for token in args.k_values.split(","):
-        k = int(token)
+        try:
+            k = int(token)
+        except ValueError:
+            raise UsageError(f"--k-values: {token.strip()!r} is not an integer") from None
         if k in k_values:
             print(f"warning: duplicate k={k} ignored", file=sys.stderr)
             continue
@@ -310,23 +313,22 @@ def cmd_sweep_k(args) -> int:
     records = load_dataset(data_path)
     seed = args.seed if args.seed is not None else 0
     manifest.data["seeds"] = {"rotations": seed}
+    if args.checkpoint:
+        model, normalizer = model_from_checkpoint(load_checkpoint(_require(args.checkpoint, "checkpoint")))
+        base_cfg = model.cfg
+    else:
+        base_cfg = resolve_config(args)
     rows = []
     baseline_mae = None
     for k in k_values:
         start = time.time()
         if args.checkpoint:
-            ckpt = load_checkpoint(_require(args.checkpoint, "checkpoint"))
-            model, normalizer = model_from_checkpoint(ckpt)
-            enc = replace(model.cfg.encoder, k=k)
-            model.cfg = replace(model.cfg, encoder=enc)
-            metrics = evaluate_model(model, normalizer, records, split_name=f"k={k}")
+            model.cfg = replace(base_cfg, encoder=replace(base_cfg.encoder, k=k))
         else:
-            cfg = resolve_config(args)
-            enc = replace(cfg.model.encoder, k=k)
-            cfg = replace(cfg, model=replace(cfg.model, encoder=enc))
-            ckpt, _ = train(cfg, records)
+            enc = replace(base_cfg.model.encoder, k=k)
+            ckpt, _ = train(replace(base_cfg, model=replace(base_cfg.model, encoder=enc)), records)
             model, normalizer = model_from_checkpoint(ckpt)
-            metrics = evaluate_model(model, normalizer, records, split_name=f"k={k}")
+        metrics = evaluate_model(model, normalizer, records, split_name=f"k={k}")
         report = measure_invariance(model, records[: args.max_molecules or len(records)],
                                     n_rotations=args.rotations, seed=seed)
         runtime = time.time() - start

@@ -38,6 +38,8 @@ DEFAULT_CUTOFF = 5.0
 RBF_N_CENTERS = 32
 RBF_SPAN = (0.0, 6.0)
 RBF_GAMMA = 10.0
+RBF_CENTERS = np.linspace(RBF_SPAN[0], RBF_SPAN[1], RBF_N_CENTERS)
+RBF_CENTERS.flags.writeable = False
 
 # one-hot buckets for explicit bond orders; anything else lands in the last slot
 BOND_ORDERS = (1, 2, 3)
@@ -158,20 +160,18 @@ def write_dataset(records, path) -> None:
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-def rbf_expand(d: float, centers=None, gamma: float = RBF_GAMMA) -> np.ndarray:
-    """Gaussian radial basis expansion of a distance: v_i = exp(-gamma (d - c_i)^2)."""
+def rbf_expand(d, centers=None, gamma: float = RBF_GAMMA) -> np.ndarray:
+    """Gaussian radial basis expansion of distances: v_i = exp(-gamma (d - c_i)^2).
+
+    A scalar distance gives one ``(n_centers,)`` vector; an ``(m,)`` array
+    gives an ``(m, n_centers)`` matrix whose rows equal the scalar results.
+    ``centers`` defaults to ``RBF_CENTERS``.
+    """
     if gamma <= 0:
         raise InvalidConfig(f"gamma must be positive, got {gamma}")
-    if centers is None:
-        centers = np.linspace(RBF_SPAN[0], RBF_SPAN[1], RBF_N_CENTERS)
-    centers = np.asarray(centers, dtype=np.float64)
-    return np.exp(-gamma * (d - centers) ** 2)
-
-
-def _bond_onehot(order: int) -> np.ndarray:
-    v = np.zeros(len(BOND_ORDERS) + 1)
-    v[BOND_ORDERS.index(order) if order in BOND_ORDERS else len(BOND_ORDERS)] = 1.0
-    return v
+    centers = RBF_CENTERS if centers is None else np.asarray(centers, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    return np.exp(-gamma * (d[..., None] - centers) ** 2)
 
 
 def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
@@ -189,36 +189,29 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     n = record.n_atoms
     if n == 0:
         raise EmptyMolecule(f"record {record.id} has no atoms")
-    pairs = []
-    feats = []
     if record.bonds is not None:
-        for u, v, order in record.bonds:
-            f = _bond_onehot(order)
-            pairs.extend([(u, v), (v, u)])
-            feats.extend([f, f])
+        ends = np.asarray([(u, v) for u, v, _ in record.bonds], dtype=np.int64).reshape(-1, 2)
+        slots = [BOND_ORDERS.index(o) if o in BOND_ORDERS else len(BOND_ORDERS)
+                 for _, _, o in record.bonds]
+        feats = np.eye(len(BOND_ORDERS) + 1)[slots]
     else:
         if cutoff <= 0:
             raise InvalidConfig(f"cutoff must be positive, got {cutoff}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist = float(np.linalg.norm(record.coords[i] - record.coords[j]))
-                if dist < cutoff:
-                    f = rbf_expand(dist)
-                    pairs.extend([(i, j), (j, i)])
-                    feats.extend([f, f])
+        i, j = np.triu_indices(n, k=1)
+        diff = record.coords[i] - record.coords[j]
+        # a (1, 3) @ (3, 1) product per pair is the same dot product np.linalg.norm
+        # takes of one difference vector, so every distance keeps its bits
+        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+        keep = dist < cutoff
+        ends = np.stack([i[keep], j[keep]], axis=1)
+        feats = rbf_expand(dist[keep])
     if edge_features == "constant":
-        feats = [np.ones(1) for _ in pairs]
+        feats = np.ones((len(ends), 1))
     elif edge_features != "auto":
         raise InvalidConfig(f"edge_features must be 'auto' or 'constant', got {edge_features!r}")
-
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if feats:
-        edge_feats = np.stack(feats)
-    else:
-        width = 1 if edge_features == "constant" else (
-            len(BOND_ORDERS) + 1 if record.bonds is not None else RBF_N_CENTERS
-        )
-        edge_feats = np.zeros((0, width))
+    # each pair becomes the directed edges (i, j), (j, i), adjacent and sharing one feature row
+    edges = np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2)
+    edge_feats = np.repeat(feats, 2, axis=0)
 
     if vocab is not None:
         index = {z: i for i, z in enumerate(vocab)}

@@ -12,6 +12,7 @@ it exactly invariant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,19 @@ def prepare_cloud(cloud: PointCloud, align: bool) -> PointCloud:
     return result.aligned
 
 
+@functools.lru_cache(maxsize=64)
+def inference_views(k: int, seed: int) -> np.ndarray:
+    """The (k, 3, 3) view stack drawn from ``seed``, sampled once per (k, seed).
+
+    The cache is keyed on the values, not on a model, so a model whose
+    config is replaced after construction gets the views of its new k. The
+    returned array is shared and read-only.
+    """
+    views = np.asarray(sample_rotations(SamplingConfig(k=k, seed=seed)))
+    views.flags.writeable = False
+    return views
+
+
 def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
            update_running: bool = True, rotations=None, align: bool | None = None,
@@ -186,9 +200,10 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: center, (optionally) align, rotate into k views, pool, average.
 
-    ``rotations`` overrides the sampled view set (otherwise k rotations are
-    drawn from cfg.seed); ``align`` overrides the config's alignment policy
-    (the training loop disables alignment for post-align models). All views
+    ``rotations`` overrides the view set (otherwise it is the k rotations
+    drawn from cfg.seed, see ``inference_views``); ``align`` overrides the
+    config's alignment policy (the training loop disables alignment for
+    post-align models). All views
     run as one stacked (k, n, d) tensor; their fingerprints are averaged
     with a permutation-exact mean, so the result does not depend on the
     order of the views. ``per_view`` skips that mean and returns one
@@ -202,7 +217,7 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     else:
         centered = prepare_cloud(cloud, cfg.align_mode in ("pre", "post") if align is None else align)
     if rotations is None:
-        rotations = sample_rotations(SamplingConfig(k=cfg.k, seed=cfg.seed))
+        rotations = inference_views(cfg.k, cfg.seed)
     views = build_view_input(centered, np.asarray(rotations), table, cfg,
                              coords=coords_value, emb=emb_value)
     if use_stack:

@@ -228,8 +228,8 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
 
     Per molecule the deviation is max over rotations and tasks of
     |y_hat(R X) - y_hat(X)|; the report carries the mean and max over
-    molecules. Inference resamples its views from the model's fixed seed
-    on every call, so post-align models are exactly invariant here.
+    molecules. Every inference call uses the same view set, drawn once from
+    the model's seed, so post-align models are exactly invariant here.
     """
     if not records:
         raise NoData("no molecules given")

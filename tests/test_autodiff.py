@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotenc import autodiff as ad
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
@@ -92,6 +95,81 @@ class TestPermutationExactness:
         b = ad.batchnorm(Value(x[perm]), gamma, beta, s2, training=True).data
         assert np.array_equal(a, b[np.argsort(perm)])
         assert np.array_equal(s1.mean, s2.mean) and np.array_equal(s1.var, s2.var)
+
+
+def _per_destination_psum(x, indices, n_rows):
+    """The per-destination loop ``scatter_add_rows`` once ran, kept as its oracle."""
+    out = np.zeros((n_rows, x.shape[1]))
+    for i in range(n_rows):
+        rows = x[indices == i]
+        if len(rows):
+            out[i] = ad._psum(rows, axis=0)
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from +0.0
+
+
+@st.composite
+def scatter_inputs(draw):
+    """Rows of mixed sign and magnitude, some exact zeros of either sign."""
+    n_rows = draw(st.integers(1, 8))
+    width = draw(st.sampled_from([1, 1, 2, 3]))
+    n_in = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        indices = np.full(n_in, draw(st.integers(0, n_rows - 1)), dtype=np.int64)  # one node gets all
+    else:
+        indices = draw(arrays(np.int64, n_in, elements=st.integers(0, n_rows - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n_in, width)) * 10.0 ** rng.integers(-3, 4, (n_in, width))
+    zeros = draw(arrays(np.int8, (n_in, width), elements=st.integers(0, 9)))
+    x[zeros == 0] = 0.0
+    x[zeros == 1] = -0.0
+    return x, indices, n_rows
+
+
+class TestScatterAddRowsKernel:
+    """The padded-buffer kernel against the per-destination loop, bit for bit."""
+
+    @given(scatter_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_destination_psum(self, case):
+        x, indices, n_rows = case
+        out = ad.scatter_add_rows(Value(x), indices, n_rows).data
+        assert_same_bits(out, _per_destination_psum(x, indices, n_rows))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_empty_single_and_crowded_destinations(self, width):
+        # node 0 gets 20 rows and node 3 gets 13 (both past numpy's 8-way
+        # pairwise blocking, so padding node 3 to 20 rows would regroup a
+        # one-column sum), node 1 none, node 2 one, node 4 three
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            indices = rng.permutation([0] * 20 + [2] + [3] * 13 + [4] * 3)
+            x = rng.normal(size=(indices.size, width))
+            x[::5] = 0.0
+            x[1::7] = -0.0
+            out = ad.scatter_add_rows(Value(x), indices, 5).data
+            assert_same_bits(out, _per_destination_psum(x, indices, 5))
+            assert_same_bits(out[1], np.zeros(width))
+
+    def test_empty_index_array_gives_zero_rows(self):
+        out = ad.scatter_add_rows(Value(np.zeros((0, 3))), np.zeros(0, dtype=np.int64), 4)
+        assert_same_bits(out.data, np.zeros((4, 3)))
+
+    def test_backward_gathers_destination_gradient(self):
+        x = Value(np.ones((5, 2)), requires_grad=True)
+        indices = np.array([2, 0, 2, 1, 0])
+        out = ad.scatter_add_rows(x, indices, 3)
+        out._backward_fn(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2)[indices])
+
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0]])
+    def test_index_out_of_range_rejected(self, bad):
+        with pytest.raises(ShapeError):
+            ad.scatter_add_rows(Value(np.ones((2, 2))), bad, 3)
 
 
 class TestBackward:

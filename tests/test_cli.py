@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,9 @@ from rotenc.cli import main, resolve_config
 from rotenc.data import MoleculeRecord, SplitSpec, load_dataset, write_dataset
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
-from rotenc.model import ModelConfig
+from rotenc.model import ModelConfig, measure_invariance
 from rotenc.synthetic import make_records
-from rotenc.trainer import TrainConfig, load_checkpoint
+from rotenc.trainer import TrainConfig, evaluate_model, load_checkpoint, model_from_checkpoint
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -155,6 +156,35 @@ class TestSweepK:
         assert runtimes[1] < 8 * runtimes[0]  # views are cheap relative to overheads
         devs = [float(r["mean_dev"]) for r in rows]
         assert devs[1] <= 1.5 * devs[0]  # non-increasing in k within noise
+
+
+    @pytest.mark.parametrize("k_values, token", [("2,x", "'x'"), ("2,", "''"), ("1.5", "'1.5'")])
+    def test_bad_k_value_exits_2_naming_it(self, workspace, trained, tmp_path, capsys, k_values, token):
+        root, data, _ = workspace
+        code = main(["sweep-k", "--data", str(data), "--checkpoint", str(trained),
+                     "--k-values", k_values, "--out", str(tmp_path / "badk")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert token in err and "Traceback" not in err
+
+    def test_eval_only_rows_match_a_fresh_load_per_k(self, workspace, trained, tmp_path):
+        # the checkpoint is loaded once for the whole sweep; every row must
+        # equal evaluating a freshly loaded model at that k
+        root, data, _ = workspace
+        out = tmp_path / "sweep_once"
+        code = main(["sweep-k", "--data", str(data), "--checkpoint", str(trained),
+                     "--k-values", "3,1,5", "--rotations", "3", "--max-molecules", "4",
+                     "--out", str(out)])
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        records = load_dataset(data)
+        for row in rows:
+            model, normalizer = model_from_checkpoint(load_checkpoint(trained))
+            model.cfg = replace(model.cfg, encoder=replace(model.cfg.encoder, k=int(row["k"])))
+            metrics = evaluate_model(model, normalizer, records, split_name="fresh")
+            report = measure_invariance(model, records[:4], n_rotations=3, seed=0)
+            assert row["mae"] == f"{float(np.mean(list(metrics.mae.values()))):.8g}"
+            assert row["mean_dev"] == f"{report.mean_dev:.10g}"
 
 
 class TestAlign:

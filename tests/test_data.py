@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotenc.data import (
+    BOND_ORDERS,
+    RBF_N_CENTERS,
     MoleculeRecord,
     SplitSpec,
     build_graph,
@@ -108,6 +111,81 @@ class TestLoadDataset:
         assert "xyz" in str(exc.value)
 
 
+def _per_pair_graph(record, cutoff, edge_features="auto"):
+    """The per-pair loop ``build_graph`` once ran, kept as its oracle: (edges, edge_feats)."""
+    pairs, feats = [], []
+    if record.bonds is not None:
+        for u, v, order in record.bonds:
+            f = np.zeros(len(BOND_ORDERS) + 1)
+            f[BOND_ORDERS.index(order) if order in BOND_ORDERS else len(BOND_ORDERS)] = 1.0
+            pairs.extend([(u, v), (v, u)])
+            feats.extend([f, f])
+    else:
+        centers = np.linspace(0.0, 6.0, 32)
+        for i in range(record.n_atoms):
+            for j in range(i + 1, record.n_atoms):
+                dist = float(np.linalg.norm(record.coords[i] - record.coords[j]))
+                if dist < cutoff:
+                    f = np.exp(-10.0 * (dist - centers) ** 2)
+                    pairs.extend([(i, j), (j, i)])
+                    feats.extend([f, f])
+    if edge_features == "constant":
+        feats = [np.ones(1) for _ in pairs]
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if feats:
+        return edges, np.stack(feats)
+    width = 1 if edge_features == "constant" else (
+        len(BOND_ORDERS) + 1 if record.bonds is not None else RBF_N_CENTERS)
+    return edges, np.zeros((0, width))
+
+
+def assert_graph_matches_oracle(record, cutoff, edge_features="auto"):
+    graph = build_graph(record, cutoff, edge_features=edge_features)
+    edges, feats = _per_pair_graph(record, cutoff, edge_features)
+    assert graph.edges.dtype == edges.dtype and np.array_equal(graph.edges, edges)
+    assert graph.edge_feats.shape == feats.shape and graph.edge_feats.dtype == feats.dtype
+    assert graph.edge_feats.tobytes() == feats.tobytes()
+
+
+def cloud_record(coords, bonds=None):
+    return MoleculeRecord(id="c", atomic_numbers=[6] * len(coords), coords=coords, bonds=bonds,
+                          targets={"e": 0.0})
+
+
+class TestBuildGraphMatchesPerPairLoop:
+    @given(st.integers(1, 24).flatmap(lambda n: arrays(
+        np.float64, (n, 3), elements=st.floats(-6.0, 6.0, allow_nan=False))),
+        st.sampled_from([0.5, 1.7, 3.0, 5.0, 12.0]),
+        st.sampled_from(["auto", "constant"]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_clouds(self, coords, cutoff, edge_features):
+        assert_graph_matches_oracle(cloud_record(coords), cutoff, edge_features)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30))
+    @settings(max_examples=50, deadline=None)
+    def test_gaussian_clouds(self, seed, n):
+        coords = np.random.default_rng(seed).normal(size=(n, 3)) * 2.0
+        assert_graph_matches_oracle(cloud_record(coords), 5.0)
+
+    @pytest.mark.parametrize("edge_features", ["auto", "constant"])
+    def test_one_atom(self, edge_features):
+        assert_graph_matches_oracle(cloud_record(np.zeros((1, 3))), 5.0, edge_features)
+
+    @pytest.mark.parametrize("edge_features", ["auto", "constant"])
+    def test_no_pair_inside_cutoff(self, edge_features):
+        coords = np.arange(12.0).reshape(4, 3) * 10.0
+        graph = build_graph(cloud_record(coords), 5.0, edge_features=edge_features)
+        assert graph.n_edges == 0
+        assert_graph_matches_oracle(cloud_record(coords), 5.0, edge_features)
+
+    @pytest.mark.parametrize("edge_features", ["auto", "constant"])
+    def test_bonds(self, edge_features):
+        coords = np.random.default_rng(5).normal(size=(5, 3))
+        bonds = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 5), (4, 0, 1)]
+        assert_graph_matches_oracle(cloud_record(coords, bonds), 5.0, edge_features)
+        assert_graph_matches_oracle(cloud_record(coords, []), 5.0, edge_features)
+
+
 class TestBuildGraph:
     def test_cutoff_graph_two_atoms(self):
         rec = MoleculeRecord(id="a", atomic_numbers=[1, 1],
@@ -180,6 +258,29 @@ class TestRbfExpand:
         d = float(np.linalg.norm(a - b))
         mirrored = float(np.linalg.norm(a * [-1, 1, 1] - b * [-1, 1, 1]))
         np.testing.assert_allclose(rbf_expand(d), rbf_expand(mirrored), atol=1e-12)
+
+    @given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.floats(0.0, 50.0), st.sampled_from([0.0, 3.0, 6.0]))))
+    @settings(max_examples=100, deadline=None)
+    def test_array_equals_stacked_scalars(self, dists):
+        out = rbf_expand(dists)
+        assert out.shape == (dists.size, RBF_N_CENTERS)
+        expected = np.array([rbf_expand(float(d)) for d in dists]).reshape(-1, RBF_N_CENTERS)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_array_with_custom_centers_and_gamma(self):
+        dists = np.random.default_rng(7).uniform(0.0, 4.0, size=9)
+        centers = np.array([0.5, 1.0, 3.5])
+        out = rbf_expand(dists, centers=centers, gamma=2.5)
+        assert out.shape == (9, 3)
+        for row, d in zip(out, dists):
+            assert row.tobytes() == rbf_expand(float(d), centers=centers, gamma=2.5).tobytes()
+
+    def test_default_centers_are_a_read_only_constant(self):
+        from rotenc.data import RBF_CENTERS
+
+        np.testing.assert_array_equal(RBF_CENTERS, np.linspace(0.0, 6.0, RBF_N_CENTERS))
+        assert not RBF_CENTERS.flags.writeable
 
     def test_gamma_positive(self):
         with pytest.raises(InvalidConfig):

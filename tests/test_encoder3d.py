@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rotenc import autodiff as ad
+from rotenc import encoder3d
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
 from rotenc.encoder3d import (
     AtomEmbeddingTable,
     EncoderConfig,
     build_view_input,
     encode,
+    inference_views,
     init_encoder_params,
     pointwise_stack,
     pool_view,
@@ -237,3 +241,41 @@ class TestEncode:
         fp = encode(centered_cloud(), table, store, cfg, states)
         assert fp.data.shape == (cfg.d_p,)
         assert np.all(np.isfinite(fp.data))
+
+
+class TestInferenceViews:
+    def test_equal_to_a_fresh_draw_and_read_only(self):
+        views = inference_views(5, 11)
+        assert views.shape == (5, 3, 3)
+        assert views.tobytes() == np.asarray(sample_rotations(SamplingConfig(k=5, seed=11))).tobytes()
+        assert not views.flags.writeable
+        with pytest.raises(ValueError):
+            views[0, 0, 0] = 1.0
+        assert inference_views(5, 11) is views
+
+    def test_predict_draws_views_once(self, tiny_model, small_records, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append((config.k, config.seed))
+            return sample_rotations(config)
+
+        monkeypatch.setattr(encoder3d, "sample_rotations", counting)
+        inference_views.cache_clear()
+        first = tiny_model.predict(small_records[0])
+        for _ in range(9):
+            assert tiny_model.predict(small_records[0]).tobytes() == first.tobytes()
+        cfg = tiny_model.cfg.encoder
+        assert calls == [(cfg.k, cfg.seed)]
+
+    def test_replaced_k_encodes_with_the_new_k(self, tiny_model, small_records):
+        record = small_records[1]
+        graph, cloud = tiny_model.graph_for(record), tiny_model.cloud_for(record)
+        before = tiny_model.predict(record)
+        enc = replace(tiny_model.cfg.encoder, k=7)
+        tiny_model.cfg = replace(tiny_model.cfg, encoder=enc)
+        after = tiny_model.predict(record)
+        explicit, _ = tiny_model.forward(
+            graph, cloud, rotations=sample_rotations(SamplingConfig(k=7, seed=enc.seed)))
+        assert after.tobytes() == explicit.data.tobytes()
+        assert not np.array_equal(after, before)
