@@ -8,10 +8,10 @@
 
 import numpy as np
 
-from rotenc.geometry import SamplingConfig, rotation_defect, sample_rotations
+from rotenc.geometry import rotation_defect, sample_rotations
 
 # one seeded draw: every matrix is orthogonal with det +1
-rots = sample_rotations(SamplingConfig(k=5, seed=0))
+rots = sample_rotations(5, 0)
 print("first sampled rotation:\n", np.round(rots[0], 4))
 for i, rot in enumerate(rots):
     ortho, det = rotation_defect(rot)
@@ -21,14 +21,8 @@ for i, rot in enumerate(rots):
 # like 1/sqrt(N)
 print("\nmax |mean entry| vs sample size")
 for n in (16, 64, 256, 1024, 4096):
-    rots = sample_rotations(SamplingConfig(k=n, seed=42))
+    rots = sample_rotations(n, 42)
     print(f"  N = {n:5d}: {np.max(np.abs(np.mean(rots, axis=0))):.4f}")
 
-# the stratified mode feeds the same quaternion construction from a
-# low-discrepancy sequence: same invariants, more even coverage
-strat = sample_rotations(SamplingConfig(k=1024, seed=42, mode="stratified"))
-print(f"\nstratified, N = 1024: max |mean entry| = {np.max(np.abs(np.mean(strat, axis=0))):.4f}")
-
-# determinism: the same (seed, k, mode) reproduces bit-identical samples
-again = sample_rotations(SamplingConfig(k=1024, seed=42, mode="stratified"))
-print("bit-identical resample:", all(np.array_equal(a, b) for a, b in zip(strat, again)))
+# determinism: the same (k, seed) reproduces bit-identical samples
+print("\nbit-identical resample:", np.array_equal(rots, sample_rotations(4096, 42)))

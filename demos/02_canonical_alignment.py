@@ -9,7 +9,7 @@
 import numpy as np
 
 from rotenc.alignment import canonical_align, invariance_residual
-from rotenc.geometry import PointCloud, SamplingConfig, apply_rotation, sample_rotations
+from rotenc.geometry import PointCloud, apply_rotation, sample_rotations
 from rotenc.synthetic import mirror_cloud, random_cloud
 
 rng = np.random.default_rng(0)
@@ -41,5 +41,5 @@ octa = PointCloud(
     [6] * 6,
 )
 print("\noctahedron degenerate flag:", canonical_align(octa).degenerate)
-for rot in sample_rotations(SamplingConfig(k=3, seed=2)):
+for rot in sample_rotations(3, 2):
     print("  rotated copy still degenerate:", canonical_align(apply_rotation(octa, rot)).degenerate)

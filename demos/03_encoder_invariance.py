@@ -11,11 +11,11 @@ import numpy as np
 
 from rotenc import autodiff as ad
 from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params
-from rotenc.geometry import SamplingConfig, apply_rotation, sample_rotations
+from rotenc.geometry import apply_rotation, sample_rotations
 from rotenc.synthetic import random_cloud
 
 VOCAB = (1, 6, 7, 8)
-probes = sample_rotations(SamplingConfig(k=20, seed=1))
+probes = sample_rotations(20, 1)
 clouds = [random_cloud(8, np.random.default_rng(100 + i)) for i in range(10)]
 
 

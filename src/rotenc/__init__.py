@@ -9,6 +9,9 @@ backbone supplies the graph representation; everything trains end to end on
 a from-scratch reverse-mode autodiff tape.
 """
 
+from typing import NamedTuple
+
+from . import geometry
 from .alignment import AlignmentResult, canonical_align, invariance_residual, pca_frame
 from .autodiff import ParameterStore, Value, backward, gradient_check
 from .data import (
@@ -27,11 +30,9 @@ from .encoder3d import AtomEmbeddingTable, EncoderConfig, encode
 from .errors import RotencError
 from .geometry import (
     PointCloud,
-    SamplingConfig,
     apply_rotation,
     center_cloud,
     quaternion_to_matrix,
-    sample_rotations,
 )
 from .gnn import GnnConfig, MolecularGraph, message_pass, readout
 from .model import (
@@ -57,3 +58,21 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
+
+
+class SamplingConfig(NamedTuple):
+    """The old one-argument form of ``sample_rotations``: ``sample_rotations(SamplingConfig(k, seed))``.
+
+    Kept only for the benchmark harness (``perfbench/workloads.py``), which
+    still makes that call; new code passes ``k`` and ``seed`` directly.
+    """
+
+    k: int
+    seed: int = 0
+
+
+def sample_rotations(k, seed: int = 0):
+    """``geometry.sample_rotations(k, seed)``; ``k`` may also be a ``SamplingConfig``."""
+    if isinstance(k, SamplingConfig):
+        k, seed = k
+    return geometry.sample_rotations(k, seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NotCentered, TooFewPoints
-from .geometry import PointCloud, SamplingConfig, apply_rotation, center_cloud, sample_rotations
+from .geometry import PointCloud, apply_rotation, center_cloud, sample_rotations
 
 # |entry| <= ZERO_TOL_REL * max|aligned entry| counts as zero in the sign rules
 ZERO_TOL_REL = 1e-8
@@ -137,7 +137,7 @@ def invariance_residual(cloud: PointCloud, trials: int, seed: int = 0) -> float:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     base = canonical_align(cloud).aligned.coords
     worst = 0.0
-    for rotation in sample_rotations(SamplingConfig(k=trials, seed=seed)):
+    for rotation in sample_rotations(trials, seed):
         rotated = apply_rotation(cloud, rotation)
         deviation = float(np.max(np.abs(canonical_align(rotated).aligned.coords - base)))
         worst = max(worst, deviation)

@@ -296,16 +296,14 @@ class BatchNormState:
         return cls(np.zeros(width), np.ones(width))
 
 
-def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
-              training: bool, update_running: bool = True) -> Value:
+def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, training: bool) -> Value:
     """Batch normalization over the rows (axis -2) of a 2-d or stacked input.
 
     Training mode normalizes with the batch statistics (population
     variance); a stacked ``(k, n, d)`` input keeps separate statistics for
-    each of its k matrices. Unless ``update_running`` is disabled, the
-    statistics are folded into the running estimates one matrix at a time,
-    in stack order. Eval mode is a pure affine map using the stored running
-    statistics.
+    each of its k matrices. The statistics are folded into the running
+    estimates one matrix at a time, in stack order. Eval mode is a pure
+    affine map using the stored running statistics.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
@@ -318,11 +316,10 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
     if training:
         mu = np.expand_dims(_psum(x.data, axis=-2) / n, -2)
         var = np.expand_dims(_psum((x.data - mu) ** 2, axis=-2) / n, -2)
-        if update_running:
-            m = BN_MOMENTUM
-            for mu_i, var_i in zip(mu.reshape(-1, width), var.reshape(-1, width)):
-                state.mean = (1 - m) * state.mean + m * mu_i
-                state.var = (1 - m) * state.var + m * var_i
+        m = BN_MOMENTUM
+        for mu_i, var_i in zip(mu.reshape(-1, width), var.reshape(-1, width)):
+            state.mean = (1 - m) * state.mean + m * mu_i
+            state.var = (1 - m) * state.var + m * var_i
     else:
         mu, var = state.mean, state.var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -486,8 +483,7 @@ def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
     """Compare backward gradients against central differences.
 
     ``f(store)`` must build and return a scalar Value and be a pure
-    function of the stored parameters (batchnorm sites must not update
-    running statistics inside ``f``). A probe is skipped when the central
+    function of the stored parameters. A probe is skipped when the central
     difference is not valid at that point: an activation input sat exactly
     on a kink, or the stencil crossed one (the relu sign pattern differs
     between the three evaluations). Returns the max relative error

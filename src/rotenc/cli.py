@@ -258,20 +258,24 @@ def _model_with_align(ckpt, mode: str):
     return model, normalizer
 
 
+def _check_max_molecules(args) -> None:
+    if args.max_molecules is not None and args.max_molecules < 1:
+        raise UsageError(f"--max-molecules must be >= 1, got {args.max_molecules}")
+
+
 def cmd_invariance(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
     if args.rotations < 2:
         raise UsageError(f"--rotations must be >= 2, got {args.rotations}")
+    _check_max_molecules(args)
     out = _out_dir(args)
     manifest = Manifest("invariance", out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
     manifest.data["seeds"] = {"rotations": args.seed if args.seed is not None else 0}
     ckpt = load_checkpoint(ckpt_path)
-    records = load_dataset(data_path)
-    if args.max_molecules:
-        records = records[: args.max_molecules]
+    records = load_dataset(data_path)[: args.max_molecules]
     requested = args.align_modes or ckpt.train_config.model.encoder.align_mode
     modes = [m.strip() for m in requested.split(",") if m.strip()]
     rows = []
@@ -295,6 +299,7 @@ def cmd_invariance(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     data_path = _require(args.data, "dataset")
+    _check_max_molecules(args)
     out = _out_dir(args)
     k_values = []
     for token in args.k_values.split(","):
@@ -329,7 +334,7 @@ def cmd_sweep_k(args) -> int:
             ckpt, _ = train(replace(base_cfg, model=replace(base_cfg.model, encoder=enc)), records)
             model, normalizer = model_from_checkpoint(ckpt)
         metrics = evaluate_model(model, normalizer, records, split_name=f"k={k}")
-        report = measure_invariance(model, records[: args.max_molecules or len(records)],
+        report = measure_invariance(model, records[: args.max_molecules],
                                     n_rotations=args.rotations, seed=seed)
         runtime = time.time() - start
         mae = float(np.mean(list(metrics.mae.values())))

@@ -89,7 +89,27 @@ def _reject_constant(token):
     raise ValueError(f"non-finite literal {token!r} not allowed")
 
 
-def _parse_record(obj: dict, line_number: int) -> MoleculeRecord:
+def _finite_number(x) -> bool:
+    """A JSON number that converts to a finite float (an int beyond float range does not)."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _not_utf8(path) -> ParseError:
+    """The ParseError for a file that failed to decode, naming its first bad line."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(raw.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text ({exc.reason})")
+    return ParseError(1, "not UTF-8 text")
+
+
+def _parse_record(obj, line_number: int) -> MoleculeRecord:
+    if not isinstance(obj, dict):
+        raise ParseError(line_number, "record must be a JSON object")
     for key in ("id", "z", "xyz", "targets"):
         if key not in obj:
             raise ParseError(line_number, f"missing field {key!r}")
@@ -102,19 +122,19 @@ def _parse_record(obj: dict, line_number: int) -> MoleculeRecord:
     xyz = obj["xyz"]
     if not isinstance(xyz, list) or len(xyz) != 3 * len(z):
         raise ParseError(line_number, f"xyz must hold {3 * len(z)} floats")
-    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in xyz):
+    if not all(_finite_number(x) for x in xyz):
         raise ParseError(line_number, "xyz entries must be finite numbers")
     bonds = obj.get("bonds")
     if bonds is not None:
         try:
             bonds = [(int(u), int(v), int(order)) for u, v, order in bonds]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(line_number, "bonds must be [u, v, order] triples") from None
     targets = obj["targets"]
     if not isinstance(targets, dict) or not targets:
         raise ParseError(line_number, "targets must be a non-empty object")
     for name, value in targets.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _finite_number(value):
             raise ParseError(line_number, f"target {name!r} must be a finite number")
     try:
         return MoleculeRecord(
@@ -133,19 +153,22 @@ def load_dataset(path) -> list[MoleculeRecord]:
     records = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:
-                raise ParseError(line_number, f"invalid JSON: {exc}") from None
-            record = _parse_record(obj, line_number)
-            if record.id in seen:
-                raise DuplicateId(f"duplicate id {record.id!r} at line {line_number}")
-            seen.add(record.id)
-            records.append(record)
+        try:
+            for line_number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line, parse_constant=_reject_constant)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(line_number, f"invalid JSON: {exc}") from None
+                record = _parse_record(obj, line_number)
+                if record.id in seen:
+                    raise DuplicateId(f"duplicate id {record.id!r} at line {line_number}")
+                seen.add(record.id)
+                records.append(record)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     records.sort(key=lambda r: r.id)
     return records
 
@@ -306,7 +329,10 @@ def parse_xyz(path) -> list[tuple[str, list[int], np.ndarray]]:
     """
     out = []
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     pos = 0
     block = 0
     while pos < len(lines):
@@ -316,29 +342,56 @@ def parse_xyz(path) -> list[tuple[str, list[int], np.ndarray]]:
         try:
             n = int(lines[pos].strip())
         except ValueError:
-            raise ParseError(pos + 1, f"expected atom count, got {lines[pos]!r}") from None
+            n = -1
+        if n < 0:
+            raise ParseError(pos + 1, f"expected atom count, got {lines[pos]!r}")
         if pos + 2 + n > len(lines):
             raise ParseError(pos + 1, "truncated XYZ block")
         comment = lines[pos + 1].strip()
         rid = comment.split()[0] if comment.split() else f"mol{block:06d}"
         zs, coords = [], []
         for k in range(n):
-            parts = lines[pos + 2 + k].split()
+            line = lines[pos + 2 + k]
+            parts = line.split()
             if len(parts) < 4:
-                raise ParseError(pos + 3 + k, f"bad atom line {lines[pos + 2 + k]!r}")
+                raise ParseError(pos + 3 + k, f"bad atom line {line!r}")
             sym = parts[0]
-            if sym.isdigit():
-                z = int(sym)
-            elif sym.capitalize() in ELEMENT_SYMBOLS:
-                z = ELEMENT_SYMBOLS[sym.capitalize()]
-            else:
+            try:
+                z = int(sym) if sym.isdecimal() else ELEMENT_SYMBOLS.get(sym.capitalize())
+                coords.append([float(x) for x in parts[1:4]])
+            except ValueError:
+                raise ParseError(pos + 3 + k, f"bad atom line {line!r}") from None
+            if z is None:
                 raise UnknownElement(f"line {pos + 3 + k}: unknown element {sym!r}")
             zs.append(z)
-            coords.append([float(x) for x in parts[1:4]])
         out.append((rid, zs, np.asarray(coords, dtype=np.float64).reshape(-1, 3)))
         pos += 2 + n
         block += 1
     return out
+
+
+def _read_targets(reader: csv.DictReader) -> dict[str, dict[str, float]]:
+    """id -> {task: value} from a targets table; a malformed row raises ParseError naming it."""
+    try:
+        if reader.fieldnames is None or "id" not in reader.fieldnames:
+            raise ParseError(1, "targets table needs an 'id' column")
+        tasks = [c for c in reader.fieldnames if c != "id"]
+        if not tasks:
+            raise ParseError(1, "targets table needs at least one task column")
+        table = {}
+        for row in reader:
+            values = {}
+            for t in tasks:
+                if row[t] is None:  # DictReader fills a short row with None
+                    raise ParseError(reader.line_num, f"row has no value for target {t!r}")
+                try:
+                    values[t] = float(row[t])
+                except ValueError:
+                    raise ParseError(reader.line_num, f"target {t!r} is not a number: {row[t]!r}") from None
+            table[row["id"]] = values
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"bad targets table: {exc}") from None
+    return table
 
 
 def convert_xyz(xyz_path, targets_path) -> list[MoleculeRecord]:
@@ -348,16 +401,11 @@ def convert_xyz(xyz_path, targets_path) -> list[MoleculeRecord]:
     task; every molecule in the XYZ file must have a row.
     """
     molecules = parse_xyz(xyz_path)
-    table = {}
     with open(targets_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "id" not in reader.fieldnames:
-            raise ParseError(1, "targets table needs an 'id' column")
-        tasks = [c for c in reader.fieldnames if c != "id"]
-        if not tasks:
-            raise ParseError(1, "targets table needs at least one task column")
-        for row_no, row in enumerate(reader, 2):
-            table[row["id"]] = {t: float(row[t]) for t in tasks}
+        try:
+            table = _read_targets(csv.DictReader(fh))
+        except UnicodeDecodeError:
+            raise _not_utf8(targets_path) from None
     records = []
     for rid, zs, coords in molecules:
         if rid not in table:

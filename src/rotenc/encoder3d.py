@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .alignment import canonical_align
 from .autodiff import BatchNormState, ParameterStore, Value
 from .errors import DegenerateCloud, InvalidConfig, ShapeError, UnknownElement
-from .geometry import PointCloud, SamplingConfig, center_cloud, sample_rotations
+from .geometry import PointCloud, center_cloud, sample_rotations
 
 POOL_MODES = ("mean", "max")
 ALIGN_MODES = ("none", "pre", "post")
@@ -51,6 +51,8 @@ class EncoderConfig:
             raise InvalidConfig(f"widths must be non-empty and positive, got {self.widths}")
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        if self.embed_dim < 1:
+            raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.pool not in POOL_MODES:
             raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {self.pool!r}")
         if self.align_mode not in ALIGN_MODES:
@@ -139,7 +141,7 @@ def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbedd
 
 
 def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
-                    bn_states: dict, training: bool = False, update_running: bool = True) -> Value:
+                    bn_states: dict, training: bool = False) -> Value:
     """Stack of per-atom affine maps with batchnorm and relu.
 
     Atoms never mix: every layer applies the same dense map to each row
@@ -151,7 +153,7 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
     for layer in range(len(cfg.widths)):
         x = ad.matmul(x, store[f"enc.conv{layer}.W"])
         x = ad.batchnorm(x, store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"],
-                         bn_states[f"enc.bn{layer}"], training, update_running)
+                         bn_states[f"enc.bn{layer}"], training)
         x = ad.relu(x)
     return x
 
@@ -188,15 +190,14 @@ def inference_views(k: int, seed: int) -> np.ndarray:
     config is replaced after construction gets the views of its new k. The
     returned array is shared and read-only.
     """
-    views = np.asarray(sample_rotations(SamplingConfig(k=k, seed=seed)))
+    views = sample_rotations(k, seed)
     views.flags.writeable = False
     return views
 
 
 def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
-           update_running: bool = True, rotations=None, align: bool | None = None,
-           use_stack: bool = True, per_view: bool = False,
+           rotations=None, align: bool | None = None, use_stack: bool = True, per_view: bool = False,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: center, (optionally) align, rotate into k views, pool, average.
 
@@ -221,6 +222,6 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     views = build_view_input(centered, np.asarray(rotations), table, cfg,
                              coords=coords_value, emb=emb_value)
     if use_stack:
-        views = pointwise_stack(views, store, cfg, bn_states, training, update_running)
+        views = pointwise_stack(views, store, cfg, bn_states, training)
     fingerprints = pool_view(views, cfg.pool)
     return fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)

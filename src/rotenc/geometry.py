@@ -3,8 +3,7 @@
 Rotations are plain (3, 3) float64 arrays with R @ R.T = I and det(R) = +1.
 Uniform sampling draws unit quaternions via the standard three-uniform
 construction, which is exact for the rotation-group's invariant (Haar)
-measure; the stratified mode feeds the same construction from a scrambled
-Halton sequence for lower-variance coverage.
+measure.
 """
 
 from __future__ import annotations
@@ -12,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidConfig, InvalidQuaternion
 
 ORTHOGONALITY_TOL = 1e-12
 DET_TOL = 1e-12
-
-SAMPLING_MODES = ("haar_random", "stratified")
 
 
 @dataclass
@@ -48,21 +44,6 @@ class PointCloud:
         return self.coords.shape[0]
 
 
-@dataclass
-class SamplingConfig:
-    """Number of rotations, RNG seed, and sampling mode."""
-
-    k: int
-    seed: int = 0
-    mode: str = "haar_random"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
-        if self.mode not in SAMPLING_MODES:
-            raise InvalidConfig(f"mode must be one of {SAMPLING_MODES}, got {self.mode!r}")
-
-
 def rotation_defect(m: np.ndarray) -> tuple[float, float]:
     """Max-abs orthogonality residual and determinant deviation of a 3x3 matrix."""
     m = np.asarray(m, dtype=np.float64)
@@ -77,26 +58,27 @@ def is_rotation(m: np.ndarray) -> bool:
 
 
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Convert a unit quaternion (w, x, y, z) to a proper rotation matrix.
+    """Convert unit quaternions (w, x, y, z) of shape (..., 4) to rotations (..., 3, 3).
 
-    The quaternion norm must be within 1e-9 of one; it is renormalized
+    Each quaternion's norm must be within 1e-9 of one; it is renormalized
     before conversion so the output satisfies the rotation invariants to
     machine precision.
     """
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
-        raise InvalidQuaternion(f"expected 4-vector, got shape {q.shape}")
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidQuaternion(f"quaternion norm {norm} not within 1e-9 of 1")
-    w, x, y, z = q / norm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
+    if q.ndim < 1 or q.shape[-1] != 4:
+        raise InvalidQuaternion(f"expected (..., 4) quaternions, got shape {q.shape}")
+    # the stacked dot sums each row exactly as the 1-d np.linalg.norm does
+    norm = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    bad = norm[~(np.abs(norm - 1.0) <= 1e-9)]
+    if bad.size:
+        raise InvalidQuaternion(f"quaternion norm {bad[0]} not within 1e-9 of 1")
+    w, x, y, z = np.moveaxis(q / norm, -1, 0)
+    rows = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+        (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+        (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
     )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def _uniform_quaternions(u: np.ndarray) -> np.ndarray:
@@ -116,20 +98,15 @@ def _uniform_quaternions(u: np.ndarray) -> np.ndarray:
     return np.stack([b * np.cos(t3), a * np.sin(t2), a * np.cos(t2), b * np.sin(t3)], axis=1)
 
 
-def sample_rotations(config: SamplingConfig) -> list[np.ndarray]:
-    """Sample k rotation matrices, deterministically in (seed, k, mode).
+def sample_rotations(k: int, seed: int = 0) -> np.ndarray:
+    """k Haar-random rotations as one (k, 3, 3) array, deterministic in (k, seed).
 
-    haar_random draws the unit-cube variates from a seeded PCG64 stream;
-    stratified draws them from a scrambled 3D Halton sequence.
+    The unit-cube variates come from a seeded PCG64 stream.
     """
-    if config.mode == "haar_random":
-        rng = np.random.default_rng(config.seed)
-        u = rng.random((config.k, 3))
-    else:
-        sampler = qmc.Halton(d=3, scramble=True, seed=np.random.default_rng(config.seed))
-        u = sampler.random(config.k)
-    quats = _uniform_quaternions(u)
-    return [quaternion_to_matrix(q) for q in quats]
+    if k < 1:
+        raise InvalidConfig(f"k must be >= 1, got {k}")
+    u = np.random.default_rng(seed).random((k, 3))
+    return quaternion_to_matrix(_uniform_quaternions(u))
 
 
 def apply_rotation(cloud: PointCloud, rotation: np.ndarray) -> PointCloud:

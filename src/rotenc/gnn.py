@@ -67,8 +67,9 @@ class GnnConfig:
     readout: str = "sum"
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise InvalidConfig(f"layers must be >= 1, got {self.layers}")
+        if min(self.layers, self.hidden, self.message_width) < 1:
+            raise InvalidConfig(f"layers, hidden and message_width must be >= 1, got "
+                                f"{self.layers}, {self.hidden}, {self.message_width}")
         if self.readout not in READOUTS:
             raise InvalidConfig(f"readout must be one of {READOUTS}, got {self.readout!r}")
 

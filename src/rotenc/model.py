@@ -22,7 +22,7 @@ from .autodiff import ParameterStore, Value
 from .data import MoleculeRecord, build_graph
 from .encoder3d import EncoderConfig
 from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
-from .geometry import PointCloud, SamplingConfig, sample_rotations
+from .geometry import PointCloud, sample_rotations
 from .gnn import GnnConfig, MolecularGraph
 
 OBJECTIVES = ("average_output", "average_loss")
@@ -177,8 +177,7 @@ class Model:
         return mode in ("pre", "post")
 
     def forward(self, graph: MolecularGraph, cloud: PointCloud, *, training: bool = False,
-                update_running: bool | None = None, rotations=None,
-                node_feats: Value | None = None, coords_value=None,
+                rotations=None, node_feats: Value | None = None, coords_value=None,
                 emb_value=None) -> tuple[Value, Value]:
         """One molecule forward pass; returns (y_hat, u) as graph nodes.
 
@@ -187,8 +186,6 @@ class Model:
         every row. Otherwise the fingerprints are averaged over views before
         the head and y_hat is (n_tasks,).
         """
-        if update_running is None:
-            update_running = training
         g = self._graph_vector(graph, node_feats=node_feats)
         if self.cfg.ablate_3d:
             u = g
@@ -200,7 +197,6 @@ class Model:
                 self.cfg.encoder,
                 self.bn_states,
                 training=training,
-                update_running=update_running,
                 rotations=rotations,
                 align=self._align_flag(training),
                 use_stack=not self.cfg.ablate_pointwise,
@@ -235,7 +231,7 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
         raise NoData("no molecules given")
     if n_rotations < 2:
         raise InvalidConfig(f"n_rotations must be >= 2, got {n_rotations}")
-    rotations = sample_rotations(SamplingConfig(k=n_rotations, seed=seed))
+    rotations = sample_rotations(n_rotations, seed)
     deviations = []
     for record in records:
         base = model.predict(record)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import typing
 from dataclasses import asdict, dataclass
@@ -20,9 +21,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore
-from .data import MoleculeRecord, Normalizer, SplitSpec, dataset_task_names, dataset_vocab, normalize_targets, split
+from .data import (
+    MoleculeRecord,
+    Normalizer,
+    SplitSpec,
+    _finite_number,
+    dataset_task_names,
+    dataset_vocab,
+    normalize_targets,
+    split,
+)
 from .errors import Diverged, InvalidConfig, StaleGradient, TaskMismatch
-from .geometry import SamplingConfig, sample_rotations
+from .geometry import sample_rotations
 from .model import Model, ModelConfig, for_molecule, loss as sample_loss
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
@@ -201,6 +211,33 @@ _HEADER_KEYS = ("format_version", "train_config", "normalizer", "vocab", "task_n
                 "bonded", "params", "bn_states")
 
 
+def _count(x, low: int = 0) -> bool:
+    return type(x) is int and x >= low
+
+
+def _list_of(value, ok) -> bool:
+    return isinstance(value, list) and all(ok(v) for v in value)
+
+
+def _malformed_header_fields(header: dict) -> list[str]:
+    """Names of the header fields whose JSON types are not what a checkpoint holds."""
+    norm = header["normalizer"]
+    checks = {
+        "vocab": _list_of(header["vocab"], lambda z: _count(z, 1)) and bool(header["vocab"]),
+        "task_names": _list_of(header["task_names"], lambda t: isinstance(t, str)) and bool(header["task_names"]),
+        "bonded": isinstance(header["bonded"], bool),
+        "normalizer": isinstance(norm, dict)
+        and _list_of(norm.get("task_names"), lambda t: isinstance(t, str))
+        and all(_list_of(norm.get(key), _finite_number) and len(norm[key]) == len(norm["task_names"])
+                for key in ("mean", "std")),
+        "params": _list_of(header["params"], lambda m: isinstance(m, dict) and isinstance(m.get("name"), str)
+                           and _list_of(m.get("shape"), _count)),
+        "bn_states": _list_of(header["bn_states"], lambda m: isinstance(m, dict)
+                              and isinstance(m.get("name"), str) and _count(m.get("width"))),
+    }
+    return [key for key, ok in checks.items() if not ok]
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a malformed or truncated file raises InvalidConfig."""
     with open(path, "rb") as fh:
@@ -225,11 +262,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise InvalidConfig(f"corrupt checkpoint {path}: header lacks {missing}")
     if header["format_version"] != CHECKPOINT_VERSION:
         raise InvalidConfig(f"unsupported checkpoint version {header['format_version']}")
+    malformed = _malformed_header_fields(header)
+    if malformed:
+        raise InvalidConfig(f"corrupt checkpoint {path}: malformed header fields {malformed}")
 
     def read_array(shape):
         nonlocal pos
-        count = int(np.prod(shape)) if shape else 1
-        if len(blob) < pos + 8 * count:
+        count = math.prod(shape)
+        if len(blob) < pos + 8 * count or max(shape, default=0) > len(blob):
             raise InvalidConfig(f"corrupt checkpoint {path}: array data truncated")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
         pos += 8 * count
@@ -269,6 +309,18 @@ def checkpoint_from_model(model: Model, normalizer: Normalizer, cfg: TrainConfig
     )
 
 
+def _check_shapes(kind: str, saved: dict, expected: dict) -> None:
+    """InvalidConfig unless the saved arrays have exactly the names and shapes the config builds."""
+    missing = sorted(set(expected) - set(saved))
+    unknown = sorted(set(saved) - set(expected))
+    if missing or unknown:
+        raise InvalidConfig(f"checkpoint {kind}s do not match its config: "
+                            f"missing {missing}, unknown {unknown}")
+    for name, shape in expected.items():
+        if saved[name] != shape:
+            raise InvalidConfig(f"checkpoint {kind} {name!r} has shape {saved[name]}, its config builds {shape}")
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, Normalizer]:
     model = Model(
         ckpt.train_config.model,
@@ -277,6 +329,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, Normalizer]:
         seed=ckpt.train_config.seed,
         bonded=ckpt.bonded,
     )
+    _check_shapes("parameter", {name: np.shape(a) for name, a in ckpt.params.items()},
+                  {name: value.data.shape for name, value in model.store.items()})
+    _check_shapes("batchnorm state", {name: tuple(map(np.shape, s)) for name, s in ckpt.bn_stats.items()},
+                  {name: (s.mean.shape, s.var.shape) for name, s in model.bn_states.items()})
     model.store.load_state_dict(ckpt.params)
     for name, (mean, var) in ckpt.bn_stats.items():
         model.bn_states[name].mean = mean.copy()
@@ -348,9 +404,8 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
             per_sample = []
             for i in batch:
                 i = int(i)
-                rotations = sample_rotations(
-                    SamplingConfig(k=cfg.model.encoder.k, seed=_rotation_seed(cfg.seed, epoch, i))
-                ) if not cfg.model.ablate_3d else None
+                rotations = (None if cfg.model.ablate_3d
+                             else sample_rotations(cfg.model.encoder.k, _rotation_seed(cfg.seed, epoch, i)))
                 with for_molecule(records[i]):
                     y_hat, u = model.forward(graphs[i], clouds[i], training=True, rotations=rotations)
                 per_sample.append(sample_loss(y_hat, norm_targets[i], u, cfg.lambda_l1))

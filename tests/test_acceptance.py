@@ -19,7 +19,6 @@ from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params
 from rotenc.errors import RotencError
 from rotenc.geometry import (
     PointCloud,
-    SamplingConfig,
     apply_rotation,
     rotation_defect,
     sample_rotations,
@@ -78,7 +77,7 @@ def test_02_inverse_sqrt_k_deviation_scaling():
 
 def test_03_haar_sampler_soundness():
     with criterion(3, "Haar sampler: 4096 valid rotations, mean entry <= 0.05", 10):
-        rotations = sample_rotations(SamplingConfig(k=4096, seed=42))
+        rotations = sample_rotations(4096, 42)
         for rotation in rotations:
             ortho, det = rotation_defect(rotation)
             assert ortho <= 1e-12
@@ -90,7 +89,7 @@ def test_03_haar_sampler_soundness():
 def test_04_alignment_invariance_and_idempotence():
     with criterion(4, "200 clouds: align(RX) = align(X) @ 1e-6, idempotent @ 1e-9", 60):
         rng = np.random.default_rng(104)
-        rotations = sample_rotations(SamplingConfig(k=100, seed=11))
+        rotations = sample_rotations(100, 11)
         for i in range(200):
             cloud = random_cloud(int(rng.integers(4, 12)), rng)
             base = canonical_align(cloud)
@@ -129,14 +128,12 @@ def test_06_gradient_correctness():
                       bonded=True)
         graph = model.graph_for(record)
         cloud = model.cloud_for(record)
-        rotations = sample_rotations(SamplingConfig(k=3, seed=7))
-        base, _ = model.forward(graph, cloud, training=True, update_running=False,
-                                rotations=rotations)
+        rotations = sample_rotations(3, 7)
+        base, _ = model.forward(graph, cloud, training=True, rotations=rotations)
         target = base.data + 0.7
 
         def f(store):
-            y_hat, u = model.forward(graph, cloud, training=True, update_running=False,
-                                     rotations=rotations)
+            y_hat, u = model.forward(graph, cloud, training=True, rotations=rotations)
             return sample_loss(y_hat, target, u, 1e-3)
 
         err = ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)

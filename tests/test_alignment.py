@@ -3,7 +3,7 @@ import pytest
 
 from rotenc.alignment import canonical_align, invariance_residual, pca_frame
 from rotenc.errors import InvalidConfig, NotCentered, TooFewPoints
-from rotenc.geometry import PointCloud, SamplingConfig, apply_rotation, center_cloud, sample_rotations
+from rotenc.geometry import PointCloud, apply_rotation, center_cloud, sample_rotations
 from rotenc.synthetic import mirror_cloud, random_cloud
 
 
@@ -32,7 +32,7 @@ class TestPcaFrame:
             m = np.sqrt(3.0 * target[i])
             axis_pts[2 * i, i] = m
             axis_pts[2 * i + 1, i] = -m
-        (q,) = sample_rotations(SamplingConfig(k=1, seed=99))
+        (q,) = sample_rotations(1, 99)
         cloud = PointCloud(axis_pts @ q.T, [1] * 6)
         _, evals = pca_frame(cloud)
         np.testing.assert_allclose(evals, target, atol=1e-10)
@@ -62,7 +62,7 @@ class TestCanonicalAlign:
         rng = np.random.default_rng(2)
         cloud = random_cloud(9, rng)
         base = canonical_align(cloud).aligned.coords
-        for rot in sample_rotations(SamplingConfig(k=100, seed=5)):
+        for rot in sample_rotations(100, 5):
             aligned = canonical_align(apply_rotation(cloud, rot)).aligned.coords
             assert np.max(np.abs(aligned - base)) <= 1e-6
 
@@ -123,5 +123,5 @@ class TestInvarianceResidual:
 
     def test_degenerate_cloud_flagged_on_every_trial(self):
         cloud = octahedron()
-        for rot in sample_rotations(SamplingConfig(k=10, seed=8)):
+        for rot in sample_rotations(10, 8):
             assert canonical_align(apply_rotation(cloud, rot)).degenerate

@@ -234,13 +234,6 @@ class TestBatchNorm:
         np.testing.assert_array_equal(stacked_state.mean, loop_state.mean)
         np.testing.assert_array_equal(stacked_state.var, loop_state.var)
 
-    def test_update_can_be_disabled(self):
-        state = BatchNormState.for_width(2)
-        before = (state.mean.copy(), state.var.copy())
-        ad.batchnorm(Value(np.random.default_rng(0).normal(size=(4, 2))), Value(np.ones(2)),
-                     Value(np.zeros(2)), state, training=True, update_running=False)
-        assert np.array_equal(state.mean, before[0]) and np.array_equal(state.var, before[1])
-
 
 PRIMITIVE_CASES = [
     ("matmul_bias", lambda s: ad.mse(ad.add(ad.matmul(s["x"], s["W"]), s["b"]), np.zeros((4, 3))),
@@ -295,13 +288,16 @@ def test_batchnorm_gradients_match_finite_differences():
             return ad.pick(z, 0)
 
         def f_train(s):
-            return readout(ad.batchnorm(s["x"], s["g"], s["b"], state, training=True,
-                                        update_running=False))
+            return readout(ad.batchnorm(s["x"], s["g"], s["b"], state, training=True))
 
         def f_eval(s):
             return readout(ad.batchnorm(s["x"], s["g"], s["b"], state, training=False))
 
+        # training mode only writes the running statistics; the eval check
+        # reads them, so it gets the untouched state back
+        snapshot = (state.mean.copy(), state.var.copy())
         assert ad.gradient_check(f_train, store, h=1e-6, n_probe=24, seed=2) <= 1e-6
+        state.mean, state.var = snapshot
         assert ad.gradient_check(f_eval, store, h=1e-6, n_probe=24, seed=3) <= 1e-6
 
 
@@ -325,21 +321,19 @@ class TestGradientCheck:
         # one (near-zero RBF features would drown tiny gradients in
         # finite-difference noise)
         from conftest import bonded_record
-        from rotenc.geometry import SamplingConfig, sample_rotations
+        from rotenc.geometry import sample_rotations
         from rotenc.model import Model, loss
 
         record = bonded_record(seed=11)
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
         graph = model.graph_for(record)
         cloud = model.cloud_for(record)
-        rotations = sample_rotations(SamplingConfig(k=3, seed=7))
-        base, _ = model.forward(graph, cloud, training=True, update_running=False,
-                                rotations=rotations)
+        rotations = sample_rotations(3, 7)
+        base, _ = model.forward(graph, cloud, training=True, rotations=rotations)
         target = base.data.reshape(-1, base.shape[-1])[0] + 0.7
 
         def f(store):
-            y_hat, u = model.forward(graph, cloud, training=True, update_running=False,
-                                     rotations=rotations)
+            y_hat, u = model.forward(graph, cloud, training=True, rotations=rotations)
             return loss(y_hat, target, u, 1e-3)
 
         return ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)

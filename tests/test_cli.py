@@ -1,7 +1,10 @@
 import argparse
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,6 +56,17 @@ def trained(workspace):
     return out / "checkpoint.rotenc"
 
 
+def test_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is for the test suite alone
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, rotenc, rotenc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -69,6 +83,27 @@ class TestConvert:
         records = load_dataset(out / "dataset.jsonl")
         assert [r.id for r in records] == ["w01", "w02"]
         assert (out / "manifest.json").exists()
+
+    @staticmethod
+    def convert_with(tmp_path, capsys, xyz: bytes, targets: bytes):
+        """Exit code and stderr of converting the given XYZ and targets bytes."""
+        (tmp_path / "in.xyz").write_bytes(xyz)
+        (tmp_path / "in.csv").write_bytes(targets)
+        code = main(["convert", "--xyz", str(tmp_path / "in.xyz"), "--targets", str(tmp_path / "in.csv"),
+                     "--out", str(tmp_path / "conv")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("xyz, targets, where", [
+        (b"1\nm1\nC 0.0 zero 0.0\n", b"id,y\nm1,1.0\n", "line 3"),  # non-numeric coordinate
+        (b"1\nm1\nC 0 0 0\n", b"id,y\nm1,high\n", "line 2"),  # non-numeric target cell
+        (b"1\nm1\nC 0 0 0\n", b"id,y,z\nm1,1.0\n", "line 2"),  # short targets row
+        (b"1\nm1\nC 0 0 0\n\xff\n", b"id,y\nm1,1.0\n", "line 4"),  # XYZ file not UTF-8
+        (b"1\nm1\nC 0 0 0\n", b"id,y\nm1,1.0\n\xe9\n", "line 3"),  # targets table not UTF-8
+    ], ids=["coordinate", "target-cell", "short-row", "xyz-not-utf8", "targets-not-utf8"])
+    def test_malformed_input_exits_2_naming_the_line(self, tmp_path, capsys, xyz, targets, where):
+        code, err = self.convert_with(tmp_path, capsys, xyz, targets)
+        assert code == 2
+        assert where in err and "Traceback" not in err
 
 
 class TestTrain:
@@ -122,6 +157,14 @@ class TestInvariance:
         assert float(rows["post"]["max_dev"]) <= 1e-9
         assert float(rows["none"]["mean_dev"]) > float(rows["post"]["mean_dev"])
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_max_molecules_below_one_rejected(self, workspace, trained, tmp_path, capsys, count):
+        root, data, _ = workspace
+        code = main(["invariance", "--checkpoint", str(trained), "--data", str(data),
+                     "--max-molecules", count, "--out", str(tmp_path / "inv0")])
+        assert code == 2
+        assert "--max-molecules" in capsys.readouterr().err
+
     def test_single_rotation_rejected(self, workspace, trained, tmp_path, capsys):
         root, data, _ = workspace
         code = main(["invariance", "--checkpoint", str(trained), "--data", str(data),
@@ -158,6 +201,14 @@ class TestSweepK:
         assert devs[1] <= 1.5 * devs[0]  # non-increasing in k within noise
 
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_max_molecules_below_one_rejected(self, workspace, trained, tmp_path, capsys, count):
+        root, data, _ = workspace
+        code = main(["sweep-k", "--data", str(data), "--checkpoint", str(trained), "--k-values", "2",
+                     "--max-molecules", count, "--out", str(tmp_path / "sweep0")])
+        assert code == 2
+        assert "--max-molecules" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k_values, token", [("2,x", "'x'"), ("2,", "''"), ("1.5", "'1.5'")])
     def test_bad_k_value_exits_2_naming_it(self, workspace, trained, tmp_path, capsys, k_values, token):
         root, data, _ = workspace
@@ -188,6 +239,15 @@ class TestSweepK:
 
 
 class TestAlign:
+    def test_dataset_not_utf8_exits_2(self, workspace, tmp_path, capsys):
+        root, data, _ = workspace
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(data.read_bytes() + b'{"id": "caf\xe9"}\n')
+        code = main(["align", "--data", str(bad), "--out", str(tmp_path / "al")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line {len(data.read_bytes().splitlines()) + 1}" in err and "UTF-8" in err
+
     def test_idempotent_and_flags_degenerate(self, tmp_path):
         records = make_records(6, seed=4)
         octa = MoleculeRecord(
@@ -216,10 +276,10 @@ class TestAlign:
             np.testing.assert_allclose(a.coords, b.coords, atol=1e-9)
 
     def test_rotated_dataset_aligns_to_same(self, tmp_path):
-        from rotenc.geometry import SamplingConfig, sample_rotations
+        from rotenc.geometry import sample_rotations
 
         records = make_records(5, seed=6)
-        (rot,) = sample_rotations(SamplingConfig(k=1, seed=3))
+        (rot,) = sample_rotations(1, 3)
         rotated = [
             MoleculeRecord(id=r.id, atomic_numbers=list(r.atomic_numbers),
                            coords=r.coords @ rot.T, bonds=None, targets=dict(r.targets))
@@ -359,6 +419,40 @@ class TestBadCheckpoint:
                      "--out", str(tmp_path / "ev")])
         assert code == 2
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+    @staticmethod
+    def eval_with_header(workspace, trained, tmp_path, capsys, edit):
+        """Exit code and stderr of ``rotenc eval`` on the checkpoint with ``edit`` applied to its header."""
+        root, data, _ = workspace
+        blob = trained.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        edit(header)
+        new_header = json.dumps(header).encode()
+        path = tmp_path / "edited.rotenc"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :])
+        code = main(["eval", "--checkpoint", str(path), "--data", str(data), "--out", str(tmp_path / "ev")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["params", "bn_states"])
+    def test_renamed_entry_exits_2(self, workspace, trained, tmp_path, capsys, entry):
+        def rename(header):
+            header[entry][0]["name"] += "x"
+
+        code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, rename)
+        assert code == 2
+        assert "do not match its config" in err and "internal error" not in err
+
+    def test_misshaped_parameter_exits_2(self, workspace, trained, tmp_path, capsys):
+        def reshape(header):
+            # same element count, so the array data still lines up
+            meta = next(m for m in header["params"] if m["shape"] == [8, 8])
+            meta["shape"] = [4, 16]
+
+        code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, reshape)
+        assert code == 2
+        assert "(4, 16)" in err and "internal error" not in err
 
 
 def _with_record(tmp_path, record) -> Path:

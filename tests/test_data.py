@@ -110,6 +110,23 @@ class TestLoadDataset:
             load_dataset(path)
         assert "xyz" in str(exc.value)
 
+    @pytest.mark.parametrize("line, message", [
+        (b"3", "JSON object"),
+        (b"[" * 100_000, "invalid JSON"),  # nested deeper than the decoder's recursion limit
+        (b'{"id": "a", "z": [1], "xyz": [1' + b"0" * 400 + b', 0, 0], "targets": {"e": 1}}', "xyz"),
+        (b'{"id": "a", "z": [1], "xyz": [0, 0, 0], "targets": {"e": 1' + b"0" * 400 + b"}}", "target"),
+        (b'{"id": "a", "z": [1, 1], "xyz": [0, 0, 0, 1, 0, 0], "bonds": [[1e999, 0, 1]], '
+         b'"targets": {"e": 1}}', "bonds"),
+        (b'{"id": "caf\xe9", "z": [1], "xyz": [0, 0, 0], "targets": {"e": 1}}', "UTF-8"),
+    ], ids=["not-object", "deep-nesting", "huge-int-coordinate", "huge-int-target", "infinite-bond",
+            "not-utf8"])
+    def test_malformed_line_named(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(GOLDEN.joinpath("golden.jsonl").read_bytes() + line + b"\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            load_dataset(path)
+        assert exc.value.line_number == 4
+
 
 def _per_pair_graph(record, cutoff, edge_features="auto"):
     """The per-pair loop ``build_graph`` once ran, kept as its oracle: (edges, edge_feats)."""
@@ -375,6 +392,35 @@ class TestConvertXyz:
         back = load_dataset(path)
         assert [r.id for r in back] == ["w01", "w02"]
         np.testing.assert_allclose(back[0].coords, records[0].coords)
+
+    @pytest.mark.parametrize("text, line_number", [
+        ("1\nm\nC 0 0 zero\n", 3),
+        ("1\nm\nC 0 0 0\n-2\nm\n", 4),  # a negative count once looped forever
+        ("1\nm\n" + "9" * 5000 + " 0 0 0\n", 3),  # too many digits for int()
+    ], ids=["coordinate", "negative-count", "long-atomic-number"])
+    def test_malformed_xyz_names_line(self, tmp_path, text, line_number):
+        path = tmp_path / "m.xyz"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            parse_xyz(path)
+        assert exc.value.line_number == line_number
+
+    def test_non_decimal_digit_is_unknown_element(self, tmp_path):
+        path = tmp_path / "m.xyz"
+        path.write_text("1\nm\n\u00b2 0 0 0\n", encoding="utf-8")
+        with pytest.raises(UnknownElement):
+            parse_xyz(path)
+
+    @pytest.mark.parametrize("table, line_number", [
+        ("id,u0,gap\nw01,-76.4,0.38\nw02,-40.5\n", 3),
+        ("id,u0,gap\nw01,-76.4,n/a\nw02,-40.5,0.5\n", 2),
+    ], ids=["short-row", "non-numeric"])
+    def test_malformed_target_row_named(self, tmp_path, table, line_number):
+        targets = tmp_path / "t.csv"
+        targets.write_text(table)
+        with pytest.raises(ParseError) as exc:
+            convert_xyz(GOLDEN / "golden.xyz", targets)
+        assert exc.value.line_number == line_number
 
     def test_missing_target_row(self, tmp_path):
         targets = tmp_path / "t.csv"

@@ -17,7 +17,7 @@ from rotenc.encoder3d import (
     pool_view,
 )
 from rotenc.errors import DegenerateCloud, InvalidConfig, UnknownElement
-from rotenc.geometry import PointCloud, SamplingConfig, center_cloud, sample_rotations
+from rotenc.geometry import PointCloud, center_cloud, sample_rotations
 from rotenc.synthetic import mirror_cloud, random_cloud
 
 
@@ -51,6 +51,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             small_cfg(k=0)
 
+    @pytest.mark.parametrize("embed_dim", [0, -2])
+    def test_embed_dim_positive(self, embed_dim):
+        with pytest.raises(InvalidConfig):
+            small_cfg(embed_dim=embed_dim)
+
     def test_defaults_follow_reported_setup(self):
         cfg = EncoderConfig()
         assert cfg.widths == (64, 128, 128) and cfg.d_p == 128
@@ -78,7 +83,7 @@ class TestBuildViewInput:
         cfg = small_cfg()
         store, table, _ = make_encoder(cfg)
         cloud = centered_cloud()
-        r1, r2 = sample_rotations(SamplingConfig(k=2, seed=4))
+        r1, r2 = sample_rotations(2, 4)
         a = build_view_input(cloud, r1, table, cfg).data
         b = build_view_input(cloud, r2, table, cfg).data
         assert np.array_equal(a[:, 3:], b[:, 3:])
@@ -121,7 +126,7 @@ class TestPointwiseStack:
         x = np.random.default_rng(6).normal(size=(5, 3))
 
         def f(s):
-            out = pointwise_stack(Value(x), s, cfg, states, training=True, update_running=False)
+            out = pointwise_stack(Value(x), s, cfg, states, training=True)
             return ad.pick(ad.mean_pool(out, axis=0), 0)
 
         assert ad.gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
@@ -183,7 +188,7 @@ class TestEncode:
         base = encode(cloud, table, store, cfg, states).data
         from rotenc.geometry import apply_rotation
 
-        for rot in sample_rotations(SamplingConfig(k=100, seed=10)):
+        for rot in sample_rotations(100, 10):
             rotated = apply_rotation(cloud, rot)
             dev = np.max(np.abs(encode(rotated, table, store, cfg, states).data - base))
             assert dev <= 1e-9
@@ -223,7 +228,7 @@ class TestEncode:
         cfg4 = small_cfg(k=4)
         store, table, states = make_encoder(cfg4)
         cfg64 = small_cfg(k=64)
-        probes = sample_rotations(SamplingConfig(k=12, seed=13))
+        probes = sample_rotations(12, 13)
         devs = {4: [], 64: []}
         for seed in range(6):
             cloud = random_cloud(7, np.random.default_rng(100 + seed))
@@ -247,7 +252,7 @@ class TestInferenceViews:
     def test_equal_to_a_fresh_draw_and_read_only(self):
         views = inference_views(5, 11)
         assert views.shape == (5, 3, 3)
-        assert views.tobytes() == np.asarray(sample_rotations(SamplingConfig(k=5, seed=11))).tobytes()
+        assert views.tobytes() == sample_rotations(5, 11).tobytes()
         assert not views.flags.writeable
         with pytest.raises(ValueError):
             views[0, 0, 0] = 1.0
@@ -256,9 +261,9 @@ class TestInferenceViews:
     def test_predict_draws_views_once(self, tiny_model, small_records, monkeypatch):
         calls = []
 
-        def counting(config):
-            calls.append((config.k, config.seed))
-            return sample_rotations(config)
+        def counting(k, seed):
+            calls.append((k, seed))
+            return sample_rotations(k, seed)
 
         monkeypatch.setattr(encoder3d, "sample_rotations", counting)
         inference_views.cache_clear()
@@ -276,6 +281,6 @@ class TestInferenceViews:
         tiny_model.cfg = replace(tiny_model.cfg, encoder=enc)
         after = tiny_model.predict(record)
         explicit, _ = tiny_model.forward(
-            graph, cloud, rotations=sample_rotations(SamplingConfig(k=7, seed=enc.seed)))
+            graph, cloud, rotations=sample_rotations(7, enc.seed))
         assert after.tobytes() == explicit.data.tobytes()
         assert not np.array_equal(after, before)

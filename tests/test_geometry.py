@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotenc
 from rotenc.errors import InvalidConfig, InvalidQuaternion
 from rotenc.geometry import (
     PointCloud,
-    SamplingConfig,
+    _uniform_quaternions,
     apply_rotation,
     center_cloud,
     quaternion_to_matrix,
@@ -18,6 +19,19 @@ from rotenc.geometry import (
 def random_cloud(n, seed=0):
     rng = np.random.default_rng(seed)
     return PointCloud(rng.normal(size=(n, 3)) * 2.0, rng.integers(1, 9, size=n))
+
+
+def _per_row_rotations(k, seed):
+    """The sampler's earlier per-quaternion path, kept as the oracle for the batched one."""
+    out = []
+    for q in _uniform_quaternions(np.random.default_rng(seed).random((k, 3))):
+        w, x, y, z = q / float(np.linalg.norm(q))
+        out.append(np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]))
+    return np.asarray(out)
 
 
 class TestQuaternionToMatrix:
@@ -47,53 +61,74 @@ class TestQuaternionToMatrix:
         with pytest.raises(InvalidQuaternion):
             quaternion_to_matrix(np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(), (2, 3), (4, 5)])
+    def test_last_axis_must_be_4(self, shape):
+        with pytest.raises(InvalidQuaternion):
+            quaternion_to_matrix(np.ones(shape))
+
+    def test_stacked_input_keeps_leading_shape(self):
+        q = np.random.default_rng(3).normal(size=(2, 5, 4))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        out = quaternion_to_matrix(q)
+        assert out.shape == (2, 5, 3, 3) and out.dtype == np.float64
+        for index in np.ndindex(2, 5):
+            np.testing.assert_allclose(out[index], quaternion_to_matrix(q[index]), rtol=0, atol=1e-15)
+
+    def test_one_non_unit_row_rejects_the_stack(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+        q[2] = [1.0, 1e-4, 0.0, 0.0]
+        with pytest.raises(InvalidQuaternion, match="not within 1e-9"):
+            quaternion_to_matrix(q)
+
 
 class TestSampleRotations:
     def test_single_rotation_is_orthogonal(self):
-        (rot,) = sample_rotations(SamplingConfig(k=1, seed=123))
+        (rot,) = sample_rotations(1, 123)
         ortho, det = rotation_defect(rot)
         assert ortho <= 1e-12 and det <= 1e-12
 
     def test_deterministic_bit_for_bit(self):
-        a = sample_rotations(SamplingConfig(k=16, seed=7))
-        b = sample_rotations(SamplingConfig(k=16, seed=7))
+        a = sample_rotations(16, 7)
+        b = sample_rotations(16, 7)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_seed_changes_output(self):
-        a = sample_rotations(SamplingConfig(k=4, seed=1))
-        b = sample_rotations(SamplingConfig(k=4, seed=2))
+        a = sample_rotations(4, 1)
+        b = sample_rotations(4, 2)
         assert not np.allclose(a[0], b[0])
 
     def test_k_zero_rejected(self):
         with pytest.raises(InvalidConfig):
-            SamplingConfig(k=0, seed=0)
+            sample_rotations(0, 0)
 
-    def test_unknown_mode_rejected(self):
+    def test_negative_k_rejected(self):
         with pytest.raises(InvalidConfig):
-            SamplingConfig(k=1, seed=0, mode="spiral")
+            sample_rotations(-3, 0)
+
+    def test_one_float64_array(self):
+        rots = sample_rotations(6)
+        assert isinstance(rots, np.ndarray)
+        assert rots.shape == (6, 3, 3) and rots.dtype == np.float64
+        assert rots.tobytes() == sample_rotations(6, 0).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 64])
+    def test_byte_equal_to_per_row_path(self, k):
+        for seed in range(300):
+            assert sample_rotations(k, seed).tobytes() == _per_row_rotations(k, seed).tobytes(), seed
+
+    def test_legacy_config_argument(self):
+        # the package-level entry point still takes the old one-argument form
+        legacy = rotenc.sample_rotations(rotenc.SamplingConfig(k=5, seed=9))
+        assert legacy.tobytes() == sample_rotations(5, 9).tobytes()
+        assert rotenc.sample_rotations(5, 9).tobytes() == legacy.tobytes()
 
     def test_haar_mean_near_zero(self):
         # the rotation-group average of the matrix entries is exactly 0;
         # 4096 Monte-Carlo samples put every entry well inside +-0.05
-        rots = sample_rotations(SamplingConfig(k=4096, seed=42))
+        rots = sample_rotations(4096, 42)
         mean = np.mean(rots, axis=0)
         assert np.max(np.abs(mean)) <= 0.05
-
-    def test_stratified_mode_valid_and_deterministic(self):
-        a = sample_rotations(SamplingConfig(k=32, seed=5, mode="stratified"))
-        b = sample_rotations(SamplingConfig(k=32, seed=5, mode="stratified"))
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        for rot in a:
-            ortho, det = rotation_defect(rot)
-            assert ortho <= 1e-12 and det <= 1e-12
-        c = sample_rotations(SamplingConfig(k=32, seed=5, mode="haar_random"))
-        assert not np.allclose(a[0], c[0])
-
-    def test_stratified_mean_near_zero(self):
-        rots = sample_rotations(SamplingConfig(k=1024, seed=3, mode="stratified"))
-        assert np.max(np.abs(np.mean(rots, axis=0))) <= 0.05
 
 
 class TestApplyRotation:
@@ -112,7 +147,7 @@ class TestApplyRotation:
     def test_distances_and_centroid_norm_preserved(self):
         cloud, _ = center_cloud(random_cloud(10, seed=2))
         for seed in range(5):
-            (rot,) = sample_rotations(SamplingConfig(k=1, seed=seed))
+            (rot,) = sample_rotations(1, seed)
             out = apply_rotation(cloud, rot)
             d0 = np.linalg.norm(cloud.coords[:, None] - cloud.coords[None], axis=-1)
             d1 = np.linalg.norm(out.coords[:, None] - out.coords[None], axis=-1)

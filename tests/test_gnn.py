@@ -42,6 +42,13 @@ class TestGraphValidation:
             MolecularGraph(np.zeros((3, 1)), [[0, 1], [1, 0]], np.zeros((1, 4)), [0.0])
 
 
+@pytest.mark.parametrize("field", ["layers", "hidden", "message_width"])
+@pytest.mark.parametrize("value", [0, -28])
+def test_config_sizes_must_be_positive(field, value):
+    with pytest.raises(InvalidConfig, match=field):
+        GnnConfig(**{field: value})
+
+
 class TestMessagePass:
     def test_no_edges_means_zero_messages(self):
         cfg = GnnConfig(layers=1, hidden=4, message_width=4)

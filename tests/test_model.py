@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from rotenc.autodiff import ParameterStore, Value
 from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import InvalidConfig, NoData, ShapeError
-from rotenc.geometry import SamplingConfig, sample_rotations
+from rotenc.geometry import sample_rotations
 from rotenc.model import (
     Model,
     ModelConfig,
@@ -277,9 +279,11 @@ class TestObjectiveVariants:
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
         record = small_records[0]
         graph, cloud = model.graph_for(record), model.cloud_for(record)
-        rotations = sample_rotations(SamplingConfig(k=k, seed=5))
-        y_views, u_views = model.forward(graph, cloud, training=True, update_running=False,
-                                         rotations=rotations)
+        rotations = sample_rotations(k, 5)
+        # training passes fold batch statistics into the running estimates;
+        # the eval pass at the end gets the fresh model's state back
+        bn_snapshot = copy.deepcopy(model.bn_states)
+        y_views, u_views = model.forward(graph, cloud, training=True, rotations=rotations)
         assert y_views.shape == (k, 1) and u_views.shape == (k, cfg.d_u)
         # one graph vector, repeated for every view row
         g_rows = u_views.data[:, : cfg.g_dim]
@@ -287,9 +291,9 @@ class TestObjectiveVariants:
         # row v is the single-view pass of rotation v (up to the summation
         # order BLAS picks for a k-row versus a 1-row product)
         for v, rotation in enumerate(rotations):
-            y_one, _ = model.forward(graph, cloud, training=True, update_running=False,
-                                     rotations=[rotation])
+            y_one, _ = model.forward(graph, cloud, training=True, rotations=[rotation])
             np.testing.assert_allclose(y_views.data[v], y_one.data[0], rtol=1e-12, atol=0)
         # inference fuses the view-averaged fingerprint first: one prediction
+        model.bn_states = bn_snapshot
         fused, _ = model.forward(graph, cloud, training=False)
         assert fused.shape == (1,)

@@ -293,6 +293,39 @@ class TestCheckpoint:
         with pytest.raises(InvalidConfig, match="config lacks model"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocab", "CHNO"), ("vocab", []), ("vocab", [1, 0]), ("task_names", [1]), ("bonded", "no"),
+        ("normalizer", {"task_names": ["y"], "mean": [1.0, 2.0], "std": [2.0]}),
+        ("params", [["b", [1]]]), ("params", [{"name": "b", "shape": [-1]}]),
+        ("bn_states", [{"name": "bn", "width": 2.5}]),
+    ])
+    def test_header_field_of_wrong_type_rejected(self, tmp_path, field, value):
+        blob = self.small_checkpoint_bytes(tmp_path)
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header, body = json.loads(blob[12 : 12 + header_len]), blob[12 + header_len :]
+        header[field] = value
+        new_header = json.dumps(header).encode()
+        bad = tmp_path / "bad.rotenc"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + body)
+        with pytest.raises(InvalidConfig, match=f"malformed header fields \\['{field}'\\]"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda c: c.params.pop("head.b2"), "missing ['head.b2']"),
+        (lambda c: c.params.update(extra=np.zeros(1)), "unknown ['extra']"),
+        (lambda c: c.params.update({"head.W2": c.params["head.W2"].T}), "'head.W2' has shape"),
+        (lambda c: c.bn_stats.pop("enc.bn1"), "missing ['enc.bn1']"),
+        (lambda c: c.bn_stats.update({"enc.bn0": (np.zeros(16), np.ones(3))}), "'enc.bn0' has shape"),
+    ], ids=["missing-param", "unknown-param", "misshaped-param", "missing-bn", "misshaped-bn"])
+    def test_arrays_must_match_the_config(self, edit, named):
+        cfg = smoke_config()
+        model = Model(cfg.model, vocab=(1, 6, 7, 8), task_names=("rg",), seed=0)
+        ckpt = checkpoint_from_model(model, Normalizer(("rg",), np.zeros(1), np.ones(1)), cfg)
+        edit(ckpt)
+        with pytest.raises(InvalidConfig) as exc:
+            model_from_checkpoint(ckpt)
+        assert named in str(exc.value)
+
     def test_config_dict_roundtrip(self):
         cfg = smoke_config()
         back = config_from_dict(config_to_dict(cfg))
