@@ -5,10 +5,14 @@ that knows how to push an upstream gradient to its inputs. Calling
 ``backward`` on a scalar root sweeps the graph once in reverse topological
 order. The primitive set is exactly what the encoder, the message-passing
 layers, and the regression head need. Shapes are explicit: the broadcasts
-allowed are a row-wise bias add, ``broadcast_to``, numpy-style stacking in
-``matmul`` (k views as one ``(k, n, d)`` operand) and per-stack statistics
-in ``batchnorm``. A broadcast operand's gradient is summed back over the
-axes it was repeated along.
+allowed are ``broadcast_to``, numpy-style stacking in ``matmul`` and
+``dense`` (k views as one ``(k, n, d)`` operand), the bias of ``dense`` and
+per-stack statistics in ``batchnorm``. A broadcast operand's gradient is
+summed back over the axes it was repeated along.
+
+Inside ``with no_grad():`` operations record no parents and no backward
+closure, and skip work only a backward sweep needs (the relu sign mask and
+its kink scan), so a forward-only pass keeps no tape alive.
 
 Pooling-style reductions (``sum_pool``, ``mean_pool``, ``scatter_add_rows``
 and the batch statistics inside ``batchnorm``) sum each column in ascending
@@ -18,6 +22,7 @@ permutation of the reduced rows.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +35,38 @@ def _psum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.sum(np.sort(arr, axis=axis), axis=axis)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block; the previous setting returns on exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 class Value:
-    """Node in the autodiff graph: float64 data plus gradient plumbing."""
+    """Node in the autodiff graph: float64 data plus gradient plumbing.
 
-    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward_fn", "_op", "_kink")
+    ``_mask`` holds the sign pattern (input > 0) of a relu, fused or not,
+    and ``_kink`` says whether any of its inputs sat exactly on 0.
+    """
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
+    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward_fn", "_op", "_kink", "_mask")
+
+    def __init__(self, data, requires_grad=False, _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self._grad = None
-        self._parents = _parents
+        self._parents = ()
         self._backward_fn = None
         self._op = _op
         self._kink = False
+        self._mask = None
 
     @property
     def grad(self) -> np.ndarray:
@@ -67,6 +91,15 @@ def _wrap(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
+def _node(data, op: str, parents: tuple, backward) -> Value:
+    """Result of an operation; linked into the tape unless grad is off."""
+    out = Value(data, _op=op)
+    if _grad_enabled:
+        out._parents = parents
+        out._backward_fn = backward
+    return out
+
+
 def _sum_to(g: np.ndarray, shape) -> np.ndarray:
     """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
     shape = tuple(shape)
@@ -80,50 +113,43 @@ def _sum_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Value, b: Value) -> Value:
-    """Elementwise add; also supports (n, d) + (d,) as a row-wise bias."""
+    """Elementwise add of two values of one shape."""
     a, b = _wrap(a), _wrap(b)
-    bias = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-    if not bias and a.data.shape != b.data.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Value(a.data + b.data, _parents=(a, b), _op="add")
 
     def _back(g):
         a._accumulate(g)
-        b._accumulate(g.sum(axis=0) if bias else g)
+        b._accumulate(g)
 
-    out._backward_fn = _back
-    return out
+    return _node(a.data + b.data, "add", (a, b), _back)
 
 
 def multiply(a: Value, b: Value) -> Value:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"multiply: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Value(a.data * b.data, _parents=(a, b), _op="mul")
 
     def _back(g):
         a._accumulate(g * b.data)
         b._accumulate(g * a.data)
 
-    out._backward_fn = _back
-    return out
+    return _node(a.data * b.data, "mul", (a, b), _back)
 
 
 def scale(a: Value, s: float) -> Value:
-    out = Value(a.data * s, _parents=(a,), _op="scale")
-    out._backward_fn = lambda g: a._accumulate(g * s)
-    return out
+    return _node(a.data * s, "scale", (a,), lambda g: a._accumulate(g * s))
 
 
 def matmul(a: Value, b: Value) -> Value:
-    """Matrix product for (m,) @ (m, p), or (..., n, m) @ (..., m, p).
+    """Matrix product (..., n, m) @ (..., m, p).
 
     Leading (stack) axes broadcast as in numpy, so k views can share one
     weight matrix; an operand's gradient is summed over the axes it was
     broadcast along.
     """
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim == 0 or b.data.ndim < 2 or (a.data.ndim == 1 and b.data.ndim != 2):
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: unsupported operand ranks, {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
@@ -131,20 +157,51 @@ def matmul(a: Value, b: Value) -> Value:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"matmul: stack dims do not broadcast, {a.data.shape} @ {b.data.shape}") from exc
-    out = Value(data, _parents=(a, b), _op="matmul")
-    if a.data.ndim == 1:
 
-        def _back(g):
-            a._accumulate(b.data @ g)
-            b._accumulate(np.outer(a.data, g))
+    def _back(g):
+        a._accumulate(_sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        b._accumulate(_sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    else:
+    return _node(data, "matmul", (a, b), _back)
 
-        def _back(g):
-            a._accumulate(_sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            b._accumulate(_sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    out._backward_fn = _back
+def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Value:
+    """``relu(x @ W + b)`` as one tape node; the bias and the relu are optional.
+
+    ``x`` is one row (m,), a matrix (n, m) or a stack (..., n, m) sharing
+    the (m, p) weight; the (p,) bias is added to every row. The bias add
+    and the relu run in place on the fresh product, so the forward result
+    and every gradient are bit-identical to the matmul -> add -> relu chain.
+    """
+    x, W = _wrap(x), _wrap(W)
+    if x.data.ndim == 0 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]:
+        raise ShapeError(f"dense: cannot multiply {x.data.shape} @ {W.data.shape}")
+    if b is not None:
+        b = _wrap(b)
+        if b.data.shape != W.data.shape[1:]:
+            raise ShapeError(f"dense: bias {b.data.shape} does not match weight {W.data.shape}")
+    data = x.data @ W.data
+    if b is not None:
+        data += b.data
+    kink = relu and _grad_enabled and bool(np.any(data == 0.0))
+    if relu:
+        np.maximum(data, 0.0, out=data)
+    mask = data > 0.0 if relu and _grad_enabled else None
+
+    def _back(g):
+        if mask is not None:
+            g = g * mask
+        if b is not None:
+            b._accumulate(_sum_to(g, b.data.shape))
+        if x.data.ndim == 1:
+            x._accumulate(W.data @ g)
+            W._accumulate(np.outer(x.data, g))
+        else:
+            x._accumulate(g @ W.data.T)
+            W._accumulate(_sum_to(np.swapaxes(x.data, -1, -2) @ g, W.data.shape))
+
+    out = _node(data, "dense", (x, W) if b is None else (x, W, b), _back)
+    out._kink, out._mask = kink, mask
     return out
 
 
@@ -155,43 +212,39 @@ def broadcast_to(a: Value, shape) -> Value:
         return a
     if len(shape) < a.data.ndim or shape[len(shape) - a.data.ndim:] != a.data.shape:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}")
-    out = Value(np.broadcast_to(a.data, shape), _parents=(a,), _op="broadcast_to")
-    out._backward_fn = lambda g: a._accumulate(_sum_to(g, a.data.shape))
-    return out
+    return _node(np.broadcast_to(a.data, shape), "broadcast_to", (a,),
+                 lambda g: a._accumulate(_sum_to(g, a.data.shape)))
 
 
 def relu(a: Value) -> Value:
-    out = Value(np.maximum(a.data, 0.0), _parents=(a,), _op="relu")
-    out._kink = bool(np.any(a.data == 0.0))  # gradient at exactly 0 defined as 0
+    if not _grad_enabled:
+        return Value(np.maximum(a.data, 0.0), _op="relu")
     mask = a.data > 0.0
-    out._backward_fn = lambda g: a._accumulate(g * mask)
+    out = _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask))
+    out._kink = bool(np.any(a.data == 0.0))  # gradient at exactly 0 defined as 0
+    out._mask = mask
     return out
 
 
 def sum_pool(a: Value, axis: int = 0) -> Value:
     """Column-wise sum over one axis, permutation-exact in the reduced rows."""
-    out = Value(_psum(a.data, axis=axis), _parents=(a,), _op="sum_pool")
 
     def _back(g):
         a._accumulate(np.expand_dims(g, axis=axis) * np.ones_like(a.data))
 
-    out._backward_fn = _back
-    return out
+    return _node(_psum(a.data, axis=axis), "sum_pool", (a,), _back)
 
 
 def mean_pool(a: Value, axis: int = 0) -> Value:
     n = a.data.shape[axis]
-    out = Value(_psum(a.data, axis=axis) / n, _parents=(a,), _op="mean_pool")
 
     def _back(g):
         a._accumulate(np.expand_dims(g, axis=axis) * np.ones_like(a.data) / n)
 
-    out._backward_fn = _back
-    return out
+    return _node(_psum(a.data, axis=axis) / n, "mean_pool", (a,), _back)
 
 
 def max_pool(a: Value, axis: int = 0) -> Value:
-    out = Value(np.max(a.data, axis=axis), _parents=(a,), _op="max_pool")
     argmax = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
     def _back(g):
@@ -199,13 +252,11 @@ def max_pool(a: Value, axis: int = 0) -> Value:
         np.put_along_axis(buf, argmax, np.expand_dims(g, axis), axis)
         a._accumulate(buf)
 
-    out._backward_fn = _back
-    return out
+    return _node(np.max(a.data, axis=axis), "max_pool", (a,), _back)
 
 
 def concat(parts, axis: int = 0) -> Value:
     parts = [_wrap(p) for p in parts]
-    out = Value(np.concatenate([p.data for p in parts], axis=axis), _parents=tuple(parts), _op="concat")
     sizes = [p.data.shape[axis] for p in parts]
 
     def _back(g):
@@ -216,8 +267,7 @@ def concat(parts, axis: int = 0) -> Value:
             p._accumulate(g[tuple(sl)])
             start += size
 
-    out._backward_fn = _back
-    return out
+    return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", tuple(parts), _back)
 
 
 def gather_rows(a: Value, indices) -> Value:
@@ -225,15 +275,13 @@ def gather_rows(a: Value, indices) -> Value:
     indices = np.asarray(indices, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows: need 2-d input, got {a.data.shape}")
-    out = Value(a.data[indices], _parents=(a,), _op="gather_rows")
 
     def _back(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, indices, g)
         a._accumulate(buf)
 
-    out._backward_fn = _back
-    return out
+    return _node(a.data[indices], "gather_rows", (a,), _back)
 
 
 def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
@@ -275,9 +323,7 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
         for c in np.unique(counts[counts > 0]):
             rows = counts == c
             result[rows] = np.sum(np.sort(buf[rows, :c], axis=1), axis=1)
-    out = Value(result, _parents=(a,), _op="scatter_add_rows")
-    out._backward_fn = lambda g: a._accumulate(g[indices])
-    return out
+    return _node(result, "scatter_add_rows", (a,), lambda g: a._accumulate(g[indices]))
 
 
 BN_MOMENTUM = 0.1  # weight of a new batch statistic in the running estimate
@@ -324,8 +370,6 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, traini
         mu, var = state.mean, state.var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv_std
-    out = Value(gamma.data * xhat + beta.data, _parents=(x, gamma, beta), _op="batchnorm")
-
     def _affine_back(g):
         gamma._accumulate(_sum_to(g * xhat, (width,)))
         beta._accumulate(_sum_to(g, (width,)))
@@ -344,8 +388,7 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, traini
             _affine_back(g)
             x._accumulate(g * gamma.data * inv_std)
 
-    out._backward_fn = _back
-    return out
+    return _node(gamma.data * xhat + beta.data, "batchnorm", (x, gamma, beta), _back)
 
 
 def mse(pred: Value, target) -> Value:
@@ -354,37 +397,31 @@ def mse(pred: Value, target) -> Value:
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"mse: incompatible shapes {pred.data.shape} and {target.data.shape}")
     diff = pred.data - target.data
-    out = Value(np.mean(diff**2), _parents=(pred, target), _op="mse")
     n = diff.size
 
     def _back(g):
         pred._accumulate(g * 2.0 * diff / n)
         target._accumulate(g * (-2.0) * diff / n)
 
-    out._backward_fn = _back
-    return out
+    return _node(np.mean(diff**2), "mse", (pred, target), _back)
 
 
 def l1_norm(a: Value) -> Value:
     """Sum of absolute values; subgradient at 0 is 0."""
-    out = Value(np.sum(np.abs(a.data)), _parents=(a,), _op="l1_norm")
-    out._backward_fn = lambda g: a._accumulate(g * np.sign(a.data))
-    return out
+    return _node(np.sum(np.abs(a.data)), "l1_norm", (a,), lambda g: a._accumulate(g * np.sign(a.data)))
 
 
 def pick(a: Value, index: int) -> Value:
     """Scalar entry of a 1-d value."""
     if a.data.ndim != 1:
         raise ShapeError(f"pick: need 1-d input, got {a.data.shape}")
-    out = Value(a.data[index], _parents=(a,), _op="pick")
 
     def _back(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
         a._accumulate(buf)
 
-    out._backward_fn = _back
-    return out
+    return _node(a.data[index], "pick", (a,), _back)
 
 
 def _topo_order(root: Value) -> list[Value]:
@@ -422,8 +459,8 @@ def graph_has_kink(root: Value) -> bool:
 
 
 def _activation_pattern(root: Value) -> list[np.ndarray]:
-    """Sign pattern of every relu input, in deterministic graph order."""
-    return [node._parents[0].data > 0.0 for node in _topo_order(root) if node._op == "relu"]
+    """Sign pattern of every relu input, fused or not, in deterministic graph order."""
+    return [node._mask for node in _topo_order(root) if node._mask is not None]
 
 
 def _patterns_differ(a, b) -> bool:
@@ -485,8 +522,8 @@ def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
     ``f(store)`` must build and return a scalar Value and be a pure
     function of the stored parameters. A probe is skipped when the central
     difference is not valid at that point: an activation input sat exactly
-    on a kink, or the stencil crossed one (the relu sign pattern differs
-    between the three evaluations). Returns the max relative error
+    on a kink, or the stencil crossed one (the sign pattern of a relu or
+    of a ``dense`` relu differs between the three evaluations). Returns the max relative error
     max|a - n| / max(|a|, |n|, 1e-8) over the evaluated probes, 0.0 if
     every probe was skipped.
     """

@@ -91,9 +91,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def resolve_config(args) -> TrainConfig:
     cfg = config_to_dict(TrainConfig(ModelConfig(EncoderConfig(), GnnConfig()), SplitSpec()))
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+        path = _require(args.config, "config file")
         try:
             override = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -159,9 +157,12 @@ def _out_dir(args) -> Path:
 
 
 def _require(path, what: str) -> Path:
+    """The path of an input file; a missing path or a directory is a usage error."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"{what} not found: {p}")
+    if not p.is_file():
+        raise UsageError(f"{what} is not a file: {p}")
     return p
 
 

@@ -371,15 +371,24 @@ def parse_xyz(path) -> list[tuple[str, list[int], np.ndarray]]:
 
 
 def _read_targets(reader: csv.DictReader) -> dict[str, dict[str, float]]:
-    """id -> {task: value} from a targets table; a malformed row raises ParseError naming it."""
+    """id -> {task: value} from a targets table.
+
+    A malformed row raises ParseError naming its line; a repeated id names
+    both lines.
+    """
     try:
         if reader.fieldnames is None or "id" not in reader.fieldnames:
             raise ParseError(1, "targets table needs an 'id' column")
         tasks = [c for c in reader.fieldnames if c != "id"]
         if not tasks:
             raise ParseError(1, "targets table needs at least one task column")
-        table = {}
+        table, first_line = {}, {}
         for row in reader:
+            rid = row["id"]
+            if rid in first_line:
+                raise ParseError(reader.line_num,
+                                 f"duplicate id {rid!r}, first given on line {first_line[rid]}")
+            first_line[rid] = reader.line_num
             values = {}
             for t in tasks:
                 if row[t] is None:  # DictReader fills a short row with None
@@ -388,7 +397,7 @@ def _read_targets(reader: csv.DictReader) -> dict[str, dict[str, float]]:
                     values[t] = float(row[t])
                 except ValueError:
                     raise ParseError(reader.line_num, f"target {t!r} is not a number: {row[t]!r}") from None
-            table[row["id"]] = values
+            table[rid] = values
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"bad targets table: {exc}") from None
     return table

@@ -2,12 +2,12 @@
 
 A molecule's centered coordinates are rotated into k sampled views. Each
 view runs through a stack of shared per-atom affine maps (1x1 convolutions)
-with batchnorm and relu, is pooled over atoms into a fixed-length
-fingerprint, and the k fingerprints are averaged. The average is a
-Monte-Carlo estimate of the rotation-group expectation of the single-view
-encoder, so the result is approximately rotation invariant, with the
-residual shrinking as 1/sqrt(k). Canonical pre-alignment of the input makes
-it exactly invariant.
+with batchnorm (folded into the map in eval mode) and relu, is pooled over
+atoms into a fixed-length fingerprint, and the k fingerprints are
+averaged. The average is a Monte-Carlo estimate of the rotation-group
+expectation of the single-view encoder, so the result is approximately
+rotation invariant, with the residual shrinking as 1/sqrt(k). Canonical
+pre-alignment of the input makes it exactly invariant.
 """
 
 from __future__ import annotations
@@ -147,14 +147,25 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
     Atoms never mix: every layer applies the same dense map to each row
     independently, so duplicating an input row duplicates the output row.
     A stacked (k, n, d) input runs every view through the shared maps,
-    with separate batchnorm statistics per view.
+    with separate batchnorm statistics per view in training mode.
+
+    In eval mode batchnorm is an affine map of the running statistics, so
+    each layer folds it into its conv, ``W' = W·s`` and ``b' = β − μ·s`` with
+    ``s = γ/√(σ² + ε)``, and runs one fused ``dense`` node. The fold is
+    recomputed from the current parameters and statistics on every call.
+    Its weights are constants, so an eval-mode pass carries gradients to
+    its inputs but not to the stack's parameters.
     """
     x = features
     for layer in range(len(cfg.widths)):
-        x = ad.matmul(x, store[f"enc.conv{layer}.W"])
-        x = ad.batchnorm(x, store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"],
-                         bn_states[f"enc.bn{layer}"], training)
-        x = ad.relu(x)
+        W = store[f"enc.conv{layer}.W"]
+        gamma, beta = store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"]
+        state = bn_states[f"enc.bn{layer}"]
+        if training:
+            x = ad.relu(ad.batchnorm(ad.matmul(x, W), gamma, beta, state, training=True))
+        else:
+            s = gamma.data / np.sqrt(state.var + ad.BN_EPS)
+            x = ad.dense(x, Value(W.data * s), Value(beta.data - state.mean * s), relu=True)
     return x
 
 

@@ -93,7 +93,7 @@ def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
                    node_feats: Value | None = None) -> Value:
     """h^0 = node_feats @ W_embed + b (a learned per-atom embedding)."""
     feats = node_feats if node_feats is not None else Value(graph.node_feats)
-    return ad.add(ad.matmul(feats, store["gnn.embed.W"]), store["gnn.embed.b"])
+    return ad.dense(feats, store["gnn.embed.W"], store["gnn.embed.b"])
 
 
 def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
@@ -113,16 +113,13 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
         h_dst = ad.gather_rows(h, dst)
         h_src = ad.gather_rows(h, src)
         pair = ad.concat([h_dst, h_src, Value(graph.edge_feats)], axis=1)
-        hidden = ad.relu(ad.add(ad.matmul(pair, store[f"gnn.l{layer}.msg1.W"]),
-                                store[f"gnn.l{layer}.msg1.b"]))
-        messages = ad.add(ad.matmul(hidden, store[f"gnn.l{layer}.msg2.W"]),
-                          store[f"gnn.l{layer}.msg2.b"])
+        hidden = ad.dense(pair, store[f"gnn.l{layer}.msg1.W"], store[f"gnn.l{layer}.msg1.b"], relu=True)
+        messages = ad.dense(hidden, store[f"gnn.l{layer}.msg2.W"], store[f"gnn.l{layer}.msg2.b"])
         m = ad.scatter_add_rows(messages, dst, graph.n_nodes)
     else:
         m = Value(np.zeros((graph.n_nodes, cfg.message_width)))
     joint = ad.concat([h, m], axis=1)
-    return ad.relu(ad.add(ad.matmul(joint, store[f"gnn.l{layer}.upd.W"]),
-                          store[f"gnn.l{layer}.upd.b"]))
+    return ad.dense(joint, store[f"gnn.l{layer}.upd.W"], store[f"gnn.l{layer}.upd.b"], relu=True)
 
 
 def readout(node_states: Value, mode: str = "sum") -> Value:

@@ -82,8 +82,8 @@ def fuse(g: Value, p: Value) -> Value:
 
 def predict_head(u: Value, store: ParameterStore) -> Value:
     """Two-layer relu perceptron from the fused vector to the task outputs."""
-    hidden = ad.relu(ad.add(ad.matmul(u, store["head.W1"]), store["head.b1"]))
-    return ad.add(ad.matmul(hidden, store["head.W2"]), store["head.b2"])
+    hidden = ad.dense(u, store["head.W1"], store["head.b1"], relu=True)
+    return ad.dense(hidden, store["head.W2"], store["head.b2"])
 
 
 def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
@@ -168,7 +168,7 @@ class Model:
 
     def _graph_vector(self, graph: MolecularGraph, node_feats: Value | None = None) -> Value:
         g = gnn.gnn_forward(graph, self.store, self.cfg.gnn, node_feats=node_feats)
-        return ad.add(ad.matmul(g, self.store["gproj.W"]), self.store["gproj.b"])
+        return ad.dense(g, self.store["gproj.W"], self.store["gproj.b"])
 
     def _align_flag(self, training: bool) -> bool:
         mode = self.cfg.encoder.align_mode
@@ -209,12 +209,12 @@ class Model:
         return y_hat, u
 
     def predict(self, record: MoleculeRecord) -> np.ndarray:
-        """Deterministic inference (normalized-target units).
+        """Deterministic inference (normalized-target units), built without a tape.
 
         Under an aligning policy, a molecule with a degenerate spectrum or a
         single atom raises DegenerateCloud or TooFewPoints naming its id.
         """
-        with for_molecule(record):
+        with for_molecule(record), ad.no_grad():
             y_hat, _ = self.forward(self.graph_for(record), self.cloud_for(record), training=False)
         return y_hat.data.copy()
 

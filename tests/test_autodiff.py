@@ -207,6 +207,109 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, [2.0, 0.0])
 
 
+def _vector_chain(v, W, b, relu, target):
+    """Forward value and (v, W, b) gradients of mse(relu(v @ W + b), target)
+    for a 1-d ``v``, computed the way the matmul -> add -> relu chain did."""
+    pre = v @ W + b
+    out = np.maximum(pre, 0.0) if relu else pre
+    g = 1.0 * 2.0 * (out - target) / out.size
+    if relu:
+        g = (np.zeros_like(g) + g) * (pre > 0.0)
+    g = np.zeros_like(g) + g
+    return out, np.zeros_like(v) + W @ g, np.zeros_like(W) + np.outer(v, g), np.zeros_like(b) + g
+
+
+class TestDense:
+    """One fused node, byte-equal to the matmul -> add -> relu chain."""
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("x_shape", [(6, 5), (3, 6, 5)], ids=["2d", "stacked"])
+    def test_byte_equal_to_chain(self, x_shape, bias, relu):
+        rng = np.random.default_rng(len(x_shape) + 2 * bias + 4 * relu)
+        x0, W0, b0 = rng.normal(size=x_shape), rng.normal(size=(5, 4)), rng.normal(size=4)
+        x0[0] = 0.0  # a zero row puts pre-activations exactly on the kink
+        target = rng.normal(size=x_shape[:-1] + (4,))
+        results = []
+        for fused in (True, False):
+            x, W, b = (Value(a.copy(), requires_grad=True) for a in (x0, W0, b0))
+            if fused:
+                out = ad.dense(x, W, b if bias else None, relu=relu)
+            else:
+                out = ad.matmul(x, W)
+                if bias:
+                    out = ad.add(out, ad.broadcast_to(b, out.shape))
+                if relu:
+                    out = ad.relu(out)
+            ad.backward(ad.mse(out, target))
+            results.append((out.data, x.grad, W.grad, b.grad, out._kink))
+        (out, gx, gW, gb, kink), chain = results
+        for fused, want in zip((out, gx, gW), chain):
+            assert_same_bits(fused, want)
+        if len(x_shape) == 2:
+            assert_same_bits(gb, chain[3])
+        else:
+            # the chain's broadcast node keeps its gradient in the memory
+            # order of the broadcast view, so it sums the stack in another order
+            np.testing.assert_allclose(gb, chain[3], rtol=1e-12, atol=0)
+        assert kink == chain[4] == (relu and not bias)  # the zero row sits on the kink
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    def test_vector_input_byte_equal_to_chain(self, relu):
+        rng = np.random.default_rng(11)
+        v0, W0, b0, target = rng.normal(size=6), rng.normal(size=(6, 5)), rng.normal(size=5), rng.normal(size=5)
+        v, W, b = (Value(a.copy(), requires_grad=True) for a in (v0, W0, b0))
+        out = ad.dense(v, W, b, relu=relu)
+        ad.backward(ad.mse(out, target))
+        for got, want in zip((out.data, v.grad, W.grad, b.grad), _vector_chain(v0, W0, b0, relu, target)):
+            assert_same_bits(got, want)
+
+    def test_relu_pattern_is_the_pre_activation_sign(self):
+        x = Value(np.array([[1.0, -1.0, 0.0]]))
+        out = ad.dense(x, Value(np.eye(3)), relu=True)
+        np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(out._mask, [[True, False, False]])
+        assert out._kink
+        assert [m.tolist() for m in ad._activation_pattern(ad.sum_pool(ad.sum_pool(out)))] == [
+            [[True, False, False]]]
+
+    def test_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.dense(Value(np.zeros((2, 3))), Value(np.zeros((4, 2))))
+        with pytest.raises(ShapeError):
+            ad.dense(Value(np.zeros((2, 3))), Value(np.zeros((3, 2))), Value(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.dense(Value(np.zeros(3)), Value(np.zeros((2, 3, 2))))
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        w = Value(np.array([[1.0, -2.0], [0.0, 3.0]]), requires_grad=True)
+
+        def build():
+            h = ad.relu(ad.matmul(ad.dense(w, w, Value(np.zeros(2)), relu=True), w))
+            return h, ad.mse(ad.mean_pool(h, axis=0), np.zeros(2))
+
+        with ad.no_grad():
+            h, root = build()
+        for node in (h, root):
+            assert node._parents == () and node._backward_fn is None
+            assert node._mask is None and not node._kink
+        assert build()[1].data.tobytes() == root.data.tobytes()
+
+    def test_nests_and_restores_after_an_exception(self):
+        assert ad._grad_enabled
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    assert not ad._grad_enabled
+                assert not ad._grad_enabled  # the inner block restores the outer setting
+                raise RuntimeError("boom")
+        assert ad._grad_enabled
+        x = Value(np.ones(2), requires_grad=True)
+        assert ad.relu(x)._parents == (x,)
+
+
 class TestBatchNorm:
     def test_eval_is_affine_in_running_stats(self):
         state = BatchNormState(mean=np.array([1.0, -1.0]), var=np.array([4.0, 0.25]))
@@ -236,10 +339,14 @@ class TestBatchNorm:
 
 
 PRIMITIVE_CASES = [
-    ("matmul_bias", lambda s: ad.mse(ad.add(ad.matmul(s["x"], s["W"]), s["b"]), np.zeros((4, 3))),
+    ("matmul_bias", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"]), np.zeros((4, 3))),
      {"x": (4, 5), "W": (5, 3), "b": (3,)}),
-    ("vec_matmul", lambda s: ad.mse(ad.matmul(s["v"], s["W"]), np.zeros(4)),
+    ("vec_matmul", lambda s: ad.mse(ad.dense(s["v"], s["W"]), np.zeros(4)),
      {"v": (6,), "W": (6, 4)}),
+    ("dense", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"]), np.zeros((2, 4, 3))),
+     {"x": (2, 4, 5), "W": (5, 3), "b": (3,)}),
+    ("dense_relu", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"], relu=True), np.zeros((4, 3))),
+     {"x": (4, 5), "W": (5, 3), "b": (3,)}),
     ("stacked_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["W"]), np.zeros((2, 4, 3))),
      {"x": (2, 4, 5), "W": (5, 3)}),
     ("broadcast_left_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["R"]), np.zeros((2, 4, 3))),
@@ -313,6 +420,19 @@ class TestGradientCheck:
             lambda s: ad.sum_pool(ad.relu(s["w"]), axis=0), store, h=1e-5, n_probe=3, seed=0
         )
         assert err == 0.0  # every probe sits exactly on the kink and is skipped
+
+    @pytest.mark.parametrize("w", [0.0, 1e-7], ids=["on-kink", "stencil-crosses-kink"])
+    def test_dense_kink_probe_skipped(self, w):
+        # x @ w is 0 (on the kink) or 1e-7, which w +- h with h = 1e-5
+        # moves across the kink; a central difference there reads ~0.5
+        # against the analytic 1.0, so the probe must be skipped
+        store = store_with(w=np.array([[w]]))
+        x = Value(np.array([[1.0]]))
+        err = ad.gradient_check(
+            lambda s: ad.sum_pool(ad.sum_pool(ad.dense(x, s["w"], relu=True), axis=0), axis=0),
+            store, h=1e-5, n_probe=1, seed=0,
+        )
+        assert err == 0.0
 
     @staticmethod
     def full_stack_error(cfg):

@@ -106,6 +106,39 @@ class TestConvert:
         assert where in err and "Traceback" not in err
 
 
+    def test_duplicate_target_id_exits_2_naming_both_lines(self, tmp_path, capsys):
+        code, err = self.convert_with(tmp_path, capsys, b"1\nm1\nC 0 0 0\n", b"id,y\nm1,1.0\nm2,0.5\nm1,2.0\n")
+        assert code == 2
+        assert "line 4" in err and "line 2" in err and "'m1'" in err and "Traceback" not in err
+
+
+class TestInputPathIsADirectory:
+    """Every input-file flag given a directory exits 2 with a typed message."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("convert", "--xyz"), ("convert", "--targets"), ("train", "--data"), ("train", "--config"),
+        ("eval", "--checkpoint"), ("eval", "--data"), ("invariance", "--checkpoint"),
+        ("invariance", "--data"), ("sweep-k", "--data"), ("sweep-k", "--checkpoint"),
+        ("align", "--data"), ("importance", "--checkpoint"), ("importance", "--data"),
+    ])
+    def test_directory_exits_2(self, workspace, trained, tmp_path, capsys, command, flag):
+        root, data, config = workspace
+        paths = {"--xyz": GOLDEN / "golden.xyz", "--targets": GOLDEN / "golden_targets.csv",
+                 "--data": data, "--config": config, "--checkpoint": trained}
+        extra = {"sweep-k": ["--k-values", "2"], "importance": ["--id", "x"]}.get(command, [])
+        flags = {"convert": ["--xyz", "--targets"], "train": ["--data", "--config"],
+                 "sweep-k": ["--data", "--checkpoint"], "align": ["--data"]}.get(command, ["--checkpoint", "--data"])
+        folder = tmp_path / "a-folder"
+        folder.mkdir()
+        argv = [command]
+        for f in flags:
+            argv += [f, str(folder if f == flag else paths[f])]
+        code = main(argv + extra + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "is not a file" in err and "a-folder" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_writes_three_artifacts(self, workspace, trained):
         out = trained.parent

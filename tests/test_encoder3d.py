@@ -15,6 +15,7 @@ from rotenc.encoder3d import (
     init_encoder_params,
     pointwise_stack,
     pool_view,
+    prepare_cloud,
 )
 from rotenc.errors import DegenerateCloud, InvalidConfig, UnknownElement
 from rotenc.geometry import PointCloud, center_cloud, sample_rotations
@@ -111,6 +112,34 @@ class TestPointwiseStack:
         out = pointwise_stack(x, store, cfg, states, training=False)
         np.testing.assert_allclose(out.data, x.data, rtol=1e-12)
 
+    def test_eval_fold_matches_batchnorm_formulation(self):
+        cfg = small_cfg(widths=(8, 6))
+        store, _, states = make_encoder(cfg)
+        rng = np.random.default_rng(12)
+        for layer, width in enumerate(cfg.widths):
+            store[f"enc.bn{layer}.gamma"].data = rng.uniform(0.5, 2.0, width)
+            store[f"enc.bn{layer}.beta"].data = rng.normal(size=width)
+            states[f"enc.bn{layer}"] = BatchNormState(rng.normal(size=width), rng.uniform(0.1, 3.0, width))
+        x = Value(rng.normal(size=(4, 9, cfg.input_width)))
+
+        def unfolded():
+            h = x
+            for layer in range(len(cfg.widths)):
+                h = ad.matmul(h, store[f"enc.conv{layer}.W"])
+                h = ad.batchnorm(h, store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"],
+                                 states[f"enc.bn{layer}"], training=False)
+                h = ad.relu(h)
+            return h.data
+
+        folded = pointwise_stack(x, store, cfg, states, training=False).data
+        np.testing.assert_allclose(folded, unfolded(), rtol=1e-12, atol=0)
+        # the fold is taken afresh from the running statistics a training pass moved
+        pointwise_stack(Value(rng.normal(size=(2, 5, cfg.input_width)) * 3.0), store, cfg, states,
+                        training=True)
+        refolded = pointwise_stack(x, store, cfg, states, training=False).data
+        assert not np.allclose(refolded, folded)
+        np.testing.assert_allclose(refolded, unfolded(), rtol=1e-12, atol=0)
+
     def test_duplicated_row_duplicates_output(self):
         cfg = small_cfg(use_atom_embedding=False, widths=(8, 6))
         store, _, states = make_encoder(cfg)
@@ -158,7 +187,8 @@ class TestEncode:
         store, table, states = make_encoder(cfg)
         cloud = centered_cloud()
         fp = encode(cloud, table, store, cfg, states, rotations=[np.eye(3)])
-        view = build_view_input(cloud, np.eye(3), table, cfg)
+        # encode re-centers its input, which moves coordinates by ~1 ulp
+        view = build_view_input(prepare_cloud(cloud, False), np.eye(3), table, cfg)
         manual = pool_view(pointwise_stack(view, store, cfg, states, training=False), cfg.pool)
         np.testing.assert_array_equal(fp.data, manual.data)
 

@@ -10,7 +10,7 @@ from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore, Value
 from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
-from rotenc.errors import InvalidConfig, NoData, ShapeError
+from rotenc.errors import InvalidConfig, NoData, ShapeError, TooFewPoints
 from rotenc.geometry import sample_rotations
 from rotenc.model import (
     Model,
@@ -159,6 +159,35 @@ class TestEndToEndSymmetries:
             targets=dict(record.targets),
         )
         assert np.array_equal(tiny_model.predict(rotated), tiny_model.predict(record))
+
+
+class TestTapeFreePredict:
+    def test_predict_leaves_no_parents_on_its_output(self, tiny_model, small_records, monkeypatch):
+        import rotenc.model as model_module
+
+        heads = []
+
+        def recording_head(u, store):
+            heads.append(predict_head(u, store))
+            return heads[-1]
+
+        monkeypatch.setattr(model_module, "predict_head", recording_head)
+        record = small_records[0]
+        y = tiny_model.predict(record)
+        taped, _ = tiny_model.forward(tiny_model.graph_for(record), tiny_model.cloud_for(record))
+        tape_free, with_tape = heads
+        assert tape_free._parents == () and tape_free._backward_fn is None
+        assert with_tape._parents and ad._grad_enabled
+        assert y.tobytes() == taped.data.tobytes()
+
+    def test_grad_mode_restored_when_predict_raises(self, small_records):
+        cfg = tiny_model_config(encoder=EncoderConfig(widths=(4,), embed_dim=2, k=2, align_mode="post"))
+        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=0)
+        one_atom = MoleculeRecord(id="lone", atomic_numbers=[6], coords=np.zeros((1, 3)), bonds=None,
+                                  targets={"rg": 0.0})
+        with pytest.raises(TooFewPoints, match="lone"):
+            model.predict(one_atom)
+        assert ad._grad_enabled
 
 
 class TestMeasureInvariance:
