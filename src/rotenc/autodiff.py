@@ -10,20 +10,29 @@ allowed are ``broadcast_to``, numpy-style stacking in ``matmul`` and
 per-stack statistics in ``batchnorm``. A broadcast operand's gradient is
 summed back over the axes it was repeated along.
 
-Inside ``with no_grad():`` operations record no parents and no backward
-closure, and skip work only a backward sweep needs (the relu sign mask and
-its kink scan), so a forward-only pass keeps no tape alive.
+A result needs a gradient (``requires_grad``) when any of its inputs does;
+a result that needs none is a constant: it records no parents and no
+backward closure, and a closure pushes gradient only into the inputs that
+need one. Inside ``with no_grad():`` nothing needs a gradient. Work only a
+backward sweep uses (the relu sign mask and its kink scan, the argmax of
+``max_pool``) is skipped for constants, so a forward-only pass keeps no
+tape alive.
 
 Pooling-style reductions (``sum_pool``, ``mean_pool``, ``scatter_add_rows``
 and the batch statistics inside ``batchnorm``) sum each column in ascending
 value order, so their forward results are bit-identical under any
-permutation of the reduced rows.
+permutation of the reduced rows. Given ``offsets``, the pooling ops and
+``batchnorm`` treat their row axis as segments stored back to back (one
+molecule of a packed batch each, segment b in rows
+``offsets[b]:offsets[b+1]``) and reduce every segment on its own, exactly
+as they reduce a lone segment.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -78,10 +87,20 @@ class Value:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g):
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+    def _accumulate(self, g, owned: bool = False):
+        """Add ``g`` to this node's gradient.
+
+        ``owned`` says ``g`` is a fresh array nobody else holds, which the
+        first gradient then keeps as it is when it is C-ordered.
+        """
+        if self._grad is not None:
+            self._grad += g
+        elif owned and g.flags.c_contiguous and g.shape == self.data.shape:
+            self._grad = g
+        else:
+            # a C-ordered copy: a broadcast view's layout must not decide the
+            # order in which a later reduction of this gradient sums
+            self._grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64, order="C")
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, op={self._op})"
@@ -91,13 +110,40 @@ def _wrap(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
+def _needs_grad(*inputs) -> bool:
+    """True when a result of these inputs needs a gradient."""
+    return _grad_enabled and any(v is not None and v.requires_grad for v in inputs)
+
+
 def _node(data, op: str, parents: tuple, backward) -> Value:
-    """Result of an operation; linked into the tape unless grad is off."""
+    """Result of an operation; linked into the tape when it needs a gradient."""
     out = Value(data, _op=op)
-    if _grad_enabled:
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward
     return out
+
+
+def _push(v: Value, grad, owned: bool = False) -> None:
+    """Accumulate ``grad()`` into ``v`` when ``v`` needs a gradient (computed lazily).
+
+    ``owned``: ``grad()`` returns a fresh array (see ``Value._accumulate``).
+    """
+    if v.requires_grad:
+        v._accumulate(grad(), owned)
+
+
+def _rows_matmul(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``x @ W`` for a 2-d ``W``, with every leading axis of ``x`` folded into one GEMM."""
+    if x.ndim <= 2:
+        return x @ W
+    return (x.reshape(-1, x.shape[-1]) @ W).reshape(x.shape[:-1] + W.shape[1:])
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-d weight shared by every row of ``x``: one GEMM over all rows."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def _sum_to(g: np.ndarray, shape) -> np.ndarray:
@@ -119,8 +165,8 @@ def add(a: Value, b: Value) -> Value:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def _back(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        _push(a, lambda: g)
+        _push(b, lambda: g)
 
     return _node(a.data + b.data, "add", (a, b), _back)
 
@@ -131,14 +177,14 @@ def multiply(a: Value, b: Value) -> Value:
         raise ShapeError(f"multiply: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def _back(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
+        _push(a, lambda: g * b.data, owned=True)
+        _push(b, lambda: g * a.data, owned=True)
 
     return _node(a.data * b.data, "mul", (a, b), _back)
 
 
 def scale(a: Value, s: float) -> Value:
-    return _node(a.data * s, "scale", (a,), lambda g: a._accumulate(g * s))
+    return _node(a.data * s, "scale", (a,), lambda g: _push(a, lambda: g * s, owned=True))
 
 
 def matmul(a: Value, b: Value) -> Value:
@@ -146,21 +192,29 @@ def matmul(a: Value, b: Value) -> Value:
 
     Leading (stack) axes broadcast as in numpy, so k views can share one
     weight matrix; an operand's gradient is summed over the axes it was
-    broadcast along.
+    broadcast along. A 2-d ``b`` shared by a stack multiplies all of its
+    rows in one GEMM, and its gradient is one GEMM over all rows too.
     """
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: unsupported operand ranks, {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul: stack dims do not broadcast, {a.data.shape} @ {b.data.shape}") from exc
+    if b.data.ndim == 2:
+        data = _rows_matmul(a.data, b.data)
+    else:
+        try:
+            data = a.data @ b.data
+        except ValueError as exc:
+            raise ShapeError(f"matmul: stack dims do not broadcast, {a.data.shape} @ {b.data.shape}") from exc
 
     def _back(g):
-        a._accumulate(_sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b._accumulate(_sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if b.data.ndim == 2:
+            _push(a, lambda: _rows_matmul(g, b.data.T), owned=True)
+            _push(b, lambda: _weight_grad(a.data, g), owned=True)
+        else:
+            _push(a, lambda: _sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
+            _push(b, lambda: _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
 
     return _node(data, "matmul", (a, b), _back)
 
@@ -180,25 +234,26 @@ def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Val
         b = _wrap(b)
         if b.data.shape != W.data.shape[1:]:
             raise ShapeError(f"dense: bias {b.data.shape} does not match weight {W.data.shape}")
-    data = x.data @ W.data
+    data = _rows_matmul(x.data, W.data)
     if b is not None:
         data += b.data
-    kink = relu and _grad_enabled and bool(np.any(data == 0.0))
+    taped = relu and _needs_grad(x, W, b)
+    kink = taped and bool(np.any(data == 0.0))
     if relu:
         np.maximum(data, 0.0, out=data)
-    mask = data > 0.0 if relu and _grad_enabled else None
+    mask = data > 0.0 if taped else None
 
     def _back(g):
         if mask is not None:
             g = g * mask
         if b is not None:
-            b._accumulate(_sum_to(g, b.data.shape))
+            _push(b, lambda: _sum_to(g, b.data.shape))
         if x.data.ndim == 1:
-            x._accumulate(W.data @ g)
-            W._accumulate(np.outer(x.data, g))
+            _push(x, lambda: W.data @ g, owned=True)
+            _push(W, lambda: np.outer(x.data, g), owned=True)
         else:
-            x._accumulate(g @ W.data.T)
-            W._accumulate(_sum_to(np.swapaxes(x.data, -1, -2) @ g, W.data.shape))
+            _push(x, lambda: _rows_matmul(g, W.data.T), owned=True)
+            _push(W, lambda: _weight_grad(x.data, g), owned=True)
 
     out = _node(data, "dense", (x, W) if b is None else (x, W, b), _back)
     out._kink, out._mask = kink, mask
@@ -213,46 +268,140 @@ def broadcast_to(a: Value, shape) -> Value:
     if len(shape) < a.data.ndim or shape[len(shape) - a.data.ndim:] != a.data.shape:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}")
     return _node(np.broadcast_to(a.data, shape), "broadcast_to", (a,),
-                 lambda g: a._accumulate(_sum_to(g, a.data.shape)))
+                 lambda g: _push(a, lambda: _sum_to(g, a.data.shape)))
+
+
+def reshape(a: Value, shape) -> Value:
+    """The same entries in a new shape (e.g. dropping a batch axis of size one)."""
+    return _node(a.data.reshape(shape), "reshape", (a,),
+                 lambda g: _push(a, lambda: g.reshape(a.data.shape)))
 
 
 def relu(a: Value) -> Value:
-    if not _grad_enabled:
+    if not _needs_grad(a):
         return Value(np.maximum(a.data, 0.0), _op="relu")
     mask = a.data > 0.0
-    out = _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask))
+    out = _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask, owned=True))
     out._kink = bool(np.any(a.data == 0.0))  # gradient at exactly 0 defined as 0
     out._mask = mask
     return out
 
 
-def sum_pool(a: Value, axis: int = 0) -> Value:
-    """Column-wise sum over one axis, permutation-exact in the reduced rows."""
+def _segments(offsets, n: int) -> np.ndarray:
+    """Validated segment boundaries: 0 = offsets[0] < offsets[1] < ... < offsets[-1] = n."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    bounds = offsets.tolist()
+    if offsets.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n \
+            or any(stop <= start for start, stop in pairwise(bounds)):
+        raise ShapeError(f"offsets {bounds} do not cut {n} rows into non-empty segments")
+    return offsets
 
-    def _back(g):
-        a._accumulate(np.expand_dims(g, axis=axis) * np.ones_like(a.data))
 
-    return _node(_psum(a.data, axis=axis), "sum_pool", (a,), _back)
+def _per_segment(arr: np.ndarray, axis: int, offsets: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(part, axis)`` of every segment of ``axis``, stacked along that axis."""
+    if offsets.size == 2:
+        return np.expand_dims(reduce(arr, axis), axis)
+    index = [slice(None)] * arr.ndim
+    parts = []
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        index[axis] = slice(start, stop)
+        parts.append(reduce(arr[tuple(index)], axis))
+    return np.stack(parts, axis=axis)
 
 
-def mean_pool(a: Value, axis: int = 0) -> Value:
+def _pool(a: Value, axis: int, offsets, reduce, op: str, mean: bool) -> Value:
+    """Reduce one axis of ``a`` with ``reduce``, whole or per segment.
+
+    Without offsets the axis is dropped; with offsets it keeps one entry per
+    segment. The backward spreads each entry's gradient over its rows,
+    divided by the row count for a ``mean``.
+    """
+    axis = axis % a.data.ndim
     n = a.data.shape[axis]
+    if offsets is None:
+        data, lengths = reduce(a.data, axis), np.full(1, n)
+    else:
+        offsets = _segments(offsets, n)
+        data, lengths = _per_segment(a.data, axis, offsets, reduce), np.diff(offsets)
 
     def _back(g):
-        a._accumulate(np.expand_dims(g, axis=axis) * np.ones_like(a.data) / n)
+        grad = np.repeat(g if offsets is not None else np.expand_dims(g, axis), lengths, axis=axis)
+        if mean:
+            counts = [1] * a.data.ndim
+            counts[axis] = -1
+            grad /= np.repeat(lengths, lengths).reshape(counts)
+        a._accumulate(grad, owned=True)
 
-    return _node(_psum(a.data, axis=axis) / n, "mean_pool", (a,), _back)
+    return _node(data, op, (a,), _back)
 
 
-def max_pool(a: Value, axis: int = 0) -> Value:
-    argmax = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+def sum_pool(a: Value, axis: int = 0, offsets=None) -> Value:
+    """Column-wise sum over one axis (or each segment of it), permutation-exact in the reduced rows."""
+    return _pool(a, axis, offsets, _psum, "sum_pool", mean=False)
+
+
+def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
+    """Column-wise mean over one axis (or each segment of it), permutation-exact in the reduced rows."""
+    return _pool(a, axis, offsets, lambda part, ax: _psum(part, ax) / part.shape[ax], "mean_pool", mean=True)
+
+
+def max_pool(a: Value, axis: int = 0, offsets=None) -> Value:
+    """Column-wise max over one axis (or each segment of it); the gradient goes to the first maximum."""
+    axis = axis % a.data.ndim
+    if offsets is None:
+        return _max_pool(a, axis, np.array([0, a.data.shape[axis]]), keep_axis=False)
+    return _max_pool(a, axis, _segments(offsets, a.data.shape[axis]), keep_axis=True)
+
+
+def _max_pool(a: Value, axis: int, offsets: np.ndarray, keep_axis: bool) -> Value:
+    if keep_axis:
+        data = _per_segment(a.data, axis, offsets, np.max)
+    else:
+        data = np.max(a.data, axis=axis)
+    if not _needs_grad(a):
+        return Value(data, _op="max_pool")
+    # index of each segment's first maximum, along the whole axis
+    starts = np.expand_dims(offsets[:-1], tuple(range(1, a.data.ndim - axis)))
+    argmax = _per_segment(a.data, axis, offsets, np.argmax) + starts
 
     def _back(g):
         buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, argmax, np.expand_dims(g, axis), axis)
-        a._accumulate(buf)
+        np.put_along_axis(buf, argmax, g if keep_axis else np.expand_dims(g, axis), axis)
+        a._accumulate(buf, owned=True)
 
-    return _node(np.max(a.data, axis=axis), "max_pool", (a,), _back)
+    return _node(data, "max_pool", (a,), _back)
+
+
+def segment_matmul(a: Value, b: Value, offsets) -> Value:
+    """Each segment of the rows of ``a`` times its own matrix stack.
+
+    ``a`` is (N, m) with segment s in rows offsets[s]:offsets[s+1]; ``b`` is
+    (S, ..., m, p), one stack per segment. The result is (..., N, p): rows
+    of segment s are ``a[rows] @ b[s]``, so one molecule of a packed batch
+    gets exactly the product it gets on its own.
+    """
+    a, b = _wrap(a), _wrap(b)
+    offsets = _segments(offsets, a.data.shape[0])
+    if a.data.ndim != 2 or b.data.ndim < 3 or b.data.shape[0] != offsets.size - 1 \
+            or b.data.shape[-2] != a.data.shape[1]:
+        raise ShapeError(f"segment_matmul: cannot multiply {a.data.shape} by {b.data.shape} "
+                         f"in {offsets.size - 1} segments")
+    data = np.empty(b.data.shape[1:-2] + (a.data.shape[0], b.data.shape[-1]))
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    for s, (start, stop) in enumerate(bounds):
+        data[..., start:stop, :] = a.data[start:stop] @ b.data[s]
+
+    def _back(g):
+        if a.requires_grad:
+            ga = np.empty_like(a.data)
+            for s, (start, stop) in enumerate(bounds):
+                ga[start:stop] = _sum_to(g[..., start:stop, :] @ np.swapaxes(b.data[s], -1, -2),
+                                         (stop - start, a.data.shape[1]))
+            a._accumulate(ga, owned=True)
+        if b.requires_grad:
+            b._accumulate(np.stack([a.data[start:stop].T @ g[..., start:stop, :] for start, stop in bounds]))
+
+    return _node(data, "segment_matmul", (a, b), _back)
 
 
 def concat(parts, axis: int = 0) -> Value:
@@ -264,7 +413,7 @@ def concat(parts, axis: int = 0) -> Value:
         for p, size in zip(parts, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, start + size)
-            p._accumulate(g[tuple(sl)])
+            _push(p, lambda: g[tuple(sl)])
             start += size
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", tuple(parts), _back)
@@ -277,9 +426,10 @@ def gather_rows(a: Value, indices) -> Value:
         raise ShapeError(f"gather_rows: need 2-d input, got {a.data.shape}")
 
     def _back(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, indices, g)
-        a._accumulate(buf)
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            np.add.at(buf, indices, g)
+            a._accumulate(buf, owned=True)
 
     return _node(a.data[indices], "gather_rows", (a,), _back)
 
@@ -323,7 +473,7 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
         for c in np.unique(counts[counts > 0]):
             rows = counts == c
             result[rows] = np.sum(np.sort(buf[rows, :c], axis=1), axis=1)
-    return _node(result, "scatter_add_rows", (a,), lambda g: a._accumulate(g[indices]))
+    return _node(result, "scatter_add_rows", (a,), lambda g: _push(a, lambda: g[indices], owned=True))
 
 
 BN_MOMENTUM = 0.1  # weight of a new batch statistic in the running estimate
@@ -342,14 +492,36 @@ class BatchNormState:
         return cls(np.zeros(width), np.ones(width))
 
 
-def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, training: bool) -> Value:
-    """Batch normalization over the rows (axis -2) of a 2-d or stacked input.
+def _fold_running(state: BatchNormState, mu: np.ndarray, var: np.ndarray) -> None:
+    """Fold statistic rows into the running estimates, one row at a time, in row order.
+
+    The fold is sequential so that its rounding does not depend on how the
+    rows are grouped into calls: a stack folds to the same bits as its
+    matrices one call each.
+    """
+    m = BN_MOMENTUM
+    running = np.stack([state.mean, state.var])
+    for row in m * np.stack([mu, var], axis=1):
+        running *= 1 - m
+        running += row
+    state.mean, state.var = running[0].copy(), running[1].copy()
+
+
+def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, training: bool,
+              offsets=None, relu: bool = False) -> Value:
+    """Batch normalization over the rows (axis -2) of a 2-d or stacked input, optionally then relu.
 
     Training mode normalizes with the batch statistics (population
     variance); a stacked ``(k, n, d)`` input keeps separate statistics for
-    each of its k matrices. The statistics are folded into the running
-    estimates one matrix at a time, in stack order. Eval mode is a pure
-    affine map using the stored running statistics.
+    each of its k matrices, and with ``offsets`` each matrix keeps separate
+    statistics for each segment of its rows. Every segment is normalized on
+    its own, with the arithmetic of a lone segment, one segment at a time
+    so that its rows stay in cache. The statistics are folded into the
+    running estimates one (segment, matrix) pair at a time, segment by
+    segment and in stack order within a segment. Eval mode is a pure
+    affine map using the stored running statistics. ``relu`` applies a
+    relu to the result in the same node, keeping its sign pattern and kink
+    flag as ``dense`` does.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
@@ -359,36 +531,68 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, traini
             f"batchnorm: gamma/beta {gamma.data.shape}/{beta.data.shape} do not match width {width}"
         )
     n = x.data.shape[-2]
+    blocks = list(pairwise(_segments([0, n] if offsets is None else offsets, n))) if training else [(0, n)]
+    taped = _needs_grad(x, gamma, beta)
+    out = np.empty_like(x.data)
+    mask = np.empty(x.data.shape, dtype=bool) if relu and taped else None
+    kink = False
     if training:
-        mu = np.expand_dims(_psum(x.data, axis=-2) / n, -2)
-        var = np.expand_dims(_psum((x.data - mu) ** 2, axis=-2) / n, -2)
-        m = BN_MOMENTUM
-        for mu_i, var_i in zip(mu.reshape(-1, width), var.reshape(-1, width)):
-            state.mean = (1 - m) * state.mean + m * mu_i
-            state.var = (1 - m) * state.var + m * var_i
+        xhat = np.empty_like(x.data)
+        inv_stds, mus, variances = [], [], []
+        for start, stop in blocks:
+            part, rows = x.data[..., start:stop, :], stop - start
+            ordered = np.sort(part, axis=-2)
+            mu = ordered.sum(axis=-2, keepdims=True) / rows
+            # squared deviations summed in the order of the sorted values:
+            # tied values give tied squares, so the sum is permutation-exact
+            var = ((ordered - mu) ** 2).sum(axis=-2, keepdims=True) / rows
+            inv_stds.append(1.0 / np.sqrt(var + BN_EPS))
+            block = xhat[..., start:stop, :]
+            np.subtract(part, mu, out=block)
+            block *= inv_stds[-1]
+            mus.append(mu.reshape(-1, width))
+            variances.append(var.reshape(-1, width))
+        _fold_running(state, np.concatenate(mus), np.concatenate(variances))
     else:
-        mu, var = state.mean, state.var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu) * inv_std
-    def _affine_back(g):
-        gamma._accumulate(_sum_to(g * xhat, (width,)))
-        beta._accumulate(_sum_to(g, (width,)))
+        inv_stds = [1.0 / np.sqrt(state.var + BN_EPS)]
+        xhat = (x.data - state.mean) * inv_stds[0]
+    for start, stop in blocks:
+        block = out[..., start:stop, :]
+        np.multiply(gamma.data, xhat[..., start:stop, :], out=block)
+        block += beta.data
+        if relu:
+            kink = kink or (taped and bool(np.any(block == 0.0)))
+            np.maximum(block, 0.0, out=block)
+            if mask is not None:
+                np.greater(block, 0.0, out=mask[..., start:stop, :])
 
-    if training:
+    def _back(g):
+        d_gamma, d_beta = np.zeros(width), np.zeros(width)
+        gx = np.empty_like(g) if x.requires_grad else None
+        for (start, stop), inv_std in zip(blocks, inv_stds):
+            part, rows = g[..., start:stop, :], stop - start
+            if mask is not None:
+                part = part * mask[..., start:stop, :]
+            part_xhat = xhat[..., start:stop, :]
+            g_sum = part.sum(axis=-2, keepdims=True)
+            gx_sum = (part * part_xhat).sum(axis=-2, keepdims=True)
+            d_gamma += _sum_to(gx_sum, (width,))
+            d_beta += _sum_to(g_sum, (width,))
+            if gx is None:
+                continue
+            if training:
+                np.multiply(gamma.data * inv_std / rows, rows * part - g_sum - part_xhat * gx_sum,
+                            out=gx[..., start:stop, :])
+            else:
+                np.multiply(part * gamma.data, inv_std, out=gx[..., start:stop, :])
+        _push(gamma, lambda: d_gamma, owned=True)
+        _push(beta, lambda: d_beta, owned=True)
+        if gx is not None:
+            x._accumulate(gx, owned=True)
 
-        def _back(g):
-            _affine_back(g)
-            g_sum = g.sum(axis=-2, keepdims=True)
-            gx_sum = (g * xhat).sum(axis=-2, keepdims=True)
-            x._accumulate(gamma.data * inv_std / n * (n * g - g_sum - xhat * gx_sum))
-
-    else:
-
-        def _back(g):
-            _affine_back(g)
-            x._accumulate(g * gamma.data * inv_std)
-
-    return _node(gamma.data * xhat + beta.data, "batchnorm", (x, gamma, beta), _back)
+    node = _node(out, "batchnorm", (x, gamma, beta), _back)
+    node._kink, node._mask = kink, mask
+    return node
 
 
 def mse(pred: Value, target) -> Value:
@@ -400,15 +604,15 @@ def mse(pred: Value, target) -> Value:
     n = diff.size
 
     def _back(g):
-        pred._accumulate(g * 2.0 * diff / n)
-        target._accumulate(g * (-2.0) * diff / n)
+        _push(pred, lambda: g * 2.0 * diff / n, owned=True)
+        _push(target, lambda: g * (-2.0) * diff / n, owned=True)
 
     return _node(np.mean(diff**2), "mse", (pred, target), _back)
 
 
 def l1_norm(a: Value) -> Value:
     """Sum of absolute values; subgradient at 0 is 0."""
-    return _node(np.sum(np.abs(a.data)), "l1_norm", (a,), lambda g: a._accumulate(g * np.sign(a.data)))
+    return _node(np.sum(np.abs(a.data)), "l1_norm", (a,), lambda g: _push(a, lambda: g * np.sign(a.data), owned=True))
 
 
 def pick(a: Value, index: int) -> Value:
@@ -419,7 +623,7 @@ def pick(a: Value, index: int) -> Value:
     def _back(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
-        a._accumulate(buf)
+        a._accumulate(buf, owned=True)
 
     return _node(a.data[index], "pick", (a,), _back)
 

@@ -117,19 +117,25 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
 
 def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
                      cfg: EncoderConfig, coords: Value | None = None,
-                     emb: Value | None = None) -> Value:
+                     emb: Value | None = None, offsets=None) -> Value:
     """View input features: rotated coordinates, optionally || Emb(z).
 
     ``rotations`` is one (3, 3) matrix, giving an (n, d) input, or a
     (k, 3, 3) stack, giving a (k, n, d) input with one view per matrix
-    (the embedding rows are repeated for every view). ``cloud`` must
-    already be centered. ``coords`` can supply the coordinates as a graph
-    node and ``emb`` pre-gathered embedding rows (both used for gradients
-    w.r.t. the inputs); they default to the cloud coordinates and a fresh
-    table lookup.
+    (the embedding rows are repeated for every view). For a packed cloud
+    (molecule b in rows offsets[b]:offsets[b+1]) a (B, k, 3, 3) array gives
+    every molecule its own stack. ``cloud`` must already be centered.
+    ``coords`` can supply the coordinates as a graph node and ``emb``
+    pre-gathered embedding rows (both used for gradients w.r.t. the
+    inputs); they default to the cloud coordinates and a fresh table lookup.
     """
     base = coords if coords is not None else Value(cloud.coords)
-    rotated = ad.matmul(base, Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2))))
+    rotations = np.asarray(rotations)
+    transposed = Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2)))
+    if rotations.ndim == 4:
+        rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
+    else:
+        rotated = ad.matmul(base, transposed)
     if not cfg.use_atom_embedding:
         return rotated
     if emb is None:
@@ -141,13 +147,14 @@ def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbedd
 
 
 def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
-                    bn_states: dict, training: bool = False) -> Value:
+                    bn_states: dict, training: bool = False, offsets=None) -> Value:
     """Stack of per-atom affine maps with batchnorm and relu.
 
     Atoms never mix: every layer applies the same dense map to each row
     independently, so duplicating an input row duplicates the output row.
     A stacked (k, n, d) input runs every view through the shared maps,
-    with separate batchnorm statistics per view in training mode.
+    with separate batchnorm statistics per view in training mode, and per
+    molecule too when ``offsets`` cuts the rows into a packed batch.
 
     In eval mode batchnorm is an affine map of the running statistics, so
     each layer folds it into its conv, ``W' = W·s`` and ``b' = β − μ·s`` with
@@ -162,20 +169,24 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
         gamma, beta = store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"]
         state = bn_states[f"enc.bn{layer}"]
         if training:
-            x = ad.relu(ad.batchnorm(ad.matmul(x, W), gamma, beta, state, training=True))
+            x = ad.batchnorm(ad.matmul(x, W), gamma, beta, state, training=True, offsets=offsets, relu=True)
         else:
             s = gamma.data / np.sqrt(state.var + ad.BN_EPS)
             x = ad.dense(x, Value(W.data * s), Value(beta.data - state.mean * s), relu=True)
     return x
 
 
-def pool_view(features: Value, mode: str = "mean") -> Value:
-    """Column-wise mean or max over atoms (axis -2): one fingerprint per view."""
+def pool_view(features: Value, mode: str = "mean", offsets=None) -> Value:
+    """Column-wise mean or max over atoms (axis -2): one fingerprint per view.
+
+    With ``offsets`` every molecule of a packed batch is pooled on its own:
+    a (k, N, d) input gives (k, B, d).
+    """
     if mode not in POOL_MODES:
         raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {mode!r}")
     if mode == "mean":
-        return ad.mean_pool(features, axis=-2)
-    return ad.max_pool(features, axis=-2)
+        return ad.mean_pool(features, axis=-2, offsets=offsets)
+    return ad.max_pool(features, axis=-2, offsets=offsets)
 
 
 def prepare_cloud(cloud: PointCloud, align: bool) -> PointCloud:
@@ -208,31 +219,37 @@ def inference_views(k: int, seed: int) -> np.ndarray:
 
 def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
-           rotations=None, align: bool | None = None, use_stack: bool = True, per_view: bool = False,
+           rotations=None, offsets=None, use_stack: bool = True, per_view: bool = False,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: center, (optionally) align, rotate into k views, pool, average.
 
+    ``cloud`` is one molecule, which is centered and, under an aligning
+    ``cfg.align_mode``, aligned here; the result is its (d_p,) fingerprint.
+    Given ``offsets`` it is a packed batch instead (molecule b in rows
+    offsets[b]:offsets[b+1]) whose clouds were prepared when it was built,
+    and the result has one row per molecule, (B, d_p).
+
     ``rotations`` overrides the view set (otherwise it is the k rotations
-    drawn from cfg.seed, see ``inference_views``); ``align`` overrides the
-    config's alignment policy (the training loop disables alignment for
-    post-align models). All views
-    run as one stacked (k, n, d) tensor; their fingerprints are averaged
-    with a permutation-exact mean, so the result does not depend on the
-    order of the views. ``per_view`` skips that mean and returns one
-    fingerprint row per view. ``coords_value``/``emb_value`` feed the coordinates
-    and embedding rows in as shared graph leaves for input-gradient
-    attribution; the caller must then supply already centered (and aligned,
-    if applicable) coordinates, and the cloud only provides atomic numbers.
+    drawn from cfg.seed, see ``inference_views``); a (B, k, 3, 3) array
+    gives each molecule of a batch its own views. All views run as one
+    stacked (k, N, d) tensor; their fingerprints are averaged with a
+    permutation-exact mean, so the result does not depend on the order of
+    the views. ``per_view`` skips that mean and returns one fingerprint row
+    per view, (k, d_p) or (k, B, d_p). ``coords_value``/``emb_value`` feed
+    the coordinates and embedding rows in as shared graph leaves for
+    input-gradient attribution; the caller must then supply already
+    centered (and aligned, if applicable) coordinates, and the cloud only
+    provides atomic numbers.
     """
     if coords_value is not None:
-        centered = PointCloud(coords_value.data, cloud.atomic_numbers)
-    else:
-        centered = prepare_cloud(cloud, cfg.align_mode in ("pre", "post") if align is None else align)
+        cloud = PointCloud(coords_value.data, cloud.atomic_numbers)
+    elif offsets is None:
+        cloud = prepare_cloud(cloud, cfg.align_mode in ("pre", "post"))
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
-    views = build_view_input(centered, np.asarray(rotations), table, cfg,
-                             coords=coords_value, emb=emb_value)
+    views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,
+                             offsets=offsets)
     if use_stack:
-        views = pointwise_stack(views, store, cfg, bn_states, training)
-    fingerprints = pool_view(views, cfg.pool)
+        views = pointwise_stack(views, store, cfg, bn_states, training, offsets)
+    fingerprints = pool_view(views, cfg.pool, offsets)
     return fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)

@@ -122,19 +122,30 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
     return ad.dense(joint, store[f"gnn.l{layer}.upd.W"], store[f"gnn.l{layer}.upd.b"], relu=True)
 
 
-def readout(node_states: Value, mode: str = "sum") -> Value:
-    """Pool node states into a graph vector (column-wise sum or mean)."""
+def readout(node_states: Value, mode: str = "sum", offsets=None) -> Value:
+    """Pool node states into a graph vector (column-wise sum or mean).
+
+    With ``offsets`` the nodes are a packed batch (molecule b owns nodes
+    offsets[b]:offsets[b+1]) and every molecule is pooled on its own,
+    giving one row per molecule, each bit-equal to pooling that molecule
+    alone.
+    """
     if mode not in READOUTS:
         raise InvalidConfig(f"readout must be one of {READOUTS}, got {mode!r}")
     if mode == "sum":
-        return ad.sum_pool(node_states, axis=0)
-    return ad.mean_pool(node_states, axis=0)
+        return ad.sum_pool(node_states, axis=0, offsets=offsets)
+    return ad.mean_pool(node_states, axis=0, offsets=offsets)
 
 
 def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                node_feats: Value | None = None) -> Value:
-    """Full backbone: embed, L message-passing rounds, readout."""
+                node_feats: Value | None = None, offsets=None) -> Value:
+    """Full backbone: embed, L message-passing rounds, readout.
+
+    One molecule gives a (hidden,) vector. Given ``offsets``, ``graph`` is
+    the disjoint union of a packed batch's molecules and the result is
+    (B, hidden).
+    """
     h = initial_states(graph, store, cfg, node_feats=node_feats)
     for layer in range(cfg.layers):
         h = message_pass(h, graph, store, cfg, layer)
-    return readout(h, cfg.readout)
+    return readout(h, cfg.readout, offsets)

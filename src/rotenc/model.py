@@ -5,7 +5,8 @@ view-averaged geometric fingerprint p; a two-layer perceptron maps the
 fused vector to the targets. The training loss is MSE plus an L1 penalty
 on the fused vector. Training under the average-loss objective skips the
 view average and applies the head and loss to every view row instead.
-Also provides the rotation-invariance measurement harness and
+The model runs on packed batches (``packing``); one molecule is a batch of
+one. Also provides the rotation-invariance measurement harness and
 gradient-based atom importance.
 """
 
@@ -24,6 +25,7 @@ from .encoder3d import EncoderConfig
 from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
 from .geometry import PointCloud, sample_rotations
 from .gnn import GnnConfig, MolecularGraph
+from .packing import Batch, Molecule, pack
 
 OBJECTIVES = ("average_output", "average_loss")
 
@@ -73,10 +75,11 @@ class InvarianceReport:
 def fuse(g: Value, p: Value) -> Value:
     """u = [g || p], graph part first.
 
-    With per-view fingerprints p of shape (k, d_p), g is repeated for
-    every view row and u has shape (k, d_g + d_p).
+    g and p are one molecule's vectors, or one row per molecule of a
+    batch. With per-view fingerprints p of shape (k, ..., d_p), g is
+    repeated for every view row and u has shape (k, ..., d_g + d_p).
     """
-    g = ad.broadcast_to(g, p.shape[:-1] + g.shape)
+    g = ad.broadcast_to(g, p.shape[:-1] + g.shape[-1:])
     return ad.concat([g, p], axis=-1)
 
 
@@ -87,13 +90,15 @@ def predict_head(u: Value, store: ParameterStore) -> Value:
 
 
 def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
-    """MSE(y_hat, y) + lambda * ||u||_1 for a single sample.
+    """MSE(y_hat, y) + lambda * ||u||_1, averaged over samples and view rows.
 
-    When y_hat and u carry one row per view (the average-loss objective),
-    the target y is compared with every row and both terms are averaged
-    over the view rows.
+    y_hat is one sample's (n_tasks,) prediction or a batch's (B, n_tasks).
+    When y_hat and u carry one row per view in front (the average-loss
+    objective, (k, n_tasks) or (k, B, n_tasks)), the target y is compared
+    with every view row. The result is the mean of the per-row losses, so
+    a batch's loss is the mean of its samples' losses.
     """
-    rows = y_hat.shape[0] if y_hat.data.ndim == 2 else 1
+    rows = y_hat.data.size // y_hat.shape[-1]
     task = ad.mse(y_hat, ad.broadcast_to(y, y_hat.shape))
     if lambda_l1 == 0.0:
         return task
@@ -166,8 +171,8 @@ class Model:
     def cloud_for(self, record: MoleculeRecord) -> PointCloud:
         return PointCloud(record.coords, np.asarray(record.atomic_numbers))
 
-    def _graph_vector(self, graph: MolecularGraph, node_feats: Value | None = None) -> Value:
-        g = gnn.gnn_forward(graph, self.store, self.cfg.gnn, node_feats=node_feats)
+    def _graph_vector(self, batch: Batch, node_feats: Value | None = None) -> Value:
+        g = gnn.gnn_forward(batch.graph, self.store, self.cfg.gnn, node_feats=node_feats, offsets=batch.offsets)
         return ad.dense(g, self.store["gproj.W"], self.store["gproj.b"])
 
     def _align_flag(self, training: bool) -> bool:
@@ -176,29 +181,46 @@ class Model:
             return mode == "pre"
         return mode in ("pre", "post")
 
-    def forward(self, graph: MolecularGraph, cloud: PointCloud, *, training: bool = False,
-                rotations=None, node_feats: Value | None = None, coords_value=None,
-                emb_value=None) -> tuple[Value, Value]:
-        """One molecule forward pass; returns (y_hat, u) as graph nodes.
+    def _prepared(self, cloud: PointCloud, training: bool) -> PointCloud:
+        if self.cfg.ablate_3d:
+            return cloud
+        return encoder3d.prepare_cloud(cloud, self._align_flag(training))
 
-        Training under the average-loss objective keeps one row per view:
-        y_hat is (k, n_tasks) and u is (k, d_u), the graph vector shared by
-        every row. Otherwise the fingerprints are averaged over views before
-        the head and y_hat is (n_tasks,).
+    def prepare(self, record: MoleculeRecord, training: bool = False) -> Molecule:
+        """The record's graph and its cloud, centered and aligned as the policy asks, ready to pack.
+
+        Training aligns only under ``pre``; inference under ``pre`` and
+        ``post``. A molecule that cannot be aligned raises DegenerateCloud
+        or TooFewPoints naming its id.
         """
-        g = self._graph_vector(graph, node_feats=node_feats)
+        with for_molecule(record):
+            cloud = self._prepared(self.cloud_for(record), training)
+        return Molecule(record.id, self.graph_for(record), cloud)
+
+    def forward_batch(self, batch: Batch, *, training: bool = False, rotations=None,
+                      node_feats: Value | None = None, coords_value=None,
+                      emb_value=None) -> tuple[Value, Value]:
+        """One forward pass over a packed batch; returns (y_hat, u) as graph nodes.
+
+        y_hat is (B, n_tasks) and u is (B, d_u). Training under the
+        average-loss objective keeps one row per view: y_hat is
+        (k, B, n_tasks) and u is (k, B, d_u), each molecule's graph vector
+        repeated for its k rows. ``rotations`` is None (the inference
+        views), one (k, 3, 3) stack for every molecule, or (B, k, 3, 3).
+        """
+        g = self._graph_vector(batch, node_feats=node_feats)
         if self.cfg.ablate_3d:
             u = g
         else:
             p = encoder3d.encode(
-                cloud,
+                batch.cloud,
                 self.enc_table,
                 self.store,
                 self.cfg.encoder,
                 self.bn_states,
                 training=training,
                 rotations=rotations,
-                align=self._align_flag(training),
+                offsets=batch.offsets,
                 use_stack=not self.cfg.ablate_pointwise,
                 per_view=training and self.cfg.objective == "average_loss",
                 coords_value=coords_value,
@@ -208,15 +230,41 @@ class Model:
         y_hat = predict_head(u, self.store)
         return y_hat, u
 
+    def forward(self, graph: MolecularGraph, cloud: PointCloud, *, training: bool = False,
+                rotations=None, node_feats: Value | None = None, coords_value=None,
+                emb_value=None) -> tuple[Value, Value]:
+        """One molecule as a batch of one; returns (y_hat, u) without the batch axis.
+
+        y_hat is (n_tasks,) and u is (d_u,), or (k, n_tasks) and (k, d_u) in
+        average-loss training. ``cloud`` is the raw cloud, prepared here,
+        unless ``coords_value`` supplies prepared coordinates.
+        """
+        if coords_value is None:
+            cloud = self._prepared(cloud, training)
+        y_hat, u = self.forward_batch(
+            pack([Molecule("", graph, cloud)]), training=training, rotations=rotations,
+            node_feats=node_feats, coords_value=coords_value, emb_value=emb_value,
+        )
+        return _drop_batch_axis(y_hat), _drop_batch_axis(u)
+
+    def predict_batch(self, batch: Batch) -> np.ndarray:
+        """Deterministic inference for a packed batch, (B, n_tasks), built without a tape."""
+        with ad.no_grad():
+            y_hat, _ = self.forward_batch(batch)
+        return y_hat.data
+
     def predict(self, record: MoleculeRecord) -> np.ndarray:
-        """Deterministic inference (normalized-target units), built without a tape.
+        """Deterministic inference (normalized-target units) for one molecule, a batch of one.
 
         Under an aligning policy, a molecule with a degenerate spectrum or a
         single atom raises DegenerateCloud or TooFewPoints naming its id.
         """
-        with for_molecule(record), ad.no_grad():
-            y_hat, _ = self.forward(self.graph_for(record), self.cloud_for(record), training=False)
-        return y_hat.data.copy()
+        return self.predict_batch(pack([self.prepare(record)]))[0]
+
+
+def _drop_batch_axis(v: Value) -> Value:
+    """(..., 1, d) -> (..., d): the batch axis of a batch of one."""
+    return ad.reshape(v, v.shape[:-2] + v.shape[-1:])
 
 
 def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -> InvarianceReport:
@@ -225,7 +273,8 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
     Per molecule the deviation is max over rotations and tasks of
     |y_hat(R X) - y_hat(X)|; the report carries the mean and max over
     molecules. Every inference call uses the same view set, drawn once from
-    the model's seed, so post-align models are exactly invariant here.
+    the model's seed, so post-align models are exactly invariant here. Each
+    molecule and its rotated copies are predicted as one packed batch.
     """
     if not records:
         raise NoData("no molecules given")
@@ -234,18 +283,18 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
     rotations = sample_rotations(n_rotations, seed)
     deviations = []
     for record in records:
-        base = model.predict(record)
-        worst = 0.0
-        for rotation in rotations:
-            rotated = MoleculeRecord(
+        copies = [record] + [
+            MoleculeRecord(
                 id=record.id,
                 atomic_numbers=list(record.atomic_numbers),
                 coords=record.coords @ rotation.T,
                 bonds=record.bonds,
                 targets=dict(record.targets),
             )
-            worst = max(worst, float(np.max(np.abs(model.predict(rotated) - base))))
-        deviations.append(worst)
+            for rotation in rotations
+        ]
+        preds = model.predict_batch(pack([model.prepare(each) for each in copies]))
+        deviations.append(float(np.max(np.abs(preds[1:] - preds[0]))))
     return InvarianceReport(
         mean_dev=float(np.mean(deviations)),
         max_dev=float(np.max(deviations)),
@@ -271,21 +320,17 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     """
     if not (0 <= task_index < len(model.task_names)):
         raise InvalidConfig(f"task_index {task_index} out of range for {model.task_names}")
-    graph = model.graph_for(record)
-    cloud = model.cloud_for(record)
-    node_leaf = Value(graph.node_feats, requires_grad=True)
+    molecule = model.prepare(record)
+    node_leaf = Value(molecule.graph.node_feats, requires_grad=True)
     coords_leaf = emb_leaf = None
     if not model.cfg.ablate_3d:
-        with for_molecule(record):
-            processed = encoder3d.prepare_cloud(cloud, model._align_flag(training=False))
-        coords_leaf = Value(processed.coords, requires_grad=True)
+        coords_leaf = Value(molecule.cloud.coords, requires_grad=True)
         if model.enc_table is not None and model.cfg.encoder.use_atom_embedding:
-            rows = model.enc_table.indices(processed.atomic_numbers)
+            rows = model.enc_table.indices(molecule.cloud.atomic_numbers)
             emb_leaf = Value(model.enc_table.values.data[rows], requires_grad=True)
-        cloud = processed
 
     y_hat, _ = model.forward(
-        graph, cloud, training=False, node_feats=node_leaf,
+        molecule.graph, molecule.cloud, training=False, node_feats=node_leaf,
         coords_value=coords_leaf, emb_value=emb_leaf,
     )
     ad.backward(ad.pick(y_hat, task_index))

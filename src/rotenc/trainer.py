@@ -2,7 +2,10 @@
 
 Training is single-threaded and fully deterministic for a fixed seed: epoch
 shuffles, per-molecule view rotations, and parameter updates all derive
-from the config seed, so two runs produce bit-identical loss curves.
+from the config seed, so two runs produce bit-identical loss curves. Each
+training batch is one packed batch (``packing``): one forward pass, one
+tape and one backward sweep per step. Evaluation predicts in packed
+batches too.
 Checkpoints are self-describing binary files (magic ``ROTENC1``) holding
 every parameter as little-endian float64, the batchnorm running statistics,
 the target normalizer, and the fully resolved training config.
@@ -31,9 +34,10 @@ from .data import (
     normalize_targets,
     split,
 )
-from .errors import Diverged, InvalidConfig, StaleGradient, TaskMismatch
+from .errors import Diverged, InvalidConfig, NoData, StaleGradient, TaskMismatch
 from .geometry import sample_rotations
-from .model import Model, ModelConfig, for_molecule, loss as sample_loss
+from .model import Model, ModelConfig, loss
+from .packing import pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
 CHECKPOINT_VERSION = 2
@@ -359,26 +363,33 @@ def _metrics_from_predictions(preds: np.ndarray, targets: np.ndarray, task_names
 
 
 def evaluate_model(model: Model, normalizer: Normalizer, records, indices=None,
-                   split_name: str = "eval") -> Metrics:
-    """MAE / RMSE / R^2 per task in original (denormalized) units."""
+                   split_name: str = "eval", batch_size: int = TrainConfig.batch_size) -> Metrics:
+    """MAE / RMSE / R^2 per task in original (denormalized) units.
+
+    The molecules are predicted in packed batches of ``batch_size``; a
+    molecule's prediction does not depend on its batch companions.
+    """
     if tuple(normalizer.task_names) != tuple(model.task_names):
         raise TaskMismatch(f"normalizer tasks {normalizer.task_names} != model {model.task_names}")
-    idx = range(len(records)) if indices is None else indices
-    preds, targets = [], []
-    for i in idx:
-        record = records[i]
+    chosen = [records[i] for i in (range(len(records)) if indices is None else indices)]
+    if not chosen:
+        raise NoData(f"no molecules to evaluate on split {split_name!r}")
+    for record in chosen:
         if tuple(sorted(record.targets)) != tuple(model.task_names):
             raise TaskMismatch(f"record {record.id} tasks do not match {model.task_names}")
-        preds.append(normalizer.invert(model.predict(record)))
-        targets.append([record.targets[t] for t in model.task_names])
+    molecules = [model.prepare(record) for record in chosen]
+    preds = np.concatenate([model.predict_batch(pack(molecules[start : start + batch_size]))
+                            for start in range(0, len(molecules), batch_size)])
+    targets = [[record.targets[t] for t in model.task_names] for record in chosen]
     return _metrics_from_predictions(
-        np.asarray(preds), np.asarray(targets), model.task_names, split_name
+        normalizer.invert(preds), np.asarray(targets), model.task_names, split_name
     )
 
 
 def evaluate(ckpt: Checkpoint, records, indices=None, split_name: str = "eval") -> Metrics:
     model, normalizer = model_from_checkpoint(ckpt)
-    return evaluate_model(model, normalizer, records, indices, split_name)
+    return evaluate_model(model, normalizer, records, indices, split_name,
+                          batch_size=ckpt.train_config.batch_size)
 
 
 def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
@@ -387,9 +398,8 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
     model = Model(cfg.model, vocab, task_names, seed=cfg.seed, bonded=bonded)
     opt = AdamWState()
 
-    graphs = {int(i): model.graph_for(records[i]) for i in np.concatenate([train_idx, val_idx])}
-    clouds = {int(i): model.cloud_for(records[i]) for i in graphs}
-    norm_targets = {i: normalizer.apply(graphs[i].targets) for i in graphs}
+    # every cloud is centered (and under "pre" aligned) once per fold, not once per step
+    molecules = {int(i): model.prepare(records[i], training=True) for i in train_idx}
 
     history = []
     best_score = None
@@ -399,27 +409,21 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
         order = np.asarray(train_idx)[shuffle_rng.permutation(len(train_idx))]
         epoch_losses = []
         for b_start in range(0, len(order), cfg.batch_size):
-            batch = order[b_start : b_start + cfg.batch_size]
+            members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
+            batch = pack(molecules[i] for i in members)
+            rotations = None if cfg.model.ablate_3d else np.stack(
+                [sample_rotations(cfg.model.encoder.k, _rotation_seed(cfg.seed, epoch, i)) for i in members])
             model.store.zero_grad()
-            per_sample = []
-            for i in batch:
-                i = int(i)
-                rotations = (None if cfg.model.ablate_3d
-                             else sample_rotations(cfg.model.encoder.k, _rotation_seed(cfg.seed, epoch, i)))
-                with for_molecule(records[i]):
-                    y_hat, u = model.forward(graphs[i], clouds[i], training=True, rotations=rotations)
-                per_sample.append(sample_loss(y_hat, norm_targets[i], u, cfg.lambda_l1))
-            batch_loss = per_sample[0]
-            for term in per_sample[1:]:
-                batch_loss = ad.add(batch_loss, term)
-            batch_loss = ad.scale(batch_loss, 1.0 / len(per_sample))
+            y_hat, u = model.forward_batch(batch, training=True, rotations=rotations)
+            batch_loss = loss(y_hat, normalizer.apply(batch.targets), u, cfg.lambda_l1)
             if not np.isfinite(batch_loss.data):
                 raise Diverged(epoch, b_start // cfg.batch_size)
             ad.backward(batch_loss)
             adamw_step(model.store, opt, cfg)
             epoch_losses.append(float(batch_loss.data))
 
-        val = evaluate_model(model, normalizer, records, val_idx, split_name="val")
+        val = evaluate_model(model, normalizer, records, val_idx, split_name="val",
+                             batch_size=cfg.batch_size)
         score = float(np.mean(list(val.rmse.values())))
         entry = {
             "fold": fold,

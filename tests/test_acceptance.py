@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import bonded_record, tiny_model_config
+from helpers import bonded_record, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.alignment import canonical_align
 from rotenc.data import MoleculeRecord, SplitSpec, rbf_expand, split as split_records

@@ -96,6 +96,45 @@ class TestPermutationExactness:
         assert np.array_equal(a, b[np.argsort(perm)])
         assert np.array_equal(s1.mean, s2.mean) and np.array_equal(s1.var, s2.var)
 
+    def test_segmented_stats_and_pools_permutation_exact(self):
+        # a packed (k, N, d) batch of three molecules; rows move only within their molecule
+        rng = np.random.default_rng(5)
+        offsets = [0, 4, 11, 17]
+        x = rng.normal(size=(3, 17, 4)) * np.logspace(-3, 3, 4)
+        perm = np.concatenate([start + rng.permutation(stop - start)
+                               for start, stop in zip(offsets[:-1], offsets[1:])])
+        gamma, beta = Value(rng.normal(size=4)), Value(rng.normal(size=4))
+        s1, s2 = BatchNormState.for_width(4), BatchNormState.for_width(4)
+        a = ad.batchnorm(Value(x), gamma, beta, s1, training=True, offsets=offsets, relu=True).data
+        b = ad.batchnorm(Value(x[:, perm]), gamma, beta, s2, training=True, offsets=offsets, relu=True).data
+        assert np.array_equal(a, b[:, np.argsort(perm)])
+        assert np.array_equal(s1.mean, s2.mean) and np.array_equal(s1.var, s2.var)
+        for op in (ad.sum_pool, ad.mean_pool, ad.max_pool):
+            pooled = op(Value(x), axis=1, offsets=offsets).data
+            assert pooled.shape == (3, 3, 4)
+            assert np.array_equal(pooled, op(Value(x[:, perm]), axis=1, offsets=offsets).data), op.__name__
+
+    def test_segments_equal_their_lone_molecules(self):
+        rng = np.random.default_rng(6)
+        offsets = [0, 5, 7, 13]
+        x = rng.normal(size=(2, 13, 3))
+        gamma, beta = Value(rng.normal(size=3)), Value(rng.normal(size=3))
+        packed_state, lone_state = BatchNormState.for_width(3), BatchNormState.for_width(3)
+        packed = ad.batchnorm(Value(x), gamma, beta, packed_state, training=True, offsets=offsets).data
+        for start, stop in zip(offsets[:-1], offsets[1:]):
+            lone = ad.batchnorm(Value(x[:, start:stop]), gamma, beta, lone_state, training=True).data
+            assert_same_bits(packed[:, start:stop], lone)
+            for op in (ad.sum_pool, ad.mean_pool, ad.max_pool):
+                got = op(Value(x), axis=1, offsets=offsets).data[:, offsets.index(start)]
+                assert_same_bits(got, op(Value(x[:, start:stop]), axis=1).data)
+        assert_same_bits(packed_state.mean, lone_state.mean)
+        assert_same_bits(packed_state.var, lone_state.var)
+
+    @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6]])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ShapeError):
+            ad.mean_pool(Value(np.zeros((5, 2))), axis=0, offsets=offsets)
+
 
 def _per_destination_psum(x, indices, n_rows):
     """The per-destination loop ``scatter_add_rows`` once ran, kept as its oracle."""
@@ -244,14 +283,10 @@ class TestDense:
             ad.backward(ad.mse(out, target))
             results.append((out.data, x.grad, W.grad, b.grad, out._kink))
         (out, gx, gW, gb, kink), chain = results
-        for fused, want in zip((out, gx, gW), chain):
+        # gradients are stored C-ordered, so the chain's broadcast node sums
+        # a stacked bias gradient in the same order as the fused node
+        for fused, want in zip((out, gx, gW, gb), chain):
             assert_same_bits(fused, want)
-        if len(x_shape) == 2:
-            assert_same_bits(gb, chain[3])
-        else:
-            # the chain's broadcast node keeps its gradient in the memory
-            # order of the broadcast view, so it sums the stack in another order
-            np.testing.assert_allclose(gb, chain[3], rtol=1e-12, atol=0)
         assert kink == chain[4] == (relu and not bias)  # the zero row sits on the kink
 
     @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
@@ -265,7 +300,8 @@ class TestDense:
             assert_same_bits(got, want)
 
     def test_relu_pattern_is_the_pre_activation_sign(self):
-        x = Value(np.array([[1.0, -1.0, 0.0]]))
+        # the sign pattern is backward-only work, kept for inputs that need a gradient
+        x = Value(np.array([[1.0, -1.0, 0.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(3)), relu=True)
         np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(out._mask, [[True, False, False]])
@@ -308,6 +344,31 @@ class TestNoGrad:
         assert ad._grad_enabled
         x = Value(np.ones(2), requires_grad=True)
         assert ad.relu(x)._parents == (x,)
+
+
+class TestRequiresGrad:
+    def test_constant_inputs_give_a_constant(self):
+        a, b = Value(np.ones((2, 3))), Value(np.ones((3, 2)))
+        out = ad.relu(ad.matmul(a, b))
+        assert not out.requires_grad and out._parents == () and out._backward_fn is None
+        assert out._mask is None and not out._kink
+
+    def test_gradient_reaches_only_inputs_that_need_it(self):
+        w = Value(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        x, target = Value(np.ones((4, 3))), Value(np.zeros((4, 2)))
+        out = ad.matmul(x, w)
+        assert out.requires_grad and out._parents == (x, w)
+        ad.backward(ad.mse(out, target))
+        assert x._grad is None and target._grad is None
+        np.testing.assert_array_equal(w.grad, np.ones((3, 4)) @ (2.0 * out.data / 8))
+
+    def test_first_gradient_is_stored_c_ordered(self):
+        b = Value(np.arange(4.0), requires_grad=True)
+        view = ad.broadcast_to(b, (3, 6, 4))
+        # add hands the same upstream array to both inputs, so each stores a copy
+        ad.backward(ad.sum_pool(ad.sum_pool(ad.sum_pool(ad.add(view, Value(np.ones((3, 6, 4))))))))
+        assert view._grad.flags.c_contiguous
+        np.testing.assert_array_equal(b.grad, np.full(4, 18.0))
 
 
 class TestBatchNorm:
@@ -367,6 +428,15 @@ PRIMITIVE_CASES = [
     ("scatter", lambda s: ad.mse(ad.scatter_add_rows(s["x"], [0, 2, 2, 1, 0], 4), np.zeros((4, 3))),
      {"x": (5, 3)}),
     ("l1", lambda s: ad.l1_norm(s["x"]), {"x": (4, 3)}),
+    ("reshape", lambda s: ad.mse(ad.reshape(s["x"], (2, 6)), np.zeros((2, 6))), {"x": (4, 3)}),
+    ("segment_matmul", lambda s: ad.mse(ad.segment_matmul(s["x"], s["R"], [0, 2, 5]), np.zeros((2, 5, 3))),
+     {"x": (5, 3), "R": (2, 2, 3, 3)}),
+    ("segment_sum_pool", lambda s: ad.mse(ad.sum_pool(s["x"], 1, offsets=[0, 2, 6]), np.zeros((2, 2, 3))),
+     {"x": (2, 6, 3)}),
+    ("segment_mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 1, offsets=[0, 4, 6]), np.zeros((2, 2, 3))),
+     {"x": (2, 6, 3)}),
+    ("segment_max_pool", lambda s: ad.mse(ad.max_pool(s["x"], 1, offsets=[0, 3, 6]), np.zeros((2, 2, 3))),
+     {"x": (2, 6, 3)}),
 ]
 
 
@@ -408,6 +478,20 @@ def test_batchnorm_gradients_match_finite_differences():
         assert ad.gradient_check(f_eval, store, h=1e-6, n_probe=24, seed=3) <= 1e-6
 
 
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_segmented_batchnorm_relu_gradients_match_finite_differences(training):
+    rng = np.random.default_rng(10)
+    store = store_with(x=rng.normal(size=(2, 9, 3)), g=rng.normal(size=3), b=rng.normal(size=3))
+    c = rng.normal(size=(2, 9, 3))
+    state = BatchNormState(rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
+
+    def f(s):
+        y = ad.batchnorm(s["x"], s["g"], s["b"], state, training=training, offsets=[0, 3, 4, 9], relu=True)
+        return ad.pick(ad.sum_pool(ad.sum_pool(ad.multiply(y, Value(c)), axis=0), axis=0), 0)
+
+    assert ad.gradient_check(f, store, h=1e-6, n_probe=30, seed=4) <= 1e-6
+
+
 class TestGradientCheck:
     def test_linear_function_is_exact(self):
         store = store_with(w=np.random.default_rng(2).normal(size=10) * 0.1)
@@ -440,7 +524,7 @@ class TestGradientCheck:
         # message weight either has a healthy gradient or an exactly-zero
         # one (near-zero RBF features would drown tiny gradients in
         # finite-difference noise)
-        from conftest import bonded_record
+        from helpers import bonded_record
         from rotenc.geometry import sample_rotations
         from rotenc.model import Model, loss
 
@@ -463,7 +547,7 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("variant", ["max_pool", "average_loss"])
     def test_full_stack_gradients_variant(self, variant):
-        from conftest import tiny_model_config
+        from helpers import tiny_model_config
         from dataclasses import replace
 
         cfg = tiny_model_config()

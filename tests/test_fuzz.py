@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_model_config
+from helpers import tiny_model_config
 from rotenc.data import Normalizer, SplitSpec, load_dataset, parse_xyz
 from rotenc.errors import RotencError
 from rotenc.model import Model

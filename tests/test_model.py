@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_model_config
+from helpers import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore, Value
 from rotenc.data import MoleculeRecord, SplitSpec

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_model_config
+from helpers import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore
 from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, split as split_records
