@@ -6,6 +6,8 @@
 # the most influential atom scores 1. The coordinate part is checked here
 # against brute-force finite differences.
 
+from dataclasses import replace
+
 import numpy as np
 
 from rotenc.data import SplitSpec
@@ -15,6 +17,7 @@ from rotenc.trainer import TrainConfig, model_from_checkpoint, train
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
 from rotenc.model import ModelConfig
+from rotenc.packing import pack
 
 records = make_records(60, seed=5)
 cfg = TrainConfig(
@@ -45,19 +48,18 @@ for i in range(record.n_atoms):
 rho = np.corrcoef(np.linalg.norm(center, axis=1), coord_part)[0, 1]
 print(f"\ncorrelation(coordinate sensitivity, distance from centroid) = {rho:.3f}")
 
-# finite-difference spot check of the coordinate sensitivity of atom 0
+# finite-difference spot check of the coordinate sensitivity of atom 0;
+# the graph stays that of the unmoved molecule, only the cloud moves
 h = 1e-4
-graph = model.graph_for(record)
+graph = model.prepare(record).graph
 fd_sq = 0.0
 for axis in range(3):
     outs = []
     for sign in (+1, -1):
         coords = record.coords.copy()
         coords[0, axis] += sign * h
-        from rotenc.geometry import PointCloud
-
-        cloud = PointCloud(coords, np.asarray(record.atomic_numbers))
-        y, _ = model.forward(graph, cloud, training=False)
-        outs.append(y.data[0])
+        moved = model.prepare(replace(record, coords=coords))
+        y, _ = model.forward(pack([replace(moved, graph=graph)]))
+        outs.append(y.data[0, 0])
     fd_sq += ((outs[0] - outs[1]) / (2 * h)) ** 2
 print(f"atom 0: analytic coord gradient = {coord_part[0]:.6f}, finite difference = {np.sqrt(fd_sq):.6f}")

@@ -5,10 +5,11 @@ that knows how to push an upstream gradient to its inputs. Calling
 ``backward`` on a scalar root sweeps the graph once in reverse topological
 order. The primitive set is exactly what the encoder, the message-passing
 layers, and the regression head need. Shapes are explicit: the broadcasts
-allowed are ``broadcast_to``, numpy-style stacking in ``matmul`` and
-``dense`` (k views as one ``(k, n, d)`` operand), the bias of ``dense`` and
-per-stack statistics in ``batchnorm``. A broadcast operand's gradient is
-summed back over the axes it was repeated along.
+allowed are ``broadcast_to``, a stacked left operand of ``matmul`` and
+``dense`` (k views as one ``(k, n, d)`` operand) sharing a 2-d weight, the
+bias of ``dense`` and per-stack statistics in ``batchnorm``. A broadcast
+operand's gradient is summed back over the axes it was repeated along.
+Relus exist only fused into ``dense`` and ``batchnorm``.
 
 A result needs a gradient (``requires_grad``) when any of its inputs does;
 a result that needs none is a constant: it records no parents and no
@@ -61,8 +62,8 @@ def no_grad():
 class Value:
     """Node in the autodiff graph: float64 data plus gradient plumbing.
 
-    ``_mask`` holds the sign pattern (input > 0) of a relu, fused or not,
-    and ``_kink`` says whether any of its inputs sat exactly on 0.
+    ``_mask`` holds the sign pattern (input > 0) of a fused relu, and
+    ``_kink`` says whether any of its inputs sat exactly on 0.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward_fn", "_op", "_kink", "_mask")
@@ -147,15 +148,9 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _sum_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
-    shape = tuple(shape)
-    if g.shape == shape:
-        return g
+    """Sum ``g`` over the leading axes along which an operand of ``shape`` was repeated."""
     lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
-    )
-    return g.sum(axis=axes, keepdims=True).reshape(shape)
+    return g.sum(axis=tuple(range(lead))) if lead else g
 
 
 def add(a: Value, b: Value) -> Value:
@@ -171,52 +166,27 @@ def add(a: Value, b: Value) -> Value:
     return _node(a.data + b.data, "add", (a, b), _back)
 
 
-def multiply(a: Value, b: Value) -> Value:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"multiply: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-    def _back(g):
-        _push(a, lambda: g * b.data, owned=True)
-        _push(b, lambda: g * a.data, owned=True)
-
-    return _node(a.data * b.data, "mul", (a, b), _back)
-
-
 def scale(a: Value, s: float) -> Value:
     return _node(a.data * s, "scale", (a,), lambda g: _push(a, lambda: g * s, owned=True))
 
 
 def matmul(a: Value, b: Value) -> Value:
-    """Matrix product (..., n, m) @ (..., m, p).
+    """Matrix product (..., n, m) @ (m, p): k views share one weight matrix.
 
-    Leading (stack) axes broadcast as in numpy, so k views can share one
-    weight matrix; an operand's gradient is summed over the axes it was
-    broadcast along. A 2-d ``b`` shared by a stack multiplies all of its
-    rows in one GEMM, and its gradient is one GEMM over all rows too.
+    All rows of a stacked ``a`` are multiplied in one GEMM, and the
+    gradient of ``b`` is one GEMM over all rows too.
     """
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul: unsupported operand ranks, {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: need (..., n, m) @ (m, p), got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-    if b.data.ndim == 2:
-        data = _rows_matmul(a.data, b.data)
-    else:
-        try:
-            data = a.data @ b.data
-        except ValueError as exc:
-            raise ShapeError(f"matmul: stack dims do not broadcast, {a.data.shape} @ {b.data.shape}") from exc
 
     def _back(g):
-        if b.data.ndim == 2:
-            _push(a, lambda: _rows_matmul(g, b.data.T), owned=True)
-            _push(b, lambda: _weight_grad(a.data, g), owned=True)
-        else:
-            _push(a, lambda: _sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
-            _push(b, lambda: _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
+        _push(a, lambda: _rows_matmul(g, b.data.T), owned=True)
+        _push(b, lambda: _weight_grad(a.data, g), owned=True)
 
-    return _node(data, "matmul", (a, b), _back)
+    return _node(_rows_matmul(a.data, b.data), "matmul", (a, b), _back)
 
 
 def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Value:
@@ -269,22 +239,6 @@ def broadcast_to(a: Value, shape) -> Value:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}")
     return _node(np.broadcast_to(a.data, shape), "broadcast_to", (a,),
                  lambda g: _push(a, lambda: _sum_to(g, a.data.shape)))
-
-
-def reshape(a: Value, shape) -> Value:
-    """The same entries in a new shape (e.g. dropping a batch axis of size one)."""
-    return _node(a.data.reshape(shape), "reshape", (a,),
-                 lambda g: _push(a, lambda: g.reshape(a.data.shape)))
-
-
-def relu(a: Value) -> Value:
-    if not _needs_grad(a):
-        return Value(np.maximum(a.data, 0.0), _op="relu")
-    mask = a.data > 0.0
-    out = _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask, owned=True))
-    out._kink = bool(np.any(a.data == 0.0))  # gradient at exactly 0 defined as 0
-    out._mask = mask
-    return out
 
 
 def _segments(offsets, n: int) -> np.ndarray:
@@ -386,10 +340,13 @@ def segment_matmul(a: Value, b: Value, offsets) -> Value:
             or b.data.shape[-2] != a.data.shape[1]:
         raise ShapeError(f"segment_matmul: cannot multiply {a.data.shape} by {b.data.shape} "
                          f"in {offsets.size - 1} segments")
-    data = np.empty(b.data.shape[1:-2] + (a.data.shape[0], b.data.shape[-1]))
-    bounds = list(zip(offsets[:-1], offsets[1:]))
-    for s, (start, stop) in enumerate(bounds):
-        data[..., start:stop, :] = a.data[start:stop] @ b.data[s]
+    bounds = list(pairwise(offsets.tolist()))
+    if len(bounds) == 1:  # one stack for every row: the product needs no assembling copy
+        data = a.data @ b.data[0]
+    else:
+        data = np.empty(b.data.shape[1:-2] + (a.data.shape[0], b.data.shape[-1]))
+        for s, (start, stop) in enumerate(bounds):
+            data[..., start:stop, :] = a.data[start:stop] @ b.data[s]
 
     def _back(g):
         if a.requires_grad:
@@ -507,21 +464,22 @@ def _fold_running(state: BatchNormState, mu: np.ndarray, var: np.ndarray) -> Non
     state.mean, state.var = running[0].copy(), running[1].copy()
 
 
-def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, training: bool,
+def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
               offsets=None, relu: bool = False) -> Value:
-    """Batch normalization over the rows (axis -2) of a 2-d or stacked input, optionally then relu.
+    """Training-mode batch normalization over the rows (axis -2) of a 2-d or stacked input, optionally then relu.
 
-    Training mode normalizes with the batch statistics (population
-    variance); a stacked ``(k, n, d)`` input keeps separate statistics for
-    each of its k matrices, and with ``offsets`` each matrix keeps separate
-    statistics for each segment of its rows. Every segment is normalized on
-    its own, with the arithmetic of a lone segment, one segment at a time
-    so that its rows stay in cache. The statistics are folded into the
-    running estimates one (segment, matrix) pair at a time, segment by
-    segment and in stack order within a segment. Eval mode is a pure
-    affine map using the stored running statistics. ``relu`` applies a
-    relu to the result in the same node, keeping its sign pattern and kink
-    flag as ``dense`` does.
+    Normalizes with the batch statistics (population variance); a stacked
+    ``(k, n, d)`` input keeps separate statistics for each of its k
+    matrices, and with ``offsets`` each matrix keeps separate statistics
+    for each segment of its rows. Every segment is normalized, scaled and
+    shifted on its own, with the arithmetic of a lone segment, one segment
+    at a time so that its rows stay in cache. The statistics are folded
+    into the running estimates one (segment, matrix) pair at a time,
+    segment by segment and in stack order within a segment. ``relu``
+    applies a relu to the result in the same node, keeping its sign
+    pattern and kink flag as ``dense`` does. (Inference folds the running
+    statistics into the preceding weights instead; see
+    ``encoder3d.pointwise_stack``.)
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
@@ -531,40 +489,35 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, traini
             f"batchnorm: gamma/beta {gamma.data.shape}/{beta.data.shape} do not match width {width}"
         )
     n = x.data.shape[-2]
-    blocks = list(pairwise(_segments([0, n] if offsets is None else offsets, n))) if training else [(0, n)]
+    blocks = list(pairwise(_segments([0, n] if offsets is None else offsets, n)))
     taped = _needs_grad(x, gamma, beta)
+    xhat = np.empty_like(x.data)
     out = np.empty_like(x.data)
     mask = np.empty(x.data.shape, dtype=bool) if relu and taped else None
     kink = False
-    if training:
-        xhat = np.empty_like(x.data)
-        inv_stds, mus, variances = [], [], []
-        for start, stop in blocks:
-            part, rows = x.data[..., start:stop, :], stop - start
-            ordered = np.sort(part, axis=-2)
-            mu = ordered.sum(axis=-2, keepdims=True) / rows
-            # squared deviations summed in the order of the sorted values:
-            # tied values give tied squares, so the sum is permutation-exact
-            var = ((ordered - mu) ** 2).sum(axis=-2, keepdims=True) / rows
-            inv_stds.append(1.0 / np.sqrt(var + BN_EPS))
-            block = xhat[..., start:stop, :]
-            np.subtract(part, mu, out=block)
-            block *= inv_stds[-1]
-            mus.append(mu.reshape(-1, width))
-            variances.append(var.reshape(-1, width))
-        _fold_running(state, np.concatenate(mus), np.concatenate(variances))
-    else:
-        inv_stds = [1.0 / np.sqrt(state.var + BN_EPS)]
-        xhat = (x.data - state.mean) * inv_stds[0]
+    inv_stds, mus, variances = [], [], []
     for start, stop in blocks:
+        part, rows = x.data[..., start:stop, :], stop - start
+        ordered = np.sort(part, axis=-2)
+        mu = ordered.sum(axis=-2, keepdims=True) / rows
+        # squared deviations summed in the order of the sorted values:
+        # tied values give tied squares, so the sum is permutation-exact
+        var = ((ordered - mu) ** 2).sum(axis=-2, keepdims=True) / rows
+        inv_stds.append(1.0 / np.sqrt(var + BN_EPS))
+        normed = xhat[..., start:stop, :]
+        np.subtract(part, mu, out=normed)
+        normed *= inv_stds[-1]
+        mus.append(mu.reshape(-1, width))
+        variances.append(var.reshape(-1, width))
         block = out[..., start:stop, :]
-        np.multiply(gamma.data, xhat[..., start:stop, :], out=block)
+        np.multiply(gamma.data, normed, out=block)
         block += beta.data
         if relu:
             kink = kink or (taped and bool(np.any(block == 0.0)))
             np.maximum(block, 0.0, out=block)
             if mask is not None:
                 np.greater(block, 0.0, out=mask[..., start:stop, :])
+    _fold_running(state, np.concatenate(mus), np.concatenate(variances))
 
     def _back(g):
         d_gamma, d_beta = np.zeros(width), np.zeros(width)
@@ -578,13 +531,9 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, traini
             gx_sum = (part * part_xhat).sum(axis=-2, keepdims=True)
             d_gamma += _sum_to(gx_sum, (width,))
             d_beta += _sum_to(g_sum, (width,))
-            if gx is None:
-                continue
-            if training:
+            if gx is not None:
                 np.multiply(gamma.data * inv_std / rows, rows * part - g_sum - part_xhat * gx_sum,
                             out=gx[..., start:stop, :])
-            else:
-                np.multiply(part * gamma.data, inv_std, out=gx[..., start:stop, :])
         _push(gamma, lambda: d_gamma, owned=True)
         _push(beta, lambda: d_beta, owned=True)
         if gx is not None:
@@ -615,17 +564,18 @@ def l1_norm(a: Value) -> Value:
     return _node(np.sum(np.abs(a.data)), "l1_norm", (a,), lambda g: _push(a, lambda: g * np.sign(a.data), owned=True))
 
 
-def pick(a: Value, index: int) -> Value:
-    """Scalar entry of a 1-d value."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick: need 1-d input, got {a.data.shape}")
+def pick(a: Value, index) -> Value:
+    """The one entry of ``a`` that ``index`` selects, e.g. ``i`` of a vector or ``(b, j)`` of a matrix."""
+    data = a.data[index]
+    if np.ndim(data) != 0:
+        raise ShapeError(f"pick: index {index!r} selects {np.shape(data)} entries of {a.data.shape}, not one")
 
     def _back(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
         a._accumulate(buf, owned=True)
 
-    return _node(a.data[index], "pick", (a,), _back)
+    return _node(data, "pick", (a,), _back)
 
 
 def _topo_order(root: Value) -> list[Value]:
@@ -663,7 +613,7 @@ def graph_has_kink(root: Value) -> bool:
 
 
 def _activation_pattern(root: Value) -> list[np.ndarray]:
-    """Sign pattern of every relu input, fused or not, in deterministic graph order."""
+    """Sign pattern of every fused relu, in deterministic graph order."""
     return [node._mask for node in _topo_order(root) if node._mask is not None]
 
 
@@ -686,12 +636,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Value:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def items(self):
         """(name, Value) pairs in sorted name order (deterministic)."""
@@ -726,8 +670,8 @@ def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
     ``f(store)`` must build and return a scalar Value and be a pure
     function of the stored parameters. A probe is skipped when the central
     difference is not valid at that point: an activation input sat exactly
-    on a kink, or the stencil crossed one (the sign pattern of a relu or
-    of a ``dense`` relu differs between the three evaluations). Returns the max relative error
+    on a kink, or the stencil crossed one (the sign pattern of a fused relu
+    differs between the three evaluations). Returns the max relative error
     max|a - n| / max(|a|, |n|, 1e-8) over the evaluated probes, 0.0 if
     every probe was skipped.
     """

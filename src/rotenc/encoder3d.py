@@ -122,20 +122,20 @@ def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbedd
 
     ``rotations`` is one (3, 3) matrix, giving an (n, d) input, or a
     (k, 3, 3) stack, giving a (k, n, d) input with one view per matrix
-    (the embedding rows are repeated for every view). For a packed cloud
-    (molecule b in rows offsets[b]:offsets[b+1]) a (B, k, 3, 3) array gives
-    every molecule its own stack. ``cloud`` must already be centered.
+    (the embedding rows are repeated for every view); either is shared by
+    every atom of the cloud. For a packed cloud (molecule b in rows
+    offsets[b]:offsets[b+1]) a (B, k, 3, 3) array gives every molecule its
+    own stack. ``cloud`` must already be prepared (``prepare_cloud``).
     ``coords`` can supply the coordinates as a graph node and ``emb``
     pre-gathered embedding rows (both used for gradients w.r.t. the
     inputs); they default to the cloud coordinates and a fresh table lookup.
     """
     base = coords if coords is not None else Value(cloud.coords)
     rotations = np.asarray(rotations)
+    if rotations.ndim < 4:  # one stack shared by the whole cloud: a single segment
+        rotations, offsets = rotations[None], None
     transposed = Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2)))
-    if rotations.ndim == 4:
-        rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
-    else:
-        rotated = ad.matmul(base, transposed)
+    rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
     if not cfg.use_atom_embedding:
         return rotated
     if emb is None:
@@ -169,7 +169,7 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
         gamma, beta = store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"]
         state = bn_states[f"enc.bn{layer}"]
         if training:
-            x = ad.batchnorm(ad.matmul(x, W), gamma, beta, state, training=True, offsets=offsets, relu=True)
+            x = ad.batchnorm(ad.matmul(x, W), gamma, beta, state, offsets=offsets, relu=True)
         else:
             s = gamma.data / np.sqrt(state.var + ad.BN_EPS)
             x = ad.dense(x, Value(W.data * s), Value(beta.data - state.mean * s), relu=True)
@@ -221,13 +221,14 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
            rotations=None, offsets=None, use_stack: bool = True, per_view: bool = False,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
-    """Full encoder: center, (optionally) align, rotate into k views, pool, average.
+    """Full encoder: rotate a prepared cloud into k views, convolve, pool, average.
 
-    ``cloud`` is one molecule, which is centered and, under an aligning
-    ``cfg.align_mode``, aligned here; the result is its (d_p,) fingerprint.
-    Given ``offsets`` it is a packed batch instead (molecule b in rows
-    offsets[b]:offsets[b+1]) whose clouds were prepared when it was built,
-    and the result has one row per molecule, (B, d_p).
+    ``cloud`` is already centered and, under an aligning policy, aligned
+    (``prepare_cloud``; ``Model.prepare`` applies the model's policy).
+    Without ``offsets`` it is one molecule and the result is its (d_p,)
+    fingerprint; given ``offsets`` it is a packed batch (molecule b in rows
+    offsets[b]:offsets[b+1]) and the result has one row per molecule,
+    (B, d_p).
 
     ``rotations`` overrides the view set (otherwise it is the k rotations
     drawn from cfg.seed, see ``inference_views``); a (B, k, 3, 3) array
@@ -236,15 +237,9 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     permutation-exact mean, so the result does not depend on the order of
     the views. ``per_view`` skips that mean and returns one fingerprint row
     per view, (k, d_p) or (k, B, d_p). ``coords_value``/``emb_value`` feed
-    the coordinates and embedding rows in as shared graph leaves for
-    input-gradient attribution; the caller must then supply already
-    centered (and aligned, if applicable) coordinates, and the cloud only
-    provides atomic numbers.
+    the cloud's coordinates and embedding rows in as shared graph leaves
+    for input-gradient attribution.
     """
-    if coords_value is not None:
-        cloud = PointCloud(coords_value.data, cloud.atomic_numbers)
-    elif offsets is None:
-        cloud = prepare_cloud(cloud, cfg.align_mode in ("pre", "post"))
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
     views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,

@@ -14,10 +14,6 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidQuaternion
 
-ORTHOGONALITY_TOL = 1e-12
-DET_TOL = 1e-12
-
-
 @dataclass
 class PointCloud:
     """Per-atom 3D coordinates (angstrom) plus atomic numbers."""
@@ -50,11 +46,6 @@ def rotation_defect(m: np.ndarray) -> tuple[float, float]:
     ortho = float(np.max(np.abs(m @ m.T - np.eye(3))))
     det = abs(float(np.linalg.det(m)) - 1.0)
     return ortho, det
-
-
-def is_rotation(m: np.ndarray) -> bool:
-    ortho, det = rotation_defect(m)
-    return ortho <= ORTHOGONALITY_TOL and det <= DET_TOL
 
 
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .data import MoleculeRecord, build_graph
 from .encoder3d import EncoderConfig
 from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
 from .geometry import PointCloud, sample_rotations
-from .gnn import GnnConfig, MolecularGraph
+from .gnn import GnnConfig
 from .packing import Batch, Molecule, pack
 
 OBJECTIVES = ("average_output", "average_loss")
@@ -159,47 +159,30 @@ class Model:
             return 1
         return len(BOND_ORDERS) + 1 if self.bonded else RBF_N_CENTERS
 
-    def graph_for(self, record: MoleculeRecord) -> MolecularGraph:
-        return build_graph(
-            record,
-            self.cfg.cutoff,
-            vocab=self.vocab,
-            task_names=self.task_names,
-            edge_features="constant" if self.cfg.ablate_features else "auto",
-        )
-
-    def cloud_for(self, record: MoleculeRecord) -> PointCloud:
-        return PointCloud(record.coords, np.asarray(record.atomic_numbers))
-
     def _graph_vector(self, batch: Batch, node_feats: Value | None = None) -> Value:
         g = gnn.gnn_forward(batch.graph, self.store, self.cfg.gnn, node_feats=node_feats, offsets=batch.offsets)
         return ad.dense(g, self.store["gproj.W"], self.store["gproj.b"])
 
-    def _align_flag(self, training: bool) -> bool:
-        mode = self.cfg.encoder.align_mode
-        if training:
-            return mode == "pre"
-        return mode in ("pre", "post")
-
-    def _prepared(self, cloud: PointCloud, training: bool) -> PointCloud:
-        if self.cfg.ablate_3d:
-            return cloud
-        return encoder3d.prepare_cloud(cloud, self._align_flag(training))
-
     def prepare(self, record: MoleculeRecord, training: bool = False) -> Molecule:
         """The record's graph and its cloud, centered and aligned as the policy asks, ready to pack.
 
-        Training aligns only under ``pre``; inference under ``pre`` and
-        ``post``. A molecule that cannot be aligned raises DegenerateCloud
-        or TooFewPoints naming its id.
+        This is the one place a record becomes model input and the one place
+        the align policy is read: training aligns only under ``pre``,
+        inference under ``pre`` and ``post``. A molecule that cannot be
+        aligned raises DegenerateCloud or TooFewPoints naming its id.
         """
-        with for_molecule(record):
-            cloud = self._prepared(self.cloud_for(record), training)
-        return Molecule(record.id, self.graph_for(record), cloud)
+        cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
+        if not self.cfg.ablate_3d:
+            mode = self.cfg.encoder.align_mode
+            with for_molecule(record):
+                cloud = encoder3d.prepare_cloud(cloud, mode == "pre" or (mode == "post" and not training))
+        graph = build_graph(record, self.cfg.cutoff, vocab=self.vocab, task_names=self.task_names,
+                            edge_features="constant" if self.cfg.ablate_features else "auto")
+        return Molecule(record.id, graph, cloud)
 
-    def forward_batch(self, batch: Batch, *, training: bool = False, rotations=None,
-                      node_feats: Value | None = None, coords_value=None,
-                      emb_value=None) -> tuple[Value, Value]:
+    def forward(self, batch: Batch, *, training: bool = False, rotations=None,
+                node_feats: Value | None = None, coords_value=None,
+                emb_value=None) -> tuple[Value, Value]:
         """One forward pass over a packed batch; returns (y_hat, u) as graph nodes.
 
         y_hat is (B, n_tasks) and u is (B, d_u). Training under the
@@ -207,6 +190,8 @@ class Model:
         (k, B, n_tasks) and u is (k, B, d_u), each molecule's graph vector
         repeated for its k rows. ``rotations`` is None (the inference
         views), one (k, 3, 3) stack for every molecule, or (B, k, 3, 3).
+        ``node_feats``, ``coords_value`` and ``emb_value`` feed the batch's
+        node features, coordinates and embedding rows in as graph leaves.
         """
         g = self._graph_vector(batch, node_feats=node_feats)
         if self.cfg.ablate_3d:
@@ -230,27 +215,10 @@ class Model:
         y_hat = predict_head(u, self.store)
         return y_hat, u
 
-    def forward(self, graph: MolecularGraph, cloud: PointCloud, *, training: bool = False,
-                rotations=None, node_feats: Value | None = None, coords_value=None,
-                emb_value=None) -> tuple[Value, Value]:
-        """One molecule as a batch of one; returns (y_hat, u) without the batch axis.
-
-        y_hat is (n_tasks,) and u is (d_u,), or (k, n_tasks) and (k, d_u) in
-        average-loss training. ``cloud`` is the raw cloud, prepared here,
-        unless ``coords_value`` supplies prepared coordinates.
-        """
-        if coords_value is None:
-            cloud = self._prepared(cloud, training)
-        y_hat, u = self.forward_batch(
-            pack([Molecule("", graph, cloud)]), training=training, rotations=rotations,
-            node_feats=node_feats, coords_value=coords_value, emb_value=emb_value,
-        )
-        return _drop_batch_axis(y_hat), _drop_batch_axis(u)
-
     def predict_batch(self, batch: Batch) -> np.ndarray:
         """Deterministic inference for a packed batch, (B, n_tasks), built without a tape."""
         with ad.no_grad():
-            y_hat, _ = self.forward_batch(batch)
+            y_hat, _ = self.forward(batch)
         return y_hat.data
 
     def predict(self, record: MoleculeRecord) -> np.ndarray:
@@ -260,11 +228,6 @@ class Model:
         single atom raises DegenerateCloud or TooFewPoints naming its id.
         """
         return self.predict_batch(pack([self.prepare(record)]))[0]
-
-
-def _drop_batch_axis(v: Value) -> Value:
-    """(..., 1, d) -> (..., d): the batch axis of a batch of one."""
-    return ad.reshape(v, v.shape[:-2] + v.shape[-1:])
 
 
 def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -> InvarianceReport:
@@ -329,11 +292,9 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
             rows = model.enc_table.indices(molecule.cloud.atomic_numbers)
             emb_leaf = Value(model.enc_table.values.data[rows], requires_grad=True)
 
-    y_hat, _ = model.forward(
-        molecule.graph, molecule.cloud, training=False, node_feats=node_leaf,
-        coords_value=coords_leaf, emb_value=emb_leaf,
-    )
-    ad.backward(ad.pick(y_hat, task_index))
+    y_hat, _ = model.forward(pack([molecule]), node_feats=node_leaf, coords_value=coords_leaf,
+                             emb_value=emb_leaf)
+    ad.backward(ad.pick(y_hat, (0, task_index)))
 
     parts = [node_leaf.grad]
     if coords_leaf is not None:

@@ -377,13 +377,17 @@ def evaluate_model(model: Model, normalizer: Normalizer, records, indices=None,
     for record in chosen:
         if tuple(sorted(record.targets)) != tuple(model.task_names):
             raise TaskMismatch(f"record {record.id} tasks do not match {model.task_names}")
-    molecules = [model.prepare(record) for record in chosen]
+    return _evaluate_prepared(model, normalizer, [model.prepare(record) for record in chosen],
+                              split_name, batch_size)
+
+
+def _evaluate_prepared(model: Model, normalizer: Normalizer, molecules, split_name: str,
+                       batch_size: int) -> Metrics:
+    """Metrics of prepared molecules, predicted in packed batches of ``batch_size``."""
     preds = np.concatenate([model.predict_batch(pack(molecules[start : start + batch_size]))
                             for start in range(0, len(molecules), batch_size)])
-    targets = [[record.targets[t] for t in model.task_names] for record in chosen]
-    return _metrics_from_predictions(
-        normalizer.invert(preds), np.asarray(targets), model.task_names, split_name
-    )
+    targets = np.stack([molecule.graph.targets for molecule in molecules])
+    return _metrics_from_predictions(normalizer.invert(preds), targets, model.task_names, split_name)
 
 
 def evaluate(ckpt: Checkpoint, records, indices=None, split_name: str = "eval") -> Metrics:
@@ -398,8 +402,9 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
     model = Model(cfg.model, vocab, task_names, seed=cfg.seed, bonded=bonded)
     opt = AdamWState()
 
-    # every cloud is centered (and under "pre" aligned) once per fold, not once per step
+    # every molecule is prepared once per fold, not once per step or epoch
     molecules = {int(i): model.prepare(records[i], training=True) for i in train_idx}
+    val_molecules = [model.prepare(records[i]) for i in val_idx]
 
     history = []
     best_score = None
@@ -414,7 +419,7 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
             rotations = None if cfg.model.ablate_3d else np.stack(
                 [sample_rotations(cfg.model.encoder.k, _rotation_seed(cfg.seed, epoch, i)) for i in members])
             model.store.zero_grad()
-            y_hat, u = model.forward_batch(batch, training=True, rotations=rotations)
+            y_hat, u = model.forward(batch, training=True, rotations=rotations)
             batch_loss = loss(y_hat, normalizer.apply(batch.targets), u, cfg.lambda_l1)
             if not np.isfinite(batch_loss.data):
                 raise Diverged(epoch, b_start // cfg.batch_size)
@@ -422,8 +427,7 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
             adamw_step(model.store, opt, cfg)
             epoch_losses.append(float(batch_loss.data))
 
-        val = evaluate_model(model, normalizer, records, val_idx, split_name="val",
-                             batch_size=cfg.batch_size)
+        val = _evaluate_prepared(model, normalizer, val_molecules, "val", cfg.batch_size)
         score = float(np.mean(list(val.rmse.values())))
         entry = {
             "fold": fold,

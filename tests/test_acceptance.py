@@ -15,7 +15,7 @@ from helpers import bonded_record, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.alignment import canonical_align
 from rotenc.data import MoleculeRecord, SplitSpec, rbf_expand, split as split_records
-from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params
+from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params, prepare_cloud
 from rotenc.errors import RotencError
 from rotenc.geometry import (
     PointCloud,
@@ -24,6 +24,7 @@ from rotenc.geometry import (
     sample_rotations,
 )
 from rotenc.model import Model, loss as sample_loss, measure_invariance
+from rotenc.packing import pack
 from rotenc.synthetic import make_records, mirror_cloud, random_cloud
 from rotenc.trainer import (
     TrainConfig,
@@ -110,8 +111,8 @@ def test_05_chirality_separation():
         for i in range(20):
             cloud = random_cloud(int(rng.integers(4, 9)), rng)
             mirrored = mirror_cloud(cloud)
-            fp_a = encode(cloud, table, store, cfg, states).data
-            fp_b = encode(mirrored, table, store, cfg, states).data
+            fp_a = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
+            fp_b = encode(prepare_cloud(mirrored, False), table, store, cfg, states).data
             assert np.linalg.norm(fp_a - fp_b) > 1e-3, f"cloud {i} not separated"
             dist_a = np.linalg.norm(cloud.coords[:, None] - cloud.coords[None], axis=-1)
             dist_b = np.linalg.norm(mirrored.coords[:, None] - mirrored.coords[None], axis=-1)
@@ -126,14 +127,13 @@ def test_06_gradient_correctness():
         record = bonded_record(seed=11)
         model = Model(tiny_model_config(), vocab=(1, 6, 7, 8), task_names=("y",), seed=0,
                       bonded=True)
-        graph = model.graph_for(record)
-        cloud = model.cloud_for(record)
+        batch = pack([model.prepare(record, training=True)])
         rotations = sample_rotations(3, 7)
-        base, _ = model.forward(graph, cloud, training=True, rotations=rotations)
+        base, _ = model.forward(batch, training=True, rotations=rotations)
         target = base.data + 0.7
 
         def f(store):
-            y_hat, u = model.forward(graph, cloud, training=True, rotations=rotations)
+            y_hat, u = model.forward(batch, training=True, rotations=rotations)
             return sample_loss(y_hat, target, u, 1e-3)
 
         err = ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
@@ -210,8 +210,8 @@ def test_09_ablation_machinery():
             assert np.isfinite(history[-1]["train_loss"]), name
             model, _ = model_from_checkpoint(ckpt)
             d_us[name] = model.cfg.d_u
-            _, u = model.forward(model.graph_for(records[0]), model.cloud_for(records[0]))
-            assert u.data.shape == (model.cfg.d_u,), name
+            _, u = model.forward(pack([model.prepare(records[0])]))
+            assert u.data.shape == (1, model.cfg.d_u), name
         assert len(set(d_us.values())) == 3, d_us
         assert d_us["no_features"] == tiny_model_config().d_u  # edge width changes instead
         assert d_us["no_3d"] < d_us["no_pointnet"] < d_us["no_features"]

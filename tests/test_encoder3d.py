@@ -19,6 +19,7 @@ from rotenc.encoder3d import (
 )
 from rotenc.errors import DegenerateCloud, InvalidConfig, UnknownElement
 from rotenc.geometry import PointCloud, center_cloud, sample_rotations
+from rotenc.packing import pack
 from rotenc.synthetic import mirror_cloud, random_cloud
 
 
@@ -123,13 +124,15 @@ class TestPointwiseStack:
         x = Value(rng.normal(size=(4, 9, cfg.input_width)))
 
         def unfolded():
-            h = x
+            # eval-mode batchnorm as its own step: normalize with the running
+            # statistics, scale and shift, then relu
+            h = x.data
             for layer in range(len(cfg.widths)):
-                h = ad.matmul(h, store[f"enc.conv{layer}.W"])
-                h = ad.batchnorm(h, store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"],
-                                 states[f"enc.bn{layer}"], training=False)
-                h = ad.relu(h)
-            return h.data
+                state = states[f"enc.bn{layer}"]
+                h = h @ store[f"enc.conv{layer}.W"].data
+                xhat = (h - state.mean) * (1.0 / np.sqrt(state.var + ad.BN_EPS))
+                h = np.maximum(store[f"enc.bn{layer}.gamma"].data * xhat + store[f"enc.bn{layer}.beta"].data, 0.0)
+            return h
 
         folded = pointwise_stack(x, store, cfg, states, training=False).data
         np.testing.assert_allclose(folded, unfolded(), rtol=1e-12, atol=0)
@@ -187,8 +190,7 @@ class TestEncode:
         store, table, states = make_encoder(cfg)
         cloud = centered_cloud()
         fp = encode(cloud, table, store, cfg, states, rotations=[np.eye(3)])
-        # encode re-centers its input, which moves coordinates by ~1 ulp
-        view = build_view_input(prepare_cloud(cloud, False), np.eye(3), table, cfg)
+        view = build_view_input(cloud, np.eye(3), table, cfg)
         manual = pool_view(pointwise_stack(view, store, cfg, states, training=False), cfg.pool)
         np.testing.assert_array_equal(fp.data, manual.data)
 
@@ -207,29 +209,29 @@ class TestEncode:
         store, table, states = make_encoder(cfg)
         cloud = random_cloud(7, np.random.default_rng(8))
         shifted = PointCloud(cloud.coords + np.array([100.0, -40.0, 7.0]), cloud.atomic_numbers)
-        a = encode(cloud, table, store, cfg, states).data
-        b = encode(shifted, table, store, cfg, states).data
+        a = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
+        b = encode(prepare_cloud(shifted, False), table, store, cfg, states).data
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_post_align_strict_invariance(self):
-        cfg = small_cfg(k=4, align_mode="post")
+        cfg = small_cfg(k=4)
         store, table, states = make_encoder(cfg)
         cloud = random_cloud(8, np.random.default_rng(9))
-        base = encode(cloud, table, store, cfg, states).data
+        base = encode(prepare_cloud(cloud, True), table, store, cfg, states).data
         from rotenc.geometry import apply_rotation
 
         for rot in sample_rotations(100, 10):
-            rotated = apply_rotation(cloud, rot)
+            rotated = prepare_cloud(apply_rotation(cloud, rot), True)
             dev = np.max(np.abs(encode(rotated, table, store, cfg, states).data - base))
             assert dev <= 1e-9
 
     def test_degenerate_cloud_rejected_when_aligning(self):
-        cfg = small_cfg(k=2, align_mode="pre")
+        cfg = small_cfg(k=2)
         store, table, states = make_encoder(cfg)
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
                        dtype=float)
         with pytest.raises(DegenerateCloud):
-            encode(PointCloud(pts, [6] * 6), table, store, cfg, states)
+            encode(prepare_cloud(PointCloud(pts, [6] * 6), True), table, store, cfg, states)
 
     def test_chirality_sensitivity_with_rbf_blindness_oracle(self):
         # a handedness-aware encoder separates enantiomers; any function of
@@ -240,8 +242,8 @@ class TestEncode:
         store, table, states = make_encoder(cfg)
         cloud = random_cloud(6, np.random.default_rng(11))
         mirrored = mirror_cloud(cloud)
-        a = encode(cloud, table, store, cfg, states).data
-        b = encode(mirrored, table, store, cfg, states).data
+        a = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
+        b = encode(prepare_cloud(mirrored, False), table, store, cfg, states).data
         assert np.linalg.norm(a - b) > 1e-3
 
         d0 = np.linalg.norm(cloud.coords[:, None] - cloud.coords[None], axis=-1)
@@ -263,9 +265,9 @@ class TestEncode:
         for seed in range(6):
             cloud = random_cloud(7, np.random.default_rng(100 + seed))
             for cfg in (cfg4, cfg64):
-                base = encode(cloud, table, store, cfg, states).data
+                base = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
                 for rot in probes:
-                    rotated = apply_rotation(cloud, rot)
+                    rotated = prepare_cloud(apply_rotation(cloud, rot), False)
                     dev = np.linalg.norm(encode(rotated, table, store, cfg, states).data - base)
                     devs[cfg.k].append(dev)
         assert np.mean(devs[64]) <= 0.6 * np.mean(devs[4])
@@ -276,6 +278,23 @@ class TestEncode:
         fp = encode(centered_cloud(), table, store, cfg, states)
         assert fp.data.shape == (cfg.d_p,)
         assert np.all(np.isfinite(fp.data))
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_shared_stack_equals_it_broadcast_per_molecule(self, training):
+        # a (k, 3, 3) stack shared by a packed batch runs as one segment over
+        # the whole cloud; each molecule given its own copy runs per segment
+        cfg = small_cfg(k=4)
+        store, table, states = make_encoder(cfg)
+        clouds = [centered_cloud(n, seed) for n, seed in ((5, 1), (9, 2), (7, 3))]
+        packed = PointCloud(np.concatenate([c.coords for c in clouds]),
+                            np.concatenate([c.atomic_numbers for c in clouds]))
+        offsets = np.cumsum([0] + [c.n_atoms for c in clouds])
+        stack = sample_rotations(cfg.k, 21)
+        shared, per_molecule = (
+            encode(packed, table, store, cfg, states, training=training, rotations=r, offsets=offsets).data
+            for r in (stack, np.broadcast_to(stack, (3,) + stack.shape)))
+        assert shared.shape == (3, cfg.d_p)
+        assert shared.tobytes() == per_molecule.tobytes()
 
 
 class TestInferenceViews:
@@ -305,12 +324,11 @@ class TestInferenceViews:
 
     def test_replaced_k_encodes_with_the_new_k(self, tiny_model, small_records):
         record = small_records[1]
-        graph, cloud = tiny_model.graph_for(record), tiny_model.cloud_for(record)
+        batch = pack([tiny_model.prepare(record)])
         before = tiny_model.predict(record)
         enc = replace(tiny_model.cfg.encoder, k=7)
         tiny_model.cfg = replace(tiny_model.cfg, encoder=enc)
         after = tiny_model.predict(record)
-        explicit, _ = tiny_model.forward(
-            graph, cloud, rotations=sample_rotations(7, enc.seed))
-        assert after.tobytes() == explicit.data.tobytes()
+        explicit, _ = tiny_model.forward(batch, rotations=sample_rotations(7, enc.seed))
+        assert after.tobytes() == explicit.data[0].tobytes()
         assert not np.array_equal(after, before)

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rotenc.model import (
     measure_invariance,
     predict_head,
 )
+from rotenc.packing import pack
 from rotenc.synthetic import make_records
 from rotenc.trainer import TrainConfig
 
@@ -174,11 +176,11 @@ class TestTapeFreePredict:
         monkeypatch.setattr(model_module, "predict_head", recording_head)
         record = small_records[0]
         y = tiny_model.predict(record)
-        taped, _ = tiny_model.forward(tiny_model.graph_for(record), tiny_model.cloud_for(record))
+        taped, _ = tiny_model.forward(pack([tiny_model.prepare(record)]))
         tape_free, with_tape = heads
         assert tape_free._parents == () and tape_free._backward_fn is None
         assert with_tape._parents and ad._grad_enabled
-        assert y.tobytes() == taped.data.tobytes()
+        assert y.tobytes() == taped.data[0].tobytes()
 
     def test_grad_mode_restored_when_predict_raises(self, small_records):
         cfg = tiny_model_config(encoder=EncoderConfig(widths=(4,), embed_dim=2, k=2, align_mode="post"))
@@ -246,7 +248,7 @@ class TestAtomImportance:
     def _fd_coordinate_sensitivity(model, record, h=1e-4):
         # oracle: perturb each coordinate, hold the graph fixed, and take
         # per-atom norms of the output differences
-        graph = model.graph_for(record)
+        graph = model.prepare(record).graph
         sensitivity = np.zeros(record.n_atoms)
         for atom in range(record.n_atoms):
             sq = 0.0
@@ -255,15 +257,12 @@ class TestAtomImportance:
                 for sign in (+1, -1):
                     coords = record.coords.copy()
                     coords[atom, axis] += sign * h
-                    cloud = model.cloud_for(
-                        MoleculeRecord(id="fd", atomic_numbers=list(record.atomic_numbers),
-                                       coords=coords, bonds=None, targets=dict(record.targets))
-                    )
-                    y, _ = model.forward(graph, cloud, training=False)
+                    moved = model.prepare(replace(record, coords=coords))
+                    y, _ = model.forward(pack([replace(moved, graph=graph)]))
                     if sign > 0:
-                        plus = y.data[0]
+                        plus = y.data[0, 0]
                     else:
-                        sq += ((plus - y.data[0]) / (2 * h)) ** 2
+                        sq += ((plus - y.data[0, 0]) / (2 * h)) ** 2
             sensitivity[atom] = np.sqrt(sq)
         return sensitivity
 
@@ -307,22 +306,22 @@ class TestObjectiveVariants:
         k = cfg.encoder.k
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
         record = small_records[0]
-        graph, cloud = model.graph_for(record), model.cloud_for(record)
+        batch = pack([model.prepare(record, training=True)])
         rotations = sample_rotations(k, 5)
         # training passes fold batch statistics into the running estimates;
         # the eval pass at the end gets the fresh model's state back
         bn_snapshot = copy.deepcopy(model.bn_states)
-        y_views, u_views = model.forward(graph, cloud, training=True, rotations=rotations)
-        assert y_views.shape == (k, 1) and u_views.shape == (k, cfg.d_u)
+        y_views, u_views = model.forward(batch, training=True, rotations=rotations)
+        assert y_views.shape == (k, 1, 1) and u_views.shape == (k, 1, cfg.d_u)
         # one graph vector, repeated for every view row
-        g_rows = u_views.data[:, : cfg.g_dim]
+        g_rows = u_views.data[:, 0, : cfg.g_dim]
         np.testing.assert_array_equal(g_rows, np.broadcast_to(g_rows[0], g_rows.shape))
         # row v is the single-view pass of rotation v (up to the summation
         # order BLAS picks for a k-row versus a 1-row product)
         for v, rotation in enumerate(rotations):
-            y_one, _ = model.forward(graph, cloud, training=True, rotations=[rotation])
+            y_one, _ = model.forward(batch, training=True, rotations=[rotation])
             np.testing.assert_allclose(y_views.data[v], y_one.data[0], rtol=1e-12, atol=0)
         # inference fuses the view-averaged fingerprint first: one prediction
         model.bn_states = bn_snapshot
-        fused, _ = model.forward(graph, cloud, training=False)
-        assert fused.shape == (1,)
+        fused, _ = model.forward(pack([model.prepare(record)]), training=False)
+        assert fused.shape == (1, 1)

@@ -41,10 +41,10 @@ def _variant(name):
 
 
 def _oracle_step(model, records, rotations, targets, lambda_l1):
-    """The per-molecule training step: one tape per molecule, losses chained with ``add``."""
+    """The per-molecule training step: one tape per molecule (a batch of one), losses chained with ``add``."""
     terms = []
     for record, r, y in zip(records, rotations, targets):
-        y_hat, u = model.forward(model.graph_for(record), model.cloud_for(record), training=True, rotations=r)
+        y_hat, u = model.forward(pack([model.prepare(record, training=True)]), training=True, rotations=r)
         terms.append(loss(y_hat, y, u, lambda_l1))
     total = terms[0]
     for term in terms[1:]:
@@ -54,7 +54,7 @@ def _oracle_step(model, records, rotations, targets, lambda_l1):
 
 def _packed_step(model, records, rotations, targets, lambda_l1):
     batch = pack(model.prepare(record, training=True) for record in records)
-    y_hat, u = model.forward_batch(batch, training=True, rotations=np.stack(rotations))
+    y_hat, u = model.forward(batch, training=True, rotations=np.stack(rotations))
     return loss(y_hat, targets, u, lambda_l1)
 
 
@@ -155,9 +155,9 @@ class TestPackedInference:
             whole = ad.max_pool(x, axis=-2)
         assert node._backward_fn is None and node._parents == () and whole._backward_fn is None
         assert np.array_equal(node.data, ad.max_pool(x, axis=-2, offsets=[0, 2, 5]).data)
-        taped, _ = model.forward(model.graph_for(record), model.cloud_for(record))
+        taped, _ = model.forward(pack([model.prepare(record)]))
         assert taped._parents
-        assert model.predict(record).tobytes() == taped.data.tobytes()
+        assert model.predict(record).tobytes() == taped.data[0].tobytes()
 
 
 class TestDegenerateMoleculeInABatch:
@@ -217,4 +217,4 @@ class TestPack:
         model = Model(tiny_model_config(), VOCAB, ("y",), seed=0)
         batch = pack(model.prepare(record) for record in records)
         with pytest.raises(ShapeError, match="offsets"):
-            model.forward_batch(replace(batch, offsets=batch.offsets[::-1]))
+            model.forward(replace(batch, offsets=batch.offsets[::-1]))

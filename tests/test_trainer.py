@@ -15,6 +15,7 @@ from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
 from rotenc.model import Model, ModelConfig
+from rotenc.packing import pack
 from rotenc.synthetic import make_records
 from rotenc.trainer import (
     AdamWState,
@@ -185,7 +186,7 @@ class TestTraining:
             model, normalizer = model_from_checkpoint(ckpt)
             u_norms = []
             for record in records[:6]:
-                _, u = model.forward(model.graph_for(record), model.cloud_for(record))
+                _, u = model.forward(pack([model.prepare(record)]))
                 u_norms.append(np.sum(np.abs(u.data)))
             norms[name] = np.mean(u_norms)
             assert np.isfinite(history[-1]["train_loss"])
@@ -200,10 +201,33 @@ class TestTraining:
             held_out = make_records(6, seed=999)
             u_norms = []
             for record in held_out:
-                _, u = model.forward(model.graph_for(record), model.cloud_for(record))
+                _, u = model.forward(pack([model.prepare(record)]))
                 u_norms.append(np.sum(np.abs(u.data)))
             norms[lam] = np.mean(u_norms)
         assert norms[1e-2] < norms[0.0]
+
+    def test_molecules_are_prepared_once_per_fold(self, monkeypatch):
+        import rotenc.model as model_module
+
+        built = []
+        real = model_module.build_graph
+
+        def counting(record, *args, **kwargs):
+            built.append(record.id)
+            return real(record, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "build_graph", counting)
+        records = make_records(10, seed=21)
+        cfg = smoke_config(epochs=3)
+        ckpt, history = train(cfg, records)
+        assert sorted(built) == sorted(record.id for record in records)
+        # the fold's validation pass is evaluate_model's: the retained
+        # checkpoint scores what the history says its epoch scored
+        best = min(history, key=lambda entry: np.mean(list(entry["val_rmse"].values())))
+        model, normalizer = model_from_checkpoint(ckpt)
+        _, val_idx = split_records(records, cfg.split)
+        val = evaluate_model(model, normalizer, records, val_idx, "val", cfg.batch_size)
+        assert (val.mae, val.rmse, val.r2) == (best["val_mae"], best["val_rmse"], best["val_r2"])
 
     def test_average_loss_objective_trains(self):
         records = make_records(10, seed=12)
@@ -415,8 +439,8 @@ class TestAblations:
             assert np.isfinite(history[-1]["train_loss"]), name
             model, _ = model_from_checkpoint(ckpt)
             d_us[name] = model.cfg.d_u
-            _, u = model.forward(model.graph_for(records[0]), model.cloud_for(records[0]))
-            assert u.data.shape == (model.cfg.d_u,), name
+            _, u = model.forward(pack([model.prepare(records[0])]))
+            assert u.data.shape == (1, model.cfg.d_u), name
         # the three ablations have pairwise-distinct fused widths
         assert len({d_us["no_3d"], d_us["no_features"], d_us["no_pointnet"]}) == 3
         assert d_us["no_3d"] == tiny_model_config().g_dim
@@ -428,7 +452,7 @@ class TestAblations:
         ckpt, _ = train(cfg, records)
         model, _ = model_from_checkpoint(ckpt)
         assert model.d_edge == 1
-        assert model.graph_for(records[0]).edge_feats.shape[1] == 1
+        assert model.prepare(records[0]).graph.edge_feats.shape[1] == 1
 
 
 class TestNormalizerIsolation:
