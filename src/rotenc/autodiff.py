@@ -19,10 +19,14 @@ backward sweep uses (the relu sign mask and its kink scan, the argmax of
 ``max_pool``) is skipped for constants, so a forward-only pass keeps no
 tape alive.
 
-Pooling-style reductions (``sum_pool``, ``mean_pool``, ``scatter_add_rows``
-and the batch statistics inside ``batchnorm``) sum each column in ascending
-value order, so their forward results are bit-identical under any
-permutation of the reduced rows. Given ``offsets``, the pooling ops and
+Which reductions are exact, and over what: the reductions over atoms or
+edges (``sum_pool``, ``mean_pool``, ``scatter_add_rows`` and the batch
+statistics inside ``batchnorm``) sum each column in ascending value order,
+so their forward results are bit-identical under any permutation of the
+reduced rows. ``mean`` is the one reduction that is not: it averages a
+leading axis in index order (the k views of each atom), which is cheap and
+exact under any reordering of the other axes, because every entry is
+reduced from its own values alone. Given ``offsets``, the pooling ops and
 ``batchnorm`` treat their row axis as segments stored back to back (one
 molecule of a packed batch each, segment b in rows
 ``offsets[b]:offsets[b+1]``) and reduce every segment on its own, exactly
@@ -34,6 +38,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,17 +249,17 @@ def broadcast_to(a: Value, shape) -> Value:
 def _segments(offsets, n: int) -> np.ndarray:
     """Validated segment boundaries: 0 = offsets[0] < offsets[1] < ... < offsets[-1] = n."""
     offsets = np.asarray(offsets, dtype=np.int64)
-    bounds = offsets.tolist()
-    if offsets.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n \
-            or any(stop <= start for start, stop in pairwise(bounds)):
-        raise ShapeError(f"offsets {bounds} do not cut {n} rows into non-empty segments")
+    if offsets.ndim != 1 or offsets.size < 2 or not (
+            offsets[0] == 0 and offsets[-1] == n and (offsets[1:] > offsets[:-1]).all()):
+        raise ShapeError(f"offsets {offsets.tolist()} do not cut {n} rows into non-empty segments")
     return offsets
 
 
 def _per_segment(arr: np.ndarray, axis: int, offsets: np.ndarray, reduce) -> np.ndarray:
     """``reduce(part, axis)`` of every segment of ``axis``, stacked along that axis."""
     if offsets.size == 2:
-        return np.expand_dims(reduce(arr, axis), axis)
+        whole = reduce(arr, axis)
+        return whole.reshape(whole.shape[:axis] + (1,) + whole.shape[axis:])
     index = [slice(None)] * arr.ndim
     parts = []
     for start, stop in zip(offsets[:-1], offsets[1:]):
@@ -273,12 +278,13 @@ def _pool(a: Value, axis: int, offsets, reduce, op: str, mean: bool) -> Value:
     axis = axis % a.data.ndim
     n = a.data.shape[axis]
     if offsets is None:
-        data, lengths = reduce(a.data, axis), np.full(1, n)
+        data = reduce(a.data, axis)
     else:
         offsets = _segments(offsets, n)
-        data, lengths = _per_segment(a.data, axis, offsets, reduce), np.diff(offsets)
+        data = _per_segment(a.data, axis, offsets, reduce)
 
     def _back(g):
+        lengths = np.full(1, n) if offsets is None else offsets[1:] - offsets[:-1]
         grad = np.repeat(g if offsets is not None else np.expand_dims(g, axis), lengths, axis=axis)
         if mean:
             counts = [1] * a.data.ndim
@@ -297,6 +303,23 @@ def sum_pool(a: Value, axis: int = 0, offsets=None) -> Value:
 def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
     """Column-wise mean over one axis (or each segment of it), permutation-exact in the reduced rows."""
     return _pool(a, axis, offsets, lambda part, ax: _psum(part, ax) / part.shape[ax], "mean_pool", mean=True)
+
+
+def mean(a: Value, axis: int = 0) -> Value:
+    """Mean over one axis, summed in index order in one pass; the gradient is ``g / k`` on every row.
+
+    Each entry of the result is reduced from its own k values alone, the
+    same way wherever it sits (numpy adds along a leading axis one slice
+    at a time; only a single-entry slice is summed pairwise), so reordering
+    the other axes reorders the result exactly.
+    Unlike ``mean_pool`` it is not exact under a reordering of ``axis``
+    itself: the encoder uses it for each atom's fixed sequence of views.
+    """
+    a = _wrap(a)
+    axis = axis % a.data.ndim
+    k = a.data.shape[axis]
+    return _node(np.sum(a.data, axis=axis) / k, "mean", (a,),
+                 lambda g: _push(a, lambda: np.broadcast_to(np.expand_dims(g / k, axis), a.data.shape)))
 
 
 def max_pool(a: Value, axis: int = 0, offsets=None) -> Value:
@@ -384,19 +407,54 @@ def gather_rows(a: Value, indices) -> Value:
 
     def _back(g):
         if a.requires_grad:
+            # each row's gradient is the sum of its picks' gradients: a stable
+            # sort groups the picks by row and one reduceat sums every group,
+            # deterministically (it may round apart from np.add.at's pick-by-pick adds)
             buf = np.zeros_like(a.data)
-            np.add.at(buf, indices, g)
+            if indices.size:
+                order = np.argsort(indices, kind="stable")
+                rows = indices[order]
+                starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+                buf[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
             a._accumulate(buf, owned=True)
 
     return _node(a.data[indices], "gather_rows", (a,), _back)
 
 
-def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
+class ScatterPlan(NamedTuple):
+    """Where the rows of a scatter go, from ``scatter_plan``; reusable for every call with the same indices."""
+
+    indices: np.ndarray  # destination of each input row
+    counts: np.ndarray  # rows per destination (its in-degree)
+    order: np.ndarray  # stable argsort of ``indices``
+    dest: np.ndarray  # ``indices[order]``
+    slots: np.ndarray  # place of each sorted row among its destination's rows
+    max_count: int  # the largest in-degree
+
+
+def scatter_plan(indices, n_rows: int) -> ScatterPlan:
+    """Validate ``indices`` (one destination row in [0, n_rows) per input row) and plan their scatter."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1:
+        raise ShapeError(f"scatter_add_rows: need 1-d indices, got shape {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
+        raise ShapeError(f"scatter_add_rows: indices out of range for {n_rows} rows")
+    counts = np.bincount(indices, minlength=n_rows)
+    order = np.argsort(indices, kind="stable")
+    dest = indices[order]
+    slots = np.arange(dest.size) - (np.cumsum(counts) - counts)[dest]
+    return ScatterPlan(indices, counts, order, dest, slots, int(counts.max(initial=0)))
+
+
+def scatter_add_rows(a: Value, indices, n_rows: int, *, plan: ScatterPlan | None = None) -> Value:
     """Accumulate rows of ``a`` into ``n_rows`` destination rows.
 
     Row i of the output is the sum of all rows j with indices[j] == i
     (zero when there are none). This is the neighbor-sum aggregation for
     message passing; each destination is summed permutation-exactly.
+    ``plan`` is ``scatter_plan(indices, n_rows)`` built once by a caller
+    that scatters along the same indices several times (every layer of
+    ``gnn.gnn_forward``); without it the call builds its own.
 
     The rows go into one zero-padded ``(n_rows, max_in_degree, d)`` buffer,
     destination by destination, which is sorted and summed along its middle
@@ -407,22 +465,20 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
     the grouping depends on the row count; one-column inputs are therefore
     summed one in-degree class at a time, without padding.
     """
-    indices = np.asarray(indices, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"scatter_add_rows: need 2-d input, got {a.data.shape}")
-    if indices.shape != (a.data.shape[0],):
+    if plan is None:
+        plan = scatter_plan(indices, n_rows)
+    if plan.indices.shape != (a.data.shape[0],):
         raise ShapeError(
-            f"scatter_add_rows: index shape {indices.shape} does not match rows {a.data.shape}"
+            f"scatter_add_rows: index shape {plan.indices.shape} does not match rows {a.data.shape}"
         )
-    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
-        raise ShapeError(f"scatter_add_rows: indices out of range for {n_rows} rows")
-    counts = np.bincount(indices, minlength=n_rows)
-    order = np.argsort(indices, kind="stable")
-    dest = indices[order]
-    slot = np.arange(dest.size) - (np.cumsum(counts) - counts)[dest]
+    if plan.counts.size != n_rows:
+        raise ShapeError(f"scatter_add_rows: plan made for {plan.counts.size} rows, not {n_rows}")
+    counts = plan.counts
     width = a.data.shape[1]
-    buf = np.zeros((n_rows, int(counts.max(initial=0)), width))
-    buf[dest, slot] = a.data[order]
+    buf = np.zeros((n_rows, plan.max_count, width))
+    buf[plan.dest, plan.slots] = a.data[plan.order]
     if width > 1:
         result = np.sum(np.sort(buf, axis=1), axis=1)
     else:
@@ -430,7 +486,7 @@ def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
         for c in np.unique(counts[counts > 0]):
             rows = counts == c
             result[rows] = np.sum(np.sort(buf[rows, :c], axis=1), axis=1)
-    return _node(result, "scatter_add_rows", (a,), lambda g: _push(a, lambda: g[indices], owned=True))
+    return _node(result, "scatter_add_rows", (a,), lambda g: _push(a, lambda: g[plan.indices], owned=True))
 
 
 BN_MOMENTUM = 0.1  # weight of a new batch statistic in the running estimate

@@ -1,13 +1,15 @@
-"""3D geometric encoder: rotate, per-atom convolve, pool, average over views.
+"""3D geometric encoder: rotate, per-atom convolve, average over views, pool.
 
 A molecule's centered coordinates are rotated into k sampled views. Each
 view runs through a stack of shared per-atom affine maps (1x1 convolutions)
-with batchnorm (folded into the map in eval mode) and relu, is pooled over
-atoms into a fixed-length fingerprint, and the k fingerprints are
-averaged. The average is a Monte-Carlo estimate of the rotation-group
-expectation of the single-view encoder, so the result is approximately
-rotation invariant, with the residual shrinking as 1/sqrt(k). Canonical
-pre-alignment of the input makes it exactly invariant.
+with batchnorm (folded into the map in eval mode) and relu. With mean
+pooling the fingerprint is mean_i mean_v f(R_v x_i): each atom's k view
+rows are averaged first, then the atoms are pooled; max pooling pools each
+view over atoms and averages the k fingerprints. The average is a
+Monte-Carlo estimate of the rotation-group expectation of the single-view
+encoder, so the result is approximately rotation invariant, with the
+residual shrinking as 1/sqrt(k). Canonical pre-alignment of the input
+makes it exactly invariant.
 """
 
 from __future__ import annotations
@@ -177,10 +179,12 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
 
 
 def pool_view(features: Value, mode: str = "mean", offsets=None) -> Value:
-    """Column-wise mean or max over atoms (axis -2): one fingerprint per view.
+    """Column-wise mean or max over atoms (axis -2), permutation-exact in the atoms.
 
-    With ``offsets`` every molecule of a packed batch is pooled on its own:
-    a (k, N, d) input gives (k, B, d).
+    A (k, N, d) stack gives one fingerprint per view; ``encode`` hands the
+    mean mode an (N, d) array of per-atom view averages instead. With
+    ``offsets`` every molecule of a packed batch is pooled on its own: a
+    (k, N, d) input gives (k, B, d) and an (N, d) input (B, d).
     """
     if mode not in POOL_MODES:
         raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {mode!r}")
@@ -221,7 +225,7 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
            rotations=None, offsets=None, use_stack: bool = True, per_view: bool = False,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
-    """Full encoder: rotate a prepared cloud into k views, convolve, pool, average.
+    """Full encoder: rotate a prepared cloud into k views, convolve, average the views and pool.
 
     ``cloud`` is already centered and, under an aligning policy, aligned
     (``prepare_cloud``; ``Model.prepare`` applies the model's policy).
@@ -233,12 +237,16 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     ``rotations`` overrides the view set (otherwise it is the k rotations
     drawn from cfg.seed, see ``inference_views``); a (B, k, 3, 3) array
     gives each molecule of a batch its own views. All views run as one
-    stacked (k, N, d) tensor; their fingerprints are averaged with a
-    permutation-exact mean, so the result does not depend on the order of
-    the views. ``per_view`` skips that mean and returns one fingerprint row
-    per view, (k, d_p) or (k, B, d_p). ``coords_value``/``emb_value`` feed
-    the cloud's coordinates and embedding rows in as shared graph leaves
-    for input-gradient attribution.
+    stacked (k, N, d) tensor. Under mean pooling each atom's k rows are
+    averaged in view order (``ad.mean``), and the (N, d) averages are then
+    pooled over atoms: k times fewer rows to sort than pooling every view,
+    and still bit-exact under any reordering of the atoms, since an atom's
+    average comes from its own rows alone. Under max pooling every view is
+    pooled over atoms and the k fingerprints are averaged. ``per_view``
+    pools every view and returns one fingerprint row per view, (k, d_p) or
+    (k, B, d_p). ``coords_value``/``emb_value`` feed the cloud's
+    coordinates and embedding rows in as shared graph leaves for
+    input-gradient attribution.
     """
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
@@ -246,5 +254,7 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
                              offsets=offsets)
     if use_stack:
         views = pointwise_stack(views, store, cfg, bn_states, training, offsets)
+    if cfg.pool == "mean" and not per_view:
+        return pool_view(ad.mean(views, axis=0), cfg.pool, offsets)
     fingerprints = pool_view(views, cfg.pool, offsets)
     return fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)

@@ -97,14 +97,15 @@ def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
 
 
 def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                 layer: int) -> Value:
+                 layer: int, plan: ad.ScatterPlan | None = None) -> Value:
     """One round of message passing and node update.
 
     Messages go along directed edges: the destination node v receives
     M(h_v, h_src, e) from each incoming edge, where M is a one-hidden-layer
     perceptron; incoming messages are summed per node (nodes without
     incoming edges get a zero message). The update is
-    h' = relu(affine(concat(h, m))).
+    h' = relu(affine(concat(h, m))). ``plan`` is ``ad.scatter_plan`` of
+    the edge destinations, passed in when several layers share the graph.
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
@@ -115,7 +116,7 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
         pair = ad.concat([h_dst, h_src, Value(graph.edge_feats)], axis=1)
         hidden = ad.dense(pair, store[f"gnn.l{layer}.msg1.W"], store[f"gnn.l{layer}.msg1.b"], relu=True)
         messages = ad.dense(hidden, store[f"gnn.l{layer}.msg2.W"], store[f"gnn.l{layer}.msg2.b"])
-        m = ad.scatter_add_rows(messages, dst, graph.n_nodes)
+        m = ad.scatter_add_rows(messages, dst, graph.n_nodes, plan=plan)
     else:
         m = Value(np.zeros((graph.n_nodes, cfg.message_width)))
     joint = ad.concat([h, m], axis=1)
@@ -143,9 +144,11 @@ def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
 
     One molecule gives a (hidden,) vector. Given ``offsets``, ``graph`` is
     the disjoint union of a packed batch's molecules and the result is
-    (B, hidden).
+    (B, hidden). The destinations' scatter plan is built once and shared by
+    every layer.
     """
     h = initial_states(graph, store, cfg, node_feats=node_feats)
+    plan = ad.scatter_plan(graph.edges[:, 1], graph.n_nodes) if graph.n_edges > 0 else None
     for layer in range(cfg.layers):
-        h = message_pass(h, graph, store, cfg, layer)
+        h = message_pass(h, graph, store, cfg, layer, plan)
     return readout(h, cfg.readout, offsets)

@@ -23,7 +23,7 @@ from .autodiff import ParameterStore, Value
 from .data import MoleculeRecord, build_graph
 from .encoder3d import EncoderConfig
 from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
-from .geometry import PointCloud, sample_rotations
+from .geometry import PointCloud
 from .gnn import GnnConfig
 from .packing import Batch, Molecule, pack
 
@@ -236,14 +236,16 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
     Per molecule the deviation is max over rotations and tasks of
     |y_hat(R X) - y_hat(X)|; the report carries the mean and max over
     molecules. Every inference call uses the same view set, drawn once from
-    the model's seed, so post-align models are exactly invariant here. Each
-    molecule and its rotated copies are predicted as one packed batch.
+    the model's seed, so post-align models are exactly invariant here. The
+    probe rotations are drawn once per (n_rotations, seed) as well (the
+    cached ``encoder3d.inference_views``). Each molecule and its rotated
+    copies are predicted as one packed batch.
     """
     if not records:
         raise NoData("no molecules given")
     if n_rotations < 2:
         raise InvalidConfig(f"n_rotations must be >= 2, got {n_rotations}")
-    rotations = sample_rotations(n_rotations, seed)
+    rotations = encoder3d.inference_views(n_rotations, seed)
     deviations = []
     for record in records:
         copies = [record] + [

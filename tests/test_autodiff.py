@@ -132,9 +132,11 @@ class TestPermutationExactness:
         assert_same_bits(packed_state.mean, lone_state.mean)
         assert_same_bits(packed_state.var, lone_state.var)
 
-    @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6]])
+    @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6],
+                                         [[0, 5]], [0, 5, 5], [0, 3, 4]])
     def test_bad_offsets_rejected(self, offsets):
-        with pytest.raises(ShapeError):
+        # the last three: a 2-d array, a repeated end boundary, a wrong end value
+        with pytest.raises(ShapeError, match=r"^offsets \[.*\] do not cut 5 rows into non-empty segments$"):
             ad.mean_pool(Value(np.zeros((5, 2))), axis=0, offsets=offsets)
 
 
@@ -211,6 +213,73 @@ class TestScatterAddRowsKernel:
     def test_index_out_of_range_rejected(self, bad):
         with pytest.raises(ShapeError):
             ad.scatter_add_rows(Value(np.ones((2, 2))), bad, 3)
+
+
+class TestScatterPlan:
+    def test_shared_plan_gives_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        indices = np.array([3, 0, 3, 1, 3, 0, 4, 3])
+        plan = ad.scatter_plan(indices, 6)
+        for width in (1, 4):
+            x = rng.normal(size=(8, width))
+            assert_same_bits(ad.scatter_add_rows(Value(x), indices, 6, plan=plan).data,
+                             ad.scatter_add_rows(Value(x), indices, 6).data)
+
+    def test_plan_contents(self):
+        plan = ad.scatter_plan([2, 0, 2, 2], 4)
+        np.testing.assert_array_equal(plan.counts, [1, 0, 3, 0])
+        np.testing.assert_array_equal(plan.order, [1, 0, 2, 3])
+        np.testing.assert_array_equal(plan.slots, [0, 0, 1, 2])
+        assert plan.max_count == 3
+
+    def test_plan_of_other_rows_rejected(self):
+        plan = ad.scatter_plan([0, 1, 1], 3)
+        with pytest.raises(ShapeError):
+            ad.scatter_add_rows(Value(np.ones((4, 2))), [0, 1, 1, 2], 3, plan=plan)
+        with pytest.raises(ShapeError):
+            ad.scatter_add_rows(Value(np.ones((3, 2))), [0, 1, 1], 4, plan=plan)
+
+
+class TestMean:
+    def test_sums_the_axis_in_index_order(self):
+        x = np.random.default_rng(3).normal(size=(16, 5, 4)) * np.logspace(-6, 6, 4)
+        ordered = x[0].copy()
+        for view in x[1:]:
+            ordered += view
+        assert_same_bits(ad.mean(Value(x), axis=0).data, ordered / 16)
+
+    def test_exact_under_reordering_of_the_other_axes(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(7, 9, 3)) * 1e3
+        perm = rng.permutation(9)
+        assert_same_bits(ad.mean(Value(x[:, perm]), axis=0).data, ad.mean(Value(x), axis=0).data[perm])
+
+    def test_gradient_is_spread_evenly(self):
+        x = Value(np.ones((4, 2, 3)), requires_grad=True)
+        ad.backward(ad.sum_pool(ad.sum_pool(ad.mean(x, axis=0), axis=0), axis=0))
+        assert_same_bits(x.grad, np.full((4, 2, 3), 0.25))
+
+
+class TestGatherBackward:
+    def test_sums_every_pick_and_skips_rows_never_picked(self):
+        rng = np.random.default_rng(5)
+        indices = rng.integers(0, 40, 300)
+        indices[indices == 7] = 8
+        g = rng.normal(size=(300, 6))
+        x = Value(rng.normal(size=(40, 6)), requires_grad=True)
+        ad.gather_rows(x, indices)._backward_fn(g)
+        expected = np.zeros((40, 6))
+        np.add.at(expected, indices, g)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-14)
+        assert_same_bits(x.grad[7], np.zeros(6))
+        again = Value(x.data, requires_grad=True)
+        ad.gather_rows(again, indices)._backward_fn(g)
+        assert_same_bits(again.grad, x.grad)
+
+    def test_no_index_gives_zero_gradient(self):
+        x = Value(np.ones((3, 2)), requires_grad=True)
+        ad.gather_rows(x, np.zeros(0, dtype=np.int64))._backward_fn(np.zeros((0, 2)))
+        assert_same_bits(x.grad, np.zeros((3, 2)))
 
 
 class TestBackward:
@@ -434,6 +503,9 @@ PRIMITIVE_CASES = [
      {"x": (3, 3)}),
     ("scatter", lambda s: ad.mse(ad.scatter_add_rows(s["x"], [0, 2, 2, 1, 0], 4), np.zeros((4, 3))),
      {"x": (5, 3)}),
+    ("gather_uneven", lambda s: ad.mse(ad.gather_rows(s["x"], [2, 2, 0, 2, 2, 1, 2]), np.zeros((7, 3))),
+     {"x": (4, 3)}),  # row 3 is never gathered, row 2 five times
+    ("mean", lambda s: ad.mse(ad.mean(s["x"], axis=0), np.ones((4, 3))), {"x": (5, 4, 3)}),
     ("l1", lambda s: ad.l1_norm(s["x"]), {"x": (4, 3)}),
     ("segment_matmul", lambda s: ad.mse(ad.segment_matmul(s["x"], s["R"], [0, 2, 5]), np.zeros((2, 5, 3))),
      {"x": (5, 3), "R": (2, 2, 3, 3)}),

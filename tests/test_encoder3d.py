@@ -40,6 +40,19 @@ def centered_cloud(n=7, seed=0):
     return center_cloud(cloud)[0]
 
 
+def packed_clouds():
+    clouds = [centered_cloud(n, seed) for n, seed in ((5, 1), (9, 2), (7, 3))]
+    packed = PointCloud(np.concatenate([c.coords for c in clouds]),
+                        np.concatenate([c.atomic_numbers for c in clouds]))
+    return clouds, packed, np.cumsum([0] + [c.n_atoms for c in clouds])
+
+
+def permute_within(cloud, offsets, rng):
+    perm = np.concatenate([start + rng.permutation(stop - start)
+                           for start, stop in zip(offsets[:-1], offsets[1:])])
+    return PointCloud(cloud.coords[perm], cloud.atomic_numbers[perm])
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("widths", [(), (8, 0)])
     def test_widths_must_be_non_empty_and_positive(self, widths):
@@ -285,16 +298,88 @@ class TestEncode:
         # the whole cloud; each molecule given its own copy runs per segment
         cfg = small_cfg(k=4)
         store, table, states = make_encoder(cfg)
-        clouds = [centered_cloud(n, seed) for n, seed in ((5, 1), (9, 2), (7, 3))]
-        packed = PointCloud(np.concatenate([c.coords for c in clouds]),
-                            np.concatenate([c.atomic_numbers for c in clouds]))
-        offsets = np.cumsum([0] + [c.n_atoms for c in clouds])
+        _, packed, offsets = packed_clouds()
         stack = sample_rotations(cfg.k, 21)
         shared, per_molecule = (
             encode(packed, table, store, cfg, states, training=training, rotations=r, offsets=offsets).data
             for r in (stack, np.broadcast_to(stack, (3,) + stack.shape)))
         assert shared.shape == (3, cfg.d_p)
         assert shared.tobytes() == per_molecule.tobytes()
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+class TestViewsFirstMeanPool:
+    """Mean pooling averages each atom's views first, then pools the atoms exactly."""
+
+    def test_matches_the_mean_over_atoms_and_views(self, training):
+        cfg = small_cfg(k=5)
+        store, table, states = make_encoder(cfg)
+        _, packed, offsets = packed_clouds()
+        rotations = sample_rotations(cfg.k, 3)
+        fp = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
+                    offsets=offsets).data
+        stack = pointwise_stack(build_view_input(packed, rotations, table, cfg), store, cfg, states,
+                                training=training, offsets=offsets).data
+        reference = np.stack([stack[:, start:stop].mean(axis=(0, 1))
+                              for start, stop in zip(offsets[:-1], offsets[1:])])
+        np.testing.assert_allclose(fp, reference, rtol=1e-12, atol=0)
+
+    def test_bit_exact_under_atom_permutation(self, training):
+        cfg = small_cfg(k=6)
+        store, table, states = make_encoder(cfg)
+        rng = np.random.default_rng(4)
+        clouds, packed, offsets = packed_clouds()
+        rotations = sample_rotations(cfg.k, 5)
+        one = clouds[1]
+        for cloud, offs in ((one, [0, one.n_atoms]), (packed, offsets)):
+            base = encode(cloud, table, store, cfg, states, training=training, rotations=rotations,
+                          offsets=offs).data
+            moved = encode(permute_within(cloud, offs, rng), table, store, cfg, states,
+                           training=training, rotations=rotations, offsets=offs).data
+            assert base.tobytes() == moved.tobytes()
+
+    def test_independent_of_batch_companions(self, training):
+        # companions change the GEMM's row count, so allow BLAS rounding
+        cfg = small_cfg(k=4)
+        store, table, states = make_encoder(cfg)
+        clouds, packed, offsets = packed_clouds()
+        rotations = sample_rotations(cfg.k, 6)
+        together = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
+                          offsets=offsets).data
+        for b, cloud in enumerate(clouds):
+            alone = encode(cloud, table, store, cfg, states, training=training, rotations=rotations,
+                           offsets=[0, cloud.n_atoms]).data
+            np.testing.assert_allclose(together[b], alone[0], rtol=1e-12, atol=0)
+
+    def test_pools_one_row_per_atom(self, training, monkeypatch):
+        cfg = small_cfg(k=4)
+        store, table, states = make_encoder(cfg)
+        _, packed, offsets = packed_clouds()
+        shapes = []
+        real_pool = ad.mean_pool
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_pool(a, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "mean_pool", recording)
+        encode(packed, table, store, cfg, states, training=training, offsets=offsets)
+        assert shapes == [(packed.n_atoms, cfg.d_p)]
+
+    @pytest.mark.parametrize("pool,per_view", [("max", False), ("max", True), ("mean", True)])
+    def test_max_and_per_view_pool_every_view(self, training, pool, per_view):
+        # the formula these modes had before views were averaged first, bit for bit
+        cfg = small_cfg(k=4, pool=pool)
+        store, table, states = make_encoder(cfg)
+        _, packed, offsets = packed_clouds()
+        rotations = sample_rotations(cfg.k, 7)
+        got = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
+                     offsets=offsets, per_view=per_view).data
+        stack = pointwise_stack(build_view_input(packed, rotations, table, cfg), store, cfg, states,
+                                training=training, offsets=offsets)
+        fingerprints = pool_view(stack, pool, offsets)
+        expected = fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)
+        assert got.tobytes() == expected.data.tobytes()
 
 
 class TestInferenceViews:

@@ -4,7 +4,15 @@ import pytest
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore, Value
 from rotenc.errors import InvalidConfig, ShapeError
-from rotenc.gnn import GnnConfig, MolecularGraph, gnn_forward, init_gnn_params, message_pass, readout
+from rotenc.gnn import (
+    GnnConfig,
+    MolecularGraph,
+    gnn_forward,
+    init_gnn_params,
+    initial_states,
+    message_pass,
+    readout,
+)
 
 
 def ring_graph(n=5, d0=3, d_e=2, seed=0):
@@ -132,6 +140,26 @@ class TestEndToEnd:
             targets=graph.targets,
         )
         np.testing.assert_allclose(gnn_forward(doubled, store, cfg).data, 2 * single, rtol=1e-12)
+
+    def test_one_destination_plan_per_forward(self, monkeypatch):
+        cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="sum")
+        graph = ring_graph(n=6, d0=3, d_e=2, seed=13)
+        store = setup_gnn(graph, cfg, seed=14)
+        h = initial_states(graph, store, cfg)
+        for layer in range(cfg.layers):  # each layer plans its own scatter
+            h = message_pass(h, graph, store, cfg, layer)
+        per_layer = readout(h, cfg.readout).data
+        plans = []
+        real_plan = ad.scatter_plan
+
+        def counting(indices, n_rows):
+            plans.append(n_rows)
+            return real_plan(indices, n_rows)
+
+        monkeypatch.setattr(ad, "scatter_plan", counting)
+        shared = gnn_forward(graph, store, cfg).data
+        assert plans == [graph.n_nodes]
+        assert shared.tobytes() == per_layer.tobytes()
 
     def test_three_layer_gradients_match_finite_differences(self):
         cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="mean")

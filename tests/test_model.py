@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import tiny_model_config
 from rotenc import autodiff as ad
+from rotenc import encoder3d
 from rotenc.autodiff import ParameterStore, Value
 from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
@@ -213,6 +214,20 @@ class TestMeasureInvariance:
             devs[k] = measure_invariance(model, small_records, n_rotations=25, seed=4).mean_dev
         # quadrupling k should halve the deviation (1/sqrt(k)), noise allowed
         assert 1.4 <= devs[4] / devs[16] <= 2.8
+
+    def test_probe_rotations_drawn_once(self, tiny_model, small_records, monkeypatch):
+        calls = []
+
+        def counting(k, seed):
+            calls.append((k, seed))
+            return sample_rotations(k, seed)
+
+        monkeypatch.setattr(encoder3d, "sample_rotations", counting)
+        encoder3d.inference_views.cache_clear()
+        first = measure_invariance(tiny_model, small_records[:3], n_rotations=6, seed=9)
+        second = measure_invariance(tiny_model, small_records[:3], n_rotations=6, seed=9)
+        assert second == first
+        assert calls.count((6, 9)) == 1
 
     def test_requires_molecules_and_rotations(self, tiny_model, small_records):
         with pytest.raises(NoData):
