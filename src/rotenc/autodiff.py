@@ -14,10 +14,11 @@ Relus exist only fused into ``dense`` and ``batchnorm``.
 A result needs a gradient (``requires_grad``) when any of its inputs does;
 a result that needs none is a constant: it records no parents and no
 backward closure, and a closure pushes gradient only into the inputs that
-need one. Inside ``with no_grad():`` nothing needs a gradient. Work only a
-backward sweep uses (the relu sign mask and its kink scan, the argmax of
-``max_pool``) is skipped for constants, so a forward-only pass keeps no
-tape alive.
+need one. Inside ``with no_grad():`` nothing needs a gradient, so a
+forward-only pass keeps no tape alive. Work that only the backward sweep
+uses (a fused relu's sign pattern, the argmax of ``max_pool``) runs inside
+the backward closure, from the arrays the closure already holds, so no
+forward pass pays for it and no node stores it.
 
 Which reductions are exact, and over what: the reductions over atoms or
 edges (``sum_pool``, ``mean_pool``, ``scatter_add_rows`` and the batch
@@ -65,13 +66,9 @@ def no_grad():
 
 
 class Value:
-    """Node in the autodiff graph: float64 data plus gradient plumbing.
+    """Node in the autodiff graph: float64 data plus gradient plumbing."""
 
-    ``_mask`` holds the sign pattern (input > 0) of a fused relu, and
-    ``_kink`` says whether any of its inputs sat exactly on 0.
-    """
-
-    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward_fn", "_op", "_kink", "_mask")
+    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad=False, _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
@@ -80,8 +77,6 @@ class Value:
         self._parents = ()
         self._backward_fn = None
         self._op = _op
-        self._kink = False
-        self._mask = None
 
     @property
     def grad(self) -> np.ndarray:
@@ -114,11 +109,6 @@ class Value:
 
 def _wrap(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
-
-
-def _needs_grad(*inputs) -> bool:
-    """True when a result of these inputs needs a gradient."""
-    return _grad_enabled and any(v is not None and v.requires_grad for v in inputs)
 
 
 def _node(data, op: str, parents: tuple, backward) -> Value:
@@ -201,6 +191,8 @@ def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Val
     the (m, p) weight; the (p,) bias is added to every row. The bias add
     and the relu run in place on the fresh product, so the forward result
     and every gradient are bit-identical to the matmul -> add -> relu chain.
+    A node with the relu is a ``"dense_relu"`` op; its backward reads the
+    relu's sign pattern off the output.
     """
     x, W = _wrap(x), _wrap(W)
     if x.data.ndim == 0 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]:
@@ -212,15 +204,12 @@ def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Val
     data = _rows_matmul(x.data, W.data)
     if b is not None:
         data += b.data
-    taped = relu and _needs_grad(x, W, b)
-    kink = taped and bool(np.any(data == 0.0))
     if relu:
         np.maximum(data, 0.0, out=data)
-    mask = data > 0.0 if taped else None
 
     def _back(g):
-        if mask is not None:
-            g = g * mask
+        if relu:
+            g = g * (data > 0.0)
         if b is not None:
             _push(b, lambda: _sum_to(g, b.data.shape))
         if x.data.ndim == 1:
@@ -230,9 +219,7 @@ def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Val
             _push(x, lambda: _rows_matmul(g, W.data.T), owned=True)
             _push(W, lambda: _weight_grad(x.data, g), owned=True)
 
-    out = _node(data, "dense", (x, W) if b is None else (x, W, b), _back)
-    out._kink, out._mask = kink, mask
-    return out
+    return _node(data, "dense_relu" if relu else "dense", (x, W) if b is None else (x, W, b), _back)
 
 
 def broadcast_to(a: Value, shape) -> Value:
@@ -308,40 +295,37 @@ def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
 def mean(a: Value, axis: int = 0) -> Value:
     """Mean over one axis, summed in index order in one pass; the gradient is ``g / k`` on every row.
 
-    Each entry of the result is reduced from its own k values alone, the
-    same way wherever it sits (numpy adds along a leading axis one slice
-    at a time; only a single-entry slice is summed pairwise), so reordering
-    the other axes reorders the result exactly.
+    Each entry of the result is the sum of its own k values in index order,
+    the same way wherever it sits, so reordering the other axes reorders
+    the result exactly. numpy adds along a leading axis one slice at a
+    time, except that it sums a stack of single-entry slices pairwise; that
+    shape is accumulated slice by slice instead.
     Unlike ``mean_pool`` it is not exact under a reordering of ``axis``
     itself: the encoder uses it for each atom's fixed sequence of views.
     """
     a = _wrap(a)
     axis = axis % a.data.ndim
     k = a.data.shape[axis]
-    return _node(np.sum(a.data, axis=axis) / k, "mean", (a,),
+    if k > 1 and a.data.size == k:
+        total = np.add.accumulate(a.data, axis=axis).take(-1, axis=axis)
+    else:
+        total = np.sum(a.data, axis=axis)
+    return _node(total / k, "mean", (a,),
                  lambda g: _push(a, lambda: np.broadcast_to(np.expand_dims(g / k, axis), a.data.shape)))
 
 
 def max_pool(a: Value, axis: int = 0, offsets=None) -> Value:
     """Column-wise max over one axis (or each segment of it); the gradient goes to the first maximum."""
     axis = axis % a.data.ndim
-    if offsets is None:
-        return _max_pool(a, axis, np.array([0, a.data.shape[axis]]), keep_axis=False)
-    return _max_pool(a, axis, _segments(offsets, a.data.shape[axis]), keep_axis=True)
-
-
-def _max_pool(a: Value, axis: int, offsets: np.ndarray, keep_axis: bool) -> Value:
-    if keep_axis:
-        data = _per_segment(a.data, axis, offsets, np.max)
-    else:
-        data = np.max(a.data, axis=axis)
-    if not _needs_grad(a):
-        return Value(data, _op="max_pool")
-    # index of each segment's first maximum, along the whole axis
-    starts = np.expand_dims(offsets[:-1], tuple(range(1, a.data.ndim - axis)))
-    argmax = _per_segment(a.data, axis, offsets, np.argmax) + starts
+    n = a.data.shape[axis]
+    keep_axis = offsets is not None
+    offsets = _segments(offsets, n) if keep_axis else np.array([0, n])
+    data = _per_segment(a.data, axis, offsets, np.max) if keep_axis else np.max(a.data, axis=axis)
 
     def _back(g):
+        # index of each segment's first maximum, along the whole axis
+        starts = np.expand_dims(offsets[:-1], tuple(range(1, a.data.ndim - axis)))
+        argmax = _per_segment(a.data, axis, offsets, np.argmax) + starts
         buf = np.zeros_like(a.data)
         np.put_along_axis(buf, argmax, g if keep_axis else np.expand_dims(g, axis), axis)
         a._accumulate(buf, owned=True)
@@ -532,10 +516,10 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
     at a time so that its rows stay in cache. The statistics are folded
     into the running estimates one (segment, matrix) pair at a time,
     segment by segment and in stack order within a segment. ``relu``
-    applies a relu to the result in the same node, keeping its sign
-    pattern and kink flag as ``dense`` does. (Inference folds the running
-    statistics into the preceding weights instead; see
-    ``encoder3d.pointwise_stack``.)
+    applies a relu to the result in the same node, a ``"batchnorm_relu"``
+    op whose backward reads the sign pattern off the output, as ``dense``
+    does. (Inference folds the running statistics into the preceding
+    weights instead; see ``encoder3d.pointwise_stack``.)
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
@@ -546,11 +530,8 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         )
     n = x.data.shape[-2]
     blocks = list(pairwise(_segments([0, n] if offsets is None else offsets, n)))
-    taped = _needs_grad(x, gamma, beta)
     xhat = np.empty_like(x.data)
     out = np.empty_like(x.data)
-    mask = np.empty(x.data.shape, dtype=bool) if relu and taped else None
-    kink = False
     inv_stds, mus, variances = [], [], []
     for start, stop in blocks:
         part, rows = x.data[..., start:stop, :], stop - start
@@ -569,10 +550,7 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         np.multiply(gamma.data, normed, out=block)
         block += beta.data
         if relu:
-            kink = kink or (taped and bool(np.any(block == 0.0)))
             np.maximum(block, 0.0, out=block)
-            if mask is not None:
-                np.greater(block, 0.0, out=mask[..., start:stop, :])
     _fold_running(state, np.concatenate(mus), np.concatenate(variances))
 
     def _back(g):
@@ -580,8 +558,8 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         gx = np.empty_like(g) if x.requires_grad else None
         for (start, stop), inv_std in zip(blocks, inv_stds):
             part, rows = g[..., start:stop, :], stop - start
-            if mask is not None:
-                part = part * mask[..., start:stop, :]
+            if relu:
+                part = part * (out[..., start:stop, :] > 0.0)
             part_xhat = xhat[..., start:stop, :]
             g_sum = part.sum(axis=-2, keepdims=True)
             gx_sum = (part * part_xhat).sum(axis=-2, keepdims=True)
@@ -595,9 +573,7 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         if gx is not None:
             x._accumulate(gx, owned=True)
 
-    node = _node(out, "batchnorm", (x, gamma, beta), _back)
-    node._kink, node._mask = kink, mask
-    return node
+    return _node(out, "batchnorm_relu" if relu else "batchnorm", (x, gamma, beta), _back)
 
 
 def mse(pred: Value, target) -> Value:
@@ -663,14 +639,9 @@ def backward(root: Value) -> None:
             node._backward_fn(node._grad)
 
 
-def graph_has_kink(root: Value) -> bool:
-    """True when any activation in the graph sat exactly on a kink."""
-    return any(node._kink for node in _topo_order(root))
-
-
 def _activation_pattern(root: Value) -> list[np.ndarray]:
-    """Sign pattern of every fused relu, in deterministic graph order."""
-    return [node._mask for node in _topo_order(root) if node._mask is not None]
+    """Sign pattern (output > 0) of every fused relu, in deterministic graph order."""
+    return [node.data > 0.0 for node in _topo_order(root) if node._op in ("dense_relu", "batchnorm_relu")]
 
 
 def _patterns_differ(a, b) -> bool:
@@ -725,11 +696,12 @@ def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
 
     ``f(store)`` must build and return a scalar Value and be a pure
     function of the stored parameters. A probe is skipped when the central
-    difference is not valid at that point: an activation input sat exactly
-    on a kink, or the stencil crossed one (the sign pattern of a fused relu
-    differs between the three evaluations). Returns the max relative error
-    max|a - n| / max(|a|, |n|, 1e-8) over the evaluated probes, 0.0 if
-    every probe was skipped.
+    difference is not valid at that point: the stencil moved a relu onto or
+    across its kink (the sign pattern of a fused relu differs between the
+    three evaluations). A relu input that sits exactly on 0 and stays there
+    is no reason to skip: the relu is flat along that probe. Returns the
+    max relative error max|a - n| / max(|a|, |n|, 1e-8) over the evaluated
+    probes, 0.0 if every probe was skipped.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -743,7 +715,6 @@ def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
     store.zero_grad()
     root = f(store)
     backward(root)
-    base_kink = graph_has_kink(root)
     base_pattern = _activation_pattern(root)
     analytic = {}
     for idx in flat:
@@ -761,8 +732,6 @@ def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
         data.flat[offset] = orig - h
         minus = f(store)
         data.flat[offset] = orig
-        if base_kink or graph_has_kink(plus) or graph_has_kink(minus):
-            continue
         if _patterns_differ(base_pattern, _activation_pattern(plus)) or _patterns_differ(
             base_pattern, _activation_pattern(minus)
         ):

@@ -197,6 +197,17 @@ def rbf_expand(d, centers=None, gamma: float = RBF_GAMMA) -> np.ndarray:
     return np.exp(-gamma * (d[..., None] - centers) ** 2)
 
 
+def vocab_rows(vocab, atomic_numbers) -> np.ndarray:
+    """Row of each atomic number in ``vocab``; an element outside it raises UnknownElement."""
+    index = {z: i for i, z in enumerate(vocab)}
+    rows = []
+    for z in atomic_numbers:
+        if int(z) not in index:
+            raise UnknownElement(f"atomic number {int(z)} not in vocabulary {list(vocab)}")
+        rows.append(index[int(z)])
+    return np.asarray(rows, dtype=np.int64)
+
+
 def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
                 vocab=None, task_names=None, edge_features: str = "auto") -> MolecularGraph:
     """Turn a record into a molecular graph.
@@ -237,12 +248,8 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     edge_feats = np.repeat(feats, 2, axis=0)
 
     if vocab is not None:
-        index = {z: i for i, z in enumerate(vocab)}
         node_feats = np.zeros((n, len(vocab)))
-        for row, z in enumerate(record.atomic_numbers):
-            if z not in index:
-                raise UnknownElement(f"atomic number {z} not in vocabulary {list(vocab)}")
-            node_feats[row, index[z]] = 1.0
+        node_feats[np.arange(n), vocab_rows(vocab, record.atomic_numbers)] = 1.0
     else:
         node_feats = np.asarray(record.atomic_numbers, dtype=np.float64)[:, None]
 

@@ -22,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .alignment import canonical_align
 from .autodiff import BatchNormState, ParameterStore, Value
-from .errors import DegenerateCloud, InvalidConfig, ShapeError, UnknownElement
+from .data import vocab_rows
+from .errors import DegenerateCloud, InvalidConfig, ShapeError
 from .geometry import PointCloud, center_cloud, sample_rotations
 
 POOL_MODES = ("mean", "max")
@@ -79,19 +80,21 @@ class AtomEmbeddingTable:
             raise ShapeError(
                 f"embedding rows {values.data.shape[0]} != vocabulary size {len(self.vocab)}"
             )
-        self._index = {z: i for i, z in enumerate(self.vocab)}
 
     @property
     def embed_dim(self) -> int:
         return self.values.data.shape[1]
 
     def indices(self, atomic_numbers) -> np.ndarray:
-        rows = []
-        for z in atomic_numbers:
-            if int(z) not in self._index:
-                raise UnknownElement(f"atomic number {int(z)} not in vocabulary {list(self.vocab)}")
-            rows.append(self._index[int(z)])
-        return np.asarray(rows, dtype=np.int64)
+        return vocab_rows(self.vocab, atomic_numbers)
+
+
+def init_embedding_table(store: ParameterStore, cfg: EncoderConfig, vocab,
+                         rng: np.random.Generator) -> AtomEmbeddingTable | None:
+    """The ``enc.embed`` table, one N(0, 1) row per element; None without atom embeddings."""
+    if not cfg.use_atom_embedding:
+        return None
+    return AtomEmbeddingTable(vocab, store.add("enc.embed", rng.normal(0.0, 1.0, (len(vocab), cfg.embed_dim))))
 
 
 def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
@@ -101,9 +104,7 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
     Returns (table, bn_states) where bn_states maps state names to
     BatchNormState objects (running statistics live outside the store).
     """
-    table = None
-    if cfg.use_atom_embedding:
-        table = AtomEmbeddingTable(vocab, store.add("enc.embed", rng.normal(0.0, 1.0, (len(vocab), cfg.embed_dim))))
+    table = init_embedding_table(store, cfg, vocab, rng)
     bn_states = {}
     fan_in = cfg.input_width
     for layer, width in enumerate(cfg.widths):

@@ -103,22 +103,18 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
     Messages go along directed edges: the destination node v receives
     M(h_v, h_src, e) from each incoming edge, where M is a one-hidden-layer
     perceptron; incoming messages are summed per node (nodes without
-    incoming edges get a zero message). The update is
+    incoming edges, every node of an edgeless graph included, get a zero
+    message, and the message weights a zero gradient). The update is
     h' = relu(affine(concat(h, m))). ``plan`` is ``ad.scatter_plan`` of
     the edge destinations, passed in when several layers share the graph.
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
-    if graph.n_edges > 0:
-        src, dst = graph.edges[:, 0], graph.edges[:, 1]
-        h_dst = ad.gather_rows(h, dst)
-        h_src = ad.gather_rows(h, src)
-        pair = ad.concat([h_dst, h_src, Value(graph.edge_feats)], axis=1)
-        hidden = ad.dense(pair, store[f"gnn.l{layer}.msg1.W"], store[f"gnn.l{layer}.msg1.b"], relu=True)
-        messages = ad.dense(hidden, store[f"gnn.l{layer}.msg2.W"], store[f"gnn.l{layer}.msg2.b"])
-        m = ad.scatter_add_rows(messages, dst, graph.n_nodes, plan=plan)
-    else:
-        m = Value(np.zeros((graph.n_nodes, cfg.message_width)))
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    pair = ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(graph.edge_feats)], axis=1)
+    hidden = ad.dense(pair, store[f"gnn.l{layer}.msg1.W"], store[f"gnn.l{layer}.msg1.b"], relu=True)
+    messages = ad.dense(hidden, store[f"gnn.l{layer}.msg2.W"], store[f"gnn.l{layer}.msg2.b"])
+    m = ad.scatter_add_rows(messages, dst, graph.n_nodes, plan=plan)
     joint = ad.concat([h, m], axis=1)
     return ad.dense(joint, store[f"gnn.l{layer}.upd.W"], store[f"gnn.l{layer}.upd.b"], relu=True)
 
@@ -148,7 +144,7 @@ def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
     every layer.
     """
     h = initial_states(graph, store, cfg, node_feats=node_feats)
-    plan = ad.scatter_plan(graph.edges[:, 1], graph.n_nodes) if graph.n_edges > 0 else None
+    plan = ad.scatter_plan(graph.edges[:, 1], graph.n_nodes)
     for layer in range(cfg.layers):
         h = message_pass(h, graph, store, cfg, layer, plan)
     return readout(h, cfg.readout, offsets)

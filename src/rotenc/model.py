@@ -134,11 +134,7 @@ class Model:
 
         if not cfg.ablate_3d:
             if cfg.ablate_pointwise:
-                if cfg.encoder.use_atom_embedding:
-                    self.enc_table = encoder3d.AtomEmbeddingTable(
-                        self.vocab,
-                        self.store.add("enc.embed", rng.normal(0.0, 1.0, (len(self.vocab), cfg.encoder.embed_dim))),
-                    )
+                self.enc_table = encoder3d.init_embedding_table(self.store, cfg.encoder, self.vocab, rng)
             else:
                 self.enc_table, self.bn_states = encoder3d.init_encoder_params(
                     self.store, cfg.encoder, self.vocab, rng

@@ -242,11 +242,14 @@ class TestScatterPlan:
 
 class TestMean:
     def test_sums_the_axis_in_index_order(self):
-        x = np.random.default_rng(3).normal(size=(16, 5, 4)) * np.logspace(-6, 6, 4)
-        ordered = x[0].copy()
-        for view in x[1:]:
-            ordered += view
-        assert_same_bits(ad.mean(Value(x), axis=0).data, ordered / 16)
+        # a stack of one-entry slices is the shape numpy would sum pairwise
+        for shape, seeds in (((16, 5, 4), [3]), ((64, 1, 1), range(20)), ((16, 1, 1), range(20))):
+            for seed in seeds:
+                x = np.random.default_rng(seed).normal(size=shape) * np.logspace(-6, 6, shape[-1])
+                ordered = x[0].copy()
+                for view in x[1:]:
+                    ordered += view
+                assert_same_bits(ad.mean(Value(x), axis=0).data, ordered / shape[0])
 
     def test_exact_under_reordering_of_the_other_axes(self):
         rng = np.random.default_rng(4)
@@ -330,9 +333,7 @@ class TestBackward:
 def _chain_relu(a):
     """The stand-alone relu node the matmul -> add -> relu chain ended in, kept as the oracle of ``dense``."""
     mask = a.data > 0.0
-    out = ad._node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask, owned=True))
-    out._kink = bool(np.any(a.data == 0.0))
-    return out
+    return ad._node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask, owned=True))
 
 
 def _vector_chain(v, W, b, relu, target):
@@ -370,13 +371,12 @@ class TestDense:
                 if relu:
                     out = _chain_relu(out)
             ad.backward(ad.mse(out, target))
-            results.append((out.data, x.grad, W.grad, b.grad, out._kink))
-        (out, gx, gW, gb, kink), chain = results
+            results.append((out.data, x.grad, W.grad, b.grad))
+        (out, gx, gW, gb), chain = results
         # gradients are stored C-ordered, so the chain's broadcast node sums
         # a stacked bias gradient in the same order as the fused node
         for fused, want in zip((out, gx, gW, gb), chain):
             assert_same_bits(fused, want)
-        assert kink == chain[4] == (relu and not bias)  # the zero row sits on the kink
 
     @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
     def test_vector_input_byte_equal_to_chain(self, relu):
@@ -389,12 +389,9 @@ class TestDense:
             assert_same_bits(got, want)
 
     def test_relu_pattern_is_the_pre_activation_sign(self):
-        # the sign pattern is backward-only work, kept for inputs that need a gradient
         x = Value(np.array([[1.0, -1.0, 0.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(3)), relu=True)
         np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(out._mask, [[True, False, False]])
-        assert out._kink
         assert [m.tolist() for m in ad._activation_pattern(ad.sum_pool(ad.sum_pool(out)))] == [
             [[True, False, False]]]
 
@@ -419,7 +416,6 @@ class TestNoGrad:
             h, root = build()
         for node in (h, root):
             assert node._parents == () and node._backward_fn is None
-            assert node._mask is None and not node._kink
         assert build()[1].data.tobytes() == root.data.tobytes()
 
     def test_nests_and_restores_after_an_exception(self):
@@ -440,7 +436,6 @@ class TestRequiresGrad:
         a, b = Value(np.ones((2, 3))), Value(np.ones((3, 2)))
         out = ad.dense(a, b, relu=True)
         assert not out.requires_grad and out._parents == () and out._backward_fn is None
-        assert out._mask is None and not out._kink
 
     def test_gradient_reaches_only_inputs_that_need_it(self):
         w = Value(np.arange(6.0).reshape(3, 2), requires_grad=True)
@@ -580,6 +575,33 @@ class TestGradientCheck:
             store, h=1e-5, n_probe=1, seed=0,
         )
         assert err == 0.0
+
+    def test_batchnorm_kink_probe_skipped(self):
+        # the first row's relu input is 1e-7, which a probe of either
+        # parameter (h = 1e-5) moves across the kink, so both must be skipped
+        x = Value(np.array([[-1.0], [1.0]]))
+        xhat = -1.0 / np.sqrt(1.0 + ad.BN_EPS)
+        store = store_with(g=np.ones(1), b=np.array([1e-7 - xhat]))
+        state = BatchNormState.for_width(1)
+        err = ad.gradient_check(
+            lambda s: ad.sum_pool(ad.sum_pool(ad.batchnorm(x, s["g"], s["b"], state, relu=True), axis=0), axis=0),
+            store, h=1e-5, n_probe=2, seed=0,
+        )
+        assert err == 0.0
+
+    def test_relu_on_zero_does_not_hide_a_wrong_gradient(self):
+        # the zero row puts three relu inputs exactly on 0 for every probe of
+        # W; the relu is flat there, so the probes stay valid and must show
+        # that the test-local node's backward slope (3) is not its forward one (2)
+        x = Value(np.array([[0.0, 0.0], [1.0, 2.0]]))
+        store = store_with(w=np.random.default_rng(6).uniform(0.5, 1.5, size=(2, 3)))
+
+        def f(s):
+            h = ad.dense(x, s["w"], relu=True)
+            wrong = ad._node(h.data * 2.0, "wrong", (h,), lambda g: h._accumulate(g * 3.0, owned=True))
+            return ad.sum_pool(ad.sum_pool(wrong, axis=0), axis=0)
+
+        assert ad.gradient_check(f, store, h=1e-5, n_probe=6, seed=0) > 0.1
 
     @staticmethod
     def full_stack_error(cfg):

@@ -68,5 +68,8 @@ def test_tracer_records_spans_around_train_and_predict_and_uninstalls(tracing):
                  "autodiff.backward", "model.predict"):
         assert spans.get(name, {}).get("calls", 0) >= 1, name
     assert tracer.counts["encoder3d.views"] > 0
+    # the relus' backward-only work runs inside the closures the tracer times
+    for layer in ("encoder3d.encode", "gnn.gnn_forward", "model.predict_head"):
+        assert tracer.bwd_s.get(layer, 0.0) > 0, layer
     assert {(m, a): _resolve(m, a) for m, a, _ in tracing.TRACED} == before
     assert rotenc.autodiff.Value.__init__ is value_init

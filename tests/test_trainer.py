@@ -235,6 +235,20 @@ class TestTraining:
         ckpt, history = train(cfg, records)
         assert np.isfinite(history[-1]["train_loss"])
 
+    def test_edgeless_batches_train(self):
+        # a batch of one one-atom molecule has no edge: its message weights
+        # must get a zero gradient, not none
+        carbons = [MoleculeRecord(id=f"c{i}", atomic_numbers=[6], coords=np.array([[0.1 * i, 0.0, 0.0]]),
+                                  bonds=None, targets={"rg": 0.0}) for i in range(6)]
+        records = make_records(4, seed=4, n_atoms_range=(4, 7)) + carbons
+        cfg = TrainConfig(model=tiny_model_config(), split=SplitSpec(mode="holdout", train_fraction=0.7, seed=1),
+                          epochs=2, batch_size=1)
+        train_idx, _ = split_records(records, cfg.split)
+        assert any(records[i].n_atoms == 1 for i in train_idx)
+        ckpt, history = train(cfg, records)
+        assert len(history) == 2 and all(np.isfinite(entry["train_loss"]) for entry in history)
+        assert all(np.all(np.isfinite(value)) for value in ckpt.params.values())
+
     def test_pre_align_names_a_degenerate_molecule(self):
         co = MoleculeRecord(id="co", atomic_numbers=[6, 8],
                             coords=np.array([[0.0, 0.0, 0.0], [1.13, 0.0, 0.0]]), bonds=None,
