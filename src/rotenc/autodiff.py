@@ -20,18 +20,12 @@ uses (a fused relu's sign pattern, the argmax of ``max_pool``) runs inside
 the backward closure, from the arrays the closure already holds, so no
 forward pass pays for it and no node stores it.
 
-Which reductions are exact, and over what: the reductions over atoms or
-edges (``sum_pool``, ``mean_pool``, ``scatter_add_rows`` and the batch
-statistics inside ``batchnorm``) sum each column in ascending value order,
-so their forward results are bit-identical under any permutation of the
-reduced rows. ``mean`` is the one reduction that is not: it averages a
-leading axis in index order (the k views of each atom), which is cheap and
-exact under any reordering of the other axes, because every entry is
-reduced from its own values alone. Given ``offsets``, the pooling ops and
-``batchnorm`` treat their row axis as segments stored back to back (one
-molecule of a packed batch each, segment b in rows
-``offsets[b]:offsets[b+1]``) and reduce every segment on its own, exactly
-as they reduce a lone segment.
+Every reduction sums its rows in index order; exactness under atom
+permutation comes from the one canonical atom order of ``Model.prepare``.
+Given ``offsets``, the pooling ops and ``batchnorm`` treat their row axis
+as segments stored back to back (one molecule of a packed batch each,
+segment b in rows ``offsets[b]:offsets[b+1]``) and reduce every segment on
+its own, exactly as they reduce a lone segment.
 """
 
 from __future__ import annotations
@@ -44,11 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotScalar, ShapeError
-
-
-def _psum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Permutation-exact sum: sort along the axis, then add."""
-    return np.sum(np.sort(arr, axis=axis), axis=axis)
 
 
 _grad_enabled = True
@@ -242,54 +231,42 @@ def _segments(offsets, n: int) -> np.ndarray:
     return offsets
 
 
-def _per_segment(arr: np.ndarray, axis: int, offsets: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(part, axis)`` of every segment of ``axis``, stacked along that axis."""
-    if offsets.size == 2:
-        whole = reduce(arr, axis)
-        return whole.reshape(whole.shape[:axis] + (1,) + whole.shape[axis:])
-    index = [slice(None)] * arr.ndim
-    parts = []
-    for start, stop in zip(offsets[:-1], offsets[1:]):
-        index[axis] = slice(start, stop)
-        parts.append(reduce(arr[tuple(index)], axis))
-    return np.stack(parts, axis=axis)
-
-
-def _pool(a: Value, axis: int, offsets, reduce, op: str, mean: bool) -> Value:
-    """Reduce one axis of ``a`` with ``reduce``, whole or per segment.
+def _pool(a: Value, axis: int, offsets, op: str, mean: bool) -> Value:
+    """Sum, or average for a ``mean``, one axis of ``a``, whole or per segment.
 
     Without offsets the axis is dropped; with offsets it keeps one entry per
-    segment. The backward spreads each entry's gradient over its rows,
-    divided by the row count for a ``mean``.
+    segment. One ``reduceat`` sums every segment in row order, each on its
+    own, so a segment sums exactly as it does alone. The backward spreads
+    each entry's gradient over its rows, divided by the row count for a
+    ``mean``.
     """
     axis = axis % a.data.ndim
     n = a.data.shape[axis]
-    if offsets is None:
-        data = reduce(a.data, axis)
-    else:
-        offsets = _segments(offsets, n)
-        data = _per_segment(a.data, axis, offsets, reduce)
+    bounds = _segments([0, n] if offsets is None else offsets, n)
+    lengths = bounds[1:] - bounds[:-1]
+    per_row = [1] * a.data.ndim
+    per_row[axis] = -1
+    data = np.add.reduceat(a.data, bounds[:-1], axis=axis)
+    if mean:
+        data /= lengths.reshape(per_row)
 
     def _back(g):
-        lengths = np.full(1, n) if offsets is None else offsets[1:] - offsets[:-1]
         grad = np.repeat(g if offsets is not None else np.expand_dims(g, axis), lengths, axis=axis)
         if mean:
-            counts = [1] * a.data.ndim
-            counts[axis] = -1
-            grad /= np.repeat(lengths, lengths).reshape(counts)
+            grad /= np.repeat(lengths, lengths).reshape(per_row)
         a._accumulate(grad, owned=True)
 
-    return _node(data, op, (a,), _back)
+    return _node(data if offsets is not None else data.squeeze(axis), op, (a,), _back)
 
 
 def sum_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise sum over one axis (or each segment of it), permutation-exact in the reduced rows."""
-    return _pool(a, axis, offsets, _psum, "sum_pool", mean=False)
+    """Column-wise sum over one axis (or each segment of it), in row order."""
+    return _pool(a, axis, offsets, "sum_pool", mean=False)
 
 
 def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise mean over one axis (or each segment of it), permutation-exact in the reduced rows."""
-    return _pool(a, axis, offsets, lambda part, ax: _psum(part, ax) / part.shape[ax], "mean_pool", mean=True)
+    """Column-wise mean over one axis (or each segment of it), summed in row order."""
+    return _pool(a, axis, offsets, "mean_pool", mean=True)
 
 
 def mean(a: Value, axis: int = 0) -> Value:
@@ -300,8 +277,6 @@ def mean(a: Value, axis: int = 0) -> Value:
     the result exactly. numpy adds along a leading axis one slice at a
     time, except that it sums a stack of single-entry slices pairwise; that
     shape is accumulated slice by slice instead.
-    Unlike ``mean_pool`` it is not exact under a reordering of ``axis``
-    itself: the encoder uses it for each atom's fixed sequence of views.
     """
     a = _wrap(a)
     axis = axis % a.data.ndim
@@ -318,19 +293,19 @@ def max_pool(a: Value, axis: int = 0, offsets=None) -> Value:
     """Column-wise max over one axis (or each segment of it); the gradient goes to the first maximum."""
     axis = axis % a.data.ndim
     n = a.data.shape[axis]
-    keep_axis = offsets is not None
-    offsets = _segments(offsets, n) if keep_axis else np.array([0, n])
-    data = _per_segment(a.data, axis, offsets, np.max) if keep_axis else np.max(a.data, axis=axis)
+    bounds = _segments([0, n] if offsets is None else offsets, n)
+    data = np.maximum.reduceat(a.data, bounds[:-1], axis=axis)
 
     def _back(g):
         # index of each segment's first maximum, along the whole axis
-        starts = np.expand_dims(offsets[:-1], tuple(range(1, a.data.ndim - axis)))
-        argmax = _per_segment(a.data, axis, offsets, np.argmax) + starts
+        rows = np.arange(n).reshape((-1,) + (1,) * (a.data.ndim - axis - 1))
+        at_max = a.data == np.repeat(data, bounds[1:] - bounds[:-1], axis=axis)
+        argmax = np.minimum.reduceat(np.where(at_max, rows, n), bounds[:-1], axis=axis)
         buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, argmax, g if keep_axis else np.expand_dims(g, axis), axis)
+        np.put_along_axis(buf, argmax, g if offsets is not None else np.expand_dims(g, axis), axis)
         a._accumulate(buf, owned=True)
 
-    return _node(data, "max_pool", (a,), _back)
+    return _node(data if offsets is not None else data.squeeze(axis), "max_pool", (a,), _back)
 
 
 def segment_matmul(a: Value, b: Value, offsets) -> Value:
@@ -383,24 +358,16 @@ def concat(parts, axis: int = 0) -> Value:
     return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", tuple(parts), _back)
 
 
-def gather_rows(a: Value, indices) -> Value:
-    """Select rows of a 2-d array; duplicate indices are allowed."""
+def gather_rows(a: Value, indices, *, plan: ScatterPlan | None = None) -> Value:
+    """Select rows of a 2-d array (duplicates allowed); a shared ``scatter_plan(indices, len(a))`` serves the backward."""
     indices = np.asarray(indices, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows: need 2-d input, got {a.data.shape}")
+    if plan is not None:
+        _check_plan(plan, indices.shape[0], a.data.shape[0])
 
     def _back(g):
-        if a.requires_grad:
-            # each row's gradient is the sum of its picks' gradients: a stable
-            # sort groups the picks by row and one reduceat sums every group,
-            # deterministically (it may round apart from np.add.at's pick-by-pick adds)
-            buf = np.zeros_like(a.data)
-            if indices.size:
-                order = np.argsort(indices, kind="stable")
-                rows = indices[order]
-                starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-                buf[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
-            a._accumulate(buf, owned=True)
+        _push(a, lambda: _scatter_sum(g, plan or scatter_plan(indices, a.data.shape[0])), owned=True)
 
     return _node(a.data[indices], "gather_rows", (a,), _back)
 
@@ -410,10 +377,9 @@ class ScatterPlan(NamedTuple):
 
     indices: np.ndarray  # destination of each input row
     counts: np.ndarray  # rows per destination (its in-degree)
-    order: np.ndarray  # stable argsort of ``indices``
-    dest: np.ndarray  # ``indices[order]``
-    slots: np.ndarray  # place of each sorted row among its destination's rows
-    max_count: int  # the largest in-degree
+    order: np.ndarray  # stable argsort of ``indices``: the rows grouped by destination, in index order
+    filled: np.ndarray  # the destinations that get at least one row, ascending
+    starts: np.ndarray  # where each filled destination's rows begin in ``order``
 
 
 def scatter_plan(indices, n_rows: int) -> ScatterPlan:
@@ -424,53 +390,42 @@ def scatter_plan(indices, n_rows: int) -> ScatterPlan:
     if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
         raise ShapeError(f"scatter_add_rows: indices out of range for {n_rows} rows")
     counts = np.bincount(indices, minlength=n_rows)
-    order = np.argsort(indices, kind="stable")
-    dest = indices[order]
-    slots = np.arange(dest.size) - (np.cumsum(counts) - counts)[dest]
-    return ScatterPlan(indices, counts, order, dest, slots, int(counts.max(initial=0)))
+    filled = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[filled]
+    return ScatterPlan(indices, counts, np.argsort(indices, kind="stable"), filled, starts)
+
+
+def _check_plan(plan: ScatterPlan, n_in: int, n_rows: int) -> None:
+    if plan.indices.shape != (n_in,) or plan.counts.size != n_rows:
+        raise ShapeError(f"scatter plan of {plan.indices.shape[0]} rows into {plan.counts.size} "
+                         f"does not fit {n_in} rows into {n_rows}")
+
+
+def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
+    """Row i sums the rows of ``x`` planned for destination i, in index order, and no other row."""
+    out = np.zeros((plan.counts.size,) + x.shape[1:])
+    if plan.filled.size:
+        out[plan.filled] = np.add.reduceat(x[plan.order], plan.starts, axis=0)
+    return out
 
 
 def scatter_add_rows(a: Value, indices, n_rows: int, *, plan: ScatterPlan | None = None) -> Value:
     """Accumulate rows of ``a`` into ``n_rows`` destination rows.
 
-    Row i of the output is the sum of all rows j with indices[j] == i
-    (zero when there are none). This is the neighbor-sum aggregation for
-    message passing; each destination is summed permutation-exactly.
-    ``plan`` is ``scatter_plan(indices, n_rows)`` built once by a caller
-    that scatters along the same indices several times (every layer of
-    ``gnn.gnn_forward``); without it the call builds its own.
-
-    The rows go into one zero-padded ``(n_rows, max_in_degree, d)`` buffer,
-    destination by destination, which is sorted and summed along its middle
-    axis. numpy adds along a strided axis one slice at a time, starting
-    from +0.0, so the padding zeros change no partial sum and each output
-    row equals ``_psum`` of that destination's rows bit for bit. A single
-    column is summed along a contiguous axis, where numpy sums pairwise and
-    the grouping depends on the row count; one-column inputs are therefore
-    summed one in-degree class at a time, without padding.
+    Row i of the output is the sum of all rows j with indices[j] == i, in
+    index order (zero when there are none). This is the neighbor-sum
+    aggregation for message passing. ``plan`` is ``scatter_plan(indices,
+    n_rows)`` built once by a caller that scatters along the same indices
+    several times (every layer of ``gnn.gnn_forward``); without it the call
+    builds its own.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"scatter_add_rows: need 2-d input, got {a.data.shape}")
     if plan is None:
         plan = scatter_plan(indices, n_rows)
-    if plan.indices.shape != (a.data.shape[0],):
-        raise ShapeError(
-            f"scatter_add_rows: index shape {plan.indices.shape} does not match rows {a.data.shape}"
-        )
-    if plan.counts.size != n_rows:
-        raise ShapeError(f"scatter_add_rows: plan made for {plan.counts.size} rows, not {n_rows}")
-    counts = plan.counts
-    width = a.data.shape[1]
-    buf = np.zeros((n_rows, plan.max_count, width))
-    buf[plan.dest, plan.slots] = a.data[plan.order]
-    if width > 1:
-        result = np.sum(np.sort(buf, axis=1), axis=1)
-    else:
-        result = np.zeros((n_rows, 1))
-        for c in np.unique(counts[counts > 0]):
-            rows = counts == c
-            result[rows] = np.sum(np.sort(buf[rows, :c], axis=1), axis=1)
-    return _node(result, "scatter_add_rows", (a,), lambda g: _push(a, lambda: g[plan.indices], owned=True))
+    _check_plan(plan, a.data.shape[0], n_rows)
+    return _node(_scatter_sum(a.data, plan), "scatter_add_rows", (a,),
+                 lambda g: _push(a, lambda: g[plan.indices], owned=True))
 
 
 BN_MOMENTUM = 0.1  # weight of a new batch statistic in the running estimate
@@ -535,11 +490,8 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
     inv_stds, mus, variances = [], [], []
     for start, stop in blocks:
         part, rows = x.data[..., start:stop, :], stop - start
-        ordered = np.sort(part, axis=-2)
-        mu = ordered.sum(axis=-2, keepdims=True) / rows
-        # squared deviations summed in the order of the sorted values:
-        # tied values give tied squares, so the sum is permutation-exact
-        var = ((ordered - mu) ** 2).sum(axis=-2, keepdims=True) / rows
+        mu = part.sum(axis=-2, keepdims=True) / rows
+        var = ((part - mu) ** 2).sum(axis=-2, keepdims=True) / rows
         inv_stds.append(1.0 / np.sqrt(var + BN_EPS))
         normed = xhat[..., start:stop, :]
         np.subtract(part, mu, out=normed)

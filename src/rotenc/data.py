@@ -197,6 +197,15 @@ def rbf_expand(d, centers=None, gamma: float = RBF_GAMMA) -> np.ndarray:
     return np.exp(-gamma * (d[..., None] - centers) ** 2)
 
 
+def reorder_atoms(record: MoleculeRecord, order) -> MoleculeRecord:
+    """Atom i of the result is atom ``order[i]``; bonds follow, (lower, higher) endpoint first, sorted."""
+    rank = np.argsort(order).tolist()
+    bonds = None if record.bonds is None else sorted(
+        (min(rank[u], rank[v]), max(rank[u], rank[v]), o) for u, v, o in record.bonds)
+    return MoleculeRecord(id=record.id, atomic_numbers=[record.atomic_numbers[i] for i in order],
+                          coords=record.coords[order], bonds=bonds, targets=record.targets)
+
+
 def vocab_rows(vocab, atomic_numbers) -> np.ndarray:
     """Row of each atomic number in ``vocab``; an element outside it raises UnknownElement."""
     index = {z: i for i, z in enumerate(vocab)}

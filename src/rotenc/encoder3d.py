@@ -180,7 +180,7 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
 
 
 def pool_view(features: Value, mode: str = "mean", offsets=None) -> Value:
-    """Column-wise mean or max over atoms (axis -2), permutation-exact in the atoms.
+    """Column-wise mean or max over atoms (axis -2), summed in atom order.
 
     A (k, N, d) stack gives one fingerprint per view; ``encode`` hands the
     mean mode an (N, d) array of per-atom view averages instead. With
@@ -240,9 +240,9 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     gives each molecule of a batch its own views. All views run as one
     stacked (k, N, d) tensor. Under mean pooling each atom's k rows are
     averaged in view order (``ad.mean``), and the (N, d) averages are then
-    pooled over atoms: k times fewer rows to sort than pooling every view,
-    and still bit-exact under any reordering of the atoms, since an atom's
-    average comes from its own rows alone. Under max pooling every view is
+    pooled over atoms, in index order (``Model.prepare``'s canonical atom
+    order makes that exact under atom permutation): k times fewer rows than
+    pooling every view. Under max pooling every view is
     pooled over atoms and the k fingerprints are averaged. ``per_view``
     pools every view and returns one fingerprint row per view, (k, d_p) or
     (k, B, d_p). ``coords_value``/``emb_value`` feed the cloud's

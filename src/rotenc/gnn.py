@@ -97,7 +97,7 @@ def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
 
 
 def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                 layer: int, plan: ad.ScatterPlan | None = None) -> Value:
+                 layer: int, plans: tuple[ad.ScatterPlan, ad.ScatterPlan] | None = None) -> Value:
     """One round of message passing and node update.
 
     Messages go along directed edges: the destination node v receives
@@ -105,18 +105,25 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
     perceptron; incoming messages are summed per node (nodes without
     incoming edges, every node of an edgeless graph included, get a zero
     message, and the message weights a zero gradient). The update is
-    h' = relu(affine(concat(h, m))). ``plan`` is ``ad.scatter_plan`` of
-    the edge destinations, passed in when several layers share the graph.
+    h' = relu(affine(concat(h, m))). ``plans`` is ``edge_plans(graph)``,
+    passed in when several layers share the graph.
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    pair = ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(graph.edge_feats)], axis=1)
+    src_plan, dst_plan = plans if plans is not None else edge_plans(graph)
+    pair = ad.concat([ad.gather_rows(h, dst, plan=dst_plan), ad.gather_rows(h, src, plan=src_plan),
+                      Value(graph.edge_feats)], axis=1)
     hidden = ad.dense(pair, store[f"gnn.l{layer}.msg1.W"], store[f"gnn.l{layer}.msg1.b"], relu=True)
     messages = ad.dense(hidden, store[f"gnn.l{layer}.msg2.W"], store[f"gnn.l{layer}.msg2.b"])
-    m = ad.scatter_add_rows(messages, dst, graph.n_nodes, plan=plan)
+    m = ad.scatter_add_rows(messages, dst, graph.n_nodes, plan=dst_plan)
     joint = ad.concat([h, m], axis=1)
     return ad.dense(joint, store[f"gnn.l{layer}.upd.W"], store[f"gnn.l{layer}.upd.b"], relu=True)
+
+
+def edge_plans(graph: MolecularGraph) -> tuple[ad.ScatterPlan, ad.ScatterPlan]:
+    """``ad.scatter_plan`` of the edge sources and of the edge destinations."""
+    return tuple(ad.scatter_plan(graph.edges[:, end], graph.n_nodes) for end in (0, 1))
 
 
 def readout(node_states: Value, mode: str = "sum", offsets=None) -> Value:
@@ -140,11 +147,11 @@ def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
 
     One molecule gives a (hidden,) vector. Given ``offsets``, ``graph`` is
     the disjoint union of a packed batch's molecules and the result is
-    (B, hidden). The destinations' scatter plan is built once and shared by
+    (B, hidden). The edges' scatter plans are built once and shared by
     every layer.
     """
     h = initial_states(graph, store, cfg, node_feats=node_feats)
-    plan = ad.scatter_plan(graph.edges[:, 1], graph.n_nodes)
+    plans = edge_plans(graph)
     for layer in range(cfg.layers):
-        h = message_pass(h, graph, store, cfg, layer, plan)
+        h = message_pass(h, graph, store, cfg, layer, plans)
     return readout(h, cfg.readout, offsets)

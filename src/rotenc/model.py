@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
-from .data import MoleculeRecord, build_graph
+from .data import MoleculeRecord, build_graph, reorder_atoms
 from .encoder3d import EncoderConfig
 from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
 from .geometry import PointCloud
@@ -114,6 +114,22 @@ def for_molecule(record: MoleculeRecord):
         raise type(exc)(f"molecule {record.id}: {exc}") from exc
 
 
+def canonical_order(record: MoleculeRecord, cloud: PointCloud) -> np.ndarray:
+    """The atoms sorted by element, then (x, y, z) of the prepared ``cloud``, then the record's (x, y, z).
+
+    Atoms still tied coincide: interchangeable in a cutoff graph, while a
+    bonded record cannot tell their bonds apart and raises InvalidConfig.
+    """
+    keys = np.vstack([record.coords.T[::-1], cloud.coords.T[::-1], cloud.atomic_numbers])
+    order = np.lexsort(keys)
+    if record.bonds is not None:
+        tied = np.flatnonzero(np.all(np.diff(keys[:, order]) == 0, axis=0))
+        if tied.size:
+            raise InvalidConfig(f"molecule {record.id}: bonded atoms {order[tied[0]]} and {order[tied[0] + 1]} "
+                                "are one element at one position")
+    return order
+
+
 class Model:
     """Assembled network with its parameters and batchnorm states.
 
@@ -166,15 +182,23 @@ class Model:
         the align policy is read: training aligns only under ``pre``,
         inference under ``pre`` and ``post``. A molecule that cannot be
         aligned raises DegenerateCloud or TooFewPoints naming its id.
+
+        Graph and cloud then take ``canonical_order``, so any atom order of
+        a record that prepares to the same cloud gives the same arrays (exact
+        centering does; PCA alignment, which reads atoms by index, need not).
         """
         cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
         if not self.cfg.ablate_3d:
             mode = self.cfg.encoder.align_mode
             with for_molecule(record):
                 cloud = encoder3d.prepare_cloud(cloud, mode == "pre" or (mode == "post" and not training))
-        graph = build_graph(record, self.cfg.cutoff, vocab=self.vocab, task_names=self.task_names,
+        order = canonical_order(record, cloud)
+        graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
+                            task_names=self.task_names,
                             edge_features="constant" if self.cfg.ablate_features else "auto")
-        return Molecule(record.id, graph, cloud)
+        # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
+        cloud = PointCloud(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
+        return Molecule(record.id, graph, cloud, order)
 
     def forward(self, batch: Batch, *, training: bool = False, rotations=None,
                 node_feats: Value | None = None, coords_value=None,
@@ -274,10 +298,11 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     shared leaf; the coordinate gradient therefore already carries the
     average over the k sampled views. The per-atom score is the Euclidean
     norm of the concatenated per-atom input gradient, normalized so the
-    largest score is 1. Coordinate gradients are reported with the
-    centering projection applied (a uniform shift of all atoms is not a
-    real input direction); for aligned models the canonical frame is held
-    fixed, so the score is a linearization around it.
+    largest score is 1, and the scores come in the record's atom order.
+    Coordinate gradients are reported with the centering projection
+    applied (a uniform shift of all atoms is not a real input direction);
+    for aligned models the canonical frame is held fixed, so the score is a
+    linearization around it.
     """
     if not (0 <= task_index < len(model.task_names)):
         raise InvalidConfig(f"task_index {task_index} out of range for {model.task_names}")
@@ -307,6 +332,7 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     peak = float(scores.max())
     if peak > 0:
         scores = scores / peak
+    rank = np.argsort(molecule.order)
     if return_components:
-        return scores, coord_component
-    return scores
+        return scores[rank], coord_component[rank]
+    return scores[rank]

@@ -5,9 +5,9 @@ molecule b owns atoms ``offsets[b]:offsets[b+1]`` of both the graph and the
 cloud; each molecule's edge indices are shifted by its offset, so no edge
 joins two molecules. The model runs every layer once per batch: message
 passing already sums each destination on its own, and every reduction over
-atoms (readout, batchnorm statistics, pooling) is taken per molecule, so a
-molecule's values do not depend on its batch companions. One molecule is
-the batch with ``offsets = [0, n]``.
+atoms (readout, batchnorm statistics, pooling) is taken per molecule, in
+its canonical atom order (``Model.prepare``), so a molecule's values do
+not depend on its batch companions. One molecule is ``offsets = [0, n]``.
 """
 
 from __future__ import annotations
@@ -23,15 +23,17 @@ from .gnn import MolecularGraph
 
 @dataclass(frozen=True)
 class Molecule:
-    """One molecule ready to pack: its graph and its prepared cloud.
+    """One molecule ready to pack: its graph, its prepared cloud and their atom order.
 
     The cloud is centered and, under an aligning policy, in its canonical
-    frame (``Model.prepare``); packing does not touch coordinates.
+    frame (``Model.prepare``); packing does not touch coordinates. Atom i
+    of graph and cloud is atom ``order[i]`` of the record.
     """
 
     id: str
     graph: MolecularGraph
     cloud: PointCloud
+    order: np.ndarray
 
 
 @dataclass(frozen=True)

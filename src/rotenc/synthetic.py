@@ -14,6 +14,7 @@ import numpy as np
 
 from .alignment import canonical_align
 from .data import MoleculeRecord
+from .errors import TooFewPoints
 from .geometry import PointCloud
 
 ELEMENT_POOL = (1, 6, 7, 8)
@@ -29,14 +30,14 @@ def radius_of_gyration(coords: np.ndarray) -> float:
 
 def random_cloud(n_atoms: int, rng: np.random.Generator,
                  spread=DEFAULT_SPREAD, require_generic: bool = True) -> PointCloud:
-    """Random anisotropic cloud; resamples until the spectrum is non-degenerate."""
+    """Random anisotropic cloud; resamples until the spectrum is non-degenerate (needs 3 atoms)."""
+    if require_generic and n_atoms < 3:
+        raise TooFewPoints(f"a cloud with a non-degenerate spectrum needs >= 3 atoms, got {n_atoms}")
     for _ in range(100):
         coords = rng.normal(size=(n_atoms, 3)) * np.asarray(spread)
         z = rng.choice(ELEMENT_POOL, size=n_atoms)
         cloud = PointCloud(coords, z)
-        if not require_generic:
-            return cloud
-        if n_atoms >= 3 and not canonical_align(cloud).degenerate:
+        if not require_generic or not canonical_align(cloud).degenerate:
             return cloud
     raise RuntimeError("could not generate a non-degenerate cloud")
 

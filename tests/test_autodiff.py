@@ -69,52 +69,12 @@ class TestPrimitiveForward:
 
 
 class TestPermutationExactness:
-    def test_pool_sums_are_permutation_exact(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(11, 5)) * np.logspace(-3, 3, 5)
-        perm = rng.permutation(11)
-        for op in (ad.sum_pool, ad.mean_pool, ad.max_pool):
-            a = op(Value(x), axis=0).data
-            b = op(Value(x[perm]), axis=0).data
-            assert np.array_equal(a, b), op.__name__
+    """Segments of a packed batch reduce exactly as their lone molecules do.
 
-    def test_scatter_add_permutation_exact(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(9, 3)) * 1e3
-        idx = np.array([0, 1, 1, 0, 2, 2, 2, 0, 1])
-        perm = rng.permutation(9)
-        a = ad.scatter_add_rows(Value(x), idx, 3).data
-        b = ad.scatter_add_rows(Value(x[perm]), idx[perm], 3).data
-        assert np.array_equal(a, b)
-
-    def test_batchnorm_stats_permutation_exact(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(10, 4))
-        gamma, beta = Value(np.ones(4)), Value(np.zeros(4))
-        perm = rng.permutation(10)
-        s1, s2 = BatchNormState.for_width(4), BatchNormState.for_width(4)
-        a = ad.batchnorm(Value(x), gamma, beta, s1).data
-        b = ad.batchnorm(Value(x[perm]), gamma, beta, s2).data
-        assert np.array_equal(a, b[np.argsort(perm)])
-        assert np.array_equal(s1.mean, s2.mean) and np.array_equal(s1.var, s2.var)
-
-    def test_segmented_stats_and_pools_permutation_exact(self):
-        # a packed (k, N, d) batch of three molecules; rows move only within their molecule
-        rng = np.random.default_rng(5)
-        offsets = [0, 4, 11, 17]
-        x = rng.normal(size=(3, 17, 4)) * np.logspace(-3, 3, 4)
-        perm = np.concatenate([start + rng.permutation(stop - start)
-                               for start, stop in zip(offsets[:-1], offsets[1:])])
-        gamma, beta = Value(rng.normal(size=4)), Value(rng.normal(size=4))
-        s1, s2 = BatchNormState.for_width(4), BatchNormState.for_width(4)
-        a = ad.batchnorm(Value(x), gamma, beta, s1, offsets=offsets, relu=True).data
-        b = ad.batchnorm(Value(x[:, perm]), gamma, beta, s2, offsets=offsets, relu=True).data
-        assert np.array_equal(a, b[:, np.argsort(perm)])
-        assert np.array_equal(s1.mean, s2.mean) and np.array_equal(s1.var, s2.var)
-        for op in (ad.sum_pool, ad.mean_pool, ad.max_pool):
-            pooled = op(Value(x), axis=1, offsets=offsets).data
-            assert pooled.shape == (3, 3, 4)
-            assert np.array_equal(pooled, op(Value(x[:, perm]), axis=1, offsets=offsets).data), op.__name__
+    Exactness under atom permutation comes from ``Model.prepare``'s one
+    canonical atom order (``test_model.TestCanonicalAtomOrder``), not from
+    the reductions, which sum in index order.
+    """
 
     def test_segments_equal_their_lone_molecules(self):
         rng = np.random.default_rng(6)
@@ -140,13 +100,13 @@ class TestPermutationExactness:
             ad.mean_pool(Value(np.zeros((5, 2))), axis=0, offsets=offsets)
 
 
-def _per_destination_psum(x, indices, n_rows):
-    """The per-destination loop ``scatter_add_rows`` once ran, kept as its oracle."""
+def _per_destination_sum(x, indices, n_rows):
+    """Oracle for ``scatter_add_rows``: one destination at a time, its rows in index order, summed alone."""
     out = np.zeros((n_rows, x.shape[1]))
     for i in range(n_rows):
         rows = x[indices == i]
         if len(rows):
-            out[i] = ad._psum(rows, axis=0)
+            out[i] = np.add.reduceat(rows, [0], axis=0)[0]
     return out
 
 
@@ -174,20 +134,19 @@ def scatter_inputs(draw):
 
 
 class TestScatterAddRowsKernel:
-    """The padded-buffer kernel against the per-destination loop, bit for bit."""
+    """The one-reduceat kernel against the per-destination loop, bit for bit."""
 
     @given(scatter_inputs())
     @settings(max_examples=300, deadline=None)
     def test_equals_per_destination_psum(self, case):
         x, indices, n_rows = case
         out = ad.scatter_add_rows(Value(x), indices, n_rows).data
-        assert_same_bits(out, _per_destination_psum(x, indices, n_rows))
+        assert_same_bits(out, _per_destination_sum(x, indices, n_rows))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_empty_single_and_crowded_destinations(self, width):
         # node 0 gets 20 rows and node 3 gets 13 (both past numpy's 8-way
-        # pairwise blocking, so padding node 3 to 20 rows would regroup a
-        # one-column sum), node 1 none, node 2 one, node 4 three
+        # pairwise blocking), node 1 none, node 2 one, node 4 three
         rng = np.random.default_rng(4)
         for _ in range(20):
             indices = rng.permutation([0] * 20 + [2] + [3] * 13 + [4] * 3)
@@ -195,7 +154,7 @@ class TestScatterAddRowsKernel:
             x[::5] = 0.0
             x[1::7] = -0.0
             out = ad.scatter_add_rows(Value(x), indices, 5).data
-            assert_same_bits(out, _per_destination_psum(x, indices, 5))
+            assert_same_bits(out, _per_destination_sum(x, indices, 5))
             assert_same_bits(out[1], np.zeros(width))
 
     def test_empty_index_array_gives_zero_rows(self):
@@ -229,8 +188,8 @@ class TestScatterPlan:
         plan = ad.scatter_plan([2, 0, 2, 2], 4)
         np.testing.assert_array_equal(plan.counts, [1, 0, 3, 0])
         np.testing.assert_array_equal(plan.order, [1, 0, 2, 3])
-        np.testing.assert_array_equal(plan.slots, [0, 0, 1, 2])
-        assert plan.max_count == 3
+        np.testing.assert_array_equal(plan.filled, [0, 2])
+        np.testing.assert_array_equal(plan.starts, [0, 1])
 
     def test_plan_of_other_rows_rejected(self):
         plan = ad.scatter_plan([0, 1, 1], 3)
@@ -283,6 +242,56 @@ class TestGatherBackward:
         x = Value(np.ones((3, 2)), requires_grad=True)
         ad.gather_rows(x, np.zeros(0, dtype=np.int64))._backward_fn(np.zeros((0, 2)))
         assert_same_bits(x.grad, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_shared_plan_gives_the_same_bits(self, width):
+        # the reference is the backward gather_rows ran before it took a
+        # plan: a stable argsort of the picks and one reduceat per call
+        rng = np.random.default_rng(9)
+        indices = rng.integers(0, 30, 200)
+        g = rng.normal(size=(200, width)) * 10.0 ** rng.integers(-3, 4, (200, width))
+        order = np.argsort(indices, kind="stable")
+        rows = indices[order]
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        reference = np.zeros((30, width))
+        reference[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        plan = ad.scatter_plan(indices, 30)
+        for kwargs in ({}, {"plan": plan}):
+            x = Value(np.zeros((30, width)), requires_grad=True)
+            ad.gather_rows(x, indices, **kwargs)._backward_fn(g)
+            assert_same_bits(x.grad, reference)
+
+    def test_plan_of_other_rows_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.gather_rows(Value(np.ones((3, 2))), [0, 1], plan=ad.scatter_plan([0, 1, 1], 3))
+        with pytest.raises(ShapeError):
+            ad.gather_rows(Value(np.ones((3, 2))), [0, 1], plan=ad.scatter_plan([0, 1], 4))
+
+    def test_training_step_argsorts_once_per_edge_end_and_lookup(self, monkeypatch):
+        # a 3-layer GNN gathers along the edge sources and destinations in
+        # every layer; their two plans serve every backward, and only the
+        # encoder's embedding lookup plans in the backward
+        from helpers import bonded_record, tiny_model_config
+        from rotenc.gnn import GnnConfig
+        from rotenc.model import Model, loss
+        from rotenc.packing import pack
+
+        cfg = tiny_model_config(gnn=GnnConfig(layers=3, hidden=8, message_width=8, readout="mean"))
+        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
+        batch = pack([model.prepare(bonded_record(seed=s), training=True) for s in range(4)])
+        calls = {"forward": 0, "backward": 0}
+        phase = "forward"
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls[phase] += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        y_hat, u = model.forward(batch, training=True)
+        phase = "backward"
+        ad.backward(loss(y_hat, batch.targets, u, 1e-3))
+        assert calls == {"forward": 2, "backward": 1}
 
 
 class TestBackward:
@@ -618,14 +627,28 @@ class TestGradientCheck:
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
         batch = pack([model.prepare(record, training=True)])
         rotations = sample_rotations(3, 7)
-        base, _ = model.forward(batch, training=True, rotations=rotations)
+        initial = {name: (state.mean.copy(), state.var.copy()) for name, state in model.bn_states.items()}
+
+        def forward():
+            # a training pass folds its batch statistics into the running
+            # estimates; put them back so that checking leaves the model as it was
+            out = model.forward(batch, training=True, rotations=rotations)
+            for name, (mean, var) in initial.items():
+                model.bn_states[name].mean, model.bn_states[name].var = mean.copy(), var.copy()
+            return out
+
+        base, _ = forward()
         target = base.data.reshape(-1, base.shape[-1])[0] + 0.7
 
         def f(store):
-            y_hat, u = model.forward(batch, training=True, rotations=rotations)
+            y_hat, u = forward()
             return loss(y_hat, target, u, 1e-3)
 
-        return ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
+        error = ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
+        for name, (mean, var) in initial.items():
+            assert_same_bits(model.bn_states[name].mean, mean)
+            assert_same_bits(model.bn_states[name].var, var)
+        return error
 
     def test_full_stack_gradients(self, tiny_cfg):
         assert self.full_stack_error(tiny_cfg) <= 1e-4

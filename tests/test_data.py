@@ -20,6 +20,7 @@ from rotenc.data import (
     normalize_targets,
     parse_xyz,
     rbf_expand,
+    reorder_atoms,
     split,
     write_dataset,
 )
@@ -30,6 +31,7 @@ from rotenc.errors import (
     InvalidConfig,
     InvalidSplit,
     ParseError,
+    TooFewPoints,
     UnknownElement,
 )
 
@@ -437,3 +439,30 @@ class TestDatasetHelpers:
     def test_task_names_consistent(self, tmp_path):
         recs = load_dataset(GOLDEN / "golden.jsonl")
         assert dataset_task_names(recs) == ("gap", "u0")
+
+
+class TestReorderAtoms:
+    def test_atoms_move_and_bonds_follow_them_sorted(self):
+        record = MoleculeRecord(id="m", atomic_numbers=[6, 8, 1, 7], coords=np.arange(12.0).reshape(4, 3),
+                                bonds=[(3, 0, 2), (1, 2, 1), (0, 1, 1)], targets={"y": 1.0})
+        moved = reorder_atoms(record, [2, 0, 3, 1])
+        assert moved.atomic_numbers == [1, 6, 7, 8]
+        np.testing.assert_array_equal(moved.coords, record.coords[[2, 0, 3, 1]])
+        # old atom 0 is new 1, 1 -> 3, 2 -> 0, 3 -> 2
+        assert moved.bonds == [(0, 3, 1), (1, 2, 2), (1, 3, 1)]
+        assert reorder_atoms(water_record(with_bonds=False), [1, 2, 0]).bonds is None
+
+
+class TestSyntheticRecords:
+    @pytest.mark.parametrize("n_atoms_range", [(1, 2), (2, 2)])
+    def test_too_small_generic_cloud_is_a_typed_error_naming_the_size(self, n_atoms_range):
+        from rotenc.synthetic import make_records
+
+        with pytest.raises(TooFewPoints, match=r"needs >= 3 atoms, got [12]$"):
+            make_records(2, seed=1, n_atoms_range=n_atoms_range)
+
+    def test_small_clouds_allowed_when_not_generic(self):
+        from rotenc.synthetic import random_cloud
+
+        cloud = random_cloud(2, np.random.default_rng(0), require_generic=False)
+        assert cloud.n_atoms == 2

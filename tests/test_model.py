@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import tiny_model_config
+from helpers import bonded_record, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc import encoder3d
 from rotenc.autodiff import ParameterStore, Value
@@ -28,14 +29,51 @@ from rotenc.synthetic import make_records
 from rotenc.trainer import TrainConfig
 
 
-def permuted_record(record, perm):
+def permuted_record(record, perm, rng=None):
+    """Atom perm[i] of the record becomes atom i.
+
+    Bonds follow their atoms; ``rng`` reverses about half of them and
+    shuffles the bond list. A bond-free record stays bond-free.
+    """
+    bonds = None
+    if record.bonds is not None:
+        rank = np.argsort(perm).tolist()
+        rng = rng or np.random.default_rng(0)
+        bonds = [(rank[v], rank[u], o) if flip else (rank[u], rank[v], o)
+                 for (u, v, o), flip in zip(record.bonds, rng.random(len(record.bonds)) < 0.5)]
+        bonds = [bonds[i] for i in rng.permutation(len(bonds))]
     return MoleculeRecord(
         id=record.id + "_perm",
         atomic_numbers=[record.atomic_numbers[i] for i in perm],
         coords=record.coords[perm],
-        bonds=None,
+        bonds=bonds,
         targets=dict(record.targets),
     )
+
+
+@st.composite
+def grid_records(draw):
+    """Small records on a coarse grid: repeated elements, shared coordinates,
+    zeros of either sign and coincident atoms are all common; bonds optional."""
+    n = draw(st.integers(1, 9))
+    grid = draw(arrays(np.int8, (n, 3), elements=st.integers(-2, 2)))
+    coords = grid * 0.75
+    coords[(grid == 0) & draw(arrays(np.bool_, (n, 3)))] = -0.0
+    bonds = None
+    if draw(st.booleans()):
+        ends = st.integers(0, n - 1)
+        bonds = draw(st.lists(st.tuples(ends, ends, st.sampled_from([1, 2, 3, 5])).filter(lambda b: b[0] != b[1]),
+                              max_size=2 * n))
+    record = MoleculeRecord(id="grid", atomic_numbers=draw(st.lists(st.sampled_from([1, 6]), min_size=n, max_size=n)),
+                            coords=coords, bonds=bonds, targets={"y": 0.5})
+    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    return record, perm, np.random.default_rng(draw(st.integers(0, 2**16)))
+
+
+def molecule_arrays(molecule):
+    graph, cloud = molecule.graph, molecule.cloud
+    return [a.tobytes() for a in (graph.node_feats, graph.edges, graph.edge_feats, graph.targets,
+                                  cloud.coords, cloud.atomic_numbers)]
 
 
 class TestFuse:
@@ -162,6 +200,53 @@ class TestEndToEndSymmetries:
             targets=dict(record.targets),
         )
         assert np.array_equal(tiny_model.predict(rotated), tiny_model.predict(record))
+
+
+class TestCanonicalAtomOrder:
+    """``Model.prepare`` puts the atoms in one order, so every layer sees the same arrays for any atom order."""
+
+    @given(grid_records(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_prepare_is_exact_under_atom_permutation(self, case, ablate_3d):
+        record, perm, rng = case
+        model = Model(tiny_model_config(ablate_3d=ablate_3d), vocab=(1, 6), task_names=("y",))
+        permuted = permuted_record(record, perm, rng)
+        try:
+            base = model.prepare(record)
+        except InvalidConfig:  # coincident bonded atoms
+            with pytest.raises(InvalidConfig, match="are one element at one position$"):
+                model.prepare(permuted)
+            return
+        moved = model.prepare(permuted)
+        assert molecule_arrays(base) == molecule_arrays(moved)
+        # both orders name the same record atoms, up to atoms that coincide
+        np.testing.assert_array_equal(record.coords[base.order], permuted.coords[moved.order])
+
+    def test_bonded_predict_bit_identical_under_permutation(self):
+        model = Model(tiny_model_config(), vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            record = bonded_record(seed=seed)
+            permuted = permuted_record(record, rng.permutation(record.n_atoms), rng)
+            assert model.predict(record).tobytes() == model.predict(permuted).tobytes(), record.id
+
+    def test_coincident_bonded_atoms_rejected_naming_the_id(self, tiny_cfg):
+        # two carbons at one place: which one carries which bond cannot be
+        # told from the values, so no order of a bonded record is canonical
+        record = bonded_record(seed=4)
+        z = list(record.atomic_numbers)
+        z[2] = z[6] = 6
+        coords = record.coords.copy()
+        coords[6] = coords[2]
+        record = replace(record, atomic_numbers=z, coords=coords)
+        model = Model(tiny_cfg, vocab=(1, 6, 7, 8), task_names=("y",), bonded=True)
+        with pytest.raises(InvalidConfig, match=r"^molecule bonded4: bonded atoms [26] and [26] are one element"):
+            model.prepare(record)
+        # without bonds the two atoms are interchangeable
+        free = Model(tiny_cfg, vocab=(1, 6, 7, 8), task_names=("y",))
+        record = replace(record, bonds=None)
+        for perm in np.random.default_rng(6).permutation(np.tile(np.arange(record.n_atoms), (5, 1)), axis=1):
+            assert free.predict(record).tobytes() == free.predict(permuted_record(record, perm)).tobytes()
 
 
 class TestTapeFreePredict:

@@ -149,6 +149,26 @@ class TestTraining:
         assert [e["train_loss"] for e in h1] == [e["train_loss"] for e in h2]
         assert h1 == h2
 
+    def test_atom_permuted_dataset_trains_bit_identically(self):
+        # training batchnorm, pooling and message sums reduce in index order;
+        # Model.prepare's canonical atom order makes that order the same
+        records = make_records(20, seed=6)
+        rng = np.random.default_rng(12)
+        permuted = []
+        for record in records:
+            perm = rng.permutation(record.n_atoms)
+            permuted.append(MoleculeRecord(id=record.id, atomic_numbers=[record.atomic_numbers[i] for i in perm],
+                                           coords=record.coords[perm], bonds=None, targets=dict(record.targets)))
+        cfg = smoke_config(epochs=2)
+        ckpt1, h1 = train(cfg, records)
+        ckpt2, h2 = train(cfg, permuted)
+        assert h1 == h2
+        assert ckpt1.params.keys() == ckpt2.params.keys()
+        for name in ckpt1.params:
+            assert ckpt1.params[name].tobytes() == ckpt2.params[name].tobytes(), name
+        for name, (mean, var) in ckpt1.bn_stats.items():
+            assert (mean.tobytes(), var.tobytes()) == tuple(a.tobytes() for a in ckpt2.bn_stats[name]), name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_reported_with_location(self):
         records = make_records(12, seed=7)
