@@ -6,8 +6,9 @@ that knows how to push an upstream gradient to its inputs. Calling
 order. The primitive set is exactly what the encoder, the message-passing
 layers, and the regression head need. Shapes are explicit: the broadcasts
 allowed are ``broadcast_to``, a stacked left operand of ``matmul`` and
-``dense`` (k views as one ``(k, n, d)`` operand) sharing a 2-d weight, the
-bias of ``dense`` and per-stack statistics in ``batchnorm``. A broadcast
+``dense`` (k views as one ``(k, n, d)`` operand) sharing a 2-d weight, an
+input part of ``dense`` with fewer leading axes than its result, the bias
+of ``dense`` and per-stack statistics in ``batchnorm``. A broadcast
 operand's gradient is summed back over the axes it was repeated along.
 Relus exist only fused into ``dense`` and ``batchnorm``.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import pairwise
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +54,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether operations on inputs that need a gradient record a tape (False inside ``no_grad``)."""
+    return _grad_enabled
 
 
 class Value:
@@ -173,7 +180,24 @@ def matmul(a: Value, b: Value) -> Value:
     return _node(_rows_matmul(a.data, b.data), "matmul", (a, b), _back)
 
 
-def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Value:
+_size = attrgetter("size")
+_ndim = attrgetter("ndim")
+
+
+class Gather(NamedTuple):
+    """A ``dense`` input part that stands for the rows ``source[indices]`` (duplicates allowed).
+
+    ``plan`` is ``scatter_plan(indices, len(source))``, passed in by a caller
+    that gathers along the same indices again; the backward builds one when
+    it is absent.
+    """
+
+    source: Value
+    indices: np.ndarray
+    plan: ScatterPlan | None = None
+
+
+def dense(x, W: Value, b: Value | None = None, relu: bool = False, bias_counts=None) -> Value:
     """``relu(x @ W + b)`` as one tape node; the bias and the relu are optional.
 
     ``x`` is one row (m,), a matrix (n, m) or a stack (..., n, m) sharing
@@ -182,33 +206,97 @@ def dense(x: Value, W: Value, b: Value | None = None, relu: bool = False) -> Val
     and every gradient are bit-identical to the matmul -> add -> relu chain.
     A node with the relu is a ``"dense_relu"`` op; its backward reads the
     relu's sign pattern off the output.
+
+    ``x`` may also be a plain tuple of parts standing for their
+    concatenation along the last axis; part i multiplies the next rows of
+    ``W``, as many as it has columns. Every part is projected on its own
+    and the projections are summed, so the concatenated input is never
+    built and each product runs on the smaller side of a copy:
+
+    - a part with fewer leading axes than the result is projected once and
+      broadcast over the axes it lacks (one embedding row shared by k views);
+    - a ``Gather`` part projects its source rows, then picks them (one node
+      state per edge end).
+
+    The bias joins the smallest projection, before it is broadcast or
+    gathered. The backward sums a broadcast part's gradient over the axes
+    it was repeated along and scatters a gathered part's gradient onto its
+    source rows before the input and weight products, which therefore run
+    on the part's own rows too.
+
+    ``bias_counts`` (one count per result row) adds the bias that many
+    times to each row: the sum of c rows of an affine map is
+    ``(Σ x) W + c·b``.
     """
-    x, W = _wrap(x), _wrap(W)
-    if x.data.ndim == 0 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]:
-        raise ShapeError(f"dense: cannot multiply {x.data.shape} @ {W.data.shape}")
+    W = _wrap(W)
+    weight = W.data
+    if weight.ndim != 2:
+        raise ShapeError(f"dense: need a 2-d weight, got {weight.shape}")
     if b is not None:
         b = _wrap(b)
-        if b.data.shape != W.data.shape[1:]:
-            raise ShapeError(f"dense: bias {b.data.shape} does not match weight {W.data.shape}")
-    data = _rows_matmul(x.data, W.data)
-    if b is not None:
-        data += b.data
+        if b.data.shape != weight.shape[1:]:
+            raise ShapeError(f"dense: bias {b.data.shape} does not match weight {weight.shape}")
+    parts = x if type(x) is tuple else (x,)
+    sources, blocks, projections = [], [], []
+    stop = 0
+    for part in parts:
+        source = _wrap(part.source if type(part) is Gather else part)
+        width = source.data.shape[-1] if source.data.ndim else -1
+        block = weight[stop:stop + width]
+        if block.shape[0] != width:
+            raise ShapeError(f"dense: cannot multiply {source.data.shape} by rows {stop}: of {weight.shape}")
+        stop += width
+        sources.append(source)
+        blocks.append(block)
+        projections.append(_rows_matmul(source.data, block))
+    if stop != weight.shape[0]:
+        raise ShapeError(f"dense: parts of {stop} columns cannot multiply {weight.shape}")
+    if b is not None and bias_counts is None:
+        smallest = min(projections, key=_size) if len(parts) > 1 else projections[0]
+        smallest += b.data  # before any broadcast or gather
+    for i, part in enumerate(parts):
+        if type(part) is Gather:
+            if sources[i].data.ndim != 2:
+                raise ShapeError(f"dense: a gathered part needs 2-d rows, got {sources[i].data.shape}")
+            if part.plan is not None:
+                _check_plan(part.plan, len(part.indices), len(sources[i].data))
+            projections[i] = projections[i][part.indices]
+    # every projection is a fresh array: the one of the result's shape takes the others in place
+    data = projections[0] if len(parts) == 1 else max(projections, key=_ndim)
+    lead = data.shape[:-1]
+    for projected in projections:
+        if projected is not data:
+            if projected.shape[:-1] != lead[len(lead) - projected.ndim + 1:]:
+                raise ShapeError(f"dense: parts of rows {[p.shape[:-1] for p in projections]} do not broadcast")
+            data += projected
+    if bias_counts is not None:
+        bias_counts = np.asarray(bias_counts)
+        if b is None or bias_counts.shape != data.shape[:-1]:
+            raise ShapeError(f"dense: bias counts {bias_counts.shape} need a bias and rows {data.shape[:-1]}")
+        data += np.multiply.outer(bias_counts, b.data)
     if relu:
         np.maximum(data, 0.0, out=data)
+    shapes = [p.shape for p in projections]
 
     def _back(g):
         if relu:
             g = g * (data > 0.0)
         if b is not None:
-            _push(b, lambda: _sum_to(g, b.data.shape))
-        if x.data.ndim == 1:
-            _push(x, lambda: W.data @ g, owned=True)
-            _push(W, lambda: np.outer(x.data, g), owned=True)
-        else:
-            _push(x, lambda: _rows_matmul(g, W.data.T), owned=True)
-            _push(W, lambda: _weight_grad(x.data, g), owned=True)
+            _push(b, lambda: _sum_to(g if bias_counts is None else bias_counts[..., None] * g, b.data.shape))
+        w_grads = []
+        for part, source, block, shape in zip(parts, sources, blocks, shapes):
+            gp = _sum_to(g, shape)
+            if type(part) is Gather:
+                gp = _scatter_sum(gp, part.plan or scatter_plan(part.indices, source.data.shape[0]))
+            if source.data.ndim == 1:
+                _push(source, lambda: block @ gp, owned=True)
+                w_grads.append(np.outer(source.data, gp) if W.requires_grad else None)
+            else:
+                _push(source, lambda: _rows_matmul(gp, block.T), owned=True)
+                w_grads.append(_weight_grad(source.data, gp) if W.requires_grad else None)
+        _push(W, lambda: w_grads[0] if len(w_grads) == 1 else np.concatenate(w_grads), owned=True)
 
-    return _node(data, "dense_relu" if relu else "dense", (x, W) if b is None else (x, W, b), _back)
+    return _node(data, "dense_relu" if relu else "dense", (*sources, W) if b is None else (*sources, W, b), _back)
 
 
 def broadcast_to(a: Value, shape) -> Value:
@@ -403,6 +491,8 @@ def _check_plan(plan: ScatterPlan, n_in: int, n_rows: int) -> None:
 
 def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
     """Row i sums the rows of ``x`` planned for destination i, in index order, and no other row."""
+    if 0 < plan.filled.size == plan.counts.size:  # every destination gets a row
+        return np.add.reduceat(x[plan.order], plan.starts, axis=0)
     out = np.zeros((plan.counts.size,) + x.shape[1:])
     if plan.filled.size:
         out[plan.filled] = np.add.reduceat(x[plan.order], plan.starts, axis=0)

@@ -15,6 +15,7 @@ the 1-based line number. ``load_dataset`` returns records sorted by id.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -198,12 +199,18 @@ def rbf_expand(d, centers=None, gamma: float = RBF_GAMMA) -> np.ndarray:
 
 
 def reorder_atoms(record: MoleculeRecord, order) -> MoleculeRecord:
-    """Atom i of the result is atom ``order[i]``; bonds follow, (lower, higher) endpoint first, sorted."""
+    """Atom i of the result is atom ``order[i]``; bonds follow, (lower, higher) endpoint first, sorted.
+
+    Reordering a valid record gives a valid record, so the copy is not
+    validated again.
+    """
     rank = np.argsort(order).tolist()
-    bonds = None if record.bonds is None else sorted(
+    reordered = copy.copy(record)
+    reordered.atomic_numbers = [record.atomic_numbers[i] for i in order]
+    reordered.coords = record.coords[order]
+    reordered.bonds = None if record.bonds is None else sorted(
         (min(rank[u], rank[v]), max(rank[u], rank[v]), o) for u, v, o in record.bonds)
-    return MoleculeRecord(id=record.id, atomic_numbers=[record.atomic_numbers[i] for i in order],
-                          coords=record.coords[order], bonds=bonds, targets=record.targets)
+    return reordered
 
 
 def vocab_rows(vocab, atomic_numbers) -> np.ndarray:
@@ -240,7 +247,8 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     else:
         if cutoff <= 0:
             raise InvalidConfig(f"cutoff must be positive, got {cutoff}")
-        i, j = np.triu_indices(n, k=1)
+        rows = np.arange(n)
+        i, j = np.nonzero(rows[:, None] < rows)  # np.triu_indices(n, 1) without its mask building
         diff = record.coords[i] - record.coords[j]
         # a (1, 3) @ (3, 1) product per pair is the same dot product np.linalg.norm
         # takes of one difference vector, so every distance keeps its bits

@@ -118,20 +118,22 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
     return table, bn_states
 
 
-def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
-                     cfg: EncoderConfig, coords: Value | None = None,
-                     emb: Value | None = None, offsets=None) -> Value:
-    """View input features: rotated coordinates, optionally || Emb(z).
+def view_parts(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
+               cfg: EncoderConfig, coords: Value | None = None,
+               emb: Value | None = None, offsets=None) -> tuple[Value, ...]:
+    """The view input as parts: the rotated coordinates, then, with atom embeddings, the Emb(z) rows.
 
-    ``rotations`` is one (3, 3) matrix, giving an (n, d) input, or a
-    (k, 3, 3) stack, giving a (k, n, d) input with one view per matrix
-    (the embedding rows are repeated for every view); either is shared by
-    every atom of the cloud. For a packed cloud (molecule b in rows
-    offsets[b]:offsets[b+1]) a (B, k, 3, 3) array gives every molecule its
-    own stack. ``cloud`` must already be prepared (``prepare_cloud``).
-    ``coords`` can supply the coordinates as a graph node and ``emb``
-    pre-gathered embedding rows (both used for gradients w.r.t. the
-    inputs); they default to the cloud coordinates and a fresh table lookup.
+    ``rotations`` is one (3, 3) matrix, giving (n, 3) coordinates, or a
+    (k, 3, 3) stack, giving (k, n, 3) with one view per matrix; either is
+    shared by every atom of the cloud. For a packed cloud (molecule b in
+    rows offsets[b]:offsets[b+1]) a (B, k, 3, 3) array gives every molecule
+    its own stack. The (n, embed_dim) embedding rows are the same in every
+    view and are not repeated: the first stack layer projects them once
+    and broadcasts the projection (``ad.dense`` with parts). ``cloud`` must
+    already be prepared (``prepare_cloud``). ``coords`` can supply the
+    coordinates as a graph node and ``emb`` pre-gathered embedding rows
+    (both used for gradients w.r.t. the inputs); they default to the cloud
+    coordinates and a fresh table lookup.
     """
     base = coords if coords is not None else Value(cloud.coords)
     rotations = np.asarray(rotations)
@@ -140,16 +142,31 @@ def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbedd
     transposed = Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2)))
     rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
     if not cfg.use_atom_embedding:
-        return rotated
+        return (rotated,)
     if emb is None:
         if table is None:
             raise InvalidConfig("use_atom_embedding=True but no embedding table given")
         emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
-    emb = ad.broadcast_to(emb, rotated.shape[:-1] + emb.shape[-1:])
-    return ad.concat([rotated, emb], axis=-1)
+    return rotated, emb
 
 
-def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
+def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
+                     cfg: EncoderConfig, coords: Value | None = None,
+                     emb: Value | None = None, offsets=None) -> Value:
+    """The ``view_parts`` joined into one input: rotated coordinates, optionally || Emb(z).
+
+    The embedding rows are repeated for every view, giving (n, d) for one
+    rotation and (k, n, d) for a stack. Only the ``ablate_pointwise``
+    fingerprint, which is this input itself, needs it joined.
+    """
+    parts = view_parts(cloud, rotations, table, cfg, coords=coords, emb=emb, offsets=offsets)
+    if len(parts) == 1:
+        return parts[0]
+    rotated, emb = parts
+    return ad.concat([rotated, ad.broadcast_to(emb, rotated.shape[:-1] + emb.shape[-1:])], axis=-1)
+
+
+def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, cfg: EncoderConfig,
                     bn_states: dict, training: bool = False, offsets=None) -> Value:
     """Stack of per-atom affine maps with batchnorm and relu.
 
@@ -158,6 +175,9 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
     A stacked (k, n, d) input runs every view through the shared maps,
     with separate batchnorm statistics per view in training mode, and per
     molecule too when ``offsets`` cuts the rows into a packed batch.
+    ``features`` is the view input whole or as its ``view_parts``, which
+    the first layer projects part by part (``ad.dense``), each embedding
+    row once for all views.
 
     In eval mode batchnorm is an affine map of the running statistics, so
     each layer folds it into its conv, ``W' = W·s`` and ``b' = β − μ·s`` with
@@ -172,7 +192,9 @@ def pointwise_stack(features: Value, store: ParameterStore, cfg: EncoderConfig,
         gamma, beta = store[f"enc.bn{layer}.gamma"], store[f"enc.bn{layer}.beta"]
         state = bn_states[f"enc.bn{layer}"]
         if training:
-            x = ad.batchnorm(ad.matmul(x, W), gamma, beta, state, offsets=offsets, relu=True)
+            # view parts are projected part by part; a whole input is one product
+            pre = ad.dense(x, W) if isinstance(x, tuple) else ad.matmul(x, W)
+            x = ad.batchnorm(pre, gamma, beta, state, offsets=offsets, relu=True)
         else:
             s = gamma.data / np.sqrt(state.var + ad.BN_EPS)
             x = ad.dense(x, Value(W.data * s), Value(beta.data - state.mean * s), relu=True)
@@ -238,7 +260,8 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     ``rotations`` overrides the view set (otherwise it is the k rotations
     drawn from cfg.seed, see ``inference_views``); a (B, k, 3, 3) array
     gives each molecule of a batch its own views. All views run as one
-    stacked (k, N, d) tensor. Under mean pooling each atom's k rows are
+    stacked (k, N, d) tensor; the first layer projects the embedding rows
+    once and adds the projection to every view. Under mean pooling each atom's k rows are
     averaged in view order (``ad.mean``), and the (N, d) averages are then
     pooled over atoms, in index order (``Model.prepare``'s canonical atom
     order makes that exact under atom permutation): k times fewer rows than
@@ -251,10 +274,12 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     """
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
-    views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,
-                             offsets=offsets)
     if use_stack:
-        views = pointwise_stack(views, store, cfg, bn_states, training, offsets)
+        parts = view_parts(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value, offsets=offsets)
+        views = pointwise_stack(parts, store, cfg, bn_states, training, offsets)
+    else:  # the ablation's fingerprint is the joined view input itself
+        views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,
+                                 offsets=offsets)
     if cfg.pool == "mean" and not per_view:
         return pool_view(ad.mean(views, axis=0), cfg.pool, offsets)
     fingerprints = pool_view(views, cfg.pool, offsets)

@@ -35,6 +35,17 @@ class PointCloud:
         if np.any(self.atomic_numbers < 1):
             raise InvalidConfig("atomic numbers must be positive")
 
+    @classmethod
+    def trusted(cls, coords: np.ndarray, atomic_numbers: np.ndarray) -> PointCloud:
+        """A cloud of arrays taken from a validated cloud (centered, reordered), not checked again.
+
+        ``coords`` is a finite float64 (n, 3) array and ``atomic_numbers``
+        the matching int64 array of positive entries.
+        """
+        cloud = cls.__new__(cls)
+        cloud.coords, cloud.atomic_numbers = coords, atomic_numbers
+        return cloud
+
     @property
     def n_atoms(self) -> int:
         return self.coords.shape[0]
@@ -124,5 +135,7 @@ def center_cloud(cloud: PointCloud) -> tuple[PointCloud, np.ndarray]:
     first = _column_mean_exact(cloud.coords)
     shifted = cloud.coords - first
     second = _column_mean_exact(shifted)
-    centered = PointCloud(shifted - second, cloud.atomic_numbers)
-    return centered, first + second
+    centered = shifted - second
+    if not np.isfinite(centered).all():  # coordinates near the float range overflow the shift
+        raise InvalidConfig("coordinates must be finite")
+    return PointCloud.trusted(centered, cloud.atomic_numbers), first + second

@@ -97,7 +97,7 @@ def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
 
 
 def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                 layer: int, plans: tuple[ad.ScatterPlan, ad.ScatterPlan] | None = None) -> Value:
+                 layer: int, plans: tuple[ad.ScatterPlan | None, ad.ScatterPlan] | None = None) -> Value:
     """One round of message passing and node update.
 
     Messages go along directed edges: the destination node v receives
@@ -107,23 +107,36 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
     message, and the message weights a zero gradient). The update is
     h' = relu(affine(concat(h, m))). ``plans`` is ``edge_plans(graph)``,
     passed in when several layers share the graph.
+
+    Every affine map runs on the smaller side of its gather or scatter:
+    the first message layer projects the node states once per node and
+    gathers the projections for both edge ends (``ad.Gather``), and the
+    second, being linear, runs on each destination's sum of hidden rows,
+    its bias counted once per incoming edge. The per-edge
+    ``[h_dst | h_src | e]`` input is never built.
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
     src_plan, dst_plan = plans if plans is not None else edge_plans(graph)
-    pair = ad.concat([ad.gather_rows(h, dst, plan=dst_plan), ad.gather_rows(h, src, plan=src_plan),
-                      Value(graph.edge_feats)], axis=1)
-    hidden = ad.dense(pair, store[f"gnn.l{layer}.msg1.W"], store[f"gnn.l{layer}.msg1.b"], relu=True)
-    messages = ad.dense(hidden, store[f"gnn.l{layer}.msg2.W"], store[f"gnn.l{layer}.msg2.b"])
-    m = ad.scatter_add_rows(messages, dst, graph.n_nodes, plan=dst_plan)
+    name = f"gnn.l{layer}"
+    edge_input = (ad.Gather(h, dst, dst_plan), ad.Gather(h, src, src_plan), Value(graph.edge_feats))
+    hidden = ad.dense(edge_input, store[f"{name}.msg1.W"], store[f"{name}.msg1.b"], relu=True)
+    summed = ad.scatter_add_rows(hidden, dst, graph.n_nodes, plan=dst_plan)
+    m = ad.dense(summed, store[f"{name}.msg2.W"], store[f"{name}.msg2.b"], bias_counts=dst_plan.counts)
     joint = ad.concat([h, m], axis=1)
-    return ad.dense(joint, store[f"gnn.l{layer}.upd.W"], store[f"gnn.l{layer}.upd.b"], relu=True)
+    return ad.dense(joint, store[f"{name}.upd.W"], store[f"{name}.upd.b"], relu=True)
 
 
-def edge_plans(graph: MolecularGraph) -> tuple[ad.ScatterPlan, ad.ScatterPlan]:
-    """``ad.scatter_plan`` of the edge sources and of the edge destinations."""
-    return tuple(ad.scatter_plan(graph.edges[:, end], graph.n_nodes) for end in (0, 1))
+def edge_plans(graph: MolecularGraph) -> tuple[ad.ScatterPlan | None, ad.ScatterPlan]:
+    """``ad.scatter_plan`` of the edge sources and of the edge destinations.
+
+    Only the backward scatters onto the edge sources, so without a tape
+    (inside ``ad.no_grad``) the sources' plan is None and not built.
+    """
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    return (ad.scatter_plan(src, graph.n_nodes) if ad.grad_enabled() else None,
+            ad.scatter_plan(dst, graph.n_nodes))
 
 
 def readout(node_states: Value, mode: str = "sum", offsets=None) -> Value:

@@ -12,6 +12,7 @@ gradient-based atom importance.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -186,6 +187,11 @@ class Model:
         Graph and cloud then take ``canonical_order``, so any atom order of
         a record that prepares to the same cloud gives the same arrays (exact
         centering does; PCA alignment, which reads atoms by index, need not).
+
+        The record's coordinates and atomic numbers are checked once, as
+        they enter the first cloud; the centered and the reordered cloud
+        and the reordered record are made from checked arrays and are not
+        checked again.
         """
         cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
         if not self.cfg.ablate_3d:
@@ -197,7 +203,7 @@ class Model:
                             task_names=self.task_names,
                             edge_features="constant" if self.cfg.ablate_features else "auto")
         # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
-        cloud = PointCloud(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
+        cloud = PointCloud.trusted(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
         return Molecule(record.id, graph, cloud, order)
 
     def forward(self, batch: Batch, *, training: bool = False, rotations=None,
@@ -268,16 +274,10 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
     rotations = encoder3d.inference_views(n_rotations, seed)
     deviations = []
     for record in records:
-        copies = [record] + [
-            MoleculeRecord(
-                id=record.id,
-                atomic_numbers=list(record.atomic_numbers),
-                coords=record.coords @ rotation.T,
-                bonds=record.bonds,
-                targets=dict(record.targets),
-            )
-            for rotation in rotations
-        ]
+        copies = [record]
+        for rotation in rotations:  # a rotated copy is checked as it is prepared, not before
+            copies.append(copy.copy(record))
+            copies[-1].coords = record.coords @ rotation.T
         preds = model.predict_batch(pack([model.prepare(each) for each in copies]))
         deviations.append(float(np.max(np.abs(preds[1:] - preds[0]))))
     return InvarianceReport(

@@ -413,6 +413,145 @@ class TestDense:
             ad.dense(Value(np.zeros(3)), Value(np.zeros((2, 3, 2))))
 
 
+def _joined_reference(parts, W, b, relu):
+    """``dense`` of the concatenated input the parts stand for, built from gather_rows, broadcast_to and concat."""
+    pieces = [ad.gather_rows(p.source, p.indices) if isinstance(p, ad.Gather) else p for p in parts]
+    lead = max((piece.shape[:-1] for piece in pieces), key=len)
+    joined = ad.concat([ad.broadcast_to(piece, lead + piece.shape[-1:]) for piece in pieces], axis=-1)
+    return ad.dense(joined, W, b, relu=relu)
+
+
+class TestDenseParts:
+    """A tuple of parts equals ``dense`` of their concatenation, forward and every gradient."""
+
+    @staticmethod
+    def compare(make_parts, W0, b0, relu, head=lambda out: out):
+        """Forward and gradients of mse(head(out), target) both ways; ``head`` maps an empty result to rows."""
+        results = []
+        for split in (True, False):
+            leaves = make_parts()
+            W, b = Value(W0.copy(), requires_grad=True), None if b0 is None else Value(b0.copy(), requires_grad=True)
+            if split:
+                out = ad.dense(tuple(leaves["parts"]), W, b, relu=relu)
+            else:
+                out = _joined_reference(leaves["parts"], W, b, relu)
+            scored = head(out)
+            ad.backward(ad.mse(scored, np.random.default_rng(0).normal(size=scored.shape)))
+            grads = [leaf.grad for leaf in leaves["leaves"]] + [W.grad] + ([] if b is None else [b.grad])
+            results.append((out.data, grads))
+        (out, grads), (want_out, want_grads) = results
+        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-13)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        return out
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    def test_plain_parts(self, bias, relu):
+        rng = np.random.default_rng(1)
+        a0, c0 = rng.normal(size=(7, 3)), rng.normal(size=(7, 4))
+        a0[0], c0[0] = 0.0, 0.0  # a zero row puts pre-activations on the kink
+
+        def make():
+            a, c = Value(a0.copy(), requires_grad=True), Value(c0.copy(), requires_grad=True)
+            return {"parts": [a, c], "leaves": [a, c]}
+
+        self.compare(make, rng.normal(size=(7, 5)), rng.normal(size=5) if bias else None, relu)
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    def test_broadcast_part(self, bias, relu):
+        # k views of rotated coordinates share one embedding row per atom
+        rng = np.random.default_rng(2)
+        coords0, emb0 = rng.normal(size=(4, 6, 3)), rng.normal(size=(6, 5))
+
+        def make():
+            coords, emb = Value(coords0.copy(), requires_grad=True), Value(emb0.copy(), requires_grad=True)
+            return {"parts": [coords, emb], "leaves": [coords, emb]}
+
+        out = self.compare(make, rng.normal(size=(8, 7)), rng.normal(size=7) if bias else None, relu)
+        assert out.shape == (4, 6, 7)
+
+    @pytest.mark.parametrize("plan", [False, True], ids=["own-plan", "shared-plan"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    def test_gathered_parts(self, relu, plan):
+        # repeated destinations, and node 4 is never an edge end (in-degree 0)
+        rng = np.random.default_rng(3)
+        n, dst, src = 6, np.array([0, 0, 0, 1, 2, 2, 5, 3]), np.array([1, 2, 5, 0, 0, 3, 0, 2])
+        h0, e0 = rng.normal(size=(n, 4)), rng.normal(size=(len(dst), 2))
+
+        def make():
+            h, e = Value(h0.copy(), requires_grad=True), Value(e0.copy(), requires_grad=True)
+            plans = (ad.scatter_plan(dst, n), ad.scatter_plan(src, n)) if plan else (None, None)
+            return {"parts": [ad.Gather(h, dst, plans[0]), ad.Gather(h, src, plans[1]), e], "leaves": [h, e]}
+
+        self.compare(make, rng.normal(size=(10, 3)), rng.normal(size=3), relu)
+        h = Value(h0, requires_grad=True)
+        ad.backward(ad.sum_pool(ad.sum_pool(ad.dense((ad.Gather(h, dst), ad.Gather(h, src), Value(e0)),
+                                                     Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
+        assert_same_bits(h.grad[4], np.zeros(4))
+
+    @pytest.mark.parametrize("n", [1, 5], ids=["one-atom", "edgeless"])
+    def test_no_edges(self, n):
+        rng = np.random.default_rng(4)
+        none = np.zeros(0, dtype=np.int64)
+        h0 = rng.normal(size=(n, 4))
+
+        def make():
+            h, e = Value(h0.copy(), requires_grad=True), Value(np.zeros((0, 2)), requires_grad=True)
+            return {"parts": [ad.Gather(h, none), ad.Gather(h, none, ad.scatter_plan(none, n)), e],
+                    "leaves": [h, e]}
+
+        W0 = rng.normal(size=(10, 3))
+        out = self.compare(make, W0, rng.normal(size=3), True, head=lambda out: ad.scatter_add_rows(out, none, n))
+        assert out.shape == (0, 3)
+        h, W = Value(h0, requires_grad=True), Value(W0, requires_grad=True)
+        hidden = ad.dense((ad.Gather(h, none), ad.Gather(h, none), Value(np.zeros((0, 2)))), W, relu=True)
+        ad.backward(ad.mse(ad.scatter_add_rows(hidden, none, n), np.ones((n, 3))))
+        assert_same_bits(W.grad, np.zeros((10, 3)))
+        assert_same_bits(h.grad, np.zeros((n, 4)))
+
+    @pytest.mark.parametrize("counts", [[2, 0, 3, 1], [0, 0, 0, 0]], ids=["in-degrees", "edgeless"])
+    def test_bias_counts_equal_the_sum_of_affine_rows(self, counts):
+        rng = np.random.default_rng(5)
+        counts = np.array(counts)
+        rows = np.repeat(np.arange(4), counts)
+        x0, W0, b0 = rng.normal(size=(len(rows), 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+        results = []
+        for counted in (True, False):
+            x, W, b = (Value(a.copy(), requires_grad=True) for a in (x0, W0, b0))
+            if counted:
+                out = ad.dense(ad.scatter_add_rows(x, rows, 4), W, b, bias_counts=counts)
+            else:  # every row's affine map, then the sum: one bias per row
+                out = ad.scatter_add_rows(ad.dense(x, W, b), rows, 4)
+            ad.backward(ad.mse(out, np.ones((4, 2))))
+            results.append((out.data, x.grad, W.grad, b.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert_same_bits(results[0][0][counts == 0], np.zeros((int(np.sum(counts == 0)), 2)))
+
+    def test_single_part_tuple_is_plain_dense(self):
+        rng = np.random.default_rng(6)
+        x, W, b = Value(rng.normal(size=(5, 3))), Value(rng.normal(size=(3, 4))), Value(rng.normal(size=4))
+        assert_same_bits(ad.dense((x,), W, b, relu=True).data, ad.dense(x, W, b, relu=True).data)
+
+    def test_parts_rejected(self):
+        W = Value(np.zeros((5, 2)))
+        with pytest.raises(ShapeError):  # widths 3 + 3 != 5 rows
+            ad.dense((Value(np.zeros((4, 3))), Value(np.zeros((4, 3)))), W)
+        with pytest.raises(ShapeError):  # leading axes that do not broadcast
+            ad.dense((Value(np.zeros((4, 3))), Value(np.zeros((5, 2)))), W)
+        with pytest.raises(ShapeError):  # a gathered part needs 2-d rows
+            ad.dense((ad.Gather(Value(np.zeros((2, 4, 3))), np.array([0])), Value(np.zeros((1, 2)))), W)
+        with pytest.raises(ShapeError):  # a plan of other rows
+            ad.dense((ad.Gather(Value(np.zeros((4, 3))), np.array([0, 1]), ad.scatter_plan([0, 1], 5)),
+                      Value(np.zeros((2, 2)))), W)
+        with pytest.raises(ShapeError):  # bias counts need a bias and one count per row
+            ad.dense(Value(np.zeros((4, 5))), W, bias_counts=np.ones(4, dtype=np.int64))
+        with pytest.raises(ShapeError):
+            ad.dense(Value(np.zeros((4, 5))), W, Value(np.zeros(2)), bias_counts=np.ones(3, dtype=np.int64))
+
+
 class TestNoGrad:
     def test_ops_record_no_tape(self):
         w = Value(np.array([[1.0, -2.0], [0.0, 3.0]]), requires_grad=True)

@@ -521,3 +521,17 @@ class TestMoleculeThatCannotBeAligned:
         err = capsys.readouterr().err
         assert code == 2
         assert "lone-carbon" in err and "internal error" not in err
+
+
+class TestMalformedMolecule:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_eval_of_coordinates_that_overflow_centering_exits_2(self, workspace, trained, tmp_path, capsys):
+        # finite coordinates whose centering overflows: the record loads, prepare rejects it
+        far = MoleculeRecord(id="far", atomic_numbers=[6, 6, 8],
+                             coords=np.array([[1.7e308, 0.0, 0.0], [1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                             bonds=None, targets={"rg": 1.0})
+        code = main(["eval", "--checkpoint", str(trained), "--data", str(_with_record(tmp_path, far)),
+                     "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "coordinates must be finite" in err and "internal error" not in err

@@ -16,6 +16,7 @@ from rotenc.encoder3d import (
     pointwise_stack,
     pool_view,
     prepare_cloud,
+    view_parts,
 )
 from rotenc.errors import DegenerateCloud, InvalidConfig, UnknownElement
 from rotenc.geometry import PointCloud, center_cloud, sample_rotations
@@ -188,7 +189,7 @@ class TestEncode:
         store, table, states = make_encoder(cfg)
         cloud = centered_cloud()
         fp = encode(cloud, table, store, cfg, states, rotations=[np.eye(3)])
-        view = build_view_input(cloud, np.eye(3), table, cfg)
+        view = view_parts(cloud, np.eye(3), table, cfg)
         manual = pool_view(pointwise_stack(view, store, cfg, states, training=False), cfg.pool)
         np.testing.assert_array_equal(fp.data, manual.data)
 
@@ -336,7 +337,7 @@ class TestViewsFirstMeanPool:
         rotations = sample_rotations(cfg.k, 7)
         got = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
                      offsets=offsets, per_view=per_view).data
-        stack = pointwise_stack(build_view_input(packed, rotations, table, cfg), store, cfg, states,
+        stack = pointwise_stack(view_parts(packed, rotations, table, cfg), store, cfg, states,
                                 training=training, offsets=offsets)
         fingerprints = pool_view(stack, pool, offsets)
         expected = fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)

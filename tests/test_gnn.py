@@ -71,6 +71,29 @@ class TestMessagePass:
         expected = np.maximum(act_in @ store["gnn.l0.upd.W"].data + store["gnn.l0.upd.b"].data, 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
+    def test_equals_the_per_edge_perceptron(self):
+        # the message formula written per edge, with nonzero biases, as the
+        # oracle of the projected and summed-first layers; node 6 is isolated
+        cfg = GnnConfig(layers=1, hidden=4, message_width=3)
+        ring = ring_graph(n=6, d0=2, d_e=2, seed=18)
+        graph = MolecularGraph(np.vstack([ring.node_feats, np.zeros((1, 2))]), np.vstack([ring.edges, [[0, 2]]]),
+                               np.vstack([ring.edge_feats, [[0.5, -1.0]]]), ring.targets)
+        store = setup_gnn(graph, cfg, seed=19)
+        rng = np.random.default_rng(20)
+        for name in ("msg1", "msg2", "upd"):
+            store[f"gnn.l0.{name}.b"].data = rng.normal(size=store[f"gnn.l0.{name}.b"].data.shape)
+        h = rng.normal(size=(graph.n_nodes, cfg.hidden))
+        src, dst = graph.edges[:, 0], graph.edges[:, 1]
+        w = {name: (store[f"gnn.l0.{name}.W"].data, store[f"gnn.l0.{name}.b"].data) for name in ("msg1", "msg2", "upd")}
+        hidden = np.maximum(np.hstack([h[dst], h[src], graph.edge_feats]) @ w["msg1"][0] + w["msg1"][1], 0.0)
+        messages = hidden @ w["msg2"][0] + w["msg2"][1]
+        m = np.zeros((graph.n_nodes, cfg.message_width))
+        np.add.at(m, dst, messages)
+        expected = np.maximum(np.hstack([h, m]) @ w["upd"][0] + w["upd"][1], 0.0)
+        out = message_pass(Value(h), graph, store, cfg, 0).data
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out[6], np.maximum(h[6] @ w["upd"][0][:4] + w["upd"][1], 0.0), rtol=1e-12)
+
     def test_permutation_equivariance_exact(self):
         cfg = GnnConfig(layers=2, hidden=6, message_width=5)
         graph = ring_graph(n=6, d0=3, d_e=2, seed=2)
@@ -150,9 +173,13 @@ class TestEndToEnd:
             return real_plan(indices, n_rows)
 
         monkeypatch.setattr(ad, "scatter_plan", counting)
+        with ad.no_grad():  # only the backward scatters onto the edge sources
+            untaped = gnn_forward(graph, store, cfg).data
+        assert plans == [graph.n_nodes]
+        plans.clear()
         shared = gnn_forward(graph, store, cfg).data
         assert plans == [graph.n_nodes, graph.n_nodes]  # the edge sources', then the destinations'
-        assert shared.tobytes() == per_layer.tobytes()
+        assert shared.tobytes() == per_layer.tobytes() == untaped.tobytes()
 
     def test_three_layer_gradients_match_finite_differences(self):
         cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="mean")
@@ -164,3 +191,16 @@ class TestEndToEnd:
             return ad.mse(g, np.linspace(-1, 1, cfg.hidden))
 
         assert ad.gradient_check(f, store, h=1e-5, n_probe=50, seed=2) <= 1e-4
+
+    def test_three_layer_gradients_with_an_isolated_node(self):
+        # node 5 has no edge: a zero message, and gradients only through its own update
+        cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="mean")
+        ring = ring_graph(n=5, d0=3, d_e=2, seed=15)
+        graph = MolecularGraph(np.vstack([ring.node_feats, np.random.default_rng(16).normal(size=(1, 3))]),
+                               ring.edges, ring.edge_feats, ring.targets)
+        store = setup_gnn(graph, cfg, seed=17)
+
+        def f(s):
+            return ad.mse(gnn_forward(graph, s, cfg), np.linspace(-1, 1, cfg.hidden))
+
+        assert ad.gradient_check(f, store, h=1e-5, n_probe=50, seed=3) <= 1e-4

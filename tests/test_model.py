@@ -15,6 +15,7 @@ from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import InvalidConfig, NoData, ShapeError, TooFewPoints
 from rotenc.geometry import sample_rotations
+from rotenc.gnn import GnnConfig
 from rotenc.model import (
     Model,
     ModelConfig,
@@ -425,3 +426,59 @@ class TestObjectiveVariants:
         model.bn_states = bn_snapshot
         fused, _ = model.forward(pack([model.prepare(record)]), training=False)
         assert fused.shape == (1, 1)
+
+
+class TestProjectBeforeGather:
+    def test_no_edge_or_view_input_is_built(self, monkeypatch):
+        # paper widths on a cutoff molecule: every affine map takes node, edge
+        # or view rows of its own, never the joined per-edge or per-view input
+        cfg = ModelConfig(encoder=EncoderConfig(k=4), gnn=GnnConfig())
+        record = make_records(1, seed=3, n_atoms_range=(12, 12))[0]
+        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=sorted(record.targets))
+        batch = pack([model.prepare(record)])
+        n_edges, n_atoms = batch.graph.n_edges, batch.graph.n_nodes
+        shapes = []
+        for name in ("dense", "matmul"):
+            def recording(x, *args, real=getattr(ad, name), **kwargs):
+                for part in x if isinstance(x, tuple) else (x,):
+                    shapes.append((len(part.indices), part.source.shape[-1]) if isinstance(part, ad.Gather)
+                                  else np.shape(getattr(part, "data", part)))
+                return real(x, *args, **kwargs)
+
+            monkeypatch.setattr(ad, name, recording)
+        model.predict(record)
+        model.forward(batch, training=True)
+        assert n_edges > 0
+        assert (n_edges, 2 * cfg.gnn.hidden + model.d_edge) not in shapes
+        assert (cfg.encoder.k, n_atoms, 3 + cfg.encoder.embed_dim) not in shapes
+        # the parts that replace them: edge features, gathered node states, rotated views, embedding rows
+        for part in [(n_edges, model.d_edge), (n_edges, cfg.gnn.hidden), (cfg.encoder.k, n_atoms, 3),
+                     (n_atoms, cfg.encoder.embed_dim)]:
+            assert part in shapes, part
+
+
+class TestPrepareChecksOnce:
+    def test_record_arrays_are_checked_once(self, tiny_model, small_records, monkeypatch):
+        from rotenc.geometry import PointCloud
+
+        checked = []
+        for cls in (PointCloud, MoleculeRecord):
+            def counting(self, real=cls.__post_init__, name=cls.__name__):
+                checked.append(name)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        tiny_model.prepare(small_records[0])
+        assert checked == ["PointCloud"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of the far record
+    @pytest.mark.parametrize("edit,message", [
+        (lambda r: r.coords.__setitem__((2, 1), np.nan), "coordinates must be finite"),
+        (lambda r: r.atomic_numbers.__setitem__(3, 0), "atomic numbers must be positive"),
+        (lambda r: r.coords.__setitem__((slice(None), 0), 1.7e308), "coordinates must be finite"),
+    ], ids=["nan-after-construction", "zero-atomic-number", "centering-overflows"])
+    def test_malformed_record_raises_where_it_did(self, tiny_model, edit, message):
+        record = copy.deepcopy(make_records(1, seed=5, n_atoms_range=(6, 6))[0])
+        edit(record)
+        with pytest.raises(InvalidConfig, match=message):
+            tiny_model.prepare(record)
