@@ -10,7 +10,7 @@ allowed are ``broadcast_to``, a stacked left operand of ``matmul`` and
 input part of ``dense`` with fewer leading axes than its result, the bias
 of ``dense`` and per-stack statistics in ``batchnorm``. A broadcast
 operand's gradient is summed back over the axes it was repeated along.
-Relus exist only fused into ``dense`` and ``batchnorm``.
+Relus exist only fused into ``dense``, ``batchnorm`` and ``message_layer``.
 
 A result needs a gradient (``requires_grad``) when any of its inputs does;
 a result that needs none is a constant: it records no parents and no
@@ -184,20 +184,7 @@ _size = attrgetter("size")
 _ndim = attrgetter("ndim")
 
 
-class Gather(NamedTuple):
-    """A ``dense`` input part that stands for the rows ``source[indices]`` (duplicates allowed).
-
-    ``plan`` is ``scatter_plan(indices, len(source))``, passed in by a caller
-    that gathers along the same indices again; the backward builds one when
-    it is absent.
-    """
-
-    source: Value
-    indices: np.ndarray
-    plan: ScatterPlan | None = None
-
-
-def dense(x, W: Value, b: Value | None = None, relu: bool = False, bias_counts=None) -> Value:
+def dense(x, W: Value, b: Value | None = None, relu: bool = False) -> Value:
     """``relu(x @ W + b)`` as one tape node; the bias and the relu are optional.
 
     ``x`` is one row (m,), a matrix (n, m) or a stack (..., n, m) sharing
@@ -211,22 +198,12 @@ def dense(x, W: Value, b: Value | None = None, relu: bool = False, bias_counts=N
     concatenation along the last axis; part i multiplies the next rows of
     ``W``, as many as it has columns. Every part is projected on its own
     and the projections are summed, so the concatenated input is never
-    built and each product runs on the smaller side of a copy:
-
-    - a part with fewer leading axes than the result is projected once and
-      broadcast over the axes it lacks (one embedding row shared by k views);
-    - a ``Gather`` part projects its source rows, then picks them (one node
-      state per edge end).
-
-    The bias joins the smallest projection, before it is broadcast or
-    gathered. The backward sums a broadcast part's gradient over the axes
-    it was repeated along and scatters a gathered part's gradient onto its
-    source rows before the input and weight products, which therefore run
-    on the part's own rows too.
-
-    ``bias_counts`` (one count per result row) adds the bias that many
-    times to each row: the sum of c rows of an affine map is
-    ``(Σ x) W + c·b``.
+    built. A part with fewer leading axes than the result is projected once
+    and broadcast over the axes it lacks (one embedding row shared by k
+    views). The bias joins the smallest projection, before it is
+    broadcast. The backward sums a broadcast part's gradient over the axes
+    it was repeated along before the input and weight products, which
+    therefore run on the part's own rows too.
     """
     W = _wrap(W)
     weight = W.data
@@ -236,58 +213,41 @@ def dense(x, W: Value, b: Value | None = None, relu: bool = False, bias_counts=N
         b = _wrap(b)
         if b.data.shape != weight.shape[1:]:
             raise ShapeError(f"dense: bias {b.data.shape} does not match weight {weight.shape}")
-    parts = x if type(x) is tuple else (x,)
-    sources, blocks, projections = [], [], []
+    sources = [_wrap(part) for part in (x if type(x) is tuple else (x,))]
+    blocks, projections = [], []
     stop = 0
-    for part in parts:
-        source = _wrap(part.source if type(part) is Gather else part)
+    for source in sources:
         width = source.data.shape[-1] if source.data.ndim else -1
         block = weight[stop:stop + width]
         if block.shape[0] != width:
             raise ShapeError(f"dense: cannot multiply {source.data.shape} by rows {stop}: of {weight.shape}")
         stop += width
-        sources.append(source)
         blocks.append(block)
         projections.append(_rows_matmul(source.data, block))
     if stop != weight.shape[0]:
         raise ShapeError(f"dense: parts of {stop} columns cannot multiply {weight.shape}")
-    if b is not None and bias_counts is None:
-        smallest = min(projections, key=_size) if len(parts) > 1 else projections[0]
-        smallest += b.data  # before any broadcast or gather
-    for i, part in enumerate(parts):
-        if type(part) is Gather:
-            if sources[i].data.ndim != 2:
-                raise ShapeError(f"dense: a gathered part needs 2-d rows, got {sources[i].data.shape}")
-            if part.plan is not None:
-                _check_plan(part.plan, len(part.indices), len(sources[i].data))
-            projections[i] = projections[i][part.indices]
+    if b is not None:
+        smallest = min(projections, key=_size) if len(sources) > 1 else projections[0]
+        smallest += b.data  # before any broadcast
     # every projection is a fresh array: the one of the result's shape takes the others in place
-    data = projections[0] if len(parts) == 1 else max(projections, key=_ndim)
+    data = projections[0] if len(sources) == 1 else max(projections, key=_ndim)
     lead = data.shape[:-1]
     for projected in projections:
         if projected is not data:
             if projected.shape[:-1] != lead[len(lead) - projected.ndim + 1:]:
                 raise ShapeError(f"dense: parts of rows {[p.shape[:-1] for p in projections]} do not broadcast")
             data += projected
-    if bias_counts is not None:
-        bias_counts = np.asarray(bias_counts)
-        if b is None or bias_counts.shape != data.shape[:-1]:
-            raise ShapeError(f"dense: bias counts {bias_counts.shape} need a bias and rows {data.shape[:-1]}")
-        data += np.multiply.outer(bias_counts, b.data)
     if relu:
         np.maximum(data, 0.0, out=data)
-    shapes = [p.shape for p in projections]
 
     def _back(g):
         if relu:
             g = g * (data > 0.0)
         if b is not None:
-            _push(b, lambda: _sum_to(g if bias_counts is None else bias_counts[..., None] * g, b.data.shape))
+            _push(b, lambda: _sum_to(g, b.data.shape))
         w_grads = []
-        for part, source, block, shape in zip(parts, sources, blocks, shapes):
-            gp = _sum_to(g, shape)
-            if type(part) is Gather:
-                gp = _scatter_sum(gp, part.plan or scatter_plan(part.indices, source.data.shape[0]))
+        for source, block in zip(sources, blocks):
+            gp = _sum_to(g, source.data.shape)
             if source.data.ndim == 1:
                 _push(source, lambda: block @ gp, owned=True)
                 w_grads.append(np.outer(source.data, gp) if W.requires_grad else None)
@@ -465,9 +425,9 @@ class ScatterPlan(NamedTuple):
 
     indices: np.ndarray  # destination of each input row
     counts: np.ndarray  # rows per destination (its in-degree)
-    order: np.ndarray  # stable argsort of ``indices``: the rows grouped by destination, in index order
+    order: np.ndarray | None  # stable argsort of ``indices``; None when they are grouped already (``grouped_plan``)
     filled: np.ndarray  # the destinations that get at least one row, ascending
-    starts: np.ndarray  # where each filled destination's rows begin in ``order``
+    starts: np.ndarray  # where each filled destination's rows begin, once grouped
 
 
 def scatter_plan(indices, n_rows: int) -> ScatterPlan:
@@ -477,10 +437,21 @@ def scatter_plan(indices, n_rows: int) -> ScatterPlan:
         raise ShapeError(f"scatter_add_rows: need 1-d indices, got shape {indices.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
         raise ShapeError(f"scatter_add_rows: indices out of range for {n_rows} rows")
+    return _plan(indices, n_rows, np.argsort(indices, kind="stable"))
+
+
+def grouped_plan(indices: np.ndarray, n_rows: int) -> ScatterPlan:
+    """The plan of int64 indices in [0, n_rows) that are already grouped (non-decreasing); not checked.
+
+    Its scatter sums consecutive rows and needs no sort (``order`` is None).
+    """
+    return _plan(indices, n_rows, None)
+
+
+def _plan(indices: np.ndarray, n_rows: int, order: np.ndarray | None) -> ScatterPlan:
     counts = np.bincount(indices, minlength=n_rows)
     filled = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[filled]
-    return ScatterPlan(indices, counts, np.argsort(indices, kind="stable"), filled, starts)
+    return ScatterPlan(indices, counts, order, filled, (np.cumsum(counts) - counts)[filled])
 
 
 def _check_plan(plan: ScatterPlan, n_in: int, n_rows: int) -> None:
@@ -491,11 +462,12 @@ def _check_plan(plan: ScatterPlan, n_in: int, n_rows: int) -> None:
 
 def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
     """Row i sums the rows of ``x`` planned for destination i, in index order, and no other row."""
+    grouped = x if plan.order is None else x.take(plan.order, axis=0)
     if 0 < plan.filled.size == plan.counts.size:  # every destination gets a row
-        return np.add.reduceat(x[plan.order], plan.starts, axis=0)
+        return np.add.reduceat(grouped, plan.starts, axis=0)
     out = np.zeros((plan.counts.size,) + x.shape[1:])
     if plan.filled.size:
-        out[plan.filled] = np.add.reduceat(x[plan.order], plan.starts, axis=0)
+        out[plan.filled] = np.add.reduceat(grouped, plan.starts, axis=0)
     return out
 
 
@@ -516,6 +488,88 @@ def scatter_add_rows(a: Value, indices, n_rows: int, *, plan: ScatterPlan | None
     _check_plan(plan, a.data.shape[0], n_rows)
     return _node(_scatter_sum(a.data, plan), "scatter_add_rows", (a,),
                  lambda g: _push(a, lambda: g[plan.indices], owned=True))
+
+
+def message_layer(h: Value, src, destinations: ScatterPlan, edge_feats, weights, sources) -> Value:
+    """One message-passing round over edges grouped by destination, as one tape node.
+
+    Edge j runs from node ``src[j]`` to node ``destinations.indices[j]``.
+    ``destinations`` is the ``grouped_plan`` of the destinations, so each
+    node's incoming edges are consecutive rows. ``h`` holds the (N, d)
+    node states and ``edge_feats`` the (E, d_e) edge features. ``weights``
+    is (W1, b1, W2, b2, W_upd, b_upd), where W1's rows take
+    ``[h_dst | h_src | e]`` in that order. The result is
+
+        hid_j = relu(h_dst W1_dst + h_src W1_src + e_j W1_edge + b1)
+        m_v   = Σ_{j into v} (hid_j W2 + b2) = (Σ_{j into v} hid_j) W2 + deg(v) b2
+        h'_v  = relu([h_v | m_v] W_upd + b_upd)
+
+    so a node without incoming edges gets a zero message. W1_dst (with b1)
+    and W1_src project node rows before the per-edge gathers; W2 multiplies
+    each destination's sum, which is one ``reduceat`` over consecutive
+    rows. The backward scatters the edge gradient onto the destinations the
+    same way and onto the sources through ``sources()``, a callable giving
+    ``scatter_plan(src, N)``, called only by the backward (a graph's
+    ``source_plan`` plans once for all its layers); the weight and input
+    products then run on node rows. ``gradient_check`` reads the
+    two relu outputs off the backward closure's ``relu_outputs``.
+    """
+    W1, b1, W2, b2, W_upd, b_upd = (_wrap(w) for w in weights)
+    x, e, src, dst = h.data, np.asarray(edge_feats, dtype=np.float64), np.asarray(src), destinations.indices
+    n, width = x.shape if x.ndim == 2 else (-1, -1)
+    if destinations.order is not None or destinations.counts.size != n or src.shape != dst.shape \
+            or e.shape[:1] != dst.shape or e.ndim != 2:
+        raise ShapeError(f"message_layer: {src.shape} sources, {e.shape} edge features and a plan of "
+                         f"{dst.shape} grouped destinations do not fit node states {x.shape}")
+    shapes = [w.data.shape for w in (W1, b1, W2, b2, W_upd, b_upd)]
+    hid, msg, out_width = shapes[0][-1], shapes[2][-1], shapes[4][-1]
+    if shapes != [(2 * width + e.shape[1], hid), (hid,), (hid, msg), (msg,), (width + msg, out_width), (out_width,)]:
+        raise ShapeError(f"message_layer: weights {shapes} do not fit node width {width} and edge width {e.shape[1]}")
+    counts = destinations.counts
+    w1 = W1.data
+    blocks = (w1[:width], w1[width:2 * width], w1[2 * width:])
+    to_dst = _rows_matmul(x, blocks[0])
+    to_dst += b1.data  # on node rows, before the gather
+    hidden = to_dst.take(dst, axis=0)
+    hidden += _rows_matmul(x, blocks[1]).take(src, axis=0)
+    hidden += _rows_matmul(e, blocks[2])
+    np.maximum(hidden, 0.0, out=hidden)
+    summed = _scatter_sum(hidden, destinations)
+    message = _rows_matmul(summed, W2.data)
+    message += np.multiply.outer(counts, b2.data)
+    joint = np.concatenate([x, message], axis=1)
+    out = _rows_matmul(joint, W_upd.data)
+    out += b_upd.data
+    np.maximum(out, 0.0, out=out)
+
+    def _back(g):
+        g = g * (out > 0.0)
+        _push(b_upd, lambda: _sum_to(g, b_upd.data.shape))
+        _push(W_upd, lambda: _weight_grad(joint, g), owned=True)
+        if not (h.requires_grad or W1.requires_grad or b1.requires_grad or W2.requires_grad or b2.requires_grad):
+            return
+        g_joint = _rows_matmul(g, W_upd.data.T)
+        g_message = np.ascontiguousarray(g_joint[:, width:])
+        _push(b2, lambda: _sum_to(counts[:, None] * g_message, b2.data.shape))
+        _push(W2, lambda: _weight_grad(summed, g_message), owned=True)
+        g_hidden = _rows_matmul(g_message, W2.data.T).take(dst, axis=0)
+        g_hidden *= hidden > 0.0
+        _push(b1, lambda: _sum_to(g_hidden, b1.data.shape))
+        if not (h.requires_grad or W1.requires_grad):
+            return
+        g_dst = _scatter_sum(g_hidden, destinations)
+        g_src = _scatter_sum(g_hidden, sources())
+        _push(W1, lambda: np.concatenate([_weight_grad(x, g_dst), _weight_grad(x, g_src),
+                                          _weight_grad(e, g_hidden)]), owned=True)
+        if h.requires_grad:
+            # one fixed summation order: the update's share, then the destinations', then the sources'
+            g_h = np.array(g_joint[:, :width], order="C")
+            g_h += _rows_matmul(g_dst, blocks[0].T)
+            g_h += _rows_matmul(g_src, blocks[1].T)
+            h._accumulate(g_h, owned=True)
+
+    _back.relu_outputs = (hidden, out)
+    return _node(out, "message_layer", (h, W1, b1, W2, b2, W_upd, b_upd), _back)
 
 
 BN_MOMENTUM = 0.1  # weight of a new batch statistic in the running estimate
@@ -683,7 +737,13 @@ def backward(root: Value) -> None:
 
 def _activation_pattern(root: Value) -> list[np.ndarray]:
     """Sign pattern (output > 0) of every fused relu, in deterministic graph order."""
-    return [node.data > 0.0 for node in _topo_order(root) if node._op in ("dense_relu", "batchnorm_relu")]
+    patterns = []
+    for node in _topo_order(root):
+        if node._op in ("dense_relu", "batchnorm_relu"):
+            patterns.append(node.data > 0.0)
+        elif node._op == "message_layer":
+            patterns.extend(r > 0.0 for r in getattr(node._backward_fn, "relu_outputs", ()))
+    return patterns
 
 
 def _patterns_differ(a, b) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -213,15 +214,23 @@ def reorder_atoms(record: MoleculeRecord, order) -> MoleculeRecord:
     return reordered
 
 
+@functools.lru_cache(maxsize=32)
+def _vocab_index(vocab: tuple[int, ...]) -> dict[int, int]:
+    """Row of each atomic number in ``vocab``; shared by every call with this vocabulary, never changed."""
+    return {int(z): i for i, z in enumerate(vocab)}
+
+
 def vocab_rows(vocab, atomic_numbers) -> np.ndarray:
-    """Row of each atomic number in ``vocab``; an element outside it raises UnknownElement."""
-    index = {z: i for i, z in enumerate(vocab)}
-    rows = []
-    for z in atomic_numbers:
-        if int(z) not in index:
-            raise UnknownElement(f"atomic number {int(z)} not in vocabulary {list(vocab)}")
-        rows.append(index[int(z)])
-    return np.asarray(rows, dtype=np.int64)
+    """Row of each atomic number in ``vocab``; an element outside it raises UnknownElement.
+
+    The lookup is built once per vocabulary.
+    """
+    index = _vocab_index(tuple(vocab))
+    zs = atomic_numbers.tolist() if isinstance(atomic_numbers, np.ndarray) else atomic_numbers
+    try:
+        return np.fromiter(map(index.__getitem__, zs), dtype=np.int64, count=len(zs))
+    except KeyError as exc:
+        raise UnknownElement(f"atomic number {int(exc.args[0])} not in vocabulary {list(vocab)}") from None
 
 
 def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
@@ -239,11 +248,16 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     n = record.n_atoms
     if n == 0:
         raise EmptyMolecule(f"record {record.id} has no atoms")
+    # each pair becomes the directed edges (i, j) and (j, i), both with the pair's feature row;
+    # the edges come out grouped by destination, as MolecularGraph stores them
     if record.bonds is not None:
         ends = np.asarray([(u, v) for u, v, _ in record.bonds], dtype=np.int64).reshape(-1, 2)
         slots = [BOND_ORDERS.index(o) if o in BOND_ORDERS else len(BOND_ORDERS)
                  for _, _, o in record.bonds]
         feats = np.eye(len(BOND_ORDERS) + 1)[slots]
+        edges = np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2)
+        order = np.argsort(edges[:, 1], kind="stable")  # the edges into a node keep the bond order
+        edges, pair_of_edge = edges[order], order // 2
     else:
         if cutoff <= 0:
             raise InvalidConfig(f"cutoff must be positive, got {cutoff}")
@@ -254,15 +268,18 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
         # takes of one difference vector, so every distance keeps its bits
         dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
         keep = dist < cutoff
-        ends = np.stack([i[keep], j[keep]], axis=1)
+        pair = np.full((n, n), -1)
+        pair[i[keep], j[keep]] = pair[j[keep], i[keep]] = np.arange(np.count_nonzero(keep))
+        dst, src = np.nonzero(pair >= 0)  # read by destination: sources ascending within each
+        edges = np.stack([src, dst], axis=1)
+        pair_of_edge = pair[dst, src]
         feats = rbf_expand(dist[keep])
     if edge_features == "constant":
-        feats = np.ones((len(ends), 1))
-    elif edge_features != "auto":
+        edge_feats = np.ones((len(edges), 1))
+    elif edge_features == "auto":
+        edge_feats = feats.take(pair_of_edge, axis=0)
+    else:
         raise InvalidConfig(f"edge_features must be 'auto' or 'constant', got {edge_features!r}")
-    # each pair becomes the directed edges (i, j), (j, i), adjacent and sharing one feature row
-    edges = np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2)
-    edge_feats = np.repeat(feats, 2, axis=0)
 
     if vocab is not None:
         node_feats = np.zeros((n, len(vocab)))
@@ -272,7 +289,8 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
 
     names = task_names if task_names is not None else sorted(record.targets)
     targets = np.array([record.targets[t] for t in names], dtype=np.float64)
-    return MolecularGraph(node_feats=node_feats, edges=edges, edge_feats=edge_feats, targets=targets)
+    # a record's atoms and bonds are checked as it is made, so the graph is not checked again
+    return MolecularGraph.trusted(node_feats, edges, edge_feats, targets)
 
 
 @dataclass

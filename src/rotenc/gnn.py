@@ -27,6 +27,12 @@ class MolecularGraph:
     bond contributes both directions. ``node_feats`` are the initial node
     features (one-hot atom identity by default), ``edge_feats`` one row per
     directed edge, ``targets`` the regression targets.
+
+    The edges are stored grouped by destination: construction sorts them
+    stably by destination, feature rows along, so the edges into one node
+    keep the order they came in. ``destinations`` is their
+    ``ad.grouped_plan``: each node's in-degree and where its edges start.
+    A graph is not changed after it is made.
     """
 
     node_feats: np.ndarray
@@ -49,6 +55,35 @@ class MolecularGraph:
             raise InvalidConfig(
                 f"edge_feats rows {self.edge_feats.shape[0]} != edge count {self.edges.shape[0]}"
             )
+        dst = self.edges[:, 1]
+        if np.any(dst[1:] < dst[:-1]):
+            order = np.argsort(dst, kind="stable")
+            self.edges, self.edge_feats = self.edges[order], self.edge_feats[order]
+        self._index()
+
+    @classmethod
+    def trusted(cls, node_feats: np.ndarray, edges: np.ndarray, edge_feats: np.ndarray,
+                targets: np.ndarray) -> MolecularGraph:
+        """A graph of arrays that already satisfy every check, edges grouped by destination; not checked again.
+
+        ``node_feats``, ``edge_feats`` and ``targets`` are float64 arrays,
+        ``edges`` an int64 (E, 2) array of in-range, loop-free pairs with
+        non-decreasing destinations, one feature row each.
+        """
+        graph = cls.__new__(cls)
+        graph.node_feats, graph.edges, graph.edge_feats, graph.targets = node_feats, edges, edge_feats, targets
+        graph._index()
+        return graph
+
+    def _index(self) -> None:
+        self.destinations = ad.grouped_plan(self.edges[:, 1], self.n_nodes)
+        self._sources = None
+
+    def source_plan(self) -> ad.ScatterPlan:
+        """``ad.scatter_plan`` of the edge sources, built on first use (only a backward scatters onto them)."""
+        if self._sources is None:
+            self._sources = ad.scatter_plan(self.edges[:, 0], self.n_nodes)
+        return self._sources
 
     @property
     def n_nodes(self) -> int:
@@ -96,47 +131,25 @@ def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
     return ad.dense(feats, store["gnn.embed.W"], store["gnn.embed.b"])
 
 
-def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                 layer: int, plans: tuple[ad.ScatterPlan | None, ad.ScatterPlan] | None = None) -> Value:
-    """One round of message passing and node update.
+def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig, layer: int) -> Value:
+    """One round of message passing and node update, one tape node (``ad.message_layer``).
 
     Messages go along directed edges: the destination node v receives
     M(h_v, h_src, e) from each incoming edge, where M is a one-hidden-layer
     perceptron; incoming messages are summed per node (nodes without
     incoming edges, every node of an edgeless graph included, get a zero
     message, and the message weights a zero gradient). The update is
-    h' = relu(affine(concat(h, m))). ``plans`` is ``edge_plans(graph)``,
-    passed in when several layers share the graph.
-
-    Every affine map runs on the smaller side of its gather or scatter:
-    the first message layer projects the node states once per node and
-    gathers the projections for both edge ends (``ad.Gather``), and the
-    second, being linear, runs on each destination's sum of hidden rows,
-    its bias counted once per incoming edge. The per-edge
-    ``[h_dst | h_src | e]`` input is never built.
+    h' = relu(affine(concat(h, m))). The per-edge ``[h_dst | h_src | e]``
+    input is never built: the first message layer projects node states
+    before gathering them per edge, and the second runs on each node's sum
+    of hidden rows, its bias counted once per incoming edge.
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    src_plan, dst_plan = plans if plans is not None else edge_plans(graph)
     name = f"gnn.l{layer}"
-    edge_input = (ad.Gather(h, dst, dst_plan), ad.Gather(h, src, src_plan), Value(graph.edge_feats))
-    hidden = ad.dense(edge_input, store[f"{name}.msg1.W"], store[f"{name}.msg1.b"], relu=True)
-    summed = ad.scatter_add_rows(hidden, dst, graph.n_nodes, plan=dst_plan)
-    m = ad.dense(summed, store[f"{name}.msg2.W"], store[f"{name}.msg2.b"], bias_counts=dst_plan.counts)
-    joint = ad.concat([h, m], axis=1)
-    return ad.dense(joint, store[f"{name}.upd.W"], store[f"{name}.upd.b"], relu=True)
-
-
-def edge_plans(graph: MolecularGraph) -> tuple[ad.ScatterPlan | None, ad.ScatterPlan]:
-    """``ad.scatter_plan`` of the edge sources and of the edge destinations.
-
-    Only the backward scatters onto the edge sources, so without a tape
-    (inside ``ad.no_grad``) the sources' plan is None and not built.
-    """
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    return (ad.scatter_plan(src, graph.n_nodes) if ad.grad_enabled() else None,
-            ad.scatter_plan(dst, graph.n_nodes))
+    weights = [store[f"{name}.{part}"] for part in ("msg1.W", "msg1.b", "msg2.W", "msg2.b", "upd.W", "upd.b")]
+    return ad.message_layer(h, graph.edges[:, 0], graph.destinations, graph.edge_feats, weights,
+                            graph.source_plan)
 
 
 def readout(node_states: Value, mode: str = "sum", offsets=None) -> Value:
@@ -160,11 +173,9 @@ def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
 
     One molecule gives a (hidden,) vector. Given ``offsets``, ``graph`` is
     the disjoint union of a packed batch's molecules and the result is
-    (B, hidden). The edges' scatter plans are built once and shared by
-    every layer.
+    (B, hidden).
     """
     h = initial_states(graph, store, cfg, node_feats=node_feats)
-    plans = edge_plans(graph)
     for layer in range(cfg.layers):
-        h = message_pass(h, graph, store, cfg, layer, plans)
+        h = message_pass(h, graph, store, cfg, layer)
     return readout(h, cfg.readout, offsets)

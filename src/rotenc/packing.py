@@ -67,7 +67,9 @@ def pack(molecules) -> Batch:
     if len(molecules) == 1:
         return Batch(ids, molecules[0].graph, molecules[0].cloud, offsets)
     graphs = [m.graph for m in molecules]
-    graph = MolecularGraph(
+    # shifting each molecule's checked, destination-grouped edges past the atoms
+    # before it keeps them checked and grouped: the union is not checked or sorted again
+    graph = MolecularGraph.trusted(
         node_feats=np.concatenate([g.node_feats for g in graphs]),
         edges=np.concatenate([g.edges + start for g, start in zip(graphs, offsets)]),
         edge_feats=np.concatenate([g.edge_feats for g in graphs]),

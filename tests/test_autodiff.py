@@ -184,6 +184,16 @@ class TestScatterPlan:
             assert_same_bits(ad.scatter_add_rows(Value(x), indices, 6, plan=plan).data,
                              ad.scatter_add_rows(Value(x), indices, 6).data)
 
+    @pytest.mark.parametrize("indices", [[0, 0, 1, 3, 3, 3, 4], [2, 2], []], ids=["isolated", "one-row", "empty"])
+    def test_grouped_plan_sums_consecutive_rows_to_the_same_bits(self, indices):
+        indices = np.array(indices, dtype=np.int64)
+        grouped = ad.grouped_plan(indices, 6)
+        assert grouped.order is None
+        for width in (1, 4):
+            x = np.random.default_rng(9).normal(size=(len(indices), width)) * 10.0 ** np.arange(width)
+            assert_same_bits(ad.scatter_add_rows(Value(x), indices, 6, plan=grouped).data,
+                             ad.scatter_add_rows(Value(x), indices, 6).data)
+
     def test_plan_contents(self):
         plan = ad.scatter_plan([2, 0, 2, 2], 4)
         np.testing.assert_array_equal(plan.counts, [1, 0, 3, 0])
@@ -268,9 +278,9 @@ class TestGatherBackward:
             ad.gather_rows(Value(np.ones((3, 2))), [0, 1], plan=ad.scatter_plan([0, 1], 4))
 
     def test_training_step_argsorts_once_per_edge_end_and_lookup(self, monkeypatch):
-        # a 3-layer GNN gathers along the edge sources and destinations in
-        # every layer; their two plans serve every backward, and only the
-        # encoder's embedding lookup plans in the backward
+        # a graph's edges are grouped by destination when it is made, so the
+        # forward sorts nothing; the backward plans the edge sources once for
+        # all 3 GNN layers, and the encoder's embedding lookup once
         from helpers import bonded_record, tiny_model_config
         from rotenc.gnn import GnnConfig
         from rotenc.model import Model, loss
@@ -291,7 +301,7 @@ class TestGatherBackward:
         y_hat, u = model.forward(batch, training=True)
         phase = "backward"
         ad.backward(loss(y_hat, batch.targets, u, 1e-3))
-        assert calls == {"forward": 2, "backward": 1}
+        assert calls == {"forward": 0, "backward": 2}
 
 
 class TestBackward:
@@ -414,10 +424,9 @@ class TestDense:
 
 
 def _joined_reference(parts, W, b, relu):
-    """``dense`` of the concatenated input the parts stand for, built from gather_rows, broadcast_to and concat."""
-    pieces = [ad.gather_rows(p.source, p.indices) if isinstance(p, ad.Gather) else p for p in parts]
-    lead = max((piece.shape[:-1] for piece in pieces), key=len)
-    joined = ad.concat([ad.broadcast_to(piece, lead + piece.shape[-1:]) for piece in pieces], axis=-1)
+    """``dense`` of the concatenated input the parts stand for, built from broadcast_to and concat."""
+    lead = max((part.shape[:-1] for part in parts), key=len)
+    joined = ad.concat([ad.broadcast_to(part, lead + part.shape[-1:]) for part in parts], axis=-1)
     return ad.dense(joined, W, b, relu=relu)
 
 
@@ -479,16 +488,17 @@ class TestDenseParts:
         rng = np.random.default_rng(3)
         n, dst, src = 6, np.array([0, 0, 0, 1, 2, 2, 5, 3]), np.array([1, 2, 5, 0, 0, 3, 0, 2])
         h0, e0 = rng.normal(size=(n, 4)), rng.normal(size=(len(dst), 2))
+        plans = (ad.scatter_plan(dst, n), ad.scatter_plan(src, n)) if plan else (None, None)
 
         def make():
             h, e = Value(h0.copy(), requires_grad=True), Value(e0.copy(), requires_grad=True)
-            plans = (ad.scatter_plan(dst, n), ad.scatter_plan(src, n)) if plan else (None, None)
-            return {"parts": [ad.Gather(h, dst, plans[0]), ad.Gather(h, src, plans[1]), e], "leaves": [h, e]}
+            gathered = [ad.gather_rows(h, dst, plan=plans[0]), ad.gather_rows(h, src, plan=plans[1])]
+            return {"parts": gathered + [e], "leaves": [h, e]}
 
         self.compare(make, rng.normal(size=(10, 3)), rng.normal(size=3), relu)
         h = Value(h0, requires_grad=True)
-        ad.backward(ad.sum_pool(ad.sum_pool(ad.dense((ad.Gather(h, dst), ad.Gather(h, src), Value(e0)),
-                                                     Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
+        parts = (ad.gather_rows(h, dst, plan=plans[0]), ad.gather_rows(h, src, plan=plans[1]), Value(e0))
+        ad.backward(ad.sum_pool(ad.sum_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
         assert_same_bits(h.grad[4], np.zeros(4))
 
     @pytest.mark.parametrize("n", [1, 5], ids=["one-atom", "edgeless"])
@@ -499,36 +509,30 @@ class TestDenseParts:
 
         def make():
             h, e = Value(h0.copy(), requires_grad=True), Value(np.zeros((0, 2)), requires_grad=True)
-            return {"parts": [ad.Gather(h, none), ad.Gather(h, none, ad.scatter_plan(none, n)), e],
-                    "leaves": [h, e]}
+            gathered = [ad.gather_rows(h, none), ad.gather_rows(h, none, plan=ad.scatter_plan(none, n))]
+            return {"parts": gathered + [e], "leaves": [h, e]}
 
         W0 = rng.normal(size=(10, 3))
         out = self.compare(make, W0, rng.normal(size=3), True, head=lambda out: ad.scatter_add_rows(out, none, n))
         assert out.shape == (0, 3)
         h, W = Value(h0, requires_grad=True), Value(W0, requires_grad=True)
-        hidden = ad.dense((ad.Gather(h, none), ad.Gather(h, none), Value(np.zeros((0, 2)))), W, relu=True)
+        hidden = ad.dense((ad.gather_rows(h, none), ad.gather_rows(h, none), Value(np.zeros((0, 2)))), W, relu=True)
         ad.backward(ad.mse(ad.scatter_add_rows(hidden, none, n), np.ones((n, 3))))
         assert_same_bits(W.grad, np.zeros((10, 3)))
         assert_same_bits(h.grad, np.zeros((n, 4)))
 
     @pytest.mark.parametrize("counts", [[2, 0, 3, 1], [0, 0, 0, 0]], ids=["in-degrees", "edgeless"])
     def test_bias_counts_equal_the_sum_of_affine_rows(self, counts):
+        # message_layer adds in-degree * b2 once per node; the composed layer adds b2 to every edge row, then sums
         rng = np.random.default_rng(5)
         counts = np.array(counts)
-        rows = np.repeat(np.arange(4), counts)
-        x0, W0, b0 = rng.normal(size=(len(rows), 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
-        results = []
-        for counted in (True, False):
-            x, W, b = (Value(a.copy(), requires_grad=True) for a in (x0, W0, b0))
-            if counted:
-                out = ad.dense(ad.scatter_add_rows(x, rows, 4), W, b, bias_counts=counts)
-            else:  # every row's affine map, then the sum: one bias per row
-                out = ad.scatter_add_rows(ad.dense(x, W, b), rows, 4)
-            ad.backward(ad.mse(out, np.ones((4, 2))))
-            results.append((out.data, x.grad, W.grad, b.grad))
-        for got, want in zip(*results):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
-        assert_same_bits(results[0][0][counts == 0], np.zeros((int(np.sum(counts == 0)), 2)))
+        dst = np.repeat(np.arange(4), counts)
+        src = rng.integers(0, 4, size=dst.size)
+        g_b2 = TestMessageLayer.compare(src, dst, rng.normal(size=(dst.size, 2)), 4, seed=5)[5]
+        if counts.any():
+            assert np.all(g_b2 != 0.0)
+        else:  # no edge row, so no bias reaches a message
+            assert_same_bits(g_b2, np.zeros_like(g_b2))
 
     def test_single_part_tuple_is_plain_dense(self):
         rng = np.random.default_rng(6)
@@ -541,15 +545,111 @@ class TestDenseParts:
             ad.dense((Value(np.zeros((4, 3))), Value(np.zeros((4, 3)))), W)
         with pytest.raises(ShapeError):  # leading axes that do not broadcast
             ad.dense((Value(np.zeros((4, 3))), Value(np.zeros((5, 2)))), W)
-        with pytest.raises(ShapeError):  # a gathered part needs 2-d rows
-            ad.dense((ad.Gather(Value(np.zeros((2, 4, 3))), np.array([0])), Value(np.zeros((1, 2)))), W)
-        with pytest.raises(ShapeError):  # a plan of other rows
-            ad.dense((ad.Gather(Value(np.zeros((4, 3))), np.array([0, 1]), ad.scatter_plan([0, 1], 5)),
-                      Value(np.zeros((2, 2)))), W)
-        with pytest.raises(ShapeError):  # bias counts need a bias and one count per row
-            ad.dense(Value(np.zeros((4, 5))), W, bias_counts=np.ones(4, dtype=np.int64))
-        with pytest.raises(ShapeError):
-            ad.dense(Value(np.zeros((4, 5))), W, Value(np.zeros(2)), bias_counts=np.ones(3, dtype=np.int64))
+
+
+def _composed_layer(h, src, dst, e, weights):
+    """``message_layer`` composed from gather_rows, concat, dense and scatter_add_rows: the per-edge perceptron."""
+    W1, b1, W2, b2, W_upd, b_upd = weights
+    pair = ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e)], axis=1)
+    messages = ad.dense(ad.dense(pair, W1, b1, relu=True), W2, b2)
+    joint = ad.concat([h, ad.scatter_add_rows(messages, dst, h.shape[0])], axis=1)
+    return ad.dense(joint, W_upd, b_upd, relu=True)
+
+
+def _grouped(src, dst, e, n):
+    """The edges stably sorted by destination, as a graph stores them, and the destinations' plan."""
+    order = np.argsort(dst, kind="stable")
+    return src[order], ad.grouped_plan(dst[order], n), e[order]
+
+
+class TestMessageLayer:
+    """The fused layer equals the per-edge perceptron composed op by op, forward and every gradient."""
+
+    @staticmethod
+    def compare(src, dst, e0, n, seed=0, kink=()):
+        """Output, h gradient and the six weight gradients of the fused node; the edges come in ungrouped."""
+        rng = np.random.default_rng(seed)
+        width, hid, msg = 4, 3, 5
+        h0 = rng.normal(size=(n, width))
+        h0[list(kink)] = 0.0
+        w0 = [rng.normal(size=shape) for shape in [(2 * width + e0.shape[1], hid), (hid,), (hid, msg), (msg,),
+                                                   (width + msg, width), (width,)]]
+        if kink:
+            w0[1][:] = 0.0  # an edge between two zero states with zero features sits on the hidden kink
+        target = rng.normal(size=(n, width))
+        results = []
+        for fused in (True, False):
+            h = Value(h0.copy(), requires_grad=True)
+            weights = [Value(w.copy(), requires_grad=True) for w in w0]
+            if fused:
+                grouped_src, destinations, grouped_e = _grouped(src, dst, e0, n)
+                out = ad.message_layer(h, grouped_src, destinations, grouped_e, weights,
+                                       lambda: ad.scatter_plan(grouped_src, n))
+            else:
+                out = _composed_layer(h, src, dst, e0, weights)
+            ad.backward(ad.mse(out, target))
+            results.append([out.data, h.grad] + [w.grad for w in weights])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        return results[0]
+
+    def test_repeated_destinations_and_an_isolated_node(self):
+        # node 4 is never an edge end; node 0 gets three messages, in the shuffled order they came in
+        dst, src = np.array([2, 0, 5, 0, 1, 3, 2, 0]), np.array([0, 1, 0, 2, 0, 2, 3, 5])
+        e0 = np.random.default_rng(3).normal(size=(len(dst), 2))
+        out, g_h = self.compare(src, dst, e0, 6)[:2]
+        assert np.all(out[4] >= 0.0) and np.any(g_h[4] != 0.0)  # its update still sees its own state
+
+    def test_relu_kinks(self):
+        dst, src = np.array([1, 0, 2, 2]), np.array([0, 1, 0, 1])
+        e0 = np.zeros((4, 2))
+        self.compare(src, dst, e0, 3, seed=1, kink=(0, 1))
+
+    @pytest.mark.parametrize("n", [1, 5], ids=["one-atom", "edgeless"])
+    def test_no_edges(self, n):
+        none = np.zeros(0, dtype=np.int64)
+        _, _, g_w1, g_b1, g_w2, g_b2, _, _ = self.compare(none, none, np.zeros((0, 2)), n, seed=4)
+        for grad in (g_w1, g_b1, g_w2, g_b2):  # a zero gradient, so an optimizer step sees no stale weight
+            assert_same_bits(grad, np.zeros_like(grad))
+
+    @pytest.mark.parametrize("edge_features", ["auto", "constant"])
+    def test_bonded_edge_features(self, edge_features):
+        from helpers import bonded_record
+        from rotenc.data import build_graph
+
+        record = bonded_record(seed=5)
+        edges, e0 = [], []
+        for u, v, order in record.bonds:  # both directions per bond, in bond order, ungrouped
+            row = np.ones(1) if edge_features == "constant" else np.eye(4)[order - 1 if order <= 3 else 3]
+            edges += [(u, v), (v, u)]
+            e0 += [row, row]
+        edges, e0 = np.array(edges), np.array(e0)
+        graph = build_graph(record, edge_features=edge_features)
+        assert_same_bits(graph.edge_feats, _grouped(edges[:, 0], edges[:, 1], e0, record.n_atoms)[2])
+        self.compare(edges[:, 0], edges[:, 1], e0, record.n_atoms, seed=6)
+
+    def test_gradient_check_sees_both_relus(self):
+        src, destinations, e = _grouped(np.array([1, 0, 2]), np.array([0, 1, 1]), np.ones((3, 1)), 3)
+        weights = [Value(np.ones(shape), requires_grad=True) for shape in [(5, 2), (2,), (2, 2), (2,), (4, 2), (2,)]]
+        out = ad.message_layer(Value(np.ones((3, 2))), src, destinations, e, weights,
+                               lambda: ad.scatter_plan(src, 3))
+        assert [p.shape for p in ad._activation_pattern(out)] == [(3, 2), (3, 2)]
+
+    def test_shapes_rejected(self):
+        rng = np.random.default_rng(7)
+        weights = [Value(rng.normal(size=shape)) for shape in [(10, 3), (3,), (3, 5), (5,), (9, 4), (4,)]]
+        h, e = Value(rng.normal(size=(3, 4))), np.ones((2, 2))
+        src = np.array([1, 0])
+        dst = np.array([0, 2])
+        with pytest.raises(ShapeError, match="grouped"):  # a plan that still sorts its destinations
+            ad.message_layer(h, src, ad.scatter_plan(dst, 3), e, weights, None)
+        with pytest.raises(ShapeError):  # a plan for other nodes
+            ad.message_layer(h, src, ad.grouped_plan(dst, 4), e, weights, None)
+        with pytest.raises(ShapeError):  # one feature row per edge
+            ad.message_layer(h, src, ad.grouped_plan(dst, 3), np.ones((3, 2)), weights, None)
+        with pytest.raises(ShapeError):  # W1 rows != 2 * 4 + 3
+            ad.message_layer(h, src, ad.grouped_plan(dst, 3), np.ones((2, 3)), weights, None)
+        ad.message_layer(h, src, ad.grouped_plan(dst, 3), e, weights, None)  # the shapes that fit
 
 
 class TestNoGrad:

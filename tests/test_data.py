@@ -22,6 +22,7 @@ from rotenc.data import (
     rbf_expand,
     reorder_atoms,
     split,
+    vocab_rows,
     write_dataset,
 )
 from rotenc.errors import (
@@ -159,8 +160,11 @@ def _per_pair_graph(record, cutoff, edge_features="auto"):
 
 
 def assert_graph_matches_oracle(record, cutoff, edge_features="auto"):
+    """``build_graph`` gives the oracle's edges stably sorted by destination, feature rows along."""
     graph = build_graph(record, cutoff, edge_features=edge_features)
     edges, feats = _per_pair_graph(record, cutoff, edge_features)
+    order = sorted(range(len(edges)), key=lambda k: edges[k, 1])  # Python's sort is stable
+    edges, feats = edges[order].reshape(-1, 2), feats[order]
     assert graph.edges.dtype == edges.dtype and np.array_equal(graph.edges, edges)
     assert graph.edge_feats.shape == feats.shape and graph.edge_feats.dtype == feats.dtype
     assert graph.edge_feats.tobytes() == feats.tobytes()
@@ -243,6 +247,15 @@ class TestBuildGraph:
     def test_unknown_element_with_vocab(self):
         with pytest.raises(UnknownElement):
             build_graph(water_record(), vocab=(1, 6))
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_vocab_rows_name_the_first_unknown_element(self, as_array):
+        convert = np.array if as_array else list
+        np.testing.assert_array_equal(vocab_rows((1, 6, 8), convert([8, 1, 6, 6])), [2, 0, 1, 1])
+        assert vocab_rows((1, 6), convert([])).shape == (0,)
+        for _ in range(2):  # the second call reuses the vocabulary's lookup and still checks every atom
+            with pytest.raises(UnknownElement, match=r"^atomic number 7 not in vocabulary \[1, 6, 8\]$"):
+                vocab_rows((1, 6, 8), convert([1, 7, 9]))
 
     def test_constant_edge_features(self):
         graph = build_graph(water_record(), edge_features="constant")

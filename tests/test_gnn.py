@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore, Value
@@ -158,11 +160,13 @@ class TestEndToEnd:
         np.testing.assert_allclose(gnn_forward(doubled, store, cfg).data, 2 * single, rtol=1e-12)
 
     def test_one_destination_plan_per_forward(self, monkeypatch):
+        # the graph plans its destinations when it is made, and its sources
+        # when a backward first scatters onto them; a forward plans nothing
         cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="sum")
         graph = ring_graph(n=6, d0=3, d_e=2, seed=13)
         store = setup_gnn(graph, cfg, seed=14)
         h = initial_states(graph, store, cfg)
-        for layer in range(cfg.layers):  # each layer plans its own gathers and scatter
+        for layer in range(cfg.layers):
             h = message_pass(h, graph, store, cfg, layer)
         per_layer = readout(h, cfg.readout).data
         plans = []
@@ -173,13 +177,14 @@ class TestEndToEnd:
             return real_plan(indices, n_rows)
 
         monkeypatch.setattr(ad, "scatter_plan", counting)
-        with ad.no_grad():  # only the backward scatters onto the edge sources
+        with ad.no_grad():
             untaped = gnn_forward(graph, store, cfg).data
+        taped = gnn_forward(graph, store, cfg)
+        assert plans == []
+        for _ in range(2):  # every layer of both backwards shares the graph's one source plan
+            ad.backward(ad.mse(gnn_forward(graph, store, cfg), np.zeros(cfg.hidden)))
         assert plans == [graph.n_nodes]
-        plans.clear()
-        shared = gnn_forward(graph, store, cfg).data
-        assert plans == [graph.n_nodes, graph.n_nodes]  # the edge sources', then the destinations'
-        assert shared.tobytes() == per_layer.tobytes() == untaped.tobytes()
+        assert taped.data.tobytes() == per_layer.tobytes() == untaped.tobytes()
 
     def test_three_layer_gradients_match_finite_differences(self):
         cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="mean")
@@ -204,3 +209,42 @@ class TestEndToEnd:
             return ad.mse(gnn_forward(graph, s, cfg), np.linspace(-1, 1, cfg.hidden))
 
         assert ad.gradient_check(f, store, h=1e-5, n_probe=50, seed=3) <= 1e-4
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """A directed graph (parallel edges and isolated nodes allowed) and one arrival order of its edges."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    perm = draw(st.permutations(range(len(edges))))
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 2)[list(perm)], draw(st.integers(0, 2**32 - 1))
+
+
+class TestEdgeGrouping:
+    @given(shuffled_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_any_edge_order_comes_out_grouped_and_sums_in_arrival_order(self, drawn):
+        n, edges, seed = drawn
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(len(edges), 2))
+        node_feats = rng.normal(size=(n, 3))
+        graph = MolecularGraph(node_feats, edges, feats, np.array([0.0]))
+        # grouped by destination, each destination's edges in the order they came in
+        order = sorted(range(len(edges)), key=lambda k: edges[k, 1])
+        assert graph.edges.tobytes() == edges[order].tobytes()
+        assert graph.edge_feats.tobytes() == feats[order].tobytes()
+        np.testing.assert_array_equal(graph.destinations.counts, np.bincount(edges[:, 1], minlength=n))
+        assert graph.destinations.order is None
+        # another arrival order that keeps each destination's own order: the same graph, bit for bit
+        queues = {d: [k for k in order if edges[k, 1] == d] for d in range(n)}
+        interleaved = [queues[d].pop(0) for d in rng.permutation(edges[:, 1])]
+        again = MolecularGraph(node_feats, edges[interleaved], feats[interleaved], np.array([0.0]))
+        cfg = GnnConfig(layers=2, hidden=5, message_width=4)
+        store = setup_gnn(graph, cfg, seed=seed % 1000)
+        out = gnn_forward(graph, store, cfg).data
+        assert gnn_forward(again, store, cfg).data.tobytes() == out.tobytes()
+        # any other arrival order sums each destination in another order: equal up to rounding
+        unshuffled = np.lexsort((edges[:, 0], edges[:, 1]))
+        other = MolecularGraph(node_feats, edges[unshuffled], feats[unshuffled], np.array([0.0]))
+        np.testing.assert_allclose(gnn_forward(other, store, cfg).data, out, rtol=1e-12, atol=1e-12)

@@ -431,29 +431,32 @@ class TestObjectiveVariants:
 class TestProjectBeforeGather:
     def test_no_edge_or_view_input_is_built(self, monkeypatch):
         # paper widths on a cutoff molecule: every affine map takes node, edge
-        # or view rows of its own, never the joined per-edge or per-view input
+        # or view rows of its own, never the joined per-edge or per-view input.
+        # Every product of dense, matmul and message_layer goes through
+        # _rows_matmul, so the fused message layer's operands are seen too
         cfg = ModelConfig(encoder=EncoderConfig(k=4), gnn=GnnConfig())
         record = make_records(1, seed=3, n_atoms_range=(12, 12))[0]
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=sorted(record.targets))
         batch = pack([model.prepare(record)])
         n_edges, n_atoms = batch.graph.n_edges, batch.graph.n_nodes
         shapes = []
-        for name in ("dense", "matmul"):
-            def recording(x, *args, real=getattr(ad, name), **kwargs):
-                for part in x if isinstance(x, tuple) else (x,):
-                    shapes.append((len(part.indices), part.source.shape[-1]) if isinstance(part, ad.Gather)
-                                  else np.shape(getattr(part, "data", part)))
-                return real(x, *args, **kwargs)
 
-            monkeypatch.setattr(ad, name, recording)
+        def recording(x, W, real=ad._rows_matmul):
+            shapes.append(x.shape)
+            return real(x, W)
+
+        monkeypatch.setattr(ad, "_rows_matmul", recording)
         model.predict(record)
         model.forward(batch, training=True)
         assert n_edges > 0
         assert (n_edges, 2 * cfg.gnn.hidden + model.d_edge) not in shapes
         assert (cfg.encoder.k, n_atoms, 3 + cfg.encoder.embed_dim) not in shapes
-        # the parts that replace them: edge features, gathered node states, rotated views, embedding rows
-        for part in [(n_edges, model.d_edge), (n_edges, cfg.gnn.hidden), (cfg.encoder.k, n_atoms, 3),
+        # the parts that replace them: edge features, node states, rotated views, embedding rows
+        for part in [(n_edges, model.d_edge), (n_atoms, cfg.gnn.hidden), (cfg.encoder.k, n_atoms, 3),
                      (n_atoms, cfg.encoder.embed_dim)]:
+            assert part in shapes, part
+        # the message layer's own operands: node states, summed hidden rows and [h | m] rows
+        for part in [(n_atoms, cfg.gnn.message_width), (n_atoms, cfg.gnn.hidden + cfg.gnn.message_width)]:
             assert part in shapes, part
 
 
@@ -470,6 +473,24 @@ class TestPrepareChecksOnce:
             monkeypatch.setattr(cls, "__post_init__", counting)
         tiny_model.prepare(small_records[0])
         assert checked == ["PointCloud"]
+
+    def test_built_graph_is_not_checked_again(self, tiny_model, small_records, monkeypatch):
+        # build_graph and pack make their graphs from checked arrays; a graph of outside arrays is checked
+        from rotenc.gnn import MolecularGraph
+
+        checked = []
+
+        def counting(self, real=MolecularGraph.__post_init__):
+            checked.append(self.n_edges)
+            real(self)
+
+        monkeypatch.setattr(MolecularGraph, "__post_init__", counting)
+        molecules = [tiny_model.prepare(record) for record in small_records[:3]]
+        pack(molecules)
+        assert checked == []
+        graph = molecules[0].graph
+        MolecularGraph(graph.node_feats, graph.edges, graph.edge_feats, graph.targets)
+        assert checked == [graph.n_edges]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of the far record
     @pytest.mark.parametrize("edit,message", [

@@ -200,6 +200,20 @@ class TestPack:
             np.testing.assert_array_equal(batch.graph.edges[own] - start, m.graph.edges)
         assert batch.graph.targets.shape == (3, 1)
 
+    @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
+    def test_union_keeps_the_edges_grouped_without_sorting(self, bonded, monkeypatch):
+        model = Model(tiny_model_config(), VOCAB, ("y",), seed=0, bonded=bonded)
+        molecules = [model.prepare(record) for record in _records(bonded, n=3)]
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        graph = pack(molecules).graph
+        assert sorts == []
+        assert np.all(np.diff(graph.edges[:, 1]) >= 0) and graph.destinations.order is None
+        np.testing.assert_array_equal(graph.destinations.counts,
+                                      np.concatenate([m.graph.destinations.counts for m in molecules]))
+        np.testing.assert_array_equal(graph.edge_feats, np.concatenate([m.graph.edge_feats for m in molecules]))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(NoData):
             pack([])
