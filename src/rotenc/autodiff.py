@@ -17,16 +17,20 @@ a result that needs none is a constant: it records no parents and no
 backward closure, and a closure pushes gradient only into the inputs that
 need one. Inside ``with no_grad():`` nothing needs a gradient, so a
 forward-only pass keeps no tape alive. Work that only the backward sweep
-uses (a fused relu's sign pattern, the argmax of ``max_pool``) runs inside
-the backward closure, from the arrays the closure already holds, so no
-forward pass pays for it and no node stores it.
+uses (a fused relu's sign pattern, the argmax of ``max_pool``, the
+``x − μ`` of ``batchnorm``) runs inside the backward closure, from the
+arrays the closure already holds, so no forward pass pays for it and no
+node stores it.
 
-Every reduction sums its rows in index order; exactness under atom
-permutation comes from the one canonical atom order of ``Model.prepare``.
-Given ``offsets``, the pooling ops and ``batchnorm`` treat their row axis
-as segments stored back to back (one molecule of a packed batch each,
+A reduction's summation order is numpy's, not always row order (one
+``np.add.reduceat`` adds a segment's first row last); what every
+reduction guarantees is that a segment reduces to the same bits wherever
+it sits. Exactness under atom permutation comes from the one canonical
+atom order of ``Model.prepare``, not from the reductions. Given
+``offsets``, the pooling ops and ``batchnorm`` treat their row axis as
+segments stored back to back (one molecule of a packed batch each,
 segment b in rows ``offsets[b]:offsets[b+1]``) and reduce every segment on
-its own, exactly as they reduce a lone segment.
+its own, to the bits of the same rows reduced alone.
 """
 
 from __future__ import annotations
@@ -283,10 +287,10 @@ def _pool(a: Value, axis: int, offsets, op: str, mean: bool) -> Value:
     """Sum, or average for a ``mean``, one axis of ``a``, whole or per segment.
 
     Without offsets the axis is dropped; with offsets it keeps one entry per
-    segment. One ``reduceat`` sums every segment in row order, each on its
-    own, so a segment sums exactly as it does alone. The backward spreads
-    each entry's gradient over its rows, divided by the row count for a
-    ``mean``.
+    segment. One ``reduceat`` sums every segment on its own, so a segment
+    sums to the bits it sums to alone (in numpy's order, which adds its
+    first row last, not in row order). The backward spreads each entry's
+    gradient over its rows, divided by the row count for a ``mean``.
     """
     axis = axis % a.data.ndim
     n = a.data.shape[axis]
@@ -308,12 +312,12 @@ def _pool(a: Value, axis: int, offsets, op: str, mean: bool) -> Value:
 
 
 def sum_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise sum over one axis (or each segment of it), in row order."""
+    """Column-wise sum over one axis (or each segment of it), each segment to its lone bits."""
     return _pool(a, axis, offsets, "sum_pool", mean=False)
 
 
 def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise mean over one axis (or each segment of it), summed in row order."""
+    """Column-wise mean over one axis (or each segment of it), each segment to its lone bits."""
     return _pool(a, axis, offsets, "mean_pool", mean=True)
 
 
@@ -461,7 +465,12 @@ def _check_plan(plan: ScatterPlan, n_in: int, n_rows: int) -> None:
 
 
 def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
-    """Row i sums the rows of ``x`` planned for destination i, in index order, and no other row."""
+    """Row i sums the rows of ``x`` planned for destination i and no other row.
+
+    One ``reduceat`` over the grouped rows sums each destination's rows on
+    their own, so a destination gets the same bits whatever else is
+    scattered (the order within a destination is numpy's, not index order).
+    """
     grouped = x if plan.order is None else x.take(plan.order, axis=0)
     if 0 < plan.filled.size == plan.counts.size:  # every destination gets a row
         return np.add.reduceat(grouped, plan.starts, axis=0)
@@ -474,12 +483,12 @@ def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
 def scatter_add_rows(a: Value, indices, n_rows: int, *, plan: ScatterPlan | None = None) -> Value:
     """Accumulate rows of ``a`` into ``n_rows`` destination rows.
 
-    Row i of the output is the sum of all rows j with indices[j] == i, in
-    index order (zero when there are none). This is the neighbor-sum
-    aggregation for message passing. ``plan`` is ``scatter_plan(indices,
-    n_rows)`` built once by a caller that scatters along the same indices
-    several times (every layer of ``gnn.gnn_forward``); without it the call
-    builds its own.
+    Row i of the output is the sum of all rows j with indices[j] == i,
+    summed on their own as ``_scatter_sum`` does (zero when there are
+    none). This is the neighbor-sum aggregation for message passing.
+    ``plan`` is ``scatter_plan(indices, n_rows)`` built once by a caller
+    that scatters along the same indices several times (every layer of
+    ``gnn.gnn_forward``); without it the call builds its own.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"scatter_add_rows: need 2-d input, got {a.data.shape}")
@@ -603,6 +612,11 @@ def _fold_running(state: BatchNormState, mu: np.ndarray, var: np.ndarray) -> Non
     state.mean, state.var = running[0].copy(), running[1].copy()
 
 
+def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise dot products over the rows (axis -2) of two arrays of one shape, keeping that axis."""
+    return np.einsum("...nd,...nd->...d", a, b)[..., None, :]
+
+
 def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
               offsets=None, relu: bool = False) -> Value:
     """Training-mode batch normalization over the rows (axis -2) of a 2-d or stacked input, optionally then relu.
@@ -610,15 +624,23 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
     Normalizes with the batch statistics (population variance); a stacked
     ``(k, n, d)`` input keeps separate statistics for each of its k
     matrices, and with ``offsets`` each matrix keeps separate statistics
-    for each segment of its rows. Every segment is normalized, scaled and
-    shifted on its own, with the arithmetic of a lone segment, one segment
-    at a time so that its rows stay in cache. The statistics are folded
-    into the running estimates one (segment, matrix) pair at a time,
-    segment by segment and in stack order within a segment. ``relu``
-    applies a relu to the result in the same node, a ``"batchnorm_relu"``
-    op whose backward reads the sign pattern off the output, as ``dense``
-    does. (Inference folds the running statistics into the preceding
-    weights instead; see ``encoder3d.pointwise_stack``.)
+    for each segment of its rows. Every segment is normalized and scaled
+    on its own, with the arithmetic of a lone segment, one segment at a
+    time so that its rows stay in cache: ``x − μ`` is written into the
+    output, its column-wise dot with itself gives the variance, and it is
+    scaled in place by ``a = γ/√(σ² + ε)``. μ is always subtracted first,
+    which keeps the digits of a channel whose mean dwarfs its spread. β
+    and the relu then run once over the whole output. The statistics are
+    folded into the running estimates one (segment, matrix) pair at a
+    time, segment by segment and in stack order within a segment.
+    ``relu`` makes the node a ``"batchnorm_relu"`` op whose backward reads
+    the sign pattern off the output, as ``dense`` does.
+
+    The node keeps only its output and the per-segment μ, 1/σ and a; the
+    backward recomputes ``x − μ`` from the input rather than storing the
+    normalized ``x̂``, masks each segment's gradient once and writes the
+    input gradient once. (Inference folds the running statistics into the
+    preceding weights instead; see ``encoder3d.pointwise_stack``.)
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
@@ -629,41 +651,43 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         )
     n = x.data.shape[-2]
     blocks = list(pairwise(_segments([0, n] if offsets is None else offsets, n)))
-    xhat = np.empty_like(x.data)
     out = np.empty_like(x.data)
-    inv_stds, mus, variances = [], [], []
+    stats, mus, variances = [], [], []  # stats: (μ, 1/σ, a) of each segment
     for start, stop in blocks:
-        part, rows = x.data[..., start:stop, :], stop - start
+        part, block, rows = x.data[..., start:stop, :], out[..., start:stop, :], stop - start
         mu = part.sum(axis=-2, keepdims=True) / rows
-        var = ((part - mu) ** 2).sum(axis=-2, keepdims=True) / rows
-        inv_stds.append(1.0 / np.sqrt(var + BN_EPS))
-        normed = xhat[..., start:stop, :]
-        np.subtract(part, mu, out=normed)
-        normed *= inv_stds[-1]
+        np.subtract(part, mu, out=block)
+        var = _col_dots(block, block) / rows
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        a = gamma.data * inv_std
+        block *= a
+        stats.append((mu, inv_std, a))
         mus.append(mu.reshape(-1, width))
         variances.append(var.reshape(-1, width))
-        block = out[..., start:stop, :]
-        np.multiply(gamma.data, normed, out=block)
-        block += beta.data
-        if relu:
-            np.maximum(block, 0.0, out=block)
+    out += beta.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
     _fold_running(state, np.concatenate(mus), np.concatenate(variances))
 
     def _back(g):
         d_gamma, d_beta = np.zeros(width), np.zeros(width)
         gx = np.empty_like(g) if x.requires_grad else None
-        for (start, stop), inv_std in zip(blocks, inv_stds):
+        for (start, stop), (mu, inv_std, a) in zip(blocks, stats):
             part, rows = g[..., start:stop, :], stop - start
             if relu:
-                part = part * (out[..., start:stop, :] > 0.0)
-            part_xhat = xhat[..., start:stop, :]
+                part = part * (out[..., start:stop, :] > 0.0)  # g', masked once
+            centered = x.data[..., start:stop, :] - mu
             g_sum = part.sum(axis=-2, keepdims=True)
-            gx_sum = (part * part_xhat).sum(axis=-2, keepdims=True)
-            d_gamma += _sum_to(gx_sum, (width,))
+            g_xhat_sum = _col_dots(part, centered) * inv_std  # Σ g'·x̂
+            d_gamma += _sum_to(g_xhat_sum, (width,))
             d_beta += _sum_to(g_sum, (width,))
             if gx is not None:
-                np.multiply(gamma.data * inv_std / rows, rows * part - g_sum - part_xhat * gx_sum,
-                            out=gx[..., start:stop, :])
+                # gx = a·g' − (a/n)·Σg' − (a/(σn))·Σg'x̂·(x − μ), as a·(g' − Σg'/n − (Σg'x̂/(σn))·(x − μ)):
+                # the segment-sized temporaries stay in cache, and gx is written once
+                centered *= inv_std * g_xhat_sum / rows
+                centered += g_sum / rows
+                np.subtract(part, centered, out=centered)
+                np.multiply(centered, a, out=gx[..., start:stop, :])
         _push(gamma, lambda: d_gamma, owned=True)
         _push(beta, lambda: d_beta, owned=True)
         if gx is not None:

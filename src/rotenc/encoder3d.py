@@ -202,7 +202,7 @@ def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, 
 
 
 def pool_view(features: Value, mode: str = "mean", offsets=None) -> Value:
-    """Column-wise mean or max over atoms (axis -2), summed in atom order.
+    """Column-wise mean or max over atoms (axis -2), each molecule to the bits of its lone pool.
 
     A (k, N, d) stack gives one fingerprint per view; ``encode`` hands the
     mean mode an (N, d) array of per-atom view averages instead. With
@@ -263,9 +263,9 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     stacked (k, N, d) tensor; the first layer projects the embedding rows
     once and adds the projection to every view. Under mean pooling each atom's k rows are
     averaged in view order (``ad.mean``), and the (N, d) averages are then
-    pooled over atoms, in index order (``Model.prepare``'s canonical atom
-    order makes that exact under atom permutation): k times fewer rows than
-    pooling every view. Under max pooling every view is
+    pooled over atoms (``Model.prepare``'s canonical atom order makes that
+    exact under atom permutation): k times fewer rows than pooling every
+    view. Under max pooling every view is
     pooled over atoms and the k fingerprints are averaged. ``per_view``
     pools every view and returns one fingerprint row per view, (k, d_p) or
     (k, B, d_p). ``coords_value``/``emb_value`` feed the cloud's

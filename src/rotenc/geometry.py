@@ -8,6 +8,7 @@ measure.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def _uniform_quaternions(u: np.ndarray) -> np.ndarray:
-    """Map (k, 3) unit-cube samples to unit quaternions, uniformly on S^3.
+    """Map (m, 3) unit-cube samples to unit quaternions, uniformly on S^3.
 
     Standard construction: for u1, u2, u3 in [0, 1),
       q = (sqrt(u1) cos(2 pi u3), sqrt(1-u1) sin(2 pi u2),
@@ -100,15 +101,31 @@ def _uniform_quaternions(u: np.ndarray) -> np.ndarray:
     return np.stack([b * np.cos(t3), a * np.sin(t2), a * np.cos(t2), b * np.sin(t3)], axis=1)
 
 
-def sample_rotations(k: int, seed: int = 0) -> np.ndarray:
+def sample_rotations(k: int, seed: int | Sequence[int] = 0) -> np.ndarray:
     """k Haar-random rotations as one (k, 3, 3) array, deterministic in (k, seed).
 
-    The unit-cube variates come from a seeded PCG64 stream.
+    The unit-cube variates come from a seeded PCG64 stream. ``seed`` may
+    also be a non-empty 1-d sequence of B non-negative integer seeds: the
+    result is then (B, k, 3, 3), stack b byte-equal to
+    ``sample_rotations(k, seeds[b])``, from one conversion over all B·k
+    draws.
     """
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
-    u = np.random.default_rng(seed).random((k, 3))
-    return quaternion_to_matrix(_uniform_quaternions(u))
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else _seed_list(seed)
+    u = np.concatenate([np.random.default_rng(s).random((k, 3)) for s in seeds])
+    rotations = quaternion_to_matrix(_uniform_quaternions(u))
+    return rotations if single else rotations.reshape(len(seeds), k, 3, 3)
+
+
+def _seed_list(seeds) -> list[int]:
+    """The seeds of a non-empty 1-d sequence of non-negative integers, as Python ints."""
+    array = np.asarray(seeds)
+    if array.ndim != 1 or array.size == 0 or array.dtype.kind not in "iu" or (array < 0).any():
+        raise InvalidConfig(f"seed must be an integer or a non-empty 1-d sequence of non-negative "
+                            f"integers, got {seeds!r}")
+    return array.tolist()
 
 
 def apply_rotation(cloud: PointCloud, rotation: np.ndarray) -> PointCloud:

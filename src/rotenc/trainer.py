@@ -416,8 +416,8 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
         for b_start in range(0, len(order), cfg.batch_size):
             members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
             batch = pack(molecules[i] for i in members)
-            rotations = None if cfg.model.ablate_3d else np.stack(
-                [sample_rotations(cfg.model.encoder.k, _rotation_seed(cfg.seed, epoch, i)) for i in members])
+            rotations = None if cfg.model.ablate_3d else sample_rotations(
+                cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members])
             model.store.zero_grad()
             y_hat, u = model.forward(batch, training=True, rotations=rotations)
             batch_loss = loss(y_hat, normalizer.apply(batch.targets), u, cfg.lambda_l1)

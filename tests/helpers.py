@@ -27,3 +27,12 @@ def bonded_record(seed: int = 11, n: int = 9) -> MoleculeRecord:
     z = [int(rng.choice((1, 6, 7, 8))) for _ in range(n)]
     return MoleculeRecord(id=f"bonded{seed}", atomic_numbers=z, coords=coords, bonds=bonds,
                           targets={"y": 1.0})
+
+
+def assert_close_to_scale(got, want, rtol):
+    """``assert_allclose`` at ``rtol``, with an absolute tolerance of ``rtol`` times the largest |want|.
+
+    Relative to the array's scale: an entry that cancels to ~0 has no
+    meaningful relative error of its own.
+    """
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * float(np.max(np.abs(want), initial=0.0)))

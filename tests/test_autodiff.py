@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import assert_close_to_scale
 from rotenc import autodiff as ad
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
 from rotenc.errors import NotScalar, ShapeError
@@ -73,7 +74,9 @@ class TestPermutationExactness:
 
     Exactness under atom permutation comes from ``Model.prepare``'s one
     canonical atom order (``test_model.TestCanonicalAtomOrder``), not from
-    the reductions, which sum in index order.
+    the reductions: ``np.add.reduceat`` adds a segment's first row last, so
+    their order is not row order. What they keep is that a segment reduces
+    to the same bits wherever it sits.
     """
 
     def test_segments_equal_their_lone_molecules(self):
@@ -101,7 +104,7 @@ class TestPermutationExactness:
 
 
 def _per_destination_sum(x, indices, n_rows):
-    """Oracle for ``scatter_add_rows``: one destination at a time, its rows in index order, summed alone."""
+    """Oracle for ``scatter_add_rows``: one destination at a time, its rows summed alone."""
     out = np.zeros((n_rows, x.shape[1]))
     for i in range(n_rows):
         rows = x[indices == i]
@@ -721,6 +724,165 @@ class TestBatchNorm:
             np.testing.assert_array_equal(stacked[i], one)
         np.testing.assert_array_equal(stacked_state.mean, loop_state.mean)
         np.testing.assert_array_equal(stacked_state.var, loop_state.var)
+
+
+def _batchnorm_oracle(x, gamma, beta, offsets, relu, g):
+    """Training batchnorm with the arithmetic of the kernel that stored the normalized x̂.
+
+    Returns the output, the x, γ and β gradients for the upstream gradient
+    ``g`` and the running (mean, var) folded from a fresh state.
+    """
+    n, width = x.shape[-2:]
+    bounds = [0, n] if offsets is None else list(offsets)
+    out, gx = np.empty_like(x), np.empty_like(x)
+    d_gamma, d_beta = np.zeros(width), np.zeros(width)
+    running = BatchNormState.for_width(width)
+    m = ad.BN_MOMENTUM
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        part, rows = x[..., start:stop, :], stop - start
+        mu = part.sum(axis=-2, keepdims=True) / rows
+        var = ((part - mu) ** 2).sum(axis=-2, keepdims=True) / rows
+        inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
+        xhat = (part - mu) * inv_std
+        y = gamma * xhat + beta
+        if relu:
+            y = np.maximum(y, 0.0)
+        out[..., start:stop, :] = y
+        gp = g[..., start:stop, :] * (y > 0.0) if relu else g[..., start:stop, :]
+        g_sum = gp.sum(axis=-2, keepdims=True)
+        gx_sum = (gp * xhat).sum(axis=-2, keepdims=True)
+        d_gamma += gx_sum.reshape(-1, width).sum(axis=0)
+        d_beta += g_sum.reshape(-1, width).sum(axis=0)
+        gx[..., start:stop, :] = gamma * inv_std / rows * (rows * gp - g_sum - xhat * gx_sum)
+        for mu_row, var_row in zip(mu.reshape(-1, width), var.reshape(-1, width)):
+            running.mean = (1 - m) * running.mean + m * mu_row
+            running.var = (1 - m) * running.var + m * var_row
+    return out, gx, d_gamma, d_beta, running.mean, running.var
+
+
+def _batchnorm_kernel(x, gamma, beta, offsets, relu, g, x_grad=True):
+    """``ad.batchnorm``'s output, gradients for the upstream ``g`` (None for an x without one) and running stats."""
+    xv, gv, bv = Value(x, requires_grad=x_grad), Value(gamma, requires_grad=True), Value(beta, requires_grad=True)
+    state = BatchNormState.for_width(x.shape[-1])
+    y = ad.batchnorm(xv, gv, bv, state, offsets=offsets, relu=relu)
+    y._backward_fn(g)
+    return y.data, xv._grad, gv.grad, bv.grad, state.mean, state.var
+
+
+BN_KERNEL_CASES = {"matrix": ((11, 6), None), "stacked": ((3, 11, 6), None),
+                   "segmented": ((3, 11, 6), [0, 4, 5, 11]), "segmented_matrix": ((11, 6), [0, 2, 11])}
+
+
+class TestBatchNormKernel:
+    """``ad.batchnorm`` against the formula that kept x̂ (``_batchnorm_oracle``)."""
+
+    @staticmethod
+    def _inputs(shape, seed):
+        rng = np.random.default_rng(seed)
+        width = shape[-1]
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3, width) + rng.normal(size=width)  # mixed spreads
+        return x, rng.normal(size=width) * 2.0, rng.normal(size=width), rng.normal(size=shape)
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+    @pytest.mark.parametrize("case", BN_KERNEL_CASES)
+    def test_matches_the_stored_xhat_formula(self, case, relu, x_grad):
+        shape, offsets = BN_KERNEL_CASES[case]
+        x, gamma, beta, g = self._inputs(shape, 21)
+        got = _batchnorm_kernel(x, gamma, beta, offsets, relu, g, x_grad)
+        want = _batchnorm_oracle(x, gamma, beta, offsets, relu, g)
+        for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
+            if a is None:
+                assert name == "gx" and not x_grad
+                continue
+            assert_close_to_scale(a, b, 1e-12)
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+    def test_mean_a_million_spreads_off_zero(self, relu):
+        # |μ| = 1e6·σ in every channel: subtracting μ first keeps the digits, x·a + (β − μ·a) would not
+        shape, offsets = BN_KERNEL_CASES["segmented"]
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=shape) + 1e6 * np.sign(rng.normal(size=shape[-1]))
+        gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)
+        got = _batchnorm_kernel(x, gamma, beta, offsets, relu, g)
+        want = _batchnorm_oracle(x, gamma, beta, offsets, relu, g)
+        for a, b in zip(got, want):
+            assert_close_to_scale(a, b, 1e-12)
+
+    def test_one_row_segments_and_a_constant_channel_give_beta(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 7, 3)) * 5.0
+        x[..., 1] = 0.1  # not exact in binary: μ can miss it by an ulp
+        gamma, beta = rng.normal(size=3) * 3.0, rng.normal(size=3)
+        offsets = [0, 1, 4, 5, 7]  # rows 0 and 4 are segments of one row
+        out, gx, d_gamma, d_beta, mean, var = _batchnorm_kernel(x, gamma, beta, offsets, False,
+                                                                rng.normal(size=x.shape))
+        for array in (out, gx, d_gamma, d_beta, mean, var):
+            assert np.isfinite(array).all()
+        np.testing.assert_allclose(out[:, [0, 4]], np.broadcast_to(beta, (2, 2, 3)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[..., 1], np.full((2, 7), beta[1]), rtol=0, atol=1e-12)
+
+    def test_backward_holds_no_stack_shaped_array_but_input_and_output(self):
+        # the node keeps its output and per-(segment, matrix) statistics, one row each: a stored x̂,
+        # whole or per segment, would show here
+        x = Value(np.random.default_rng(24).normal(size=(4, 9, 5)), requires_grad=True)
+        y = ad.batchnorm(x, Value(np.ones(5), requires_grad=True), Value(np.zeros(5), requires_grad=True),
+                         BatchNormState.for_width(5), offsets=[0, 4, 9], relu=True)
+        held, pending = [], [cell.cell_contents for cell in y._backward_fn.__closure__]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, Value):
+                pending.append(item.data)
+            elif isinstance(item, (list, tuple)):
+                pending.extend(item)
+            elif isinstance(item, np.ndarray):
+                held.append(item)
+        assert any(a is x.data for a in held) and any(a is y.data for a in held)
+        for array in held:
+            if array is not x.data and array is not y.data:
+                base = array if array.base is None else array.base
+                assert max(array.size, base.size) <= 4 * 5, array.shape
+
+
+@st.composite
+def segmented_rows(draw):
+    """A 2-d or stacked input cut into segments of 1 to 12 rows, with channels of mixed spread and offset."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    depth = draw(st.sampled_from([None, 1, 2, 3, 5]))  # None: a 2-d input
+    width = draw(st.sampled_from([1, 2, 3, 7, 16, 33, 64, 128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    shape = (n, width) if depth is None else (depth, n, width)
+    offset = rng.normal(size=width) * 10.0 ** rng.integers(-2, 5, width)
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, width) + offset
+    return x, np.concatenate([[0], np.cumsum(sizes)]).tolist(), draw(st.booleans()), rng
+
+
+@given(segmented_rows())
+@settings(max_examples=80, deadline=None)
+def test_every_segment_reduces_to_the_bits_of_its_lone_rows(case):
+    """Pools and batchnorm (output and folded statistics) give a segment the bits its rows get alone.
+
+    The lone rows are a fresh C-ordered array, as a lone molecule's are, or
+    a view of the packed input; ``reduceat`` does not sum in row order, so
+    only this, not the order, is what the reductions promise.
+    """
+    x, offsets, copy, rng = case
+    width = x.shape[-1]
+    gamma, beta = Value(rng.normal(size=width)), Value(rng.normal(size=width))
+    packed_state, lone_state = BatchNormState.for_width(width), BatchNormState.for_width(width)
+    packed = ad.batchnorm(Value(x), gamma, beta, packed_state, offsets=offsets, relu=True).data
+    pools = [(op, op(Value(x), axis=-2, offsets=offsets).data) for op in (ad.sum_pool, ad.mean_pool, ad.max_pool)]
+    for b, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
+        lone = x[..., start:stop, :]
+        if copy:
+            lone = np.array(lone)
+        alone = ad.batchnorm(Value(lone), gamma, beta, lone_state, relu=True).data
+        assert_same_bits(packed[..., start:stop, :], alone)
+        for op, pooled in pools:
+            assert_same_bits(pooled[..., b, :], op(Value(lone), axis=-2).data)
+    assert_same_bits(packed_state.mean, lone_state.mean)
+    assert_same_bits(packed_state.var, lone_state.var)
 
 
 PRIMITIVE_CASES = [

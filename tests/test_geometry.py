@@ -117,6 +117,25 @@ class TestSampleRotations:
         for seed in range(300):
             assert sample_rotations(k, seed).tobytes() == _per_row_rotations(k, seed).tobytes(), seed
 
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_seed_sequence_byte_equal_to_per_seed_calls(self, k):
+        from rotenc.trainer import _rotation_seed
+
+        # the trainer's seeds: one per (run seed, epoch, molecule)
+        seeds = [_rotation_seed(base, epoch, i) for base in (0, 5) for epoch in range(3) for i in range(20)]
+        batch = sample_rotations(k, seeds)
+        assert batch.shape == (len(seeds), k, 3, 3) and batch.dtype == np.float64
+        for stack, seed in zip(batch, seeds):
+            assert stack.tobytes() == sample_rotations(k, seed).tobytes(), seed
+        assert sample_rotations(k, np.asarray(seeds[:4])).tobytes() == batch[:4].tobytes()
+        assert sample_rotations(k, (7,)).tobytes() == sample_rotations(k, 7)[None].tobytes()
+
+    @pytest.mark.parametrize("seeds", [[], (), np.array([], dtype=np.int64), [1.5, 2], [1, 2.0], ["a"],
+                                       [[1, 2]], [3, -1], [True], 1.5, "7"])
+    def test_bad_seeds_rejected(self, seeds):
+        with pytest.raises(InvalidConfig, match="seed must be an integer or a non-empty 1-d sequence"):
+            sample_rotations(4, seeds)
+
     def test_legacy_config_argument(self):
         # the package-level entry point still takes the old one-argument form
         legacy = rotenc.sample_rotations(rotenc.SamplingConfig(k=5, seed=9))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bonded_record, tiny_model_config
+from helpers import assert_close_to_scale, bonded_record, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.data import MoleculeRecord
 from rotenc.encoder3d import EncoderConfig
@@ -68,12 +68,6 @@ def _gradients(model, step, *args):
     return float(root.data), grads, stats
 
 
-def _assert_close(got, want, rtol):
-    # relative to the array's scale: a gradient entry that cancels to ~0 has
-    # no meaningful relative error of its own
-    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * float(np.max(np.abs(want), initial=0.0)))
-
-
 class TestPackedTrainingStep:
     @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
     @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align",
@@ -93,11 +87,11 @@ class TestPackedTrainingStep:
         assert got[1].keys() == want[1].keys()
         assert all(np.any(want[1][name] != 0.0) for name in want[1] if name.startswith("head."))
         for name in want[1]:
-            _assert_close(got[1][name], want[1][name], 1e-10)
+            assert_close_to_scale(got[1][name], want[1][name], 1e-10)
         assert got[2].keys() == want[2].keys()
         for name, (mean, var) in want[2].items():
-            _assert_close(got[2][name][0], mean, 1e-10)
-            _assert_close(got[2][name][1], var, 1e-10)
+            assert_close_to_scale(got[2][name][0], mean, 1e-10)
+            assert_close_to_scale(got[2][name][1], var, 1e-10)
 
     def test_tape_size_does_not_grow_with_the_batch(self):
         records = _records(False, n=6)
