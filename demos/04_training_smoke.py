@@ -20,7 +20,7 @@ records = make_records(250, seed=8)
 cfg = TrainConfig(
     model=ModelConfig(
         encoder=EncoderConfig(widths=(32, 32), embed_dim=8, k=4, seed=0, align_mode="none"),
-        gnn=GnnConfig(layers=2, hidden=16, message_width=16, readout="mean"),
+        gnn=GnnConfig(layers=2, hidden=16, message_width=16),
         g_dim=16, head_hidden=64, cutoff=8.0,
     ),
     split=SplitSpec(mode="holdout", train_fraction=0.8, seed=1),

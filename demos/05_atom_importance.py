@@ -23,7 +23,7 @@ records = make_records(60, seed=5)
 cfg = TrainConfig(
     model=ModelConfig(
         encoder=EncoderConfig(widths=(16, 16), embed_dim=4, k=4, seed=0),
-        gnn=GnnConfig(layers=2, hidden=12, message_width=12, readout="mean"),
+        gnn=GnnConfig(layers=2, hidden=12, message_width=12),
         g_dim=12, head_hidden=32, cutoff=8.0,
     ),
     split=SplitSpec(mode="holdout", train_fraction=0.8, seed=1),

@@ -8,7 +8,7 @@ layers, and the regression head need. Shapes are explicit: the broadcasts
 allowed are ``broadcast_to``, a stacked left operand of ``matmul`` and
 ``dense`` (k views as one ``(k, n, d)`` operand) sharing a 2-d weight, an
 input part of ``dense`` with fewer leading axes than its result, the bias
-of ``dense`` and per-stack statistics in ``batchnorm``. A broadcast
+of ``dense`` and the per-channel statistics of ``batchnorm``. A broadcast
 operand's gradient is summed back over the axes it was repeated along.
 Relus exist only fused into ``dense``, ``batchnorm`` and ``message_layer``.
 
@@ -27,10 +27,12 @@ A reduction's summation order is numpy's, not always row order (one
 reduction guarantees is that a segment reduces to the same bits wherever
 it sits. Exactness under atom permutation comes from the one canonical
 atom order of ``Model.prepare``, not from the reductions. Given
-``offsets``, the pooling ops and ``batchnorm`` treat their row axis as
-segments stored back to back (one molecule of a packed batch each,
-segment b in rows ``offsets[b]:offsets[b+1]``) and reduce every segment on
-its own, to the bits of the same rows reduced alone.
+``offsets``, the pooling ops treat their row axis as segments stored back
+to back (one molecule of a packed batch each, segment b in rows
+``offsets[b]:offsets[b+1]``) and reduce every segment on its own, to the
+bits of the same rows reduced alone. Training ``batchnorm`` is the one
+reduction that spans the whole batch: one statistic per channel over
+every row of its input.
 """
 
 from __future__ import annotations
@@ -499,42 +501,52 @@ def scatter_add_rows(a: Value, indices, n_rows: int, *, plan: ScatterPlan | None
                  lambda g: _push(a, lambda: g[plan.indices], owned=True))
 
 
-def message_layer(h: Value, src, destinations: ScatterPlan, edge_feats, weights, sources) -> Value:
+def in_degree_scale(destinations: ScatterPlan) -> np.ndarray:
+    """1/in-degree of every node of a destination plan, 0 for a node without incoming edges."""
+    scale = np.zeros(destinations.counts.size)
+    scale[destinations.filled] = 1.0 / destinations.counts[destinations.filled]
+    return scale
+
+
+def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_feats, weights, sources) -> Value:
     """One message-passing round over edges grouped by destination, as one tape node.
 
     Edge j runs from node ``src[j]`` to node ``destinations.indices[j]``.
     ``destinations`` is the ``grouped_plan`` of the destinations, so each
-    node's incoming edges are consecutive rows. ``h`` holds the (N, d)
-    node states and ``edge_feats`` the (E, d_e) edge features. ``weights``
-    is (W1, b1, W2, b2, W_upd, b_upd), where W1's rows take
-    ``[h_dst | h_src | e]`` in that order. The result is
+    node's incoming edges are consecutive rows, and ``inv_degree`` its
+    ``in_degree_scale``. ``h`` holds the (N, d) node states and
+    ``edge_feats`` the (E, d_e) edge features. ``weights`` is (W1, b1, W2,
+    b2, W_upd, b_upd), where W1's rows take ``[h_dst | h_src | e]`` in that
+    order. The result is
 
         hid_j = relu(h_dst W1_dst + h_src W1_src + e_j W1_edge + b1)
-        m_v   = Σ_{j into v} (hid_j W2 + b2) = (Σ_{j into v} hid_j) W2 + deg(v) b2
+        m_v   = mean_{j into v} (hid_j W2 + b2) = (Σ_{j into v} hid_j / deg(v)) W2 + b2
         h'_v  = relu([h_v | m_v] W_upd + b_upd)
 
-    so a node without incoming edges gets a zero message. W1_dst (with b1)
-    and W1_src project node rows before the per-edge gathers; W2 multiplies
-    each destination's sum, which is one ``reduceat`` over consecutive
-    rows. The backward scatters the edge gradient onto the destinations the
-    same way and onto the sources through ``sources()``, a callable giving
-    ``scatter_plan(src, N)``, called only by the backward (a graph's
-    ``source_plan`` plans once for all its layers); the weight and input
-    products then run on node rows. ``gradient_check`` reads the
-    two relu outputs off the backward closure's ``relu_outputs``.
+    so a node without incoming edges gets a zero message (no b2 either),
+    and a message keeps its scale whatever a node's degree. W1_dst (with
+    b1) and W1_src project node rows before the per-edge gathers; W2
+    multiplies each destination's mean, whose sum is one ``reduceat`` over
+    consecutive rows. The backward scatters the edge gradient onto the
+    destinations the same way and onto the sources through ``sources()``,
+    a callable giving ``scatter_plan(src, N)``, called only by the
+    backward (a graph's ``source_plan`` plans once for all its layers); the
+    weight and input products then run on node rows. ``gradient_check``
+    reads the two relu outputs off the backward closure's ``relu_outputs``.
     """
     W1, b1, W2, b2, W_upd, b_upd = (_wrap(w) for w in weights)
     x, e, src, dst = h.data, np.asarray(edge_feats, dtype=np.float64), np.asarray(src), destinations.indices
     n, width = x.shape if x.ndim == 2 else (-1, -1)
-    if destinations.order is not None or destinations.counts.size != n or src.shape != dst.shape \
-            or e.shape[:1] != dst.shape or e.ndim != 2:
+    if destinations.order is not None or destinations.counts.size != n or np.shape(inv_degree) != (n,) \
+            or src.shape != dst.shape or e.shape[:1] != dst.shape or e.ndim != 2:
         raise ShapeError(f"message_layer: {src.shape} sources, {e.shape} edge features and a plan of "
-                         f"{dst.shape} grouped destinations do not fit node states {x.shape}")
+                         f"{dst.shape} grouped destinations with {np.shape(inv_degree)} degree scales "
+                         f"do not fit node states {x.shape}")
     shapes = [w.data.shape for w in (W1, b1, W2, b2, W_upd, b_upd)]
     hid, msg, out_width = shapes[0][-1], shapes[2][-1], shapes[4][-1]
     if shapes != [(2 * width + e.shape[1], hid), (hid,), (hid, msg), (msg,), (width + msg, out_width), (out_width,)]:
         raise ShapeError(f"message_layer: weights {shapes} do not fit node width {width} and edge width {e.shape[1]}")
-    counts = destinations.counts
+    filled = destinations.filled
     w1 = W1.data
     blocks = (w1[:width], w1[width:2 * width], w1[2 * width:])
     to_dst = _rows_matmul(x, blocks[0])
@@ -543,9 +555,10 @@ def message_layer(h: Value, src, destinations: ScatterPlan, edge_feats, weights,
     hidden += _rows_matmul(x, blocks[1]).take(src, axis=0)
     hidden += _rows_matmul(e, blocks[2])
     np.maximum(hidden, 0.0, out=hidden)
-    summed = _scatter_sum(hidden, destinations)
-    message = _rows_matmul(summed, W2.data)
-    message += np.multiply.outer(counts, b2.data)
+    averaged = _scatter_sum(hidden, destinations)  # a fresh array
+    averaged *= inv_degree[:, None]
+    message = _rows_matmul(averaged, W2.data)
+    message[filled] += b2.data
     joint = np.concatenate([x, message], axis=1)
     out = _rows_matmul(joint, W_upd.data)
     out += b_upd.data
@@ -559,9 +572,11 @@ def message_layer(h: Value, src, destinations: ScatterPlan, edge_feats, weights,
             return
         g_joint = _rows_matmul(g, W_upd.data.T)
         g_message = np.ascontiguousarray(g_joint[:, width:])
-        _push(b2, lambda: _sum_to(counts[:, None] * g_message, b2.data.shape))
-        _push(W2, lambda: _weight_grad(summed, g_message), owned=True)
-        g_hidden = _rows_matmul(g_message, W2.data.T).take(dst, axis=0)
+        _push(b2, lambda: g_message[filled].sum(axis=0), owned=True)
+        _push(W2, lambda: _weight_grad(averaged, g_message), owned=True)
+        g_averaged = _rows_matmul(g_message, W2.data.T)
+        g_averaged *= inv_degree[:, None]
+        g_hidden = g_averaged.take(dst, axis=0)
         g_hidden *= hidden > 0.0
         _push(b1, lambda: _sum_to(g_hidden, b1.data.shape))
         if not (h.requires_grad or W1.requires_grad):
@@ -598,49 +613,31 @@ class BatchNormState:
 
 
 def _fold_running(state: BatchNormState, mu: np.ndarray, var: np.ndarray) -> None:
-    """Fold statistic rows into the running estimates, one row at a time, in row order.
-
-    The fold is sequential so that its rounding does not depend on how the
-    rows are grouped into calls: a stack folds to the same bits as its
-    matrices one call each.
-    """
+    """Fold one batch's per-channel statistics into the running estimates."""
     m = BN_MOMENTUM
-    running = np.stack([state.mean, state.var])
-    for row in m * np.stack([mu, var], axis=1):
-        running *= 1 - m
-        running += row
-    state.mean, state.var = running[0].copy(), running[1].copy()
+    state.mean = (1 - m) * state.mean + m * mu
+    state.var = (1 - m) * state.var + m * var
 
 
-def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise dot products over the rows (axis -2) of two arrays of one shape, keeping that axis."""
-    return np.einsum("...nd,...nd->...d", a, b)[..., None, :]
+def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, relu: bool = False) -> Value:
+    """Training-mode batch normalization over every row of a 2-d or stacked input, optionally then relu.
 
-
-def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
-              offsets=None, relu: bool = False) -> Value:
-    """Training-mode batch normalization over the rows (axis -2) of a 2-d or stacked input, optionally then relu.
-
-    Normalizes with the batch statistics (population variance); a stacked
-    ``(k, n, d)`` input keeps separate statistics for each of its k
-    matrices, and with ``offsets`` each matrix keeps separate statistics
-    for each segment of its rows. Every segment is normalized and scaled
-    on its own, with the arithmetic of a lone segment, one segment at a
-    time so that its rows stay in cache: ``x − μ`` is written into the
-    output, its column-wise dot with itself gives the variance, and it is
-    scaled in place by ``a = γ/√(σ² + ε)``. μ is always subtracted first,
-    which keeps the digits of a channel whose mean dwarfs its spread. β
-    and the relu then run once over the whole output. The statistics are
-    folded into the running estimates one (segment, matrix) pair at a
-    time, segment by segment and in stack order within a segment.
+    Each channel (last axis) is normalized with one mean and one population
+    variance taken over all its rows: all k views of all molecules of a
+    packed ``(k, N, d)`` batch together, as PointNet shares one statistic
+    over every point of a batch. ``x − μ`` is written into the output, its
+    column-wise dot with itself gives the variance, and it is scaled in
+    place by ``a = γ/√(σ² + ε)``; subtracting μ first keeps the digits of a
+    channel whose mean dwarfs its spread. β and the relu then run in place.
+    The statistics are folded into the running estimates once per call.
     ``relu`` makes the node a ``"batchnorm_relu"`` op whose backward reads
     the sign pattern off the output, as ``dense`` does.
 
-    The node keeps only its output and the per-segment μ, 1/σ and a; the
+    The node keeps only its output and the per-channel μ, 1/σ and a; the
     backward recomputes ``x − μ`` from the input rather than storing the
-    normalized ``x̂``, masks each segment's gradient once and writes the
-    input gradient once. (Inference folds the running statistics into the
-    preceding weights instead; see ``encoder3d.pointwise_stack``.)
+    normalized ``x̂`` and writes the input gradient once. (Inference folds
+    the running statistics into the preceding weights instead; see
+    ``encoder3d.pointwise_stack``.)
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm: need 2-d or stacked input, got {x.data.shape}")
@@ -649,49 +646,36 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState,
         raise ShapeError(
             f"batchnorm: gamma/beta {gamma.data.shape}/{beta.data.shape} do not match width {width}"
         )
-    n = x.data.shape[-2]
-    blocks = list(pairwise(_segments([0, n] if offsets is None else offsets, n)))
-    out = np.empty_like(x.data)
-    stats, mus, variances = [], [], []  # stats: (μ, 1/σ, a) of each segment
-    for start, stop in blocks:
-        part, block, rows = x.data[..., start:stop, :], out[..., start:stop, :], stop - start
-        mu = part.sum(axis=-2, keepdims=True) / rows
-        np.subtract(part, mu, out=block)
-        var = _col_dots(block, block) / rows
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        a = gamma.data * inv_std
-        block *= a
-        stats.append((mu, inv_std, a))
-        mus.append(mu.reshape(-1, width))
-        variances.append(var.reshape(-1, width))
+    rows = x.data.size // width
+    mu = x.data.reshape(-1, width).sum(axis=0) / rows
+    out = np.subtract(x.data, mu)
+    flat = out.reshape(-1, width)
+    var = np.einsum("nd,nd->d", flat, flat) / rows  # column-wise dots
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    a = gamma.data * inv_std
+    out *= a
     out += beta.data
     if relu:
         np.maximum(out, 0.0, out=out)
-    _fold_running(state, np.concatenate(mus), np.concatenate(variances))
+    _fold_running(state, mu, var)
 
     def _back(g):
-        d_gamma, d_beta = np.zeros(width), np.zeros(width)
-        gx = np.empty_like(g) if x.requires_grad else None
-        for (start, stop), (mu, inv_std, a) in zip(blocks, stats):
-            part, rows = g[..., start:stop, :], stop - start
-            if relu:
-                part = part * (out[..., start:stop, :] > 0.0)  # g', masked once
-            centered = x.data[..., start:stop, :] - mu
-            g_sum = part.sum(axis=-2, keepdims=True)
-            g_xhat_sum = _col_dots(part, centered) * inv_std  # Σ g'·x̂
-            d_gamma += _sum_to(g_xhat_sum, (width,))
-            d_beta += _sum_to(g_sum, (width,))
-            if gx is not None:
-                # gx = a·g' − (a/n)·Σg' − (a/(σn))·Σg'x̂·(x − μ), as a·(g' − Σg'/n − (Σg'x̂/(σn))·(x − μ)):
-                # the segment-sized temporaries stay in cache, and gx is written once
-                centered *= inv_std * g_xhat_sum / rows
-                centered += g_sum / rows
-                np.subtract(part, centered, out=centered)
-                np.multiply(centered, a, out=gx[..., start:stop, :])
-        _push(gamma, lambda: d_gamma, owned=True)
-        _push(beta, lambda: d_beta, owned=True)
-        if gx is not None:
-            x._accumulate(gx, owned=True)
+        if relu:
+            g = g * (out > 0.0)  # g', masked once
+        centered = np.subtract(x.data, mu)
+        g_rows = g.reshape(-1, width)
+        g_sum = g_rows.sum(axis=0)
+        g_xhat_sum = np.einsum("nd,nd->d", g_rows, centered.reshape(-1, width)) * inv_std  # Σ g'·x̂
+        _push(gamma, lambda: g_xhat_sum, owned=True)
+        _push(beta, lambda: g_sum, owned=True)
+        if x.requires_grad:
+            # gx = a·g' − (a/n)·Σg' − (a/(σn))·Σg'x̂·(x − μ), as a·(g' − Σg'/n − (Σg'x̂/(σn))·(x − μ)),
+            # built in the one temporary and handed over as the input gradient
+            centered *= inv_std * g_xhat_sum / rows
+            centered += g_sum / rows
+            np.subtract(g, centered, out=centered)
+            centered *= a
+            x._accumulate(centered, owned=True)
 
     return _node(out, "batchnorm_relu" if relu else "batchnorm", (x, gamma, beta), _back)
 

@@ -167,14 +167,16 @@ def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbedd
 
 
 def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, cfg: EncoderConfig,
-                    bn_states: dict, training: bool = False, offsets=None) -> Value:
+                    bn_states: dict, training: bool = False) -> Value:
     """Stack of per-atom affine maps with batchnorm and relu.
 
-    Atoms never mix: every layer applies the same dense map to each row
-    independently, so duplicating an input row duplicates the output row.
-    A stacked (k, n, d) input runs every view through the shared maps,
-    with separate batchnorm statistics per view in training mode, and per
-    molecule too when ``offsets`` cuts the rows into a packed batch.
+    The dense maps never mix atoms: every layer applies the same map to
+    each row independently. A stacked (k, n, d) input runs every view
+    through the shared maps. In training mode each batchnorm takes one
+    statistic per channel over all rows of all views, every molecule of a
+    packed batch included, so a training output depends on the batch it
+    is in; in eval mode every row is mapped on its own, so duplicating an
+    input row duplicates the output row.
     ``features`` is the view input whole or as its ``view_parts``, which
     the first layer projects part by part (``ad.dense``), each embedding
     row once for all views.
@@ -194,7 +196,7 @@ def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, 
         if training:
             # view parts are projected part by part; a whole input is one product
             pre = ad.dense(x, W) if isinstance(x, tuple) else ad.matmul(x, W)
-            x = ad.batchnorm(pre, gamma, beta, state, offsets=offsets, relu=True)
+            x = ad.batchnorm(pre, gamma, beta, state, relu=True)
         else:
             s = gamma.data / np.sqrt(state.var + ad.BN_EPS)
             x = ad.dense(x, Value(W.data * s), Value(beta.data - state.mean * s), relu=True)
@@ -276,7 +278,7 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
         rotations = inference_views(cfg.k, cfg.seed)
     if use_stack:
         parts = view_parts(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value, offsets=offsets)
-        views = pointwise_stack(parts, store, cfg, bn_states, training, offsets)
+        views = pointwise_stack(parts, store, cfg, bn_states, training)
     else:  # the ablation's fingerprint is the joined view input itself
         views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,
                                  offsets=offsets)

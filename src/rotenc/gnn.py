@@ -1,9 +1,9 @@
 """Message-passing backbone over molecular graphs.
 
-Each layer sends a learned message along every directed edge, sums the
+Each layer sends a learned message along every directed edge, averages the
 incoming messages per node, and applies a learned update to the pair
-(state, aggregated message). A permutation-invariant readout pools the
-final node states into one graph vector.
+(state, aggregated message). The readout averages the final node states
+into one graph vector.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Value
 from .errors import InvalidConfig, ShapeError
-
-READOUTS = ("sum", "mean")
 
 
 @dataclass
@@ -31,8 +29,9 @@ class MolecularGraph:
     The edges are stored grouped by destination: construction sorts them
     stably by destination, feature rows along, so the edges into one node
     keep the order they came in. ``destinations`` is their
-    ``ad.grouped_plan``: each node's in-degree and where its edges start.
-    A graph is not changed after it is made.
+    ``ad.grouped_plan``: each node's in-degree and where its edges start;
+    ``inv_degree`` is 1/in-degree per node (0 without incoming edges), the
+    scale of mean aggregation. A graph is not changed after it is made.
     """
 
     node_feats: np.ndarray
@@ -77,6 +76,7 @@ class MolecularGraph:
 
     def _index(self) -> None:
         self.destinations = ad.grouped_plan(self.edges[:, 1], self.n_nodes)
+        self.inv_degree = ad.in_degree_scale(self.destinations)
         self._sources = None
 
     def source_plan(self) -> ad.ScatterPlan:
@@ -99,14 +99,11 @@ class GnnConfig:
     layers: int = 3
     hidden: int = 32
     message_width: int = 32
-    readout: str = "sum"
 
     def __post_init__(self):
         if min(self.layers, self.hidden, self.message_width) < 1:
             raise InvalidConfig(f"layers, hidden and message_width must be >= 1, got "
                                 f"{self.layers}, {self.hidden}, {self.message_width}")
-        if self.readout not in READOUTS:
-            raise InvalidConfig(f"readout must be one of {READOUTS}, got {self.readout!r}")
 
 
 def init_gnn_params(store: ParameterStore, cfg: GnnConfig, d0: int, d_edge: int,
@@ -136,34 +133,31 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
 
     Messages go along directed edges: the destination node v receives
     M(h_v, h_src, e) from each incoming edge, where M is a one-hidden-layer
-    perceptron; incoming messages are summed per node (nodes without
-    incoming edges, every node of an edgeless graph included, get a zero
-    message, and the message weights a zero gradient). The update is
-    h' = relu(affine(concat(h, m))). The per-edge ``[h_dst | h_src | e]``
-    input is never built: the first message layer projects node states
-    before gathering them per edge, and the second runs on each node's sum
-    of hidden rows, its bias counted once per incoming edge.
+    perceptron; incoming messages are averaged per node, so a message does
+    not grow with a node's degree (nodes without incoming edges, every node
+    of an edgeless graph included, get a zero message, and the message
+    weights a zero gradient). The update is h' = relu(affine(concat(h, m))).
+    The per-edge ``[h_dst | h_src | e]`` input is never built: the first
+    message layer projects node states before gathering them per edge, and
+    the second runs on each node's mean of hidden rows, its bias added once
+    per node with an incoming edge.
     """
     if h.data.shape != (graph.n_nodes, cfg.hidden):
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
     name = f"gnn.l{layer}"
     weights = [store[f"{name}.{part}"] for part in ("msg1.W", "msg1.b", "msg2.W", "msg2.b", "upd.W", "upd.b")]
-    return ad.message_layer(h, graph.edges[:, 0], graph.destinations, graph.edge_feats, weights,
-                            graph.source_plan)
+    return ad.message_layer(h, graph.edges[:, 0], graph.destinations, graph.inv_degree, graph.edge_feats,
+                            weights, graph.source_plan)
 
 
-def readout(node_states: Value, mode: str = "sum", offsets=None) -> Value:
-    """Pool node states into a graph vector (column-wise sum or mean).
+def readout(node_states: Value, offsets=None) -> Value:
+    """Pool node states into a graph vector, their column-wise mean.
 
     With ``offsets`` the nodes are a packed batch (molecule b owns nodes
     offsets[b]:offsets[b+1]) and every molecule is pooled on its own,
     giving one row per molecule, each bit-equal to pooling that molecule
     alone.
     """
-    if mode not in READOUTS:
-        raise InvalidConfig(f"readout must be one of {READOUTS}, got {mode!r}")
-    if mode == "sum":
-        return ad.sum_pool(node_states, axis=0, offsets=offsets)
     return ad.mean_pool(node_states, axis=0, offsets=offsets)
 
 
@@ -178,4 +172,4 @@ def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
     h = initial_states(graph, store, cfg, node_feats=node_feats)
     for layer in range(cfg.layers):
         h = message_pass(h, graph, store, cfg, layer)
-    return readout(h, cfg.readout, offsets)
+    return readout(h, offsets)

@@ -4,10 +4,12 @@ A batch stores its molecules back to back. ``offsets`` (length B+1) says
 molecule b owns atoms ``offsets[b]:offsets[b+1]`` of both the graph and the
 cloud; each molecule's edge indices are shifted by its offset, so no edge
 joins two molecules. The model runs every layer once per batch: message
-passing already sums each destination on its own, and every reduction over
-atoms (readout, batchnorm statistics, pooling) is taken per molecule, in
-its canonical atom order (``Model.prepare``), so a molecule's values do
-not depend on its batch companions. One molecule is ``offsets = [0, n]``.
+passing aggregates each destination on its own, and the readout and the
+pooling reduce each molecule on its own, in its canonical atom order
+(``Model.prepare``). At inference a molecule's values therefore do not
+depend on its batch companions. Training batchnorm is the exception: it
+normalizes each channel over the whole batch. One molecule is
+``offsets = [0, n]``.
 """
 
 from __future__ import annotations

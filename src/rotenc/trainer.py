@@ -40,7 +40,7 @@ from .model import Model, ModelConfig, loss
 from .packing import pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

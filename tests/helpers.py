@@ -13,7 +13,7 @@ def tiny_model_config(**overrides) -> ModelConfig:
     enc = overrides.pop("encoder", None) or EncoderConfig(
         widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode="none"
     )
-    gcf = overrides.pop("gnn", None) or GnnConfig(layers=2, hidden=8, message_width=8, readout="mean")
+    gcf = overrides.pop("gnn", None) or GnnConfig(layers=2, hidden=8, message_width=8)
     defaults = dict(encoder=enc, gnn=gcf, g_dim=8, head_hidden=16, cutoff=8.0)
     defaults.update(overrides)
     return ModelConfig(**defaults)

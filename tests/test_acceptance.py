@@ -173,7 +173,7 @@ def test_08_learning_smoke():
             model=tiny_model_config(
                 encoder=EncoderConfig(widths=(32, 32), embed_dim=8, k=4, seed=0, align_mode="none"),
                 gnn=__import__("rotenc.gnn", fromlist=["GnnConfig"]).GnnConfig(
-                    layers=2, hidden=16, message_width=16, readout="mean"),
+                    layers=2, hidden=16, message_width=16),
                 g_dim=16, head_hidden=64, cutoff=8.0,
             ),
             split=SplitSpec(mode="holdout", train_fraction=0.8, seed=1),

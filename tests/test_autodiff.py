@@ -83,17 +83,10 @@ class TestPermutationExactness:
         rng = np.random.default_rng(6)
         offsets = [0, 5, 7, 13]
         x = rng.normal(size=(2, 13, 3))
-        gamma, beta = Value(rng.normal(size=3)), Value(rng.normal(size=3))
-        packed_state, lone_state = BatchNormState.for_width(3), BatchNormState.for_width(3)
-        packed = ad.batchnorm(Value(x), gamma, beta, packed_state, offsets=offsets).data
         for start, stop in zip(offsets[:-1], offsets[1:]):
-            lone = ad.batchnorm(Value(x[:, start:stop]), gamma, beta, lone_state).data
-            assert_same_bits(packed[:, start:stop], lone)
             for op in (ad.sum_pool, ad.mean_pool, ad.max_pool):
                 got = op(Value(x), axis=1, offsets=offsets).data[:, offsets.index(start)]
                 assert_same_bits(got, op(Value(x[:, start:stop]), axis=1).data)
-        assert_same_bits(packed_state.mean, lone_state.mean)
-        assert_same_bits(packed_state.var, lone_state.var)
 
     @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6],
                                          [[0, 5]], [0, 5, 5], [0, 3, 4]])
@@ -289,7 +282,7 @@ class TestGatherBackward:
         from rotenc.model import Model, loss
         from rotenc.packing import pack
 
-        cfg = tiny_model_config(gnn=GnnConfig(layers=3, hidden=8, message_width=8, readout="mean"))
+        cfg = tiny_model_config(gnn=GnnConfig(layers=3, hidden=8, message_width=8))
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
         batch = pack([model.prepare(bonded_record(seed=s), training=True) for s in range(4)])
         calls = {"forward": 0, "backward": 0}
@@ -526,7 +519,8 @@ class TestDenseParts:
 
     @pytest.mark.parametrize("counts", [[2, 0, 3, 1], [0, 0, 0, 0]], ids=["in-degrees", "edgeless"])
     def test_bias_counts_equal_the_sum_of_affine_rows(self, counts):
-        # message_layer adds in-degree * b2 once per node; the composed layer adds b2 to every edge row, then sums
+        # message_layer adds b2 once per node with an incoming edge; the composed layer adds b2 to every
+        # edge row, then averages each node's rows
         rng = np.random.default_rng(5)
         counts = np.array(counts)
         dst = np.repeat(np.arange(4), counts)
@@ -551,11 +545,18 @@ class TestDenseParts:
 
 
 def _composed_layer(h, src, dst, e, weights):
-    """``message_layer`` composed from gather_rows, concat, dense and scatter_add_rows: the per-edge perceptron."""
+    """``message_layer`` composed from gather_rows, concat, dense, scatter_add_rows and matmul: the per-edge perceptron.
+
+    Node v's message is the mean of its incoming edge rows: their sum times
+    1/in-degree, as the product with a diagonal matrix. A node without
+    incoming edges sums no row, so its message is zero.
+    """
     W1, b1, W2, b2, W_upd, b_upd = weights
+    n = h.shape[0]
     pair = ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e)], axis=1)
     messages = ad.dense(ad.dense(pair, W1, b1, relu=True), W2, b2)
-    joint = ad.concat([h, ad.scatter_add_rows(messages, dst, h.shape[0])], axis=1)
+    inv_degree = np.diag(1.0 / np.maximum(np.bincount(dst, minlength=n), 1))
+    joint = ad.concat([h, ad.matmul(Value(inv_degree), ad.scatter_add_rows(messages, dst, n))], axis=1)
     return ad.dense(joint, W_upd, b_upd, relu=True)
 
 
@@ -586,8 +587,8 @@ class TestMessageLayer:
             weights = [Value(w.copy(), requires_grad=True) for w in w0]
             if fused:
                 grouped_src, destinations, grouped_e = _grouped(src, dst, e0, n)
-                out = ad.message_layer(h, grouped_src, destinations, grouped_e, weights,
-                                       lambda: ad.scatter_plan(grouped_src, n))
+                out = ad.message_layer(h, grouped_src, destinations, ad.in_degree_scale(destinations), grouped_e,
+                                       weights, lambda: ad.scatter_plan(grouped_src, n))
             else:
                 out = _composed_layer(h, src, dst, e0, weights)
             ad.backward(ad.mse(out, target))
@@ -602,6 +603,14 @@ class TestMessageLayer:
         e0 = np.random.default_rng(3).normal(size=(len(dst), 2))
         out, g_h = self.compare(src, dst, e0, 6)[:2]
         assert np.all(out[4] >= 0.0) and np.any(g_h[4] != 0.0)  # its update still sees its own state
+
+    def test_repeated_edges_leave_the_messages_unchanged(self):
+        # a mean: every edge into a node twice over averages to the same message, bias included
+        dst, src = np.array([2, 0, 0, 1, 3]), np.array([0, 1, 2, 0, 2])
+        e0 = np.random.default_rng(8).normal(size=(len(dst), 2))
+        once = self.compare(src, dst, e0, 5, seed=9)[0]
+        twice = self.compare(np.tile(src, 2), np.tile(dst, 2), np.tile(e0, (2, 1)), 5, seed=9)[0]
+        np.testing.assert_allclose(twice, once, rtol=1e-12, atol=1e-13)
 
     def test_relu_kinks(self):
         dst, src = np.array([1, 0, 2, 2]), np.array([0, 1, 0, 1])
@@ -634,8 +643,8 @@ class TestMessageLayer:
     def test_gradient_check_sees_both_relus(self):
         src, destinations, e = _grouped(np.array([1, 0, 2]), np.array([0, 1, 1]), np.ones((3, 1)), 3)
         weights = [Value(np.ones(shape), requires_grad=True) for shape in [(5, 2), (2,), (2, 2), (2,), (4, 2), (2,)]]
-        out = ad.message_layer(Value(np.ones((3, 2))), src, destinations, e, weights,
-                               lambda: ad.scatter_plan(src, 3))
+        out = ad.message_layer(Value(np.ones((3, 2))), src, destinations, ad.in_degree_scale(destinations), e,
+                               weights, lambda: ad.scatter_plan(src, 3))
         assert [p.shape for p in ad._activation_pattern(out)] == [(3, 2), (3, 2)]
 
     def test_shapes_rejected(self):
@@ -644,15 +653,19 @@ class TestMessageLayer:
         h, e = Value(rng.normal(size=(3, 4))), np.ones((2, 2))
         src = np.array([1, 0])
         dst = np.array([0, 2])
+        plan = ad.grouped_plan(dst, 3)
+        scale = ad.in_degree_scale(plan)
         with pytest.raises(ShapeError, match="grouped"):  # a plan that still sorts its destinations
-            ad.message_layer(h, src, ad.scatter_plan(dst, 3), e, weights, None)
+            ad.message_layer(h, src, ad.scatter_plan(dst, 3), scale, e, weights, None)
         with pytest.raises(ShapeError):  # a plan for other nodes
-            ad.message_layer(h, src, ad.grouped_plan(dst, 4), e, weights, None)
+            ad.message_layer(h, src, ad.grouped_plan(dst, 4), scale, e, weights, None)
+        with pytest.raises(ShapeError, match="degree scales"):  # one degree scale per node
+            ad.message_layer(h, src, plan, scale[:2], e, weights, None)
         with pytest.raises(ShapeError):  # one feature row per edge
-            ad.message_layer(h, src, ad.grouped_plan(dst, 3), np.ones((3, 2)), weights, None)
+            ad.message_layer(h, src, plan, scale, np.ones((3, 2)), weights, None)
         with pytest.raises(ShapeError):  # W1 rows != 2 * 4 + 3
-            ad.message_layer(h, src, ad.grouped_plan(dst, 3), np.ones((2, 3)), weights, None)
-        ad.message_layer(h, src, ad.grouped_plan(dst, 3), e, weights, None)  # the shapes that fit
+            ad.message_layer(h, src, plan, scale, np.ones((2, 3)), weights, None)
+        ad.message_layer(h, src, plan, scale, e, weights, None)  # the shapes that fit
 
 
 class TestNoGrad:
@@ -714,63 +727,53 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.mean, 0.9 * 0.0 + 0.1 * np.array([2.0, 20.0]))
         np.testing.assert_allclose(state.var, 0.9 * 1.0 + 0.1 * np.array([1.0, 100.0]))
 
-    def test_stacked_input_matches_one_matrix_at_a_time(self):
+    def test_stacked_input_normalizes_as_one_matrix_of_all_its_rows(self):
         x = np.random.default_rng(4).normal(size=(3, 5, 2)) * [1.0, 20.0]
         gamma, beta = Value(np.array([1.5, 0.5])), Value(np.array([0.0, 1.0]))
-        stacked_state, loop_state = BatchNormState.for_width(2), BatchNormState.for_width(2)
+        stacked_state, joined_state = BatchNormState.for_width(2), BatchNormState.for_width(2)
         stacked = ad.batchnorm(Value(x), gamma, beta, stacked_state).data
-        for i in range(3):
-            one = ad.batchnorm(Value(x[i]), gamma, beta, loop_state).data
-            np.testing.assert_array_equal(stacked[i], one)
-        np.testing.assert_array_equal(stacked_state.mean, loop_state.mean)
-        np.testing.assert_array_equal(stacked_state.var, loop_state.var)
+        joined = ad.batchnorm(Value(x.reshape(15, 2)), gamma, beta, joined_state).data
+        assert_same_bits(stacked.reshape(15, 2), joined)
+        assert_same_bits(stacked_state.mean, joined_state.mean)
+        assert_same_bits(stacked_state.var, joined_state.var)
 
 
-def _batchnorm_oracle(x, gamma, beta, offsets, relu, g):
+def _batchnorm_oracle(x, gamma, beta, relu, g):
     """Training batchnorm with the arithmetic of the kernel that stored the normalized x̂.
 
-    Returns the output, the x, γ and β gradients for the upstream gradient
-    ``g`` and the running (mean, var) folded from a fresh state.
+    One mean and variance per channel over every row of ``x``, whatever its
+    leading axes. Returns the output, the x, γ and β gradients for the
+    upstream gradient ``g`` and the running (mean, var) folded from a fresh
+    state.
     """
-    n, width = x.shape[-2:]
-    bounds = [0, n] if offsets is None else list(offsets)
-    out, gx = np.empty_like(x), np.empty_like(x)
-    d_gamma, d_beta = np.zeros(width), np.zeros(width)
-    running = BatchNormState.for_width(width)
+    width = x.shape[-1]
+    rows = x.size // width
+    mu = x.reshape(-1, width).sum(axis=0) / rows
+    var = ((x - mu) ** 2).reshape(-1, width).sum(axis=0) / rows
+    inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
+    xhat = (x - mu) * inv_std
+    out = gamma * xhat + beta
+    if relu:
+        out = np.maximum(out, 0.0)
+    gp = g * (out > 0.0) if relu else g
+    g_sum = gp.reshape(-1, width).sum(axis=0)
+    gx_sum = (gp * xhat).reshape(-1, width).sum(axis=0)
+    gx = gamma * inv_std / rows * (rows * gp - g_sum - xhat * gx_sum)
     m = ad.BN_MOMENTUM
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        part, rows = x[..., start:stop, :], stop - start
-        mu = part.sum(axis=-2, keepdims=True) / rows
-        var = ((part - mu) ** 2).sum(axis=-2, keepdims=True) / rows
-        inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
-        xhat = (part - mu) * inv_std
-        y = gamma * xhat + beta
-        if relu:
-            y = np.maximum(y, 0.0)
-        out[..., start:stop, :] = y
-        gp = g[..., start:stop, :] * (y > 0.0) if relu else g[..., start:stop, :]
-        g_sum = gp.sum(axis=-2, keepdims=True)
-        gx_sum = (gp * xhat).sum(axis=-2, keepdims=True)
-        d_gamma += gx_sum.reshape(-1, width).sum(axis=0)
-        d_beta += g_sum.reshape(-1, width).sum(axis=0)
-        gx[..., start:stop, :] = gamma * inv_std / rows * (rows * gp - g_sum - xhat * gx_sum)
-        for mu_row, var_row in zip(mu.reshape(-1, width), var.reshape(-1, width)):
-            running.mean = (1 - m) * running.mean + m * mu_row
-            running.var = (1 - m) * running.var + m * var_row
-    return out, gx, d_gamma, d_beta, running.mean, running.var
+    return out, gx, gx_sum, g_sum, (1 - m) * 0.0 + m * mu, (1 - m) * 1.0 + m * var
 
 
-def _batchnorm_kernel(x, gamma, beta, offsets, relu, g, x_grad=True):
+def _batchnorm_kernel(x, gamma, beta, relu, g, x_grad=True):
     """``ad.batchnorm``'s output, gradients for the upstream ``g`` (None for an x without one) and running stats."""
     xv, gv, bv = Value(x, requires_grad=x_grad), Value(gamma, requires_grad=True), Value(beta, requires_grad=True)
     state = BatchNormState.for_width(x.shape[-1])
-    y = ad.batchnorm(xv, gv, bv, state, offsets=offsets, relu=relu)
+    y = ad.batchnorm(xv, gv, bv, state, relu=relu)
     y._backward_fn(g)
     return y.data, xv._grad, gv.grad, bv.grad, state.mean, state.var
 
 
-BN_KERNEL_CASES = {"matrix": ((11, 6), None), "stacked": ((3, 11, 6), None),
-                   "segmented": ((3, 11, 6), [0, 4, 5, 11]), "segmented_matrix": ((11, 6), [0, 2, 11])}
+# one_row_views: the k views of a one-atom molecule, one row each, normalized together
+BN_KERNEL_CASES = {"matrix": (11, 6), "stacked": (3, 11, 6), "one_row_views": (5, 1, 6)}
 
 
 class TestBatchNormKernel:
@@ -787,10 +790,9 @@ class TestBatchNormKernel:
     @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
     @pytest.mark.parametrize("case", BN_KERNEL_CASES)
     def test_matches_the_stored_xhat_formula(self, case, relu, x_grad):
-        shape, offsets = BN_KERNEL_CASES[case]
-        x, gamma, beta, g = self._inputs(shape, 21)
-        got = _batchnorm_kernel(x, gamma, beta, offsets, relu, g, x_grad)
-        want = _batchnorm_oracle(x, gamma, beta, offsets, relu, g)
+        x, gamma, beta, g = self._inputs(BN_KERNEL_CASES[case], 21)
+        got = _batchnorm_kernel(x, gamma, beta, relu, g, x_grad)
+        want = _batchnorm_oracle(x, gamma, beta, relu, g)
         for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
             if a is None:
                 assert name == "gx" and not x_grad
@@ -800,34 +802,35 @@ class TestBatchNormKernel:
     @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
     def test_mean_a_million_spreads_off_zero(self, relu):
         # |μ| = 1e6·σ in every channel: subtracting μ first keeps the digits, x·a + (β − μ·a) would not
-        shape, offsets = BN_KERNEL_CASES["segmented"]
+        shape = BN_KERNEL_CASES["stacked"]
         rng = np.random.default_rng(22)
         x = rng.normal(size=shape) + 1e6 * np.sign(rng.normal(size=shape[-1]))
         gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)
-        got = _batchnorm_kernel(x, gamma, beta, offsets, relu, g)
-        want = _batchnorm_oracle(x, gamma, beta, offsets, relu, g)
+        got = _batchnorm_kernel(x, gamma, beta, relu, g)
+        want = _batchnorm_oracle(x, gamma, beta, relu, g)
         for a, b in zip(got, want):
             assert_close_to_scale(a, b, 1e-12)
 
     def test_one_row_segments_and_a_constant_channel_give_beta(self):
+        # a one-row input, and a channel constant over every row, normalize to 0 and give β
         rng = np.random.default_rng(23)
         x = rng.normal(size=(2, 7, 3)) * 5.0
         x[..., 1] = 0.1  # not exact in binary: μ can miss it by an ulp
         gamma, beta = rng.normal(size=3) * 3.0, rng.normal(size=3)
-        offsets = [0, 1, 4, 5, 7]  # rows 0 and 4 are segments of one row
-        out, gx, d_gamma, d_beta, mean, var = _batchnorm_kernel(x, gamma, beta, offsets, False,
-                                                                rng.normal(size=x.shape))
+        out, gx, d_gamma, d_beta, mean, var = _batchnorm_kernel(x, gamma, beta, False, rng.normal(size=x.shape))
         for array in (out, gx, d_gamma, d_beta, mean, var):
             assert np.isfinite(array).all()
-        np.testing.assert_allclose(out[:, [0, 4]], np.broadcast_to(beta, (2, 2, 3)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(out[..., 1], np.full((2, 7), beta[1]), rtol=0, atol=1e-12)
+        one_row = _batchnorm_kernel(x[0, :1], gamma, beta, False, rng.normal(size=(1, 3)))
+        for array in one_row:
+            assert np.isfinite(array).all()
+        np.testing.assert_allclose(one_row[0], beta[None], rtol=0, atol=1e-12)
 
     def test_backward_holds_no_stack_shaped_array_but_input_and_output(self):
-        # the node keeps its output and per-(segment, matrix) statistics, one row each: a stored x̂,
-        # whole or per segment, would show here
+        # the node keeps its output and one statistic row per channel: a stored x̂ would show here
         x = Value(np.random.default_rng(24).normal(size=(4, 9, 5)), requires_grad=True)
         y = ad.batchnorm(x, Value(np.ones(5), requires_grad=True), Value(np.zeros(5), requires_grad=True),
-                         BatchNormState.for_width(5), offsets=[0, 4, 9], relu=True)
+                         BatchNormState.for_width(5), relu=True)
         held, pending = [], [cell.cell_contents for cell in y._backward_fn.__closure__]
         while pending:
             item = pending.pop()
@@ -841,7 +844,7 @@ class TestBatchNormKernel:
         for array in held:
             if array is not x.data and array is not y.data:
                 base = array if array.base is None else array.base
-                assert max(array.size, base.size) <= 4 * 5, array.shape
+                assert max(array.size, base.size) <= 5, array.shape
 
 
 @st.composite
@@ -855,34 +858,26 @@ def segmented_rows(draw):
     shape = (n, width) if depth is None else (depth, n, width)
     offset = rng.normal(size=width) * 10.0 ** rng.integers(-2, 5, width)
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, width) + offset
-    return x, np.concatenate([[0], np.cumsum(sizes)]).tolist(), draw(st.booleans()), rng
+    return x, np.concatenate([[0], np.cumsum(sizes)]).tolist(), draw(st.booleans())
 
 
 @given(segmented_rows())
 @settings(max_examples=80, deadline=None)
 def test_every_segment_reduces_to_the_bits_of_its_lone_rows(case):
-    """Pools and batchnorm (output and folded statistics) give a segment the bits its rows get alone.
+    """The pools give a segment the bits its rows get alone.
 
     The lone rows are a fresh C-ordered array, as a lone molecule's are, or
     a view of the packed input; ``reduceat`` does not sum in row order, so
     only this, not the order, is what the reductions promise.
     """
-    x, offsets, copy, rng = case
-    width = x.shape[-1]
-    gamma, beta = Value(rng.normal(size=width)), Value(rng.normal(size=width))
-    packed_state, lone_state = BatchNormState.for_width(width), BatchNormState.for_width(width)
-    packed = ad.batchnorm(Value(x), gamma, beta, packed_state, offsets=offsets, relu=True).data
+    x, offsets, copy = case
     pools = [(op, op(Value(x), axis=-2, offsets=offsets).data) for op in (ad.sum_pool, ad.mean_pool, ad.max_pool)]
     for b, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
         lone = x[..., start:stop, :]
         if copy:
             lone = np.array(lone)
-        alone = ad.batchnorm(Value(lone), gamma, beta, lone_state, relu=True).data
-        assert_same_bits(packed[..., start:stop, :], alone)
         for op, pooled in pools:
             assert_same_bits(pooled[..., b, :], op(Value(lone), axis=-2).data)
-    assert_same_bits(packed_state.mean, lone_state.mean)
-    assert_same_bits(packed_state.var, lone_state.var)
 
 
 PRIMITIVE_CASES = [
@@ -936,27 +931,18 @@ def test_primitive_gradients_match_finite_differences(name, build, shapes):
 
 def test_batchnorm_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    for shape in ((6, 3), (2, 6, 3)):  # one matrix, and a stack with per-matrix statistics
+    # one matrix, and stacks normalized over all their rows, without and with the fused relu; an entry
+    # the relu zeroes gets its x gradient only through the shared statistics, ~4e-5 here, where the
+    # rounding of an h = 1e-6 stencil is ~1e-10, so that case takes h = 1e-5
+    for shape, relu, h in (((6, 3), False, 1e-6), ((2, 6, 3), False, 1e-6), ((2, 9, 3), True, 1e-5)):
         store = store_with(x=rng.normal(size=shape), g=rng.normal(size=3), b=rng.normal(size=3))
         c = rng.normal(size=shape)  # a fixed target keeps gradients O(1)
         state = BatchNormState.for_width(3)
 
         def f(s):
-            return ad.mse(ad.batchnorm(s["x"], s["g"], s["b"], state), c)
+            return ad.mse(ad.batchnorm(s["x"], s["g"], s["b"], state, relu=relu), c)
 
-        assert ad.gradient_check(f, store, h=1e-6, n_probe=24, seed=2) <= 1e-6
-
-
-def test_segmented_batchnorm_relu_gradients_match_finite_differences():
-    rng = np.random.default_rng(10)
-    store = store_with(x=rng.normal(size=(2, 9, 3)), g=rng.normal(size=3), b=rng.normal(size=3))
-    c = rng.normal(size=(2, 9, 3))
-    state = BatchNormState.for_width(3)
-
-    def f(s):
-        return ad.mse(ad.batchnorm(s["x"], s["g"], s["b"], state, offsets=[0, 3, 4, 9], relu=True), c)
-
-    assert ad.gradient_check(f, store, h=1e-6, n_probe=30, seed=4) <= 1e-6
+        assert ad.gradient_check(f, store, h=h, n_probe=24, seed=2) <= 1e-6
 
 
 class TestGradientCheck:

@@ -31,7 +31,7 @@ TOY_CONFIG = {
         "head_hidden": 16,
         "cutoff": 8.0,
         "encoder": {"widths": [8], "embed_dim": 4, "k": 2},
-        "gnn": {"layers": 1, "hidden": 8, "message_width": 8, "readout": "mean"},
+        "gnn": {"layers": 1, "hidden": 8, "message_width": 8},
     },
     "split": {"mode": "holdout", "train_fraction": 0.8, "seed": 3},
 }
@@ -386,7 +386,7 @@ class TestConfigLayers:
                 encoder=EncoderConfig(widths=(64, 128, 128), pool="mean",
                                       use_atom_embedding=True, embed_dim=32, k=16, seed=0,
                                       align_mode="none"),
-                gnn=GnnConfig(layers=3, hidden=32, message_width=32, readout="sum"),
+                gnn=GnnConfig(layers=3, hidden=32, message_width=32),
                 g_dim=128, head_hidden=256, cutoff=5.0,
                 objective="average_output", ablate_3d=False, ablate_features=False,
                 ablate_pointwise=False,
@@ -467,6 +467,16 @@ class TestBadCheckpoint:
         path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :])
         code = main(["eval", "--checkpoint", str(path), "--data", str(data), "--out", str(tmp_path / "ev")])
         return code, capsys.readouterr().err
+
+    def test_version_2_checkpoint_exits_2(self, workspace, trained, tmp_path, capsys):
+        # a format-2 model summed its messages and named its readout; its outputs would differ
+        def as_version_2(header):
+            header["format_version"] = 2
+            header["train_config"]["model"]["gnn"]["readout"] = "sum"
+
+        code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, as_version_2)
+        assert code == 2
+        assert "unsupported checkpoint version 2" in err
 
     @pytest.mark.parametrize("entry", ["params", "bn_states"])
     def test_renamed_entry_exits_2(self, workspace, trained, tmp_path, capsys, entry):

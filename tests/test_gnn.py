@@ -75,7 +75,7 @@ class TestMessagePass:
 
     def test_equals_the_per_edge_perceptron(self):
         # the message formula written per edge, with nonzero biases, as the
-        # oracle of the projected and summed-first layers; node 6 is isolated
+        # oracle of the projected and averaged-first layers; node 6 is isolated
         cfg = GnnConfig(layers=1, hidden=4, message_width=3)
         ring = ring_graph(n=6, d0=2, d_e=2, seed=18)
         graph = MolecularGraph(np.vstack([ring.node_feats, np.zeros((1, 2))]), np.vstack([ring.edges, [[0, 2]]]),
@@ -91,6 +91,7 @@ class TestMessagePass:
         messages = hidden @ w["msg2"][0] + w["msg2"][1]
         m = np.zeros((graph.n_nodes, cfg.message_width))
         np.add.at(m, dst, messages)
+        m /= np.maximum(np.bincount(dst, minlength=graph.n_nodes), 1)[:, None]  # the mean of each node's messages
         expected = np.maximum(np.hstack([h, m]) @ w["upd"][0] + w["upd"][1], 0.0)
         out = message_pass(Value(h), graph, store, cfg, 0).data
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
@@ -134,20 +135,16 @@ class TestMessagePass:
 class TestReadout:
     def test_single_node_passthrough(self):
         h = np.array([[0.5, -1.5]])
-        np.testing.assert_array_equal(readout(Value(h), "sum").data, h[0])
+        np.testing.assert_array_equal(readout(Value(h)).data, h[0])
 
-    def test_sum_arithmetic(self):
-        out = readout(Value(np.array([[1.0, 0.0], [0.0, 1.0]])), "sum")
-        np.testing.assert_array_equal(out.data, [1.0, 1.0])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidConfig):
-            readout(Value(np.zeros((2, 2))), "attention")
+    def test_mean_arithmetic(self):
+        out = readout(Value(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        np.testing.assert_array_equal(out.data, [0.5, 0.5])
 
 
 class TestEndToEnd:
-    def test_duplicated_component_doubles_sum_readout(self):
-        cfg = GnnConfig(layers=2, hidden=5, message_width=4, readout="sum")
+    def test_duplicated_component_keeps_the_mean_readout(self):
+        cfg = GnnConfig(layers=2, hidden=5, message_width=4)
         graph = ring_graph(n=4, d0=3, d_e=2, seed=9)
         store = setup_gnn(graph, cfg, seed=10)
         single = gnn_forward(graph, store, cfg).data
@@ -157,18 +154,18 @@ class TestEndToEnd:
             edge_feats=np.vstack([graph.edge_feats, graph.edge_feats]),
             targets=graph.targets,
         )
-        np.testing.assert_allclose(gnn_forward(doubled, store, cfg).data, 2 * single, rtol=1e-12)
+        np.testing.assert_allclose(gnn_forward(doubled, store, cfg).data, single, rtol=1e-12)
 
     def test_one_destination_plan_per_forward(self, monkeypatch):
         # the graph plans its destinations when it is made, and its sources
         # when a backward first scatters onto them; a forward plans nothing
-        cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="sum")
+        cfg = GnnConfig(layers=3, hidden=5, message_width=4)
         graph = ring_graph(n=6, d0=3, d_e=2, seed=13)
         store = setup_gnn(graph, cfg, seed=14)
         h = initial_states(graph, store, cfg)
         for layer in range(cfg.layers):
             h = message_pass(h, graph, store, cfg, layer)
-        per_layer = readout(h, cfg.readout).data
+        per_layer = readout(h).data
         plans = []
         real_plan = ad.scatter_plan
 
@@ -187,7 +184,7 @@ class TestEndToEnd:
         assert taped.data.tobytes() == per_layer.tobytes() == untaped.tobytes()
 
     def test_three_layer_gradients_match_finite_differences(self):
-        cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="mean")
+        cfg = GnnConfig(layers=3, hidden=5, message_width=4)
         graph = ring_graph(n=5, d0=3, d_e=2, seed=11)
         store = setup_gnn(graph, cfg, seed=12)
 
@@ -199,7 +196,7 @@ class TestEndToEnd:
 
     def test_three_layer_gradients_with_an_isolated_node(self):
         # node 5 has no edge: a zero message, and gradients only through its own update
-        cfg = GnnConfig(layers=3, hidden=5, message_width=4, readout="mean")
+        cfg = GnnConfig(layers=3, hidden=5, message_width=4)
         ring = ring_graph(n=5, d0=3, d_e=2, seed=15)
         graph = MolecularGraph(np.vstack([ring.node_feats, np.random.default_rng(16).normal(size=(1, 3))]),
                                ring.edges, ring.edge_feats, ring.targets)

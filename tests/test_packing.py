@@ -36,7 +36,6 @@ def _variant(name):
         "pre_align": replace(cfg, encoder=replace(enc, align_mode="pre")),
         "ablate_3d": replace(cfg, ablate_3d=True),
         "ablate_pointwise": replace(cfg, ablate_pointwise=True),
-        "sum_readout": replace(cfg, gnn=replace(cfg.gnn, readout="sum")),
     }[name]
 
 
@@ -69,9 +68,9 @@ def _gradients(model, step, *args):
 
 
 class TestPackedTrainingStep:
+    # the variants without a training batchnorm: a molecule's loss there does not depend on its companions
     @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
-    @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align",
-                                         "ablate_3d", "ablate_pointwise", "sum_readout"])
+    @pytest.mark.parametrize("variant", ["ablate_3d", "ablate_pointwise"])
     def test_gradients_match_per_molecule_oracle(self, variant, bonded):
         records = _records(bonded)
         task = "y"
@@ -92,6 +91,20 @@ class TestPackedTrainingStep:
         for name, (mean, var) in want[2].items():
             assert_close_to_scale(got[2][name][0], mean, 1e-10)
             assert_close_to_scale(got[2][name][1], var, 1e-10)
+
+    # training batchnorm normalizes over the whole batch, so these variants' packed step has no
+    # per-molecule oracle; its backward is checked against central differences instead. The molecules
+    # are bonded: a near-zero RBF feature of a cutoff graph gives a weight a ~1e-15 gradient that
+    # the differences cannot resolve (the ablate_3d oracle above covers cutoff graphs)
+    @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align"])
+    def test_gradients_match_finite_differences(self, variant):
+        records = _records(True)
+        model = Model(_variant(variant), VOCAB, ("y",), seed=4, bonded=True)
+        rotations = [sample_rotations(model.cfg.encoder.k, 50 + i) for i in range(len(records))]
+        targets = np.array([[0.3 * i - 0.5] for i in range(len(records))])
+        error = ad.gradient_check(lambda store: _packed_step(model, records, rotations, targets, 1e-3),
+                                  model.store, h=1e-5, n_probe=50, seed=0)
+        assert error <= 1e-4
 
     def test_tape_size_does_not_grow_with_the_batch(self):
         records = _records(False, n=6)

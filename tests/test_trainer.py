@@ -135,10 +135,11 @@ class TestMetrics:
 
 class TestTraining:
     def test_smoke_reduces_loss(self):
+        # from epoch 1 on: epoch 0's mean loss is mostly the untrained model's
         records = make_records(40, seed=5)
-        cfg = smoke_config(epochs=5)
+        cfg = smoke_config(epochs=8)
         ckpt, history = train(cfg, records)
-        assert history[-1]["train_loss"] <= 0.5 * history[0]["train_loss"]
+        assert history[7]["train_loss"] <= 0.5 * history[1]["train_loss"]
         assert isinstance(ckpt, Checkpoint)
 
     def test_bit_identical_reruns(self):
@@ -194,16 +195,28 @@ class TestTraining:
         with pytest.raises(InvalidConfig):
             train(smoke_config(epochs=1), records + [bonded])
 
-    def test_huge_l1_collapses_fused_vector(self):
+    def test_huge_l1_collapses_fused_vector(self, monkeypatch):
         # penalty domination is directional: the Adam step size caps how far
-        # u can shrink in a few epochs, but it must shrink, with finite loss
+        # u can shrink in a few epochs, but it must shrink, with finite loss.
+        # |u| is read from the model as the last epoch leaves it, not from the
+        # best-validation checkpoint, which can be an early, barely trained epoch
+        import rotenc.trainer as trainer_module
+
+        snapshotted = []
+
+        def recording(model, *args):
+            snapshotted.append(model)
+            return checkpoint_from_model(model, *args)
+
+        monkeypatch.setattr(trainer_module, "checkpoint_from_model", recording)
         records = make_records(16, seed=10)
         base = smoke_config(epochs=10, lr=0.1, lambda_l1=0.0)
         heavy = smoke_config(epochs=10, lr=0.1, lambda_l1=1e6)
         norms = {}
         for name, cfg in (("base", base), ("heavy", heavy)):
-            ckpt, history = train(cfg, records)
-            model, normalizer = model_from_checkpoint(ckpt)
+            snapshotted.clear()
+            _, history = train(cfg, records)
+            model = snapshotted[-1]  # the one model of the run, trained through its last epoch
             u_norms = []
             for record in records[:6]:
                 _, u = model.forward(pack([model.prepare(record)]))
@@ -277,6 +290,31 @@ class TestTraining:
         cfg = smoke_config(epochs=1, model=tiny_model_config(encoder=enc))
         with pytest.raises(DegenerateCloud, match="molecule co:"):
             train(cfg, make_records(7, seed=12) + [co])
+
+
+class TestPaperDefaultLearns:
+    """The paper-default model fits the synthetic radius of gyration, and its 3D path adds to the graph.
+
+    80 molecules of 8-20 atoms, 64 to train and 16 to validate, batch 16,
+    lr 1e-3 and every other setting at its default, 20 epochs. One data
+    seed costs ~5 s: ~4.5 s with the 3D encoder, ~0.7 s without.
+    """
+
+    @staticmethod
+    def best_val_r2(records, **model_overrides) -> float:
+        cfg = TrainConfig(model=ModelConfig(encoder=EncoderConfig(), gnn=GnnConfig(), **model_overrides),
+                          split=SplitSpec(mode="holdout", train_fraction=0.8, seed=1),
+                          epochs=20, batch_size=16, lr=1e-3)
+        _, history = train(cfg, records)
+        return max(entry["val_r2"]["rg"] for entry in history)
+
+    @pytest.mark.parametrize("data_seed", [3, 4, 5])
+    def test_fits_the_target_and_3d_beats_the_graph_alone(self, data_seed):
+        records = make_records(80, seed=data_seed, n_atoms_range=(8, 20))
+        with_3d = self.best_val_r2(records)
+        graph_only = self.best_val_r2(records, ablate_3d=True)
+        assert with_3d >= 0.7
+        assert with_3d > graph_only
 
 
 class TestCheckpoint:
