@@ -772,25 +772,31 @@ def _batchnorm_kernel(x, gamma, beta, relu, g, x_grad=True):
     return y.data, xv._grad, gv.grad, bv.grad, state.mean, state.var
 
 
-# one_row_views: the k views of a one-atom molecule, one row each, normalized together
-BN_KERNEL_CASES = {"matrix": (11, 6), "stacked": (3, 11, 6), "one_row_views": (5, 1, 6)}
+# one_row_views: the k views of a one-atom molecule, one row each, normalized together.
+# segmented: a packed batch whose molecules (the row segments between the offsets) sit at their own
+# means and spreads; training statistics are still one per channel over every row of every segment
+BN_KERNEL_CASES = {"matrix": ((11, 6), None), "stacked": ((3, 11, 6), None), "one_row_views": ((5, 1, 6), None),
+                   "segmented": ((3, 11, 6), [0, 4, 5, 11]), "segmented_matrix": ((11, 6), [0, 2, 11])}
 
 
 class TestBatchNormKernel:
     """``ad.batchnorm`` against the formula that kept x̂ (``_batchnorm_oracle``)."""
 
     @staticmethod
-    def _inputs(shape, seed):
+    def _inputs(case, seed):
+        shape, offsets = BN_KERNEL_CASES[case]
         rng = np.random.default_rng(seed)
         width = shape[-1]
         x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3, width) + rng.normal(size=width)  # mixed spreads
+        for start, stop in zip(offsets or [], (offsets or [])[1:]):
+            x[..., start:stop, :] = x[..., start:stop, :] * rng.uniform(0.2, 5.0) + rng.normal(size=width) * 3.0
         return x, rng.normal(size=width) * 2.0, rng.normal(size=width), rng.normal(size=shape)
 
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
     @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
     @pytest.mark.parametrize("case", BN_KERNEL_CASES)
     def test_matches_the_stored_xhat_formula(self, case, relu, x_grad):
-        x, gamma, beta, g = self._inputs(BN_KERNEL_CASES[case], 21)
+        x, gamma, beta, g = self._inputs(case, 21)
         got = _batchnorm_kernel(x, gamma, beta, relu, g, x_grad)
         want = _batchnorm_oracle(x, gamma, beta, relu, g)
         for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
@@ -802,7 +808,7 @@ class TestBatchNormKernel:
     @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
     def test_mean_a_million_spreads_off_zero(self, relu):
         # |μ| = 1e6·σ in every channel: subtracting μ first keeps the digits, x·a + (β − μ·a) would not
-        shape = BN_KERNEL_CASES["stacked"]
+        shape = BN_KERNEL_CASES["stacked"][0]
         rng = np.random.default_rng(22)
         x = rng.normal(size=shape) + 1e6 * np.sign(rng.normal(size=shape[-1]))
         gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)

@@ -68,18 +68,32 @@ def _gradients(model, step, *args):
 
 
 class TestPackedTrainingStep:
-    # the variants without a training batchnorm: a molecule's loss there does not depend on its companions
+    # Without a training batchnorm (ablate_3d, ablate_pointwise) a molecule's loss does not depend on
+    # its companions, so the batch holds distinct molecules. With one, the statistics are taken over the
+    # whole batch and equal a lone molecule's only when every molecule of the batch is the same one seen
+    # through the same views: those variants pack copies of one molecule, each with its own target.
+    # The oracle then folds that statistic once per copy and the packed step once, so the running
+    # statistics are compared with one lone step.
     @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
-    @pytest.mark.parametrize("variant", ["ablate_3d", "ablate_pointwise"])
+    @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align",
+                                         "ablate_3d", "ablate_pointwise"])
     def test_gradients_match_per_molecule_oracle(self, variant, bonded):
         records = _records(bonded)
         task = "y"
         model = Model(_variant(variant), VOCAB, (task,), seed=4, bonded=bonded)
         k = model.cfg.encoder.k
-        rotations = [sample_rotations(k, 50 + i) for i in range(len(records))]
+        batchnorm = variant not in ("ablate_3d", "ablate_pointwise")
+        if batchnorm:
+            records = records[2:3] * len(records)
+            rotations = [sample_rotations(k, 50)] * len(records)
+        else:
+            rotations = [sample_rotations(k, 50 + i) for i in range(len(records))]
         targets = np.array([[0.3 * i - 0.5] for i in range(len(records))])
         fresh = copy.deepcopy(model.bn_states)
         want = _gradients(model, _oracle_step, records, rotations, targets, 1e-3)
+        if batchnorm:
+            model.bn_states = copy.deepcopy(fresh)
+            want = want[:2] + _gradients(model, _oracle_step, records[:1], rotations[:1], targets[:1], 1e-3)[2:]
         model.bn_states = fresh
         got = _gradients(model, _packed_step, records, rotations, targets, 1e-3)
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
@@ -92,10 +106,10 @@ class TestPackedTrainingStep:
             assert_close_to_scale(got[2][name][0], mean, 1e-10)
             assert_close_to_scale(got[2][name][1], var, 1e-10)
 
-    # training batchnorm normalizes over the whole batch, so these variants' packed step has no
-    # per-molecule oracle; its backward is checked against central differences instead. The molecules
-    # are bonded: a near-zero RBF feature of a cutoff graph gives a weight a ~1e-15 gradient that
-    # the differences cannot resolve (the ablate_3d oracle above covers cutoff graphs)
+    # training batchnorm normalizes over the whole batch, so these variants' packed step over distinct
+    # molecules has no per-molecule oracle; its backward is checked against central differences instead.
+    # The molecules are bonded: a near-zero RBF feature of a cutoff graph gives a weight a ~1e-15
+    # gradient that the differences cannot resolve (the oracle above covers cutoff graphs)
     @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align"])
     def test_gradients_match_finite_differences(self, variant):
         records = _records(True)
