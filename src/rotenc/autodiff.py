@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float64 or float32 arrays.
 
 Every operation returns a new ``Value`` carrying the result and a closure
 that knows how to push an upstream gradient to its inputs. Calling
@@ -11,6 +11,12 @@ input part of ``dense`` with fewer leading axes than its result, the bias
 of ``dense`` and the per-channel statistics of ``batchnorm``. A broadcast
 operand's gradient is summed back over the axes it was repeated along.
 Relus exist only fused into ``dense``, ``batchnorm`` and ``message_layer``.
+
+An op computes in the dtype of its inputs, and every gradient takes the
+dtype of its node: float32 inputs give a float32 tape, anything else is
+float64. The inputs of one op share one dtype (a float32 @ float64
+product is not a BLAS GEMM); only ``batchnorm``'s running statistics stay
+float64 whatever the input.
 
 A result needs a gradient (``requires_grad``) when any of its inputs does;
 a result that needs none is a constant: it records no parents and no
@@ -67,13 +73,19 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
 class Value:
-    """Node in the autodiff graph: float64 data plus gradient plumbing."""
+    """Node in the autodiff graph: float32 or float64 data plus gradient plumbing.
+
+    A float32 array or scalar stays float32; anything else becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad=False, _op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_FLOAT32 if getattr(data, "dtype", None) is _FLOAT32 else np.float64)
         self.requires_grad = requires_grad
         self._grad = None
         self._parents = ()
@@ -103,7 +115,7 @@ class Value:
         else:
             # a C-ordered copy: a broadcast view's layout must not decide the
             # order in which a later reduction of this gradient sums
-            self._grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64, order="C")
+            self._grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype, order="C")
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, op={self._op})"
@@ -380,7 +392,7 @@ def segment_matmul(a: Value, b: Value, offsets) -> Value:
     if len(bounds) == 1:  # one stack for every row: the product needs no assembling copy
         data = a.data @ b.data[0]
     else:
-        data = np.empty(b.data.shape[1:-2] + (a.data.shape[0], b.data.shape[-1]))
+        data = np.empty(b.data.shape[1:-2] + (a.data.shape[0], b.data.shape[-1]), dtype=a.data.dtype)
         for s, (start, stop) in enumerate(bounds):
             data[..., start:stop, :] = a.data[start:stop] @ b.data[s]
 
@@ -476,7 +488,7 @@ def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
     grouped = x if plan.order is None else x.take(plan.order, axis=0)
     if 0 < plan.filled.size == plan.counts.size:  # every destination gets a row
         return np.add.reduceat(grouped, plan.starts, axis=0)
-    out = np.zeros((plan.counts.size,) + x.shape[1:])
+    out = np.zeros((plan.counts.size,) + x.shape[1:], dtype=x.dtype)
     if plan.filled.size:
         out[plan.filled] = np.add.reduceat(grouped, plan.starts, axis=0)
     return out
@@ -535,7 +547,8 @@ def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_fea
     reads the two relu outputs off the backward closure's ``relu_outputs``.
     """
     W1, b1, W2, b2, W_upd, b_upd = (_wrap(w) for w in weights)
-    x, e, src, dst = h.data, np.asarray(edge_feats, dtype=np.float64), np.asarray(src), destinations.indices
+    x, src, dst = h.data, np.asarray(src), destinations.indices
+    e = np.asarray(edge_feats, dtype=x.dtype)
     n, width = x.shape if x.ndim == 2 else (-1, -1)
     if destinations.order is not None or destinations.counts.size != n or np.shape(inv_degree) != (n,) \
             or src.shape != dst.shape or e.shape[:1] != dst.shape or e.ndim != 2:
@@ -784,6 +797,23 @@ class ParameterStore:
     def zero_grad(self):
         for v in self._params.values():
             v._grad = None
+
+    @contextmanager
+    def float32(self):
+        """Inside the block every parameter holds a float32 copy of its data.
+
+        Ops on the parameters then build a float32 tape, and ``backward``
+        leaves float32 gradients. On exit, also when the block raises, each
+        parameter gets its own data array back, untouched.
+        """
+        masters = [(v, v.data) for v in self._params.values()]
+        try:
+            for v, data in masters:
+                v.data = data.astype(np.float32)
+            yield
+        finally:
+            for v, data in masters:
+                v.data = data
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.items()}

@@ -40,8 +40,9 @@ class PointCloud:
     def trusted(cls, coords: np.ndarray, atomic_numbers: np.ndarray) -> PointCloud:
         """A cloud of arrays taken from a validated cloud (centered, reordered), not checked again.
 
-        ``coords`` is a finite float64 (n, 3) array and ``atomic_numbers``
-        the matching int64 array of positive entries.
+        ``coords`` is a finite float64 (n, 3) array, or its float32 training
+        copy (``packing.lowered``), and ``atomic_numbers`` the matching int64
+        array of positive entries.
         """
         cloud = cls.__new__(cls)
         cloud.coords, cloud.atomic_numbers = coords, atomic_numbers

@@ -31,7 +31,8 @@ class MolecularGraph:
     keep the order they came in. ``destinations`` is their
     ``ad.grouped_plan``: each node's in-degree and where its edges start;
     ``inv_degree`` is 1/in-degree per node (0 without incoming edges), the
-    scale of mean aggregation. A graph is not changed after it is made.
+    scale of mean aggregation, in the dtype of ``node_feats``. A graph is
+    not changed after it is made.
     """
 
     node_feats: np.ndarray
@@ -65,9 +66,10 @@ class MolecularGraph:
                 targets: np.ndarray) -> MolecularGraph:
         """A graph of arrays that already satisfy every check, edges grouped by destination; not checked again.
 
-        ``node_feats``, ``edge_feats`` and ``targets`` are float64 arrays,
-        ``edges`` an int64 (E, 2) array of in-range, loop-free pairs with
-        non-decreasing destinations, one feature row each.
+        ``node_feats`` and ``edge_feats`` are float64 arrays, or both float32
+        (a training copy, see ``packing.lowered``), ``targets`` a float64
+        array, ``edges`` an int64 (E, 2) array of in-range, loop-free pairs
+        with non-decreasing destinations, one feature row each.
         """
         graph = cls.__new__(cls)
         graph.node_feats, graph.edges, graph.edge_feats, graph.targets = node_feats, edges, edge_feats, targets
@@ -76,7 +78,7 @@ class MolecularGraph:
 
     def _index(self) -> None:
         self.destinations = ad.grouped_plan(self.edges[:, 1], self.n_nodes)
-        self.inv_degree = ad.in_degree_scale(self.destinations)
+        self.inv_degree = ad.in_degree_scale(self.destinations).astype(self.node_feats.dtype, copy=False)
         self._sources = None
 
     def source_plan(self) -> ad.ScatterPlan:

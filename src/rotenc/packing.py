@@ -9,12 +9,13 @@ pooling reduce each molecule on its own, in its canonical atom order
 (``Model.prepare``). At inference a molecule's values therefore do not
 depend on its batch companions. Training batchnorm is the exception: it
 normalizes each channel over the whole batch. One molecule is
-``offsets = [0, n]``.
+``offsets = [0, n]``. A batch keeps its molecules' dtype: the float32
+copies of ``lowered`` pack into a float32 batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +78,31 @@ def pack(molecules) -> Batch:
         edge_feats=np.concatenate([g.edge_feats for g in graphs]),
         targets=np.stack([g.targets for g in graphs]),
     )
-    cloud = PointCloud(np.concatenate([m.cloud.coords for m in molecules]),
-                       np.concatenate([m.cloud.atomic_numbers for m in molecules]))
+    cloud = PointCloud.trusted(np.concatenate([m.cloud.coords for m in molecules]),
+                               np.concatenate([m.cloud.atomic_numbers for m in molecules]))
     return Batch(ids, graph, cloud, offsets)
+
+
+_FLOAT32_TINY = np.finfo(np.float32).tiny  # the smallest normal float32
+
+
+def _float32(a: np.ndarray) -> np.ndarray:
+    """``a`` cast to float32, with every entry below the smallest normal float32 in magnitude flushed to 0."""
+    out = a.astype(np.float32)
+    out[np.abs(out) < _FLOAT32_TINY] = 0.0
+    return out
+
+
+def lowered(molecule: Molecule) -> Molecule:
+    """The float32 training copy of a molecule: its coordinates, node features and edge features.
+
+    Entries too small for a normal float32 become 0, not subnormals: an
+    RBF edge feature reaches 1e-138, and a subnormal operand slows a GEMM
+    several times over. Edges, targets and the atom order are shared with
+    ``molecule``, which is not changed.
+    """
+    graph = molecule.graph
+    return replace(molecule,
+                   graph=MolecularGraph.trusted(_float32(graph.node_feats), graph.edges,
+                                                _float32(graph.edge_feats), graph.targets),
+                   cloud=PointCloud.trusted(_float32(molecule.cloud.coords), molecule.cloud.atomic_numbers))

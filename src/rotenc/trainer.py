@@ -6,6 +6,14 @@ from the config seed, so two runs produce bit-identical loss curves. Each
 training batch is one packed batch (``packing``): one forward pass, one
 tape and one backward sweep per step. Evaluation predicts in packed
 batches too.
+
+A training step computes in float32 over float64 masters, as in
+Micikevicius et al. 2018: the forward and backward run on float32 copies
+of the molecules (made once per fold, ``packing.lowered``), of the
+weights, the rotations and the normalized targets. The master weights,
+the AdamW moments, the batchnorm running statistics, evaluation and the
+checkpoint stay float64.
+
 Checkpoints are self-describing binary files (magic ``ROTENC1``) holding
 every parameter as little-endian float64, the batchnorm running statistics,
 the target normalizer, and the fully resolved training config.
@@ -37,7 +45,7 @@ from .data import (
 from .errors import Diverged, InvalidConfig, NoData, StaleGradient, TaskMismatch
 from .geometry import sample_rotations
 from .model import Model, ModelConfig, loss
-from .packing import pack
+from .packing import lowered, pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
 CHECKPOINT_VERSION = 3
@@ -92,7 +100,8 @@ def adamw_step(store: ParameterStore, state: AdamWState, cfg: TrainConfig) -> No
 
     The decay theta <- theta * (1 - lr * wd) is applied before the Adam
     update; moments use bias correction. Parameters are visited in sorted
-    name order. Raises StaleGradient when backward has not populated a
+    name order. A float32 gradient is cast to float64 before it enters the
+    moments. Raises StaleGradient when backward has not populated a
     parameter's gradient since the last zero_grad.
     """
     b1, b2 = cfg.betas
@@ -101,7 +110,7 @@ def adamw_step(store: ParameterStore, state: AdamWState, cfg: TrainConfig) -> No
     for name, p in store.items():
         if p._grad is None:
             raise StaleGradient(f"parameter {name!r} has no gradient; call backward first")
-        g = p._grad
+        g = np.asarray(p._grad, dtype=np.float64)
         p.data *= 1.0 - cfg.lr * cfg.weight_decay
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
@@ -402,8 +411,9 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
     model = Model(cfg.model, vocab, task_names, seed=cfg.seed, bonded=bonded)
     opt = AdamWState()
 
-    # every molecule is prepared once per fold, not once per step or epoch
-    molecules = {int(i): model.prepare(records[i], training=True) for i in train_idx}
+    # every molecule is prepared once per fold, not once per step or epoch;
+    # training reads its float32 copy, validation the float64 molecule
+    molecules = {int(i): lowered(model.prepare(records[i], training=True)) for i in train_idx}
     val_molecules = [model.prepare(records[i]) for i in val_idx]
 
     history = []
@@ -417,13 +427,15 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
             members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
             batch = pack(molecules[i] for i in members)
             rotations = None if cfg.model.ablate_3d else sample_rotations(
-                cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members])
+                cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members]).astype(np.float32)
+            targets = normalizer.apply(batch.targets).astype(np.float32)
             model.store.zero_grad()
-            y_hat, u = model.forward(batch, training=True, rotations=rotations)
-            batch_loss = loss(y_hat, normalizer.apply(batch.targets), u, cfg.lambda_l1)
-            if not np.isfinite(batch_loss.data):
-                raise Diverged(epoch, b_start // cfg.batch_size)
-            ad.backward(batch_loss)
+            with model.store.float32():
+                y_hat, u = model.forward(batch, training=True, rotations=rotations)
+                batch_loss = loss(y_hat, targets, u, cfg.lambda_l1)
+                if not np.isfinite(batch_loss.data):
+                    raise Diverged(epoch, b_start // cfg.batch_size)
+                ad.backward(batch_loss)
             adamw_step(model.store, opt, cfg)
             epoch_losses.append(float(batch_loss.data))
 

@@ -1069,9 +1069,109 @@ class TestParameterStore:
         store = store_with(b=np.zeros(1), a=np.zeros(1), c=np.zeros(1))
         assert [k for k, _ in store.items()] == ["a", "b", "c"]
 
+    def test_float32_block_hands_back_the_masters_also_on_a_raise(self):
+        store = store_with(w=np.arange(6.0).reshape(2, 3), b=np.ones(3))
+        masters = {name: v.data for name, v in store.items()}
+        with pytest.raises(ZeroDivisionError):
+            with store.float32():
+                assert all(v.data.dtype == np.float32 for _, v in store.items())
+                np.testing.assert_array_equal(store["w"].data, masters["w"])
+                1 / 0
+        assert all(v.data is masters[name] for name, v in store.items())
+
     def test_state_dict_roundtrip(self):
         store = store_with(w=np.arange(6.0).reshape(2, 3))
         snapshot = store.state_dict()
         store["w"].data[:] = 0.0
         store.load_state_dict(snapshot)
         np.testing.assert_array_equal(store["w"].data, np.arange(6.0).reshape(2, 3))
+
+
+U32 = 2.0**-24  # float32's unit roundoff
+
+
+def _message_layer_case():
+    dst, src = np.array([2, 0, 5, 0, 1, 3, 2, 0]), np.array([0, 1, 0, 2, 0, 2, 3, 5])
+    src, plan, e = _grouped(src, dst, np.random.default_rng(3).normal(size=(8, 2)), 6)
+    e = e.astype(np.float32).astype(np.float64)  # float64 features: the layer casts them to h's dtype
+
+    def build(h, *weights):
+        return ad.message_layer(h, src, plan, ad.in_degree_scale(plan), e, weights, lambda: ad.scatter_plan(src, 6))
+
+    return build, [(6, 4), (10, 3), (3,), (3, 5), (5,), (9, 4), (4,)]
+
+
+# name: (op on input Values, input shapes, tolerance in units of U32). Each tolerance is ~4x the worst
+# error measured over 20 seeds: a few float32 roundings per entry, more where a result passes through
+# more products (message_layer: three GEMMs, a mean and two relus deep)
+F32_CASES = {
+    "dense": (lambda x, W, b: ad.dense(x, W, b, relu=True), [(4, 5), (5, 3), (3,)], 8),
+    "dense_parts_broadcast": (lambda r, e, W, b: ad.dense((r, e), W, b, relu=True),
+                              [(3, 6, 3), (6, 4), (7, 5), (5,)], 8),
+    "batchnorm": (lambda x, g, b: ad.batchnorm(x, g, b, BatchNormState.for_width(6), relu=True),
+                  [(3, 11, 6), (6,), (6,)], 16),
+    "message_layer": (*_message_layer_case(), 32),
+    "segment_matmul": (lambda x, R: ad.segment_matmul(x, R, [0, 2, 5]), [(5, 3), (2, 4, 3, 3)], 8),
+    "mean": (lambda x: ad.mean(x, axis=0), [(5, 4, 3)], 8),
+    "mean_pool": (lambda x: ad.mean_pool(x, axis=1, offsets=[0, 4, 6]), [(2, 6, 3)], 4),
+    "max_pool": (lambda x: ad.max_pool(x, axis=1, offsets=[0, 3, 6]), [(2, 6, 3)], 0),  # picks, no arithmetic
+    "mse": (ad.mse, [(4, 3), (4, 3)], 16),
+    "l1_norm": (ad.l1_norm, [(4, 3)], 4),
+}
+
+
+def _run_in(dtype, build, arrays, g):
+    """Output and every input gradient of ``build`` on the arrays cast to ``dtype``, for the upstream ``g``."""
+    values = [Value(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = build(*values)
+    out._backward_fn(np.asarray(g, dtype=dtype))
+    return [out.data] + [v._grad for v in values]
+
+
+class TestFloat32Kernels:
+    """Every op a training step runs, on float32 inputs, against the float64 kernel on the same values."""
+
+    @pytest.mark.parametrize("name", F32_CASES)
+    def test_matches_float64_in_float32(self, name):
+        build, shapes, tol = F32_CASES[name]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            # values float32 holds exactly, so both runs see the same inputs and only the arithmetic differs
+            arrays = [rng.normal(size=shape).astype(np.float32).astype(np.float64) for shape in shapes]
+            g = rng.normal(size=build(*map(Value, arrays)).shape).astype(np.float32).astype(np.float64)
+            want = _run_in(np.float64, build, arrays, g)
+            got = _run_in(np.float32, build, arrays, g)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == np.float32 and b.dtype == np.float64, (i, a.dtype, b.dtype)
+                assert_close_to_scale(a, b, tol * U32)
+
+    def test_batchnorm_running_statistics_stay_float64(self):
+        state = BatchNormState.for_width(3)
+        x = np.random.default_rng(5).normal(size=(2, 7, 3)).astype(np.float32)
+        out = ad.batchnorm(Value(x), Value(np.ones(3, np.float32)), Value(np.zeros(3, np.float32)), state)
+        assert out.data.dtype == np.float32
+        assert state.mean.dtype == state.var.dtype == np.float64
+
+    def test_batchnorm_mean_a_million_spreads_off_zero(self):
+        # The float64 test above keeps 12 digits here. A float32 channel with |μ| = 1e6·σ keeps about
+        # one: μ is summed to within a few ulps of 1e6 (an ulp is 0.0625σ there), and every x − μ
+        # carries that error, so outputs and gradients are good to ~4·U32·|μ|/σ ≈ 0.24 of their scale.
+        # β's gradient and the running mean, which need no x − μ, keep float32's precision. (Errors that
+        # large move outputs across a fused relu's kink, so there is no relu case.)
+        relu = False
+        shape = BN_KERNEL_CASES["stacked"][0]
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=shape) + 1e6 * np.sign(rng.normal(size=shape[-1]))
+        gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)
+        x, gamma, beta, g = (a.astype(np.float32) for a in (x, gamma, beta, g))
+        got = _batchnorm_kernel(x, gamma, beta, relu, g)
+        want = _batchnorm_kernel(*(a.astype(np.float64) for a in (x, gamma, beta)), relu, g.astype(np.float64))
+        for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
+            assert np.isfinite(a).all(), name
+            assert_close_to_scale(a, b, 16 * U32 if name in ("d_beta", "mean") else 4 * U32 * 1e6)
+
+    def test_value_keeps_float32_and_makes_the_rest_float64(self):
+        assert Value(np.ones(3, np.float32)).data.dtype == np.float32
+        assert Value(np.float32(2.0)).data.dtype == np.float32
+        for other in (np.ones(3, np.float16), np.ones(3, np.int64), [1, 2], 2.0, np.ones(2, ">f4")):
+            assert Value(other).data.dtype == np.float64

@@ -13,7 +13,7 @@ from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, NoData, ShapeError
 from rotenc.geometry import sample_rotations
 from rotenc.model import Model, loss, measure_invariance
-from rotenc.packing import pack
+from rotenc.packing import lowered, pack
 from rotenc.synthetic import make_records
 from rotenc.trainer import evaluate_model, normalize_targets
 
@@ -253,3 +253,29 @@ class TestPack:
         batch = pack(model.prepare(record) for record in records)
         with pytest.raises(ShapeError, match="offsets"):
             model.forward(replace(batch, offsets=batch.offsets[::-1]))
+
+
+class TestLowered:
+    def test_a_float32_training_batch_holds_no_subnormal(self):
+        model = Model(tiny_model_config(), VOCAB, ("y",), seed=0)  # cutoff graphs: RBF edge features
+        molecules = [model.prepare(record, training=True)
+                     for record in make_records(16, seed=3, n_atoms_range=(8, 20), target="y")]
+        arrays = [(m.graph.node_feats, m.graph.edge_feats, m.cloud.coords) for m in molecules]
+        kept = [tuple(a.copy() for a in each) for each in arrays]
+        tiny = np.finfo(np.float32).tiny
+        feats = np.concatenate([m.graph.edge_feats for m in molecules])
+        assert np.any((feats != 0.0) & (np.abs(feats) < tiny))  # RBF tails that float32 cannot hold as normals
+
+        batch = pack(lowered(m) for m in molecules)
+        for a, full in ((batch.graph.node_feats, np.concatenate([m.graph.node_feats for m in molecules])),
+                        (batch.graph.edge_feats, feats),
+                        (batch.cloud.coords, np.concatenate([m.cloud.coords for m in molecules]))):
+            assert a.dtype == np.float32
+            assert not np.any((a != 0.0) & (np.abs(a) < tiny))
+            normal = np.abs(full) >= tiny
+            np.testing.assert_array_equal(a[normal], full[normal].astype(np.float32))
+            assert not np.any(a[~normal])
+        assert batch.graph.inv_degree.dtype == np.float32
+        for m, each, copies in zip(molecules, arrays, kept):  # the float64 molecule eval reads is untouched
+            for a, before, copy in zip((m.graph.node_feats, m.graph.edge_feats, m.cloud.coords), each, copies):
+                assert a is before and a.dtype == np.float64 and a.tobytes() == copy.tobytes()

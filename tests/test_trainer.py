@@ -1,6 +1,8 @@
 import json
 import re
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, split as split_re
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
-from rotenc.model import Model, ModelConfig
+from rotenc.model import Model, ModelConfig, measure_invariance
 from rotenc.packing import pack
 from rotenc.synthetic import make_records
 from rotenc.trainer import (
@@ -315,6 +317,88 @@ class TestPaperDefaultLearns:
         graph_only = self.best_val_r2(records, ablate_3d=True)
         assert with_3d >= 0.7
         assert with_3d > graph_only
+
+
+class TestTrainingPrecision:
+    """Training computes in float32; master weights, optimizer state, statistics, eval and checkpoints are float64."""
+
+    def test_training_tape_is_float32_and_everything_kept_is_float64(self, monkeypatch, tmp_path):
+        import rotenc.trainer as trainer_module
+
+        nodes, steps, models = [], [], []
+        real_node, real_step = ad._node, trainer_module.adamw_step
+
+        def node(data, op, parents, backward):
+            out = real_node(data, op, parents, backward)
+            nodes.append((op, out.data.dtype, ad.grad_enabled()))
+            return out
+
+        def step(store, state, cfg):
+            steps.append(state)
+            for name, p in store.items():
+                assert p.data.dtype == np.float64 and p._grad.dtype == np.float32, name
+            real_step(store, state, cfg)
+
+        def snapshot(model, *args):
+            models.append(model)
+            return checkpoint_from_model(model, *args)
+
+        monkeypatch.setattr(ad, "_node", node)
+        monkeypatch.setattr(trainer_module, "adamw_step", step)
+        monkeypatch.setattr(trainer_module, "checkpoint_from_model", snapshot)
+        cfg = smoke_config(epochs=2)
+        ckpt, _ = train(cfg, make_records(16, seed=6))
+        # a training step records a tape; validation predicts under no_grad
+        training = {(op, dtype) for op, dtype, taped in nodes if taped}
+        evaluation = {(op, dtype) for op, dtype, taped in nodes if not taped}
+        assert {dtype for _, dtype in training} == {np.dtype(np.float32)}
+        assert {dtype for _, dtype in evaluation} == {np.dtype(np.float64)}
+        assert {"batchnorm_relu", "message_layer", "segment_matmul", "mse"} <= {op for op, _ in training}
+
+        state, model = steps[-1], models[-1]
+        assert len(set(map(id, steps))) == 1 and len(set(map(id, models))) == 1
+        arrays = [p.data for _, p in model.store.items()] + list(state.m.values()) + list(state.v.values())
+        arrays += [a for s in model.bn_states.values() for a in (s.mean, s.var)]
+        arrays += list(ckpt.params.values()) + [a for pair in ckpt.bn_stats.values() for a in pair]
+        assert all(a.dtype == np.float64 for a in arrays)
+        assert len(state.m) == len(model.store.items())
+
+        path = tmp_path / "model.rotenc"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        assert json.loads(blob[12 : 12 + header_len])["format_version"] == 3
+        loaded = load_checkpoint(path)
+        for name, value in ckpt.params.items():
+            assert loaded.params[name].tobytes() == value.tobytes(), name
+
+    def test_reruns_give_bit_identical_checkpoints(self, tmp_path):
+        records = make_records(12, seed=6)
+        blobs, histories = [], []
+        for run in range(2):
+            ckpt, history = train(smoke_config(epochs=2), records)
+            save_checkpoint(ckpt, tmp_path / f"run{run}.rotenc")
+            blobs.append((tmp_path / f"run{run}.rotenc").read_bytes())
+            histories.append(history)
+        assert histories[0] == histories[1]
+        assert blobs[0] == blobs[1]
+
+    def test_a_float64_trained_checkpoint_predicts_its_recorded_outputs(self):
+        # float64_trained.rotenc was written by the trainer before training computed in float32, and
+        # float64_trained.json holds its predictions and invariance deviations then, which every
+        # float64 inference path must still reproduce to the bit (recorded with numpy 2.4 on
+        # OpenBLAS; a BLAS that rounds its products differently needs the file recorded again)
+        data = Path(__file__).parent / "data"
+        model, _ = model_from_checkpoint(load_checkpoint(data / "float64_trained.rotenc"))
+        recorded = json.loads((data / "float64_trained.json").read_text())
+        records = make_records(4, seed=40)
+        for mode in ("none", "post"):
+            key = "" if mode == "none" else "post_"
+            model.cfg = replace(model.cfg, encoder=replace(model.cfg.encoder, align_mode=mode))
+            assert [model.predict(r).tolist() for r in records] == recorded[key + "predict"]
+            deviations = [measure_invariance(model, [r], 3, seed=2).max_dev for r in records]
+            assert deviations == recorded[key + "invariance"]
+        assert max(deviations) <= 1e-9  # post-align: exact to rounding
 
 
 class TestCheckpoint:
