@@ -3,10 +3,12 @@
 Every command writes its outputs plus a ``manifest.json`` into the --out
 directory: the exact command, the fully resolved config, seeds, sha256
 hashes of the inputs, output paths, and wall-clock timing. Reruns with an
-identical manifest are reproducible. Configs are layered: built-in defaults,
-then the --config JSON file, then individual flags.
+identical manifest are reproducible. ``train`` and ``sweep-k`` layer their
+config: built-in defaults, then the --config JSON file, then individual
+flags. The other commands take their config from a checkpoint or need none.
 
-Exit codes: 0 success, 2 usage/input error, 1 internal error.
+Exit codes: 0 success, 2 for an ``InputError`` or an ``OSError`` (bad input
+or an unusable path), 1 for any other ``RotencError`` (a program fault).
 """
 
 from __future__ import annotations
@@ -32,17 +34,7 @@ from .data import (
     split as split_records,
     write_dataset,
 )
-from .errors import (
-    DegenerateCloud,
-    DuplicateId,
-    InvalidConfig,
-    InvalidSplit,
-    NoData,
-    ParseError,
-    RotencError,
-    TooFewPoints,
-    UnknownElement,
-)
+from .errors import InputError, InvalidConfig, RotencError
 from .encoder3d import ALIGN_MODES, EncoderConfig
 from .geometry import PointCloud
 from .gnn import GnnConfig
@@ -58,24 +50,8 @@ from .trainer import (
     train,
 )
 
-USAGE_ERRORS = (
-    FileNotFoundError,
-    ParseError,
-    DuplicateId,
-    InvalidConfig,
-    InvalidSplit,
-    UnknownElement,
-    NoData,
-    DegenerateCloud,
-    TooFewPoints,
-)
-
 # --ablate value -> the ModelConfig flag it sets
 ABLATIONS = {"no-3d": "ablate_3d", "no-features": "ablate_features", "no-pointnet": "ablate_pointwise"}
-
-
-class UsageError(Exception):
-    pass
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -89,8 +65,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def resolve_config(args) -> TrainConfig:
+    """Defaults, then the --config file, then the flags of ``train`` or ``sweep-k``."""
     cfg = config_to_dict(TrainConfig(ModelConfig(EncoderConfig(), GnnConfig()), SplitSpec()))
-    if getattr(args, "config", None):
+    if args.config:
         path = _require(args.config, "config file")
         try:
             override = json.loads(path.read_text(encoding="utf-8"))
@@ -99,15 +76,15 @@ def resolve_config(args) -> TrainConfig:
         if not isinstance(override, dict):
             raise InvalidConfig(f"config file {path} must hold a JSON object")
         cfg = _deep_merge(cfg, override)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         cfg["epochs"] = args.epochs
-    if getattr(args, "k", None) is not None:
+    if getattr(args, "k", None) is not None:  # sweep-k sets k per row instead
         cfg["model"]["encoder"]["k"] = args.k
-    if getattr(args, "align_mode", None) is not None:
+    if args.align_mode is not None:
         cfg["model"]["encoder"]["align_mode"] = args.align_mode
-    for ablate in getattr(args, "ablate", None) or []:
+    for ablate in args.ablate or []:
         cfg["model"][ABLATIONS[ablate]] = True
     return config_from_dict(cfg)
 
@@ -157,12 +134,12 @@ def _out_dir(args) -> Path:
 
 
 def _require(path, what: str) -> Path:
-    """The path of an input file; a missing path or a directory is a usage error."""
+    """The path of an input file; a missing path or a directory is an input error."""
     p = Path(path)
     if not p.exists():
-        raise UsageError(f"{what} not found: {p}")
+        raise InputError(f"{what} not found: {p}")
     if not p.is_file():
-        raise UsageError(f"{what} is not a file: {p}")
+        raise InputError(f"{what} is not a file: {p}")
     return p
 
 
@@ -261,30 +238,30 @@ def _model_with_align(ckpt, mode: str):
 
 def _check_max_molecules(args) -> None:
     if args.max_molecules is not None and args.max_molecules < 1:
-        raise UsageError(f"--max-molecules must be >= 1, got {args.max_molecules}")
+        raise InputError(f"--max-molecules must be >= 1, got {args.max_molecules}")
 
 
 def cmd_invariance(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
     if args.rotations < 2:
-        raise UsageError(f"--rotations must be >= 2, got {args.rotations}")
+        raise InputError(f"--rotations must be >= 2, got {args.rotations}")
     _check_max_molecules(args)
     out = _out_dir(args)
     manifest = Manifest("invariance", out)
     manifest.add_input(ckpt_path)
     manifest.add_input(data_path)
-    manifest.data["seeds"] = {"rotations": args.seed if args.seed is not None else 0}
+    manifest.data["seeds"] = {"rotations": args.seed}
     ckpt = load_checkpoint(ckpt_path)
     records = load_dataset(data_path)[: args.max_molecules]
-    requested = args.align_modes or ckpt.train_config.model.encoder.align_mode
+    requested = ckpt.train_config.model.encoder.align_mode if args.align_modes is None else args.align_modes
     modes = [m.strip() for m in requested.split(",") if m.strip()]
+    if not modes:
+        raise InputError("no align modes given")
     rows = []
     for mode in modes:
         model, _ = _model_with_align(ckpt, mode)
-        report = measure_invariance(
-            model, records, n_rotations=args.rotations, seed=args.seed if args.seed is not None else 0
-        )
+        report = measure_invariance(model, records, n_rotations=args.rotations, seed=args.seed)
         rows.append(
             [mode, f"{report.mean_dev:.10g}", f"{report.max_dev:.10g}",
              report.n_molecules, report.n_rotations]
@@ -301,19 +278,25 @@ def cmd_invariance(args) -> int:
 def cmd_sweep_k(args) -> int:
     data_path = _require(args.data, "dataset")
     _check_max_molecules(args)
+    if args.checkpoint:
+        given = {"--config": args.config, "--epochs": args.epochs, "--align-mode": args.align_mode,
+                 "--ablate": args.ablate}
+        for flag, value in given.items():
+            if value is not None:
+                raise InputError(f"--checkpoint fixes the model; it cannot be combined with {flag}")
     out = _out_dir(args)
     k_values = []
     for token in args.k_values.split(","):
         try:
             k = int(token)
         except ValueError:
-            raise UsageError(f"--k-values: {token.strip()!r} is not an integer") from None
+            raise InputError(f"--k-values: {token.strip()!r} is not an integer") from None
         if k in k_values:
             print(f"warning: duplicate k={k} ignored", file=sys.stderr)
             continue
         k_values.append(k)
     if not k_values:
-        raise UsageError("no k values given")
+        raise InputError("no k values given")
     manifest = Manifest("sweep-k", out)
     manifest.add_input(data_path)
     records = load_dataset(data_path)
@@ -398,11 +381,11 @@ def cmd_importance(args) -> int:
     records = load_dataset(data_path)
     matches = [r for r in records if r.id == args.id]
     if not matches:
-        raise UsageError(f"molecule id {args.id!r} not found in {data_path}")
+        raise InputError(f"molecule id {args.id!r} not found in {data_path}")
     record = matches[0]
     model, _ = model_from_checkpoint(ckpt)
     if not (0 <= args.task < len(model.task_names)):
-        raise UsageError(f"--task {args.task} out of range; tasks: {list(model.task_names)}")
+        raise InputError(f"--task {args.task} out of range; tasks: {list(model.task_names)}")
     scores, coord_part = atom_importance(model, record, args.task, return_components=True)
     rows = [
         [i, record.atomic_numbers[i],
@@ -419,9 +402,12 @@ def cmd_importance(args) -> int:
 
 
 def _add_common(parser):
+    parser.add_argument("--out", required=True, help="output directory")
+
+
+def _add_config(parser):
     parser.add_argument("--config", help="JSON config file (layered under flag overrides)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align-mode", choices=ALIGN_MODES, default=None)
     p.add_argument("--ablate", action="append", choices=list(ABLATIONS),
                    help="disable a component (repeatable)")
+    _add_config(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -459,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotations", type=int, default=100)
     p.add_argument("--align-modes", default=None, help="comma list; default: checkpoint's mode")
     p.add_argument("--max-molecules", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="rotation seed")
     _add_common(p)
     p.set_defaults(func=cmd_invariance)
 
@@ -471,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--align-mode", choices=ALIGN_MODES, default=None)
     p.add_argument("--ablate", action="append", choices=list(ABLATIONS))
+    _add_config(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep_k)
 
@@ -495,10 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except USAGE_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RotencError as exc:

@@ -260,9 +260,9 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     (B, d_p).
 
     ``rotations`` overrides the view set (otherwise it is the k rotations
-    drawn from cfg.seed, see ``inference_views``); a (B, k, 3, 3) array
-    gives each molecule of a batch its own views. All views run as one
-    stacked (k, N, d) tensor; the first layer projects the embedding rows
+    drawn from cfg.seed, see ``inference_views``) with a (k, 3, 3) stack;
+    a (B, k, 3, 3) array gives each molecule of a batch its own views.
+    All views run as one stacked (k, N, d) tensor; the first layer projects the embedding rows
     once and adds the projection to every view. Under mean pooling each atom's k rows are
     averaged in view order (``ad.mean``), and the (N, d) averages are then
     pooled over atoms (``Model.prepare``'s canonical atom order makes that
@@ -276,6 +276,8 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     """
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
+    elif np.ndim(rotations) not in (3, 4) or np.shape(rotations)[-2:] != (3, 3):
+        raise ShapeError(f"encode: rotations must be (k, 3, 3) or (B, k, 3, 3), got {np.shape(rotations)}")
     if use_stack:
         parts = view_parts(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value, offsets=offsets)
         views = pointwise_stack(parts, store, cfg, bn_states, training)

@@ -1,11 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An ``InputError`` is a fault in what the caller supplied: a file, a config,
+a molecule. The CLI exits 2 on one. Any other ``RotencError`` is a fault of
+the program itself, and the CLI exits 1.
+"""
 
 
 class RotencError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidConfig(RotencError):
+class InputError(RotencError):
+    """Bad input from the caller rather than a fault of the program."""
+
+
+class InvalidConfig(InputError):
     pass
 
 
@@ -17,7 +26,7 @@ class NotCentered(RotencError):
     pass
 
 
-class TooFewPoints(RotencError):
+class TooFewPoints(InputError):
     pass
 
 
@@ -29,15 +38,15 @@ class NotScalar(RotencError):
     pass
 
 
-class UnknownElement(RotencError):
+class UnknownElement(InputError):
     pass
 
 
-class DegenerateCloud(RotencError):
+class DegenerateCloud(InputError):
     pass
 
 
-class ParseError(RotencError):
+class ParseError(InputError):
     """Malformed dataset record; carries the 1-based line number."""
 
     def __init__(self, line_number, message):
@@ -45,19 +54,19 @@ class ParseError(RotencError):
         self.line_number = line_number
 
 
-class DuplicateId(RotencError):
+class DuplicateId(InputError):
     pass
 
 
-class EmptyMolecule(RotencError):
+class EmptyMolecule(InputError):
     pass
 
 
-class ConstantTarget(RotencError):
+class ConstantTarget(InputError):
     pass
 
 
-class InvalidSplit(RotencError):
+class InvalidSplit(InputError):
     pass
 
 
@@ -74,9 +83,9 @@ class Diverged(RotencError):
         self.batch = batch
 
 
-class TaskMismatch(RotencError):
+class TaskMismatch(InputError):
     pass
 
 
-class NoData(RotencError):
+class NoData(InputError):
     pass

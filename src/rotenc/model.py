@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
-from .data import MoleculeRecord, build_graph, reorder_atoms
+from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, reorder_atoms
 from .encoder3d import EncoderConfig
 from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
 from .geometry import PointCloud
@@ -37,7 +37,7 @@ class ModelConfig:
     gnn: GnnConfig
     g_dim: int = 128
     head_hidden: int = 256
-    cutoff: float = 5.0
+    cutoff: float = DEFAULT_CUTOFF
     objective: str = "average_output"
     ablate_3d: bool = False
     ablate_features: bool = False

@@ -475,18 +475,15 @@ def train(cfg: TrainConfig, records) -> tuple[Checkpoint, list[dict]]:
     bonded = bondedness.pop()
 
     if cfg.split.mode == "holdout":
-        train_idx, val_idx = split(records, cfg.split)
-        ckpt, history, _ = _train_one_fold(
-            cfg, records, train_idx, val_idx, 0, vocab, task_names, bonded
-        )
-        return ckpt, history
-    folds = split(records, cfg.split)
+        folds = [split(records, cfg.split)]
+    else:
+        parts = split(records, cfg.split)
+        folds = [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), val_idx) for i, val_idx in enumerate(parts)]
     all_history = []
     best = None
-    for fold_i, val_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != fold_i])
+    for fold_i, (train_idx, val_idx) in enumerate(folds):
         ckpt, history, score = _train_one_fold(
-            cfg, records, np.sort(train_idx), val_idx, fold_i, vocab, task_names, bonded
+            cfg, records, train_idx, val_idx, fold_i, vocab, task_names, bonded
         )
         all_history.extend(history)
         if best is None or score < best[0]:

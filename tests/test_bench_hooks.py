@@ -1,13 +1,15 @@
-"""The names the benchmark's span tracer wraps still exist and still carry spans.
+"""The benchmark harness still loads against the package, and its tracer still carries spans.
 
 ``perfbench/tracing.py`` patches rotenc functions by name from outside the
 package, so a rename or a changed call shape in ``src/`` would silently
-empty a per-layer metric. The tracer is loaded from its file; nothing under
-``perfbench/`` is changed.
+empty a per-layer metric; ``perfbench/workloads.py`` imports rotenc names
+that a rename would break only at benchmark time. Both are loaded from
+their files; nothing under ``perfbench/`` is changed.
 """
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -20,15 +22,28 @@ from rotenc.data import SplitSpec
 from rotenc.synthetic import make_records
 from rotenc.trainer import TrainConfig, model_from_checkpoint, train
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("rotenc_bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("rotenc_bench_tracing", PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_workloads_load_and_match_the_declared_benchmark(monkeypatch, tracing):
+    # workloads.py imports its sibling as ``tracing``, and its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    spec = importlib.util.spec_from_file_location("rotenc_bench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)  # an ImportError here names the rotenc name that moved
+    assert workloads.SamplingConfig is rotenc.SamplingConfig
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in declared)
 
 
 def _resolve(module_name: str, attr: str):

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import os
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotenc.cli import main, resolve_config
+from rotenc.cli import build_parser, main, resolve_config
 from rotenc.data import MoleculeRecord, SplitSpec, load_dataset, write_dataset
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
@@ -271,6 +270,79 @@ class TestSweepK:
             assert row["mean_dev"] == f"{report.mean_dev:.10g}"
 
 
+class TestFlagsEachCommandReads:
+    REQUIRED = {"convert": ["--xyz", "a.xyz", "--targets", "t.csv"], "eval": ["--checkpoint", "c", "--data", "d"],
+                "invariance": ["--checkpoint", "c", "--data", "d"], "align": ["--data", "d"],
+                "importance": ["--checkpoint", "c", "--data", "d", "--id", "m"]}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("convert", "--config"), ("convert", "--seed"), ("eval", "--config"), ("eval", "--seed"),
+        ("align", "--config"), ("align", "--seed"), ("importance", "--config"), ("importance", "--seed"),
+        ("invariance", "--config"),
+    ])
+    def test_a_flag_the_command_would_ignore_is_rejected(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert flag not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.REQUIRED[command], flag, "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--config", None), ("--epochs", "3"), ("--align-mode", "post"),
+                                             ("--ablate", "no-3d")])
+    def test_checkpoint_sweep_rejects_a_training_flag_by_name(self, workspace, trained, tmp_path, capsys,
+                                                              flag, value):
+        root, data, config = workspace
+        code = main(["sweep-k", "--data", str(data), "--checkpoint", str(trained), "--k-values", "2",
+                     flag, value or str(config), "--out", str(tmp_path / "sweep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cannot be combined with {flag}" in err and "Traceback" not in err
+
+    def test_empty_align_mode_list_exits_2(self, workspace, trained, tmp_path, capsys):
+        root, data, _ = workspace
+        code = main(["invariance", "--checkpoint", str(trained), "--data", str(data), "--align-modes", ",",
+                     "--out", str(tmp_path / "inv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no align modes given" in err and "Traceback" not in err
+        assert not (tmp_path / "inv" / "invariance.csv").exists()
+
+
+class TestInputFaultsExit2:
+    """Faults in what the caller supplied exit 2 with one line, never a traceback or an internal error."""
+
+    @staticmethod
+    def assert_input_error(code, err, *words):
+        assert code == 2
+        assert err.startswith("error: ") and "internal error" not in err and "Traceback" not in err
+        for word in words:
+            assert word in err
+
+    def test_constant_target_train(self, workspace, tmp_path, capsys):
+        root, _, config = workspace
+        flat = tmp_path / "flat.jsonl"
+        write_dataset([replace(r, targets={"y": 1.0}) for r in make_records(12, seed=2)], flat)
+        code = main(["train", "--data", str(flat), "--config", str(config), "--out", str(tmp_path / "t")])
+        self.assert_input_error(code, capsys.readouterr().err, "'y' is constant")
+
+    def test_eval_of_a_dataset_with_other_tasks(self, trained, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        write_dataset(make_records(4, seed=3, target="y"), other)
+        code = main(["eval", "--checkpoint", str(trained), "--data", str(other), "--out", str(tmp_path / "ev")])
+        self.assert_input_error(code, capsys.readouterr().err, "tasks do not match")
+
+    @pytest.mark.parametrize("out", ["a-file", "a-file/below"])
+    def test_out_path_that_cannot_be_a_directory(self, workspace, tmp_path, capsys, out):
+        root, data, _ = workspace
+        (tmp_path / "a-file").write_text("taken\n")
+        code = main(["align", "--data", str(data), "--out", str(tmp_path / out)])
+        self.assert_input_error(code, capsys.readouterr().err, "a-file")
+
+
 class TestAlign:
     def test_dataset_not_utf8_exits_2(self, workspace, tmp_path, capsys):
         root, data, _ = workspace
@@ -395,7 +467,8 @@ class TestConfigLayers:
             epochs=800, batch_size=128, lr=1e-3, weight_decay=0.01, betas=(0.9, 0.999),
             eps=1e-8, seed=0, lambda_l1=1e-4,
         )
-        assert resolve_config(argparse.Namespace()) == expected
+        flag_free = build_parser().parse_args(["train", "--data", "d.jsonl", "--out", "o"])
+        assert resolve_config(flag_free) == expected
 
     @pytest.mark.parametrize("encoder, key", [({"tau": 3}, "model.encoder.tau"),
                                               ({"k": "16"}, "model.encoder.k")])

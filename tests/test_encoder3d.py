@@ -18,7 +18,7 @@ from rotenc.encoder3d import (
     prepare_cloud,
     view_parts,
 )
-from rotenc.errors import DegenerateCloud, InvalidConfig, UnknownElement
+from rotenc.errors import DegenerateCloud, InvalidConfig, ShapeError, UnknownElement
 from rotenc.geometry import PointCloud, center_cloud, sample_rotations
 from rotenc.packing import pack
 from rotenc.synthetic import mirror_cloud, random_cloud
@@ -192,6 +192,17 @@ class TestEncode:
         view = view_parts(cloud, np.eye(3), table, cfg)
         manual = pool_view(pointwise_stack(view, store, cfg, states, training=False), cfg.pool)
         np.testing.assert_array_equal(fp.data, manual.data)
+
+    def test_a_lone_rotation_matrix_is_rejected(self):
+        # a (3, 3) matrix is not a view stack: averaging over axis 0 would average the atoms
+        cfg = small_cfg(k=1)
+        store, table, states = make_encoder(cfg)
+        cloud = centered_cloud()
+        with pytest.raises(ShapeError, match=r"\(3, 3\)"):
+            encode(cloud, table, store, cfg, states, rotations=np.eye(3))
+        with pytest.raises(ShapeError):
+            encode(cloud, table, store, cfg, states, rotations=np.ones((1, 2, 3)))
+        assert encode(cloud, table, store, cfg, states, rotations=np.eye(3)[None]).shape == (cfg.d_p,)
 
     def test_translation_invariance(self):
         cfg = small_cfg(k=4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -186,6 +187,19 @@ class TestTraining:
         ckpt, history = train(cfg, records)
         assert {e["fold"] for e in history} == {0, 1, 2}
         assert isinstance(ckpt, Checkpoint)
+
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_seeded_run_reproduces_its_recorded_history_and_checkpoint(self, tmp_path, mode):
+        # fold_runs.json was recorded when holdout and k-fold training still took separate paths
+        # through train(); the shared fold loop must give the same bytes (numpy 2.4 on OpenBLAS,
+        # like float64_trained.json)
+        split, epochs = {"holdout": (SplitSpec(mode="holdout", train_fraction=0.75, seed=1), 2),
+                         "kfold": (SplitSpec(mode="kfold", k_folds=3, seed=2), 1)}[mode]
+        ckpt, history = train(smoke_config(split=split, epochs=epochs), make_records(12, seed=8))
+        save_checkpoint(ckpt, tmp_path / "run.rotenc")
+        recorded = json.loads((Path(__file__).parent / "data" / "fold_runs.json").read_text())[mode]
+        assert history == recorded["history"]
+        assert hashlib.sha256((tmp_path / "run.rotenc").read_bytes()).hexdigest() == recorded["checkpoint_sha256"]
 
     def test_mixed_bondedness_rejected(self):
         records = make_records(4, seed=9)
