@@ -23,10 +23,9 @@ a result that needs none is a constant: it records no parents and no
 backward closure, and a closure pushes gradient only into the inputs that
 need one. Inside ``with no_grad():`` nothing needs a gradient, so a
 forward-only pass keeps no tape alive. Work that only the backward sweep
-uses (a fused relu's sign pattern, the argmax of ``max_pool``, the
-``x − μ`` of ``batchnorm``) runs inside the backward closure, from the
-arrays the closure already holds, so no forward pass pays for it and no
-node stores it.
+uses (a fused relu's sign pattern, the ``x − μ`` of ``batchnorm``) runs
+inside the backward closure, from the arrays the closure already holds,
+so no forward pass pays for it and no node stores it.
 
 A reduction's summation order is numpy's, not always row order (one
 ``np.add.reduceat`` adds a segment's first row last); what every
@@ -353,25 +352,6 @@ def mean(a: Value, axis: int = 0) -> Value:
         total = np.sum(a.data, axis=axis)
     return _node(total / k, "mean", (a,),
                  lambda g: _push(a, lambda: np.broadcast_to(np.expand_dims(g / k, axis), a.data.shape)))
-
-
-def max_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise max over one axis (or each segment of it); the gradient goes to the first maximum."""
-    axis = axis % a.data.ndim
-    n = a.data.shape[axis]
-    bounds = _segments([0, n] if offsets is None else offsets, n)
-    data = np.maximum.reduceat(a.data, bounds[:-1], axis=axis)
-
-    def _back(g):
-        # index of each segment's first maximum, along the whole axis
-        rows = np.arange(n).reshape((-1,) + (1,) * (a.data.ndim - axis - 1))
-        at_max = a.data == np.repeat(data, bounds[1:] - bounds[:-1], axis=axis)
-        argmax = np.minimum.reduceat(np.where(at_max, rows, n), bounds[:-1], axis=axis)
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, argmax, g if offsets is not None else np.expand_dims(g, axis), axis)
-        a._accumulate(buf, owned=True)
-
-    return _node(data if offsets is not None else data.squeeze(axis), "max_pool", (a,), _back)
 
 
 def segment_matmul(a: Value, b: Value, offsets) -> Value:

@@ -29,6 +29,7 @@ from .alignment import canonical_align
 from .data import (
     MoleculeRecord,
     SplitSpec,
+    _reject_constant,
     convert_xyz,
     load_dataset,
     split as split_records,
@@ -70,8 +71,8 @@ def resolve_config(args) -> TrainConfig:
     if args.config:
         path = _require(args.config, "config file")
         try:
-            override = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            override = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        except ValueError as exc:
             raise InvalidConfig(f"config file {path} is not JSON ({exc})") from exc
         if not isinstance(override, dict):
             raise InvalidConfig(f"config file {path} must hold a JSON object")

@@ -259,8 +259,8 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
         order = np.argsort(edges[:, 1], kind="stable")  # the edges into a node keep the bond order
         edges, pair_of_edge = edges[order], order // 2
     else:
-        if cutoff <= 0:
-            raise InvalidConfig(f"cutoff must be positive, got {cutoff}")
+        if not 0 < cutoff < math.inf:  # a NaN cutoff would keep no pair
+            raise InvalidConfig(f"cutoff must be finite and positive, got {cutoff}")
         rows = np.arange(n)
         i, j = np.nonzero(rows[:, None] < rows)  # np.triu_indices(n, 1) without its mask building
         diff = record.coords[i] - record.coords[j]
@@ -334,6 +334,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSplit(f"split seed must be >= 0, got {self.seed}")
         if self.mode == "kfold":
             if self.k_folds is None or self.k_folds < 2:
                 raise InvalidSplit(f"kfold needs k_folds >= 2, got {self.k_folds}")

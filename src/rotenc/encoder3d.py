@@ -2,14 +2,13 @@
 
 A molecule's centered coordinates are rotated into k sampled views. Each
 view runs through a stack of shared per-atom affine maps (1x1 convolutions)
-with batchnorm (folded into the map in eval mode) and relu. With mean
-pooling the fingerprint is mean_i mean_v f(R_v x_i): each atom's k view
-rows are averaged first, then the atoms are pooled; max pooling pools each
-view over atoms and averages the k fingerprints. The average is a
-Monte-Carlo estimate of the rotation-group expectation of the single-view
-encoder, so the result is approximately rotation invariant, with the
-residual shrinking as 1/sqrt(k). Canonical pre-alignment of the input
-makes it exactly invariant.
+with batchnorm (folded into the map in eval mode) and relu. The
+fingerprint is mean_i mean_v f(R_v x_i): each atom's k view rows are
+averaged first, then the atoms are pooled. The average is a Monte-Carlo
+estimate of the rotation-group expectation of the single-view encoder, so
+the result is approximately rotation invariant, with the residual
+shrinking as 1/sqrt(k). Canonical pre-alignment of the input makes it
+exactly invariant.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .data import vocab_rows
 from .errors import DegenerateCloud, InvalidConfig, ShapeError
 from .geometry import PointCloud, center_cloud, sample_rotations
 
-POOL_MODES = ("mean", "max")
 ALIGN_MODES = ("none", "pre", "post")
 
 
@@ -41,7 +39,6 @@ class EncoderConfig:
     """
 
     widths: tuple[int, ...] = (64, 128, 128)
-    pool: str = "mean"
     use_atom_embedding: bool = True
     embed_dim: int = 32
     k: int = 16
@@ -56,8 +53,8 @@ class EncoderConfig:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.embed_dim < 1:
             raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.pool not in POOL_MODES:
-            raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {self.pool!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"encoder seed must be >= 0, got {self.seed}")
         if self.align_mode not in ALIGN_MODES:
             raise InvalidConfig(f"align_mode must be one of {ALIGN_MODES}, got {self.align_mode!r}")
 
@@ -203,21 +200,6 @@ def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, 
     return x
 
 
-def pool_view(features: Value, mode: str = "mean", offsets=None) -> Value:
-    """Column-wise mean or max over atoms (axis -2), each molecule to the bits of its lone pool.
-
-    A (k, N, d) stack gives one fingerprint per view; ``encode`` hands the
-    mean mode an (N, d) array of per-atom view averages instead. With
-    ``offsets`` every molecule of a packed batch is pooled on its own: a
-    (k, N, d) input gives (k, B, d) and an (N, d) input (B, d).
-    """
-    if mode not in POOL_MODES:
-        raise InvalidConfig(f"pool must be one of {POOL_MODES}, got {mode!r}")
-    if mode == "mean":
-        return ad.mean_pool(features, axis=-2, offsets=offsets)
-    return ad.max_pool(features, axis=-2, offsets=offsets)
-
-
 def prepare_cloud(cloud: PointCloud, align: bool) -> PointCloud:
     """Center the cloud and, when ``align`` is set, rotate it into its canonical frame.
 
@@ -248,7 +230,7 @@ def inference_views(k: int, seed: int) -> np.ndarray:
 
 def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
-           rotations=None, offsets=None, use_stack: bool = True, per_view: bool = False,
+           rotations=None, offsets=None, use_stack: bool = True,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: rotate a prepared cloud into k views, convolve, average the views and pool.
 
@@ -263,16 +245,13 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     drawn from cfg.seed, see ``inference_views``) with a (k, 3, 3) stack;
     a (B, k, 3, 3) array gives each molecule of a batch its own views.
     All views run as one stacked (k, N, d) tensor; the first layer projects the embedding rows
-    once and adds the projection to every view. Under mean pooling each atom's k rows are
+    once and adds the projection to every view. Each atom's k rows are
     averaged in view order (``ad.mean``), and the (N, d) averages are then
-    pooled over atoms (``Model.prepare``'s canonical atom order makes that
-    exact under atom permutation): k times fewer rows than pooling every
-    view. Under max pooling every view is
-    pooled over atoms and the k fingerprints are averaged. ``per_view``
-    pools every view and returns one fingerprint row per view, (k, d_p) or
-    (k, B, d_p). ``coords_value``/``emb_value`` feed the cloud's
-    coordinates and embedding rows in as shared graph leaves for
-    input-gradient attribution.
+    mean-pooled over atoms (``Model.prepare``'s canonical atom order makes
+    that exact under atom permutation): k times fewer rows than pooling
+    every view. ``coords_value``/``emb_value`` feed the cloud's coordinates
+    and embedding rows in as shared graph leaves for input-gradient
+    attribution.
     """
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
@@ -284,7 +263,4 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     else:  # the ablation's fingerprint is the joined view input itself
         views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,
                                  offsets=offsets)
-    if cfg.pool == "mean" and not per_view:
-        return pool_view(ad.mean(views, axis=0), cfg.pool, offsets)
-    fingerprints = pool_view(views, cfg.pool, offsets)
-    return fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)
+    return ad.mean_pool(ad.mean(views, axis=0), axis=-2, offsets=offsets)

@@ -105,8 +105,8 @@ def _uniform_quaternions(u: np.ndarray) -> np.ndarray:
 def sample_rotations(k: int, seed: int | Sequence[int] = 0) -> np.ndarray:
     """k Haar-random rotations as one (k, 3, 3) array, deterministic in (k, seed).
 
-    The unit-cube variates come from a seeded PCG64 stream. ``seed`` may
-    also be a non-empty 1-d sequence of B non-negative integer seeds: the
+    The unit-cube variates come from a seeded PCG64 stream. ``seed`` is a
+    non-negative integer or a non-empty 1-d sequence of B of them: the
     result is then (B, k, 3, 3), stack b byte-equal to
     ``sample_rotations(k, seeds[b])``, from one conversion over all B·k
     draws.
@@ -114,7 +114,7 @@ def sample_rotations(k: int, seed: int | Sequence[int] = 0) -> np.ndarray:
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else _seed_list(seed)
+    seeds = [seed] if single and seed >= 0 else _seed_list(seed)  # which rejects a negative int
     u = np.concatenate([np.random.default_rng(s).random((k, 3)) for s in seeds])
     rotations = quaternion_to_matrix(_uniform_quaternions(u))
     return rotations if single else rotations.reshape(len(seeds), k, 3, 3)

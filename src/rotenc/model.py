@@ -3,16 +3,17 @@
 The graph vector g (projected to a fixed width) is concatenated with the
 view-averaged geometric fingerprint p; a two-layer perceptron maps the
 fused vector to the targets. The training loss is MSE plus an L1 penalty
-on the fused vector. Training under the average-loss objective skips the
-view average and applies the head and loss to every view row instead.
-The model runs on packed batches (``packing``); one molecule is a batch of
-one. Also provides the rotation-invariance measurement harness and
-gradient-based atom importance.
+on the fused vector. Training and inference use the same estimator: the
+head sees the fingerprint averaged over the views. The model runs on
+packed batches (``packing``); one molecule is a batch of one. Also
+provides the rotation-invariance measurement harness and gradient-based
+atom importance.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -28,8 +29,6 @@ from .geometry import PointCloud
 from .gnn import GnnConfig
 from .packing import Batch, Molecule, pack
 
-OBJECTIVES = ("average_output", "average_loss")
-
 
 @dataclass
 class ModelConfig:
@@ -38,7 +37,6 @@ class ModelConfig:
     g_dim: int = 128
     head_hidden: int = 256
     cutoff: float = DEFAULT_CUTOFF
-    objective: str = "average_output"
     ablate_3d: bool = False
     ablate_features: bool = False
     ablate_pointwise: bool = False
@@ -46,8 +44,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.g_dim < 1 or self.head_hidden < 1:
             raise InvalidConfig("g_dim and head_hidden must be positive")
-        if self.objective not in OBJECTIVES:
-            raise InvalidConfig(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+        if not 0 < self.cutoff < math.inf:
+            raise InvalidConfig(f"cutoff must be finite and positive, got {self.cutoff}")
 
     @property
     def d_p_effective(self) -> int:
@@ -76,11 +74,8 @@ class InvarianceReport:
 def fuse(g: Value, p: Value) -> Value:
     """u = [g || p], graph part first.
 
-    g and p are one molecule's vectors, or one row per molecule of a
-    batch. With per-view fingerprints p of shape (k, ..., d_p), g is
-    repeated for every view row and u has shape (k, ..., d_g + d_p).
+    g and p are one molecule's vectors, or one row per molecule of a batch.
     """
-    g = ad.broadcast_to(g, p.shape[:-1] + g.shape[-1:])
     return ad.concat([g, p], axis=-1)
 
 
@@ -91,13 +86,11 @@ def predict_head(u: Value, store: ParameterStore) -> Value:
 
 
 def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
-    """MSE(y_hat, y) + lambda * ||u||_1, averaged over samples and view rows.
+    """MSE(y_hat, y) + lambda * ||u||_1, averaged over samples.
 
-    y_hat is one sample's (n_tasks,) prediction or a batch's (B, n_tasks).
-    When y_hat and u carry one row per view in front (the average-loss
-    objective, (k, n_tasks) or (k, B, n_tasks)), the target y is compared
-    with every view row. The result is the mean of the per-row losses, so
-    a batch's loss is the mean of its samples' losses.
+    y_hat is one sample's (n_tasks,) prediction or a batch's (B, n_tasks);
+    y has its shape, or is one (n_tasks,) target compared with every row.
+    The result is the mean of the per-sample losses.
     """
     rows = y_hat.data.size // y_hat.shape[-1]
     task = ad.mse(y_hat, ad.broadcast_to(y, y_hat.shape))
@@ -211,11 +204,9 @@ class Model:
                 emb_value=None) -> tuple[Value, Value]:
         """One forward pass over a packed batch; returns (y_hat, u) as graph nodes.
 
-        y_hat is (B, n_tasks) and u is (B, d_u). Training under the
-        average-loss objective keeps one row per view: y_hat is
-        (k, B, n_tasks) and u is (k, B, d_u), each molecule's graph vector
-        repeated for its k rows. ``rotations`` is None (the inference
-        views), one (k, 3, 3) stack for every molecule, or (B, k, 3, 3).
+        y_hat is (B, n_tasks) and u is (B, d_u). ``rotations`` is None (the
+        inference views), one (k, 3, 3) stack for every molecule, or
+        (B, k, 3, 3).
         ``node_feats``, ``coords_value`` and ``emb_value`` feed the batch's
         node features, coordinates and embedding rows in as graph leaves.
         """
@@ -233,7 +224,6 @@ class Model:
                 rotations=rotations,
                 offsets=batch.offsets,
                 use_stack=not self.cfg.ablate_pointwise,
-                per_view=training and self.cfg.objective == "average_loss",
                 coords_value=coords_value,
                 emb_value=emb_value,
             )

@@ -48,7 +48,7 @@ from .model import Model, ModelConfig, loss
 from .packing import lowered, pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -70,10 +70,17 @@ class TrainConfig:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise InvalidConfig(f"lr must be positive, got {self.lr}")
-        if self.lambda_l1 < 0:
-            raise InvalidConfig(f"lambda_l1 must be >= 0, got {self.lambda_l1}")
+        if not 0 < self.lr < math.inf:
+            raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
+        if not 0 < self.eps < math.inf:
+            raise InvalidConfig(f"eps must be finite and positive, got {self.eps}")
+        for name in ("weight_decay", "lambda_l1"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not all(0 <= beta < 1 for beta in self.betas):
+            raise InvalidConfig(f"betas must each be in [0, 1), got {self.betas}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

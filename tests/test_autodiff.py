@@ -84,7 +84,7 @@ class TestPermutationExactness:
         offsets = [0, 5, 7, 13]
         x = rng.normal(size=(2, 13, 3))
         for start, stop in zip(offsets[:-1], offsets[1:]):
-            for op in (ad.sum_pool, ad.mean_pool, ad.max_pool):
+            for op in (ad.sum_pool, ad.mean_pool):
                 got = op(Value(x), axis=1, offsets=offsets).data[:, offsets.index(start)]
                 assert_same_bits(got, op(Value(x[:, start:stop]), axis=1).data)
 
@@ -877,7 +877,7 @@ def test_every_segment_reduces_to_the_bits_of_its_lone_rows(case):
     only this, not the order, is what the reductions promise.
     """
     x, offsets, copy = case
-    pools = [(op, op(Value(x), axis=-2, offsets=offsets).data) for op in (ad.sum_pool, ad.mean_pool, ad.max_pool)]
+    pools = [(op, op(Value(x), axis=-2, offsets=offsets).data) for op in (ad.sum_pool, ad.mean_pool)]
     for b, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
         lone = x[..., start:stop, :]
         if copy:
@@ -900,9 +900,6 @@ PRIMITIVE_CASES = [
     ("broadcast_to", lambda s: ad.mse(ad.broadcast_to(s["x"], (3, 4, 2)), np.ones((3, 4, 2))),
      {"x": (4, 2)}),
     ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 0), np.zeros(3)), {"x": (6, 3)}),
-    ("max_pool", lambda s: ad.mse(ad.max_pool(s["x"], 0), np.zeros(3)), {"x": (6, 3)}),
-    ("stacked_max_pool", lambda s: ad.mse(ad.max_pool(s["x"], 1), np.zeros((2, 3))),
-     {"x": (2, 6, 3)}),
     ("concat", lambda s: ad.mse(ad.concat([s["a"], s["b"]], axis=1), np.zeros((4, 5))),
      {"a": (4, 2), "b": (4, 3)}),
     ("gather", lambda s: ad.mse(ad.gather_rows(s["x"], [0, 2, 2, 1]), np.zeros((4, 3))),
@@ -918,8 +915,6 @@ PRIMITIVE_CASES = [
     ("segment_sum_pool", lambda s: ad.mse(ad.sum_pool(s["x"], 1, offsets=[0, 2, 6]), np.zeros((2, 2, 3))),
      {"x": (2, 6, 3)}),
     ("segment_mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 1, offsets=[0, 4, 6]), np.zeros((2, 2, 3))),
-     {"x": (2, 6, 3)}),
-    ("segment_max_pool", lambda s: ad.mse(ad.max_pool(s["x"], 1, offsets=[0, 3, 6]), np.zeros((2, 2, 3))),
      {"x": (2, 6, 3)}),
 ]
 
@@ -1046,18 +1041,6 @@ class TestGradientCheck:
     def test_full_stack_gradients(self, tiny_cfg):
         assert self.full_stack_error(tiny_cfg) <= 1e-4
 
-    @pytest.mark.parametrize("variant", ["max_pool", "average_loss"])
-    def test_full_stack_gradients_variant(self, variant):
-        from helpers import tiny_model_config
-        from dataclasses import replace
-
-        cfg = tiny_model_config()
-        if variant == "max_pool":
-            cfg = replace(cfg, encoder=replace(cfg.encoder, pool="max"))
-        else:
-            cfg = replace(cfg, objective="average_loss")
-        assert self.full_stack_error(cfg) <= 1e-4
-
 
 class TestParameterStore:
     def test_duplicate_name_rejected(self):
@@ -1114,7 +1097,6 @@ F32_CASES = {
     "segment_matmul": (lambda x, R: ad.segment_matmul(x, R, [0, 2, 5]), [(5, 3), (2, 4, 3, 3)], 8),
     "mean": (lambda x: ad.mean(x, axis=0), [(5, 4, 3)], 8),
     "mean_pool": (lambda x: ad.mean_pool(x, axis=1, offsets=[0, 4, 6]), [(2, 6, 3)], 4),
-    "max_pool": (lambda x: ad.max_pool(x, axis=1, offsets=[0, 3, 6]), [(2, 6, 3)], 0),  # picks, no arithmetic
     "mse": (ad.mse, [(4, 3), (4, 3)], 16),
     "l1_norm": (ad.l1_norm, [(4, 3)], 4),
 }

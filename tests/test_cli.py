@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
 from rotenc.model import ModelConfig, measure_invariance
 from rotenc.synthetic import make_records
-from rotenc.trainer import TrainConfig, evaluate_model, load_checkpoint, model_from_checkpoint
+from rotenc.trainer import TrainConfig, config_to_dict, evaluate_model, load_checkpoint, model_from_checkpoint
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -319,6 +320,7 @@ class TestInputFaultsExit2:
     def assert_input_error(code, err, *words):
         assert code == 2
         assert err.startswith("error: ") and "internal error" not in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
         for word in words:
             assert word in err
 
@@ -341,6 +343,43 @@ class TestInputFaultsExit2:
         (tmp_path / "a-file").write_text("taken\n")
         code = main(["align", "--data", str(data), "--out", str(tmp_path / out)])
         self.assert_input_error(code, capsys.readouterr().err, "a-file")
+
+    @pytest.mark.parametrize("command", ["train", "invariance", "sweep-k"])
+    def test_negative_seed_flag(self, workspace, trained, tmp_path, capsys, command):
+        root, data, config = workspace
+        given = {"train": ["--config", str(config)],
+                 "invariance": ["--checkpoint", str(trained), "--rotations", "2"],
+                 "sweep-k": ["--checkpoint", str(trained), "--k-values", "2", "--rotations", "2"]}[command]
+        code = main([command, "--data", str(data), *given, "--seed", "-1", "--out", str(tmp_path / "o")])
+        self.assert_input_error(code, capsys.readouterr().err, "seed", "-1")
+
+    @pytest.mark.parametrize("path, value, words", [
+        ("split.seed", -1, ["split seed", "-1"]),
+        ("model.encoder.seed", -1, ["encoder seed", "-1"]),
+        ("lr", float("nan"), ["NaN"]),
+        ("lr", float("inf"), ["Infinity"]),
+        ("lambda_l1", float("nan"), ["NaN"]),
+        ("model.cutoff", float("nan"), ["NaN"]),
+        ("weight_decay", -5, ["weight_decay", "-5"]),
+        ("betas", [1.5, 0.999], ["betas", "1.5"]),
+        ("eps", -1, ["eps", "-1"]),
+        ("model.objective", "average_output", ["unknown config key model.objective"]),
+        ("model.encoder.pool", "mean", ["unknown config key model.encoder.pool"]),
+    ], ids=["split.seed", "encoder.seed", "lr-nan", "lr-inf", "lambda_l1-nan", "cutoff-nan", "weight_decay",
+            "betas", "eps", "objective", "pool"])
+    def test_config_value_out_of_range(self, workspace, tmp_path, capsys, path, value, words):
+        # NaN and Infinity are written as the bare literals Python's json emits for them
+        root, data, _ = workspace
+        d = json.loads(json.dumps(TOY_CONFIG))
+        *parents, leaf = path.split(".")
+        owner = d
+        for key in parents:
+            owner = owner[key]
+        owner[leaf] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(d))
+        code = main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_input_error(code, capsys.readouterr().err, *words)
 
 
 class TestAlign:
@@ -455,13 +494,11 @@ class TestConfigLayers:
     def test_flag_free_config_is_the_documented_default(self):
         expected = TrainConfig(
             model=ModelConfig(
-                encoder=EncoderConfig(widths=(64, 128, 128), pool="mean",
-                                      use_atom_embedding=True, embed_dim=32, k=16, seed=0,
-                                      align_mode="none"),
+                encoder=EncoderConfig(widths=(64, 128, 128), use_atom_embedding=True, embed_dim=32,
+                                      k=16, seed=0, align_mode="none"),
                 gnn=GnnConfig(layers=3, hidden=32, message_width=32),
                 g_dim=128, head_hidden=256, cutoff=5.0,
-                objective="average_output", ablate_3d=False, ablate_features=False,
-                ablate_pointwise=False,
+                ablate_3d=False, ablate_features=False, ablate_pointwise=False,
             ),
             split=SplitSpec(mode="holdout", k_folds=None, train_fraction=0.8, seed=0),
             epochs=800, batch_size=128, lr=1e-3, weight_decay=0.01, betas=(0.9, 0.999),
@@ -481,6 +518,23 @@ class TestConfigLayers:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    def test_readme_config_example_resolves_through_the_train_parser(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        config = tmp_path / "config.json"
+        config.write_text(example)
+        args = build_parser().parse_args(["train", "--data", "d.jsonl", "--config", str(config), "--out", "o"])
+        resolved = json.loads(json.dumps(config_to_dict(resolve_config(args))))
+
+        def assert_taken(given, got, path):
+            for key, value in given.items():
+                if isinstance(value, dict):
+                    assert_taken(value, got[key], f"{path}{key}.")
+                else:
+                    assert got[key] == value, path + key
+
+        assert_taken(json.loads(example), resolved, "")
 
     def test_non_json_config_exits_2(self, workspace, tmp_path, capsys):
         root, data, _ = workspace
@@ -550,6 +604,17 @@ class TestBadCheckpoint:
         code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, as_version_2)
         assert code == 2
         assert "unsupported checkpoint version 2" in err
+
+    def test_version_3_checkpoint_exits_2(self, workspace, trained, tmp_path, capsys):
+        # a format-3 config named its training objective and its encoder pooling
+        def as_version_3(header):
+            header["format_version"] = 3
+            header["train_config"]["model"]["objective"] = "average_output"
+            header["train_config"]["model"]["encoder"]["pool"] = "mean"
+
+        code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, as_version_3)
+        assert code == 2
+        assert "unsupported checkpoint version 3" in err
 
     @pytest.mark.parametrize("entry", ["params", "bn_states"])
     def test_renamed_entry_exits_2(self, workspace, trained, tmp_path, capsys, entry):

@@ -264,8 +264,9 @@ class TestBuildGraph:
 
     def test_bad_cutoff(self):
         rec = water_record(with_bonds=False)
-        with pytest.raises(InvalidConfig):
-            build_graph(rec, cutoff=0.0)
+        for cutoff in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig):
+                build_graph(rec, cutoff=cutoff)
 
 
 class TestRbfExpand:

@@ -14,7 +14,6 @@ from rotenc.encoder3d import (
     inference_views,
     init_encoder_params,
     pointwise_stack,
-    pool_view,
     prepare_cloud,
     view_parts,
 )
@@ -69,7 +68,7 @@ class TestConfigValidation:
     def test_defaults_follow_reported_setup(self):
         cfg = EncoderConfig()
         assert cfg.widths == (64, 128, 128) and cfg.d_p == 128
-        assert cfg.embed_dim == 32 and cfg.k == 16 and cfg.pool == "mean"
+        assert cfg.embed_dim == 32 and cfg.k == 16
 
 
 class TestBuildViewInput:
@@ -172,17 +171,6 @@ class TestPointwiseStack:
         assert ad.gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
 
 
-class TestPoolView:
-    def test_single_atom_passthrough(self):
-        x = np.array([[1.0, -2.0, 0.5]])
-        np.testing.assert_array_equal(pool_view(Value(x), "mean").data, x[0])
-        np.testing.assert_array_equal(pool_view(Value(x), "max").data, x[0])
-
-    def test_mean_arithmetic(self):
-        out = pool_view(Value(np.array([[1.0, 3.0], [3.0, 1.0]])), "mean")
-        np.testing.assert_array_equal(out.data, [2.0, 2.0])
-
-
 class TestEncode:
     def test_single_identity_view_equals_pipeline(self):
         cfg = small_cfg(k=1)
@@ -190,7 +178,7 @@ class TestEncode:
         cloud = centered_cloud()
         fp = encode(cloud, table, store, cfg, states, rotations=[np.eye(3)])
         view = view_parts(cloud, np.eye(3), table, cfg)
-        manual = pool_view(pointwise_stack(view, store, cfg, states, training=False), cfg.pool)
+        manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False), axis=-2)
         np.testing.assert_array_equal(fp.data, manual.data)
 
     def test_a_lone_rotation_matrix_is_rejected(self):
@@ -272,13 +260,6 @@ class TestEncode:
                     devs[cfg.k].append(dev)
         assert np.mean(devs[64]) <= 0.6 * np.mean(devs[4])
 
-    def test_max_pool_mode_runs(self):
-        cfg = small_cfg(pool="max")
-        store, table, states = make_encoder(cfg)
-        fp = encode(centered_cloud(), table, store, cfg, states)
-        assert fp.data.shape == (cfg.d_p,)
-        assert np.all(np.isfinite(fp.data))
-
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_shared_stack_equals_it_broadcast_per_molecule(self, training):
         # a (k, 3, 3) stack shared by a packed batch runs as one segment over
@@ -341,22 +322,6 @@ class TestViewsFirstMeanPool:
         monkeypatch.setattr(ad, "mean_pool", recording)
         encode(packed, table, store, cfg, states, training=training, offsets=offsets)
         assert shapes == [(packed.n_atoms, cfg.d_p)]
-
-    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
-    @pytest.mark.parametrize("pool,per_view", [("max", False), ("max", True), ("mean", True)])
-    def test_max_and_per_view_pool_every_view(self, training, pool, per_view):
-        # the formula these modes had before views were averaged first, bit for bit
-        cfg = small_cfg(k=4, pool=pool)
-        store, table, states = make_encoder(cfg)
-        _, packed, offsets = packed_clouds()
-        rotations = sample_rotations(cfg.k, 7)
-        got = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
-                     offsets=offsets, per_view=per_view).data
-        stack = pointwise_stack(view_parts(packed, rotations, table, cfg), store, cfg, states,
-                                training=training)
-        fingerprints = pool_view(stack, pool, offsets)
-        expected = fingerprints if per_view else ad.mean_pool(fingerprints, axis=0)
-        assert got.tobytes() == expected.data.tobytes()
 
 
 class TestInferenceViews:

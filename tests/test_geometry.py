@@ -131,7 +131,7 @@ class TestSampleRotations:
         assert sample_rotations(k, (7,)).tobytes() == sample_rotations(k, 7)[None].tobytes()
 
     @pytest.mark.parametrize("seeds", [[], (), np.array([], dtype=np.int64), [1.5, 2], [1, 2.0], ["a"],
-                                       [[1, 2]], [3, -1], [True], 1.5, "7"])
+                                       [[1, 2]], [3, -1], [True], 1.5, "7", -1])
     def test_bad_seeds_rejected(self, seeds):
         with pytest.raises(InvalidConfig, match="seed must be an integer or a non-empty 1-d sequence"):
             sample_rotations(4, seeds)

@@ -401,30 +401,6 @@ class TestAtomImportance:
             atom_importance(tiny_model, small_records[0], 5)
 
 
-class TestObjectiveVariants:
-    def test_per_view_objective_runs_and_differs(self, small_records):
-        cfg = tiny_model_config(objective="average_loss")
-        k = cfg.encoder.k
-        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
-        record = small_records[0]
-        batch = pack([model.prepare(record, training=True)])
-        rotations = sample_rotations(k, 5)
-        # training passes fold batch statistics into the running estimates;
-        # the eval pass at the end gets the fresh model's state back
-        bn_snapshot = copy.deepcopy(model.bn_states)
-        y_views, u_views = model.forward(batch, training=True, rotations=rotations)
-        assert y_views.shape == (k, 1, 1) and u_views.shape == (k, 1, cfg.d_u)
-        # one graph vector, repeated for every view row
-        g_rows = u_views.data[:, 0, : cfg.g_dim]
-        np.testing.assert_array_equal(g_rows, np.broadcast_to(g_rows[0], g_rows.shape))
-        # and a prediction per view, which differ from view to view
-        assert len(np.unique(y_views.data)) == k
-        # inference fuses the view-averaged fingerprint first: one prediction
-        model.bn_states = bn_snapshot
-        fused, _ = model.forward(pack([model.prepare(record)]), training=False)
-        assert fused.shape == (1, 1)
-
-
 class TestProjectBeforeGather:
     def test_no_edge_or_view_input_is_built(self, monkeypatch):
         # paper widths on a cutoff molecule: every affine map takes node, edge

@@ -31,8 +31,6 @@ def _variant(name):
     enc = cfg.encoder
     return {
         "default": cfg,
-        "average_loss": replace(cfg, objective="average_loss"),
-        "max_pool": replace(cfg, encoder=replace(enc, pool="max")),
         "pre_align": replace(cfg, encoder=replace(enc, align_mode="pre")),
         "ablate_3d": replace(cfg, ablate_3d=True),
         "ablate_pointwise": replace(cfg, ablate_pointwise=True),
@@ -75,8 +73,7 @@ class TestPackedTrainingStep:
     # The oracle then folds that statistic once per copy and the packed step once, so the running
     # statistics are compared with one lone step.
     @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
-    @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align",
-                                         "ablate_3d", "ablate_pointwise"])
+    @pytest.mark.parametrize("variant", ["default", "pre_align", "ablate_3d", "ablate_pointwise"])
     def test_gradients_match_per_molecule_oracle(self, variant, bonded):
         records = _records(bonded)
         task = "y"
@@ -110,7 +107,7 @@ class TestPackedTrainingStep:
     # molecules has no per-molecule oracle; its backward is checked against central differences instead.
     # The molecules are bonded: a near-zero RBF feature of a cutoff graph gives a weight a ~1e-15
     # gradient that the differences cannot resolve (the oracle above covers cutoff graphs)
-    @pytest.mark.parametrize("variant", ["default", "average_loss", "max_pool", "pre_align"])
+    @pytest.mark.parametrize("variant", ["default", "pre_align"])
     def test_gradients_match_finite_differences(self, variant):
         records = _records(True)
         model = Model(_variant(variant), VOCAB, ("y",), seed=4, bonded=True)
@@ -160,25 +157,6 @@ class TestPackedInference:
         three = evaluate_model(model, normalizer, records, batch_size=3)
         for metric in ("mae", "rmse", "r2"):
             np.testing.assert_allclose(getattr(three, metric)["rg"], getattr(one, metric)["rg"], rtol=1e-12)
-
-    def test_max_pool_under_no_grad_keeps_no_closure_and_predictions(self, monkeypatch):
-        cfg = _variant("max_pool")
-        model = Model(cfg, VOCAB, ("y",), seed=3)
-        record = _records(False, n=1)[0]
-        x = ad.Value(np.random.default_rng(0).normal(size=(3, 5, 4)), requires_grad=True)
-
-        def no_argmax(*args, **kwargs):
-            raise AssertionError("argmax computed for a node without a backward")
-
-        with ad.no_grad(), monkeypatch.context() as patch:
-            patch.setattr(np, "argmax", no_argmax)
-            node = ad.max_pool(x, axis=-2, offsets=[0, 2, 5])
-            whole = ad.max_pool(x, axis=-2)
-        assert node._backward_fn is None and node._parents == () and whole._backward_fn is None
-        assert np.array_equal(node.data, ad.max_pool(x, axis=-2, offsets=[0, 2, 5]).data)
-        taped, _ = model.forward(pack([model.prepare(record)]))
-        assert taped._parents
-        assert model.predict(record).tobytes() == taped.data[0].tobytes()
 
 
 class TestDegenerateMoleculeInABatch:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -15,7 +16,7 @@ from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore
 from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, split as split_records
 from rotenc.encoder3d import EncoderConfig
-from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, StaleGradient, TaskMismatch
+from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, InvalidSplit, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
 from rotenc.model import Model, ModelConfig, measure_invariance
 from rotenc.packing import pack
@@ -278,12 +279,6 @@ class TestTraining:
         val = evaluate_model(model, normalizer, records, val_idx, "val", cfg.batch_size)
         assert (val.mae, val.rmse, val.r2) == (best["val_mae"], best["val_rmse"], best["val_r2"])
 
-    def test_average_loss_objective_trains(self):
-        records = make_records(10, seed=12)
-        cfg = smoke_config(epochs=1, model=tiny_model_config(objective="average_loss"))
-        ckpt, history = train(cfg, records)
-        assert np.isfinite(history[-1]["train_loss"])
-
     def test_edgeless_batches_train(self):
         # a batch of one one-atom molecule has no edge: its message weights
         # must get a zero gradient, not none
@@ -381,7 +376,7 @@ class TestTrainingPrecision:
         save_checkpoint(ckpt, path)
         blob = path.read_bytes()
         (header_len,) = struct.unpack("<I", blob[8:12])
-        assert json.loads(blob[12 : 12 + header_len])["format_version"] == 3
+        assert json.loads(blob[12 : 12 + header_len])["format_version"] == 4
         loaded = load_checkpoint(path)
         for name, value in ckpt.params.items():
             assert loaded.params[name].tobytes() == value.tobytes(), name
@@ -555,6 +550,20 @@ def _owner(d: dict, path: str) -> tuple[dict, str]:
     return d, leaf
 
 
+def _numeric_leaves(d: dict, path: str = ""):
+    """Dotted paths of every number in a config dict; a tuple's entries are named by their index."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, f"{path}{key}.")
+        elif isinstance(value, tuple):
+            yield from (f"{path}{key}.{i}" for i in range(len(value)))
+        elif type(value) in (int, float):
+            yield path + key
+
+
+DEFAULT_CONFIG = config_to_dict(TrainConfig(ModelConfig(EncoderConfig(), GnnConfig()), SplitSpec()))
+
+
 class TestStrictConfig:
     @pytest.mark.parametrize("path, value", [
         ("model.encoder.bogus", 1),
@@ -584,7 +593,7 @@ class TestStrictConfig:
 
     def test_missing_field_with_default_takes_the_default(self):
         d = config_to_dict(smoke_config())
-        del d["model"]["encoder"]["pool"]
+        del d["model"]["encoder"]["align_mode"]
         assert config_from_dict(d) == smoke_config()
 
     def test_ints_pass_as_floats(self):
@@ -592,6 +601,22 @@ class TestStrictConfig:
         d["lr"], d["model"]["cutoff"] = 1, 8
         cfg = config_from_dict(d)
         assert cfg.lr == 1 and cfg.model.cutoff == 8
+
+    # every number of the default config: none of these values is legal for any of them (the split's
+    # k_folds is None under holdout, so it is no leaf here)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1],
+                             ids=["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("path", list(_numeric_leaves(DEFAULT_CONFIG)))
+    def test_a_non_finite_or_negative_number_is_an_input_error(self, path, value):
+        d = copy.deepcopy(DEFAULT_CONFIG)
+        owner, leaf = _owner(d, path)
+        if leaf.isdigit():  # an entry of a tuple field
+            owner, field = _owner(d, path.rpartition(".")[0])
+            owner[field] = list(owner[field])
+            owner, leaf = owner[field], int(leaf)
+        owner[leaf] = value
+        with pytest.raises((InvalidConfig, InvalidSplit)):
+            config_from_dict(d)
 
 
 class TestAblations:
