@@ -404,22 +404,20 @@ def concat(parts, axis: int = 0) -> Value:
     return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", tuple(parts), _back)
 
 
-def gather_rows(a: Value, indices, *, plan: ScatterPlan | None = None) -> Value:
-    """Select rows of a 2-d array (duplicates allowed); a shared ``scatter_plan(indices, len(a))`` serves the backward."""
+def gather_rows(a: Value, indices) -> Value:
+    """Select rows of a 2-d array (duplicates allowed); the backward scatters along ``scatter_plan(indices, len(a))``."""
     indices = np.asarray(indices, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows: need 2-d input, got {a.data.shape}")
-    if plan is not None:
-        _check_plan(plan, indices.shape[0], a.data.shape[0])
 
     def _back(g):
-        _push(a, lambda: _scatter_sum(g, plan or scatter_plan(indices, a.data.shape[0])), owned=True)
+        _push(a, lambda: _scatter_sum(g, scatter_plan(indices, a.data.shape[0])), owned=True)
 
     return _node(a.data[indices], "gather_rows", (a,), _back)
 
 
 class ScatterPlan(NamedTuple):
-    """Where the rows of a scatter go, from ``scatter_plan``; reusable for every call with the same indices."""
+    """Where the rows of a scatter go, from ``scatter_plan``; reusable for every scatter along the same indices."""
 
     indices: np.ndarray  # destination of each input row
     counts: np.ndarray  # rows per destination (its in-degree)
@@ -452,12 +450,6 @@ def _plan(indices: np.ndarray, n_rows: int, order: np.ndarray | None) -> Scatter
     return ScatterPlan(indices, counts, order, filled, (np.cumsum(counts) - counts)[filled])
 
 
-def _check_plan(plan: ScatterPlan, n_in: int, n_rows: int) -> None:
-    if plan.indices.shape != (n_in,) or plan.counts.size != n_rows:
-        raise ShapeError(f"scatter plan of {plan.indices.shape[0]} rows into {plan.counts.size} "
-                         f"does not fit {n_in} rows into {n_rows}")
-
-
 def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
     """Row i sums the rows of ``x`` planned for destination i and no other row.
 
@@ -474,21 +466,18 @@ def _scatter_sum(x: np.ndarray, plan: ScatterPlan) -> np.ndarray:
     return out
 
 
-def scatter_add_rows(a: Value, indices, n_rows: int, *, plan: ScatterPlan | None = None) -> Value:
+def scatter_add_rows(a: Value, indices, n_rows: int) -> Value:
     """Accumulate rows of ``a`` into ``n_rows`` destination rows.
 
     Row i of the output is the sum of all rows j with indices[j] == i,
     summed on their own as ``_scatter_sum`` does (zero when there are
     none). This is the neighbor-sum aggregation for message passing.
-    ``plan`` is ``scatter_plan(indices, n_rows)`` built once by a caller
-    that scatters along the same indices several times (every layer of
-    ``gnn.gnn_forward``); without it the call builds its own.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"scatter_add_rows: need 2-d input, got {a.data.shape}")
-    if plan is None:
-        plan = scatter_plan(indices, n_rows)
-    _check_plan(plan, a.data.shape[0], n_rows)
+    plan = scatter_plan(indices, n_rows)
+    if plan.indices.shape[0] != a.data.shape[0]:
+        raise ShapeError(f"scatter_add_rows: {plan.indices.shape[0]} indices for {a.data.shape[0]} rows")
     return _node(_scatter_sum(a.data, plan), "scatter_add_rows", (a,),
                  lambda g: _push(a, lambda: g[plan.indices], owned=True))
 

@@ -29,7 +29,6 @@ from .alignment import canonical_align
 from .data import (
     MoleculeRecord,
     SplitSpec,
-    _reject_constant,
     convert_xyz,
     load_dataset,
     split as split_records,
@@ -71,7 +70,7 @@ def resolve_config(args) -> TrainConfig:
     if args.config:
         path = _require(args.config, "config file")
         try:
-            override = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+            override = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise InvalidConfig(f"config file {path} is not JSON ({exc})") from exc
         if not isinstance(override, dict):
@@ -259,9 +258,9 @@ def cmd_invariance(args) -> int:
     modes = [m.strip() for m in requested.split(",") if m.strip()]
     if not modes:
         raise InputError("no align modes given")
+    models = [_model_with_align(ckpt, mode)[0] for mode in modes]  # an unknown mode fails before any work
     rows = []
-    for mode in modes:
-        model, _ = _model_with_align(ckpt, mode)
+    for mode, model in zip(modes, models):
         report = measure_invariance(model, records, n_rotations=args.rotations, seed=args.seed)
         rows.append(
             [mode, f"{report.mean_dev:.10g}", f"{report.max_dev:.10g}",

@@ -7,8 +7,8 @@ fingerprint is mean_i mean_v f(R_v x_i): each atom's k view rows are
 averaged first, then the atoms are pooled. The average is a Monte-Carlo
 estimate of the rotation-group expectation of the single-view encoder, so
 the result is approximately rotation invariant, with the residual
-shrinking as 1/sqrt(k). Canonical pre-alignment of the input makes it
-exactly invariant.
+shrinking as 1/sqrt(k). Canonical alignment of the input at inference
+(``align_mode="post"``) makes it exactly invariant.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .data import vocab_rows
 from .errors import DegenerateCloud, InvalidConfig, ShapeError
 from .geometry import PointCloud, center_cloud, sample_rotations
 
-ALIGN_MODES = ("none", "pre", "post")
+ALIGN_MODES = ("none", "post")
 
 
 @dataclass
@@ -33,13 +33,15 @@ class EncoderConfig:
     """Widths and sampling policy of the geometric encoder.
 
     ``widths`` has one output width per stack layer; the last one is the
-    fingerprint length ``d_p``. ``align_mode`` selects when canonical
-    alignment is applied: never, before training ("pre"), or only at
-    inference on a model trained without it ("post").
+    fingerprint length ``d_p``. Each atom's view input is its rotated
+    coordinates and its ``embed_dim``-wide element embedding.
+    ``align_mode`` is the serving policy: "none" never aligns, "post"
+    aligns every cloud into its canonical frame at inference. Training
+    never aligns: its k Haar views of a molecule are drawn alike in any
+    fixed frame.
     """
 
     widths: tuple[int, ...] = (64, 128, 128)
-    use_atom_embedding: bool = True
     embed_dim: int = 32
     k: int = 16
     seed: int = 0
@@ -64,7 +66,7 @@ class EncoderConfig:
 
     @property
     def input_width(self) -> int:
-        return 3 + (self.embed_dim if self.use_atom_embedding else 0)
+        return 3 + self.embed_dim
 
 
 class AtomEmbeddingTable:
@@ -87,10 +89,8 @@ class AtomEmbeddingTable:
 
 
 def init_embedding_table(store: ParameterStore, cfg: EncoderConfig, vocab,
-                         rng: np.random.Generator) -> AtomEmbeddingTable | None:
-    """The ``enc.embed`` table, one N(0, 1) row per element; None without atom embeddings."""
-    if not cfg.use_atom_embedding:
-        return None
+                         rng: np.random.Generator) -> AtomEmbeddingTable:
+    """The ``enc.embed`` table, one N(0, 1) row per element."""
     return AtomEmbeddingTable(vocab, store.add("enc.embed", rng.normal(0.0, 1.0, (len(vocab), cfg.embed_dim))))
 
 
@@ -115,10 +115,10 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
     return table, bn_states
 
 
-def view_parts(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
-               cfg: EncoderConfig, coords: Value | None = None,
-               emb: Value | None = None, offsets=None) -> tuple[Value, ...]:
-    """The view input as parts: the rotated coordinates, then, with atom embeddings, the Emb(z) rows.
+def view_parts(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable,
+               coords: Value | None = None, emb: Value | None = None,
+               offsets=None) -> tuple[Value, Value]:
+    """The view input as parts: the rotated coordinates, then the Emb(z) rows.
 
     ``rotations`` is one (3, 3) matrix, giving (n, 3) coordinates, or a
     (k, 3, 3) stack, giving (k, n, 3) with one view per matrix; either is
@@ -138,28 +138,21 @@ def view_parts(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTab
         rotations, offsets = rotations[None], None
     transposed = Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2)))
     rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
-    if not cfg.use_atom_embedding:
-        return (rotated,)
     if emb is None:
-        if table is None:
-            raise InvalidConfig("use_atom_embedding=True but no embedding table given")
         emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
     return rotated, emb
 
 
-def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable | None,
-                     cfg: EncoderConfig, coords: Value | None = None,
-                     emb: Value | None = None, offsets=None) -> Value:
-    """The ``view_parts`` joined into one input: rotated coordinates, optionally || Emb(z).
+def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable,
+                     coords: Value | None = None, emb: Value | None = None,
+                     offsets=None) -> Value:
+    """The ``view_parts`` joined into one input: rotated coordinates || Emb(z).
 
     The embedding rows are repeated for every view, giving (n, d) for one
     rotation and (k, n, d) for a stack. Only the ``ablate_pointwise``
     fingerprint, which is this input itself, needs it joined.
     """
-    parts = view_parts(cloud, rotations, table, cfg, coords=coords, emb=emb, offsets=offsets)
-    if len(parts) == 1:
-        return parts[0]
-    rotated, emb = parts
+    rotated, emb = view_parts(cloud, rotations, table, coords=coords, emb=emb, offsets=offsets)
     return ad.concat([rotated, ad.broadcast_to(emb, rotated.shape[:-1] + emb.shape[-1:])], axis=-1)
 
 
@@ -228,7 +221,7 @@ def inference_views(k: int, seed: int) -> np.ndarray:
     return views
 
 
-def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: ParameterStore,
+def encode(cloud: PointCloud, table: AtomEmbeddingTable, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
            rotations=None, offsets=None, use_stack: bool = True,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
@@ -258,9 +251,8 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable | None, store: Parameter
     elif np.ndim(rotations) not in (3, 4) or np.shape(rotations)[-2:] != (3, 3):
         raise ShapeError(f"encode: rotations must be (k, 3, 3) or (B, k, 3, 3), got {np.shape(rotations)}")
     if use_stack:
-        parts = view_parts(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value, offsets=offsets)
+        parts = view_parts(cloud, rotations, table, coords=coords_value, emb=emb_value, offsets=offsets)
         views = pointwise_stack(parts, store, cfg, bn_states, training)
     else:  # the ablation's fingerprint is the joined view input itself
-        views = build_view_input(cloud, rotations, table, cfg, coords=coords_value, emb=emb_value,
-                                 offsets=offsets)
+        views = build_view_input(cloud, rotations, table, coords=coords_value, emb=emb_value, offsets=offsets)
     return ad.mean_pool(ad.mean(views, axis=0), axis=-2, offsets=offsets)

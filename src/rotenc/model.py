@@ -173,9 +173,9 @@ class Model:
         """The record's graph and its cloud, centered and aligned as the policy asks, ready to pack.
 
         This is the one place a record becomes model input and the one place
-        the align policy is read: training aligns only under ``pre``,
-        inference under ``pre`` and ``post``. A molecule that cannot be
-        aligned raises DegenerateCloud or TooFewPoints naming its id.
+        the align policy is read: inference aligns under ``post``, training
+        never does. A molecule that cannot be aligned raises DegenerateCloud
+        or TooFewPoints naming its id.
 
         Graph and cloud then take ``canonical_order``, so any atom order of
         a record that prepares to the same cloud gives the same arrays (exact
@@ -188,9 +188,8 @@ class Model:
         """
         cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
         if not self.cfg.ablate_3d:
-            mode = self.cfg.encoder.align_mode
             with for_molecule(record):
-                cloud = encoder3d.prepare_cloud(cloud, mode == "pre" or (mode == "post" and not training))
+                cloud = encoder3d.prepare_cloud(cloud, self.cfg.encoder.align_mode == "post" and not training)
         order = canonical_order(record, cloud)
         graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
                             task_names=self.task_names,
@@ -301,9 +300,8 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     coords_leaf = emb_leaf = None
     if not model.cfg.ablate_3d:
         coords_leaf = Value(molecule.cloud.coords, requires_grad=True)
-        if model.enc_table is not None and model.cfg.encoder.use_atom_embedding:
-            rows = model.enc_table.indices(molecule.cloud.atomic_numbers)
-            emb_leaf = Value(model.enc_table.values.data[rows], requires_grad=True)
+        rows = model.enc_table.indices(molecule.cloud.atomic_numbers)
+        emb_leaf = Value(model.enc_table.values.data[rows], requires_grad=True)
 
     y_hat, _ = model.forward(pack([molecule]), node_feats=node_leaf, coords_value=coords_leaf,
                              emb_value=emb_leaf)

@@ -48,7 +48,7 @@ from .model import Model, ModelConfig, loss
 from .packing import lowered, pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -77,6 +77,8 @@ class TrainConfig:
         for name in ("weight_decay", "lambda_l1"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.lr * self.weight_decay >= 1:  # the decay factor 1 - lr·wd would flip or zero every weight
+            raise InvalidConfig(f"lr * weight_decay must be < 1, got {self.lr} * {self.weight_decay}")
         if not all(0 <= beta < 1 for beta in self.betas):
             raise InvalidConfig(f"betas must each be in [0, 1), got {self.betas}")
         if self.seed < 0:
@@ -148,7 +150,7 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def _matches(value, hint) -> bool:
-    """True when a JSON value fits a config field's type hint (ints pass as floats)."""
+    """True when a JSON value fits a config field's type hint; a float field takes any finite number."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -160,7 +162,7 @@ def _matches(value, hint) -> bool:
         return any(_matches(value, a) for a in args)
     if isinstance(value, bool) and hint is not bool:
         return False
-    return isinstance(value, (int, float) if hint is float else hint)
+    return _finite_number(value) if hint is float else isinstance(value, hint)
 
 
 def _build_config(cls, d, path: str = ""):

@@ -169,17 +169,12 @@ class TestScatterAddRowsKernel:
         with pytest.raises(ShapeError):
             ad.scatter_add_rows(Value(np.ones((2, 2))), bad, 3)
 
+    def test_one_index_per_row(self):
+        with pytest.raises(ShapeError, match="3 indices for 4 rows"):
+            ad.scatter_add_rows(Value(np.ones((4, 2))), [0, 1, 1], 3)
+
 
 class TestScatterPlan:
-    def test_shared_plan_gives_the_same_bits(self):
-        rng = np.random.default_rng(8)
-        indices = np.array([3, 0, 3, 1, 3, 0, 4, 3])
-        plan = ad.scatter_plan(indices, 6)
-        for width in (1, 4):
-            x = rng.normal(size=(8, width))
-            assert_same_bits(ad.scatter_add_rows(Value(x), indices, 6, plan=plan).data,
-                             ad.scatter_add_rows(Value(x), indices, 6).data)
-
     @pytest.mark.parametrize("indices", [[0, 0, 1, 3, 3, 3, 4], [2, 2], []], ids=["isolated", "one-row", "empty"])
     def test_grouped_plan_sums_consecutive_rows_to_the_same_bits(self, indices):
         indices = np.array(indices, dtype=np.int64)
@@ -187,8 +182,7 @@ class TestScatterPlan:
         assert grouped.order is None
         for width in (1, 4):
             x = np.random.default_rng(9).normal(size=(len(indices), width)) * 10.0 ** np.arange(width)
-            assert_same_bits(ad.scatter_add_rows(Value(x), indices, 6, plan=grouped).data,
-                             ad.scatter_add_rows(Value(x), indices, 6).data)
+            assert_same_bits(ad._scatter_sum(x, grouped), ad.scatter_add_rows(Value(x), indices, 6).data)
 
     def test_plan_contents(self):
         plan = ad.scatter_plan([2, 0, 2, 2], 4)
@@ -196,13 +190,6 @@ class TestScatterPlan:
         np.testing.assert_array_equal(plan.order, [1, 0, 2, 3])
         np.testing.assert_array_equal(plan.filled, [0, 2])
         np.testing.assert_array_equal(plan.starts, [0, 1])
-
-    def test_plan_of_other_rows_rejected(self):
-        plan = ad.scatter_plan([0, 1, 1], 3)
-        with pytest.raises(ShapeError):
-            ad.scatter_add_rows(Value(np.ones((4, 2))), [0, 1, 1, 2], 3, plan=plan)
-        with pytest.raises(ShapeError):
-            ad.scatter_add_rows(Value(np.ones((3, 2))), [0, 1, 1], 4, plan=plan)
 
 
 class TestMean:
@@ -250,9 +237,7 @@ class TestGatherBackward:
         assert_same_bits(x.grad, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("width", [1, 5])
-    def test_shared_plan_gives_the_same_bits(self, width):
-        # the reference is the backward gather_rows ran before it took a
-        # plan: a stable argsort of the picks and one reduceat per call
+    def test_matches_a_stable_argsort_and_one_reduceat(self, width):
         rng = np.random.default_rng(9)
         indices = rng.integers(0, 30, 200)
         g = rng.normal(size=(200, width)) * 10.0 ** rng.integers(-3, 4, (200, width))
@@ -261,17 +246,9 @@ class TestGatherBackward:
         starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
         reference = np.zeros((30, width))
         reference[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
-        plan = ad.scatter_plan(indices, 30)
-        for kwargs in ({}, {"plan": plan}):
-            x = Value(np.zeros((30, width)), requires_grad=True)
-            ad.gather_rows(x, indices, **kwargs)._backward_fn(g)
-            assert_same_bits(x.grad, reference)
-
-    def test_plan_of_other_rows_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.gather_rows(Value(np.ones((3, 2))), [0, 1], plan=ad.scatter_plan([0, 1, 1], 3))
-        with pytest.raises(ShapeError):
-            ad.gather_rows(Value(np.ones((3, 2))), [0, 1], plan=ad.scatter_plan([0, 1], 4))
+        x = Value(np.zeros((30, width)), requires_grad=True)
+        ad.gather_rows(x, indices)._backward_fn(g)
+        assert_same_bits(x.grad, reference)
 
     def test_training_step_argsorts_once_per_edge_end_and_lookup(self, monkeypatch):
         # a graph's edges are grouped by destination when it is made, so the
@@ -477,23 +454,21 @@ class TestDenseParts:
         out = self.compare(make, rng.normal(size=(8, 7)), rng.normal(size=7) if bias else None, relu)
         assert out.shape == (4, 6, 7)
 
-    @pytest.mark.parametrize("plan", [False, True], ids=["own-plan", "shared-plan"])
     @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
-    def test_gathered_parts(self, relu, plan):
+    def test_gathered_parts(self, relu):
         # repeated destinations, and node 4 is never an edge end (in-degree 0)
         rng = np.random.default_rng(3)
         n, dst, src = 6, np.array([0, 0, 0, 1, 2, 2, 5, 3]), np.array([1, 2, 5, 0, 0, 3, 0, 2])
         h0, e0 = rng.normal(size=(n, 4)), rng.normal(size=(len(dst), 2))
-        plans = (ad.scatter_plan(dst, n), ad.scatter_plan(src, n)) if plan else (None, None)
 
         def make():
             h, e = Value(h0.copy(), requires_grad=True), Value(e0.copy(), requires_grad=True)
-            gathered = [ad.gather_rows(h, dst, plan=plans[0]), ad.gather_rows(h, src, plan=plans[1])]
+            gathered = [ad.gather_rows(h, dst), ad.gather_rows(h, src)]
             return {"parts": gathered + [e], "leaves": [h, e]}
 
         self.compare(make, rng.normal(size=(10, 3)), rng.normal(size=3), relu)
         h = Value(h0, requires_grad=True)
-        parts = (ad.gather_rows(h, dst, plan=plans[0]), ad.gather_rows(h, src, plan=plans[1]), Value(e0))
+        parts = (ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e0))
         ad.backward(ad.sum_pool(ad.sum_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
         assert_same_bits(h.grad[4], np.zeros(4))
 
@@ -505,7 +480,7 @@ class TestDenseParts:
 
         def make():
             h, e = Value(h0.copy(), requires_grad=True), Value(np.zeros((0, 2)), requires_grad=True)
-            gathered = [ad.gather_rows(h, none), ad.gather_rows(h, none, plan=ad.scatter_plan(none, n))]
+            gathered = [ad.gather_rows(h, none), ad.gather_rows(h, none)]
             return {"parts": gathered + [e], "leaves": [h, e]}
 
         W0 = rng.normal(size=(10, 3))

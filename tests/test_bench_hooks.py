@@ -34,6 +34,11 @@ def tracing():
     return module
 
 
+def test_the_suite_tests_the_checkouts_own_sources():
+    # pyproject's pythonpath puts <repo>/src first, so an installed copy of rotenc is never the one tested
+    assert Path(rotenc.__file__).resolve().is_relative_to(ROOT / "src")
+
+
 def test_workloads_load_and_match_the_declared_benchmark(monkeypatch, tracing):
     # workloads.py imports its sibling as ``tracing``, and its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, "tracing", tracing)

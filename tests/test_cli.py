@@ -356,19 +356,26 @@ class TestInputFaultsExit2:
     @pytest.mark.parametrize("path, value, words", [
         ("split.seed", -1, ["split seed", "-1"]),
         ("model.encoder.seed", -1, ["encoder seed", "-1"]),
-        ("lr", float("nan"), ["NaN"]),
-        ("lr", float("inf"), ["Infinity"]),
-        ("lambda_l1", float("nan"), ["NaN"]),
-        ("model.cutoff", float("nan"), ["NaN"]),
+        ("lr", float("nan"), ["config key lr ", "nan"]),
+        ("lr", float("inf"), ["config key lr ", "inf"]),
+        ("lambda_l1", float("nan"), ["config key lambda_l1 ", "nan"]),
+        ("model.cutoff", float("nan"), ["config key model.cutoff ", "nan"]),
+        ("betas", [float("nan"), 0.999], ["config key betas ", "nan"]),
+        ("split.train_fraction", float("-inf"), ["config key split.train_fraction ", "-inf"]),
         ("weight_decay", -5, ["weight_decay", "-5"]),
+        ("weight_decay", 1000, ["lr * weight_decay must be < 1"]),
         ("betas", [1.5, 0.999], ["betas", "1.5"]),
         ("eps", -1, ["eps", "-1"]),
         ("model.objective", "average_output", ["unknown config key model.objective"]),
         ("model.encoder.pool", "mean", ["unknown config key model.encoder.pool"]),
-    ], ids=["split.seed", "encoder.seed", "lr-nan", "lr-inf", "lambda_l1-nan", "cutoff-nan", "weight_decay",
-            "betas", "eps", "objective", "pool"])
+        ("model.encoder.use_atom_embedding", True, ["unknown config key model.encoder.use_atom_embedding"]),
+        ("model.encoder.align_mode", "pre", ["align_mode must be one of ('none', 'post'), got 'pre'"]),
+    ], ids=["split.seed", "encoder.seed", "lr-nan", "lr-inf", "lambda_l1-nan", "cutoff-nan", "betas-nan",
+            "train_fraction-inf", "weight_decay", "lr-weight_decay", "betas", "eps", "objective", "pool",
+            "use_atom_embedding", "align_mode-pre"])
     def test_config_value_out_of_range(self, workspace, tmp_path, capsys, path, value, words):
-        # NaN and Infinity are written as the bare literals Python's json emits for them
+        # NaN and Infinity are written as the bare literals Python's json emits for them; the
+        # file parses, and the error names the key that holds one
         root, data, _ = workspace
         d = json.loads(json.dumps(TOY_CONFIG))
         *parents, leaf = path.split(".")
@@ -380,6 +387,23 @@ class TestInputFaultsExit2:
         config.write_text(json.dumps(d))
         code = main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")])
         self.assert_input_error(code, capsys.readouterr().err, *words)
+
+    def test_train_align_mode_pre(self, workspace, tmp_path, capsys):
+        root, data, config = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--config", str(config), "--align-mode", "pre",
+                  "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith("rotenc train: error: argument --align-mode: invalid choice: 'pre'")
+
+    def test_invariance_align_mode_pre(self, workspace, trained, tmp_path, capsys):
+        root, data, _ = workspace
+        code = main(["invariance", "--checkpoint", str(trained), "--data", str(data), "--rotations", "2",
+                     "--align-modes", "none,pre", "--out", str(tmp_path / "inv")])
+        self.assert_input_error(code, capsys.readouterr().err, "('none', 'post'), got 'pre'")
+        assert not (tmp_path / "inv" / "invariance.csv").exists()
 
 
 class TestAlign:
@@ -494,8 +518,7 @@ class TestConfigLayers:
     def test_flag_free_config_is_the_documented_default(self):
         expected = TrainConfig(
             model=ModelConfig(
-                encoder=EncoderConfig(widths=(64, 128, 128), use_atom_embedding=True, embed_dim=32,
-                                      k=16, seed=0, align_mode="none"),
+                encoder=EncoderConfig(widths=(64, 128, 128), embed_dim=32, k=16, seed=0, align_mode="none"),
                 gnn=GnnConfig(layers=3, hidden=32, message_width=32),
                 g_dim=128, head_hidden=256, cutoff=5.0,
                 ablate_3d=False, ablate_features=False, ablate_pointwise=False,
@@ -615,6 +638,27 @@ class TestBadCheckpoint:
         code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, as_version_3)
         assert code == 2
         assert "unsupported checkpoint version 3" in err
+
+    def test_version_4_checkpoint_exits_2(self, workspace, trained, tmp_path, capsys):
+        # a format-4 encoder config carried use_atom_embedding and could name align_mode "pre"
+        def as_version_4(header):
+            header["format_version"] = 4
+            header["train_config"]["model"]["encoder"]["use_atom_embedding"] = True
+
+        code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, as_version_4)
+        TestInputFaultsExit2.assert_input_error(code, err, "unsupported checkpoint version 4")
+
+    @pytest.mark.parametrize("path", ["lr", "model.cutoff"])
+    def test_non_finite_header_config_value_names_its_key(self, workspace, trained, tmp_path, capsys, path):
+        def poison(header):
+            owner = header["train_config"]
+            *parents, leaf = path.split(".")
+            for key in parents:
+                owner = owner[key]
+            owner[leaf] = float("nan")
+
+        code, err = self.eval_with_header(workspace, trained, tmp_path, capsys, poison)
+        TestInputFaultsExit2.assert_input_error(code, err, f"config key {path} ", "nan")
 
     @pytest.mark.parametrize("entry", ["params", "bn_states"])
     def test_renamed_entry_exits_2(self, workspace, trained, tmp_path, capsys, entry):

@@ -65,6 +65,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             small_cfg(embed_dim=embed_dim)
 
+    def test_align_modes_are_none_and_post(self):
+        # training never aligns, so a mode that aligned training clouds would train as "post" does
+        assert encoder3d.ALIGN_MODES == ("none", "post")
+        with pytest.raises(InvalidConfig, match=r"\('none', 'post'\), got 'pre'"):
+            small_cfg(align_mode="pre")
+
     def test_defaults_follow_reported_setup(self):
         cfg = EncoderConfig()
         assert cfg.widths == (64, 128, 128) and cfg.d_p == 128
@@ -73,17 +79,19 @@ class TestConfigValidation:
 
 class TestBuildViewInput:
     def test_identity_rotation_copies_coords(self):
-        cfg = small_cfg(use_atom_embedding=False)
+        cfg = small_cfg()
+        store, table, _ = make_encoder(cfg)
         cloud = centered_cloud()
-        out = build_view_input(cloud, np.eye(3), None, cfg)
-        np.testing.assert_array_equal(out.data, cloud.coords)
+        out = build_view_input(cloud, np.eye(3), table)
+        assert out.data.shape == (cloud.n_atoms, cfg.input_width)
+        np.testing.assert_array_equal(out.data[:, :3], cloud.coords)
 
     def test_embedding_columns_appended(self):
         cfg = small_cfg()
         store, table, _ = make_encoder(cfg)
         cloud = PointCloud(np.array([[0.5, -0.5, 0.0]]), [1])
         centered, _ = center_cloud(cloud)
-        out = build_view_input(centered, np.eye(3), table, cfg)
+        out = build_view_input(centered, np.eye(3), table)
         assert out.data.shape == (1, 3 + cfg.embed_dim)
         row = table.values.data[table.indices([1])[0]]
         np.testing.assert_array_equal(out.data[0, 3:], row)
@@ -93,8 +101,8 @@ class TestBuildViewInput:
         store, table, _ = make_encoder(cfg)
         cloud = centered_cloud()
         r1, r2 = sample_rotations(2, 4)
-        a = build_view_input(cloud, r1, table, cfg).data
-        b = build_view_input(cloud, r2, table, cfg).data
+        a = build_view_input(cloud, r1, table).data
+        b = build_view_input(cloud, r2, table).data
         assert np.array_equal(a[:, 3:], b[:, 3:])
         assert not np.allclose(a[:, :3], b[:, :3])
 
@@ -103,14 +111,15 @@ class TestBuildViewInput:
         store, table, _ = make_encoder(cfg, vocab=(1, 6))
         cloud = PointCloud(np.zeros((2, 3)), [1, 79])
         with pytest.raises(UnknownElement):
-            build_view_input(cloud, np.eye(3), table, cfg)
+            build_view_input(cloud, np.eye(3), table)
 
 
 class TestPointwiseStack:
     def test_identity_composition(self):
         # one layer, identity weights, eval-mode batchnorm tuned to the
-        # identity map, positive inputs: the stack is a no-op
-        cfg = small_cfg(widths=(3,), use_atom_embedding=False)
+        # identity map, positive inputs: the stack is a no-op (its weights
+        # are set by hand, so the input is 3 wide)
+        cfg = small_cfg(widths=(3,))
         store = ParameterStore()
         store.add("enc.conv0.W", np.eye(3))
         store.add("enc.bn0.gamma", np.full(3, np.sqrt(1.0 + 1e-5)))
@@ -151,18 +160,18 @@ class TestPointwiseStack:
         np.testing.assert_allclose(refolded, unfolded(), rtol=1e-12, atol=0)
 
     def test_duplicated_row_duplicates_output(self):
-        cfg = small_cfg(use_atom_embedding=False, widths=(8, 6))
+        cfg = small_cfg(widths=(8, 6))
         store, _, states = make_encoder(cfg)
         rng = np.random.default_rng(5)
-        base = rng.normal(size=(4, 3))
+        base = rng.normal(size=(4, cfg.input_width))
         doubled = np.vstack([base, base[1]])
         out = pointwise_stack(Value(doubled), store, cfg, states, training=False).data
         np.testing.assert_array_equal(out[4], out[1])
 
     def test_weight_gradients_match_finite_differences(self):
-        cfg = small_cfg(use_atom_embedding=False)
+        cfg = small_cfg()
         store, _, states = make_encoder(cfg)
-        x = np.random.default_rng(6).normal(size=(5, 3))
+        x = np.random.default_rng(6).normal(size=(5, cfg.input_width))
 
         def f(s):
             out = pointwise_stack(Value(x), s, cfg, states, training=True)
@@ -177,7 +186,7 @@ class TestEncode:
         store, table, states = make_encoder(cfg)
         cloud = centered_cloud()
         fp = encode(cloud, table, store, cfg, states, rotations=[np.eye(3)])
-        view = view_parts(cloud, np.eye(3), table, cfg)
+        view = view_parts(cloud, np.eye(3), table)
         manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False), axis=-2)
         np.testing.assert_array_equal(fp.data, manual.data)
 
@@ -286,7 +295,7 @@ class TestViewsFirstMeanPool:
         rotations = sample_rotations(cfg.k, 3)
         fp = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
                     offsets=offsets).data
-        stack = pointwise_stack(build_view_input(packed, rotations, table, cfg), store, cfg, states,
+        stack = pointwise_stack(build_view_input(packed, rotations, table), store, cfg, states,
                                 training=training).data
         reference = np.stack([stack[:, start:stop].mean(axis=(0, 1))
                               for start, stop in zip(offsets[:-1], offsets[1:])])

@@ -368,16 +368,15 @@ class TestAtomImportance:
         return sensitivity
 
     def test_matches_finite_difference_sensitivity(self, small_records):
-        # geometry-driven model (no atom-feature inputs to the encoder, head
-        # reads only the fingerprint): the score is pure coordinate
+        # geometry-driven model (the encoder's first layer ignores the atom
+        # embedding rows, so they get an exactly-zero share and gradient, and
+        # the head reads only the fingerprint): the score is pure coordinate
         # sensitivity, which the finite-difference oracle measures directly
         from scipy.stats import spearmanr
 
-        cfg = tiny_model_config(
-            encoder=EncoderConfig(widths=(16, 8), use_atom_embedding=False,
-                                  k=3, seed=1, align_mode="none")
-        )
+        cfg = tiny_model_config(encoder=EncoderConfig(widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode="none"))
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=5)
+        model.store["enc.conv0.W"].data[3:] = 0.0
         model.store["head.W1"].data[: cfg.g_dim, :] = 0.0
         for record in small_records[:3]:
             scores = atom_importance(model, record, 0)

@@ -28,10 +28,8 @@ def _records(bonded: bool, n: int = 5):
 
 def _variant(name):
     cfg = tiny_model_config()
-    enc = cfg.encoder
     return {
         "default": cfg,
-        "pre_align": replace(cfg, encoder=replace(enc, align_mode="pre")),
         "ablate_3d": replace(cfg, ablate_3d=True),
         "ablate_pointwise": replace(cfg, ablate_pointwise=True),
     }[name]
@@ -73,7 +71,7 @@ class TestPackedTrainingStep:
     # The oracle then folds that statistic once per copy and the packed step once, so the running
     # statistics are compared with one lone step.
     @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
-    @pytest.mark.parametrize("variant", ["default", "pre_align", "ablate_3d", "ablate_pointwise"])
+    @pytest.mark.parametrize("variant", ["default", "ablate_3d", "ablate_pointwise"])
     def test_gradients_match_per_molecule_oracle(self, variant, bonded):
         records = _records(bonded)
         task = "y"
@@ -103,14 +101,13 @@ class TestPackedTrainingStep:
             assert_close_to_scale(got[2][name][0], mean, 1e-10)
             assert_close_to_scale(got[2][name][1], var, 1e-10)
 
-    # training batchnorm normalizes over the whole batch, so these variants' packed step over distinct
+    # training batchnorm normalizes over the whole batch, so the default's packed step over distinct
     # molecules has no per-molecule oracle; its backward is checked against central differences instead.
     # The molecules are bonded: a near-zero RBF feature of a cutoff graph gives a weight a ~1e-15
     # gradient that the differences cannot resolve (the oracle above covers cutoff graphs)
-    @pytest.mark.parametrize("variant", ["default", "pre_align"])
-    def test_gradients_match_finite_differences(self, variant):
+    def test_gradients_match_finite_differences(self):
         records = _records(True)
-        model = Model(_variant(variant), VOCAB, ("y",), seed=4, bonded=True)
+        model = Model(tiny_model_config(), VOCAB, ("y",), seed=4, bonded=True)
         rotations = [sample_rotations(model.cfg.encoder.k, 50 + i) for i in range(len(records))]
         targets = np.array([[0.3 * i - 0.5] for i in range(len(records))])
         error = ad.gradient_check(lambda store: _packed_step(model, records, rotations, targets, 1e-3),
@@ -166,10 +163,12 @@ class TestDegenerateMoleculeInABatch:
                               bonds=None, targets={"rg": 0.6})
 
     def test_prepare_names_the_molecule(self):
-        cfg = tiny_model_config(encoder=EncoderConfig(widths=(8,), embed_dim=2, k=2, align_mode="pre"))
+        # training never aligns, so only an inference prepare needs the canonical frame
+        cfg = tiny_model_config(encoder=EncoderConfig(widths=(8,), embed_dim=2, k=2, align_mode="post"))
         model = Model(cfg, VOCAB, ("rg",), seed=0)
+        assert model.prepare(self._co(), training=True).cloud.n_atoms == 2
         with pytest.raises(DegenerateCloud, match="molecule co:"):
-            model.prepare(self._co(), training=True)
+            model.prepare(self._co())
 
     def test_evaluation_and_invariance_name_the_molecule(self):
         cfg = tiny_model_config(encoder=EncoderConfig(widths=(8,), embed_dim=2, k=2, align_mode="post"))

@@ -177,7 +177,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_reported_with_location(self):
         records = make_records(12, seed=7)
-        cfg = smoke_config(epochs=2, lr=1e80)
+        cfg = smoke_config(epochs=2, lr=1e80, weight_decay=0.0)
         with pytest.raises(Diverged) as exc:
             train(cfg, records)
         assert exc.value.epoch >= 0 and exc.value.batch >= 0
@@ -193,7 +193,8 @@ class TestTraining:
     def test_seeded_run_reproduces_its_recorded_history_and_checkpoint(self, tmp_path, mode):
         # fold_runs.json was recorded when holdout and k-fold training still took separate paths
         # through train(); the shared fold loop must give the same bytes (numpy 2.4 on OpenBLAS,
-        # like float64_trained.json)
+        # like float64_trained.json). Its checkpoint hashes were re-recorded for the format-5
+        # header; the array bytes after it are the ones first recorded
         split, epochs = {"holdout": (SplitSpec(mode="holdout", train_fraction=0.75, seed=1), 2),
                          "kfold": (SplitSpec(mode="kfold", k_folds=3, seed=2), 1)}[mode]
         ckpt, history = train(smoke_config(split=split, epochs=epochs), make_records(12, seed=8))
@@ -293,14 +294,19 @@ class TestTraining:
         assert len(history) == 2 and all(np.isfinite(entry["train_loss"]) for entry in history)
         assert all(np.all(np.isfinite(value)) for value in ckpt.params.values())
 
-    def test_pre_align_names_a_degenerate_molecule(self):
+    def test_post_align_trains_on_a_degenerate_molecule_and_inference_names_it(self):
+        # training never aligns, so a molecule without a canonical frame trains; serving it cannot
         co = MoleculeRecord(id="co", atomic_numbers=[6, 8],
                             coords=np.array([[0.0, 0.0, 0.0], [1.13, 0.0, 0.0]]), bonds=None,
                             targets={"rg": 0.6})
-        enc = EncoderConfig(widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode="pre")
+        enc = EncoderConfig(widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode="post")
         cfg = smoke_config(epochs=1, model=tiny_model_config(encoder=enc))
+        records = [co] + make_records(7, seed=12)
+        assert 0 in split_records(records, cfg.split)[0]
+        ckpt, history = train(cfg, records)
+        assert len(history) == 1
         with pytest.raises(DegenerateCloud, match="molecule co:"):
-            train(cfg, make_records(7, seed=12) + [co])
+            evaluate(ckpt, [co])
 
 
 class TestPaperDefaultLearns:
@@ -376,7 +382,7 @@ class TestTrainingPrecision:
         save_checkpoint(ckpt, path)
         blob = path.read_bytes()
         (header_len,) = struct.unpack("<I", blob[8:12])
-        assert json.loads(blob[12 : 12 + header_len])["format_version"] == 4
+        assert json.loads(blob[12 : 12 + header_len])["format_version"] == 5
         loaded = load_checkpoint(path)
         for name, value in ckpt.params.items():
             assert loaded.params[name].tobytes() == value.tobytes(), name
@@ -393,7 +399,8 @@ class TestTrainingPrecision:
         assert blobs[0] == blobs[1]
 
     def test_a_float64_trained_checkpoint_predicts_its_recorded_outputs(self):
-        # float64_trained.rotenc was written by the trainer before training computed in float32, and
+        # float64_trained.rotenc was written by the trainer before training computed in float32 (its
+        # header since rewritten to format 5, its arrays untouched), and
         # float64_trained.json holds its predictions and invariance deviations then, which every
         # float64 inference path must still reproduce to the bit (recorded with numpy 2.4 on
         # OpenBLAS; a BLAS that rounds its products differently needs the file recorded again)
@@ -595,6 +602,12 @@ class TestStrictConfig:
         d = config_to_dict(smoke_config())
         del d["model"]["encoder"]["align_mode"]
         assert config_from_dict(d) == smoke_config()
+
+    def test_lr_times_weight_decay_must_stay_below_one(self):
+        # at lr·wd >= 1 the decay factor 1 - lr·wd would flip or zero every weight on every step
+        with pytest.raises(InvalidConfig, match=re.escape("lr * weight_decay must be < 1")):
+            smoke_config(lr=1e-3, weight_decay=1000)
+        assert smoke_config(lr=1e-3, weight_decay=999).weight_decay == 999
 
     def test_ints_pass_as_floats(self):
         d = config_to_dict(smoke_config())
