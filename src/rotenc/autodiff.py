@@ -3,12 +3,19 @@
 Every operation returns a new ``Value`` carrying the result and a closure
 that knows how to push an upstream gradient to its inputs. Calling
 ``backward`` on a scalar root sweeps the graph once in reverse topological
-order. The primitive set is exactly what the encoder, the message-passing
-layers, and the regression head need. Shapes are explicit: the broadcasts
-allowed are ``broadcast_to``, a stacked left operand of ``matmul`` and
-``dense`` (k views as one ``(k, n, d)`` operand) sharing a 2-d weight, an
-input part of ``dense`` with fewer leading axes than its result, the bias
-of ``dense`` and the per-channel statistics of ``batchnorm``. A broadcast
+order. The sweep releases each interior node's gradient as soon as its
+closure has consumed it, so only the leaves (parameters and input leaves)
+hold gradients afterwards; the tape itself (parents and closures) stays,
+and a second sweep over the same graph adds to the leaves' gradients once
+more. A closure may overwrite the gradient it is handed: that array
+belongs to its node alone.
+
+The primitive set is exactly what the encoder, the message-passing layers,
+and the regression head need. Shapes are explicit: the broadcasts allowed
+are ``broadcast_to``, a stacked left operand of ``matmul`` and ``dense``
+(k views as one ``(k, n, d)`` operand) sharing a 2-d weight, an input part
+of ``dense`` with fewer leading axes than its result, the bias of
+``dense`` and the per-channel statistics of ``batchnorm``. A broadcast
 operand's gradient is summed back over the axes it was repeated along.
 Relus exist only fused into ``dense``, ``batchnorm`` and ``message_layer``.
 
@@ -93,6 +100,12 @@ class Value:
 
     @property
     def grad(self) -> np.ndarray:
+        """The accumulated gradient, zeros when none has arrived.
+
+        Only a leaf keeps its gradient after ``backward``, and every sweep
+        adds to it until ``ParameterStore.zero_grad``; an interior node's
+        gradient is released once the sweep has pushed it to its inputs.
+        """
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
@@ -259,7 +272,7 @@ def dense(x, W: Value, b: Value | None = None, relu: bool = False) -> Value:
 
     def _back(g):
         if relu:
-            g = g * (data > 0.0)
+            g *= data > 0.0
         if b is not None:
             _push(b, lambda: _sum_to(g, b.data.shape))
         w_grads = []
@@ -547,7 +560,7 @@ def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_fea
     np.maximum(out, 0.0, out=out)
 
     def _back(g):
-        g = g * (out > 0.0)
+        g *= out > 0.0
         _push(b_upd, lambda: _sum_to(g, b_upd.data.shape))
         _push(W_upd, lambda: _weight_grad(joint, g), owned=True)
         if not (h.requires_grad or W1.requires_grad or b1.requires_grad or W2.requires_grad or b2.requires_grad):
@@ -643,7 +656,7 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, relu: 
 
     def _back(g):
         if relu:
-            g = g * (out > 0.0)  # g', masked once
+            g *= out > 0.0  # g', masked once
         centered = np.subtract(x.data, mu)
         g_rows = g.reshape(-1, width)
         g_sum = g_rows.sum(axis=0)
@@ -715,14 +728,22 @@ def _topo_order(root: Value) -> list[Value]:
 
 
 def backward(root: Value) -> None:
-    """Populate gradients of everything reachable from a scalar root."""
+    """Accumulate the gradient of a scalar root into every leaf it reaches that needs one.
+
+    A node with a backward closure hands its gradient to the closure, which
+    may overwrite it, and releases it once the closure has run, so only the
+    gradients not yet consumed are alive at any point of the sweep. Leaves
+    (parameters and input leaves) keep theirs, and a second sweep over the
+    same graph adds to them.
+    """
     if root.data.size != 1:
         raise NotScalar(f"backward needs a scalar root, got shape {root.data.shape}")
     order = _topo_order(root)
-    root._grad = np.ones_like(root.data)
+    root._accumulate(np.ones_like(root.data), owned=True)
     for node in reversed(order):
         if node._backward_fn is not None and node._grad is not None:
             node._backward_fn(node._grad)
+            node._grad = None
 
 
 def _activation_pattern(root: Value) -> list[np.ndarray]:

@@ -4,8 +4,8 @@ Training is single-threaded and fully deterministic for a fixed seed: epoch
 shuffles, per-molecule view rotations, and parameter updates all derive
 from the config seed, so two runs produce bit-identical loss curves. Each
 training batch is one packed batch (``packing``): one forward pass, one
-tape and one backward sweep per step. Evaluation predicts in packed
-batches too.
+tape and one backward sweep per step, and the tape dies with its step.
+Evaluation predicts in packed batches too.
 
 A training step computes in float32 over float64 masters, as in
 Micikevicius et al. 2018: the forward and backward run on float32 copies
@@ -121,8 +121,9 @@ def adamw_step(store: ParameterStore, state: AdamWState, cfg: TrainConfig) -> No
             raise StaleGradient(f"parameter {name!r} has no gradient; call backward first")
         g = np.asarray(p._grad, dtype=np.float64)
         p.data *= 1.0 - cfg.lr * cfg.weight_decay
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:  # the moments start at zero, made once per parameter
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -165,6 +166,13 @@ def _matches(value, hint) -> bool:
     return _finite_number(value) if hint is float else isinstance(value, hint)
 
 
+def _non_finite(value) -> bool:
+    """A number no finite float holds (NaN, an infinity, an int beyond float range), or a list holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_non_finite(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and not _finite_number(value)
+
+
 def _build_config(cls, d, path: str = ""):
     """One config dataclass from a dict; an unknown, mistyped or missing key raises InvalidConfig."""
     if not isinstance(d, dict):
@@ -184,6 +192,8 @@ def _build_config(cls, d, path: str = ""):
             kwargs[name] = _build_config(hints[name], d[name], key + ".")
         elif _matches(d[name], hints[name]):
             kwargs[name] = d[name]
+        elif _non_finite(d[name]):
+            raise InvalidConfig(f"config key {key} must be finite, got {d[name]!r}")
         else:
             raise InvalidConfig(f"config key {key} must be {f.type}, got {d[name]!r}")
     return cls(**kwargs)
@@ -414,6 +424,24 @@ def evaluate(ckpt: Checkpoint, records, indices=None, split_name: str = "eval") 
                           batch_size=ckpt.train_config.batch_size)
 
 
+def _train_step(model: Model, opt: AdamWState, cfg: TrainConfig, batch, rotations, targets,
+                epoch: int, step: int) -> float:
+    """One AdamW step on a packed float32 batch; returns its loss.
+
+    The step's tape (predictions, fused vectors, loss) dies when this
+    returns, so the next step's forward never runs beside it.
+    """
+    model.store.zero_grad()
+    with model.store.float32():
+        y_hat, u = model.forward(batch, training=True, rotations=rotations)
+        batch_loss = loss(y_hat, targets, u, cfg.lambda_l1)
+        if not np.isfinite(batch_loss.data):
+            raise Diverged(epoch, step)
+        ad.backward(batch_loss)
+    adamw_step(model.store, opt, cfg)
+    return float(batch_loss.data)
+
+
 def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
                     vocab, task_names, bonded: bool):
     normalizer = normalize_targets(records, train_idx)
@@ -438,15 +466,8 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
             rotations = None if cfg.model.ablate_3d else sample_rotations(
                 cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members]).astype(np.float32)
             targets = normalizer.apply(batch.targets).astype(np.float32)
-            model.store.zero_grad()
-            with model.store.float32():
-                y_hat, u = model.forward(batch, training=True, rotations=rotations)
-                batch_loss = loss(y_hat, targets, u, cfg.lambda_l1)
-                if not np.isfinite(batch_loss.data):
-                    raise Diverged(epoch, b_start // cfg.batch_size)
-                ad.backward(batch_loss)
-            adamw_step(model.store, opt, cfg)
-            epoch_losses.append(float(batch_loss.data))
+            epoch_losses.append(_train_step(model, opt, cfg, batch, rotations, targets,
+                                            epoch, b_start // cfg.batch_size))
 
         val = _evaluate_prepared(model, normalizer, val_molecules, "val", cfg.batch_size)
         score = float(np.mean(list(val.rmse.values())))

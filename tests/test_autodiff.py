@@ -7,7 +7,14 @@ from hypothesis.extra.numpy import arrays
 from helpers import assert_close_to_scale
 from rotenc import autodiff as ad
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
+from rotenc.data import dataset_task_names, dataset_vocab
+from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import NotScalar, ShapeError
+from rotenc.geometry import sample_rotations
+from rotenc.gnn import GnnConfig
+from rotenc.model import Model, ModelConfig, loss
+from rotenc.packing import pack
+from rotenc.synthetic import make_records
 
 
 def store_with(**arrays):
@@ -308,6 +315,28 @@ class TestBackward:
         y = ad.pick(ad.add(w, w), 0)  # dy/dw0 = 2
         ad.backward(y)
         np.testing.assert_array_equal(w.grad, [2.0, 0.0])
+
+    def test_a_second_sweep_adds_to_the_leaves_once_more(self):
+        # the first sweep released the interior gradients, so the second pushes only its own
+        x = Value(np.array(1.0), requires_grad=True)
+        root = ad.scale(ad.scale(x, 2.0), 3.0)
+        ad.backward(root)
+        assert x.grad == 6.0
+        ad.backward(root)
+        assert x.grad == 12.0
+
+    def test_a_training_step_keeps_only_leaf_gradients(self):
+        records = make_records(3, seed=2, n_atoms_range=(8, 12))
+        model = Model(ModelConfig(encoder=EncoderConfig(), gnn=GnnConfig()), dataset_vocab(records),
+                      dataset_task_names(records), seed=0)
+        batch = pack(model.prepare(record, training=True) for record in records)
+        y_hat, u = model.forward(batch, training=True, rotations=sample_rotations(model.cfg.encoder.k, [0, 1, 2]))
+        root = loss(y_hat, np.zeros((3, 1)), u, 1e-4)
+        ad.backward(root)
+        interior = [node for node in ad._topo_order(root) if node._backward_fn is not None]
+        assert len(interior) > 10 and all(node._grad is None for node in interior)
+        for name, p in model.store.items():
+            assert p._grad is not None and p._grad.shape == p.data.shape, name
 
     def test_pick_by_tuple_index(self):
         w = Value(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -688,9 +717,17 @@ class TestRequiresGrad:
     def test_first_gradient_is_stored_c_ordered(self):
         b = Value(np.arange(4.0), requires_grad=True)
         view = ad.broadcast_to(b, (3, 6, 4))
+        push_to_b, checked = view._backward_fn, []
+
+        def check_then_push(g):  # the sweep releases view's gradient once this has run
+            assert view._grad.flags.c_contiguous
+            checked.append(g)
+            push_to_b(g)
+
+        view._backward_fn = check_then_push
         # add hands the same upstream array to both inputs, so each stores a copy
         ad.backward(ad.sum_pool(ad.sum_pool(ad.sum_pool(ad.add(view, Value(np.ones((3, 6, 4))))))))
-        assert view._grad.flags.c_contiguous
+        assert len(checked) == 1
         np.testing.assert_array_equal(b.grad, np.full(4, 18.0))
 
 

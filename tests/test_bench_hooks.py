@@ -95,3 +95,17 @@ def test_tracer_records_spans_around_train_and_predict_and_uninstalls(tracing):
         assert tracer.bwd_s.get(layer, 0.0) > 0, layer
     assert {(m, a): _resolve(m, a) for m, a, _ in tracing.TRACED} == before
     assert rotenc.autodiff.Value.__init__ is value_init
+
+
+def test_backward_observer_still_counts_the_tape_and_its_leaves(tracing):
+    # backward releases interior gradients but keeps parents, closures and leaf gradients, which the
+    # tracer walks after the sweep for autodiff.tape_nodes_per_mol and autodiff.const_leaf_grad_frac
+    records = make_records(6, seed=40, n_atoms_range=(4, 7))
+    cfg = TrainConfig(model=tiny_model_config(), split=SplitSpec(mode="holdout", train_fraction=0.5, seed=1),
+                      epochs=1, batch_size=4, seed=2)
+    tracer = tracing.Tracer()
+    with tracer:
+        train(cfg, records)
+    assert tracer.counts["autodiff.tape_nodes"] > 0
+    assert tracer.counts["autodiff.leaves_with_grad"] > 0
+    assert tracer.counts["autodiff.const_leaves_with_grad"] == 0
