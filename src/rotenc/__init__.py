@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import geometry
 from .alignment import AlignmentResult, canonical_align, invariance_residual, pca_frame
-from .autodiff import ParameterStore, Value, backward, gradient_check
+from .autodiff import ParameterStore, Value, backward
 from .data import (
     MoleculeRecord,
     Normalizer,

@@ -12,11 +12,11 @@ belongs to its node alone.
 
 The primitive set is exactly what the encoder, the message-passing layers,
 and the regression head need. Shapes are explicit: the broadcasts allowed
-are ``broadcast_to``, a stacked left operand of ``matmul`` and ``dense``
-(k views as one ``(k, n, d)`` operand) sharing a 2-d weight, an input part
-of ``dense`` with fewer leading axes than its result, the bias of
-``dense`` and the per-channel statistics of ``batchnorm``. A broadcast
-operand's gradient is summed back over the axes it was repeated along.
+are a stacked left operand of ``matmul`` and ``dense`` (k views as one
+``(k, n, d)`` operand) sharing a 2-d weight, an input part of ``dense``
+with fewer leading axes than its result, the bias of ``dense`` and the
+per-channel statistics of ``batchnorm``. A broadcast operand's gradient is
+summed back over the axes it was repeated along.
 Relus exist only fused into ``dense``, ``batchnorm`` and ``message_layer``.
 
 An op computes in the dtype of its inputs, and every gradient takes the
@@ -72,11 +72,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
-
-
-def grad_enabled() -> bool:
-    """Whether operations on inputs that need a gradient record a tape (False inside ``no_grad``)."""
-    return _grad_enabled
 
 
 _FLOAT32 = np.dtype(np.float32)
@@ -289,17 +284,6 @@ def dense(x, W: Value, b: Value | None = None, relu: bool = False) -> Value:
     return _node(data, "dense_relu" if relu else "dense", (*sources, W) if b is None else (*sources, W, b), _back)
 
 
-def broadcast_to(a: Value, shape) -> Value:
-    """Repeat ``a`` along new leading axes, e.g. (n, d) -> (k, n, d)."""
-    a, shape = _wrap(a), tuple(shape)
-    if a.data.shape == shape:
-        return a
-    if len(shape) < a.data.ndim or shape[len(shape) - a.data.ndim:] != a.data.shape:
-        raise ShapeError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}")
-    return _node(np.broadcast_to(a.data, shape), "broadcast_to", (a,),
-                 lambda g: _push(a, lambda: _sum_to(g, a.data.shape)))
-
-
 def _segments(offsets, n: int) -> np.ndarray:
     """Validated segment boundaries: 0 = offsets[0] < offsets[1] < ... < offsets[-1] = n."""
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -309,14 +293,15 @@ def _segments(offsets, n: int) -> np.ndarray:
     return offsets
 
 
-def _pool(a: Value, axis: int, offsets, op: str, mean: bool) -> Value:
-    """Sum, or average for a ``mean``, one axis of ``a``, whole or per segment.
+def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
+    """Column-wise mean over one axis of ``a``, whole or per segment, each segment to its lone bits.
 
     Without offsets the axis is dropped; with offsets it keeps one entry per
     segment. One ``reduceat`` sums every segment on its own, so a segment
     sums to the bits it sums to alone (in numpy's order, which adds its
-    first row last, not in row order). The backward spreads each entry's
-    gradient over its rows, divided by the row count for a ``mean``.
+    first row last, not in row order), and the sum is divided by the
+    segment's row count. The backward spreads each entry's gradient over
+    its rows, divided by the row count.
     """
     axis = axis % a.data.ndim
     n = a.data.shape[axis]
@@ -325,26 +310,14 @@ def _pool(a: Value, axis: int, offsets, op: str, mean: bool) -> Value:
     per_row = [1] * a.data.ndim
     per_row[axis] = -1
     data = np.add.reduceat(a.data, bounds[:-1], axis=axis)
-    if mean:
-        data /= lengths.reshape(per_row)
+    data /= lengths.reshape(per_row)
 
     def _back(g):
         grad = np.repeat(g if offsets is not None else np.expand_dims(g, axis), lengths, axis=axis)
-        if mean:
-            grad /= np.repeat(lengths, lengths).reshape(per_row)
+        grad /= np.repeat(lengths, lengths).reshape(per_row)
         a._accumulate(grad, owned=True)
 
-    return _node(data if offsets is not None else data.squeeze(axis), op, (a,), _back)
-
-
-def sum_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise sum over one axis (or each segment of it), each segment to its lone bits."""
-    return _pool(a, axis, offsets, "sum_pool", mean=False)
-
-
-def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise mean over one axis (or each segment of it), each segment to its lone bits."""
-    return _pool(a, axis, offsets, "mean_pool", mean=True)
+    return _node(data if offsets is not None else data.squeeze(axis), "mean_pool", (a,), _back)
 
 
 def mean(a: Value, axis: int = 0) -> Value:
@@ -367,39 +340,37 @@ def mean(a: Value, axis: int = 0) -> Value:
                  lambda g: _push(a, lambda: np.broadcast_to(np.expand_dims(g / k, axis), a.data.shape)))
 
 
-def segment_matmul(a: Value, b: Value, offsets) -> Value:
-    """Each segment of the rows of ``a`` times its own matrix stack.
+def segment_matmul(a: Value, stacks: np.ndarray, offsets) -> Value:
+    """Each segment of the rows of ``a`` times its own constant matrix stack.
 
-    ``a`` is (N, m) with segment s in rows offsets[s]:offsets[s+1]; ``b`` is
-    (S, ..., m, p), one stack per segment. The result is (..., N, p): rows
-    of segment s are ``a[rows] @ b[s]``, so one molecule of a packed batch
-    gets exactly the product it gets on its own.
+    ``a`` is (N, m) with segment s in rows offsets[s]:offsets[s+1];
+    ``stacks`` is a plain (S, ..., m, p) array, one stack per segment, that
+    takes no gradient. The result is (..., N, p): rows of segment s are
+    ``a[rows] @ stacks[s]``, so one molecule of a packed batch gets exactly
+    the product it gets on its own.
     """
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a)
     offsets = _segments(offsets, a.data.shape[0])
-    if a.data.ndim != 2 or b.data.ndim < 3 or b.data.shape[0] != offsets.size - 1 \
-            or b.data.shape[-2] != a.data.shape[1]:
-        raise ShapeError(f"segment_matmul: cannot multiply {a.data.shape} by {b.data.shape} "
+    if a.data.ndim != 2 or stacks.ndim < 3 or stacks.shape[0] != offsets.size - 1 \
+            or stacks.shape[-2] != a.data.shape[1]:
+        raise ShapeError(f"segment_matmul: cannot multiply {a.data.shape} by {stacks.shape} "
                          f"in {offsets.size - 1} segments")
     bounds = list(pairwise(offsets.tolist()))
     if len(bounds) == 1:  # one stack for every row: the product needs no assembling copy
-        data = a.data @ b.data[0]
+        data = a.data @ stacks[0]
     else:
-        data = np.empty(b.data.shape[1:-2] + (a.data.shape[0], b.data.shape[-1]), dtype=a.data.dtype)
+        data = np.empty(stacks.shape[1:-2] + (a.data.shape[0], stacks.shape[-1]), dtype=a.data.dtype)
         for s, (start, stop) in enumerate(bounds):
-            data[..., start:stop, :] = a.data[start:stop] @ b.data[s]
+            data[..., start:stop, :] = a.data[start:stop] @ stacks[s]
 
     def _back(g):
-        if a.requires_grad:
-            ga = np.empty_like(a.data)
-            for s, (start, stop) in enumerate(bounds):
-                ga[start:stop] = _sum_to(g[..., start:stop, :] @ np.swapaxes(b.data[s], -1, -2),
-                                         (stop - start, a.data.shape[1]))
-            a._accumulate(ga, owned=True)
-        if b.requires_grad:
-            b._accumulate(np.stack([a.data[start:stop].T @ g[..., start:stop, :] for start, stop in bounds]))
+        ga = np.empty_like(a.data)
+        for s, (start, stop) in enumerate(bounds):
+            ga[start:stop] = _sum_to(g[..., start:stop, :] @ np.swapaxes(stacks[s], -1, -2),
+                                     (stop - start, a.data.shape[1]))
+        a._accumulate(ga, owned=True)
 
-    return _node(data, "segment_matmul", (a, b), _back)
+    return _node(data, "segment_matmul", (a,), _back)
 
 
 def concat(parts, axis: int = 0) -> Value:
@@ -525,8 +496,9 @@ def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_fea
     destinations the same way and onto the sources through ``sources()``,
     a callable giving ``scatter_plan(src, N)``, called only by the
     backward (a graph's ``source_plan`` plans once for all its layers); the
-    weight and input products then run on node rows. ``gradient_check``
-    reads the two relu outputs off the backward closure's ``relu_outputs``.
+    weight and input products then run on node rows. The backward closure
+    carries the two relu outputs as ``relu_outputs``, where a gradient check
+    that skips probes crossing a relu's kink reads their sign patterns.
     """
     W1, b1, W2, b2, W_upd, b_upd = (_wrap(w) for w in weights)
     x, src, dst = h.data, np.asarray(src), destinations.indices
@@ -746,21 +718,6 @@ def backward(root: Value) -> None:
             node._grad = None
 
 
-def _activation_pattern(root: Value) -> list[np.ndarray]:
-    """Sign pattern (output > 0) of every fused relu, in deterministic graph order."""
-    patterns = []
-    for node in _topo_order(root):
-        if node._op in ("dense_relu", "batchnorm_relu"):
-            patterns.append(node.data > 0.0)
-        elif node._op == "message_layer":
-            patterns.extend(r > 0.0 for r in getattr(node._backward_fn, "relu_outputs", ()))
-    return patterns
-
-
-def _patterns_differ(a, b) -> bool:
-    return len(a) != len(b) or any(not np.array_equal(x, y) for x, y in zip(a, b))
-
-
 class ParameterStore:
     """Named map of trainable parameters; names are unique paths."""
 
@@ -780,9 +737,6 @@ class ParameterStore:
     def items(self):
         """(name, Value) pairs in sorted name order (deterministic)."""
         return [(k, self._params[k]) for k in sorted(self._params)]
-
-    def names(self):
-        return sorted(self._params)
 
     def zero_grad(self):
         for v in self._params.values():
@@ -819,63 +773,3 @@ class ParameterStore:
                 )
             value.data = np.asarray(arrays[name], dtype=np.float64).copy()
 
-
-def gradient_check(f, store: ParameterStore, h: float = 1e-5, n_probe: int = 50,
-                   seed: int = 0) -> float:
-    """Compare backward gradients against central differences.
-
-    ``f(store)`` must build and return a scalar Value and be a pure
-    function of the stored parameters. A probe is skipped when the central
-    difference is not valid at that point: the stencil moved a relu onto or
-    across its kink (the sign pattern of a fused relu differs between the
-    three evaluations). A relu input that sits exactly on 0 and stays there
-    is no reason to skip: the relu is flat along that probe. Returns the
-    max relative error max|a - n| / max(|a|, |n|, 1e-8) over the evaluated
-    probes, 0.0 if every probe was skipped.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    names = store.names()
-    sizes = [store[n].data.size for n in names]
-    total = sum(sizes)
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(total, size=min(n_probe, total), replace=False)
-    flat.sort()
-
-    store.zero_grad()
-    root = f(store)
-    backward(root)
-    base_pattern = _activation_pattern(root)
-    analytic = {}
-    for idx in flat:
-        name, offset = _locate(names, sizes, int(idx))
-        g = store[name]._grad
-        analytic[int(idx)] = 0.0 if g is None else float(g.flat[offset])
-
-    worst = 0.0
-    for idx in flat:
-        name, offset = _locate(names, sizes, int(idx))
-        data = store[name].data
-        orig = data.flat[offset]
-        data.flat[offset] = orig + h
-        plus = f(store)
-        data.flat[offset] = orig - h
-        minus = f(store)
-        data.flat[offset] = orig
-        if _patterns_differ(base_pattern, _activation_pattern(plus)) or _patterns_differ(
-            base_pattern, _activation_pattern(minus)
-        ):
-            continue
-        numeric = float((plus.data - minus.data) / (2.0 * h))
-        a = analytic[int(idx)]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst
-
-
-def _locate(names, sizes, flat_index):
-    for name, size in zip(names, sizes):
-        if flat_index < size:
-            return name, flat_index
-        flat_index -= size
-    raise IndexError("probe index out of range")

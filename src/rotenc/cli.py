@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .alignment import canonical_align
 from .data import (
-    MoleculeRecord,
     SplitSpec,
     convert_xyz,
     load_dataset,
@@ -36,7 +35,7 @@ from .data import (
 )
 from .errors import InputError, InvalidConfig, RotencError
 from .encoder3d import ALIGN_MODES, EncoderConfig
-from .geometry import PointCloud
+from .geometry import PointCloud, center_cloud
 from .gnn import GnnConfig
 from .model import ModelConfig, atom_importance, measure_invariance
 from .trainer import (
@@ -241,11 +240,15 @@ def _check_max_molecules(args) -> None:
         raise InputError(f"--max-molecules must be >= 1, got {args.max_molecules}")
 
 
+def _check_rotations(args) -> None:
+    if args.rotations < 2:
+        raise InputError(f"--rotations must be >= 2, got {args.rotations}")
+
+
 def cmd_invariance(args) -> int:
     ckpt_path = _require(args.checkpoint, "checkpoint")
     data_path = _require(args.data, "dataset")
-    if args.rotations < 2:
-        raise InputError(f"--rotations must be >= 2, got {args.rotations}")
+    _check_rotations(args)
     _check_max_molecules(args)
     out = _out_dir(args)
     manifest = Manifest("invariance", out)
@@ -277,6 +280,7 @@ def cmd_invariance(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     data_path = _require(args.data, "dataset")
+    _check_rotations(args)
     _check_max_molecules(args)
     if args.checkpoint:
         given = {"--config": args.config, "--epochs": args.epochs, "--align-mode": args.align_mode,
@@ -284,19 +288,21 @@ def cmd_sweep_k(args) -> int:
         for flag, value in given.items():
             if value is not None:
                 raise InputError(f"--checkpoint fixes the model; it cannot be combined with {flag}")
-    out = _out_dir(args)
     k_values = []
     for token in args.k_values.split(","):
         try:
             k = int(token)
         except ValueError:
             raise InputError(f"--k-values: {token.strip()!r} is not an integer") from None
+        if k < 1:
+            raise InputError(f"--k-values: k must be >= 1, got {k}")
         if k in k_values:
             print(f"warning: duplicate k={k} ignored", file=sys.stderr)
             continue
         k_values.append(k)
     if not k_values:
         raise InputError("no k values given")
+    out = _out_dir(args)
     manifest = Manifest("sweep-k", out)
     manifest.add_input(data_path)
     records = load_dataset(data_path)
@@ -346,18 +352,15 @@ def cmd_align(args) -> int:
     degenerate_rows = []
     for record in records:
         cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
-        result = canonical_align(cloud)
-        if result.degenerate:
-            degenerate_rows.append([record.id, "repeated covariance eigenvalues"])
-        aligned_records.append(
-            MoleculeRecord(
-                id=record.id,
-                atomic_numbers=list(record.atomic_numbers),
-                coords=result.aligned.coords,
-                bonds=record.bonds,
-                targets=dict(record.targets),
-            )
-        )
+        if cloud.n_atoms < 2:  # a lone atom has no axes; centered, it is its own canonical form
+            degenerate_rows.append([record.id, "fewer than 2 atoms"])
+            aligned = center_cloud(cloud)[0]
+        else:
+            result = canonical_align(cloud)
+            if result.degenerate:
+                degenerate_rows.append([record.id, "repeated covariance eigenvalues"])
+            aligned = result.aligned
+        aligned_records.append(replace(record, coords=aligned.coords))
     aligned_path = out / "aligned.jsonl"
     write_dataset(aligned_records, aligned_path)
     sidecar_path = out / "degenerate.csv"

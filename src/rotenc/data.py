@@ -4,7 +4,7 @@ The dataset file format is JSON Lines: UTF-8, one molecule per line, each
 line a JSON object with fields
 
     id       string, unique within the file
-    z        list of positive integers (atomic numbers)
+    z        non-empty list of positive integers (atomic numbers)
     xyz      flat list of 3*len(z) finite floats (angstrom, row-major)
     bonds    optional list of [u, v, order] triples, 0-based endpoints
     targets  non-empty object mapping task name -> finite float
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     ConstantTarget,
     DuplicateId,
-    EmptyMolecule,
     InvalidConfig,
     InvalidSplit,
     ParseError,
@@ -66,6 +65,8 @@ class MoleculeRecord:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 3)
         n = len(self.atomic_numbers)
+        if n == 0:
+            raise InvalidConfig(f"record {self.id}: a molecule needs at least one atom")
         if self.coords.shape != (n, 3):
             raise InvalidConfig(f"record {self.id}: coords shape {self.coords.shape} != ({n}, 3)")
         if not np.all(np.isfinite(self.coords)):
@@ -185,18 +186,15 @@ def write_dataset(records, path) -> None:
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-def rbf_expand(d, centers=None, gamma: float = RBF_GAMMA) -> np.ndarray:
-    """Gaussian radial basis expansion of distances: v_i = exp(-gamma (d - c_i)^2).
+def rbf_expand(d) -> np.ndarray:
+    """Gaussian radial basis expansion of distances: v_i = exp(-RBF_GAMMA (d - c_i)^2) over ``RBF_CENTERS``.
 
-    A scalar distance gives one ``(n_centers,)`` vector; an ``(m,)`` array
-    gives an ``(m, n_centers)`` matrix whose rows equal the scalar results.
-    ``centers`` defaults to ``RBF_CENTERS``.
+    A scalar distance gives one ``(RBF_N_CENTERS,)`` vector; an ``(m,)``
+    array gives an ``(m, RBF_N_CENTERS)`` matrix whose rows equal the
+    scalar results.
     """
-    if gamma <= 0:
-        raise InvalidConfig(f"gamma must be positive, got {gamma}")
-    centers = RBF_CENTERS if centers is None else np.asarray(centers, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    return np.exp(-gamma * (d[..., None] - centers) ** 2)
+    return np.exp(-RBF_GAMMA * (d[..., None] - RBF_CENTERS) ** 2)
 
 
 def reorder_atoms(record: MoleculeRecord, order) -> MoleculeRecord:
@@ -246,8 +244,6 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     given, otherwise the raw atomic number as a single column.
     """
     n = record.n_atoms
-    if n == 0:
-        raise EmptyMolecule(f"record {record.id} has no atoms")
     # each pair becomes the directed edges (i, j) and (j, i), both with the pair's feature row;
     # the edges come out grouped by destination, as MolecularGraph stores them
     if record.bonds is not None:

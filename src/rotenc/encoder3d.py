@@ -8,7 +8,9 @@ averaged first, then the atoms are pooled. The average is a Monte-Carlo
 estimate of the rotation-group expectation of the single-view encoder, so
 the result is approximately rotation invariant, with the residual
 shrinking as 1/sqrt(k). Canonical alignment of the input at inference
-(``align_mode="post"``) makes it exactly invariant.
+(``align_mode="post"``) makes it exactly invariant. The ``no-pointnet``
+ablation has no stack; its fingerprint, the view input averaged over views
+and atoms, is computed directly (``mean_embedding``).
 """
 
 from __future__ import annotations
@@ -136,24 +138,29 @@ def view_parts(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTab
     rotations = np.asarray(rotations)
     if rotations.ndim < 4:  # one stack shared by the whole cloud: a single segment
         rotations, offsets = rotations[None], None
-    transposed = Value(np.ascontiguousarray(np.swapaxes(rotations, -1, -2)))
+    transposed = np.ascontiguousarray(np.swapaxes(rotations, -1, -2))
     rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
     if emb is None:
         emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
     return rotated, emb
 
 
-def build_view_input(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable,
-                     coords: Value | None = None, emb: Value | None = None,
-                     offsets=None) -> Value:
-    """The ``view_parts`` joined into one input: rotated coordinates || Emb(z).
+def mean_embedding(cloud: PointCloud, table: AtomEmbeddingTable, offsets=None,
+                   emb: Value | None = None) -> Value:
+    """The ``ablate_pointwise`` fingerprint, ``[0, 0, 0 || mean over atoms of Emb(z)]``.
 
-    The embedding rows are repeated for every view, giving (n, d) for one
-    rotation and (k, n, d) for a stack. Only the ``ablate_pointwise``
-    fingerprint, which is this input itself, needs it joined.
+    Without the pointwise stack the fingerprint is the view input averaged
+    over views and atoms. Its coordinate columns are then the rotated
+    centroid of a prepared (centered) cloud, which is 0 in every view, so
+    they are written as 0; its embedding columns are the same in every view
+    and are mean-pooled over the atoms. Shapes, ``offsets`` and ``emb``
+    are those of ``encode``: (d,) for one molecule, (B, d) for a packed
+    batch, with ``d = 3 + embed_dim``.
     """
-    rotated, emb = view_parts(cloud, rotations, table, coords=coords, emb=emb, offsets=offsets)
-    return ad.concat([rotated, ad.broadcast_to(emb, rotated.shape[:-1] + emb.shape[-1:])], axis=-1)
+    if emb is None:
+        emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
+    pooled = ad.mean_pool(emb, axis=0, offsets=offsets)
+    return ad.concat([np.zeros(pooled.shape[:-1] + (3,), dtype=pooled.data.dtype), pooled], axis=-1)
 
 
 def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, cfg: EncoderConfig,
@@ -223,7 +230,7 @@ def inference_views(k: int, seed: int) -> np.ndarray:
 
 def encode(cloud: PointCloud, table: AtomEmbeddingTable, store: ParameterStore,
            cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
-           rotations=None, offsets=None, use_stack: bool = True,
+           rotations=None, offsets=None,
            coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
     """Full encoder: rotate a prepared cloud into k views, convolve, average the views and pool.
 
@@ -250,9 +257,6 @@ def encode(cloud: PointCloud, table: AtomEmbeddingTable, store: ParameterStore,
         rotations = inference_views(cfg.k, cfg.seed)
     elif np.ndim(rotations) not in (3, 4) or np.shape(rotations)[-2:] != (3, 3):
         raise ShapeError(f"encode: rotations must be (k, 3, 3) or (B, k, 3, 3), got {np.shape(rotations)}")
-    if use_stack:
-        parts = view_parts(cloud, rotations, table, coords=coords_value, emb=emb_value, offsets=offsets)
-        views = pointwise_stack(parts, store, cfg, bn_states, training)
-    else:  # the ablation's fingerprint is the joined view input itself
-        views = build_view_input(cloud, rotations, table, coords=coords_value, emb=emb_value, offsets=offsets)
+    parts = view_parts(cloud, rotations, table, coords=coords_value, emb=emb_value, offsets=offsets)
+    views = pointwise_stack(parts, store, cfg, bn_states, training)
     return ad.mean_pool(ad.mean(views, axis=0), axis=-2, offsets=offsets)

@@ -58,10 +58,6 @@ class DuplicateId(InputError):
     pass
 
 
-class EmptyMolecule(InputError):
-    pass
-
-
 class ConstantTarget(InputError):
     pass
 

@@ -24,7 +24,7 @@ from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
 from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, reorder_atoms
 from .encoder3d import EncoderConfig
-from .errors import DegenerateCloud, InvalidConfig, NoData, TooFewPoints
+from .errors import DegenerateCloud, InvalidConfig, NoData, ShapeError, TooFewPoints
 from .geometry import PointCloud
 from .gnn import GnnConfig
 from .packing import Batch, Molecule, pack
@@ -93,7 +93,11 @@ def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
     The result is the mean of the per-sample losses.
     """
     rows = y_hat.data.size // y_hat.shape[-1]
-    task = ad.mse(y_hat, ad.broadcast_to(y, y_hat.shape))
+    try:
+        target = np.broadcast_to(y, y_hat.shape)  # a constant: no tape node for the repeated rows
+    except ValueError:
+        raise ShapeError(f"loss: target {np.shape(y)} does not fit predictions {y_hat.shape}") from None
+    task = ad.mse(y_hat, target)
     if lambda_l1 == 0.0:
         return task
     return ad.add(task, ad.scale(ad.l1_norm(u), lambda_l1 / rows))
@@ -205,13 +209,15 @@ class Model:
 
         y_hat is (B, n_tasks) and u is (B, d_u). ``rotations`` is None (the
         inference views), one (k, 3, 3) stack for every molecule, or
-        (B, k, 3, 3).
+        (B, k, 3, 3); a model without the pointwise stack reads none.
         ``node_feats``, ``coords_value`` and ``emb_value`` feed the batch's
         node features, coordinates and embedding rows in as graph leaves.
         """
         g = self._graph_vector(batch, node_feats=node_feats)
         if self.cfg.ablate_3d:
             u = g
+        elif self.cfg.ablate_pointwise:
+            u = fuse(g, encoder3d.mean_embedding(batch.cloud, self.enc_table, batch.offsets, emb_value))
         else:
             p = encoder3d.encode(
                 batch.cloud,
@@ -222,7 +228,6 @@ class Model:
                 training=training,
                 rotations=rotations,
                 offsets=batch.offsets,
-                use_stack=not self.cfg.ablate_pointwise,
                 coords_value=coords_value,
                 emb_value=emb_value,
             )

@@ -463,7 +463,7 @@ def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
         for b_start in range(0, len(order), cfg.batch_size):
             members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
             batch = pack(molecules[i] for i in members)
-            rotations = None if cfg.model.ablate_3d else sample_rotations(
+            rotations = None if cfg.model.ablate_3d or cfg.model.ablate_pointwise else sample_rotations(
                 cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members]).astype(np.float32)
             targets = normalizer.apply(batch.targets).astype(np.float32)
             epoch_losses.append(_train_step(model, opt, cfg, batch, rotations, targets,

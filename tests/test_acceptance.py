@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import bonded_record, tiny_model_config
+from helpers import bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.alignment import canonical_align
 from rotenc.data import MoleculeRecord, SplitSpec, rbf_expand, split as split_records
@@ -136,7 +136,7 @@ def test_06_gradient_correctness():
             y_hat, u = model.forward(batch, training=True, rotations=rotations)
             return sample_loss(y_hat, target, u, 1e-3)
 
-        err = ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
+        err = gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
         assert err <= 1e-4, f"max relative error {err:.3e}"
 
 

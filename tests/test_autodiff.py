@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import assert_close_to_scale
+from helpers import activation_pattern, assert_close_to_scale, gradient_check
 from rotenc import autodiff as ad
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
 from rotenc.data import dataset_task_names, dataset_vocab
@@ -28,8 +28,8 @@ class TestPrimitiveForward:
     def test_relu_backward_subgradient(self):
         x = Value(np.array([[-1.0, 2.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(2)), relu=True)
-        ad.backward(ad.sum_pool(ad.sum_pool(out, axis=0), axis=0))
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0]])
+        ad.backward(ad.mean_pool(ad.mean_pool(out, axis=0), axis=0))
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.5]])
 
     def test_mse_zero_on_equal(self):
         assert ad.mse(Value(np.array([1.0, 2.0])), np.array([1.0, 2.0])).data == 0.0
@@ -72,8 +72,6 @@ class TestPrimitiveForward:
             ad.matmul(Value(np.zeros((2, 4, 3))), Value(np.zeros((3, 3, 5))))
         with pytest.raises(ShapeError):  # a stacked right operand: rotations go through segment_matmul
             ad.matmul(Value(np.zeros((4, 3))), Value(np.zeros((2, 3, 3))))
-        with pytest.raises(ShapeError):
-            ad.broadcast_to(Value(np.zeros((4, 2))), (3, 4, 3))
 
 
 class TestPermutationExactness:
@@ -91,9 +89,8 @@ class TestPermutationExactness:
         offsets = [0, 5, 7, 13]
         x = rng.normal(size=(2, 13, 3))
         for start, stop in zip(offsets[:-1], offsets[1:]):
-            for op in (ad.sum_pool, ad.mean_pool):
-                got = op(Value(x), axis=1, offsets=offsets).data[:, offsets.index(start)]
-                assert_same_bits(got, op(Value(x[:, start:stop]), axis=1).data)
+            got = ad.mean_pool(Value(x), axis=1, offsets=offsets).data[:, offsets.index(start)]
+            assert_same_bits(got, ad.mean_pool(Value(x[:, start:stop]), axis=1).data)
 
     @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6],
                                          [[0, 5]], [0, 5, 5], [0, 3, 4]])
@@ -217,9 +214,10 @@ class TestMean:
         assert_same_bits(ad.mean(Value(x[:, perm]), axis=0).data, ad.mean(Value(x), axis=0).data[perm])
 
     def test_gradient_is_spread_evenly(self):
+        # the two pools' 1/3 and 1/2 arrive first, then the mean's 1/4
         x = Value(np.ones((4, 2, 3)), requires_grad=True)
-        ad.backward(ad.sum_pool(ad.sum_pool(ad.mean(x, axis=0), axis=0), axis=0))
-        assert_same_bits(x.grad, np.full((4, 2, 3), 0.25))
+        ad.backward(ad.mean_pool(ad.mean_pool(ad.mean(x, axis=0), axis=0), axis=0))
+        assert_same_bits(x.grad, np.full((4, 2, 3), 1.0 / 3 / 2 / 4))
 
 
 class TestGatherBackward:
@@ -285,10 +283,10 @@ class TestGatherBackward:
 
 
 class TestBackward:
-    def test_sum_of_parameter_gives_ones(self):
+    def test_mean_of_parameter_gives_one_over_n(self):
         store = store_with(w=np.arange(5.0))
-        ad.backward(ad.sum_pool(store["w"], axis=0))
-        np.testing.assert_array_equal(store["w"].grad, np.ones(5))
+        ad.backward(ad.mean_pool(store["w"], axis=0))
+        np.testing.assert_array_equal(store["w"].grad, np.full(5, 1.0 / 5))
 
     def test_square_gradient(self):
         # y = x * x as a 1-element graph
@@ -357,6 +355,12 @@ def _chain_relu(a):
     return ad._node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: a._accumulate(g * mask, owned=True))
 
 
+def _broadcast(a, shape):
+    """``a`` repeated along new leading axes as one tape node; the backward sums those axes away."""
+    return ad._node(np.broadcast_to(a.data, shape), "broadcast", (a,),
+                    lambda g: a._accumulate(ad._sum_to(g, a.data.shape)))
+
+
 def _vector_chain(v, W, b, relu, target):
     """Forward value and (v, W, b) gradients of mse(relu(v @ W + b), target)
     for a 1-d ``v``, computed the way the matmul -> add -> relu chain did."""
@@ -388,7 +392,7 @@ class TestDense:
             else:
                 out = ad.matmul(x, W)
                 if bias:
-                    out = ad.add(out, ad.broadcast_to(b, out.shape))
+                    out = ad.add(out, _broadcast(b, out.shape))
                 if relu:
                     out = _chain_relu(out)
             ad.backward(ad.mse(out, target))
@@ -413,7 +417,7 @@ class TestDense:
         x = Value(np.array([[1.0, -1.0, 0.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(3)), relu=True)
         np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0]])
-        assert [m.tolist() for m in ad._activation_pattern(ad.sum_pool(ad.sum_pool(out)))] == [
+        assert [m.tolist() for m in activation_pattern(ad.mean_pool(ad.mean_pool(out)))] == [
             [[True, False, False]]]
 
     def test_shapes_rejected(self):
@@ -426,9 +430,10 @@ class TestDense:
 
 
 def _joined_reference(parts, W, b, relu):
-    """``dense`` of the concatenated input the parts stand for, built from broadcast_to and concat."""
+    """``dense`` of the concatenated input the parts stand for, built from broadcast nodes and concat."""
     lead = max((part.shape[:-1] for part in parts), key=len)
-    joined = ad.concat([ad.broadcast_to(part, lead + part.shape[-1:]) for part in parts], axis=-1)
+    joined = ad.concat([part if part.shape[:-1] == lead else _broadcast(part, lead + part.shape[-1:])
+                        for part in parts], axis=-1)
     return ad.dense(joined, W, b, relu=relu)
 
 
@@ -498,7 +503,7 @@ class TestDenseParts:
         self.compare(make, rng.normal(size=(10, 3)), rng.normal(size=3), relu)
         h = Value(h0, requires_grad=True)
         parts = (ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e0))
-        ad.backward(ad.sum_pool(ad.sum_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
+        ad.backward(ad.mean_pool(ad.mean_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
         assert_same_bits(h.grad[4], np.zeros(4))
 
     @pytest.mark.parametrize("n", [1, 5], ids=["one-atom", "edgeless"])
@@ -649,7 +654,7 @@ class TestMessageLayer:
         weights = [Value(np.ones(shape), requires_grad=True) for shape in [(5, 2), (2,), (2, 2), (2,), (4, 2), (2,)]]
         out = ad.message_layer(Value(np.ones((3, 2))), src, destinations, ad.in_degree_scale(destinations), e,
                                weights, lambda: ad.scatter_plan(src, 3))
-        assert [p.shape for p in ad._activation_pattern(out)] == [(3, 2), (3, 2)]
+        assert [p.shape for p in activation_pattern(out)] == [(3, 2), (3, 2)]
 
     def test_shapes_rejected(self):
         rng = np.random.default_rng(7)
@@ -716,7 +721,7 @@ class TestRequiresGrad:
 
     def test_first_gradient_is_stored_c_ordered(self):
         b = Value(np.arange(4.0), requires_grad=True)
-        view = ad.broadcast_to(b, (3, 6, 4))
+        view = _broadcast(b, (3, 6, 4))
         push_to_b, checked = view._backward_fn, []
 
         def check_then_push(g):  # the sweep releases view's gradient once this has run
@@ -726,9 +731,9 @@ class TestRequiresGrad:
 
         view._backward_fn = check_then_push
         # add hands the same upstream array to both inputs, so each stores a copy
-        ad.backward(ad.sum_pool(ad.sum_pool(ad.sum_pool(ad.add(view, Value(np.ones((3, 6, 4))))))))
+        ad.backward(ad.mean_pool(ad.mean_pool(ad.mean_pool(ad.add(view, Value(np.ones((3, 6, 4))))))))
         assert len(checked) == 1
-        np.testing.assert_array_equal(b.grad, np.full(4, 18.0))
+        np.testing.assert_array_equal(b.grad, np.full((3, 6, 4), 1.0 / 4 / 6 / 3).sum(axis=(0, 1)))
 
 
 class TestBatchNorm:
@@ -882,21 +887,23 @@ def segmented_rows(draw):
 @given(segmented_rows())
 @settings(max_examples=80, deadline=None)
 def test_every_segment_reduces_to_the_bits_of_its_lone_rows(case):
-    """The pools give a segment the bits its rows get alone.
+    """The pool gives a segment the bits its rows get alone.
 
     The lone rows are a fresh C-ordered array, as a lone molecule's are, or
     a view of the packed input; ``reduceat`` does not sum in row order, so
     only this, not the order, is what the reductions promise.
     """
     x, offsets, copy = case
-    pools = [(op, op(Value(x), axis=-2, offsets=offsets).data) for op in (ad.sum_pool, ad.mean_pool)]
+    pooled = ad.mean_pool(Value(x), axis=-2, offsets=offsets).data
     for b, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
         lone = x[..., start:stop, :]
         if copy:
             lone = np.array(lone)
-        for op, pooled in pools:
-            assert_same_bits(pooled[..., b, :], op(Value(lone), axis=-2).data)
+        assert_same_bits(pooled[..., b, :], ad.mean_pool(Value(lone), axis=-2).data)
 
+
+# two segments' (4, 3, 3) matrix stacks, the constant right operand of segment_matmul; float32 holds them exactly
+STACKS = np.random.default_rng(12).normal(size=(2, 4, 3, 3)).astype(np.float32).astype(np.float64)
 
 PRIMITIVE_CASES = [
     ("matmul_bias", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"]), np.zeros((4, 3))),
@@ -909,8 +916,6 @@ PRIMITIVE_CASES = [
      {"x": (4, 5), "W": (5, 3), "b": (3,)}),
     ("stacked_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["W"]), np.zeros((2, 4, 3))),
      {"x": (2, 4, 5), "W": (5, 3)}),
-    ("broadcast_to", lambda s: ad.mse(ad.broadcast_to(s["x"], (3, 4, 2)), np.ones((3, 4, 2))),
-     {"x": (4, 2)}),
     ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 0), np.zeros(3)), {"x": (6, 3)}),
     ("concat", lambda s: ad.mse(ad.concat([s["a"], s["b"]], axis=1), np.zeros((4, 5))),
      {"a": (4, 2), "b": (4, 3)}),
@@ -922,10 +927,8 @@ PRIMITIVE_CASES = [
      {"x": (4, 3)}),  # row 3 is never gathered, row 2 five times
     ("mean", lambda s: ad.mse(ad.mean(s["x"], axis=0), np.ones((4, 3))), {"x": (5, 4, 3)}),
     ("l1", lambda s: ad.l1_norm(s["x"]), {"x": (4, 3)}),
-    ("segment_matmul", lambda s: ad.mse(ad.segment_matmul(s["x"], s["R"], [0, 2, 5]), np.zeros((2, 5, 3))),
-     {"x": (5, 3), "R": (2, 2, 3, 3)}),
-    ("segment_sum_pool", lambda s: ad.mse(ad.sum_pool(s["x"], 1, offsets=[0, 2, 6]), np.zeros((2, 2, 3))),
-     {"x": (2, 6, 3)}),
+    ("segment_matmul", lambda s: ad.mse(ad.segment_matmul(s["x"], STACKS, [0, 2, 5]), np.zeros((4, 5, 3))),
+     {"x": (5, 3)}),
     ("segment_mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 1, offsets=[0, 4, 6]), np.zeros((2, 2, 3))),
      {"x": (2, 6, 3)}),
 ]
@@ -939,7 +942,7 @@ def test_primitive_gradients_match_finite_differences(name, build, shapes):
     store = ParameterStore()
     for pname, shape in shapes.items():
         store.add(pname, rng.normal(size=shape))
-    assert ad.gradient_check(build, store, h=1e-6, n_probe=40, seed=1) <= 1e-6
+    assert gradient_check(build, store, h=1e-6, n_probe=40, seed=1) <= 1e-6
 
 
 def test_batchnorm_gradients_match_finite_differences():
@@ -955,19 +958,19 @@ def test_batchnorm_gradients_match_finite_differences():
         def f(s):
             return ad.mse(ad.batchnorm(s["x"], s["g"], s["b"], state, relu=relu), c)
 
-        assert ad.gradient_check(f, store, h=h, n_probe=24, seed=2) <= 1e-6
+        assert gradient_check(f, store, h=h, n_probe=24, seed=2) <= 1e-6
 
 
 class TestGradientCheck:
     def test_linear_function_is_exact(self):
         store = store_with(w=np.random.default_rng(2).normal(size=10) * 0.1)
-        err = ad.gradient_check(lambda s: ad.sum_pool(s["w"], axis=0), store, h=1e-3, n_probe=10)
+        err = gradient_check(lambda s: ad.mean_pool(s["w"], axis=0), store, h=1e-3, n_probe=10)
         assert err <= 1e-10
 
     def test_relu_at_zero_probe_skipped(self):
         store = store_with(w=np.zeros(3))
-        err = ad.gradient_check(
-            lambda s: ad.sum_pool(ad.dense(s["w"], Value(np.eye(3)), relu=True), axis=0), store, h=1e-5,
+        err = gradient_check(
+            lambda s: ad.mean_pool(ad.dense(s["w"], Value(np.eye(3)), relu=True), axis=0), store, h=1e-5,
             n_probe=3, seed=0
         )
         assert err == 0.0  # every probe sits exactly on the kink and is skipped
@@ -979,8 +982,8 @@ class TestGradientCheck:
         # against the analytic 1.0, so the probe must be skipped
         store = store_with(w=np.array([[w]]))
         x = Value(np.array([[1.0]]))
-        err = ad.gradient_check(
-            lambda s: ad.sum_pool(ad.sum_pool(ad.dense(x, s["w"], relu=True), axis=0), axis=0),
+        err = gradient_check(
+            lambda s: ad.mean_pool(ad.mean_pool(ad.dense(x, s["w"], relu=True), axis=0), axis=0),
             store, h=1e-5, n_probe=1, seed=0,
         )
         assert err == 0.0
@@ -992,8 +995,8 @@ class TestGradientCheck:
         xhat = -1.0 / np.sqrt(1.0 + ad.BN_EPS)
         store = store_with(g=np.ones(1), b=np.array([1e-7 - xhat]))
         state = BatchNormState.for_width(1)
-        err = ad.gradient_check(
-            lambda s: ad.sum_pool(ad.sum_pool(ad.batchnorm(x, s["g"], s["b"], state, relu=True), axis=0), axis=0),
+        err = gradient_check(
+            lambda s: ad.mean_pool(ad.mean_pool(ad.batchnorm(x, s["g"], s["b"], state, relu=True), axis=0), axis=0),
             store, h=1e-5, n_probe=2, seed=0,
         )
         assert err == 0.0
@@ -1008,9 +1011,9 @@ class TestGradientCheck:
         def f(s):
             h = ad.dense(x, s["w"], relu=True)
             wrong = ad._node(h.data * 2.0, "wrong", (h,), lambda g: h._accumulate(g * 3.0, owned=True))
-            return ad.sum_pool(ad.sum_pool(wrong, axis=0), axis=0)
+            return ad.mean_pool(ad.mean_pool(wrong, axis=0), axis=0)
 
-        assert ad.gradient_check(f, store, h=1e-5, n_probe=6, seed=0) > 0.1
+        assert gradient_check(f, store, h=1e-5, n_probe=6, seed=0) > 0.1
 
     @staticmethod
     def full_stack_error(cfg):
@@ -1044,7 +1047,7 @@ class TestGradientCheck:
             y_hat, u = forward()
             return loss(y_hat, target, u, 1e-3)
 
-        error = ad.gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
+        error = gradient_check(f, model.store, h=1e-5, n_probe=50, seed=0)
         for name, (mean, var) in initial.items():
             assert_same_bits(model.bn_states[name].mean, mean)
             assert_same_bits(model.bn_states[name].var, var)
@@ -1106,7 +1109,7 @@ F32_CASES = {
     "batchnorm": (lambda x, g, b: ad.batchnorm(x, g, b, BatchNormState.for_width(6), relu=True),
                   [(3, 11, 6), (6,), (6,)], 16),
     "message_layer": (*_message_layer_case(), 32),
-    "segment_matmul": (lambda x, R: ad.segment_matmul(x, R, [0, 2, 5]), [(5, 3), (2, 4, 3, 3)], 8),
+    "segment_matmul": (lambda x: ad.segment_matmul(x, STACKS.astype(x.data.dtype), [0, 2, 5]), [(5, 3)], 8),
     "mean": (lambda x: ad.mean(x, axis=0), [(5, 4, 3)], 8),
     "mean_pool": (lambda x: ad.mean_pool(x, axis=1, offsets=[0, 4, 6]), [(2, 6, 3)], 4),
     "mse": (ad.mse, [(4, 3), (4, 3)], 16),

@@ -7,6 +7,7 @@ that a rename would break only at benchmark time. Both are loaded from
 their files; nothing under ``perfbench/`` is changed.
 """
 
+import ast
 import importlib.util
 import inspect
 import json
@@ -62,6 +63,28 @@ def test_every_traced_name_resolves(tracing):
     assert tracing.TRACED
     for module_name, attr, _ in tracing.TRACED:
         assert callable(_resolve(module_name, attr)), f"{module_name}.{attr}"
+
+
+def _names_used_from_autodiff(path: Path) -> set[str]:
+    """The ``autodiff`` names a module reads: ``ad.x``/``autodiff.x`` attributes and ``from .autodiff`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("ad", "autodiff"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_autodiff_function_is_run_or_traced(tracing):
+    # an op that no other module calls and the tracer does not name is test machinery or dead code;
+    # a re-export from the package's __init__ is not a call
+    public = {name for name, obj in vars(rotenc.autodiff).items()
+              if inspect.isfunction(obj) and obj.__module__ == "rotenc.autodiff" and not name.startswith("_")}
+    used = set().union(*(_names_used_from_autodiff(path) for path in (ROOT / "src" / "rotenc").glob("*.py")
+                         if path.name not in ("autodiff.py", "__init__.py")))
+    traced = {attr for module_name, attr, _ in tracing.TRACED if module_name == "rotenc.autodiff"}
+    assert public and public - used - traced == set()
 
 
 def test_encode_keeps_the_call_shape_the_tracer_reads(tracing):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotenc import cli
 from rotenc.cli import build_parser, main, resolve_config
 from rotenc.data import MoleculeRecord, SplitSpec, load_dataset, write_dataset
 from rotenc.encoder3d import EncoderConfig
@@ -242,6 +243,19 @@ class TestSweepK:
         assert code == 2
         assert "--max-molecules" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, words", [
+        (["--k-values", "2", "--rotations", "1"], "--rotations must be >= 2, got 1"),
+        (["--k-values", "2,0"], "--k-values: k must be >= 1, got 0"),
+        (["--k-values", "2,-3"], "--k-values: k must be >= 1, got -3"),
+    ], ids=["one-rotation", "zero-k", "negative-k"])
+    def test_bad_value_exits_2_before_training(self, workspace, tmp_path, capsys, monkeypatch, flags, words):
+        root, data, config = workspace
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("sweep-k trained before checking its values"))
+        code = main(["sweep-k", "--data", str(data), "--config", str(config), *flags, "--out", str(tmp_path / "sw")])
+        err = capsys.readouterr().err
+        assert code == 2 and words in err and "Traceback" not in err
+        assert not (tmp_path / "sw").exists()
+
     @pytest.mark.parametrize("k_values, token", [("2,x", "'x'"), ("2,", "''"), ("1.5", "'1.5'")])
     def test_bad_k_value_exits_2_naming_it(self, workspace, trained, tmp_path, capsys, k_values, token):
         root, data, _ = workspace
@@ -323,6 +337,19 @@ class TestInputFaultsExit2:
         assert len(err.splitlines()) == 1
         for word in words:
             assert word in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "invariance", "importance", "align"])
+    def test_record_without_atoms_exits_2_naming_its_line(self, trained, tmp_path, capsys, command):
+        data = tmp_path / "empty.jsonl"
+        write_dataset(make_records(3, seed=9), data)
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "empty", "z": [], "xyz": [], "targets": {"rg": 1.0}}) + "\n")
+        checkpoint = ["--checkpoint", str(trained)]
+        flags = {"train": [], "eval": checkpoint, "invariance": checkpoint,
+                 "importance": [*checkpoint, "--id", "empty"], "align": []}[command]
+        code = main([command, "--data", str(data), *flags, "--out", str(tmp_path / "out")])
+        self.assert_input_error(code, capsys.readouterr().err,
+                                "line 4: record empty: a molecule needs at least one atom")
 
     def test_constant_target_train(self, workspace, tmp_path, capsys):
         root, _, config = workspace
@@ -442,6 +469,23 @@ class TestAlign:
             if a.id == "octa":
                 continue  # no unique canonical form for the degenerate dummy
             np.testing.assert_allclose(a.coords, b.coords, atol=1e-9)
+
+    def test_one_atom_molecule_is_listed_and_written_centered(self, tmp_path):
+        lone = MoleculeRecord(id="helium", atomic_numbers=[2], coords=np.array([[1.5, -2.0, 0.25]]), bonds=None,
+                              targets={"u0": -2.9, "gap": 0.9})
+        data = tmp_path / "in.jsonl"
+        write_dataset(load_dataset(GOLDEN / "golden.jsonl") + [lone], data)
+        assert main(["align", "--data", str(data), "--out", str(tmp_path / "with")]) == 0
+        assert main(["align", "--data", str(GOLDEN / "golden.jsonl"), "--out", str(tmp_path / "without")]) == 0
+        listed = {row["id"]: row["reason"] for row in read_csv(tmp_path / "with" / "degenerate.csv")}
+        alone = {row["id"]: row["reason"] for row in read_csv(tmp_path / "without" / "degenerate.csv")}
+        assert listed == {**alone, "helium": "fewer than 2 atoms"}
+        aligned = {r.id: r for r in load_dataset(tmp_path / "with" / "aligned.jsonl")}
+        assert aligned["helium"].coords.tobytes() == np.zeros((1, 3)).tobytes()
+        others = load_dataset(tmp_path / "without" / "aligned.jsonl")
+        assert sorted(aligned) == sorted([r.id for r in others] + ["helium"])
+        for r in others:  # the lone atom changes nothing else
+            assert aligned[r.id].coords.tobytes() == r.coords.tobytes()
 
     def test_rotated_dataset_aligns_to_same(self, tmp_path):
         from rotenc.geometry import sample_rotations

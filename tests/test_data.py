@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from rotenc.data import (
     BOND_ORDERS,
+    RBF_CENTERS,
+    RBF_GAMMA,
     RBF_N_CENTERS,
     MoleculeRecord,
     SplitSpec,
@@ -28,7 +30,6 @@ from rotenc.data import (
 from rotenc.errors import (
     ConstantTarget,
     DuplicateId,
-    EmptyMolecule,
     InvalidConfig,
     InvalidSplit,
     ParseError,
@@ -121,8 +122,9 @@ class TestLoadDataset:
         (b'{"id": "a", "z": [1, 1], "xyz": [0, 0, 0, 1, 0, 0], "bonds": [[1e999, 0, 1]], '
          b'"targets": {"e": 1}}', "bonds"),
         (b'{"id": "caf\xe9", "z": [1], "xyz": [0, 0, 0], "targets": {"e": 1}}', "UTF-8"),
+        (b'{"id": "empty", "z": [], "xyz": [], "targets": {"e": 1}}', "record empty: a molecule needs at least one"),
     ], ids=["not-object", "deep-nesting", "huge-int-coordinate", "huge-int-target", "infinite-bond",
-            "not-utf8"])
+            "not-utf8", "no-atoms"])
     def test_malformed_line_named(self, tmp_path, line, message):
         path = tmp_path / "m.jsonl"
         path.write_bytes(GOLDEN.joinpath("golden.jsonl").read_bytes() + line + b"\n")
@@ -235,10 +237,9 @@ class TestBuildGraph:
             assert np.array_equal(feature_of[(u, v)], feature_of[(v, u)])
 
     def test_zero_atoms_rejected(self):
-        rec = MoleculeRecord(id="none", atomic_numbers=[], coords=np.zeros((0, 3)), bonds=None,
-                             targets={"e": 0.0})
-        with pytest.raises(EmptyMolecule):
-            build_graph(rec)
+        # refused as the record is made, so no graph is ever built without atoms
+        with pytest.raises(InvalidConfig, match="^record none: a molecule needs at least one atom$"):
+            MoleculeRecord(id="none", atomic_numbers=[], coords=np.zeros((0, 3)), bonds=None, targets={"e": 0.0})
 
     def test_vocab_one_hot_node_features(self):
         graph = build_graph(water_record(), vocab=(1, 8))
@@ -271,15 +272,12 @@ class TestBuildGraph:
 
 class TestRbfExpand:
     def test_peak_at_center(self):
-        centers = np.linspace(0, 6, 32)
-        v = rbf_expand(float(centers[5]), centers=centers, gamma=10.0)
+        v = rbf_expand(float(RBF_CENTERS[5]))
         assert v[5] == 1.0
 
     def test_analytic_decay(self):
-        gamma = 10.0
-        centers = np.array([2.0])
-        v = rbf_expand(2.0 + 1.0 / np.sqrt(gamma), centers=centers, gamma=gamma)
-        np.testing.assert_allclose(v[0], np.exp(-1.0), atol=1e-12)
+        v = rbf_expand(float(RBF_CENTERS[10]) + 1.0 / np.sqrt(RBF_GAMMA))
+        np.testing.assert_allclose(v[10], np.exp(-1.0), atol=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -301,23 +299,9 @@ class TestRbfExpand:
         expected = np.array([rbf_expand(float(d)) for d in dists]).reshape(-1, RBF_N_CENTERS)
         assert out.tobytes() == expected.tobytes()
 
-    def test_array_with_custom_centers_and_gamma(self):
-        dists = np.random.default_rng(7).uniform(0.0, 4.0, size=9)
-        centers = np.array([0.5, 1.0, 3.5])
-        out = rbf_expand(dists, centers=centers, gamma=2.5)
-        assert out.shape == (9, 3)
-        for row, d in zip(out, dists):
-            assert row.tobytes() == rbf_expand(float(d), centers=centers, gamma=2.5).tobytes()
-
     def test_default_centers_are_a_read_only_constant(self):
-        from rotenc.data import RBF_CENTERS
-
         np.testing.assert_array_equal(RBF_CENTERS, np.linspace(0.0, 6.0, RBF_N_CENTERS))
         assert not RBF_CENTERS.flags.writeable
-
-    def test_gamma_positive(self):
-        with pytest.raises(InvalidConfig):
-            rbf_expand(1.0, gamma=0.0)
 
 
 class TestNormalizer:
@@ -443,6 +427,13 @@ class TestConvertXyz:
         targets.write_text("id,u0\nw01,-76.4\n")
         with pytest.raises(InvalidConfig):
             convert_xyz(GOLDEN / "golden.xyz", targets)
+
+    def test_block_without_atoms_named(self, tmp_path):
+        xyz, targets = tmp_path / "m.xyz", tmp_path / "t.csv"
+        xyz.write_text("1\nw01\nO 0 0 0\n0\nempty\n")
+        targets.write_text("id,u0\nw01,-76.4\nempty,0.0\n")
+        with pytest.raises(InvalidConfig, match="^record empty: a molecule needs at least one atom$"):
+            convert_xyz(xyz, targets)
 
 
 class TestDatasetHelpers:

@@ -3,16 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import gradient_check
 from rotenc import autodiff as ad
 from rotenc import encoder3d
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
 from rotenc.encoder3d import (
     AtomEmbeddingTable,
     EncoderConfig,
-    build_view_input,
     encode,
     inference_views,
+    init_embedding_table,
     init_encoder_params,
+    mean_embedding,
     pointwise_stack,
     prepare_cloud,
     view_parts,
@@ -77,41 +79,71 @@ class TestConfigValidation:
         assert cfg.embed_dim == 32 and cfg.k == 16
 
 
-class TestBuildViewInput:
+class TestViewParts:
     def test_identity_rotation_copies_coords(self):
         cfg = small_cfg()
         store, table, _ = make_encoder(cfg)
         cloud = centered_cloud()
-        out = build_view_input(cloud, np.eye(3), table)
-        assert out.data.shape == (cloud.n_atoms, cfg.input_width)
-        np.testing.assert_array_equal(out.data[:, :3], cloud.coords)
+        rotated, emb = view_parts(cloud, np.eye(3), table)
+        assert rotated.shape == (cloud.n_atoms, 3) and emb.shape == (cloud.n_atoms, cfg.embed_dim)
+        np.testing.assert_array_equal(rotated.data, cloud.coords)
 
-    def test_embedding_columns_appended(self):
+    def test_embedding_rows_are_the_table_rows(self):
         cfg = small_cfg()
         store, table, _ = make_encoder(cfg)
         cloud = PointCloud(np.array([[0.5, -0.5, 0.0]]), [1])
         centered, _ = center_cloud(cloud)
-        out = build_view_input(centered, np.eye(3), table)
-        assert out.data.shape == (1, 3 + cfg.embed_dim)
+        _, emb = view_parts(centered, np.eye(3), table)
+        assert emb.shape == (1, cfg.embed_dim)
         row = table.values.data[table.indices([1])[0]]
-        np.testing.assert_array_equal(out.data[0, 3:], row)
+        np.testing.assert_array_equal(emb.data[0], row)
 
-    def test_rotation_changes_only_coordinate_columns(self):
+    def test_rotation_changes_only_the_coordinates(self):
         cfg = small_cfg()
         store, table, _ = make_encoder(cfg)
         cloud = centered_cloud()
         r1, r2 = sample_rotations(2, 4)
-        a = build_view_input(cloud, r1, table).data
-        b = build_view_input(cloud, r2, table).data
-        assert np.array_equal(a[:, 3:], b[:, 3:])
-        assert not np.allclose(a[:, :3], b[:, :3])
+        (a, emb_a), (b, emb_b) = view_parts(cloud, r1, table), view_parts(cloud, r2, table)
+        assert np.array_equal(emb_a.data, emb_b.data)
+        assert not np.allclose(a.data, b.data)
 
     def test_unknown_element(self):
         cfg = small_cfg()
         store, table, _ = make_encoder(cfg, vocab=(1, 6))
         cloud = PointCloud(np.zeros((2, 3)), [1, 79])
         with pytest.raises(UnknownElement):
-            build_view_input(cloud, np.eye(3), table)
+            view_parts(cloud, np.eye(3), table)
+
+
+class TestMeanEmbedding:
+    """The ``ablate_pointwise`` fingerprint, computed without the view stack."""
+
+    def test_zero_coordinates_then_the_pooled_embedding_rows(self):
+        # the rotated centroid of a centered cloud is 0 in every view; the joined (k, N, 3 + d_e) view
+        # input averaged over views and atoms left it at ~1e-16 instead
+        cfg = small_cfg()
+        store = ParameterStore()
+        table = init_embedding_table(store, cfg, (1, 6, 7, 8), np.random.default_rng(0))
+        _, packed, offsets = packed_clouds()
+        fp = mean_embedding(packed, table, offsets)
+        assert fp.shape == (3, cfg.input_width)
+        assert fp.data[:, :3].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0 exactly
+        rows = ad.gather_rows(table.values, table.indices(packed.atomic_numbers))
+        assert fp.data[:, 3:].tobytes() == ad.mean_pool(rows, axis=0, offsets=offsets).data.tobytes()
+        alone = mean_embedding(packed, table)  # no offsets: the whole cloud is one molecule
+        assert alone.shape == (cfg.input_width,)
+        assert alone.data.tobytes() == mean_embedding(packed, table, [0, packed.n_atoms]).data[0].tobytes()
+
+    def test_gradient_reaches_only_the_embedding_rows(self):
+        cfg = small_cfg()
+        store = ParameterStore()
+        table = init_embedding_table(store, cfg, (1, 6, 7, 8), np.random.default_rng(1))
+        cloud = centered_cloud()
+        ad.backward(ad.pick(mean_embedding(cloud, table), 3))
+        rows = table.indices(cloud.atomic_numbers)
+        expected = np.zeros_like(table.values.data)
+        np.add.at(expected[:, 0], rows, 1.0 / cloud.n_atoms)
+        np.testing.assert_allclose(table.values.grad, expected, rtol=1e-15, atol=0)
 
 
 class TestPointwiseStack:
@@ -177,7 +209,7 @@ class TestPointwiseStack:
             out = pointwise_stack(Value(x), s, cfg, states, training=True)
             return ad.pick(ad.mean_pool(out, axis=0), 0)
 
-        assert ad.gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
+        assert gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
 
 
 class TestEncode:
@@ -295,8 +327,11 @@ class TestViewsFirstMeanPool:
         rotations = sample_rotations(cfg.k, 3)
         fp = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
                     offsets=offsets).data
-        stack = pointwise_stack(build_view_input(packed, rotations, table), store, cfg, states,
-                                training=training).data
+        # the (k, N, 3 + d_e) input the view parts stand for, joined in numpy
+        rotated, emb = view_parts(packed, rotations, table)
+        joined = np.concatenate([rotated.data, np.broadcast_to(emb.data, rotated.shape[:-1] + emb.shape[-1:])],
+                                axis=-1)
+        stack = pointwise_stack(Value(joined), store, cfg, states, training=training).data
         reference = np.stack([stack[:, start:stop].mean(axis=(0, 1))
                               for start, stop in zip(offsets[:-1], offsets[1:])])
         np.testing.assert_allclose(fp, reference, rtol=1e-12, atol=0)

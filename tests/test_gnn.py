@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gradient_check
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore, Value
 from rotenc.errors import InvalidConfig, ShapeError
@@ -192,7 +193,7 @@ class TestEndToEnd:
             g = gnn_forward(graph, s, cfg)
             return ad.mse(g, np.linspace(-1, 1, cfg.hidden))
 
-        assert ad.gradient_check(f, store, h=1e-5, n_probe=50, seed=2) <= 1e-4
+        assert gradient_check(f, store, h=1e-5, n_probe=50, seed=2) <= 1e-4
 
     def test_three_layer_gradients_with_an_isolated_node(self):
         # node 5 has no edge: a zero message, and gradients only through its own update
@@ -205,7 +206,7 @@ class TestEndToEnd:
         def f(s):
             return ad.mse(gnn_forward(graph, s, cfg), np.linspace(-1, 1, cfg.hidden))
 
-        assert ad.gradient_check(f, store, h=1e-5, n_probe=50, seed=3) <= 1e-4
+        assert gradient_check(f, store, h=1e-5, n_probe=50, seed=3) <= 1e-4
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import bonded_record, tiny_model_config
+from helpers import bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc import encoder3d
 from rotenc.autodiff import ParameterStore, Value
@@ -129,7 +129,7 @@ class TestPredictHead:
         def f(s):
             return ad.mse(predict_head(Value(u), s), np.array([0.3]))
 
-        assert ad.gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
+        assert gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
 
 
 class TestLoss:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import assert_close_to_scale, bonded_record, tiny_model_config
+from helpers import assert_close_to_scale, bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.data import MoleculeRecord
 from rotenc.encoder3d import EncoderConfig
@@ -110,8 +110,8 @@ class TestPackedTrainingStep:
         model = Model(tiny_model_config(), VOCAB, ("y",), seed=4, bonded=True)
         rotations = [sample_rotations(model.cfg.encoder.k, 50 + i) for i in range(len(records))]
         targets = np.array([[0.3 * i - 0.5] for i in range(len(records))])
-        error = ad.gradient_check(lambda store: _packed_step(model, records, rotations, targets, 1e-3),
-                                  model.store, h=1e-5, n_probe=50, seed=0)
+        error = gradient_check(lambda store: _packed_step(model, records, rotations, targets, 1e-3),
+                               model.store, h=1e-5, n_probe=50, seed=0)
         assert error <= 1e-4
 
     def test_tape_size_does_not_grow_with_the_batch(self):

@@ -384,7 +384,7 @@ class TestTrainingPrecision:
 
         def node(data, op, parents, backward):
             out = real_node(data, op, parents, backward)
-            nodes.append((op, out.data.dtype, ad.grad_enabled()))
+            nodes.append((op, out.data.dtype, ad._grad_enabled))
             return out
 
         def step(store, state, cfg):
