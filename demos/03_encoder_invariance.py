@@ -10,6 +10,7 @@
 import numpy as np
 
 from rotenc import autodiff as ad
+from rotenc.data import vocab_rows
 from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params, prepare_cloud
 from rotenc.geometry import apply_rotation, sample_rotations
 from rotenc.synthetic import random_cloud
@@ -19,14 +20,22 @@ probes = sample_rotations(20, 1)
 clouds = [random_cloud(8, np.random.default_rng(100 + i)) for i in range(10)]
 
 
+def fingerprint(cloud, align, store, cfg, states):
+    """The encoder reads a prepared cloud's coordinates and each atom's embedding row."""
+    emb = ad.gather_rows(store["enc.embed"], vocab_rows(VOCAB, cloud.atomic_numbers))
+    return encode(ad.Value(prepare_cloud(cloud, align).coords), emb, store, cfg, states).data
+
+
 def mean_deviation(cfg, align=False):
     store = ad.ParameterStore()
-    table, states = init_encoder_params(store, cfg, VOCAB, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    store.add("enc.embed", rng.normal(0.0, 1.0, (len(VOCAB), cfg.embed_dim)))
+    states = init_encoder_params(store, cfg, rng)
     devs = []
     for cloud in clouds:
-        base = encode(prepare_cloud(cloud, align), table, store, cfg, states).data
+        base = fingerprint(cloud, align, store, cfg, states)
         for rot in probes:
-            out = encode(prepare_cloud(apply_rotation(cloud, rot), align), table, store, cfg, states).data
+            out = fingerprint(apply_rotation(cloud, rot), align, store, cfg, states)
             devs.append(np.linalg.norm(out - base))
     return float(np.mean(devs))
 

@@ -26,7 +26,7 @@ from .data import (
     split,
     write_dataset,
 )
-from .encoder3d import AtomEmbeddingTable, EncoderConfig, encode
+from .encoder3d import EncoderConfig, encode
 from .errors import RotencError
 from .geometry import (
     PointCloud,

@@ -118,7 +118,7 @@ def canonical_align(cloud: PointCloud) -> AlignmentResult:
             frame[axis] = -frame[axis]
 
     return AlignmentResult(
-        aligned=PointCloud(aligned, centered.atomic_numbers),
+        aligned=PointCloud.trusted(aligned, centered.atomic_numbers),  # a rotation of the centered cloud
         frame=frame,
         eigenvalues=evals,
         flips=tuple(flips),

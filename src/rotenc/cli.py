@@ -37,11 +37,12 @@ from .errors import InputError, InvalidConfig, RotencError
 from .encoder3d import ALIGN_MODES, EncoderConfig
 from .geometry import PointCloud, center_cloud
 from .gnn import GnnConfig
-from .model import ModelConfig, atom_importance, measure_invariance
+from .model import ModelConfig, atom_importance, for_molecule, measure_invariance
 from .trainer import (
     TrainConfig,
     config_from_dict,
     config_to_dict,
+    evaluate,
     evaluate_model,
     load_checkpoint,
     model_from_checkpoint,
@@ -212,12 +213,10 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(ckpt_path)
     manifest.data["config"] = config_to_dict(ckpt.train_config)
     manifest.data["seeds"] = {"inference": ckpt.train_config.model.encoder.seed}
-    records = load_dataset(data_path)
-    model, normalizer = model_from_checkpoint(ckpt)
-    metrics = evaluate_model(model, normalizer, records, split_name="eval")
+    metrics = evaluate(ckpt, load_dataset(data_path), split_name="eval")
     rows = [
         [t, f"{metrics.mae[t]:.8g}", f"{metrics.rmse[t]:.8g}", f"{metrics.r2[t]:.8g}"]
-        for t in model.task_names
+        for t in ckpt.task_names
     ]
     metrics_path = out / "metrics.csv"
     _write_csv(metrics_path, ["task", "mae", "rmse", "r2"], rows)
@@ -351,15 +350,16 @@ def cmd_align(args) -> int:
     aligned_records = []
     degenerate_rows = []
     for record in records:
-        cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
-        if cloud.n_atoms < 2:  # a lone atom has no axes; centered, it is its own canonical form
-            degenerate_rows.append([record.id, "fewer than 2 atoms"])
-            aligned = center_cloud(cloud)[0]
-        else:
-            result = canonical_align(cloud)
-            if result.degenerate:
-                degenerate_rows.append([record.id, "repeated covariance eigenvalues"])
-            aligned = result.aligned
+        with for_molecule(record):
+            cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
+            if cloud.n_atoms < 2:  # a lone atom has no axes; centered, it is its own canonical form
+                degenerate_rows.append([record.id, "fewer than 2 atoms"])
+                aligned = center_cloud(cloud)[0]
+            else:
+                result = canonical_align(cloud)
+                if result.degenerate:
+                    degenerate_rows.append([record.id, "repeated covariance eigenvalues"])
+                aligned = result.aligned
         aligned_records.append(replace(record, coords=aligned.coords))
     aligned_path = out / "aligned.jsonl"
     write_dataset(aligned_records, aligned_path)

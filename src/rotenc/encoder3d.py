@@ -23,7 +23,6 @@ import numpy as np
 from . import autodiff as ad
 from .alignment import canonical_align
 from .autodiff import BatchNormState, ParameterStore, Value
-from .data import vocab_rows
 from .errors import DegenerateCloud, InvalidConfig, ShapeError
 from .geometry import PointCloud, center_cloud, sample_rotations
 
@@ -71,39 +70,13 @@ class EncoderConfig:
         return 3 + self.embed_dim
 
 
-class AtomEmbeddingTable:
-    """Learnable per-element feature vectors, indexed by atomic number."""
+def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, rng: np.random.Generator) -> dict:
+    """Create the stack weights and batchnorm parameters; returns the batchnorm states.
 
-    def __init__(self, vocab, values: Value):
-        self.vocab = tuple(vocab)
-        self.values = values
-        if values.data.shape[0] != len(self.vocab):
-            raise ShapeError(
-                f"embedding rows {values.data.shape[0]} != vocabulary size {len(self.vocab)}"
-            )
-
-    @property
-    def embed_dim(self) -> int:
-        return self.values.data.shape[1]
-
-    def indices(self, atomic_numbers) -> np.ndarray:
-        return vocab_rows(self.vocab, atomic_numbers)
-
-
-def init_embedding_table(store: ParameterStore, cfg: EncoderConfig, vocab,
-                         rng: np.random.Generator) -> AtomEmbeddingTable:
-    """The ``enc.embed`` table, one N(0, 1) row per element."""
-    return AtomEmbeddingTable(vocab, store.add("enc.embed", rng.normal(0.0, 1.0, (len(vocab), cfg.embed_dim))))
-
-
-def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
-                        rng: np.random.Generator):
-    """Create stack weights, batchnorm parameters/states, and the embedding table.
-
-    Returns (table, bn_states) where bn_states maps state names to
-    BatchNormState objects (running statistics live outside the store).
+    The states map names to BatchNormState objects (running statistics live
+    outside the store). The ``enc.embed`` rows the view input reads are the
+    model's (``Model.inputs``), not the encoder's.
     """
-    table = init_embedding_table(store, cfg, vocab, rng)
     bn_states = {}
     fan_in = cfg.input_width
     for layer, width in enumerate(cfg.widths):
@@ -114,51 +87,20 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab,
         store.add(f"enc.bn{layer}.beta", np.zeros(width))
         bn_states[f"enc.bn{layer}"] = BatchNormState.for_width(width)
         fan_in = width
-    return table, bn_states
+    return bn_states
 
 
-def view_parts(cloud: PointCloud, rotations: np.ndarray, table: AtomEmbeddingTable,
-               coords: Value | None = None, emb: Value | None = None,
-               offsets=None) -> tuple[Value, Value]:
-    """The view input as parts: the rotated coordinates, then the Emb(z) rows.
-
-    ``rotations`` is one (3, 3) matrix, giving (n, 3) coordinates, or a
-    (k, 3, 3) stack, giving (k, n, 3) with one view per matrix; either is
-    shared by every atom of the cloud. For a packed cloud (molecule b in
-    rows offsets[b]:offsets[b+1]) a (B, k, 3, 3) array gives every molecule
-    its own stack. The (n, embed_dim) embedding rows are the same in every
-    view and are not repeated: the first stack layer projects them once
-    and broadcasts the projection (``ad.dense`` with parts). ``cloud`` must
-    already be prepared (``prepare_cloud``). ``coords`` can supply the
-    coordinates as a graph node and ``emb`` pre-gathered embedding rows
-    (both used for gradients w.r.t. the inputs); they default to the cloud
-    coordinates and a fresh table lookup.
-    """
-    base = coords if coords is not None else Value(cloud.coords)
-    rotations = np.asarray(rotations)
-    if rotations.ndim < 4:  # one stack shared by the whole cloud: a single segment
-        rotations, offsets = rotations[None], None
-    transposed = np.ascontiguousarray(np.swapaxes(rotations, -1, -2))
-    rotated = ad.segment_matmul(base, transposed, [0, cloud.n_atoms] if offsets is None else offsets)
-    if emb is None:
-        emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
-    return rotated, emb
-
-
-def mean_embedding(cloud: PointCloud, table: AtomEmbeddingTable, offsets=None,
-                   emb: Value | None = None) -> Value:
+def mean_embedding(emb: Value, offsets=None) -> Value:
     """The ``ablate_pointwise`` fingerprint, ``[0, 0, 0 || mean over atoms of Emb(z)]``.
 
     Without the pointwise stack the fingerprint is the view input averaged
     over views and atoms. Its coordinate columns are then the rotated
     centroid of a prepared (centered) cloud, which is 0 in every view, so
     they are written as 0; its embedding columns are the same in every view
-    and are mean-pooled over the atoms. Shapes, ``offsets`` and ``emb``
-    are those of ``encode``: (d,) for one molecule, (B, d) for a packed
+    and are mean-pooled over the atoms. ``emb`` and ``offsets`` are as in
+    ``encode``; the result is (d,) for one molecule, (B, d) for a packed
     batch, with ``d = 3 + embed_dim``.
     """
-    if emb is None:
-        emb = ad.gather_rows(table.values, table.indices(cloud.atomic_numbers))
     pooled = ad.mean_pool(emb, axis=0, offsets=offsets)
     return ad.concat([np.zeros(pooled.shape[:-1] + (3,), dtype=pooled.data.dtype), pooled], axis=-1)
 
@@ -174,9 +116,9 @@ def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, 
     packed batch included, so a training output depends on the batch it
     is in; in eval mode every row is mapped on its own, so duplicating an
     input row duplicates the output row.
-    ``features`` is the view input whole or as its ``view_parts``, which
-    the first layer projects part by part (``ad.dense``), each embedding
-    row once for all views.
+    ``features`` is the view input whole or as its parts, the rotated
+    coordinates and the embedding rows, which the first layer projects part
+    by part (``ad.dense``), each embedding row once for all views.
 
     In eval mode batchnorm is an affine map of the running statistics, so
     each layer folds it into its conv, ``W' = W·s`` and ``b' = β − μ·s`` with
@@ -228,35 +170,38 @@ def inference_views(k: int, seed: int) -> np.ndarray:
     return views
 
 
-def encode(cloud: PointCloud, table: AtomEmbeddingTable, store: ParameterStore,
-           cfg: EncoderConfig, bn_states: dict, *, training: bool = False,
-           rotations=None, offsets=None,
-           coords_value: Value | None = None, emb_value: Value | None = None) -> Value:
+def encode(coords: Value, emb: Value, store: ParameterStore, cfg: EncoderConfig, bn_states: dict, *,
+           training: bool = False, rotations=None, offsets=None) -> Value:
     """Full encoder: rotate a prepared cloud into k views, convolve, average the views and pool.
 
-    ``cloud`` is already centered and, under an aligning policy, aligned
-    (``prepare_cloud``; ``Model.prepare`` applies the model's policy).
-    Without ``offsets`` it is one molecule and the result is its (d_p,)
-    fingerprint; given ``offsets`` it is a packed batch (molecule b in rows
-    offsets[b]:offsets[b+1]) and the result has one row per molecule,
-    (B, d_p).
+    ``coords`` holds the (N, 3) coordinates of a cloud that is already
+    centered and, under an aligning policy, aligned (``prepare_cloud``;
+    ``Model.prepare`` applies the model's policy), and ``emb`` each atom's
+    (N, embed_dim) element embedding row (``Model.inputs`` gathers them).
+    Without ``offsets`` the rows are one molecule and the result is its
+    (d_p,) fingerprint; given ``offsets`` they are a packed batch (molecule
+    b in rows offsets[b]:offsets[b+1]) and the result has one row per
+    molecule, (B, d_p).
 
     ``rotations`` overrides the view set (otherwise it is the k rotations
-    drawn from cfg.seed, see ``inference_views``) with a (k, 3, 3) stack;
-    a (B, k, 3, 3) array gives each molecule of a batch its own views.
-    All views run as one stacked (k, N, d) tensor; the first layer projects the embedding rows
-    once and adds the projection to every view. Each atom's k rows are
-    averaged in view order (``ad.mean``), and the (N, d) averages are then
-    mean-pooled over atoms (``Model.prepare``'s canonical atom order makes
-    that exact under atom permutation): k times fewer rows than pooling
-    every view. ``coords_value``/``emb_value`` feed the cloud's coordinates
-    and embedding rows in as shared graph leaves for input-gradient
-    attribution.
+    drawn from cfg.seed, see ``inference_views``) with a (k, 3, 3) stack
+    shared by every molecule; a (B, k, 3, 3) array gives each molecule of a
+    batch its own views. All views run as one stacked (k, N, d) tensor. The
+    embedding rows are the same in every view and are not repeated: the
+    first layer projects them once and adds the projection to every view
+    (``ad.dense`` with parts). Each atom's k rows are averaged in view order
+    (``ad.mean``), and the (N, d) averages are then mean-pooled over atoms
+    (``Model.prepare``'s canonical atom order makes that exact under atom
+    permutation): k times fewer rows than pooling every view.
     """
     if rotations is None:
         rotations = inference_views(cfg.k, cfg.seed)
     elif np.ndim(rotations) not in (3, 4) or np.shape(rotations)[-2:] != (3, 3):
         raise ShapeError(f"encode: rotations must be (k, 3, 3) or (B, k, 3, 3), got {np.shape(rotations)}")
-    parts = view_parts(cloud, rotations, table, coords=coords_value, emb=emb_value, offsets=offsets)
-    views = pointwise_stack(parts, store, cfg, bn_states, training)
+    rotations, segments = np.asarray(rotations), offsets
+    if rotations.ndim == 3:  # one stack shared by the whole cloud: a single segment
+        rotations, segments = rotations[None], None
+    transposed = np.ascontiguousarray(np.swapaxes(rotations, -1, -2))
+    rotated = ad.segment_matmul(coords, transposed, [0, coords.shape[0]] if segments is None else segments)
+    views = pointwise_stack((rotated, emb), store, cfg, bn_states, training)
     return ad.mean_pool(ad.mean(views, axis=0), axis=-2, offsets=offsets)

@@ -15,9 +15,15 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidQuaternion
 
+# Every atom of a checked cloud lies within this many angstrom of the origin. No molecule comes near
+# it, and under it nothing made from a cloud overflows: centered coordinates (within twice the
+# bound), their float32 training copies, squared distances and the PCA covariance stay finite.
+MAX_RADIUS = 1e6
+
+
 @dataclass
 class PointCloud:
-    """Per-atom 3D coordinates (angstrom) plus atomic numbers."""
+    """Per-atom 3D coordinates (angstrom) plus atomic numbers; every atom within ``MAX_RADIUS`` of the origin."""
 
     coords: np.ndarray
     atomic_numbers: np.ndarray
@@ -29,8 +35,10 @@ class PointCloud:
             raise InvalidConfig(f"coords must be (n, 3), got {self.coords.shape}")
         if self.coords.shape[0] < 1:
             raise InvalidConfig("point cloud needs at least one atom")
-        if not np.all(np.isfinite(self.coords)):
-            raise InvalidConfig("coordinates must be finite")
+        # the per-axis test goes first: it rejects non-finite entries and any whose square would overflow
+        if not (np.all(np.abs(self.coords) <= MAX_RADIUS)
+                and np.all(np.sum(self.coords**2, axis=1) <= MAX_RADIUS**2)):
+            raise InvalidConfig(f"coordinates must be finite and within {MAX_RADIUS:g} angstrom of the origin")
         if self.atomic_numbers.shape != (self.coords.shape[0],):
             raise InvalidConfig("atomic_numbers must match coords row count")
         if np.any(self.atomic_numbers < 1):
@@ -38,11 +46,11 @@ class PointCloud:
 
     @classmethod
     def trusted(cls, coords: np.ndarray, atomic_numbers: np.ndarray) -> PointCloud:
-        """A cloud of arrays taken from a validated cloud (centered, reordered), not checked again.
+        """A cloud of arrays taken from a validated cloud (centered, aligned, reordered), not checked again.
 
-        ``coords`` is a finite float64 (n, 3) array, or its float32 training
-        copy (``packing.lowered``), and ``atomic_numbers`` the matching int64
-        array of positive entries.
+        ``coords`` is a float64 (n, 3) array within ``2 * MAX_RADIUS`` of the
+        origin, or its float32 training copy (``packing.lowered``), and
+        ``atomic_numbers`` the matching int64 array of positive entries.
         """
         cloud = cls.__new__(cls)
         cloud.coords, cloud.atomic_numbers = coords, atomic_numbers
@@ -154,6 +162,4 @@ def center_cloud(cloud: PointCloud) -> tuple[PointCloud, np.ndarray]:
     shifted = cloud.coords - first
     second = _column_mean_exact(shifted)
     centered = shifted - second
-    if not np.isfinite(centered).all():  # coordinates near the float range overflow the shift
-        raise InvalidConfig("coordinates must be finite")
     return PointCloud.trusted(centered, cloud.atomic_numbers), first + second

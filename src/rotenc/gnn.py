@@ -123,11 +123,9 @@ def init_gnn_params(store: ParameterStore, cfg: GnnConfig, d0: int, d_edge: int,
         dense(f"l{layer}.upd", cfg.hidden + cfg.message_width, cfg.hidden)
 
 
-def initial_states(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                   node_feats: Value | None = None) -> Value:
+def initial_states(node_feats: Value, store: ParameterStore) -> Value:
     """h^0 = node_feats @ W_embed + b (a learned per-atom embedding)."""
-    feats = node_feats if node_feats is not None else Value(graph.node_feats)
-    return ad.dense(feats, store["gnn.embed.W"], store["gnn.embed.b"])
+    return ad.dense(node_feats, store["gnn.embed.W"], store["gnn.embed.b"])
 
 
 def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig, layer: int) -> Value:
@@ -163,15 +161,15 @@ def readout(node_states: Value, offsets=None) -> Value:
     return ad.mean_pool(node_states, axis=0, offsets=offsets)
 
 
-def gnn_forward(graph: MolecularGraph, store: ParameterStore, cfg: GnnConfig,
-                node_feats: Value | None = None, offsets=None) -> Value:
-    """Full backbone: embed, L message-passing rounds, readout.
+def gnn_forward(graph: MolecularGraph, node_feats: Value, store: ParameterStore, cfg: GnnConfig,
+                offsets=None) -> Value:
+    """Full backbone: embed the ``node_feats`` of ``graph``'s nodes, L message-passing rounds, readout.
 
     One molecule gives a (hidden,) vector. Given ``offsets``, ``graph`` is
     the disjoint union of a packed batch's molecules and the result is
     (B, hidden).
     """
-    h = initial_states(graph, store, cfg, node_feats=node_feats)
+    h = initial_states(node_feats, store)
     for layer in range(cfg.layers):
         h = message_pass(h, graph, store, cfg, layer)
     return readout(h, offsets)

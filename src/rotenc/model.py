@@ -16,15 +16,16 @@ import copy
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
-from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, reorder_atoms
+from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, reorder_atoms, vocab_rows
 from .encoder3d import EncoderConfig
-from .errors import DegenerateCloud, InvalidConfig, NoData, ShapeError, TooFewPoints
+from .errors import InputError, InvalidConfig, NoData, ShapeError
 from .geometry import PointCloud
 from .gnn import GnnConfig
 from .packing import Batch, Molecule, pack
@@ -71,6 +72,20 @@ class InvarianceReport:
     align_mode: str
 
 
+class Inputs(NamedTuple):
+    """A packed batch as graph nodes, the inputs every layer reads.
+
+    ``node_feats`` are the (N, d0) node features, ``coords`` the (N, 3)
+    prepared coordinates and ``emb`` each atom's (N, embed_dim) ``enc.embed``
+    row; a model without the encoder (``ablate_3d``) reads neither, and they
+    are None.
+    """
+
+    node_feats: Value
+    coords: Value | None
+    emb: Value | None
+
+
 def fuse(g: Value, p: Value) -> Value:
     """u = [g || p], graph part first.
 
@@ -105,10 +120,10 @@ def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
 
 @contextmanager
 def for_molecule(record: MoleculeRecord):
-    """Re-raise a molecule that cannot be aligned with its id in the message."""
+    """Re-raise an input error of the molecule with its id in the message."""
     try:
         yield
-    except (DegenerateCloud, TooFewPoints) as exc:
+    except InputError as exc:
         raise type(exc)(f"molecule {record.id}: {exc}") from exc
 
 
@@ -123,7 +138,7 @@ def canonical_order(record: MoleculeRecord, cloud: PointCloud) -> np.ndarray:
     if record.bonds is not None:
         tied = np.flatnonzero(np.all(np.diff(keys[:, order]) == 0, axis=0))
         if tied.size:
-            raise InvalidConfig(f"molecule {record.id}: bonded atoms {order[tied[0]]} and {order[tied[0] + 1]} "
+            raise InvalidConfig(f"bonded atoms {order[tied[0]]} and {order[tied[0] + 1]} "
                                 "are one element at one position")
     return order
 
@@ -143,16 +158,13 @@ class Model:
         self.bonded = bonded
         self.store = ParameterStore()
         self.bn_states = {}
-        self.enc_table = None
         rng = np.random.default_rng(seed)
 
         if not cfg.ablate_3d:
-            if cfg.ablate_pointwise:
-                self.enc_table = encoder3d.init_embedding_table(self.store, cfg.encoder, self.vocab, rng)
-            else:
-                self.enc_table, self.bn_states = encoder3d.init_encoder_params(
-                    self.store, cfg.encoder, self.vocab, rng
-                )
+            # one N(0, 1) row per element of the vocabulary
+            self.store.add("enc.embed", rng.normal(0.0, 1.0, (len(self.vocab), cfg.encoder.embed_dim)))
+            if not cfg.ablate_pointwise:
+                self.bn_states = encoder3d.init_encoder_params(self.store, cfg.encoder, rng)
         gnn.init_gnn_params(self.store, cfg.gnn, len(self.vocab), self.d_edge, rng)
         self.store.add("gproj.W", rng.normal(0.0, np.sqrt(2.0 / cfg.gnn.hidden), (cfg.gnn.hidden, cfg.g_dim)))
         self.store.add("gproj.b", np.zeros(cfg.g_dim))
@@ -169,17 +181,14 @@ class Model:
             return 1
         return len(BOND_ORDERS) + 1 if self.bonded else RBF_N_CENTERS
 
-    def _graph_vector(self, batch: Batch, node_feats: Value | None = None) -> Value:
-        g = gnn.gnn_forward(batch.graph, self.store, self.cfg.gnn, node_feats=node_feats, offsets=batch.offsets)
-        return ad.dense(g, self.store["gproj.W"], self.store["gproj.b"])
-
     def prepare(self, record: MoleculeRecord, training: bool = False) -> Molecule:
         """The record's graph and its cloud, centered and aligned as the policy asks, ready to pack.
 
         This is the one place a record becomes model input and the one place
         the align policy is read: inference aligns under ``post``, training
-        never does. A molecule that cannot be aligned raises DegenerateCloud
-        or TooFewPoints naming its id.
+        never does. A record the model cannot take (coordinates out of
+        range, an unknown element, a molecule that cannot be aligned) raises
+        its InputError with the molecule's id in the message.
 
         Graph and cloud then take ``canonical_order``, so any atom order of
         a record that prepares to the same cloud gives the same arrays (exact
@@ -190,48 +199,51 @@ class Model:
         and the reordered record are made from checked arrays and are not
         checked again.
         """
-        cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
-        if not self.cfg.ablate_3d:
-            with for_molecule(record):
+        with for_molecule(record):
+            cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
+            if not self.cfg.ablate_3d:
                 cloud = encoder3d.prepare_cloud(cloud, self.cfg.encoder.align_mode == "post" and not training)
-        order = canonical_order(record, cloud)
-        graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
-                            task_names=self.task_names,
-                            edge_features="constant" if self.cfg.ablate_features else "auto")
-        # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
-        cloud = PointCloud.trusted(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
-        return Molecule(record.id, graph, cloud, order)
+            order = canonical_order(record, cloud)
+            graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
+                                task_names=self.task_names,
+                                edge_features="constant" if self.cfg.ablate_features else "auto")
+            # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
+            cloud = PointCloud.trusted(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
+            return Molecule(record.id, graph, cloud, order)
+
+    def inputs(self, batch: Batch) -> Inputs:
+        """The batch's node features, coordinates and embedding rows as graph nodes.
+
+        This is the one place the element vocabulary meets the encoder: each
+        atom's ``enc.embed`` row is gathered here, and every layer below
+        takes the rows it reads.
+        """
+        node_feats = Value(batch.graph.node_feats)
+        if self.cfg.ablate_3d:
+            return Inputs(node_feats, None, None)
+        emb = ad.gather_rows(self.store["enc.embed"], vocab_rows(self.vocab, batch.cloud.atomic_numbers))
+        return Inputs(node_feats, Value(batch.cloud.coords), emb)
 
     def forward(self, batch: Batch, *, training: bool = False, rotations=None,
-                node_feats: Value | None = None, coords_value=None,
-                emb_value=None) -> tuple[Value, Value]:
+                inputs: Inputs | None = None) -> tuple[Value, Value]:
         """One forward pass over a packed batch; returns (y_hat, u) as graph nodes.
 
         y_hat is (B, n_tasks) and u is (B, d_u). ``rotations`` is None (the
         inference views), one (k, 3, 3) stack for every molecule, or
         (B, k, 3, 3); a model without the pointwise stack reads none.
-        ``node_feats``, ``coords_value`` and ``emb_value`` feed the batch's
-        node features, coordinates and embedding rows in as graph leaves.
+        ``inputs`` replaces the batch's ``self.inputs(batch)``, for instance
+        with leaves that take a gradient (``atom_importance``).
         """
-        g = self._graph_vector(batch, node_feats=node_feats)
+        x = self.inputs(batch) if inputs is None else inputs
+        g = gnn.gnn_forward(batch.graph, x.node_feats, self.store, self.cfg.gnn, batch.offsets)
+        g = ad.dense(g, self.store["gproj.W"], self.store["gproj.b"])
         if self.cfg.ablate_3d:
             u = g
         elif self.cfg.ablate_pointwise:
-            u = fuse(g, encoder3d.mean_embedding(batch.cloud, self.enc_table, batch.offsets, emb_value))
+            u = fuse(g, encoder3d.mean_embedding(x.emb, batch.offsets))
         else:
-            p = encoder3d.encode(
-                batch.cloud,
-                self.enc_table,
-                self.store,
-                self.cfg.encoder,
-                self.bn_states,
-                training=training,
-                rotations=rotations,
-                offsets=batch.offsets,
-                coords_value=coords_value,
-                emb_value=emb_value,
-            )
-            u = fuse(g, p)
+            u = fuse(g, encoder3d.encode(x.coords, x.emb, self.store, self.cfg.encoder, self.bn_states,
+                                         training=training, rotations=rotations, offsets=batch.offsets))
         y_hat = predict_head(u, self.store)
         return y_hat, u
 
@@ -301,26 +313,20 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     if not (0 <= task_index < len(model.task_names)):
         raise InvalidConfig(f"task_index {task_index} out of range for {model.task_names}")
     molecule = model.prepare(record)
-    node_leaf = Value(molecule.graph.node_feats, requires_grad=True)
-    coords_leaf = emb_leaf = None
-    if not model.cfg.ablate_3d:
-        coords_leaf = Value(molecule.cloud.coords, requires_grad=True)
-        rows = model.enc_table.indices(molecule.cloud.atomic_numbers)
-        emb_leaf = Value(model.enc_table.values.data[rows], requires_grad=True)
-
-    y_hat, _ = model.forward(pack([molecule]), node_feats=node_leaf, coords_value=coords_leaf,
-                             emb_value=emb_leaf)
+    batch = pack([molecule])
+    leaves = Inputs(*(None if v is None else Value(v.data, requires_grad=True) for v in model.inputs(batch)))
+    y_hat, _ = model.forward(batch, inputs=leaves)
     ad.backward(ad.pick(y_hat, (0, task_index)))
 
-    parts = [node_leaf.grad]
-    if coords_leaf is not None:
-        coord_grad = coords_leaf.grad - coords_leaf.grad.mean(axis=0)
+    parts = [leaves.node_feats.grad]
+    if leaves.coords is not None:
+        coord_grad = leaves.coords.grad - leaves.coords.grad.mean(axis=0)
         parts.insert(0, coord_grad)
         coord_component = np.sqrt(np.sum(coord_grad**2, axis=1))
     else:
         coord_component = np.zeros(record.n_atoms)
-    if emb_leaf is not None:
-        parts.append(emb_leaf.grad)
+    if leaves.emb is not None:
+        parts.append(leaves.emb.grad)
     scores = np.sqrt(sum(np.sum(p**2, axis=1) for p in parts))
     peak = float(scores.max())
     if peak > 0:

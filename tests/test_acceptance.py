@@ -14,7 +14,7 @@ import pytest
 from helpers import bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.alignment import canonical_align
-from rotenc.data import MoleculeRecord, SplitSpec, rbf_expand, split as split_records
+from rotenc.data import MoleculeRecord, SplitSpec, rbf_expand, split as split_records, vocab_rows
 from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params, prepare_cloud
 from rotenc.errors import RotencError
 from rotenc.geometry import (
@@ -106,13 +106,16 @@ def test_05_chirality_separation():
     with criterion(5, "20 chiral clouds: fingerprints split > 1e-3, RBF blind @ 1e-12", 60):
         cfg = EncoderConfig(widths=(16, 8), embed_dim=4, k=4, seed=0, align_mode="none")
         store = ad.ParameterStore()
-        table, states = init_encoder_params(store, cfg, (1, 6, 7, 8), np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        embed = store.add("enc.embed", rng.normal(0.0, 1.0, (4, cfg.embed_dim)))
+        states = init_encoder_params(store, cfg, rng)
         rng = np.random.default_rng(105)
         for i in range(20):
             cloud = random_cloud(int(rng.integers(4, 9)), rng)
             mirrored = mirror_cloud(cloud)
-            fp_a = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
-            fp_b = encode(prepare_cloud(mirrored, False), table, store, cfg, states).data
+            emb = ad.gather_rows(embed, vocab_rows((1, 6, 7, 8), cloud.atomic_numbers))
+            fp_a = encode(ad.Value(prepare_cloud(cloud, False).coords), emb, store, cfg, states).data
+            fp_b = encode(ad.Value(prepare_cloud(mirrored, False).coords), emb, store, cfg, states).data
             assert np.linalg.norm(fp_a - fp_b) > 1e-3, f"cloud {i} not separated"
             dist_a = np.linalg.norm(cloud.coords[:, None] - cloud.coords[None], axis=-1)
             dist_b = np.linalg.norm(mirrored.coords[:, None] - mirrored.coords[None], axis=-1)

@@ -88,7 +88,7 @@ def test_every_public_autodiff_function_is_run_or_traced(tracing):
 
 
 def test_encode_keeps_the_call_shape_the_tracer_reads(tracing):
-    # the views observer reads encode(cloud, table, store, cfg, bn_states, *, rotations=...)
+    # the views observer reads encode(coords, emb, store, cfg, bn_states, *, rotations=...)
     params = list(inspect.signature(rotenc.encoder3d.encode).parameters.values())
     assert params[3].name == "cfg" and params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     rotations = inspect.signature(rotenc.encoder3d.encode).parameters["rotations"]

@@ -760,7 +760,6 @@ class TestMoleculeThatCannotBeAligned:
 
 
 class TestMalformedMolecule:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_eval_of_coordinates_that_overflow_centering_exits_2(self, workspace, trained, tmp_path, capsys):
         # finite coordinates whose centering overflows: the record loads, prepare rejects it
         far = MoleculeRecord(id="far", atomic_numbers=[6, 6, 8],
@@ -771,3 +770,27 @@ class TestMalformedMolecule:
         err = capsys.readouterr().err
         assert code == 2
         assert "coordinates must be finite" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("coords", [
+        [[1.7e308, 0.0, 0.0], [1.7e308, 1.0, 0.0]],  # centering overflows
+        [[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]],  # centers exactly; distances and covariance overflow
+    ], ids=["centering-overflows", "distances-overflow"])
+    @pytest.mark.parametrize("command", ["train", "eval", "invariance", "importance", "align"])
+    def test_coordinates_out_of_range_exit_2_naming_the_molecule(self, workspace, trained, tmp_path, capsys,
+                                                                 coords, command):
+        # the run treats a RuntimeWarning as an error, so an overflow anywhere fails the test
+        root, data, config = workspace
+        far = MoleculeRecord(id="far", atomic_numbers=[6, 8], coords=np.array(coords), bonds=None,
+                             targets={"rg": 1.0})
+        path = str(_with_record(tmp_path, far))
+        argv = {
+            "train": ["--data", path, "--config", str(config)],
+            "eval": ["--checkpoint", str(trained), "--data", path],
+            "invariance": ["--checkpoint", str(trained), "--data", path, "--rotations", "2"],
+            "importance": ["--checkpoint", str(trained), "--data", path, "--id", "far"],
+            "align": ["--data", path],
+        }[command]
+        code = main([command, *argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "molecule far: coordinates must be finite" in err and "internal error" not in err

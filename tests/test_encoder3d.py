@@ -7,19 +7,17 @@ from helpers import gradient_check
 from rotenc import autodiff as ad
 from rotenc import encoder3d
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
+from rotenc.data import vocab_rows
 from rotenc.encoder3d import (
-    AtomEmbeddingTable,
     EncoderConfig,
     encode,
     inference_views,
-    init_embedding_table,
     init_encoder_params,
     mean_embedding,
     pointwise_stack,
     prepare_cloud,
-    view_parts,
 )
-from rotenc.errors import DegenerateCloud, InvalidConfig, ShapeError, UnknownElement
+from rotenc.errors import DegenerateCloud, InvalidConfig, ShapeError
 from rotenc.geometry import PointCloud, center_cloud, sample_rotations
 from rotenc.packing import pack
 from rotenc.synthetic import mirror_cloud, random_cloud
@@ -31,10 +29,24 @@ def small_cfg(**overrides):
     return EncoderConfig(**defaults)
 
 
-def make_encoder(cfg, vocab=(1, 6, 7, 8), seed=0):
+VOCAB = (1, 6, 7, 8)
+
+
+def make_encoder(cfg, seed=0, stack=True):
+    """A store with an ``enc.embed`` table, drawn first as ``Model`` draws it, then the stack's parameters."""
     store = ParameterStore()
-    table, states = init_encoder_params(store, cfg, vocab, np.random.default_rng(seed))
-    return store, table, states
+    rng = np.random.default_rng(seed)
+    store.add("enc.embed", rng.normal(0.0, 1.0, (len(VOCAB), cfg.embed_dim)))
+    return store, init_encoder_params(store, cfg, rng) if stack else {}
+
+
+def embedding(store, cloud):
+    """Each atom's ``enc.embed`` row, gathered as ``Model.inputs`` gathers it."""
+    return ad.gather_rows(store["enc.embed"], vocab_rows(VOCAB, cloud.atomic_numbers))
+
+
+def encode_cloud(cloud, store, cfg, states, **kwargs):
+    return encode(Value(cloud.coords), embedding(store, cloud), store, cfg, states, **kwargs)
 
 
 def centered_cloud(n=7, seed=0):
@@ -79,42 +91,6 @@ class TestConfigValidation:
         assert cfg.embed_dim == 32 and cfg.k == 16
 
 
-class TestViewParts:
-    def test_identity_rotation_copies_coords(self):
-        cfg = small_cfg()
-        store, table, _ = make_encoder(cfg)
-        cloud = centered_cloud()
-        rotated, emb = view_parts(cloud, np.eye(3), table)
-        assert rotated.shape == (cloud.n_atoms, 3) and emb.shape == (cloud.n_atoms, cfg.embed_dim)
-        np.testing.assert_array_equal(rotated.data, cloud.coords)
-
-    def test_embedding_rows_are_the_table_rows(self):
-        cfg = small_cfg()
-        store, table, _ = make_encoder(cfg)
-        cloud = PointCloud(np.array([[0.5, -0.5, 0.0]]), [1])
-        centered, _ = center_cloud(cloud)
-        _, emb = view_parts(centered, np.eye(3), table)
-        assert emb.shape == (1, cfg.embed_dim)
-        row = table.values.data[table.indices([1])[0]]
-        np.testing.assert_array_equal(emb.data[0], row)
-
-    def test_rotation_changes_only_the_coordinates(self):
-        cfg = small_cfg()
-        store, table, _ = make_encoder(cfg)
-        cloud = centered_cloud()
-        r1, r2 = sample_rotations(2, 4)
-        (a, emb_a), (b, emb_b) = view_parts(cloud, r1, table), view_parts(cloud, r2, table)
-        assert np.array_equal(emb_a.data, emb_b.data)
-        assert not np.allclose(a.data, b.data)
-
-    def test_unknown_element(self):
-        cfg = small_cfg()
-        store, table, _ = make_encoder(cfg, vocab=(1, 6))
-        cloud = PointCloud(np.zeros((2, 3)), [1, 79])
-        with pytest.raises(UnknownElement):
-            view_parts(cloud, np.eye(3), table)
-
-
 class TestMeanEmbedding:
     """The ``ablate_pointwise`` fingerprint, computed without the view stack."""
 
@@ -122,28 +98,26 @@ class TestMeanEmbedding:
         # the rotated centroid of a centered cloud is 0 in every view; the joined (k, N, 3 + d_e) view
         # input averaged over views and atoms left it at ~1e-16 instead
         cfg = small_cfg()
-        store = ParameterStore()
-        table = init_embedding_table(store, cfg, (1, 6, 7, 8), np.random.default_rng(0))
+        store, _ = make_encoder(cfg, seed=0, stack=False)
         _, packed, offsets = packed_clouds()
-        fp = mean_embedding(packed, table, offsets)
+        rows = embedding(store, packed)
+        fp = mean_embedding(rows, offsets)
         assert fp.shape == (3, cfg.input_width)
         assert fp.data[:, :3].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0 exactly
-        rows = ad.gather_rows(table.values, table.indices(packed.atomic_numbers))
         assert fp.data[:, 3:].tobytes() == ad.mean_pool(rows, axis=0, offsets=offsets).data.tobytes()
-        alone = mean_embedding(packed, table)  # no offsets: the whole cloud is one molecule
+        alone = mean_embedding(rows)  # no offsets: the whole cloud is one molecule
         assert alone.shape == (cfg.input_width,)
-        assert alone.data.tobytes() == mean_embedding(packed, table, [0, packed.n_atoms]).data[0].tobytes()
+        assert alone.data.tobytes() == mean_embedding(rows, [0, packed.n_atoms]).data[0].tobytes()
 
     def test_gradient_reaches_only_the_embedding_rows(self):
         cfg = small_cfg()
-        store = ParameterStore()
-        table = init_embedding_table(store, cfg, (1, 6, 7, 8), np.random.default_rng(1))
+        store, _ = make_encoder(cfg, seed=1, stack=False)
         cloud = centered_cloud()
-        ad.backward(ad.pick(mean_embedding(cloud, table), 3))
-        rows = table.indices(cloud.atomic_numbers)
-        expected = np.zeros_like(table.values.data)
+        ad.backward(ad.pick(mean_embedding(embedding(store, cloud)), 3))
+        rows = vocab_rows(VOCAB, cloud.atomic_numbers)
+        expected = np.zeros_like(store["enc.embed"].data)
         np.add.at(expected[:, 0], rows, 1.0 / cloud.n_atoms)
-        np.testing.assert_allclose(table.values.grad, expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(store["enc.embed"].grad, expected, rtol=1e-15, atol=0)
 
 
 class TestPointwiseStack:
@@ -163,7 +137,7 @@ class TestPointwiseStack:
 
     def test_eval_fold_matches_batchnorm_formulation(self):
         cfg = small_cfg(widths=(8, 6))
-        store, _, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         rng = np.random.default_rng(12)
         for layer, width in enumerate(cfg.widths):
             store[f"enc.bn{layer}.gamma"].data = rng.uniform(0.5, 2.0, width)
@@ -193,7 +167,7 @@ class TestPointwiseStack:
 
     def test_duplicated_row_duplicates_output(self):
         cfg = small_cfg(widths=(8, 6))
-        store, _, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         rng = np.random.default_rng(5)
         base = rng.normal(size=(4, cfg.input_width))
         doubled = np.vstack([base, base[1]])
@@ -202,7 +176,7 @@ class TestPointwiseStack:
 
     def test_weight_gradients_match_finite_differences(self):
         cfg = small_cfg()
-        store, _, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         x = np.random.default_rng(6).normal(size=(5, cfg.input_width))
 
         def f(s):
@@ -215,52 +189,52 @@ class TestPointwiseStack:
 class TestEncode:
     def test_single_identity_view_equals_pipeline(self):
         cfg = small_cfg(k=1)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         cloud = centered_cloud()
-        fp = encode(cloud, table, store, cfg, states, rotations=[np.eye(3)])
-        view = view_parts(cloud, np.eye(3), table)
+        fp = encode_cloud(cloud, store, cfg, states, rotations=[np.eye(3)])
+        view = (Value(cloud.coords), embedding(store, cloud))  # the identity view keeps the coordinates
         manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False), axis=-2)
         np.testing.assert_array_equal(fp.data, manual.data)
 
     def test_a_lone_rotation_matrix_is_rejected(self):
         # a (3, 3) matrix is not a view stack: averaging over axis 0 would average the atoms
         cfg = small_cfg(k=1)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         cloud = centered_cloud()
         with pytest.raises(ShapeError, match=r"\(3, 3\)"):
-            encode(cloud, table, store, cfg, states, rotations=np.eye(3))
+            encode_cloud(cloud, store, cfg, states, rotations=np.eye(3))
         with pytest.raises(ShapeError):
-            encode(cloud, table, store, cfg, states, rotations=np.ones((1, 2, 3)))
-        assert encode(cloud, table, store, cfg, states, rotations=np.eye(3)[None]).shape == (cfg.d_p,)
+            encode_cloud(cloud, store, cfg, states, rotations=np.ones((1, 2, 3)))
+        assert encode_cloud(cloud, store, cfg, states, rotations=np.eye(3)[None]).shape == (cfg.d_p,)
 
     def test_translation_invariance(self):
         cfg = small_cfg(k=4)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         cloud = random_cloud(7, np.random.default_rng(8))
         shifted = PointCloud(cloud.coords + np.array([100.0, -40.0, 7.0]), cloud.atomic_numbers)
-        a = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
-        b = encode(prepare_cloud(shifted, False), table, store, cfg, states).data
+        a = encode_cloud(prepare_cloud(cloud, False), store, cfg, states).data
+        b = encode_cloud(prepare_cloud(shifted, False), store, cfg, states).data
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_post_align_strict_invariance(self):
         cfg = small_cfg(k=4)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         cloud = random_cloud(8, np.random.default_rng(9))
-        base = encode(prepare_cloud(cloud, True), table, store, cfg, states).data
+        base = encode_cloud(prepare_cloud(cloud, True), store, cfg, states).data
         from rotenc.geometry import apply_rotation
 
         for rot in sample_rotations(100, 10):
             rotated = prepare_cloud(apply_rotation(cloud, rot), True)
-            dev = np.max(np.abs(encode(rotated, table, store, cfg, states).data - base))
+            dev = np.max(np.abs(encode_cloud(rotated, store, cfg, states).data - base))
             assert dev <= 1e-9
 
     def test_degenerate_cloud_rejected_when_aligning(self):
         cfg = small_cfg(k=2)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
                        dtype=float)
         with pytest.raises(DegenerateCloud):
-            encode(prepare_cloud(PointCloud(pts, [6] * 6), True), table, store, cfg, states)
+            encode_cloud(prepare_cloud(PointCloud(pts, [6] * 6), True), store, cfg, states)
 
     def test_chirality_sensitivity_with_rbf_blindness_oracle(self):
         # a handedness-aware encoder separates enantiomers; any function of
@@ -268,11 +242,11 @@ class TestEncode:
         from rotenc.data import rbf_expand
 
         cfg = small_cfg(k=4)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         cloud = random_cloud(6, np.random.default_rng(11))
         mirrored = mirror_cloud(cloud)
-        a = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
-        b = encode(prepare_cloud(mirrored, False), table, store, cfg, states).data
+        a = encode_cloud(prepare_cloud(cloud, False), store, cfg, states).data
+        b = encode_cloud(prepare_cloud(mirrored, False), store, cfg, states).data
         assert np.linalg.norm(a - b) > 1e-3
 
         d0 = np.linalg.norm(cloud.coords[:, None] - cloud.coords[None], axis=-1)
@@ -287,17 +261,17 @@ class TestEncode:
         from rotenc.geometry import apply_rotation
 
         cfg4 = small_cfg(k=4)
-        store, table, states = make_encoder(cfg4)
+        store, states = make_encoder(cfg4)
         cfg64 = small_cfg(k=64)
         probes = sample_rotations(12, 13)
         devs = {4: [], 64: []}
         for seed in range(6):
             cloud = random_cloud(7, np.random.default_rng(100 + seed))
             for cfg in (cfg4, cfg64):
-                base = encode(prepare_cloud(cloud, False), table, store, cfg, states).data
+                base = encode_cloud(prepare_cloud(cloud, False), store, cfg, states).data
                 for rot in probes:
                     rotated = prepare_cloud(apply_rotation(cloud, rot), False)
-                    dev = np.linalg.norm(encode(rotated, table, store, cfg, states).data - base)
+                    dev = np.linalg.norm(encode_cloud(rotated, store, cfg, states).data - base)
                     devs[cfg.k].append(dev)
         assert np.mean(devs[64]) <= 0.6 * np.mean(devs[4])
 
@@ -306,11 +280,11 @@ class TestEncode:
         # a (k, 3, 3) stack shared by a packed batch runs as one segment over
         # the whole cloud; each molecule given its own copy runs per segment
         cfg = small_cfg(k=4)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         _, packed, offsets = packed_clouds()
         stack = sample_rotations(cfg.k, 21)
         shared, per_molecule = (
-            encode(packed, table, store, cfg, states, training=training, rotations=r, offsets=offsets).data
+            encode_cloud(packed, store, cfg, states, training=training, rotations=r, offsets=offsets).data
             for r in (stack, np.broadcast_to(stack, (3,) + stack.shape)))
         assert shared.shape == (3, cfg.d_p)
         assert shared.tobytes() == per_molecule.tobytes()
@@ -322,15 +296,14 @@ class TestViewsFirstMeanPool:
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_matches_the_mean_over_atoms_and_views(self, training):
         cfg = small_cfg(k=5)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         _, packed, offsets = packed_clouds()
         rotations = sample_rotations(cfg.k, 3)
-        fp = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
-                    offsets=offsets).data
+        fp = encode_cloud(packed, store, cfg, states, training=training, rotations=rotations,
+                          offsets=offsets).data
         # the (k, N, 3 + d_e) input the view parts stand for, joined in numpy
-        rotated, emb = view_parts(packed, rotations, table)
-        joined = np.concatenate([rotated.data, np.broadcast_to(emb.data, rotated.shape[:-1] + emb.shape[-1:])],
-                                axis=-1)
+        rotated, emb = packed.coords @ np.swapaxes(rotations, -1, -2), embedding(store, packed).data
+        joined = np.concatenate([rotated, np.broadcast_to(emb, rotated.shape[:-1] + emb.shape[-1:])], axis=-1)
         stack = pointwise_stack(Value(joined), store, cfg, states, training=training).data
         reference = np.stack([stack[:, start:stop].mean(axis=(0, 1))
                               for start, stop in zip(offsets[:-1], offsets[1:])])
@@ -341,20 +314,20 @@ class TestViewsFirstMeanPool:
     def test_independent_of_batch_companions(self, training):
         # companions change the GEMM's row count, so allow BLAS rounding
         cfg = small_cfg(k=4)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         clouds, packed, offsets = packed_clouds()
         rotations = sample_rotations(cfg.k, 6)
-        together = encode(packed, table, store, cfg, states, training=training, rotations=rotations,
-                          offsets=offsets).data
+        together = encode_cloud(packed, store, cfg, states, training=training, rotations=rotations,
+                                offsets=offsets).data
         for b, cloud in enumerate(clouds):
-            alone = encode(cloud, table, store, cfg, states, training=training, rotations=rotations,
-                           offsets=[0, cloud.n_atoms]).data
+            alone = encode_cloud(cloud, store, cfg, states, training=training, rotations=rotations,
+                                 offsets=[0, cloud.n_atoms]).data
             np.testing.assert_allclose(together[b], alone[0], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_pools_one_row_per_atom(self, training, monkeypatch):
         cfg = small_cfg(k=4)
-        store, table, states = make_encoder(cfg)
+        store, states = make_encoder(cfg)
         _, packed, offsets = packed_clouds()
         shapes = []
         real_pool = ad.mean_pool
@@ -364,7 +337,7 @@ class TestViewsFirstMeanPool:
             return real_pool(a, *args, **kwargs)
 
         monkeypatch.setattr(ad, "mean_pool", recording)
-        encode(packed, table, store, cfg, states, training=training, offsets=offsets)
+        encode_cloud(packed, store, cfg, states, training=training, offsets=offsets)
         assert shapes == [(packed.n_atoms, cfg.d_p)]
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import rotenc
 from rotenc.errors import InvalidConfig, InvalidQuaternion
 from rotenc.geometry import (
+    MAX_RADIUS,
     PointCloud,
     _uniform_quaternions,
     apply_rotation,
@@ -212,3 +213,11 @@ class TestPointCloudValidation:
     def test_nonpositive_z_rejected(self):
         with pytest.raises(InvalidConfig):
             PointCloud(np.zeros((1, 3)), [0])
+
+    def test_every_atom_within_max_radius_of_the_origin(self):
+        # a distance bound, not a per-axis one: a rotated copy of a cloud inside it stays inside
+        PointCloud(np.array([[MAX_RADIUS, 0, 0], [0, -MAX_RADIUS, 0]]), [1, 1])
+        for coords in ([np.nextafter(MAX_RADIUS, np.inf), 0, 0], [0.6 * MAX_RADIUS] * 3, [1.7e308, 0, 0],
+                       [np.inf, 0, 0]):
+            with pytest.raises(InvalidConfig, match="^coordinates must be finite and within 1e[+]06 angstrom"):
+                PointCloud(np.array([coords, [0.0, 0.0, 0.0]]), [1, 1])

@@ -148,14 +148,15 @@ class TestEndToEnd:
         cfg = GnnConfig(layers=2, hidden=5, message_width=4)
         graph = ring_graph(n=4, d0=3, d_e=2, seed=9)
         store = setup_gnn(graph, cfg, seed=10)
-        single = gnn_forward(graph, store, cfg).data
+        single = gnn_forward(graph, Value(graph.node_feats), store, cfg).data
         doubled = MolecularGraph(
             node_feats=np.vstack([graph.node_feats, graph.node_feats]),
             edges=np.vstack([graph.edges, graph.edges + 4]),
             edge_feats=np.vstack([graph.edge_feats, graph.edge_feats]),
             targets=graph.targets,
         )
-        np.testing.assert_allclose(gnn_forward(doubled, store, cfg).data, single, rtol=1e-12)
+        np.testing.assert_allclose(gnn_forward(doubled, Value(doubled.node_feats), store, cfg).data, single,
+                                   rtol=1e-12)
 
     def test_one_destination_plan_per_forward(self, monkeypatch):
         # the graph plans its destinations when it is made, and its sources
@@ -163,7 +164,7 @@ class TestEndToEnd:
         cfg = GnnConfig(layers=3, hidden=5, message_width=4)
         graph = ring_graph(n=6, d0=3, d_e=2, seed=13)
         store = setup_gnn(graph, cfg, seed=14)
-        h = initial_states(graph, store, cfg)
+        h = initial_states(Value(graph.node_feats), store)
         for layer in range(cfg.layers):
             h = message_pass(h, graph, store, cfg, layer)
         per_layer = readout(h).data
@@ -176,11 +177,11 @@ class TestEndToEnd:
 
         monkeypatch.setattr(ad, "scatter_plan", counting)
         with ad.no_grad():
-            untaped = gnn_forward(graph, store, cfg).data
-        taped = gnn_forward(graph, store, cfg)
+            untaped = gnn_forward(graph, Value(graph.node_feats), store, cfg).data
+        taped = gnn_forward(graph, Value(graph.node_feats), store, cfg)
         assert plans == []
         for _ in range(2):  # every layer of both backwards shares the graph's one source plan
-            ad.backward(ad.mse(gnn_forward(graph, store, cfg), np.zeros(cfg.hidden)))
+            ad.backward(ad.mse(gnn_forward(graph, Value(graph.node_feats), store, cfg), np.zeros(cfg.hidden)))
         assert plans == [graph.n_nodes]
         assert taped.data.tobytes() == per_layer.tobytes() == untaped.tobytes()
 
@@ -190,7 +191,7 @@ class TestEndToEnd:
         store = setup_gnn(graph, cfg, seed=12)
 
         def f(s):
-            g = gnn_forward(graph, s, cfg)
+            g = gnn_forward(graph, Value(graph.node_feats), s, cfg)
             return ad.mse(g, np.linspace(-1, 1, cfg.hidden))
 
         assert gradient_check(f, store, h=1e-5, n_probe=50, seed=2) <= 1e-4
@@ -204,7 +205,7 @@ class TestEndToEnd:
         store = setup_gnn(graph, cfg, seed=17)
 
         def f(s):
-            return ad.mse(gnn_forward(graph, s, cfg), np.linspace(-1, 1, cfg.hidden))
+            return ad.mse(gnn_forward(graph, Value(graph.node_feats), s, cfg), np.linspace(-1, 1, cfg.hidden))
 
         assert gradient_check(f, store, h=1e-5, n_probe=50, seed=3) <= 1e-4
 
@@ -240,9 +241,10 @@ class TestEdgeGrouping:
         again = MolecularGraph(node_feats, edges[interleaved], feats[interleaved], np.array([0.0]))
         cfg = GnnConfig(layers=2, hidden=5, message_width=4)
         store = setup_gnn(graph, cfg, seed=seed % 1000)
-        out = gnn_forward(graph, store, cfg).data
-        assert gnn_forward(again, store, cfg).data.tobytes() == out.tobytes()
+        out = gnn_forward(graph, Value(graph.node_feats), store, cfg).data
+        assert gnn_forward(again, Value(again.node_feats), store, cfg).data.tobytes() == out.tobytes()
         # any other arrival order sums each destination in another order: equal up to rounding
         unshuffled = np.lexsort((edges[:, 0], edges[:, 1]))
         other = MolecularGraph(node_feats, edges[unshuffled], feats[unshuffled], np.array([0.0]))
-        np.testing.assert_allclose(gnn_forward(other, store, cfg).data, out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gnn_forward(other, Value(other.node_feats), store, cfg).data, out,
+                                   rtol=1e-12, atol=1e-12)

@@ -1,0 +1,36 @@
+"""The layers stand below the model: ``encoder3d`` and ``gnn`` take their inputs as arguments.
+
+``Model.inputs`` is where a packed batch becomes graph nodes and the element
+vocabulary meets the embedding table, so neither layer reads a record, a
+vocabulary or a model. Checked on the source, as ``test_bench_hooks`` checks
+the benchmark harness.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rotenc"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports from, named absolutely (``rotenc.x``) where it is relative."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "rotenc" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            modules.add(module)
+            if node.module is None:  # from . import x
+                modules.update(f"rotenc.{alias.name}" for alias in node.names)
+    return modules
+
+
+@pytest.mark.parametrize("layer", ["encoder3d", "gnn"])
+def test_layer_imports_nothing_from_data_or_model(layer):
+    modules = _imported_modules(SRC / f"{layer}.py")
+    assert "rotenc.autodiff" in modules  # the walk sees the layer's own imports
+    assert modules.isdisjoint({"rotenc.data", "rotenc.model"}), sorted(modules)

@@ -13,8 +13,8 @@ from rotenc import encoder3d
 from rotenc.autodiff import ParameterStore, Value
 from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
-from rotenc.errors import InvalidConfig, NoData, ShapeError, TooFewPoints
-from rotenc.geometry import sample_rotations
+from rotenc.errors import InvalidConfig, NoData, ShapeError, TooFewPoints, UnknownElement
+from rotenc.geometry import MAX_RADIUS, sample_rotations
 from rotenc.gnn import GnnConfig
 from rotenc.model import (
     Model,
@@ -25,7 +25,7 @@ from rotenc.model import (
     measure_invariance,
     predict_head,
 )
-from rotenc.packing import pack
+from rotenc.packing import lowered, pack
 from rotenc.synthetic import make_records
 from rotenc.trainer import TrainConfig
 
@@ -399,6 +399,50 @@ class TestAtomImportance:
         with pytest.raises(InvalidConfig):
             atom_importance(tiny_model, small_records[0], 5)
 
+    @pytest.mark.parametrize("ablation", ["ablate_3d", "ablate_pointwise"], ids=["no-3d", "no-pointnet"])
+    def test_ablated_model_scores_without_a_coordinate_share(self, small_records, ablation):
+        # neither model reads the coordinates: no-3d has no encoder, no-pointnet pools the embedding rows only
+        model = Model(tiny_model_config(**{ablation: True}), vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
+        for record in small_records[:3]:
+            scores, coord_part = atom_importance(model, record, 0, return_components=True)
+            assert scores.shape == coord_part.shape == (record.n_atoms,)
+            assert np.all(np.isfinite(scores)) and np.all((scores >= 0) & (scores <= 1))
+            assert scores.max() == 1.0
+            assert coord_part.tobytes() == np.zeros(record.n_atoms).tobytes()
+
+
+class TestModelInputs:
+    """``Model.inputs`` turns a packed batch into the graph nodes every layer reads."""
+
+    def test_the_batch_arrays_and_the_table_rows_of_their_elements(self, tiny_model, small_records):
+        batch = pack([tiny_model.prepare(record) for record in small_records[:3]])
+        inputs = tiny_model.inputs(batch)
+        assert inputs.node_feats.data.tobytes() == batch.graph.node_feats.tobytes()
+        assert inputs.coords.data.tobytes() == batch.cloud.coords.tobytes()
+        table = tiny_model.store["enc.embed"].data
+        rows = [table[tiny_model.vocab.index(z)] for z in batch.cloud.atomic_numbers]
+        assert inputs.emb.data.tobytes() == np.stack(rows).tobytes()
+
+    def test_a_model_without_the_encoder_reads_only_node_features(self, small_records):
+        model = Model(tiny_model_config(ablate_3d=True), vocab=(1, 6, 7, 8), task_names=("rg",))
+        inputs = model.inputs(pack([model.prepare(small_records[0])]))
+        assert inputs.coords is None and inputs.emb is None
+        assert "enc.embed" not in dict(model.store.items())
+
+    def test_given_inputs_replace_the_batch_arrays(self, tiny_model, small_records):
+        batch = pack([tiny_model.prepare(small_records[2])])
+        default, _ = tiny_model.forward(batch)
+        given_inputs, _ = tiny_model.forward(batch, inputs=tiny_model.inputs(batch))
+        assert given_inputs.data.tobytes() == default.data.tobytes()
+        moved = tiny_model.inputs(batch)._replace(coords=Value(batch.cloud.coords * 2.0))
+        assert not np.array_equal(tiny_model.forward(batch, inputs=moved)[0].data, default.data)
+
+    def test_an_unknown_element_names_the_molecule(self, tiny_cfg, small_records):
+        model = Model(tiny_cfg, vocab=(1, 6), task_names=("rg",))
+        record = next(r for r in small_records if not set(r.atomic_numbers) <= {1, 6})
+        with pytest.raises(UnknownElement, match=rf"^molecule {record.id}: atomic number \d+ not in vocabulary"):
+            model.prepare(record)
+
 
 class TestProjectBeforeGather:
     def test_no_edge_or_view_input_is_built(self, monkeypatch):
@@ -464,7 +508,6 @@ class TestPrepareChecksOnce:
         MolecularGraph(graph.node_feats, graph.edges, graph.edge_feats, graph.targets)
         assert checked == [graph.n_edges]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of the far record
     @pytest.mark.parametrize("edit,message", [
         (lambda r: r.coords.__setitem__((2, 1), np.nan), "coordinates must be finite"),
         (lambda r: r.atomic_numbers.__setitem__(3, 0), "atomic numbers must be positive"),
@@ -475,3 +518,18 @@ class TestPrepareChecksOnce:
         edit(record)
         with pytest.raises(InvalidConfig, match=message):
             tiny_model.prepare(record)
+
+    @pytest.mark.parametrize("align_mode", ["none", "post"])
+    def test_a_molecule_at_the_coordinate_bound_trains_and_predicts(self, tiny_cfg, align_mode):
+        # within MAX_RADIUS nothing overflows: centering, distances, the PCA frame, the float32 training copy
+        coords = np.array([[MAX_RADIUS, 0, 0], [-MAX_RADIUS, 0, 0], [0, 0.5 * MAX_RADIUS, 0],
+                           [0, 0, 0.25 * MAX_RADIUS]])
+        record = MoleculeRecord(id="wide", atomic_numbers=[6, 6, 8, 1], coords=coords, bonds=None,
+                                targets={"rg": 1.0})
+        cfg = replace(tiny_cfg, encoder=replace(tiny_cfg.encoder, align_mode=align_mode))
+        model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",))
+        assert np.all(np.isfinite(model.predict(record)))
+        with model.store.float32():
+            y_hat, u = model.forward(pack([lowered(model.prepare(record, training=True))]), training=True)
+            ad.backward(loss(y_hat, np.ones(1, dtype=np.float32), u, 0.1))
+        assert all(np.all(np.isfinite(param.grad)) for _, param in model.store.items())
