@@ -33,7 +33,7 @@ checkpoint, _ = train(cfg, records)
 model, _ = model_from_checkpoint(checkpoint)
 
 record = records[0]
-scores, coord_part = atom_importance(model, record, task_index=0, return_components=True)
+scores, coord_part = atom_importance(model, record, task_index=0)
 
 print(f"molecule {record.id}: target rg = {record.targets['rg']:.3f}")
 print(f"{'atom':>4} {'z':>3} {'dist_from_center':>17} {'score':>7} {'coord_grad':>11}")

@@ -212,10 +212,10 @@ _ndim = attrgetter("ndim")
 def dense(x, W: Value, b: Value | None = None, relu: bool = False) -> Value:
     """``relu(x @ W + b)`` as one tape node; the bias and the relu are optional.
 
-    ``x`` is one row (m,), a matrix (n, m) or a stack (..., n, m) sharing
-    the (m, p) weight; the (p,) bias is added to every row. The bias add
-    and the relu run in place on the fresh product, so the forward result
-    and every gradient are bit-identical to the matmul -> add -> relu chain.
+    ``x`` is a matrix (n, m) or a stack (..., n, m) sharing the (m, p)
+    weight; the (p,) bias is added to every row. The bias add and the relu
+    run in place on the fresh product, so the forward result and every
+    gradient are bit-identical to the matmul -> add -> relu chain.
     A node with the relu is a ``"dense_relu"`` op; its backward reads the
     relu's sign pattern off the output.
 
@@ -242,7 +242,9 @@ def dense(x, W: Value, b: Value | None = None, relu: bool = False) -> Value:
     blocks, projections = [], []
     stop = 0
     for source in sources:
-        width = source.data.shape[-1] if source.data.ndim else -1
+        if source.data.ndim < 2:
+            raise ShapeError(f"dense: need rows (..., n, m), got {source.data.shape}")
+        width = source.data.shape[-1]
         block = weight[stop:stop + width]
         if block.shape[0] != width:
             raise ShapeError(f"dense: cannot multiply {source.data.shape} by rows {stop}: of {weight.shape}")
@@ -273,12 +275,8 @@ def dense(x, W: Value, b: Value | None = None, relu: bool = False) -> Value:
         w_grads = []
         for source, block in zip(sources, blocks):
             gp = _sum_to(g, source.data.shape)
-            if source.data.ndim == 1:
-                _push(source, lambda: block @ gp, owned=True)
-                w_grads.append(np.outer(source.data, gp) if W.requires_grad else None)
-            else:
-                _push(source, lambda: _rows_matmul(gp, block.T), owned=True)
-                w_grads.append(_weight_grad(source.data, gp) if W.requires_grad else None)
+            _push(source, lambda: _rows_matmul(gp, block.T), owned=True)
+            w_grads.append(_weight_grad(source.data, gp) if W.requires_grad else None)
         _push(W, lambda: w_grads[0] if len(w_grads) == 1 else np.concatenate(w_grads), owned=True)
 
     return _node(data, "dense_relu" if relu else "dense", (*sources, W) if b is None else (*sources, W, b), _back)
@@ -293,35 +291,33 @@ def _segments(offsets, n: int) -> np.ndarray:
     return offsets
 
 
-def mean_pool(a: Value, axis: int = 0, offsets=None) -> Value:
-    """Column-wise mean over one axis of ``a``, whole or per segment, each segment to its lone bits.
+def mean_pool(a: Value, offsets=None) -> Value:
+    """Column-wise mean over the rows (leading axis) of ``a``, whole or per segment, each segment to its lone bits.
 
-    Without offsets the axis is dropped; with offsets it keeps one entry per
-    segment. One ``reduceat`` sums every segment on its own, so a segment
-    sums to the bits it sums to alone (in numpy's order, which adds its
-    first row last, not in row order), and the sum is divided by the
+    Without offsets the row axis is dropped; with offsets it keeps one row
+    per segment. One ``reduceat`` sums every segment on its own, so a
+    segment sums to the bits it sums to alone (in numpy's order, which adds
+    its first row last, not in row order), and the sum is divided by the
     segment's row count. The backward spreads each entry's gradient over
     its rows, divided by the row count.
     """
-    axis = axis % a.data.ndim
-    n = a.data.shape[axis]
+    n = a.data.shape[0]
     bounds = _segments([0, n] if offsets is None else offsets, n)
     lengths = bounds[1:] - bounds[:-1]
-    per_row = [1] * a.data.ndim
-    per_row[axis] = -1
-    data = np.add.reduceat(a.data, bounds[:-1], axis=axis)
+    per_row = (-1,) + (1,) * (a.data.ndim - 1)
+    data = np.add.reduceat(a.data, bounds[:-1], axis=0)
     data /= lengths.reshape(per_row)
 
     def _back(g):
-        grad = np.repeat(g if offsets is not None else np.expand_dims(g, axis), lengths, axis=axis)
+        grad = np.repeat(g if offsets is not None else g[None], lengths, axis=0)
         grad /= np.repeat(lengths, lengths).reshape(per_row)
         a._accumulate(grad, owned=True)
 
-    return _node(data if offsets is not None else data.squeeze(axis), "mean_pool", (a,), _back)
+    return _node(data if offsets is not None else data.squeeze(0), "mean_pool", (a,), _back)
 
 
-def mean(a: Value, axis: int = 0) -> Value:
-    """Mean over one axis, summed in index order in one pass; the gradient is ``g / k`` on every row.
+def mean(a: Value) -> Value:
+    """Mean over the leading axis, summed in index order in one pass; the gradient is ``g / k`` on every slice.
 
     Each entry of the result is the sum of its own k values in index order,
     the same way wherever it sits, so reordering the other axes reorders
@@ -330,14 +326,12 @@ def mean(a: Value, axis: int = 0) -> Value:
     shape is accumulated slice by slice instead.
     """
     a = _wrap(a)
-    axis = axis % a.data.ndim
-    k = a.data.shape[axis]
+    k = a.data.shape[0]
     if k > 1 and a.data.size == k:
-        total = np.add.accumulate(a.data, axis=axis).take(-1, axis=axis)
+        total = np.add.accumulate(a.data, axis=0)[-1]
     else:
-        total = np.sum(a.data, axis=axis)
-    return _node(total / k, "mean", (a,),
-                 lambda g: _push(a, lambda: np.broadcast_to(np.expand_dims(g / k, axis), a.data.shape)))
+        total = np.sum(a.data, axis=0)
+    return _node(total / k, "mean", (a,), lambda g: _push(a, lambda: np.broadcast_to((g / k)[None], a.data.shape)))
 
 
 def segment_matmul(a: Value, stacks: np.ndarray, offsets) -> Value:
@@ -373,19 +367,16 @@ def segment_matmul(a: Value, stacks: np.ndarray, offsets) -> Value:
     return _node(data, "segment_matmul", (a,), _back)
 
 
-def concat(parts, axis: int = 0) -> Value:
+def concat(parts) -> Value:
+    """The parts joined along their last axis; each part's gradient is its columns of the result's."""
     parts = [_wrap(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
+    stops = np.cumsum([p.data.shape[-1] for p in parts]).tolist()
 
     def _back(g):
-        start = 0
-        for p, size in zip(parts, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + size)
-            _push(p, lambda: g[tuple(sl)])
-            start += size
+        for p, start, stop in zip(parts, [0] + stops, stops):
+            _push(p, lambda: g[..., start:stop])
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", tuple(parts), _back)
+    return _node(np.concatenate([p.data for p in parts], axis=-1), "concat", tuple(parts), _back)
 
 
 def gather_rows(a: Value, indices) -> Value:
@@ -473,14 +464,13 @@ def in_degree_scale(destinations: ScatterPlan) -> np.ndarray:
     return scale
 
 
-def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_feats, weights, sources) -> Value:
-    """One message-passing round over edges grouped by destination, as one tape node.
+def message_layer(h: Value, graph, weights) -> Value:
+    """One message-passing round over the edges of ``graph``, as one tape node.
 
-    Edge j runs from node ``src[j]`` to node ``destinations.indices[j]``.
-    ``destinations`` is the ``grouped_plan`` of the destinations, so each
-    node's incoming edges are consecutive rows, and ``inv_degree`` its
-    ``in_degree_scale``. ``h`` holds the (N, d) node states and
-    ``edge_feats`` the (E, d_e) edge features. ``weights`` is (W1, b1, W2,
+    ``graph`` is a ``gnn.MolecularGraph``, read by attribute: its edges are
+    grouped by destination (``destinations``, their ``grouped_plan``), with
+    ``inv_degree`` and the (E, d_e) ``edge_feats``. ``h`` holds its (N, d)
+    node states, in the dtype of its features. ``weights`` is (W1, b1, W2,
     b2, W_upd, b_upd), where W1's rows take ``[h_dst | h_src | e]`` in that
     order. The result is
 
@@ -493,22 +483,16 @@ def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_fea
     b1) and W1_src project node rows before the per-edge gathers; W2
     multiplies each destination's mean, whose sum is one ``reduceat`` over
     consecutive rows. The backward scatters the edge gradient onto the
-    destinations the same way and onto the sources through ``sources()``,
-    a callable giving ``scatter_plan(src, N)``, called only by the
-    backward (a graph's ``source_plan`` plans once for all its layers); the
-    weight and input products then run on node rows. The backward closure
-    carries the two relu outputs as ``relu_outputs``, where a gradient check
-    that skips probes crossing a relu's kink reads their sign patterns.
+    destinations the same way and onto the sources along the graph's
+    ``source_plan()``; the weight and input products then run on node
+    rows. The backward closure carries the two relu outputs as
+    ``relu_outputs``, where a gradient check that skips probes crossing a
+    relu's kink reads their sign patterns.
     """
     W1, b1, W2, b2, W_upd, b_upd = (_wrap(w) for w in weights)
-    x, src, dst = h.data, np.asarray(src), destinations.indices
-    e = np.asarray(edge_feats, dtype=x.dtype)
-    n, width = x.shape if x.ndim == 2 else (-1, -1)
-    if destinations.order is not None or destinations.counts.size != n or np.shape(inv_degree) != (n,) \
-            or src.shape != dst.shape or e.shape[:1] != dst.shape or e.ndim != 2:
-        raise ShapeError(f"message_layer: {src.shape} sources, {e.shape} edge features and a plan of "
-                         f"{dst.shape} grouped destinations with {np.shape(inv_degree)} degree scales "
-                         f"do not fit node states {x.shape}")
+    x, e, destinations, inv_degree = h.data, graph.edge_feats, graph.destinations, graph.inv_degree
+    src, dst = graph.edges[:, 0], destinations.indices
+    width = x.shape[1] if x.ndim == 2 else -1
     shapes = [w.data.shape for w in (W1, b1, W2, b2, W_upd, b_upd)]
     hid, msg, out_width = shapes[0][-1], shapes[2][-1], shapes[4][-1]
     if shapes != [(2 * width + e.shape[1], hid), (hid,), (hid, msg), (msg,), (width + msg, out_width), (out_width,)]:
@@ -549,7 +533,7 @@ def message_layer(h: Value, src, destinations: ScatterPlan, inv_degree, edge_fea
         if not (h.requires_grad or W1.requires_grad):
             return
         g_dst = _scatter_sum(g_hidden, destinations)
-        g_src = _scatter_sum(g_hidden, sources())
+        g_src = _scatter_sum(g_hidden, graph.source_plan())
         _push(W1, lambda: np.concatenate([_weight_grad(x, g_dst), _weight_grad(x, g_src),
                                           _weight_grad(e, g_hidden)]), owned=True)
         if h.requires_grad:
@@ -586,8 +570,8 @@ def _fold_running(state: BatchNormState, mu: np.ndarray, var: np.ndarray) -> Non
     state.var = (1 - m) * state.var + m * var
 
 
-def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, relu: bool = False) -> Value:
-    """Training-mode batch normalization over every row of a 2-d or stacked input, optionally then relu.
+def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState) -> Value:
+    """Training-mode batch normalization over every row of a 2-d or stacked input, then relu.
 
     Each channel (last axis) is normalized with one mean and one population
     variance taken over all its rows: all k views of all molecules of a
@@ -597,8 +581,8 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, relu: 
     place by ``a = γ/√(σ² + ε)``; subtracting μ first keeps the digits of a
     channel whose mean dwarfs its spread. β and the relu then run in place.
     The statistics are folded into the running estimates once per call.
-    ``relu`` makes the node a ``"batchnorm_relu"`` op whose backward reads
-    the sign pattern off the output, as ``dense`` does.
+    The node is a ``"batchnorm_relu"`` op whose backward reads the relu's
+    sign pattern off the output, as ``dense`` does.
 
     The node keeps only its output and the per-channel μ, 1/σ and a; the
     backward recomputes ``x − μ`` from the input rather than storing the
@@ -622,13 +606,11 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, relu: 
     a = gamma.data * inv_std
     out *= a
     out += beta.data
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     _fold_running(state, mu, var)
 
     def _back(g):
-        if relu:
-            g *= out > 0.0  # g', masked once
+        g *= out > 0.0  # g', masked once
         centered = np.subtract(x.data, mu)
         g_rows = g.reshape(-1, width)
         g_sum = g_rows.sum(axis=0)
@@ -644,22 +626,16 @@ def batchnorm(x: Value, gamma: Value, beta: Value, state: BatchNormState, relu: 
             centered *= a
             x._accumulate(centered, owned=True)
 
-    return _node(out, "batchnorm_relu" if relu else "batchnorm", (x, gamma, beta), _back)
+    return _node(out, "batchnorm_relu", (x, gamma, beta), _back)
 
 
-def mse(pred: Value, target) -> Value:
-    """Mean squared error over all elements; returns a scalar."""
-    target = _wrap(target)
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"mse: incompatible shapes {pred.data.shape} and {target.data.shape}")
-    diff = pred.data - target.data
+def mse(pred: Value, target: np.ndarray) -> Value:
+    """Mean squared error of ``pred`` against a constant target array of its shape; returns a scalar."""
+    if pred.data.shape != np.shape(target):
+        raise ShapeError(f"mse: incompatible shapes {pred.data.shape} and {np.shape(target)}")
+    diff = pred.data - target
     n = diff.size
-
-    def _back(g):
-        _push(pred, lambda: g * 2.0 * diff / n, owned=True)
-        _push(target, lambda: g * (-2.0) * diff / n, owned=True)
-
-    return _node(np.mean(diff**2), "mse", (pred, target), _back)
+    return _node(np.mean(diff**2), "mse", (pred,), lambda g: _push(pred, lambda: g * 2.0 * diff / n, owned=True))
 
 
 def l1_norm(a: Value) -> Value:

@@ -28,6 +28,7 @@ from . import __version__
 from .alignment import canonical_align
 from .data import (
     SplitSpec,
+    atomic_write,
     convert_xyz,
     load_dataset,
     split as split_records,
@@ -122,7 +123,7 @@ class Manifest:
     def write(self):
         self.data["runtime_seconds"] = round(time.time() - self._start, 3)
         path = self.out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -144,7 +145,7 @@ def _require(path, what: str) -> Path:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -389,7 +390,7 @@ def cmd_importance(args) -> int:
     model, _ = model_from_checkpoint(ckpt)
     if not (0 <= args.task < len(model.task_names)):
         raise InputError(f"--task {args.task} out of range; tasks: {list(model.task_names)}")
-    scores, coord_part = atom_importance(model, record, args.task, return_components=True)
+    scores, coord_part = atom_importance(model, record, args.task)
     rows = [
         [i, record.atomic_numbers[i],
          f"{record.coords[i, 0]:.8g}", f"{record.coords[i, 1]:.8g}", f"{record.coords[i, 2]:.8g}",

@@ -20,6 +20,8 @@ import csv
 import functools
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,8 +178,27 @@ def load_dataset(path) -> list[MoleculeRecord]:
     return records
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Write ``path`` whole or not at all: a new file beside it, opened as ``open`` would, replaces it at the end.
+
+    When the block raises (a full disk, a failed writer) the new file is
+    removed and ``path`` keeps what it held. Nothing is fsynced: this
+    guards against a writer that fails, not against a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for r in records:
             obj = {"id": r.id, "z": list(r.atomic_numbers), "xyz": [float(x) for x in r.coords.ravel()]}
             if r.bonds is not None:
@@ -231,8 +252,15 @@ def vocab_rows(vocab, atomic_numbers) -> np.ndarray:
         raise UnknownElement(f"atomic number {int(exc.args[0])} not in vocabulary {list(vocab)}") from None
 
 
+def edge_width(bonded: bool, edge_features: str) -> int:
+    """Columns of ``build_graph``'s edge features for a bonded or a cutoff record."""
+    if edge_features == "constant":
+        return 1
+    return len(BOND_ORDERS) + 1 if bonded else RBF_N_CENTERS
+
+
 def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
-                vocab=None, task_names=None, edge_features: str = "auto") -> MolecularGraph:
+                vocab, task_names, edge_features: str = "auto") -> MolecularGraph:
     """Turn a record into a molecular graph.
 
     With explicit bonds, edges are the bonds in both directions with
@@ -240,8 +268,9 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     closer than ``cutoff`` becomes a directed edge pair featurized by an
     RBF expansion of the distance. ``edge_features="constant"`` replaces
     either featurization with a single constant column (the engineered
-    feature ablation). Node features are one-hot over ``vocab`` when it is
-    given, otherwise the raw atomic number as a single column.
+    feature ablation); ``edge_width`` gives the feature width. Node
+    features are one-hot over ``vocab``, and the targets are the record's
+    values of ``task_names``, in that order.
     """
     n = record.n_atoms
     # each pair becomes the directed edges (i, j) and (j, i), both with the pair's feature row;
@@ -277,14 +306,9 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     else:
         raise InvalidConfig(f"edge_features must be 'auto' or 'constant', got {edge_features!r}")
 
-    if vocab is not None:
-        node_feats = np.zeros((n, len(vocab)))
-        node_feats[np.arange(n), vocab_rows(vocab, record.atomic_numbers)] = 1.0
-    else:
-        node_feats = np.asarray(record.atomic_numbers, dtype=np.float64)[:, None]
-
-    names = task_names if task_names is not None else sorted(record.targets)
-    targets = np.array([record.targets[t] for t in names], dtype=np.float64)
+    node_feats = np.zeros((n, len(vocab)))
+    node_feats[np.arange(n), vocab_rows(vocab, record.atomic_numbers)] = 1.0
+    targets = np.array([record.targets[t] for t in task_names], dtype=np.float64)
     # a record's atoms and bonds are checked as it is made, so the graph is not checked again
     return MolecularGraph.trusted(node_feats, edges, edge_feats, targets)
 

@@ -101,8 +101,8 @@ def mean_embedding(emb: Value, offsets=None) -> Value:
     ``encode``; the result is (d,) for one molecule, (B, d) for a packed
     batch, with ``d = 3 + embed_dim``.
     """
-    pooled = ad.mean_pool(emb, axis=0, offsets=offsets)
-    return ad.concat([np.zeros(pooled.shape[:-1] + (3,), dtype=pooled.data.dtype), pooled], axis=-1)
+    pooled = ad.mean_pool(emb, offsets)
+    return ad.concat([np.zeros(pooled.shape[:-1] + (3,), dtype=pooled.data.dtype), pooled])
 
 
 def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, cfg: EncoderConfig,
@@ -135,7 +135,7 @@ def pointwise_stack(features: Value | tuple[Value, ...], store: ParameterStore, 
         if training:
             # view parts are projected part by part; a whole input is one product
             pre = ad.dense(x, W) if isinstance(x, tuple) else ad.matmul(x, W)
-            x = ad.batchnorm(pre, gamma, beta, state, relu=True)
+            x = ad.batchnorm(pre, gamma, beta, state)
         else:
             s = gamma.data / np.sqrt(state.var + ad.BN_EPS)
             x = ad.dense(x, Value(W.data * s), Value(beta.data - state.mean * s), relu=True)
@@ -204,4 +204,4 @@ def encode(coords: Value, emb: Value, store: ParameterStore, cfg: EncoderConfig,
     transposed = np.ascontiguousarray(np.swapaxes(rotations, -1, -2))
     rotated = ad.segment_matmul(coords, transposed, [0, coords.shape[0]] if segments is None else segments)
     views = pointwise_stack((rotated, emb), store, cfg, bn_states, training)
-    return ad.mean_pool(ad.mean(views, axis=0), axis=-2, offsets=offsets)
+    return ad.mean_pool(ad.mean(views), offsets)

@@ -23,8 +23,8 @@ class MolecularGraph:
 
     ``edges`` holds directed (source, destination) pairs; an undirected
     bond contributes both directions. ``node_feats`` are the initial node
-    features (one-hot atom identity by default), ``edge_feats`` one row per
-    directed edge, ``targets`` the regression targets.
+    features (one-hot atom identity, see ``build_graph``), ``edge_feats``
+    one row per directed edge, ``targets`` the regression targets.
 
     The edges are stored grouped by destination: construction sorts them
     stably by destination, feature rows along, so the edges into one node
@@ -146,8 +146,7 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
         raise ShapeError(f"node states {h.data.shape} != ({graph.n_nodes}, {cfg.hidden})")
     name = f"gnn.l{layer}"
     weights = [store[f"{name}.{part}"] for part in ("msg1.W", "msg1.b", "msg2.W", "msg2.b", "upd.W", "upd.b")]
-    return ad.message_layer(h, graph.edges[:, 0], graph.destinations, graph.inv_degree, graph.edge_feats,
-                            weights, graph.source_plan)
+    return ad.message_layer(h, graph, weights)
 
 
 def readout(node_states: Value, offsets=None) -> Value:
@@ -158,7 +157,7 @@ def readout(node_states: Value, offsets=None) -> Value:
     giving one row per molecule, each bit-equal to pooling that molecule
     alone.
     """
-    return ad.mean_pool(node_states, axis=0, offsets=offsets)
+    return ad.mean_pool(node_states, offsets)
 
 
 def gnn_forward(graph: MolecularGraph, node_feats: Value, store: ParameterStore, cfg: GnnConfig,

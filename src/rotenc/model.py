@@ -23,9 +23,9 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
-from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, reorder_atoms, vocab_rows
+from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, edge_width, reorder_atoms, vocab_rows
 from .encoder3d import EncoderConfig
-from .errors import InputError, InvalidConfig, NoData, ShapeError
+from .errors import InputError, InvalidConfig, NoData
 from .geometry import PointCloud
 from .gnn import GnnConfig
 from .packing import Batch, Molecule, pack
@@ -91,7 +91,7 @@ def fuse(g: Value, p: Value) -> Value:
 
     g and p are one molecule's vectors, or one row per molecule of a batch.
     """
-    return ad.concat([g, p], axis=-1)
+    return ad.concat([g, p])
 
 
 def predict_head(u: Value, store: ParameterStore) -> Value:
@@ -103,16 +103,12 @@ def predict_head(u: Value, store: ParameterStore) -> Value:
 def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
     """MSE(y_hat, y) + lambda * ||u||_1, averaged over samples.
 
-    y_hat is one sample's (n_tasks,) prediction or a batch's (B, n_tasks);
-    y has its shape, or is one (n_tasks,) target compared with every row.
-    The result is the mean of the per-sample losses.
+    y_hat is one sample's (n_tasks,) prediction or a batch's (B, n_tasks),
+    and y an array of its shape. The result is the mean of the per-sample
+    losses.
     """
     rows = y_hat.data.size // y_hat.shape[-1]
-    try:
-        target = np.broadcast_to(y, y_hat.shape)  # a constant: no tape node for the repeated rows
-    except ValueError:
-        raise ShapeError(f"loss: target {np.shape(y)} does not fit predictions {y_hat.shape}") from None
-    task = ad.mse(y_hat, target)
+    task = ad.mse(y_hat, y)
     if lambda_l1 == 0.0:
         return task
     return ad.add(task, ad.scale(ad.l1_norm(u), lambda_l1 / rows))
@@ -174,12 +170,13 @@ class Model:
         self.store.add("head.b2", np.zeros(len(self.task_names)))
 
     @property
-    def d_edge(self) -> int:
-        from .data import BOND_ORDERS, RBF_N_CENTERS
+    def edge_features(self) -> str:
+        """``build_graph``'s edge featurization: one constant column under ``ablate_features``."""
+        return "constant" if self.cfg.ablate_features else "auto"
 
-        if self.cfg.ablate_features:
-            return 1
-        return len(BOND_ORDERS) + 1 if self.bonded else RBF_N_CENTERS
+    @property
+    def d_edge(self) -> int:
+        return edge_width(self.bonded, self.edge_features)
 
     def prepare(self, record: MoleculeRecord, training: bool = False) -> Molecule:
         """The record's graph and its cloud, centered and aligned as the policy asks, ready to pack.
@@ -205,8 +202,7 @@ class Model:
                 cloud = encoder3d.prepare_cloud(cloud, self.cfg.encoder.align_mode == "post" and not training)
             order = canonical_order(record, cloud)
             graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
-                                task_names=self.task_names,
-                                edge_features="constant" if self.cfg.ablate_features else "auto")
+                                task_names=self.task_names, edge_features=self.edge_features)
             # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
             cloud = PointCloud.trusted(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
             return Molecule(record.id, graph, cloud, order)
@@ -295,20 +291,21 @@ def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -
     )
 
 
-def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
-                    return_components: bool = False):
-    """Gradient-based per-atom contribution scores for one task.
+def atom_importance(model: Model, record: MoleculeRecord, task_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient-based per-atom contribution scores for one task, with their coordinate components.
 
     Backpropagates the selected output to the input coordinates, the atom
     embedding rows, and the graph node features, feeding each in as a
     shared leaf; the coordinate gradient therefore already carries the
     average over the k sampled views. The per-atom score is the Euclidean
     norm of the concatenated per-atom input gradient, normalized so the
-    largest score is 1, and the scores come in the record's atom order.
-    Coordinate gradients are reported with the centering projection
-    applied (a uniform shift of all atoms is not a real input direction);
-    for aligned models the canonical frame is held fixed, so the score is a
-    linearization around it.
+    largest score is 1. Returns ``(scores, coord_component)``, both in the
+    record's atom order: the coordinate component is the norm of each
+    atom's coordinate gradient alone, unnormalized (zeros when the model
+    reads no coordinates). Coordinate gradients are reported with the
+    centering projection applied (a uniform shift of all atoms is not a
+    real input direction); for aligned models the canonical frame is held
+    fixed, so the score is a linearization around it.
     """
     if not (0 <= task_index < len(model.task_names)):
         raise InvalidConfig(f"task_index {task_index} out of range for {model.task_names}")
@@ -332,6 +329,4 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int,
     if peak > 0:
         scores = scores / peak
     rank = np.argsort(molecule.order)
-    if return_components:
-        return scores[rank], coord_component[rank]
-    return scores[rank]
+    return scores[rank], coord_component[rank]

@@ -37,6 +37,7 @@ from .data import (
     Normalizer,
     SplitSpec,
     _finite_number,
+    atomic_write,
     dataset_task_names,
     dataset_vocab,
     normalize_targets,
@@ -231,7 +232,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "bn_states": bn_meta,
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -11,7 +11,7 @@ from rotenc.data import dataset_task_names, dataset_vocab
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import NotScalar, ShapeError
 from rotenc.geometry import sample_rotations
-from rotenc.gnn import GnnConfig
+from rotenc.gnn import GnnConfig, MolecularGraph
 from rotenc.model import Model, ModelConfig, loss
 from rotenc.packing import pack
 from rotenc.synthetic import make_records
@@ -28,7 +28,7 @@ class TestPrimitiveForward:
     def test_relu_backward_subgradient(self):
         x = Value(np.array([[-1.0, 2.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(2)), relu=True)
-        ad.backward(ad.mean_pool(ad.mean_pool(out, axis=0), axis=0))
+        ad.backward(ad.mean_pool(ad.mean_pool(out)))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.5]])
 
     def test_mse_zero_on_equal(self):
@@ -38,7 +38,7 @@ class TestPrimitiveForward:
         assert ad.l1_norm(Value(np.array([1.0, -2.0, 0.5]))).data == 3.5
 
     def test_mean_pool_rows(self):
-        out = ad.mean_pool(Value(np.array([[1.0, 3.0], [3.0, 1.0]])), axis=0)
+        out = ad.mean_pool(Value(np.array([[1.0, 3.0], [3.0, 1.0]])))
         np.testing.assert_array_equal(out.data, [2.0, 2.0])
 
     def test_scatter_matches_numpy_oracle(self):
@@ -56,7 +56,7 @@ class TestPrimitiveForward:
         np.testing.assert_array_equal(out.data, x[[3, 0, 0]])
 
     def test_concat_and_pick(self):
-        u = ad.concat([Value(np.array([1.0, 2.0])), Value(np.array([3.0]))], axis=0)
+        u = ad.concat([Value(np.array([1.0, 2.0])), Value(np.array([3.0]))])
         np.testing.assert_array_equal(u.data, [1.0, 2.0, 3.0])
         assert ad.pick(u, 2).data == 3.0
 
@@ -87,17 +87,17 @@ class TestPermutationExactness:
     def test_segments_equal_their_lone_molecules(self):
         rng = np.random.default_rng(6)
         offsets = [0, 5, 7, 13]
-        x = rng.normal(size=(2, 13, 3))
+        x = rng.normal(size=(2, 13, 3)).transpose(1, 0, 2)  # 13 rows of (2, 3)
         for start, stop in zip(offsets[:-1], offsets[1:]):
-            got = ad.mean_pool(Value(x), axis=1, offsets=offsets).data[:, offsets.index(start)]
-            assert_same_bits(got, ad.mean_pool(Value(x[:, start:stop]), axis=1).data)
+            got = ad.mean_pool(Value(x), offsets=offsets).data[offsets.index(start)]
+            assert_same_bits(got, ad.mean_pool(Value(x[start:stop])).data)
 
     @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6],
                                          [[0, 5]], [0, 5, 5], [0, 3, 4]])
     def test_bad_offsets_rejected(self, offsets):
         # the last three: a 2-d array, a repeated end boundary, a wrong end value
         with pytest.raises(ShapeError, match=r"^offsets \[.*\] do not cut 5 rows into non-empty segments$"):
-            ad.mean_pool(Value(np.zeros((5, 2))), axis=0, offsets=offsets)
+            ad.mean_pool(Value(np.zeros((5, 2))), offsets=offsets)
 
 
 def _per_destination_sum(x, indices, n_rows):
@@ -205,18 +205,18 @@ class TestMean:
                 ordered = x[0].copy()
                 for view in x[1:]:
                     ordered += view
-                assert_same_bits(ad.mean(Value(x), axis=0).data, ordered / shape[0])
+                assert_same_bits(ad.mean(Value(x)).data, ordered / shape[0])
 
     def test_exact_under_reordering_of_the_other_axes(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(7, 9, 3)) * 1e3
         perm = rng.permutation(9)
-        assert_same_bits(ad.mean(Value(x[:, perm]), axis=0).data, ad.mean(Value(x), axis=0).data[perm])
+        assert_same_bits(ad.mean(Value(x[:, perm])).data, ad.mean(Value(x)).data[perm])
 
     def test_gradient_is_spread_evenly(self):
         # the two pools' 1/3 and 1/2 arrive first, then the mean's 1/4
         x = Value(np.ones((4, 2, 3)), requires_grad=True)
-        ad.backward(ad.mean_pool(ad.mean_pool(ad.mean(x, axis=0), axis=0), axis=0))
+        ad.backward(ad.mean_pool(ad.mean_pool(ad.mean(x))))
         assert_same_bits(x.grad, np.full((4, 2, 3), 1.0 / 3 / 2 / 4))
 
 
@@ -285,7 +285,7 @@ class TestGatherBackward:
 class TestBackward:
     def test_mean_of_parameter_gives_one_over_n(self):
         store = store_with(w=np.arange(5.0))
-        ad.backward(ad.mean_pool(store["w"], axis=0))
+        ad.backward(ad.mean_pool(store["w"]))
         np.testing.assert_array_equal(store["w"].grad, np.full(5, 1.0 / 5))
 
     def test_square_gradient(self):
@@ -302,7 +302,7 @@ class TestBackward:
         def run():
             store = store_with(w=np.linspace(-1, 1, 12).reshape(3, 4))
             h = ad.dense(Value(np.arange(6.0).reshape(2, 3)), store["w"], relu=True)
-            ad.backward(ad.mse(ad.mean_pool(h, axis=0), np.zeros(4)))
+            ad.backward(ad.mse(ad.mean_pool(h), np.zeros(4)))
             return store["w"].grad
 
         assert np.array_equal(run(), run())
@@ -361,18 +361,6 @@ def _broadcast(a, shape):
                     lambda g: a._accumulate(ad._sum_to(g, a.data.shape)))
 
 
-def _vector_chain(v, W, b, relu, target):
-    """Forward value and (v, W, b) gradients of mse(relu(v @ W + b), target)
-    for a 1-d ``v``, computed the way the matmul -> add -> relu chain did."""
-    pre = v @ W + b
-    out = np.maximum(pre, 0.0) if relu else pre
-    g = 1.0 * 2.0 * (out - target) / out.size
-    if relu:
-        g = (np.zeros_like(g) + g) * (pre > 0.0)
-    g = np.zeros_like(g) + g
-    return out, np.zeros_like(v) + W @ g, np.zeros_like(W) + np.outer(v, g), np.zeros_like(b) + g
-
-
 class TestDense:
     """One fused node, byte-equal to the matmul -> add -> relu chain."""
 
@@ -404,13 +392,23 @@ class TestDense:
             assert_same_bits(fused, want)
 
     @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
-    def test_vector_input_byte_equal_to_chain(self, relu):
+    def test_one_row_byte_equal_to_chain(self, relu):
+        # one molecule's head input is a (1, m) row
         rng = np.random.default_rng(11)
-        v0, W0, b0, target = rng.normal(size=6), rng.normal(size=(6, 5)), rng.normal(size=5), rng.normal(size=5)
-        v, W, b = (Value(a.copy(), requires_grad=True) for a in (v0, W0, b0))
-        out = ad.dense(v, W, b, relu=relu)
-        ad.backward(ad.mse(out, target))
-        for got, want in zip((out.data, v.grad, W.grad, b.grad), _vector_chain(v0, W0, b0, relu, target)):
+        v0, W0, b0 = rng.normal(size=(1, 6)), rng.normal(size=(6, 5)), rng.normal(size=5)
+        target = rng.normal(size=(1, 5))
+        results = []
+        for fused in (True, False):
+            v, W, b = (Value(a.copy(), requires_grad=True) for a in (v0, W0, b0))
+            if fused:
+                out = ad.dense(v, W, b, relu=relu)
+            else:
+                out = ad.add(ad.matmul(v, W), _broadcast(b, (1, 5)))
+                if relu:
+                    out = _chain_relu(out)
+            ad.backward(ad.mse(out, target))
+            results.append((out.data, v.grad, W.grad, b.grad))
+        for got, want in zip(*results):
             assert_same_bits(got, want)
 
     def test_relu_pattern_is_the_pre_activation_sign(self):
@@ -427,13 +425,15 @@ class TestDense:
             ad.dense(Value(np.zeros((2, 3))), Value(np.zeros((3, 2))), Value(np.zeros(3)))
         with pytest.raises(ShapeError):
             ad.dense(Value(np.zeros(3)), Value(np.zeros((2, 3, 2))))
+        with pytest.raises(ShapeError):  # one row is a (1, m) matrix
+            ad.dense(Value(np.zeros(3)), Value(np.zeros((3, 2))))
 
 
 def _joined_reference(parts, W, b, relu):
     """``dense`` of the concatenated input the parts stand for, built from broadcast nodes and concat."""
     lead = max((part.shape[:-1] for part in parts), key=len)
     joined = ad.concat([part if part.shape[:-1] == lead else _broadcast(part, lead + part.shape[-1:])
-                        for part in parts], axis=-1)
+                        for part in parts])
     return ad.dense(joined, W, b, relu=relu)
 
 
@@ -503,7 +503,7 @@ class TestDenseParts:
         self.compare(make, rng.normal(size=(10, 3)), rng.normal(size=3), relu)
         h = Value(h0, requires_grad=True)
         parts = (ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e0))
-        ad.backward(ad.mean_pool(ad.mean_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))), axis=0), axis=0))
+        ad.backward(ad.mean_pool(ad.mean_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))))))
         assert_same_bits(h.grad[4], np.zeros(4))
 
     @pytest.mark.parametrize("n", [1, 5], ids=["one-atom", "edgeless"])
@@ -562,17 +562,21 @@ def _composed_layer(h, src, dst, e, weights):
     """
     W1, b1, W2, b2, W_upd, b_upd = weights
     n = h.shape[0]
-    pair = ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e)], axis=1)
+    pair = ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e)])
     messages = ad.dense(ad.dense(pair, W1, b1, relu=True), W2, b2)
     inv_degree = np.diag(1.0 / np.maximum(np.bincount(dst, minlength=n), 1))
-    joint = ad.concat([h, ad.matmul(Value(inv_degree), ad.scatter_add_rows(messages, dst, n))], axis=1)
+    joint = ad.concat([h, ad.matmul(Value(inv_degree), ad.scatter_add_rows(messages, dst, n))])
     return ad.dense(joint, W_upd, b_upd, relu=True)
 
 
-def _grouped(src, dst, e, n):
-    """The edges stably sorted by destination, as a graph stores them, and the destinations' plan."""
+def _graph(src, dst, e, n, dtype=np.float64):
+    """The edges src -> dst over n nodes as a graph holds them, stably grouped by destination, features along.
+
+    Node and edge features are ``dtype``; the nodes have one zero feature each.
+    """
     order = np.argsort(dst, kind="stable")
-    return src[order], ad.grouped_plan(dst[order], n), e[order]
+    edges = np.stack([src, dst], axis=1)[order].astype(np.int64)
+    return MolecularGraph.trusted(np.zeros((n, 1), dtype), edges, e[order].astype(dtype), np.zeros(1))
 
 
 class TestMessageLayer:
@@ -595,9 +599,7 @@ class TestMessageLayer:
             h = Value(h0.copy(), requires_grad=True)
             weights = [Value(w.copy(), requires_grad=True) for w in w0]
             if fused:
-                grouped_src, destinations, grouped_e = _grouped(src, dst, e0, n)
-                out = ad.message_layer(h, grouped_src, destinations, ad.in_degree_scale(destinations), grouped_e,
-                                       weights, lambda: ad.scatter_plan(grouped_src, n))
+                out = ad.message_layer(h, _graph(src, dst, e0, n), weights)
             else:
                 out = _composed_layer(h, src, dst, e0, weights)
             ad.backward(ad.mse(out, target))
@@ -645,36 +647,24 @@ class TestMessageLayer:
             edges += [(u, v), (v, u)]
             e0 += [row, row]
         edges, e0 = np.array(edges), np.array(e0)
-        graph = build_graph(record, edge_features=edge_features)
-        assert_same_bits(graph.edge_feats, _grouped(edges[:, 0], edges[:, 1], e0, record.n_atoms)[2])
+        graph = build_graph(record, vocab=(1, 6, 7, 8), task_names=("y",), edge_features=edge_features)
+        assert_same_bits(graph.edge_feats, _graph(edges[:, 0], edges[:, 1], e0, record.n_atoms).edge_feats)
         self.compare(edges[:, 0], edges[:, 1], e0, record.n_atoms, seed=6)
 
     def test_gradient_check_sees_both_relus(self):
-        src, destinations, e = _grouped(np.array([1, 0, 2]), np.array([0, 1, 1]), np.ones((3, 1)), 3)
+        graph = _graph(np.array([1, 0, 2]), np.array([0, 1, 1]), np.ones((3, 1)), 3)
         weights = [Value(np.ones(shape), requires_grad=True) for shape in [(5, 2), (2,), (2, 2), (2,), (4, 2), (2,)]]
-        out = ad.message_layer(Value(np.ones((3, 2))), src, destinations, ad.in_degree_scale(destinations), e,
-                               weights, lambda: ad.scatter_plan(src, 3))
+        out = ad.message_layer(Value(np.ones((3, 2))), graph, weights)
         assert [p.shape for p in activation_pattern(out)] == [(3, 2), (3, 2)]
 
     def test_shapes_rejected(self):
         rng = np.random.default_rng(7)
         weights = [Value(rng.normal(size=shape)) for shape in [(10, 3), (3,), (3, 5), (5,), (9, 4), (4,)]]
-        h, e = Value(rng.normal(size=(3, 4))), np.ones((2, 2))
-        src = np.array([1, 0])
-        dst = np.array([0, 2])
-        plan = ad.grouped_plan(dst, 3)
-        scale = ad.in_degree_scale(plan)
-        with pytest.raises(ShapeError, match="grouped"):  # a plan that still sorts its destinations
-            ad.message_layer(h, src, ad.scatter_plan(dst, 3), scale, e, weights, None)
-        with pytest.raises(ShapeError):  # a plan for other nodes
-            ad.message_layer(h, src, ad.grouped_plan(dst, 4), scale, e, weights, None)
-        with pytest.raises(ShapeError, match="degree scales"):  # one degree scale per node
-            ad.message_layer(h, src, plan, scale[:2], e, weights, None)
-        with pytest.raises(ShapeError):  # one feature row per edge
-            ad.message_layer(h, src, plan, scale, np.ones((3, 2)), weights, None)
+        h = Value(rng.normal(size=(3, 4)))
+        src, dst = np.array([1, 0]), np.array([0, 2])
         with pytest.raises(ShapeError):  # W1 rows != 2 * 4 + 3
-            ad.message_layer(h, src, plan, scale, np.ones((2, 3)), weights, None)
-        ad.message_layer(h, src, plan, scale, e, weights, None)  # the shapes that fit
+            ad.message_layer(h, _graph(src, dst, np.ones((2, 3)), 3), weights)
+        ad.message_layer(h, _graph(src, dst, np.ones((2, 2)), 3), weights)  # the shapes that fit
 
 
 class TestNoGrad:
@@ -683,7 +673,7 @@ class TestNoGrad:
 
         def build():
             h = ad.dense(ad.dense(w, w, Value(np.zeros(2)), relu=True), w, relu=True)
-            return h, ad.mse(ad.mean_pool(h, axis=0), np.zeros(2))
+            return h, ad.mse(ad.mean_pool(h), np.zeros(2))
 
         with ad.no_grad():
             h, root = build()
@@ -712,11 +702,11 @@ class TestRequiresGrad:
 
     def test_gradient_reaches_only_inputs_that_need_it(self):
         w = Value(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        x, target = Value(np.ones((4, 3))), Value(np.zeros((4, 2)))
+        x = Value(np.ones((4, 3)))
         out = ad.matmul(x, w)
         assert out.requires_grad and out._parents == (x, w)
-        ad.backward(ad.mse(out, target))
-        assert x._grad is None and target._grad is None
+        ad.backward(ad.mse(out, np.zeros((4, 2))))
+        assert x._grad is None
         np.testing.assert_array_equal(w.grad, np.ones((3, 4)) @ (2.0 * out.data / 8))
 
     def test_first_gradient_is_stored_c_ordered(self):
@@ -755,8 +745,8 @@ class TestBatchNorm:
         assert_same_bits(stacked_state.var, joined_state.var)
 
 
-def _batchnorm_oracle(x, gamma, beta, relu, g):
-    """Training batchnorm with the arithmetic of the kernel that stored the normalized x̂.
+def _batchnorm_oracle(x, gamma, beta, g):
+    """Training batchnorm and its relu with the arithmetic of the kernel that stored the normalized x̂.
 
     One mean and variance per channel over every row of ``x``, whatever its
     leading axes. Returns the output, the x, γ and β gradients for the
@@ -769,10 +759,8 @@ def _batchnorm_oracle(x, gamma, beta, relu, g):
     var = ((x - mu) ** 2).reshape(-1, width).sum(axis=0) / rows
     inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
     xhat = (x - mu) * inv_std
-    out = gamma * xhat + beta
-    if relu:
-        out = np.maximum(out, 0.0)
-    gp = g * (out > 0.0) if relu else g
+    out = np.maximum(gamma * xhat + beta, 0.0)
+    gp = g * (out > 0.0)
     g_sum = gp.reshape(-1, width).sum(axis=0)
     gx_sum = (gp * xhat).reshape(-1, width).sum(axis=0)
     gx = gamma * inv_std / rows * (rows * gp - g_sum - xhat * gx_sum)
@@ -780,11 +768,11 @@ def _batchnorm_oracle(x, gamma, beta, relu, g):
     return out, gx, gx_sum, g_sum, (1 - m) * 0.0 + m * mu, (1 - m) * 1.0 + m * var
 
 
-def _batchnorm_kernel(x, gamma, beta, relu, g, x_grad=True):
+def _batchnorm_kernel(x, gamma, beta, g, x_grad=True):
     """``ad.batchnorm``'s output, gradients for the upstream ``g`` (None for an x without one) and running stats."""
     xv, gv, bv = Value(x, requires_grad=x_grad), Value(gamma, requires_grad=True), Value(beta, requires_grad=True)
     state = BatchNormState.for_width(x.shape[-1])
-    y = ad.batchnorm(xv, gv, bv, state, relu=relu)
+    y = ad.batchnorm(xv, gv, bv, state)
     y._backward_fn(g)
     return y.data, xv._grad, gv.grad, bv.grad, state.mean, state.var
 
@@ -810,41 +798,40 @@ class TestBatchNormKernel:
         return x, rng.normal(size=width) * 2.0, rng.normal(size=width), rng.normal(size=shape)
 
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
-    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
     @pytest.mark.parametrize("case", BN_KERNEL_CASES)
-    def test_matches_the_stored_xhat_formula(self, case, relu, x_grad):
+    def test_matches_the_stored_xhat_formula(self, case, x_grad):
         x, gamma, beta, g = self._inputs(case, 21)
-        got = _batchnorm_kernel(x, gamma, beta, relu, g, x_grad)
-        want = _batchnorm_oracle(x, gamma, beta, relu, g)
+        got = _batchnorm_kernel(x, gamma, beta, g, x_grad)
+        want = _batchnorm_oracle(x, gamma, beta, g)
         for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
             if a is None:
                 assert name == "gx" and not x_grad
                 continue
             assert_close_to_scale(a, b, 1e-12)
 
-    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
-    def test_mean_a_million_spreads_off_zero(self, relu):
+    def test_mean_a_million_spreads_off_zero(self):
         # |μ| = 1e6·σ in every channel: subtracting μ first keeps the digits, x·a + (β − μ·a) would not
         shape = BN_KERNEL_CASES["stacked"][0]
         rng = np.random.default_rng(22)
         x = rng.normal(size=shape) + 1e6 * np.sign(rng.normal(size=shape[-1]))
         gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)
-        got = _batchnorm_kernel(x, gamma, beta, relu, g)
-        want = _batchnorm_oracle(x, gamma, beta, relu, g)
+        got = _batchnorm_kernel(x, gamma, beta, g)
+        want = _batchnorm_oracle(x, gamma, beta, g)
         for a, b in zip(got, want):
             assert_close_to_scale(a, b, 1e-12)
 
     def test_one_row_segments_and_a_constant_channel_give_beta(self):
-        # a one-row input, and a channel constant over every row, normalize to 0 and give β
+        # a one-row input, and a channel constant over every row, normalize to 0 and give β (positive
+        # here, so the fused relu passes it)
         rng = np.random.default_rng(23)
         x = rng.normal(size=(2, 7, 3)) * 5.0
         x[..., 1] = 0.1  # not exact in binary: μ can miss it by an ulp
-        gamma, beta = rng.normal(size=3) * 3.0, rng.normal(size=3)
-        out, gx, d_gamma, d_beta, mean, var = _batchnorm_kernel(x, gamma, beta, False, rng.normal(size=x.shape))
+        gamma, beta = rng.normal(size=3) * 3.0, np.abs(rng.normal(size=3))
+        out, gx, d_gamma, d_beta, mean, var = _batchnorm_kernel(x, gamma, beta, rng.normal(size=x.shape))
         for array in (out, gx, d_gamma, d_beta, mean, var):
             assert np.isfinite(array).all()
         np.testing.assert_allclose(out[..., 1], np.full((2, 7), beta[1]), rtol=0, atol=1e-12)
-        one_row = _batchnorm_kernel(x[0, :1], gamma, beta, False, rng.normal(size=(1, 3)))
+        one_row = _batchnorm_kernel(x[0, :1], gamma, beta, rng.normal(size=(1, 3)))
         for array in one_row:
             assert np.isfinite(array).all()
         np.testing.assert_allclose(one_row[0], beta[None], rtol=0, atol=1e-12)
@@ -853,7 +840,7 @@ class TestBatchNormKernel:
         # the node keeps its output and one statistic row per channel: a stored x̂ would show here
         x = Value(np.random.default_rng(24).normal(size=(4, 9, 5)), requires_grad=True)
         y = ad.batchnorm(x, Value(np.ones(5), requires_grad=True), Value(np.zeros(5), requires_grad=True),
-                         BatchNormState.for_width(5), relu=True)
+                         BatchNormState.for_width(5))
         held, pending = [], [cell.cell_contents for cell in y._backward_fn.__closure__]
         while pending:
             item = pending.pop()
@@ -872,13 +859,13 @@ class TestBatchNormKernel:
 
 @st.composite
 def segmented_rows(draw):
-    """A 2-d or stacked input cut into segments of 1 to 12 rows, with channels of mixed spread and offset."""
+    """Rows (2-d, or of (depth, width) blocks) cut into segments of 1 to 12 rows, channels of mixed spread and offset."""
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
     depth = draw(st.sampled_from([None, 1, 2, 3, 5]))  # None: a 2-d input
     width = draw(st.sampled_from([1, 2, 3, 7, 16, 33, 64, 128]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = sum(sizes)
-    shape = (n, width) if depth is None else (depth, n, width)
+    shape = (n, width) if depth is None else (n, depth, width)
     offset = rng.normal(size=width) * 10.0 ** rng.integers(-2, 5, width)
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, width) + offset
     return x, np.concatenate([[0], np.cumsum(sizes)]).tolist(), draw(st.booleans())
@@ -894,12 +881,12 @@ def test_every_segment_reduces_to_the_bits_of_its_lone_rows(case):
     only this, not the order, is what the reductions promise.
     """
     x, offsets, copy = case
-    pooled = ad.mean_pool(Value(x), axis=-2, offsets=offsets).data
+    pooled = ad.mean_pool(Value(x), offsets=offsets).data
     for b, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
-        lone = x[..., start:stop, :]
+        lone = x[start:stop]
         if copy:
             lone = np.array(lone)
-        assert_same_bits(pooled[..., b, :], ad.mean_pool(Value(lone), axis=-2).data)
+        assert_same_bits(pooled[b], ad.mean_pool(Value(lone)).data)
 
 
 # two segments' (4, 3, 3) matrix stacks, the constant right operand of segment_matmul; float32 holds them exactly
@@ -908,16 +895,14 @@ STACKS = np.random.default_rng(12).normal(size=(2, 4, 3, 3)).astype(np.float32).
 PRIMITIVE_CASES = [
     ("matmul_bias", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"]), np.zeros((4, 3))),
      {"x": (4, 5), "W": (5, 3), "b": (3,)}),
-    ("vec_matmul", lambda s: ad.mse(ad.dense(s["v"], s["W"]), np.zeros(4)),
-     {"v": (6,), "W": (6, 4)}),
     ("dense", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"]), np.zeros((2, 4, 3))),
      {"x": (2, 4, 5), "W": (5, 3), "b": (3,)}),
     ("dense_relu", lambda s: ad.mse(ad.dense(s["x"], s["W"], s["b"], relu=True), np.zeros((4, 3))),
      {"x": (4, 5), "W": (5, 3), "b": (3,)}),
     ("stacked_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["W"]), np.zeros((2, 4, 3))),
      {"x": (2, 4, 5), "W": (5, 3)}),
-    ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 0), np.zeros(3)), {"x": (6, 3)}),
-    ("concat", lambda s: ad.mse(ad.concat([s["a"], s["b"]], axis=1), np.zeros((4, 5))),
+    ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"]), np.zeros(3)), {"x": (6, 3)}),
+    ("concat", lambda s: ad.mse(ad.concat([s["a"], s["b"]]), np.zeros((4, 5))),
      {"a": (4, 2), "b": (4, 3)}),
     ("gather", lambda s: ad.mse(ad.gather_rows(s["x"], [0, 2, 2, 1]), np.zeros((4, 3))),
      {"x": (3, 3)}),
@@ -925,12 +910,12 @@ PRIMITIVE_CASES = [
      {"x": (5, 3)}),
     ("gather_uneven", lambda s: ad.mse(ad.gather_rows(s["x"], [2, 2, 0, 2, 2, 1, 2]), np.zeros((7, 3))),
      {"x": (4, 3)}),  # row 3 is never gathered, row 2 five times
-    ("mean", lambda s: ad.mse(ad.mean(s["x"], axis=0), np.ones((4, 3))), {"x": (5, 4, 3)}),
+    ("mean", lambda s: ad.mse(ad.mean(s["x"]), np.ones((4, 3))), {"x": (5, 4, 3)}),
     ("l1", lambda s: ad.l1_norm(s["x"]), {"x": (4, 3)}),
     ("segment_matmul", lambda s: ad.mse(ad.segment_matmul(s["x"], STACKS, [0, 2, 5]), np.zeros((4, 5, 3))),
      {"x": (5, 3)}),
-    ("segment_mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], 1, offsets=[0, 4, 6]), np.zeros((2, 2, 3))),
-     {"x": (2, 6, 3)}),
+    ("segment_mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], offsets=[0, 4, 6]), np.zeros((2, 2, 3))),
+     {"x": (6, 2, 3)}),
 ]
 
 
@@ -956,7 +941,7 @@ def test_batchnorm_gradients_match_finite_differences():
         state = BatchNormState.for_width(3)
 
         def f(s):
-            return ad.mse(ad.batchnorm(s["x"], s["g"], s["b"], state, relu=relu), c)
+            return ad.mse(ad.batchnorm(s["x"], s["g"], s["b"], state), c)
 
         assert gradient_check(f, store, h=h, n_probe=24, seed=2) <= 1e-6
 
@@ -964,13 +949,13 @@ def test_batchnorm_gradients_match_finite_differences():
 class TestGradientCheck:
     def test_linear_function_is_exact(self):
         store = store_with(w=np.random.default_rng(2).normal(size=10) * 0.1)
-        err = gradient_check(lambda s: ad.mean_pool(s["w"], axis=0), store, h=1e-3, n_probe=10)
+        err = gradient_check(lambda s: ad.mean_pool(s["w"]), store, h=1e-3, n_probe=10)
         assert err <= 1e-10
 
     def test_relu_at_zero_probe_skipped(self):
-        store = store_with(w=np.zeros(3))
+        store = store_with(w=np.zeros((1, 3)))
         err = gradient_check(
-            lambda s: ad.mean_pool(ad.dense(s["w"], Value(np.eye(3)), relu=True), axis=0), store, h=1e-5,
+            lambda s: ad.mean_pool(ad.mean_pool(ad.dense(s["w"], Value(np.eye(3)), relu=True))), store, h=1e-5,
             n_probe=3, seed=0
         )
         assert err == 0.0  # every probe sits exactly on the kink and is skipped
@@ -983,7 +968,7 @@ class TestGradientCheck:
         store = store_with(w=np.array([[w]]))
         x = Value(np.array([[1.0]]))
         err = gradient_check(
-            lambda s: ad.mean_pool(ad.mean_pool(ad.dense(x, s["w"], relu=True), axis=0), axis=0),
+            lambda s: ad.mean_pool(ad.mean_pool(ad.dense(x, s["w"], relu=True))),
             store, h=1e-5, n_probe=1, seed=0,
         )
         assert err == 0.0
@@ -996,7 +981,7 @@ class TestGradientCheck:
         store = store_with(g=np.ones(1), b=np.array([1e-7 - xhat]))
         state = BatchNormState.for_width(1)
         err = gradient_check(
-            lambda s: ad.mean_pool(ad.mean_pool(ad.batchnorm(x, s["g"], s["b"], state, relu=True), axis=0), axis=0),
+            lambda s: ad.mean_pool(ad.mean_pool(ad.batchnorm(x, s["g"], s["b"], state))),
             store, h=1e-5, n_probe=2, seed=0,
         )
         assert err == 0.0
@@ -1011,7 +996,7 @@ class TestGradientCheck:
         def f(s):
             h = ad.dense(x, s["w"], relu=True)
             wrong = ad._node(h.data * 2.0, "wrong", (h,), lambda g: h._accumulate(g * 3.0, owned=True))
-            return ad.mean_pool(ad.mean_pool(wrong, axis=0), axis=0)
+            return ad.mean_pool(ad.mean_pool(wrong))
 
         assert gradient_check(f, store, h=1e-5, n_probe=6, seed=0) > 0.1
 
@@ -1041,7 +1026,7 @@ class TestGradientCheck:
             return out
 
         base, _ = forward()
-        target = base.data.reshape(-1, base.shape[-1])[0] + 0.7
+        target = base.data + 0.7
 
         def f(store):
             y_hat, u = forward()
@@ -1090,11 +1075,11 @@ U32 = 2.0**-24  # float32's unit roundoff
 
 def _message_layer_case():
     dst, src = np.array([2, 0, 5, 0, 1, 3, 2, 0]), np.array([0, 1, 0, 2, 0, 2, 3, 5])
-    src, plan, e = _grouped(src, dst, np.random.default_rng(3).normal(size=(8, 2)), 6)
-    e = e.astype(np.float32).astype(np.float64)  # float64 features: the layer casts them to h's dtype
+    e = np.random.default_rng(3).normal(size=(8, 2)).astype(np.float32)
+    graphs = {dtype: _graph(src, dst, e, 6, dtype) for dtype in (np.float32, np.float64)}
 
-    def build(h, *weights):
-        return ad.message_layer(h, src, plan, ad.in_degree_scale(plan), e, weights, lambda: ad.scatter_plan(src, 6))
+    def build(h, *weights):  # the graph's features take h's dtype, as a training copy's do
+        return ad.message_layer(h, graphs[h.data.dtype.type], weights)
 
     return build, [(6, 4), (10, 3), (3,), (3, 5), (5,), (9, 4), (4,)]
 
@@ -1106,13 +1091,13 @@ F32_CASES = {
     "dense": (lambda x, W, b: ad.dense(x, W, b, relu=True), [(4, 5), (5, 3), (3,)], 8),
     "dense_parts_broadcast": (lambda r, e, W, b: ad.dense((r, e), W, b, relu=True),
                               [(3, 6, 3), (6, 4), (7, 5), (5,)], 8),
-    "batchnorm": (lambda x, g, b: ad.batchnorm(x, g, b, BatchNormState.for_width(6), relu=True),
+    "batchnorm": (lambda x, g, b: ad.batchnorm(x, g, b, BatchNormState.for_width(6)),
                   [(3, 11, 6), (6,), (6,)], 16),
     "message_layer": (*_message_layer_case(), 32),
     "segment_matmul": (lambda x: ad.segment_matmul(x, STACKS.astype(x.data.dtype), [0, 2, 5]), [(5, 3)], 8),
-    "mean": (lambda x: ad.mean(x, axis=0), [(5, 4, 3)], 8),
-    "mean_pool": (lambda x: ad.mean_pool(x, axis=1, offsets=[0, 4, 6]), [(2, 6, 3)], 4),
-    "mse": (ad.mse, [(4, 3), (4, 3)], 16),
+    "mean": (lambda x: ad.mean(x), [(5, 4, 3)], 8),
+    "mean_pool": (lambda x: ad.mean_pool(x, offsets=[0, 4, 6]), [(6, 2, 3)], 4),
+    "mse": (lambda x: ad.mse(x, (np.arange(12.0).reshape(4, 3) / 8).astype(x.data.dtype)), [(4, 3)], 16),
     "l1_norm": (ad.l1_norm, [(4, 3)], 4),
 }
 
@@ -1153,16 +1138,20 @@ class TestFloat32Kernels:
         # The float64 test above keeps 12 digits here. A float32 channel with |μ| = 1e6·σ keeps about
         # one: μ is summed to within a few ulps of 1e6 (an ulp is 0.0625σ there), and every x − μ
         # carries that error, so outputs and gradients are good to ~4·U32·|μ|/σ ≈ 0.24 of their scale.
-        # β's gradient and the running mean, which need no x − μ, keep float32's precision. (Errors that
-        # large move outputs across a fused relu's kink, so there is no relu case.)
-        relu = False
+        # β's gradient and the running mean, which need no x − μ, keep float32's precision. Errors that
+        # large move a few outputs across the fused relu's kink (3 of 198 here), where the two runs'
+        # gradients cannot agree, so as a gradient check skips such probes, both backward passes get an
+        # upstream gradient that is 0 wherever either run's output is.
         shape = BN_KERNEL_CASES["stacked"][0]
         rng = np.random.default_rng(22)
         x = rng.normal(size=shape) + 1e6 * np.sign(rng.normal(size=shape[-1]))
         gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)
         x, gamma, beta, g = (a.astype(np.float32) for a in (x, gamma, beta, g))
-        got = _batchnorm_kernel(x, gamma, beta, relu, g)
-        want = _batchnorm_kernel(*(a.astype(np.float64) for a in (x, gamma, beta)), relu, g.astype(np.float64))
+        wide = [a.astype(np.float64) for a in (x, gamma, beta)]
+        g = g * ((_batchnorm_kernel(x, gamma, beta, g.copy())[0] > 0.0)
+                 & (_batchnorm_kernel(*wide, g.astype(np.float64))[0] > 0.0))
+        got = _batchnorm_kernel(x, gamma, beta, g.copy())
+        want = _batchnorm_kernel(*wide, g.astype(np.float64))
         for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
             assert np.isfinite(a).all(), name
             assert_close_to_scale(a, b, 16 * U32 if name in ("d_beta", "mean") else 4 * U32 * 1e6)

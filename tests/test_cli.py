@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -556,6 +557,43 @@ class TestManifest:
         for digest in manifest["inputs"].values():
             assert len(digest) == 64
         assert str(out / "metrics.csv") in manifest["outputs"]
+
+
+def _fails_after_the_first(items):
+    """The first item, then a full disk."""
+    yield items[0]
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    """A writer that fails midway leaves the file it replaces as it was, and no part file beside it."""
+
+    def write_dataset(self, path, whole):
+        records = make_records(3, seed=1 if whole else 2)
+        write_dataset(records if whole else _fails_after_the_first(records), path)
+
+    def write_csv(self, path, whole):
+        rows = [[1, 2.5], [2, 3.5]]
+        cli._write_csv(path, ["id", "value"], rows if whole else _fails_after_the_first(rows))
+
+    def write_manifest(self, path, whole):
+        manifest = cli.Manifest("eval", path.parent)
+        manifest.add_output(path.parent / "metrics.csv")
+        if not whole:
+            manifest.data["outputs"].append(object())  # json.dump stops at it, past the keys before it
+        manifest.write()
+
+    @pytest.mark.parametrize("writer, name", [("write_dataset", "dataset.jsonl"), ("write_csv", "metrics.csv"),
+                                              ("write_manifest", "manifest.json")],
+                             ids=["dataset", "csv", "manifest"])
+    def test_a_writer_that_fails_midway_keeps_the_previous_file(self, tmp_path, writer, name):
+        path = tmp_path / name
+        getattr(self, writer)(path, whole=True)
+        before = path.read_bytes()
+        with pytest.raises((OSError, TypeError)):
+            getattr(self, writer)(path, whole=False)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 class TestConfigLayers:

@@ -14,10 +14,12 @@ from rotenc.data import (
     RBF_N_CENTERS,
     MoleculeRecord,
     SplitSpec,
+    atomic_write,
     build_graph,
     convert_xyz,
     dataset_task_names,
     dataset_vocab,
+    edge_width,
     load_dataset,
     normalize_targets,
     parse_xyz,
@@ -48,6 +50,29 @@ def water_record(with_bonds=True):
         bonds=[(0, 1, 1), (0, 2, 1)] if with_bonds else None,
         targets={"u0": -76.4045},
     )
+
+
+def own(record) -> dict:
+    """``build_graph``'s vocabulary and task names: the record's own elements and tasks."""
+    return {"vocab": dataset_vocab([record]), "task_names": dataset_task_names([record])}
+
+
+class TestAtomicWrite:
+    def test_a_finished_write_replaces_the_file_and_leaves_nothing_else(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"  # the target changes only once the block ends
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="writer failed"):
+            with atomic_write(tmp_path / "out.bin", "wb") as fh:
+                fh.write(b"part")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadDataset:
@@ -163,7 +188,7 @@ def _per_pair_graph(record, cutoff, edge_features="auto"):
 
 def assert_graph_matches_oracle(record, cutoff, edge_features="auto"):
     """``build_graph`` gives the oracle's edges stably sorted by destination, feature rows along."""
-    graph = build_graph(record, cutoff, edge_features=edge_features)
+    graph = build_graph(record, cutoff, **own(record), edge_features=edge_features)
     edges, feats = _per_pair_graph(record, cutoff, edge_features)
     order = sorted(range(len(edges)), key=lambda k: edges[k, 1])  # Python's sort is stable
     edges, feats = edges[order].reshape(-1, 2), feats[order]
@@ -199,7 +224,7 @@ class TestBuildGraphMatchesPerPairLoop:
     @pytest.mark.parametrize("edge_features", ["auto", "constant"])
     def test_no_pair_inside_cutoff(self, edge_features):
         coords = np.arange(12.0).reshape(4, 3) * 10.0
-        graph = build_graph(cloud_record(coords), 5.0, edge_features=edge_features)
+        graph = build_graph(cloud_record(coords), 5.0, **own(cloud_record(coords)), edge_features=edge_features)
         assert graph.n_edges == 0
         assert_graph_matches_oracle(cloud_record(coords), 5.0, edge_features)
 
@@ -216,20 +241,20 @@ class TestBuildGraph:
         rec = MoleculeRecord(id="a", atomic_numbers=[1, 1],
                              coords=np.array([[0.0, 0, 0], [1.0, 0, 0]]), bonds=None,
                              targets={"e": 0.0})
-        graph = build_graph(rec, cutoff=1.5)
+        graph = build_graph(rec, cutoff=1.5, **own(rec))
         assert graph.n_edges == 2
-        graph_empty = build_graph(rec, cutoff=0.5)
+        graph_empty = build_graph(rec, cutoff=0.5, **own(rec))
         assert graph_empty.n_edges == 0
 
     def test_bonded_water_ignores_cutoff(self):
-        graph = build_graph(water_record(), cutoff=0.001)
+        graph = build_graph(water_record(), cutoff=0.001, **own(water_record()))
         assert graph.n_edges == 4  # two bonds, both directions
 
     def test_edge_symmetry_with_equal_features(self):
         from rotenc.synthetic import make_records
 
         rec = make_records(1, seed=3)[0]
-        graph = build_graph(rec, cutoff=8.0)
+        graph = build_graph(rec, cutoff=8.0, **own(rec))
         pairs = {tuple(e) for e in graph.edges.tolist()}
         feature_of = {tuple(e): f for e, f in zip(graph.edges.tolist(), graph.edge_feats)}
         for u, v in pairs:
@@ -242,12 +267,12 @@ class TestBuildGraph:
             MoleculeRecord(id="none", atomic_numbers=[], coords=np.zeros((0, 3)), bonds=None, targets={"e": 0.0})
 
     def test_vocab_one_hot_node_features(self):
-        graph = build_graph(water_record(), vocab=(1, 8))
+        graph = build_graph(water_record(), vocab=(1, 8), task_names=("u0",))
         np.testing.assert_array_equal(graph.node_feats, [[0, 1], [1, 0], [1, 0]])
 
     def test_unknown_element_with_vocab(self):
         with pytest.raises(UnknownElement):
-            build_graph(water_record(), vocab=(1, 6))
+            build_graph(water_record(), vocab=(1, 6), task_names=("u0",))
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     def test_vocab_rows_name_the_first_unknown_element(self, as_array):
@@ -259,15 +284,23 @@ class TestBuildGraph:
                 vocab_rows((1, 6, 8), convert([1, 7, 9]))
 
     def test_constant_edge_features(self):
-        graph = build_graph(water_record(), edge_features="constant")
+        graph = build_graph(water_record(), **own(water_record()), edge_features="constant")
         assert graph.edge_feats.shape == (4, 1)
         assert np.all(graph.edge_feats == 1.0)
+
+    @pytest.mark.parametrize("edge_features", ["auto", "constant"])
+    @pytest.mark.parametrize("with_bonds", [True, False], ids=["bonded", "cutoff"])
+    def test_edge_width_is_the_width_of_the_edge_features(self, with_bonds, edge_features):
+        record = water_record(with_bonds)
+        graph = build_graph(record, **own(record), edge_features=edge_features)
+        assert graph.n_edges > 0
+        assert graph.edge_feats.shape[1] == edge_width(with_bonds, edge_features)
 
     def test_bad_cutoff(self):
         rec = water_record(with_bonds=False)
         for cutoff in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidConfig):
-                build_graph(rec, cutoff=cutoff)
+                build_graph(rec, cutoff=cutoff, **own(rec))
 
 
 class TestRbfExpand:

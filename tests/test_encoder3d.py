@@ -104,7 +104,7 @@ class TestMeanEmbedding:
         fp = mean_embedding(rows, offsets)
         assert fp.shape == (3, cfg.input_width)
         assert fp.data[:, :3].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0 exactly
-        assert fp.data[:, 3:].tobytes() == ad.mean_pool(rows, axis=0, offsets=offsets).data.tobytes()
+        assert fp.data[:, 3:].tobytes() == ad.mean_pool(rows, offsets=offsets).data.tobytes()
         alone = mean_embedding(rows)  # no offsets: the whole cloud is one molecule
         assert alone.shape == (cfg.input_width,)
         assert alone.data.tobytes() == mean_embedding(rows, [0, packed.n_atoms]).data[0].tobytes()
@@ -181,7 +181,7 @@ class TestPointwiseStack:
 
         def f(s):
             out = pointwise_stack(Value(x), s, cfg, states, training=True)
-            return ad.pick(ad.mean_pool(out, axis=0), 0)
+            return ad.pick(ad.mean_pool(out), 0)
 
         assert gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
 
@@ -193,7 +193,7 @@ class TestEncode:
         cloud = centered_cloud()
         fp = encode_cloud(cloud, store, cfg, states, rotations=[np.eye(3)])
         view = (Value(cloud.coords), embedding(store, cloud))  # the identity view keeps the coordinates
-        manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False), axis=-2)
+        manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False))
         np.testing.assert_array_equal(fp.data, manual.data)
 
     def test_a_lone_rotation_matrix_is_rejected(self):

@@ -2,8 +2,10 @@
 
 ``Model.inputs`` is where a packed batch becomes graph nodes and the element
 vocabulary meets the embedding table, so neither layer reads a record, a
-vocabulary or a model. Checked on the source, as ``test_bench_hooks`` checks
-the benchmark harness.
+vocabulary or a model. The op layer, ``autodiff``, stands below them all: it
+reads a graph by attribute and imports no other module of the package but
+``errors``. Checked on the source, as ``test_bench_hooks`` checks the
+benchmark harness.
 """
 
 import ast
@@ -34,3 +36,9 @@ def test_layer_imports_nothing_from_data_or_model(layer):
     modules = _imported_modules(SRC / f"{layer}.py")
     assert "rotenc.autodiff" in modules  # the walk sees the layer's own imports
     assert modules.isdisjoint({"rotenc.data", "rotenc.model"}), sorted(modules)
+
+
+def test_autodiff_imports_nothing_from_the_package_but_errors():
+    modules = _imported_modules(SRC / "autodiff.py")
+    assert "numpy" in modules  # the walk sees the module's own imports
+    assert {m for m in modules if m.split(".")[0] == "rotenc"} == {"rotenc.errors"}, sorted(modules)

@@ -101,8 +101,8 @@ class TestPredictHead:
         store.add("head.b1", np.zeros(8))
         store.add("head.W2", np.zeros((8, 2)))
         store.add("head.b2", np.zeros(2))
-        out = predict_head(Value(np.ones(4)), store)
-        np.testing.assert_array_equal(out.data, [0.0, 0.0])
+        out = predict_head(Value(np.ones((1, 4))), store)
+        np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
 
     def test_linear_map_exact(self):
         # single input, hidden wide enough to carry +x and -x through relu:
@@ -114,8 +114,8 @@ class TestPredictHead:
         store.add("head.W2", np.array([[w], [-w]]))
         store.add("head.b2", np.array([b]))
         for x in (1.3, -0.4):
-            out = predict_head(Value(np.array([x])), store)
-            np.testing.assert_allclose(out.data, [w * x + b])
+            out = predict_head(Value(np.array([[x]])), store)
+            np.testing.assert_allclose(out.data[0], [w * x + b])
 
     def test_gradients_through_head(self):
         store = ParameterStore()
@@ -124,10 +124,10 @@ class TestPredictHead:
         store.add("head.b1", rng.normal(size=8))
         store.add("head.W2", rng.normal(size=(8, 1)))
         store.add("head.b2", rng.normal(size=1))
-        u = rng.normal(size=5)
+        u = rng.normal(size=(1, 5))
 
         def f(s):
-            return ad.mse(predict_head(Value(u), s), np.array([0.3]))
+            return ad.mse(predict_head(Value(u), s), np.array([[0.3]]))
 
         assert gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
 
@@ -146,6 +146,11 @@ class TestLoss:
         with pytest.raises(ShapeError):
             loss(Value(np.zeros(2)), np.zeros(3), Value(np.zeros(2)), 0.0)
 
+    def test_one_target_row_is_not_repeated_over_the_rows(self):
+        # a batch's target has one row per prediction row
+        with pytest.raises(ShapeError):
+            loss(Value(np.zeros((4, 2))), np.zeros(2), Value(np.zeros((4, 5))), 0.1)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_decomposition_identity(self, seed):
@@ -162,7 +167,7 @@ class TestLoss:
         rng = np.random.default_rng(3)
         y_hat, y, u = rng.normal(size=(4, 2)), rng.normal(size=2), rng.normal(size=(4, 5))
         per_row = [loss(Value(y_hat[v]), y, Value(u[v]), 0.1).data for v in range(4)]
-        np.testing.assert_allclose(loss(Value(y_hat), y, Value(u), 0.1).data, np.mean(per_row),
+        np.testing.assert_allclose(loss(Value(y_hat), np.tile(y, (4, 1)), Value(u), 0.1).data, np.mean(per_row),
                                    rtol=1e-12)
 
     def test_negative_lambda_rejected(self):
@@ -324,7 +329,7 @@ class TestMeasureInvariance:
 
 class TestAtomImportance:
     def test_scores_normalized(self, tiny_model, small_records):
-        scores = atom_importance(tiny_model, small_records[0], 0)
+        scores, _ = atom_importance(tiny_model, small_records[0], 0)
         assert scores.shape == (small_records[0].n_atoms,)
         assert np.all(scores >= 0) and np.all(scores <= 1)
         assert scores.max() == 1.0
@@ -335,14 +340,14 @@ class TestAtomImportance:
         # reach the encoder inputs
         w1 = model.store["head.W1"]
         w1.data[model.cfg.g_dim :, :] = 0.0
-        _, coord_part = atom_importance(model, small_records[0], 0, return_components=True)
+        _, coord_part = atom_importance(model, small_records[0], 0)
         np.testing.assert_array_equal(coord_part, np.zeros_like(coord_part))
 
     def test_reorder_consistency(self, tiny_model, small_records):
         record = small_records[1]
         perm = np.random.default_rng(2).permutation(record.n_atoms)
-        a = atom_importance(tiny_model, record, 0)
-        b = atom_importance(tiny_model, permuted_record(record, perm), 0)
+        a, _ = atom_importance(tiny_model, record, 0)
+        b, _ = atom_importance(tiny_model, permuted_record(record, perm), 0)
         np.testing.assert_allclose(a[perm], b, atol=1e-12)
 
     @staticmethod
@@ -379,7 +384,7 @@ class TestAtomImportance:
         model.store["enc.conv0.W"].data[3:] = 0.0
         model.store["head.W1"].data[: cfg.g_dim, :] = 0.0
         for record in small_records[:3]:
-            scores = atom_importance(model, record, 0)
+            scores, _ = atom_importance(model, record, 0)
             sensitivity = self._fd_coordinate_sensitivity(model, record)
             rho = spearmanr(scores, sensitivity).statistic
             assert rho >= 0.9
@@ -391,7 +396,7 @@ class TestAtomImportance:
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",), seed=6)
         model.store["head.W1"].data[: cfg.g_dim, :] = 0.0
         record = small_records[4]
-        _, coord_part = atom_importance(model, record, 0, return_components=True)
+        _, coord_part = atom_importance(model, record, 0)
         sensitivity = self._fd_coordinate_sensitivity(model, record)
         np.testing.assert_allclose(coord_part, sensitivity, rtol=1e-5)
 
@@ -404,7 +409,7 @@ class TestAtomImportance:
         # neither model reads the coordinates: no-3d has no encoder, no-pointnet pools the embedding rows only
         model = Model(tiny_model_config(**{ablation: True}), vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
         for record in small_records[:3]:
-            scores, coord_part = atom_importance(model, record, 0, return_components=True)
+            scores, coord_part = atom_importance(model, record, 0)
             assert scores.shape == coord_part.shape == (record.n_atoms,)
             assert np.all(np.isfinite(scores)) and np.all((scores >= 0) & (scores <= 1))
             assert scores.max() == 1.0
@@ -531,5 +536,5 @@ class TestPrepareChecksOnce:
         assert np.all(np.isfinite(model.predict(record)))
         with model.store.float32():
             y_hat, u = model.forward(pack([lowered(model.prepare(record, training=True))]), training=True)
-            ad.backward(loss(y_hat, np.ones(1, dtype=np.float32), u, 0.1))
+            ad.backward(loss(y_hat, np.ones((1, 1), dtype=np.float32), u, 0.1))
         assert all(np.all(np.isfinite(param.grad)) for _, param in model.store.items())

@@ -40,7 +40,7 @@ def _oracle_step(model, records, rotations, targets, lambda_l1):
     terms = []
     for record, r, y in zip(records, rotations, targets):
         y_hat, u = model.forward(pack([model.prepare(record, training=True)]), training=True, rotations=r)
-        terms.append(loss(y_hat, y, u, lambda_l1))
+        terms.append(loss(y_hat, y[None], u, lambda_l1))
     total = terms[0]
     for term in terms[1:]:
         total = ad.add(total, term)

@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import re
@@ -492,6 +493,24 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         load_checkpoint(path)  # the untouched file is valid
         return path.read_bytes()
+
+    def test_a_save_that_fails_midway_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        # the disk fills up after the magic bytes: the old file stays whole and loadable, and no part is left over
+        before = self.small_checkpoint_bytes(tmp_path)
+        path = tmp_path / "small.rotenc"
+        ckpt = load_checkpoint(path)
+        ckpt.params["b"] = np.array([9.0])
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(struct, "pack", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(ckpt, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        load_checkpoint(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["small.rotenc"]
 
     def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
         blob = self.small_checkpoint_bytes(tmp_path)
