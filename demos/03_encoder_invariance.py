@@ -20,10 +20,14 @@ probes = sample_rotations(20, 1)
 clouds = [random_cloud(8, np.random.default_rng(100 + i)) for i in range(10)]
 
 
-def fingerprint(cloud, align, store, cfg, states):
-    """The encoder reads a prepared cloud's coordinates and each atom's embedding row."""
-    emb = ad.gather_rows(store["enc.embed"], vocab_rows(VOCAB, cloud.atomic_numbers))
-    return encode(ad.Value(prepare_cloud(cloud, align).coords), emb, store, cfg, states).data
+def fingerprints(clouds, align, store, cfg, states):
+    """One packed ``encode`` call: each cloud's prepared coordinates and embedding rows are one segment."""
+    prepared = [prepare_cloud(cloud, align) for cloud in clouds]
+    numbers = np.concatenate([cloud.atomic_numbers for cloud in prepared])
+    emb = ad.gather_rows(store["enc.embed"], vocab_rows(VOCAB, numbers))
+    offsets = np.cumsum([0] + [cloud.n_atoms for cloud in prepared])
+    coords = ad.Value(np.concatenate([cloud.coords for cloud in prepared]))
+    return encode(coords, emb, store, cfg, states, offsets=offsets).data
 
 
 def mean_deviation(cfg, align=False):
@@ -33,10 +37,10 @@ def mean_deviation(cfg, align=False):
     states = init_encoder_params(store, cfg, rng)
     devs = []
     for cloud in clouds:
-        base = fingerprint(cloud, align, store, cfg, states)
-        for rot in probes:
-            out = fingerprint(apply_rotation(cloud, rot), align, store, cfg, states)
-            devs.append(np.linalg.norm(out - base))
+        # the cloud and its rotated copies, encoded together as measure_invariance batches them
+        base, *rotated = fingerprints([cloud] + [apply_rotation(cloud, rot) for rot in probes],
+                                      align, store, cfg, states)
+        devs += [np.linalg.norm(out - base) for out in rotated]
     return float(np.mean(devs))
 
 

@@ -34,7 +34,7 @@ from .geometry import (
     center_cloud,
     quaternion_to_matrix,
 )
-from .gnn import GnnConfig, MolecularGraph, message_pass, readout
+from .gnn import GnnConfig, MolecularGraph, message_pass
 from .model import (
     InvarianceReport,
     Model,

@@ -38,9 +38,9 @@ A reduction's summation order is numpy's, not always row order (one
 ``np.add.reduceat`` adds a segment's first row last); what every
 reduction guarantees is that a segment reduces to the same bits wherever
 it sits. Exactness under atom permutation comes from the one canonical
-atom order of ``Model.prepare``, not from the reductions. Given
-``offsets``, the pooling ops treat their row axis as segments stored back
-to back (one molecule of a packed batch each, segment b in rows
+atom order of ``Model.prepare``, not from the reductions. The ops that
+take ``offsets`` treat their row axis as segments stored back to back
+(one molecule of a packed batch each, segment b in rows
 ``offsets[b]:offsets[b+1]``) and reduce every segment on its own, to the
 bits of the same rows reduced alone. Training ``batchnorm`` is the one
 reduction that spans the whole batch: one statistic per channel over
@@ -291,29 +291,28 @@ def _segments(offsets, n: int) -> np.ndarray:
     return offsets
 
 
-def mean_pool(a: Value, offsets=None) -> Value:
-    """Column-wise mean over the rows (leading axis) of ``a``, whole or per segment, each segment to its lone bits.
+def mean_pool(a: Value, offsets) -> Value:
+    """Column-wise mean over the rows (leading axis) of ``a`` per segment, each segment to its lone bits.
 
-    Without offsets the row axis is dropped; with offsets it keeps one row
-    per segment. One ``reduceat`` sums every segment on its own, so a
-    segment sums to the bits it sums to alone (in numpy's order, which adds
-    its first row last, not in row order), and the sum is divided by the
-    segment's row count. The backward spreads each entry's gradient over
-    its rows, divided by the row count.
+    The result keeps one row per segment. One ``reduceat`` sums every
+    segment on its own, so a segment sums to the bits it sums to alone (in
+    numpy's order, which adds its first row last, not in row order), and
+    the sum is divided by the segment's row count. The backward spreads
+    each entry's gradient over its rows, divided by the row count.
     """
     n = a.data.shape[0]
-    bounds = _segments([0, n] if offsets is None else offsets, n)
+    bounds = _segments(offsets, n)
     lengths = bounds[1:] - bounds[:-1]
     per_row = (-1,) + (1,) * (a.data.ndim - 1)
     data = np.add.reduceat(a.data, bounds[:-1], axis=0)
     data /= lengths.reshape(per_row)
 
     def _back(g):
-        grad = np.repeat(g if offsets is not None else g[None], lengths, axis=0)
+        grad = np.repeat(g, lengths, axis=0)
         grad /= np.repeat(lengths, lengths).reshape(per_row)
         a._accumulate(grad, owned=True)
 
-    return _node(data if offsets is not None else data.squeeze(0), "mean_pool", (a,), _back)
+    return _node(data, "mean_pool", (a,), _back)
 
 
 def mean(a: Value) -> Value:

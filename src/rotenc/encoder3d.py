@@ -90,7 +90,7 @@ def init_encoder_params(store: ParameterStore, cfg: EncoderConfig, rng: np.rando
     return bn_states
 
 
-def mean_embedding(emb: Value, offsets=None) -> Value:
+def mean_embedding(emb: Value, offsets) -> Value:
     """The ``ablate_pointwise`` fingerprint, ``[0, 0, 0 || mean over atoms of Emb(z)]``.
 
     Without the pointwise stack the fingerprint is the view input averaged
@@ -98,8 +98,7 @@ def mean_embedding(emb: Value, offsets=None) -> Value:
     centroid of a prepared (centered) cloud, which is 0 in every view, so
     they are written as 0; its embedding columns are the same in every view
     and are mean-pooled over the atoms. ``emb`` and ``offsets`` are as in
-    ``encode``; the result is (d,) for one molecule, (B, d) for a packed
-    batch, with ``d = 3 + embed_dim``.
+    ``encode``; the result is (B, d), with ``d = 3 + embed_dim``.
     """
     pooled = ad.mean_pool(emb, offsets)
     return ad.concat([np.zeros(pooled.shape[:-1] + (3,), dtype=pooled.data.dtype), pooled])
@@ -171,17 +170,16 @@ def inference_views(k: int, seed: int) -> np.ndarray:
 
 
 def encode(coords: Value, emb: Value, store: ParameterStore, cfg: EncoderConfig, bn_states: dict, *,
-           training: bool = False, rotations=None, offsets=None) -> Value:
+           offsets, training: bool = False, rotations=None) -> Value:
     """Full encoder: rotate a prepared cloud into k views, convolve, average the views and pool.
 
     ``coords`` holds the (N, 3) coordinates of a cloud that is already
     centered and, under an aligning policy, aligned (``prepare_cloud``;
     ``Model.prepare`` applies the model's policy), and ``emb`` each atom's
     (N, embed_dim) element embedding row (``Model.inputs`` gathers them).
-    Without ``offsets`` the rows are one molecule and the result is its
-    (d_p,) fingerprint; given ``offsets`` they are a packed batch (molecule
-    b in rows offsets[b]:offsets[b+1]) and the result has one row per
-    molecule, (B, d_p).
+    The rows are a packed batch, molecule b in rows offsets[b]:offsets[b+1]
+    (``[0, N]`` for a lone molecule), and the result has one fingerprint
+    row per molecule, (B, d_p).
 
     ``rotations`` overrides the view set (otherwise it is the k rotations
     drawn from cfg.seed, see ``inference_views``) with a (k, 3, 3) stack
@@ -200,8 +198,8 @@ def encode(coords: Value, emb: Value, store: ParameterStore, cfg: EncoderConfig,
         raise ShapeError(f"encode: rotations must be (k, 3, 3) or (B, k, 3, 3), got {np.shape(rotations)}")
     rotations, segments = np.asarray(rotations), offsets
     if rotations.ndim == 3:  # one stack shared by the whole cloud: a single segment
-        rotations, segments = rotations[None], None
+        rotations, segments = rotations[None], [0, coords.shape[0]]
     transposed = np.ascontiguousarray(np.swapaxes(rotations, -1, -2))
-    rotated = ad.segment_matmul(coords, transposed, [0, coords.shape[0]] if segments is None else segments)
+    rotated = ad.segment_matmul(coords, transposed, segments)
     views = pointwise_stack((rotated, emb), store, cfg, bn_states, training)
     return ad.mean_pool(ad.mean(views), offsets)

@@ -2,8 +2,8 @@
 
 Each layer sends a learned message along every directed edge, averages the
 incoming messages per node, and applies a learned update to the pair
-(state, aggregated message). The readout averages the final node states
-into one graph vector.
+(state, aggregated message). The readout averages each molecule's final
+node states into its graph vector.
 """
 
 from __future__ import annotations
@@ -149,26 +149,15 @@ def message_pass(h: Value, graph: MolecularGraph, store: ParameterStore, cfg: Gn
     return ad.message_layer(h, graph, weights)
 
 
-def readout(node_states: Value, offsets=None) -> Value:
-    """Pool node states into a graph vector, their column-wise mean.
-
-    With ``offsets`` the nodes are a packed batch (molecule b owns nodes
-    offsets[b]:offsets[b+1]) and every molecule is pooled on its own,
-    giving one row per molecule, each bit-equal to pooling that molecule
-    alone.
-    """
-    return ad.mean_pool(node_states, offsets)
-
-
 def gnn_forward(graph: MolecularGraph, node_feats: Value, store: ParameterStore, cfg: GnnConfig,
-                offsets=None) -> Value:
+                offsets) -> Value:
     """Full backbone: embed the ``node_feats`` of ``graph``'s nodes, L message-passing rounds, readout.
 
-    One molecule gives a (hidden,) vector. Given ``offsets``, ``graph`` is
-    the disjoint union of a packed batch's molecules and the result is
-    (B, hidden).
+    ``graph`` is the disjoint union of a packed batch's molecules, molecule
+    b owning nodes offsets[b]:offsets[b+1], and each is pooled on its own
+    into one row of the (B, hidden) result.
     """
     h = initial_states(node_feats, store)
     for layer in range(cfg.layers):
         h = message_pass(h, graph, store, cfg, layer)
-    return readout(h, offsets)
+    return ad.mean_pool(h, offsets)

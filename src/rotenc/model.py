@@ -89,7 +89,7 @@ class Inputs(NamedTuple):
 def fuse(g: Value, p: Value) -> Value:
     """u = [g || p], graph part first.
 
-    g and p are one molecule's vectors, or one row per molecule of a batch.
+    g and p hold one row per molecule of a batch.
     """
     return ad.concat([g, p])
 

@@ -114,8 +114,9 @@ def test_05_chirality_separation():
             cloud = random_cloud(int(rng.integers(4, 9)), rng)
             mirrored = mirror_cloud(cloud)
             emb = ad.gather_rows(embed, vocab_rows((1, 6, 7, 8), cloud.atomic_numbers))
-            fp_a = encode(ad.Value(prepare_cloud(cloud, False).coords), emb, store, cfg, states).data
-            fp_b = encode(ad.Value(prepare_cloud(mirrored, False).coords), emb, store, cfg, states).data
+            lone = [0, cloud.n_atoms]
+            fp_a = encode(ad.Value(prepare_cloud(cloud, False).coords), emb, store, cfg, states, offsets=lone).data
+            fp_b = encode(ad.Value(prepare_cloud(mirrored, False).coords), emb, store, cfg, states, offsets=lone).data
             assert np.linalg.norm(fp_a - fp_b) > 1e-3, f"cloud {i} not separated"
             dist_a = np.linalg.norm(cloud.coords[:, None] - cloud.coords[None], axis=-1)
             dist_b = np.linalg.norm(mirrored.coords[:, None] - mirrored.coords[None], axis=-1)

@@ -28,7 +28,7 @@ class TestPrimitiveForward:
     def test_relu_backward_subgradient(self):
         x = Value(np.array([[-1.0, 2.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(2)), relu=True)
-        ad.backward(ad.mean_pool(ad.mean_pool(out)))
+        ad.backward(ad.mean(ad.mean(out)))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.5]])
 
     def test_mse_zero_on_equal(self):
@@ -38,8 +38,8 @@ class TestPrimitiveForward:
         assert ad.l1_norm(Value(np.array([1.0, -2.0, 0.5]))).data == 3.5
 
     def test_mean_pool_rows(self):
-        out = ad.mean_pool(Value(np.array([[1.0, 3.0], [3.0, 1.0]])))
-        np.testing.assert_array_equal(out.data, [2.0, 2.0])
+        out = ad.mean_pool(Value(np.array([[1.0, 3.0], [3.0, 1.0]])), [0, 2])
+        np.testing.assert_array_equal(out.data, [[2.0, 2.0]])
 
     def test_scatter_matches_numpy_oracle(self):
         rng = np.random.default_rng(0)
@@ -90,7 +90,7 @@ class TestPermutationExactness:
         x = rng.normal(size=(2, 13, 3)).transpose(1, 0, 2)  # 13 rows of (2, 3)
         for start, stop in zip(offsets[:-1], offsets[1:]):
             got = ad.mean_pool(Value(x), offsets=offsets).data[offsets.index(start)]
-            assert_same_bits(got, ad.mean_pool(Value(x[start:stop])).data)
+            assert_same_bits(got, ad.mean_pool(Value(x[start:stop]), [0, stop - start]).data[0])
 
     @pytest.mark.parametrize("offsets", [[0, 3], [0, 2, 2, 5], [1, 5], [0, 6],
                                          [[0, 5]], [0, 5, 5], [0, 3, 4]])
@@ -214,9 +214,9 @@ class TestMean:
         assert_same_bits(ad.mean(Value(x[:, perm])).data, ad.mean(Value(x)).data[perm])
 
     def test_gradient_is_spread_evenly(self):
-        # the two pools' 1/3 and 1/2 arrive first, then the mean's 1/4
+        # the outer two means' 1/3 and 1/2 arrive first, then the inner one's 1/4
         x = Value(np.ones((4, 2, 3)), requires_grad=True)
-        ad.backward(ad.mean_pool(ad.mean_pool(ad.mean(x))))
+        ad.backward(ad.mean(ad.mean(ad.mean(x))))
         assert_same_bits(x.grad, np.full((4, 2, 3), 1.0 / 3 / 2 / 4))
 
 
@@ -285,7 +285,7 @@ class TestGatherBackward:
 class TestBackward:
     def test_mean_of_parameter_gives_one_over_n(self):
         store = store_with(w=np.arange(5.0))
-        ad.backward(ad.mean_pool(store["w"]))
+        ad.backward(ad.mean(store["w"]))
         np.testing.assert_array_equal(store["w"].grad, np.full(5, 1.0 / 5))
 
     def test_square_gradient(self):
@@ -302,7 +302,7 @@ class TestBackward:
         def run():
             store = store_with(w=np.linspace(-1, 1, 12).reshape(3, 4))
             h = ad.dense(Value(np.arange(6.0).reshape(2, 3)), store["w"], relu=True)
-            ad.backward(ad.mse(ad.mean_pool(h), np.zeros(4)))
+            ad.backward(ad.mse(ad.mean_pool(h, [0, 2]), np.zeros((1, 4))))
             return store["w"].grad
 
         assert np.array_equal(run(), run())
@@ -415,7 +415,7 @@ class TestDense:
         x = Value(np.array([[1.0, -1.0, 0.0]]), requires_grad=True)
         out = ad.dense(x, Value(np.eye(3)), relu=True)
         np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0]])
-        assert [m.tolist() for m in activation_pattern(ad.mean_pool(ad.mean_pool(out)))] == [
+        assert [m.tolist() for m in activation_pattern(ad.mean(ad.mean(out)))] == [
             [[True, False, False]]]
 
     def test_shapes_rejected(self):
@@ -503,7 +503,7 @@ class TestDenseParts:
         self.compare(make, rng.normal(size=(10, 3)), rng.normal(size=3), relu)
         h = Value(h0, requires_grad=True)
         parts = (ad.gather_rows(h, dst), ad.gather_rows(h, src), Value(e0))
-        ad.backward(ad.mean_pool(ad.mean_pool(ad.dense(parts, Value(rng.normal(size=(10, 3)))))))
+        ad.backward(ad.mean(ad.mean(ad.dense(parts, Value(rng.normal(size=(10, 3)))))))
         assert_same_bits(h.grad[4], np.zeros(4))
 
     @pytest.mark.parametrize("n", [1, 5], ids=["one-atom", "edgeless"])
@@ -673,7 +673,7 @@ class TestNoGrad:
 
         def build():
             h = ad.dense(ad.dense(w, w, Value(np.zeros(2)), relu=True), w, relu=True)
-            return h, ad.mse(ad.mean_pool(h), np.zeros(2))
+            return h, ad.mse(ad.mean_pool(h, [0, 2]), np.zeros((1, 2)))
 
         with ad.no_grad():
             h, root = build()
@@ -721,7 +721,7 @@ class TestRequiresGrad:
 
         view._backward_fn = check_then_push
         # add hands the same upstream array to both inputs, so each stores a copy
-        ad.backward(ad.mean_pool(ad.mean_pool(ad.mean_pool(ad.add(view, Value(np.ones((3, 6, 4))))))))
+        ad.backward(ad.mean(ad.mean(ad.mean(ad.add(view, Value(np.ones((3, 6, 4))))))))
         assert len(checked) == 1
         np.testing.assert_array_equal(b.grad, np.full((3, 6, 4), 1.0 / 4 / 6 / 3).sum(axis=(0, 1)))
 
@@ -769,11 +769,14 @@ def _batchnorm_oracle(x, gamma, beta, g):
 
 
 def _batchnorm_kernel(x, gamma, beta, g, x_grad=True):
-    """``ad.batchnorm``'s output, gradients for the upstream ``g`` (None for an x without one) and running stats."""
+    """``ad.batchnorm``'s output, gradients for the upstream ``g`` (None for an x without one) and running stats.
+
+    The backward gets a copy of ``g``: it masks its upstream gradient with the relu in place.
+    """
     xv, gv, bv = Value(x, requires_grad=x_grad), Value(gamma, requires_grad=True), Value(beta, requires_grad=True)
     state = BatchNormState.for_width(x.shape[-1])
     y = ad.batchnorm(xv, gv, bv, state)
-    y._backward_fn(g)
+    y._backward_fn(g.copy())
     return y.data, xv._grad, gv.grad, bv.grad, state.mean, state.var
 
 
@@ -886,7 +889,7 @@ def test_every_segment_reduces_to_the_bits_of_its_lone_rows(case):
         lone = x[start:stop]
         if copy:
             lone = np.array(lone)
-        assert_same_bits(pooled[b], ad.mean_pool(Value(lone)).data)
+        assert_same_bits(pooled[b], ad.mean_pool(Value(lone), [0, stop - start]).data[0])
 
 
 # two segments' (4, 3, 3) matrix stacks, the constant right operand of segment_matmul; float32 holds them exactly
@@ -901,7 +904,7 @@ PRIMITIVE_CASES = [
      {"x": (4, 5), "W": (5, 3), "b": (3,)}),
     ("stacked_matmul", lambda s: ad.mse(ad.matmul(s["x"], s["W"]), np.zeros((2, 4, 3))),
      {"x": (2, 4, 5), "W": (5, 3)}),
-    ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"]), np.zeros(3)), {"x": (6, 3)}),
+    ("mean_pool", lambda s: ad.mse(ad.mean_pool(s["x"], [0, 6]), np.zeros((1, 3))), {"x": (6, 3)}),
     ("concat", lambda s: ad.mse(ad.concat([s["a"], s["b"]]), np.zeros((4, 5))),
      {"a": (4, 2), "b": (4, 3)}),
     ("gather", lambda s: ad.mse(ad.gather_rows(s["x"], [0, 2, 2, 1]), np.zeros((4, 3))),
@@ -949,13 +952,13 @@ def test_batchnorm_gradients_match_finite_differences():
 class TestGradientCheck:
     def test_linear_function_is_exact(self):
         store = store_with(w=np.random.default_rng(2).normal(size=10) * 0.1)
-        err = gradient_check(lambda s: ad.mean_pool(s["w"]), store, h=1e-3, n_probe=10)
+        err = gradient_check(lambda s: ad.mean(s["w"]), store, h=1e-3, n_probe=10)
         assert err <= 1e-10
 
     def test_relu_at_zero_probe_skipped(self):
         store = store_with(w=np.zeros((1, 3)))
         err = gradient_check(
-            lambda s: ad.mean_pool(ad.mean_pool(ad.dense(s["w"], Value(np.eye(3)), relu=True))), store, h=1e-5,
+            lambda s: ad.mean(ad.mean(ad.dense(s["w"], Value(np.eye(3)), relu=True))), store, h=1e-5,
             n_probe=3, seed=0
         )
         assert err == 0.0  # every probe sits exactly on the kink and is skipped
@@ -968,7 +971,7 @@ class TestGradientCheck:
         store = store_with(w=np.array([[w]]))
         x = Value(np.array([[1.0]]))
         err = gradient_check(
-            lambda s: ad.mean_pool(ad.mean_pool(ad.dense(x, s["w"], relu=True))),
+            lambda s: ad.mean(ad.mean(ad.dense(x, s["w"], relu=True))),
             store, h=1e-5, n_probe=1, seed=0,
         )
         assert err == 0.0
@@ -981,7 +984,7 @@ class TestGradientCheck:
         store = store_with(g=np.ones(1), b=np.array([1e-7 - xhat]))
         state = BatchNormState.for_width(1)
         err = gradient_check(
-            lambda s: ad.mean_pool(ad.mean_pool(ad.batchnorm(x, s["g"], s["b"], state))),
+            lambda s: ad.mean(ad.mean(ad.batchnorm(x, s["g"], s["b"], state))),
             store, h=1e-5, n_probe=2, seed=0,
         )
         assert err == 0.0
@@ -996,7 +999,7 @@ class TestGradientCheck:
         def f(s):
             h = ad.dense(x, s["w"], relu=True)
             wrong = ad._node(h.data * 2.0, "wrong", (h,), lambda g: h._accumulate(g * 3.0, owned=True))
-            return ad.mean_pool(ad.mean_pool(wrong))
+            return ad.mean(ad.mean(wrong))
 
         assert gradient_check(f, store, h=1e-5, n_probe=6, seed=0) > 0.1
 
@@ -1148,9 +1151,9 @@ class TestFloat32Kernels:
         gamma, beta, g = rng.normal(size=6) * 2.0, rng.normal(size=6), rng.normal(size=shape)
         x, gamma, beta, g = (a.astype(np.float32) for a in (x, gamma, beta, g))
         wide = [a.astype(np.float64) for a in (x, gamma, beta)]
-        g = g * ((_batchnorm_kernel(x, gamma, beta, g.copy())[0] > 0.0)
+        g = g * ((_batchnorm_kernel(x, gamma, beta, g)[0] > 0.0)
                  & (_batchnorm_kernel(*wide, g.astype(np.float64))[0] > 0.0))
-        got = _batchnorm_kernel(x, gamma, beta, g.copy())
+        got = _batchnorm_kernel(x, gamma, beta, g)
         want = _batchnorm_kernel(*wide, g.astype(np.float64))
         for name, a, b in zip(("out", "gx", "d_gamma", "d_beta", "mean", "var"), got, want):
             assert np.isfinite(a).all(), name

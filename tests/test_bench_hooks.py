@@ -88,11 +88,12 @@ def test_every_public_autodiff_function_is_run_or_traced(tracing):
 
 
 def test_encode_keeps_the_call_shape_the_tracer_reads(tracing):
-    # the views observer reads encode(coords, emb, store, cfg, bn_states, *, rotations=...)
-    params = list(inspect.signature(rotenc.encoder3d.encode).parameters.values())
-    assert params[3].name == "cfg" and params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-    rotations = inspect.signature(rotenc.encoder3d.encode).parameters["rotations"]
-    assert rotations.kind is inspect.Parameter.KEYWORD_ONLY
+    # the views observer reads encode(coords, emb, store, cfg, bn_states, *, rotations=...), and
+    # Model.forward passes offsets by keyword
+    params = inspect.signature(rotenc.encoder3d.encode).parameters
+    cfg = list(params.values())[3]
+    assert cfg.name == "cfg" and cfg.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert params["rotations"].kind is params["offsets"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_tracer_records_spans_around_train_and_predict_and_uninstalls(tracing):

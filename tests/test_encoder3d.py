@@ -46,6 +46,8 @@ def embedding(store, cloud):
 
 
 def encode_cloud(cloud, store, cfg, states, **kwargs):
+    """``encode`` of ``cloud``'s rows: one molecule, unless ``offsets`` cuts them into a packed batch."""
+    kwargs.setdefault("offsets", [0, cloud.n_atoms])
     return encode(Value(cloud.coords), embedding(store, cloud), store, cfg, states, **kwargs)
 
 
@@ -105,15 +107,12 @@ class TestMeanEmbedding:
         assert fp.shape == (3, cfg.input_width)
         assert fp.data[:, :3].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0 exactly
         assert fp.data[:, 3:].tobytes() == ad.mean_pool(rows, offsets=offsets).data.tobytes()
-        alone = mean_embedding(rows)  # no offsets: the whole cloud is one molecule
-        assert alone.shape == (cfg.input_width,)
-        assert alone.data.tobytes() == mean_embedding(rows, [0, packed.n_atoms]).data[0].tobytes()
 
     def test_gradient_reaches_only_the_embedding_rows(self):
         cfg = small_cfg()
         store, _ = make_encoder(cfg, seed=1, stack=False)
         cloud = centered_cloud()
-        ad.backward(ad.pick(mean_embedding(embedding(store, cloud)), 3))
+        ad.backward(ad.pick(mean_embedding(embedding(store, cloud), [0, cloud.n_atoms]), (0, 3)))
         rows = vocab_rows(VOCAB, cloud.atomic_numbers)
         expected = np.zeros_like(store["enc.embed"].data)
         np.add.at(expected[:, 0], rows, 1.0 / cloud.n_atoms)
@@ -181,7 +180,7 @@ class TestPointwiseStack:
 
         def f(s):
             out = pointwise_stack(Value(x), s, cfg, states, training=True)
-            return ad.pick(ad.mean_pool(out), 0)
+            return ad.pick(ad.mean_pool(out, [0, len(x)]), (0, 0))
 
         assert gradient_check(f, store, h=1e-5, n_probe=30, seed=1) <= 1e-5
 
@@ -193,7 +192,7 @@ class TestEncode:
         cloud = centered_cloud()
         fp = encode_cloud(cloud, store, cfg, states, rotations=[np.eye(3)])
         view = (Value(cloud.coords), embedding(store, cloud))  # the identity view keeps the coordinates
-        manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False))
+        manual = ad.mean_pool(pointwise_stack(view, store, cfg, states, training=False), [0, cloud.n_atoms])
         np.testing.assert_array_equal(fp.data, manual.data)
 
     def test_a_lone_rotation_matrix_is_rejected(self):
@@ -205,7 +204,7 @@ class TestEncode:
             encode_cloud(cloud, store, cfg, states, rotations=np.eye(3))
         with pytest.raises(ShapeError):
             encode_cloud(cloud, store, cfg, states, rotations=np.ones((1, 2, 3)))
-        assert encode_cloud(cloud, store, cfg, states, rotations=np.eye(3)[None]).shape == (cfg.d_p,)
+        assert encode_cloud(cloud, store, cfg, states, rotations=np.eye(3)[None]).shape == (1, cfg.d_p)
 
     def test_translation_invariance(self):
         cfg = small_cfg(k=4)

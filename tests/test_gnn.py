@@ -14,7 +14,6 @@ from rotenc.gnn import (
     init_gnn_params,
     initial_states,
     message_pass,
-    readout,
 )
 
 
@@ -37,6 +36,11 @@ def setup_gnn(graph, cfg, seed=0):
     init_gnn_params(store, cfg, graph.node_feats.shape[1], graph.edge_feats.shape[1],
                     np.random.default_rng(seed))
     return store
+
+
+def forward_alone(graph, store, cfg):
+    """``gnn_forward`` of one molecule: its graph's own node features, every node in one segment."""
+    return gnn_forward(graph, Value(graph.node_feats), store, cfg, [0, graph.n_nodes])
 
 
 class TestGraphValidation:
@@ -134,13 +138,15 @@ class TestMessagePass:
 
 
 class TestReadout:
+    """The readout is ``ad.mean_pool`` over each molecule's node states."""
+
     def test_single_node_passthrough(self):
-        h = np.array([[0.5, -1.5]])
-        np.testing.assert_array_equal(readout(Value(h)).data, h[0])
+        h = np.array([[0.5, -1.5], [1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(ad.mean_pool(Value(h), [0, 1, 3]).data[0], h[0])
 
     def test_mean_arithmetic(self):
-        out = readout(Value(np.array([[1.0, 0.0], [0.0, 1.0]])))
-        np.testing.assert_array_equal(out.data, [0.5, 0.5])
+        out = ad.mean_pool(Value(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])), [0, 2, 3])
+        np.testing.assert_array_equal(out.data, [[0.5, 0.5], [3.0, 3.0]])
 
 
 class TestEndToEnd:
@@ -148,15 +154,14 @@ class TestEndToEnd:
         cfg = GnnConfig(layers=2, hidden=5, message_width=4)
         graph = ring_graph(n=4, d0=3, d_e=2, seed=9)
         store = setup_gnn(graph, cfg, seed=10)
-        single = gnn_forward(graph, Value(graph.node_feats), store, cfg).data
+        single = forward_alone(graph, store, cfg).data
         doubled = MolecularGraph(
             node_feats=np.vstack([graph.node_feats, graph.node_feats]),
             edges=np.vstack([graph.edges, graph.edges + 4]),
             edge_feats=np.vstack([graph.edge_feats, graph.edge_feats]),
             targets=graph.targets,
         )
-        np.testing.assert_allclose(gnn_forward(doubled, Value(doubled.node_feats), store, cfg).data, single,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(forward_alone(doubled, store, cfg).data, single, rtol=1e-12)
 
     def test_one_destination_plan_per_forward(self, monkeypatch):
         # the graph plans its destinations when it is made, and its sources
@@ -167,7 +172,7 @@ class TestEndToEnd:
         h = initial_states(Value(graph.node_feats), store)
         for layer in range(cfg.layers):
             h = message_pass(h, graph, store, cfg, layer)
-        per_layer = readout(h).data
+        per_layer = ad.mean_pool(h, [0, graph.n_nodes]).data
         plans = []
         real_plan = ad.scatter_plan
 
@@ -177,11 +182,11 @@ class TestEndToEnd:
 
         monkeypatch.setattr(ad, "scatter_plan", counting)
         with ad.no_grad():
-            untaped = gnn_forward(graph, Value(graph.node_feats), store, cfg).data
-        taped = gnn_forward(graph, Value(graph.node_feats), store, cfg)
+            untaped = forward_alone(graph, store, cfg).data
+        taped = forward_alone(graph, store, cfg)
         assert plans == []
         for _ in range(2):  # every layer of both backwards shares the graph's one source plan
-            ad.backward(ad.mse(gnn_forward(graph, Value(graph.node_feats), store, cfg), np.zeros(cfg.hidden)))
+            ad.backward(ad.mse(forward_alone(graph, store, cfg), np.zeros((1, cfg.hidden))))
         assert plans == [graph.n_nodes]
         assert taped.data.tobytes() == per_layer.tobytes() == untaped.tobytes()
 
@@ -191,8 +196,7 @@ class TestEndToEnd:
         store = setup_gnn(graph, cfg, seed=12)
 
         def f(s):
-            g = gnn_forward(graph, Value(graph.node_feats), s, cfg)
-            return ad.mse(g, np.linspace(-1, 1, cfg.hidden))
+            return ad.mse(forward_alone(graph, s, cfg), np.linspace(-1, 1, cfg.hidden)[None])
 
         assert gradient_check(f, store, h=1e-5, n_probe=50, seed=2) <= 1e-4
 
@@ -205,7 +209,7 @@ class TestEndToEnd:
         store = setup_gnn(graph, cfg, seed=17)
 
         def f(s):
-            return ad.mse(gnn_forward(graph, Value(graph.node_feats), s, cfg), np.linspace(-1, 1, cfg.hidden))
+            return ad.mse(forward_alone(graph, s, cfg), np.linspace(-1, 1, cfg.hidden)[None])
 
         assert gradient_check(f, store, h=1e-5, n_probe=50, seed=3) <= 1e-4
 
@@ -241,10 +245,9 @@ class TestEdgeGrouping:
         again = MolecularGraph(node_feats, edges[interleaved], feats[interleaved], np.array([0.0]))
         cfg = GnnConfig(layers=2, hidden=5, message_width=4)
         store = setup_gnn(graph, cfg, seed=seed % 1000)
-        out = gnn_forward(graph, Value(graph.node_feats), store, cfg).data
-        assert gnn_forward(again, Value(again.node_feats), store, cfg).data.tobytes() == out.tobytes()
+        out = forward_alone(graph, store, cfg).data
+        assert forward_alone(again, store, cfg).data.tobytes() == out.tobytes()
         # any other arrival order sums each destination in another order: equal up to rounding
         unshuffled = np.lexsort((edges[:, 0], edges[:, 1]))
         other = MolecularGraph(node_feats, edges[unshuffled], feats[unshuffled], np.array([0.0]))
-        np.testing.assert_allclose(gnn_forward(other, Value(other.node_feats), store, cfg).data, out,
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(forward_alone(other, store, cfg).data, out, rtol=1e-12, atol=1e-12)

@@ -4,14 +4,19 @@
 vocabulary meets the embedding table, so neither layer reads a record, a
 vocabulary or a model. The op layer, ``autodiff``, stands below them all: it
 reads a graph by attribute and imports no other module of the package but
-``errors``. Checked on the source, as ``test_bench_hooks`` checks the
-benchmark harness.
+``errors``. Every layer that pools takes the packed batch's ``offsets``,
+so a pooled result always keeps one row per molecule. Checked on the
+source and the signatures, as ``test_bench_hooks`` checks the benchmark
+harness.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from rotenc import autodiff, encoder3d, gnn
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rotenc"
 
@@ -42,3 +47,11 @@ def test_autodiff_imports_nothing_from_the_package_but_errors():
     modules = _imported_modules(SRC / "autodiff.py")
     assert "numpy" in modules  # the walk sees the module's own imports
     assert {m for m in modules if m.split(".")[0] == "rotenc"} == {"rotenc.errors"}, sorted(modules)
+
+
+def test_every_pooling_layer_requires_offsets():
+    # a model path always packs a batch, a lone molecule being a batch of one: no layer has a
+    # second, one-molecule output shape
+    for layer in (autodiff.mean_pool, encoder3d.encode, encoder3d.mean_embedding, gnn.gnn_forward):
+        assert inspect.signature(layer).parameters["offsets"].default is inspect.Parameter.empty, layer.__name__
+    assert not hasattr(gnn, "readout")

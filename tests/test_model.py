@@ -79,13 +79,13 @@ def molecule_arrays(molecule):
 
 class TestFuse:
     def test_concat_order(self):
-        u = fuse(Value(np.array([1.0, 2.0])), Value(np.array([3.0])))
-        np.testing.assert_array_equal(u.data, [1.0, 2.0, 3.0])
+        u = fuse(Value(np.array([[1.0, 2.0]])), Value(np.array([[3.0]])))
+        np.testing.assert_array_equal(u.data, [[1.0, 2.0, 3.0]])
 
     def test_zero_fingerprint_keeps_graph_prefix(self):
-        g = np.array([0.5, -0.5, 2.0])
-        u = fuse(Value(g), Value(np.zeros(2)))
-        np.testing.assert_array_equal(u.data[:3], g)
+        g = np.array([[0.5, -0.5, 2.0]])
+        u = fuse(Value(g), Value(np.zeros((1, 2))))
+        np.testing.assert_array_equal(u.data[:, :3], g)
 
     def test_default_widths_give_256(self):
         from rotenc.gnn import GnnConfig
