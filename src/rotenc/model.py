@@ -103,11 +103,10 @@ def predict_head(u: Value, store: ParameterStore) -> Value:
 def loss(y_hat: Value, y, u: Value, lambda_l1: float) -> Value:
     """MSE(y_hat, y) + lambda * ||u||_1, averaged over samples.
 
-    y_hat is one sample's (n_tasks,) prediction or a batch's (B, n_tasks),
-    and y an array of its shape. The result is the mean of the per-sample
-    losses.
+    y_hat is a batch's (B, n_tasks) prediction and y an array of its shape.
+    The result is the mean of the per-sample losses.
     """
-    rows = y_hat.data.size // y_hat.shape[-1]
+    rows = y_hat.shape[0]
     task = ad.mse(y_hat, y)
     if lambda_l1 == 0.0:
         return task

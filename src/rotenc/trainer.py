@@ -1,5 +1,7 @@
 """Training loop (AdamW), cross-validation driver, metrics, checkpoints.
 
+A run is one loop over its folds and their epochs: ``train_epochs`` yields
+its ``RunState`` after every epoch (``run_epoch``), and ``train`` drains it.
 Training is single-threaded and fully deterministic for a fixed seed: epoch
 shuffles, per-molecule view rotations, and parameter updates all derive
 from the config seed, so two runs produce bit-identical loss curves. Each
@@ -26,7 +28,7 @@ import json
 import math
 import struct
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .data import (
 from .errors import Diverged, InvalidConfig, NoData, StaleGradient, TaskMismatch
 from .geometry import sample_rotations
 from .model import Model, ModelConfig, loss
-from .packing import lowered, pack
+from .packing import Molecule, lowered, pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
 CHECKPOINT_VERSION = 5
@@ -443,59 +445,62 @@ def _train_step(model: Model, opt: AdamWState, cfg: TrainConfig, batch, rotation
     return float(batch_loss.data)
 
 
-def _train_one_fold(cfg: TrainConfig, records, train_idx, val_idx, fold: int,
-                    vocab, task_names, bonded: bool):
-    normalizer = normalize_targets(records, train_idx)
-    model = Model(cfg.model, vocab, task_names, seed=cfg.seed, bonded=bonded)
-    opt = AdamWState()
+@dataclass
+class RunState:
+    """A run between two epochs. ``epoch`` is the next one; the history and the best
+    score and checkpoint so far span every fold, the other fields belong to ``fold``.
+    ``train_molecules`` holds float32 copies; the molecules are emptied when the fold ends."""
 
-    # every molecule is prepared once per fold, not once per step or epoch;
-    # training reads its float32 copy, validation the float64 molecule
-    molecules = {int(i): lowered(model.prepare(records[i], training=True)) for i in train_idx}
-    val_molecules = [model.prepare(records[i]) for i in val_idx]
-
-    history = []
-    best_score = None
-    best_ckpt = None
-    for epoch in range(cfg.epochs):
-        shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, fold, epoch)))
-        order = np.asarray(train_idx)[shuffle_rng.permutation(len(train_idx))]
-        epoch_losses = []
-        for b_start in range(0, len(order), cfg.batch_size):
-            members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
-            batch = pack(molecules[i] for i in members)
-            rotations = None if cfg.model.ablate_3d or cfg.model.ablate_pointwise else sample_rotations(
-                cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members]).astype(np.float32)
-            targets = normalizer.apply(batch.targets).astype(np.float32)
-            epoch_losses.append(_train_step(model, opt, cfg, batch, rotations, targets,
-                                            epoch, b_start // cfg.batch_size))
-
-        val = _evaluate_prepared(model, normalizer, val_molecules, "val", cfg.batch_size)
-        score = float(np.mean(list(val.rmse.values())))
-        entry = {
-            "fold": fold,
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
-            "val_mae": dict(val.mae),
-            "val_rmse": dict(val.rmse),
-            "val_r2": dict(val.r2),
-        }
-        history.append(entry)
-        if best_score is None or score < best_score:
-            best_score = score
-            best_ckpt = checkpoint_from_model(model, normalizer, cfg)
-    return best_ckpt, history, best_score
+    fold: int
+    epoch: int
+    model: Model
+    opt: AdamWState
+    normalizer: Normalizer
+    train_molecules: dict[int, Molecule]
+    val_molecules: list[Molecule]
+    history: list[dict] = field(default_factory=list)
+    best_score: float | None = None
+    best: Checkpoint | None = None
 
 
-def train(cfg: TrainConfig, records) -> tuple[Checkpoint, list[dict]]:
-    """Train per the config's split spec; returns (checkpoint, history).
+def run_epoch(state: RunState, cfg: TrainConfig) -> dict:
+    """Shuffle, train and validate ``state``'s next epoch, updating its history, best and epoch; returns the entry."""
+    model, epoch = state.model, state.epoch
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, state.fold, epoch)))
+    order = np.asarray(list(state.train_molecules))[shuffle_rng.permutation(len(state.train_molecules))]
+    epoch_losses = []
+    for b_start in range(0, len(order), cfg.batch_size):
+        members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
+        batch = pack(state.train_molecules[i] for i in members)
+        rotations = None if cfg.model.ablate_3d or cfg.model.ablate_pointwise else sample_rotations(
+            cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members]).astype(np.float32)
+        targets = state.normalizer.apply(batch.targets).astype(np.float32)
+        epoch_losses.append(_train_step(model, state.opt, cfg, batch, rotations, targets,
+                                        epoch, b_start // cfg.batch_size))
 
-    Holdout trains once; kfold trains every fold sequentially and returns
-    the checkpoint of the fold with the best validation score. The history
-    holds one entry per (fold, epoch) with the train loss and denormalized
-    validation metrics; the retained checkpoint is the best-validation
-    snapshot, not the last epoch.
-    """
+    val = _evaluate_prepared(model, state.normalizer, state.val_molecules, "val", cfg.batch_size)
+    score = float(np.mean(list(val.rmse.values())))
+    entry = {
+        "fold": state.fold,
+        "epoch": epoch,
+        "train_loss": float(np.mean(epoch_losses)),
+        "val_mae": dict(val.mae),
+        "val_rmse": dict(val.rmse),
+        "val_r2": dict(val.r2),
+    }
+    state.history.append(entry)
+    if state.best_score is None or score < state.best_score:
+        state.best_score = score
+        state.best = checkpoint_from_model(model, state.normalizer, cfg)
+    state.epoch += 1
+    return entry
+
+
+def train_epochs(cfg: TrainConfig, records) -> typing.Iterator[tuple[RunState, dict]]:
+    """Train per the config's split spec, yielding ``(state, entry)`` after every epoch.
+
+    Holdout trains once; kfold trains every fold in turn from a fresh model. The best
+    checkpoint is the run's first epoch, of any fold, with the lowest mean val RMSE."""
     if not records:
         raise InvalidConfig("dataset is empty")
     task_names = dataset_task_names(records)
@@ -510,13 +515,24 @@ def train(cfg: TrainConfig, records) -> tuple[Checkpoint, list[dict]]:
     else:
         parts = split(records, cfg.split)
         folds = [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), val_idx) for i, val_idx in enumerate(parts)]
-    all_history = []
-    best = None
-    for fold_i, (train_idx, val_idx) in enumerate(folds):
-        ckpt, history, score = _train_one_fold(
-            cfg, records, train_idx, val_idx, fold_i, vocab, task_names, bonded
-        )
-        all_history.extend(history)
-        if best is None or score < best[0]:
-            best = (score, ckpt)
-    return best[1], all_history
+    state = None
+    for fold, (train_idx, val_idx) in enumerate(folds):
+        normalizer = normalize_targets(records, train_idx)
+        model = Model(cfg.model, vocab, task_names, seed=cfg.seed, bonded=bonded)
+        # each molecule is prepared once per fold: a float32 copy to train on, the float64 one to validate
+        fold_state = dict(fold=fold, epoch=0, model=model, opt=AdamWState(), normalizer=normalizer,
+                          train_molecules={int(i): lowered(model.prepare(records[i], training=True)) for i in train_idx},
+                          val_molecules=[model.prepare(records[i]) for i in val_idx])
+        # the history and the best so far carry over from the last fold
+        state = RunState(**fold_state) if state is None else dataclasses.replace(state, **fold_state)
+        while state.epoch < cfg.epochs:
+            yield state, run_epoch(state, cfg)
+        # the caller still holds this state: drop its molecules before the next fold's are made
+        state.train_molecules, state.val_molecules = {}, []
+
+
+def train(cfg: TrainConfig, records) -> tuple[Checkpoint, list[dict]]:
+    """Drain ``train_epochs``; returns the run's best checkpoint and its history, one entry per (fold, epoch)."""
+    for state, _ in train_epochs(cfg, records):
+        pass
+    return state.best, state.history

@@ -134,17 +134,17 @@ class TestPredictHead:
 
 class TestLoss:
     def test_lambda_zero_is_pure_mse(self):
-        out = loss(Value(np.array([0.0])), np.array([2.0]), Value(np.ones(3)), 0.0)
+        out = loss(Value(np.array([[0.0]])), np.array([[2.0]]), Value(np.ones((1, 3))), 0.0)
         assert out.data == 4.0
 
     def test_penalty_arithmetic(self):
-        out = loss(Value(np.array([1.0, 2.0])), np.array([1.0, 2.0]),
-                   Value(np.array([1.0, -2.0, 0.5])), 0.1)
+        out = loss(Value(np.array([[1.0, 2.0]])), np.array([[1.0, 2.0]]),
+                   Value(np.array([[1.0, -2.0, 0.5]])), 0.1)
         np.testing.assert_allclose(out.data, 0.35)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss(Value(np.zeros(2)), np.zeros(3), Value(np.zeros(2)), 0.0)
+            loss(Value(np.zeros((1, 2))), np.zeros((1, 3)), Value(np.zeros((1, 2))), 0.0)
 
     def test_one_target_row_is_not_repeated_over_the_rows(self):
         # a batch's target has one row per prediction row
@@ -155,8 +155,8 @@ class TestLoss:
     @settings(max_examples=30, deadline=None)
     def test_decomposition_identity(self, seed):
         rng = np.random.default_rng(seed)
-        y_hat, y = rng.normal(size=3), rng.normal(size=3)
-        u = rng.normal(size=5)
+        y_hat, y = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+        u = rng.normal(size=(1, 5))
         lam = float(rng.uniform(0, 0.5))
         with_pen = loss(Value(y_hat), y, Value(u), lam).data
         without = loss(Value(y_hat), y, Value(u), 0.0).data
@@ -166,7 +166,7 @@ class TestLoss:
     def test_view_rows_average_the_per_row_losses(self):
         rng = np.random.default_rng(3)
         y_hat, y, u = rng.normal(size=(4, 2)), rng.normal(size=2), rng.normal(size=(4, 5))
-        per_row = [loss(Value(y_hat[v]), y, Value(u[v]), 0.1).data for v in range(4)]
+        per_row = [loss(Value(y_hat[v : v + 1]), y[None], Value(u[v : v + 1]), 0.1).data for v in range(4)]
         np.testing.assert_allclose(loss(Value(y_hat), np.tile(y, (4, 1)), Value(u), 0.1).data, np.mean(per_row),
                                    rtol=1e-12)
 

@@ -37,6 +37,7 @@ from rotenc.trainer import (
     model_from_checkpoint,
     save_checkpoint,
     train,
+    train_epochs,
     _metrics_from_predictions,
 )
 
@@ -234,28 +235,19 @@ class TestTraining:
         with pytest.raises(InvalidConfig):
             train(smoke_config(epochs=1), records + [bonded])
 
-    def test_huge_l1_collapses_fused_vector(self, monkeypatch):
+    def test_huge_l1_collapses_fused_vector(self):
         # penalty domination is directional: the Adam step size caps how far
         # u can shrink in a few epochs, but it must shrink, with finite loss.
         # |u| is read from the model as the last epoch leaves it, not from the
         # best-validation checkpoint, which can be an early, barely trained epoch
-        import rotenc.trainer as trainer_module
-
-        snapshotted = []
-
-        def recording(model, *args):
-            snapshotted.append(model)
-            return checkpoint_from_model(model, *args)
-
-        monkeypatch.setattr(trainer_module, "checkpoint_from_model", recording)
         records = make_records(16, seed=10)
         base = smoke_config(epochs=10, lr=0.1, lambda_l1=0.0)
         heavy = smoke_config(epochs=10, lr=0.1, lambda_l1=1e6)
         norms = {}
         for name, cfg in (("base", base), ("heavy", heavy)):
-            snapshotted.clear()
-            _, history = train(cfg, records)
-            model = snapshotted[-1]  # the one model of the run, trained through its last epoch
+            for state, _ in train_epochs(cfg, records):
+                pass
+            model, history = state.model, state.history
             u_norms = []
             for record in records[:6]:
                 _, u = model.forward(pack([model.prepare(record)]))
@@ -328,6 +320,64 @@ class TestTraining:
         assert len(history) == 1
         with pytest.raises(DegenerateCloud, match="molecule co:"):
             evaluate(ckpt, [co])
+
+
+class TestTrainEpochs:
+    """``train_epochs`` yields its run state after every epoch, and one best-so-far spans every fold."""
+
+    SPLITS = {"holdout": (SplitSpec(mode="holdout", train_fraction=0.75, seed=1), 3),
+              "kfold": (SplitSpec(mode="kfold", k_folds=3, seed=2), 2)}
+
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_train_is_the_drained_generator(self, tmp_path, mode):
+        split, epochs = self.SPLITS[mode]
+        cfg, records = smoke_config(split=split, epochs=epochs), make_records(12, seed=8)
+        ckpt, history = train(cfg, records)
+        for state, _ in train_epochs(cfg, records):
+            pass
+        assert state.history == history
+        save_checkpoint(ckpt, tmp_path / "train.rotenc")
+        save_checkpoint(state.best, tmp_path / "drained.rotenc")
+        assert (hashlib.sha256((tmp_path / "train.rotenc").read_bytes()).digest()
+                == hashlib.sha256((tmp_path / "drained.rotenc").read_bytes()).digest())
+
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_each_yield_shows_the_epoch_just_run_and_the_best_so_far(self, mode):
+        split, epochs = self.SPLITS[mode]
+        yields, previous = 0, None
+        for state, entry in train_epochs(smoke_config(split=split, epochs=epochs), make_records(12, seed=8)):
+            yields += 1
+            assert state.epoch == entry["epoch"] + 1 and state.fold == entry["fold"]
+            assert state.history[-1] is entry and len(state.history) == yields
+            assert state.best_score == min(np.mean(list(e["val_rmse"].values())) for e in state.history)
+            if previous is not None and previous is not state:  # a finished fold holds no molecules
+                assert previous.fold == state.fold - 1 and (previous.train_molecules, previous.val_molecules) == ({}, [])
+            previous = state
+        assert yields == epochs * (1 if mode == "holdout" else 3)
+
+    def test_kfold_snapshots_only_run_wide_improvements(self, monkeypatch):
+        import rotenc.trainer as trainer_module
+
+        snapshots = []
+
+        def counting(*args):
+            snapshots.append(args)
+            return checkpoint_from_model(*args)
+
+        def improvements(scores):  # the scores below every earlier one
+            return sum(score < min(scores[:i], default=np.inf) for i, score in enumerate(scores))
+
+        monkeypatch.setattr(trainer_module, "checkpoint_from_model", counting)
+        split, epochs = self.SPLITS["kfold"]
+        _, history = train(smoke_config(split=split, epochs=epochs), make_records(12, seed=8))
+        scores = [(entry["fold"], np.mean(list(entry["val_rmse"].values()))) for entry in history]
+        run_wide = improvements([score for _, score in scores])
+        fold_local = sum(improvements([score for f, score in scores if f == fold]) for fold in range(3))
+        assert len(snapshots) == run_wide < fold_local
+
+    def test_an_empty_dataset_is_rejected(self):
+        with pytest.raises(InvalidConfig, match="dataset is empty"):
+            train(smoke_config(epochs=1), [])
 
 
 class TestPaperDefaultLearns:
