@@ -1,5 +1,7 @@
+import argparse
 import csv
 import errno
+import hashlib
 import json
 import os
 import re
@@ -139,6 +141,7 @@ class TestInputPathIsADirectory:
         err = capsys.readouterr().err
         assert code == 2
         assert "is not a file" in err and "a-folder" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -546,17 +549,47 @@ class TestImportance:
 
 
 class TestManifest:
-    def test_every_command_writes_manifest(self, workspace, trained, tmp_path):
-        root, data, _ = workspace
-        out = tmp_path / "ev"
-        assert main(["eval", "--checkpoint", str(trained), "--data", str(data),
-                     "--out", str(out)]) == 0
+    # command -> (input flags, other flags, the outputs in write order, the seeds recorded)
+    CASES = {
+        "convert": (["--xyz", "--targets"], [], ["dataset.jsonl"], []),
+        "train": (["--data", "--config"], [], ["checkpoint.rotenc", "metrics.csv"], ["train", "inference", "split"]),
+        "eval": (["--checkpoint", "--data"], [], ["metrics.csv"], ["inference"]),
+        "invariance": (["--checkpoint", "--data"], ["--rotations", "2", "--max-molecules", "2"], ["invariance.csv"],
+                       ["inference", "rotations"]),
+        "sweep-k": (["--data", "--config"], ["--k-values", "1", "--rotations", "2", "--max-molecules", "2"],
+                    ["sweep.csv"], ["train", "inference", "split", "rotations"]),
+        "sweep-k --checkpoint": (["--data", "--checkpoint"], ["--k-values", "1", "--rotations", "2",
+                                                              "--max-molecules", "2"],
+                                 ["sweep.csv"], ["inference", "rotations"]),
+        "align": (["--data"], [], ["aligned.jsonl", "degenerate.csv"], []),
+        "importance": (["--checkpoint", "--data"], ["--id", "syn00000"], ["importance.csv"], ["inference"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_command_writes_manifest(self, workspace, trained, tmp_path, case):
+        """The manifest lists exactly the files read, with their sha256, and the files written, in order;
+        a command that trains or loads a model records its config and seeds."""
+        root, data, config = workspace
+        paths = {"--xyz": GOLDEN / "golden.xyz", "--targets": GOLDEN / "golden_targets.csv",
+                 "--data": data, "--config": config, "--checkpoint": trained}
+        input_flags, other_flags, outputs, seeds = self.CASES[case]
+        argv = [case.split()[0]]
+        for flag in input_flags:
+            argv += [flag, str(paths[flag])]
+        out = tmp_path / "out"
+        assert main(argv + other_flags + ["--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "eval"
-        assert len(manifest["inputs"]) == 2  # checkpoint + dataset hashes
-        for digest in manifest["inputs"].values():
-            assert len(digest) == 64
-        assert str(out / "metrics.csv") in manifest["outputs"]
+        assert manifest["command"] == argv[0]
+        assert manifest["inputs"] == {
+            str(paths[flag]): hashlib.sha256(paths[flag].read_bytes()).hexdigest() for flag in input_flags
+        }
+        assert manifest["outputs"] == [str(out / name) for name in outputs]
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+        cfg = load_checkpoint(trained).train_config  # every model here is trained from TOY_CONFIG
+        known = {"train": cfg.seed, "inference": cfg.model.encoder.seed, "split": cfg.split.seed, "rotations": 0}
+        assert manifest["seeds"] == {name: known[name] for name in seeds}
+        expected_config = json.loads(json.dumps(config_to_dict(cfg))) if seeds else None
+        assert manifest["config"] == expected_config
 
 
 def _fails_after_the_first(items):
@@ -572,16 +605,20 @@ class TestAtomicWrites:
         records = make_records(3, seed=1 if whole else 2)
         write_dataset(records if whole else _fails_after_the_first(records), path)
 
+    @staticmethod
+    def command_run(path):
+        """A frame for ``eval`` whose --out holds ``path``."""
+        return cli.CommandRun(argparse.Namespace(command="eval", out=str(path.parent)))
+
     def write_csv(self, path, whole):
         rows = [[1, 2.5], [2, 3.5]]
-        cli._write_csv(path, ["id", "value"], rows if whole else _fails_after_the_first(rows))
+        self.command_run(path).write_csv(path.name, ["id", "value"], rows if whole else _fails_after_the_first(rows))
 
     def write_manifest(self, path, whole):
-        manifest = cli.Manifest("eval", path.parent)
-        manifest.add_output(path.parent / "metrics.csv")
-        if not whole:
-            manifest.data["outputs"].append(object())  # json.dump stops at it, past the keys before it
-        manifest.write()
+        with self.command_run(path) as run:
+            run.manifest["outputs"].append(str(path.parent / "metrics.csv"))
+            if not whole:
+                run.manifest["outputs"].append(object())  # json.dump stops at it, past the keys before it
 
     @pytest.mark.parametrize("writer, name", [("write_dataset", "dataset.jsonl"), ("write_csv", "metrics.csv"),
                                               ("write_manifest", "manifest.json")],
