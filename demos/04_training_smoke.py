@@ -14,7 +14,7 @@ from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
 from rotenc.model import ModelConfig, measure_invariance
 from rotenc.synthetic import make_records
-from rotenc.trainer import TrainConfig, evaluate, model_from_checkpoint, train_epochs
+from rotenc.trainer import TrainConfig, evaluate_model, model_from_checkpoint, train_epochs
 
 records = make_records(250, seed=8)
 cfg = TrainConfig(
@@ -34,14 +34,14 @@ for state, entry in train_epochs(cfg, records):
         print(f"{entry['epoch']:>5}  {entry['train_loss']:>10.4f}  {entry['val_mae']['rg']:>8.4f}", flush=True)
 checkpoint = state.best
 
-train_idx, test_idx = split(records, cfg.split)
-metrics = evaluate(checkpoint, records, indices=test_idx, split_name="holdout")
+_, test_idx = split(records, cfg.split)
+model, normalizer = model_from_checkpoint(checkpoint)
+metrics = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in test_idx], cfg.batch_size)
 print(f"\nheld-out ({len(test_idx)} molecules): MAE = {metrics.mae['rg']:.4f}  "
       f"RMSE = {metrics.rmse['rg']:.4f}  R2 = {metrics.r2['rg']:.3f}")
 
 # rotational invariance of the trained model: the k-view average leaves a
 # small residual; aligning at inference removes it entirely
-model, _ = model_from_checkpoint(checkpoint)
 report = measure_invariance(model, records[:10], n_rotations=25, seed=3)
 print(f"\ninvariance error (no alignment): mean = {report.mean_dev:.4f}, max = {report.max_dev:.4f}")
 

@@ -50,7 +50,6 @@ from .trainer import (
     Metrics,
     TrainConfig,
     adamw_step,
-    evaluate,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,

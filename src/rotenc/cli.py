@@ -3,10 +3,12 @@
 Every command runs in one ``CommandRun``. It checks each input file the
 command was given (--xyz, --targets, --checkpoint, --data, --config)
 before it makes the --out directory, writes each output whole, and writes
-``manifest.json`` into --out last, once the command has succeeded. The
-manifest holds ``tool``, ``command``, ``argv``, ``inputs`` (each input
-file's path and sha256), ``outputs`` (each file written into --out but the
-manifest, in write order), ``runtime_seconds``, ``config`` and ``seeds``:
+``manifest.json`` into --out last, once the command has succeeded. A
+command that fails removes the --out directories it made while they are
+still empty. The manifest holds ``tool``, ``command``, ``argv``,
+``inputs`` (each input file's path and sha256), ``outputs`` (each file
+written into --out but the manifest, in write order), ``runtime_seconds``,
+``config`` and ``seeds``:
 
 - ``convert``, ``align``: no model, so ``config`` is null and ``seeds`` empty.
 - ``train``: the resolved config; seeds ``train``, ``inference``, ``split``.
@@ -56,7 +58,6 @@ from .trainer import (
     TrainConfig,
     config_from_dict,
     config_to_dict,
-    evaluate,
     evaluate_model,
     load_checkpoint,
     model_from_checkpoint,
@@ -123,7 +124,8 @@ class CommandRun:
     each input flag's destination to its path. Each output is written
     through a writer that replaces its file whole and is listed in write
     order. As a context manager it writes manifest.json when its block ends
-    normally, and nothing when the block raises.
+    normally. When the block raises, it writes nothing and removes the
+    directories it made for --out, deepest first, while they are empty.
     """
 
     def __init__(self, args):
@@ -143,6 +145,7 @@ class CommandRun:
             "config": None,
         }
         self.out = Path(args.out)
+        self._made = [path for path in (self.out, *self.out.parents) if not path.exists()]  # deepest first
         self.out.mkdir(parents=True, exist_ok=True)
         self._start = time.time()
 
@@ -151,6 +154,11 @@ class CommandRun:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
+            for path in self._made:
+                try:
+                    path.rmdir()  # refused for the first directory that holds anything: it and its parents stay
+                except OSError:
+                    break
             return
         self.manifest["runtime_seconds"] = round(time.time() - self._start, 3)
         with atomic_write(self.out / "manifest.json", encoding="utf-8") as fh:
@@ -231,7 +239,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     with CommandRun(args) as run:
         ckpt = run.load_checkpoint()
-        metrics = evaluate(ckpt, load_dataset(run.inputs["data"]), split_name="eval")
+        model, normalizer = model_from_checkpoint(ckpt)
+        molecules = [model.prepare(record) for record in load_dataset(run.inputs["data"])]
+        metrics = evaluate_model(model, normalizer, molecules, ckpt.train_config.batch_size)
         rows = [
             [t, f"{metrics.mae[t]:.8g}", f"{metrics.rmse[t]:.8g}", f"{metrics.r2[t]:.8g}"]
             for t in ckpt.task_names
@@ -317,7 +327,7 @@ def cmd_sweep_k(args) -> int:
                 enc = replace(base_cfg.model.encoder, k=k)
                 ckpt, _ = train(replace(base_cfg, model=replace(base_cfg.model, encoder=enc)), records)
                 model, normalizer = model_from_checkpoint(ckpt)
-            metrics = evaluate_model(model, normalizer, records, split_name=f"k={k}")
+            metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records])
             report = measure_invariance(model, records[: args.max_molecules],
                                         n_rotations=args.rotations, seed=seed)
             runtime = time.time() - start

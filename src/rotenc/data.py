@@ -33,6 +33,7 @@ from .errors import (
     InvalidConfig,
     InvalidSplit,
     ParseError,
+    TaskMismatch,
     UnknownElement,
 )
 from .gnn import MolecularGraph
@@ -270,8 +271,11 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     either featurization with a single constant column (the engineered
     feature ablation); ``edge_width`` gives the feature width. Node
     features are one-hot over ``vocab``, and the targets are the record's
-    values of ``task_names``, in that order.
+    values of ``task_names``, in that order; a record with other task
+    names raises TaskMismatch.
     """
+    if sorted(record.targets) != sorted(task_names):
+        raise TaskMismatch(f"tasks do not match {tuple(task_names)}, got {tuple(sorted(record.targets))}")
     n = record.n_atoms
     # each pair becomes the directed edges (i, j) and (j, i), both with the pair's feature row;
     # the edges come out grouped by destination, as MolecularGraph stores them

@@ -183,8 +183,9 @@ class Model:
         This is the one place a record becomes model input and the one place
         the align policy is read: inference aligns under ``post``, training
         never does. A record the model cannot take (coordinates out of
-        range, an unknown element, a molecule that cannot be aligned) raises
-        its InputError with the molecule's id in the message.
+        range, an unknown element, task names other than the model's, a
+        molecule that cannot be aligned) raises its InputError with the
+        molecule's id in the message.
 
         Graph and cloud then take ``canonical_order``, so any atom order of
         a record that prepares to the same cloud gives the same arrays (exact

@@ -45,7 +45,7 @@ from .data import (
     normalize_targets,
     split,
 )
-from .errors import Diverged, InvalidConfig, NoData, StaleGradient, TaskMismatch
+from .errors import Diverged, InvalidConfig, NoData, StaleGradient
 from .geometry import sample_rotations
 from .model import Model, ModelConfig, loss
 from .packing import Molecule, lowered, pack
@@ -90,9 +90,8 @@ class TrainConfig:
 
 @dataclass
 class Metrics:
-    """Per-task MAE / RMSE / R^2 on a named split (original target units)."""
+    """Per-task MAE / RMSE / R^2 (original target units)."""
 
-    split: str
     mae: dict[str, float]
     rmse: dict[str, float]
     r2: dict[str, float]
@@ -357,6 +356,9 @@ def _check_shapes(kind: str, saved: dict, expected: dict) -> None:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, Normalizer]:
+    if tuple(ckpt.normalizer.task_names) != tuple(ckpt.task_names):
+        raise InvalidConfig(f"checkpoint normalizer tasks {ckpt.normalizer.task_names} "
+                            f"do not match its tasks {ckpt.task_names}")
     model = Model(
         ckpt.train_config.model,
         ckpt.vocab,
@@ -379,10 +381,20 @@ def _rotation_seed(base: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence((base, epoch, index)).generate_state(1)[0])
 
 
-def _metrics_from_predictions(preds: np.ndarray, targets: np.ndarray, task_names,
-                              split_name: str) -> Metrics:
+def evaluate_model(model: Model, normalizer: Normalizer, molecules,
+                   batch_size: int = TrainConfig.batch_size) -> Metrics:
+    """MAE / RMSE / R^2 per task of prepared molecules (``Model.prepare``), in original units.
+
+    The molecules are predicted in packed batches of ``batch_size``; a
+    molecule's prediction does not depend on its batch companions.
+    """
+    if not molecules:
+        raise NoData("no molecules to evaluate")
+    preds = normalizer.invert(np.concatenate([model.predict_batch(pack(molecules[start : start + batch_size]))
+                                              for start in range(0, len(molecules), batch_size)]))
+    targets = np.stack([molecule.graph.targets for molecule in molecules])
     mae, rmse, r2 = {}, {}, {}
-    for j, task in enumerate(task_names):
+    for j, task in enumerate(model.task_names):
         err = preds[:, j] - targets[:, j]
         mae[task] = float(np.mean(np.abs(err)))
         rmse[task] = float(np.sqrt(np.mean(err**2)))
@@ -390,41 +402,7 @@ def _metrics_from_predictions(preds: np.ndarray, targets: np.ndarray, task_names
         ss_tot = float(np.sum(centered**2))
         ss_res = float(np.sum(err**2))
         r2[task] = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return Metrics(split=split_name, mae=mae, rmse=rmse, r2=r2)
-
-
-def evaluate_model(model: Model, normalizer: Normalizer, records, indices=None,
-                   split_name: str = "eval", batch_size: int = TrainConfig.batch_size) -> Metrics:
-    """MAE / RMSE / R^2 per task in original (denormalized) units.
-
-    The molecules are predicted in packed batches of ``batch_size``; a
-    molecule's prediction does not depend on its batch companions.
-    """
-    if tuple(normalizer.task_names) != tuple(model.task_names):
-        raise TaskMismatch(f"normalizer tasks {normalizer.task_names} != model {model.task_names}")
-    chosen = [records[i] for i in (range(len(records)) if indices is None else indices)]
-    if not chosen:
-        raise NoData(f"no molecules to evaluate on split {split_name!r}")
-    for record in chosen:
-        if tuple(sorted(record.targets)) != tuple(model.task_names):
-            raise TaskMismatch(f"record {record.id} tasks do not match {model.task_names}")
-    return _evaluate_prepared(model, normalizer, [model.prepare(record) for record in chosen],
-                              split_name, batch_size)
-
-
-def _evaluate_prepared(model: Model, normalizer: Normalizer, molecules, split_name: str,
-                       batch_size: int) -> Metrics:
-    """Metrics of prepared molecules, predicted in packed batches of ``batch_size``."""
-    preds = np.concatenate([model.predict_batch(pack(molecules[start : start + batch_size]))
-                            for start in range(0, len(molecules), batch_size)])
-    targets = np.stack([molecule.graph.targets for molecule in molecules])
-    return _metrics_from_predictions(normalizer.invert(preds), targets, model.task_names, split_name)
-
-
-def evaluate(ckpt: Checkpoint, records, indices=None, split_name: str = "eval") -> Metrics:
-    model, normalizer = model_from_checkpoint(ckpt)
-    return evaluate_model(model, normalizer, records, indices, split_name,
-                          batch_size=ckpt.train_config.batch_size)
+    return Metrics(mae=mae, rmse=rmse, r2=r2)
 
 
 def _train_step(model: Model, opt: AdamWState, cfg: TrainConfig, batch, rotations, targets,
@@ -478,7 +456,7 @@ def run_epoch(state: RunState, cfg: TrainConfig) -> dict:
         epoch_losses.append(_train_step(model, state.opt, cfg, batch, rotations, targets,
                                         epoch, b_start // cfg.batch_size))
 
-    val = _evaluate_prepared(model, state.normalizer, state.val_molecules, "val", cfg.batch_size)
+    val = evaluate_model(model, state.normalizer, state.val_molecules, cfg.batch_size)
     score = float(np.mean(list(val.rmse.values())))
     entry = {
         "fold": state.fold,

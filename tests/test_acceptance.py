@@ -28,7 +28,7 @@ from rotenc.packing import pack
 from rotenc.synthetic import make_records, mirror_cloud, random_cloud
 from rotenc.trainer import (
     TrainConfig,
-    evaluate,
+    evaluate_model,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
@@ -192,7 +192,8 @@ def test_08_learning_smoke():
         assert last <= 0.5 * first, f"MSE {first:.4f} -> {last:.4f}"
         train_idx, test_idx = split_records(records, cfg.split)
         assert len(test_idx) == 50
-        metrics = evaluate(ckpt, records, indices=test_idx, split_name="holdout")
+        model, normalizer = model_from_checkpoint(ckpt)
+        metrics = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in test_idx], cfg.batch_size)
         assert metrics.r2["rg"] > 0.3, metrics
 
 

@@ -109,9 +109,10 @@ def test_tracer_records_spans_around_train_and_predict_and_uninstalls(tracing):
         assert np.all(np.isfinite(model.predict(records[0])))
     spans = tracing.self_times(tracer.spans)
     # message passing is one ad.message_layer node, so no model path calls scatter_add_rows;
-    # test_every_traced_name_resolves keeps its name resolving
+    # test_every_traced_name_resolves keeps its name resolving. Validation is evaluate_model's,
+    # so trainer.val_share reads the time of every epoch's validation pass
     for name in ("encoder3d.encode", "gnn.gnn_forward", "autodiff.matmul", "autodiff.batchnorm",
-                 "autodiff.gather_rows", "autodiff.backward", "model.predict"):
+                 "autodiff.gather_rows", "autodiff.backward", "model.predict", "trainer.evaluate_model"):
         assert spans.get(name, {}).get("calls", 0) >= 1, name
     assert tracer.counts["encoder3d.views"] > 0
     # the relus' backward-only work runs inside the closures the tracer times

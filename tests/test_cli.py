@@ -283,7 +283,7 @@ class TestSweepK:
         for row in rows:
             model, normalizer = model_from_checkpoint(load_checkpoint(trained))
             model.cfg = replace(model.cfg, encoder=replace(model.cfg.encoder, k=int(row["k"])))
-            metrics = evaluate_model(model, normalizer, records, split_name="fresh")
+            metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records])
             report = measure_invariance(model, records[:4], n_rotations=3, seed=0)
             assert row["mae"] == f"{float(np.mean(list(metrics.mae.values()))):.8g}"
             assert row["mean_dev"] == f"{report.mean_dev:.10g}"
@@ -362,11 +362,49 @@ class TestInputFaultsExit2:
         code = main(["train", "--data", str(flat), "--config", str(config), "--out", str(tmp_path / "t")])
         self.assert_input_error(code, capsys.readouterr().err, "'y' is constant")
 
-    def test_eval_of_a_dataset_with_other_tasks(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("command, flags, molecule", [
+        ("eval", [], "syn00000"),
+        ("invariance", ["--rotations", "2"], "syn00000"),
+        ("importance", ["--id", "syn00002"], "syn00002"),
+        ("sweep-k", ["--k-values", "2", "--rotations", "2"], "syn00000"),
+    ], ids=["eval", "invariance", "importance", "sweep-k-checkpoint"])
+    def test_eval_of_a_dataset_with_other_tasks(self, trained, tmp_path, capsys, command, flags, molecule):
         other = tmp_path / "other.jsonl"
         write_dataset(make_records(4, seed=3, target="y"), other)
-        code = main(["eval", "--checkpoint", str(trained), "--data", str(other), "--out", str(tmp_path / "ev")])
-        self.assert_input_error(code, capsys.readouterr().err, "tasks do not match")
+        code = main([command, "--checkpoint", str(trained), "--data", str(other), *flags,
+                     "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        self.assert_input_error(code, err, "tasks do not match")
+        assert err.startswith(f"error: molecule {molecule}: ")
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("command, flags, words, out", [
+        ("invariance", ["--checkpoint", "DATA"], "not a checkpoint file", "new/out"),
+        ("invariance", ["--checkpoint", "CKPT", "--rotations", "2", "--align-modes", "none,pre"], "got 'pre'",
+         "new/out"),
+        ("importance", ["--checkpoint", "CKPT", "--id", "nope"], "'nope' not found", "new/out"),
+        ("importance", ["--checkpoint", "CKPT", "--id", "syn00000", "--task", "5"], "--task 5 out of range",
+         "new/out"),
+        ("sweep-k", ["--config", "CONFIG", "--k-values", "2", "--seed", "-1"], "-1", "new/out"),
+        ("importance", ["--checkpoint", "CKPT", "--id", "nope"], "'nope' not found", "existed"),
+    ], ids=["invariance-of-a-dataset", "invariance-pre", "importance-id", "importance-task", "sweep-k-seed",
+            "out-existed"])
+    def test_a_failed_command_leaves_no_out(self, workspace, trained, tmp_path, capsys, command, flags, words, out):
+        # --out is made before the work starts; a failure removes every directory made for it, and only those
+        root, data, config = workspace
+        paths = {"DATA": str(data), "CKPT": str(trained), "CONFIG": str(config)}
+        (tmp_path / "existed").mkdir()
+        code = main([command, "--data", str(data), *(paths.get(f, f) for f in flags), "--out", str(tmp_path / out)])
+        self.assert_input_error(code, capsys.readouterr().err, words)
+        assert [p.name for p in tmp_path.iterdir()] == ["existed"] and list((tmp_path / "existed").iterdir()) == []
+
+    def test_a_failed_command_keeps_an_out_that_holds_a_file(self, tmp_path):
+        out = tmp_path / "new" / "out"
+        with pytest.raises(RuntimeError):
+            with cli.CommandRun(argparse.Namespace(command="align", out=str(out))) as run:
+                (run.out / "partial.csv").write_text("written before the fault\n")
+                raise RuntimeError("fault after the first output")
+        assert [p.name for p in out.iterdir()] == ["partial.csv"]
 
     @pytest.mark.parametrize("out", ["a-file", "a-file/below"])
     def test_out_path_that_cannot_be_a_directory(self, workspace, tmp_path, capsys, out):

@@ -150,8 +150,9 @@ class TestPackedInference:
         records = make_records(7, seed=5)
         model = Model(tiny_model_config(), VOCAB, ("rg",), seed=2)
         normalizer = normalize_targets(records, np.arange(7))
-        one = evaluate_model(model, normalizer, records, batch_size=1)
-        three = evaluate_model(model, normalizer, records, batch_size=3)
+        molecules = [model.prepare(record) for record in records]
+        one = evaluate_model(model, normalizer, molecules, batch_size=1)
+        three = evaluate_model(model, normalizer, molecules, batch_size=3)
         for metric in ("mae", "rmse", "r2"):
             np.testing.assert_allclose(getattr(three, metric)["rg"], getattr(one, metric)["rg"], rtol=1e-12)
 
@@ -176,7 +177,7 @@ class TestDegenerateMoleculeInABatch:
         records = make_records(4, seed=6) + [self._co()]
         normalizer = normalize_targets(records, np.arange(4))
         with pytest.raises(DegenerateCloud, match="molecule co:"):
-            evaluate_model(model, normalizer, records, batch_size=3)
+            evaluate_model(model, normalizer, [model.prepare(record) for record in records], batch_size=3)
         with pytest.raises(DegenerateCloud, match="molecule co:"):
             measure_invariance(model, records[3:], n_rotations=3)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore
-from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, split as split_records
+from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, dataset_vocab, split as split_records
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, InvalidSplit, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
@@ -31,14 +31,12 @@ from rotenc.trainer import (
     checkpoint_from_model,
     config_from_dict,
     config_to_dict,
-    evaluate,
     evaluate_model,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
     train,
     train_epochs,
-    _metrics_from_predictions,
 )
 
 
@@ -131,22 +129,31 @@ class TestAdamW:
             assert state.m[name] is m and state.v[name] is v
 
 
+def _metrics(preds, targets):
+    """``evaluate_model``'s metrics of a model that predicts ``preds`` for molecules whose targets are ``targets``."""
+    records = [replace(r, targets={"e": float(t)}) for r, t in zip(make_records(len(targets), seed=1), targets[:, 0])]
+    model = Model(tiny_model_config(), dataset_vocab(records), ("e",))
+    molecules = [model.prepare(r) for r in records]
+    model.predict_batch = lambda batch: preds  # every molecule fits one batch of the default size
+    return evaluate_model(model, Normalizer(("e",), np.zeros(1), np.ones(1)), molecules)
+
+
 class TestMetrics:
     def test_perfect_predictions(self):
         preds = np.array([[1.0], [2.0], [3.0]])
-        m = _metrics_from_predictions(preds, preds.copy(), ("e",), "test")
+        m = _metrics(preds, preds.copy())
         assert m.mae["e"] == 0.0 and m.rmse["e"] == 0.0 and m.r2["e"] == 1.0
 
     def test_predicting_the_mean_gives_zero_r2(self):
         targets = np.array([[1.0], [2.0], [3.0], [6.0]])
         preds = np.full_like(targets, targets.mean())
-        m = _metrics_from_predictions(preds, targets, ("e",), "test")
+        m = _metrics(preds, targets)
         assert abs(m.r2["e"]) <= 1e-12
 
     def test_mae_arithmetic(self):
         preds = np.array([[1.0], [3.0]])
         targets = np.array([[2.0], [2.0]])
-        m = _metrics_from_predictions(preds, targets, ("e",), "test")
+        m = _metrics(preds, targets)
         assert m.mae["e"] == 1.0
         assert m.rmse["e"] >= m.mae["e"] >= 0.0
 
@@ -154,7 +161,7 @@ class TestMetrics:
         rng = np.random.default_rng(3)
         targets = rng.normal(size=(12, 1))
         preds = targets + rng.normal(size=(12, 1)) * 0.3
-        m = _metrics_from_predictions(preds, targets, ("e",), "test")
+        m = _metrics(preds, targets)
         assert m.rmse["e"] >= m.mae["e"] >= 0.0
         assert m.r2["e"] <= 1.0
 
@@ -290,7 +297,7 @@ class TestTraining:
         best = min(history, key=lambda entry: np.mean(list(entry["val_rmse"].values())))
         model, normalizer = model_from_checkpoint(ckpt)
         _, val_idx = split_records(records, cfg.split)
-        val = evaluate_model(model, normalizer, records, val_idx, "val", cfg.batch_size)
+        val = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in val_idx], cfg.batch_size)
         assert (val.mae, val.rmse, val.r2) == (best["val_mae"], best["val_rmse"], best["val_r2"])
 
     def test_edgeless_batches_train(self):
@@ -318,8 +325,9 @@ class TestTraining:
         assert 0 in split_records(records, cfg.split)[0]
         ckpt, history = train(cfg, records)
         assert len(history) == 1
+        model, _ = model_from_checkpoint(ckpt)
         with pytest.raises(DegenerateCloud, match="molecule co:"):
-            evaluate(ckpt, [co])
+            model.prepare(co)
 
 
 class TestTrainEpochs:
@@ -639,22 +647,29 @@ class TestCheckpoint:
         records = make_records(12, seed=15)
         cfg = smoke_config(epochs=1)
         ckpt, _ = train(cfg, records)
-        metrics = evaluate(ckpt, records, split_name="all")
+        model, normalizer = model_from_checkpoint(ckpt)
+        metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in records])
         assert set(metrics.mae) == {"rg"}
         assert metrics.rmse["rg"] >= metrics.mae["rg"] >= 0.0
         assert metrics.r2["rg"] <= 1.0
 
     def test_task_mismatch_detected(self):
+        # a record is refused where its targets are read, whether it lacks the model's task or carries another
         records = make_records(8, seed=16)
         ckpt, _ = train(smoke_config(epochs=1), records)
-        model, normalizer = model_from_checkpoint(ckpt)
-        from rotenc.data import MoleculeRecord
+        model, _ = model_from_checkpoint(ckpt)
+        for targets in ({"other": 1.0}, {"rg": 1.0, "other": 1.0}):
+            alien = MoleculeRecord(id="alien", atomic_numbers=[1, 6],
+                                   coords=np.array([[0.0, 0, 0], [1.0, 0, 0]]), bonds=None, targets=targets)
+            with pytest.raises(TaskMismatch, match="molecule alien: .*tasks do not match"):
+                model.prepare(alien)
 
-        alien = MoleculeRecord(id="alien", atomic_numbers=[1, 6],
-                               coords=np.array([[0.0, 0, 0], [1.0, 0, 0]]), bonds=None,
-                               targets={"other": 1.0})
-        with pytest.raises(TaskMismatch):
-            evaluate_model(model, normalizer, [alien])
+    def test_normalizer_tasks_must_match_the_checkpoints(self):
+        cfg = smoke_config()
+        model = Model(cfg.model, vocab=(1, 6, 7, 8), task_names=("rg",), seed=0)
+        ckpt = checkpoint_from_model(model, Normalizer(("y",), np.zeros(1), np.ones(1)), cfg)
+        with pytest.raises(InvalidConfig, match="normalizer tasks .* do not match"):
+            model_from_checkpoint(ckpt)
 
 
 def _owner(d: dict, path: str) -> tuple[dict, str]:
