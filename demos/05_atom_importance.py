@@ -17,7 +17,6 @@ from rotenc.trainer import TrainConfig, model_from_checkpoint, train
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
 from rotenc.model import ModelConfig
-from rotenc.packing import pack
 
 records = make_records(60, seed=5)
 cfg = TrainConfig(
@@ -59,7 +58,7 @@ for axis in range(3):
         coords = record.coords.copy()
         coords[0, axis] += sign * h
         moved = model.prepare(replace(record, coords=coords))
-        y, _ = model.forward(pack([replace(moved, graph=graph)]))
+        y, _ = model.forward(replace(moved, graph=graph))
         outs.append(y.data[0, 0])
     fd_sq += ((outs[0] - outs[1]) / (2 * h)) ** 2
 print(f"atom 0: analytic coord gradient = {coord_part[0]:.6f}, finite difference = {np.sqrt(fd_sq):.6f}")

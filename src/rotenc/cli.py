@@ -240,8 +240,8 @@ def cmd_eval(args) -> int:
     with CommandRun(args) as run:
         ckpt = run.load_checkpoint()
         model, normalizer = model_from_checkpoint(ckpt)
-        molecules = [model.prepare(record) for record in load_dataset(run.inputs["data"])]
-        metrics = evaluate_model(model, normalizer, molecules, ckpt.train_config.batch_size)
+        batches = [model.prepare(record) for record in load_dataset(run.inputs["data"])]
+        metrics = evaluate_model(model, normalizer, batches, ckpt.train_config.batch_size)
         rows = [
             [t, f"{metrics.mae[t]:.8g}", f"{metrics.rmse[t]:.8g}", f"{metrics.r2[t]:.8g}"]
             for t in ckpt.task_names
@@ -310,9 +310,12 @@ def cmd_sweep_k(args) -> int:
     with CommandRun(args) as run:
         records = load_dataset(run.inputs["data"])
         seed = args.seed if args.seed is not None else 0
+        # prepare does not read k: the records are prepared once, by the checkpoint's or the first row's model
+        batches = None
         if args.checkpoint:
             model, normalizer = model_from_checkpoint(run.load_checkpoint())
             base_cfg = model.cfg
+            batches = [model.prepare(record) for record in records]
         else:
             base_cfg = resolve_config(args)
             run.record_config(base_cfg)
@@ -327,7 +330,8 @@ def cmd_sweep_k(args) -> int:
                 enc = replace(base_cfg.model.encoder, k=k)
                 ckpt, _ = train(replace(base_cfg, model=replace(base_cfg.model, encoder=enc)), records)
                 model, normalizer = model_from_checkpoint(ckpt)
-            metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records])
+                batches = batches or [model.prepare(record) for record in records]
+            metrics = evaluate_model(model, normalizer, batches)
             report = measure_invariance(model, records[: args.max_molecules],
                                         n_rotations=args.rotations, seed=seed)
             runtime = time.time() - start

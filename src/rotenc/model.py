@@ -28,7 +28,7 @@ from .encoder3d import EncoderConfig
 from .errors import InputError, InvalidConfig, NoData
 from .geometry import PointCloud
 from .gnn import GnnConfig
-from .packing import Batch, Molecule, pack
+from .packing import Batch, pack
 
 
 @dataclass
@@ -47,6 +47,11 @@ class ModelConfig:
             raise InvalidConfig("g_dim and head_hidden must be positive")
         if not 0 < self.cutoff < math.inf:
             raise InvalidConfig(f"cutoff must be finite and positive, got {self.cutoff}")
+
+    @property
+    def reads_coords(self) -> bool:
+        """Whether the model reads coordinates: only the full encoder does."""
+        return not (self.ablate_3d or self.ablate_pointwise)
 
     @property
     def d_p_effective(self) -> int:
@@ -77,8 +82,8 @@ class Inputs(NamedTuple):
 
     ``node_feats`` are the (N, d0) node features, ``coords`` the (N, 3)
     prepared coordinates and ``emb`` each atom's (N, embed_dim) ``enc.embed``
-    row; a model without the encoder (``ablate_3d``) reads neither, and they
-    are None.
+    row. ``coords`` is None unless the model ``reads_coords``, and ``emb``
+    is None too without the encoder (``ablate_3d``).
     """
 
     node_feats: Value
@@ -177,15 +182,15 @@ class Model:
     def d_edge(self) -> int:
         return edge_width(self.bonded, self.edge_features)
 
-    def prepare(self, record: MoleculeRecord, training: bool = False) -> Molecule:
-        """The record's graph and its cloud, centered and aligned as the policy asks, ready to pack.
+    def prepare(self, record: MoleculeRecord, training: bool = False) -> Batch:
+        """The record as a batch of one: its graph and its cloud, centered and aligned as the policy asks.
 
         This is the one place a record becomes model input and the one place
-        the align policy is read: inference aligns under ``post``, training
-        never does. A record the model cannot take (coordinates out of
-        range, an unknown element, task names other than the model's, a
-        molecule that cannot be aligned) raises its InputError with the
-        molecule's id in the message.
+        the align policy is read: inference aligns under ``post`` when the
+        model ``reads_coords``, training never does. A record the model
+        cannot take (coordinates out of range, an unknown element, task
+        names other than the model's, a molecule that cannot be aligned)
+        raises its InputError with the molecule's id in the message.
 
         Graph and cloud then take ``canonical_order``, so any atom order of
         a record that prepares to the same cloud gives the same arrays (exact
@@ -199,13 +204,14 @@ class Model:
         with for_molecule(record):
             cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
             if not self.cfg.ablate_3d:
-                cloud = encoder3d.prepare_cloud(cloud, self.cfg.encoder.align_mode == "post" and not training)
+                align = self.cfg.reads_coords and self.cfg.encoder.align_mode == "post" and not training
+                cloud = encoder3d.prepare_cloud(cloud, align)
             order = canonical_order(record, cloud)
             graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
                                 task_names=self.task_names, edge_features=self.edge_features)
             # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
             cloud = PointCloud.trusted(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
-            return Molecule(record.id, graph, cloud, order)
+            return Batch(graph, cloud, np.array([0, graph.n_nodes]), order)
 
     def inputs(self, batch: Batch) -> Inputs:
         """The batch's node features, coordinates and embedding rows as graph nodes.
@@ -218,7 +224,7 @@ class Model:
         if self.cfg.ablate_3d:
             return Inputs(node_feats, None, None)
         emb = ad.gather_rows(self.store["enc.embed"], vocab_rows(self.vocab, batch.cloud.atomic_numbers))
-        return Inputs(node_feats, Value(batch.cloud.coords), emb)
+        return Inputs(node_feats, Value(batch.cloud.coords) if self.cfg.reads_coords else None, emb)
 
     def forward(self, batch: Batch, *, training: bool = False, rotations=None,
                 inputs: Inputs | None = None) -> tuple[Value, Value]:
@@ -252,10 +258,10 @@ class Model:
     def predict(self, record: MoleculeRecord) -> np.ndarray:
         """Deterministic inference (normalized-target units) for one molecule, a batch of one.
 
-        Under an aligning policy, a molecule with a degenerate spectrum or a
-        single atom raises DegenerateCloud or TooFewPoints naming its id.
+        A model that aligns raises DegenerateCloud or TooFewPoints naming the
+        molecule's id for a molecule with a degenerate spectrum or a single atom.
         """
-        return self.predict_batch(pack([self.prepare(record)]))[0]
+        return self.predict_batch(self.prepare(record))[0]
 
 
 def measure_invariance(model: Model, records, n_rotations: int, seed: int = 0) -> InvarianceReport:
@@ -309,8 +315,7 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int) -> tu
     """
     if not (0 <= task_index < len(model.task_names)):
         raise InvalidConfig(f"task_index {task_index} out of range for {model.task_names}")
-    molecule = model.prepare(record)
-    batch = pack([molecule])
+    batch = model.prepare(record)
     leaves = Inputs(*(None if v is None else Value(v.data, requires_grad=True) for v in model.inputs(batch)))
     y_hat, _ = model.forward(batch, inputs=leaves)
     ad.backward(ad.pick(y_hat, (0, task_index)))
@@ -328,5 +333,5 @@ def atom_importance(model: Model, record: MoleculeRecord, task_index: int) -> tu
     peak = float(scores.max())
     if peak > 0:
         scores = scores / peak
-    rank = np.argsort(molecule.order)
+    rank = np.argsort(batch.order)
     return scores[rank], coord_component[rank]

@@ -9,8 +9,9 @@ pooling reduce each molecule on its own, in its canonical atom order
 (``Model.prepare``). At inference a molecule's values therefore do not
 depend on its batch companions. Training batchnorm is the exception: it
 normalizes each channel over the whole batch. One molecule is
-``offsets = [0, n]``. A batch keeps its molecules' dtype: the float32
-copies of ``lowered`` pack into a float32 batch.
+``offsets = [0, n]``, which ``Model.prepare`` returns; ``pack`` joins
+batches. A batch keeps its molecules' dtype: the float32 copies of
+``lowered`` pack into a float32 batch.
 """
 
 from __future__ import annotations
@@ -19,68 +20,55 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoData, ShapeError
+from .errors import NoData
 from .geometry import PointCloud
 from .gnn import MolecularGraph
 
 
 @dataclass(frozen=True)
-class Molecule:
-    """One molecule ready to pack: its graph, its prepared cloud and their atom order.
+class Batch:
+    """Packed molecules: the disjoint-union graph, the joined clouds, the offsets and the atom order.
 
-    The cloud is centered and, under an aligning policy, in its canonical
-    frame (``Model.prepare``); packing does not touch coordinates. Atom i
-    of graph and cloud is atom ``order[i]`` of the record.
+    The clouds are centered and, under an aligning policy, in their
+    canonical frames (``Model.prepare``); packing does not touch
+    coordinates. Atom i of graph and cloud is atom ``order[i]`` of its
+    molecule's record.
     """
 
-    id: str
-    graph: MolecularGraph
-    cloud: PointCloud
-    order: np.ndarray
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Packed molecules: the disjoint-union graph, the joined clouds and the offsets."""
-
-    ids: tuple[str, ...]
     graph: MolecularGraph
     cloud: PointCloud
     offsets: np.ndarray
+    order: np.ndarray
 
     @property
     def targets(self) -> np.ndarray:
         """One row of targets per molecule, (B, n_tasks)."""
-        return self.graph.targets.reshape(len(self.ids), -1)
+        return self.graph.targets.reshape(len(self), -1)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.offsets) - 1
 
 
-def pack(molecules) -> Batch:
-    """Join molecules into one batch, in the order given; a batch of one keeps its graph and cloud."""
-    molecules = list(molecules)
-    if not molecules:
+def pack(batches) -> Batch:
+    """Join batches into one, in the order given; a lone batch is returned unchanged."""
+    batches = list(batches)
+    if not batches:
         raise NoData("cannot pack an empty batch")
-    for m in molecules:
-        if m.cloud.n_atoms != m.graph.n_nodes:
-            raise ShapeError(f"molecule {m.id}: cloud has {m.cloud.n_atoms} atoms, graph {m.graph.n_nodes} nodes")
-    offsets = np.cumsum([0] + [m.graph.n_nodes for m in molecules])
-    ids = tuple(m.id for m in molecules)
-    if len(molecules) == 1:
-        return Batch(ids, molecules[0].graph, molecules[0].cloud, offsets)
-    graphs = [m.graph for m in molecules]
-    # shifting each molecule's checked, destination-grouped edges past the atoms
+    if len(batches) == 1:
+        return batches[0]
+    starts = np.cumsum([0] + [b.graph.n_nodes for b in batches])
+    # shifting each batch's checked, destination-grouped edges past the atoms
     # before it keeps them checked and grouped: the union is not checked or sorted again
     graph = MolecularGraph.trusted(
-        node_feats=np.concatenate([g.node_feats for g in graphs]),
-        edges=np.concatenate([g.edges + start for g, start in zip(graphs, offsets)]),
-        edge_feats=np.concatenate([g.edge_feats for g in graphs]),
-        targets=np.stack([g.targets for g in graphs]),
+        node_feats=np.concatenate([b.graph.node_feats for b in batches]),
+        edges=np.concatenate([b.graph.edges + start for b, start in zip(batches, starts)]),
+        edge_feats=np.concatenate([b.graph.edge_feats for b in batches]),
+        targets=np.concatenate([b.targets for b in batches]),
     )
-    cloud = PointCloud.trusted(np.concatenate([m.cloud.coords for m in molecules]),
-                               np.concatenate([m.cloud.atomic_numbers for m in molecules]))
-    return Batch(ids, graph, cloud, offsets)
+    cloud = PointCloud.trusted(np.concatenate([b.cloud.coords for b in batches]),
+                               np.concatenate([b.cloud.atomic_numbers for b in batches]))
+    offsets = np.concatenate([[0]] + [b.offsets[1:] + start for b, start in zip(batches, starts)])
+    return Batch(graph, cloud, offsets, np.concatenate([b.order for b in batches]))
 
 
 _FLOAT32_TINY = np.finfo(np.float32).tiny  # the smallest normal float32
@@ -93,16 +81,16 @@ def _float32(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def lowered(molecule: Molecule) -> Molecule:
-    """The float32 training copy of a molecule: its coordinates, node features and edge features.
+def lowered(batch: Batch) -> Batch:
+    """The float32 training copy of a batch: its coordinates, node features and edge features.
 
     Entries too small for a normal float32 become 0, not subnormals: an
     RBF edge feature reaches 1e-138, and a subnormal operand slows a GEMM
-    several times over. Edges, targets and the atom order are shared with
-    ``molecule``, which is not changed.
+    several times over. Edges, targets, offsets and the atom order are
+    shared with ``batch``, which is not changed.
     """
-    graph = molecule.graph
-    return replace(molecule,
+    graph = batch.graph
+    return replace(batch,
                    graph=MolecularGraph.trusted(_float32(graph.node_feats), graph.edges,
                                                 _float32(graph.edge_feats), graph.targets),
-                   cloud=PointCloud.trusted(_float32(molecule.cloud.coords), molecule.cloud.atomic_numbers))
+                   cloud=PointCloud.trusted(_float32(batch.cloud.coords), batch.cloud.atomic_numbers))

@@ -48,7 +48,7 @@ from .data import (
 from .errors import Diverged, InvalidConfig, NoData, StaleGradient
 from .geometry import sample_rotations
 from .model import Model, ModelConfig, loss
-from .packing import Molecule, lowered, pack
+from .packing import Batch, lowered, pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
 CHECKPOINT_VERSION = 5
@@ -381,18 +381,18 @@ def _rotation_seed(base: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence((base, epoch, index)).generate_state(1)[0])
 
 
-def evaluate_model(model: Model, normalizer: Normalizer, molecules,
+def evaluate_model(model: Model, normalizer: Normalizer, batches,
                    batch_size: int = TrainConfig.batch_size) -> Metrics:
-    """MAE / RMSE / R^2 per task of prepared molecules (``Model.prepare``), in original units.
+    """MAE / RMSE / R^2 per task of prepared molecules (``Model.prepare``'s batches of one), in original units.
 
-    The molecules are predicted in packed batches of ``batch_size``; a
+    ``batch_size`` of the batches are packed and predicted at a time; a
     molecule's prediction does not depend on its batch companions.
     """
-    if not molecules:
+    if not batches:
         raise NoData("no molecules to evaluate")
-    preds = normalizer.invert(np.concatenate([model.predict_batch(pack(molecules[start : start + batch_size]))
-                                              for start in range(0, len(molecules), batch_size)]))
-    targets = np.stack([molecule.graph.targets for molecule in molecules])
+    preds = normalizer.invert(np.concatenate([model.predict_batch(pack(batches[start : start + batch_size]))
+                                              for start in range(0, len(batches), batch_size)]))
+    targets = np.concatenate([batch.targets for batch in batches])
     mae, rmse, r2 = {}, {}, {}
     for j, task in enumerate(model.task_names):
         err = preds[:, j] - targets[:, j]
@@ -427,15 +427,15 @@ def _train_step(model: Model, opt: AdamWState, cfg: TrainConfig, batch, rotation
 class RunState:
     """A run between two epochs. ``epoch`` is the next one; the history and the best
     score and checkpoint so far span every fold, the other fields belong to ``fold``.
-    ``train_molecules`` holds float32 copies; the molecules are emptied when the fold ends."""
+    The molecules are prepared batches of one, float32 to train on; they are emptied when the fold ends."""
 
     fold: int
     epoch: int
     model: Model
     opt: AdamWState
     normalizer: Normalizer
-    train_molecules: dict[int, Molecule]
-    val_molecules: list[Molecule]
+    train_molecules: dict[int, Batch]
+    val_molecules: list[Batch]
     history: list[dict] = field(default_factory=list)
     best_score: float | None = None
     best: Checkpoint | None = None
@@ -450,8 +450,8 @@ def run_epoch(state: RunState, cfg: TrainConfig) -> dict:
     for b_start in range(0, len(order), cfg.batch_size):
         members = [int(i) for i in order[b_start : b_start + cfg.batch_size]]
         batch = pack(state.train_molecules[i] for i in members)
-        rotations = None if cfg.model.ablate_3d or cfg.model.ablate_pointwise else sample_rotations(
-            cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members]).astype(np.float32)
+        rotations = (sample_rotations(cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members])
+                     .astype(np.float32) if cfg.model.reads_coords else None)
         targets = state.normalizer.apply(batch.targets).astype(np.float32)
         epoch_losses.append(_train_step(model, state.opt, cfg, batch, rotations, targets,
                                         epoch, b_start // cfg.batch_size))

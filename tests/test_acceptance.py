@@ -24,7 +24,6 @@ from rotenc.geometry import (
     sample_rotations,
 )
 from rotenc.model import Model, loss as sample_loss, measure_invariance
-from rotenc.packing import pack
 from rotenc.synthetic import make_records, mirror_cloud, random_cloud
 from rotenc.trainer import (
     TrainConfig,
@@ -131,7 +130,7 @@ def test_06_gradient_correctness():
         record = bonded_record(seed=11)
         model = Model(tiny_model_config(), vocab=(1, 6, 7, 8), task_names=("y",), seed=0,
                       bonded=True)
-        batch = pack([model.prepare(record, training=True)])
+        batch = model.prepare(record, training=True)
         rotations = sample_rotations(3, 7)
         base, _ = model.forward(batch, training=True, rotations=rotations)
         target = base.data + 0.7
@@ -215,7 +214,7 @@ def test_09_ablation_machinery():
             assert np.isfinite(history[-1]["train_loss"]), name
             model, _ = model_from_checkpoint(ckpt)
             d_us[name] = model.cfg.d_u
-            _, u = model.forward(pack([model.prepare(records[0])]))
+            _, u = model.forward(model.prepare(records[0]))
             assert u.data.shape == (1, model.cfg.d_u), name
         assert len(set(d_us.values())) == 3, d_us
         assert d_us["no_features"] == tiny_model_config().d_u  # edge width changes instead

@@ -1012,11 +1012,10 @@ class TestGradientCheck:
         from helpers import bonded_record
         from rotenc.geometry import sample_rotations
         from rotenc.model import Model, loss
-        from rotenc.packing import pack
 
         record = bonded_record(seed=11)
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("y",), seed=0, bonded=True)
-        batch = pack([model.prepare(record, training=True)])
+        batch = model.prepare(record, training=True)
         rotations = sample_rotations(3, 7)
         initial = {name: (state.mean.copy(), state.var.copy()) for name, state in model.bn_states.items()}
 

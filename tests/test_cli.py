@@ -19,7 +19,7 @@ from rotenc.cli import build_parser, main, resolve_config
 from rotenc.data import MoleculeRecord, SplitSpec, load_dataset, write_dataset
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
-from rotenc.model import ModelConfig, measure_invariance
+from rotenc.model import Model, ModelConfig, measure_invariance
 from rotenc.synthetic import make_records
 from rotenc.trainer import TrainConfig, config_to_dict, evaluate_model, load_checkpoint, model_from_checkpoint
 
@@ -278,15 +278,73 @@ class TestSweepK:
                      "--k-values", "3,1,5", "--rotations", "3", "--max-molecules", "4",
                      "--out", str(out)])
         assert code == 0
-        rows = read_csv(out / "sweep.csv")
         records = load_dataset(data)
-        for row in rows:
+        models = []
+        for k in (3, 1, 5):
             model, normalizer = model_from_checkpoint(load_checkpoint(trained))
-            model.cfg = replace(model.cfg, encoder=replace(model.cfg.encoder, k=int(row["k"])))
+            model.cfg = replace(model.cfg, encoder=replace(model.cfg.encoder, k=k))
+            models.append((model, normalizer))
+        self._assert_rows_match(read_csv(out / "sweep.csv"), models, records)
+
+    def test_train_mode_rows_match_a_fresh_run_per_k(self, workspace, tmp_path):
+        # every row trains its own model; scoring it on the records prepared by the first row's model
+        # must equal preparing them with the row's own
+        root, data, config = workspace
+        argv = ["sweep-k", "--data", str(data), "--config", str(config), "--k-values", "1,3",
+                "--rotations", "3", "--max-molecules", "4", "--out", str(tmp_path / "sweep_train_rows")]
+        assert main(argv) == 0
+        records = load_dataset(data)
+        cfg = resolve_config(build_parser().parse_args(argv))
+        models = []
+        for k in (1, 3):
+            ckpt, _ = cli.train(replace(cfg, model=replace(cfg.model, encoder=replace(cfg.model.encoder, k=k))),
+                                records)
+            models.append(model_from_checkpoint(ckpt))
+        self._assert_rows_match(read_csv(tmp_path / "sweep_train_rows" / "sweep.csv"), models, records)
+
+    @staticmethod
+    def _assert_rows_match(rows, models, records):
+        """Each row's mae, relative_mae and mean_dev equal its model scored on records prepared for that row."""
+        assert len(rows) == len(models)
+        maes = []
+        for row, (model, normalizer) in zip(rows, models):
+            assert int(row["k"]) == model.cfg.encoder.k
             metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records])
             report = measure_invariance(model, records[:4], n_rotations=3, seed=0)
-            assert row["mae"] == f"{float(np.mean(list(metrics.mae.values()))):.8g}"
+            maes.append(float(np.mean(list(metrics.mae.values()))))
+            assert row["mae"] == f"{maes[-1]:.8g}"
+            assert row["relative_mae"] == f"{maes[-1] / maes[0]:.6g}"
             assert row["mean_dev"] == f"{report.mean_dev:.10g}"
+
+    @pytest.mark.parametrize("mode", ["checkpoint", "train"])
+    def test_scoring_prepares_each_record_once_per_sweep(self, workspace, trained, tmp_path, monkeypatch, mode):
+        # training and the invariance probe prepare their own copies; the calls outside them are the scoring's
+        root, data, config = workspace
+        scoring, inside = [], []
+        real_prepare = Model.prepare
+
+        def counting(self, record, training=False):
+            if not inside:
+                scoring.append(record.id)
+            return real_prepare(self, record, training)
+
+        def aside(fn):
+            def wrapped(*args, **kwargs):
+                inside.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        monkeypatch.setattr(Model, "prepare", counting)
+        monkeypatch.setattr(cli, "train", aside(cli.train))
+        monkeypatch.setattr(cli, "measure_invariance", aside(cli.measure_invariance))
+        model_flag = ["--checkpoint", str(trained)] if mode == "checkpoint" else ["--config", str(config)]
+        code = main(["sweep-k", "--data", str(data), *model_flag, "--k-values", "1,2,3", "--rotations", "2",
+                     "--max-molecules", "2", "--out", str(tmp_path / "sweep_once")])
+        assert code == 0
+        assert sorted(scoring) == sorted(record.id for record in load_dataset(data))
 
 
 class TestFlagsEachCommandReads:

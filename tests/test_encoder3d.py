@@ -19,7 +19,6 @@ from rotenc.encoder3d import (
 )
 from rotenc.errors import DegenerateCloud, InvalidConfig, ShapeError
 from rotenc.geometry import PointCloud, center_cloud, sample_rotations
-from rotenc.packing import pack
 from rotenc.synthetic import mirror_cloud, random_cloud
 
 
@@ -367,7 +366,7 @@ class TestInferenceViews:
 
     def test_replaced_k_encodes_with_the_new_k(self, tiny_model, small_records):
         record = small_records[1]
-        batch = pack([tiny_model.prepare(record)])
+        batch = tiny_model.prepare(record)
         before = tiny_model.predict(record)
         enc = replace(tiny_model.cfg.encoder, k=7)
         tiny_model.cfg = replace(tiny_model.cfg, encoder=enc)

@@ -255,6 +255,32 @@ class TestCanonicalAtomOrder:
             assert free.predict(record).tobytes() == free.predict(permuted_record(record, perm)).tobytes()
 
 
+class TestNoPointnetReadsNoCoordinates:
+    """A ``no-pointnet`` model reads no coordinates, so ``post`` neither aligns its clouds nor refuses a molecule."""
+
+    @staticmethod
+    def _records():
+        angles = np.arange(6) * np.pi / 3
+        ring = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
+        benzene = MoleculeRecord(id="benzene", atomic_numbers=[6] * 6 + [1] * 6,
+                                 coords=np.concatenate([1.39 * ring, 2.47 * ring]), bonds=None, targets={"rg": 1.9})
+        co = MoleculeRecord(id="co", atomic_numbers=[6, 8], coords=np.array([[0.0, 0, 0], [1.13, 0, 0]]),
+                            bonds=None, targets={"rg": 0.6})
+        lone = MoleculeRecord(id="lone", atomic_numbers=[6], coords=np.zeros((1, 3)), bonds=None,
+                              targets={"rg": 0.0})
+        return [benzene, co, lone] + make_records(4, seed=9)
+
+    def test_post_predicts_what_none_predicts(self):
+        models = {mode: Model(tiny_model_config(ablate_pointwise=True,
+                                                encoder=EncoderConfig(widths=(4,), embed_dim=2, k=2, align_mode=mode)),
+                              vocab=(1, 6, 7, 8), task_names=("rg",), seed=3)
+                  for mode in ("none", "post")}
+        for record in self._records():
+            y = {mode: model.predict(record) for mode, model in models.items()}
+            assert np.all(np.isfinite(y["post"])), record.id
+            assert y["post"].tobytes() == y["none"].tobytes(), record.id
+
+
 class TestTapeFreePredict:
     def test_predict_leaves_no_parents_on_its_output(self, tiny_model, small_records, monkeypatch):
         import rotenc.model as model_module
@@ -268,7 +294,7 @@ class TestTapeFreePredict:
         monkeypatch.setattr(model_module, "predict_head", recording_head)
         record = small_records[0]
         y = tiny_model.predict(record)
-        taped, _ = tiny_model.forward(pack([tiny_model.prepare(record)]))
+        taped, _ = tiny_model.forward(tiny_model.prepare(record))
         tape_free, with_tape = heads
         assert tape_free._parents == () and tape_free._backward_fn is None
         assert with_tape._parents and ad._grad_enabled
@@ -364,7 +390,7 @@ class TestAtomImportance:
                     coords = record.coords.copy()
                     coords[atom, axis] += sign * h
                     moved = model.prepare(replace(record, coords=coords))
-                    y, _ = model.forward(pack([replace(moved, graph=graph)]))
+                    y, _ = model.forward(replace(moved, graph=graph))
                     if sign > 0:
                         plus = y.data[0, 0]
                     else:
@@ -430,12 +456,17 @@ class TestModelInputs:
 
     def test_a_model_without_the_encoder_reads_only_node_features(self, small_records):
         model = Model(tiny_model_config(ablate_3d=True), vocab=(1, 6, 7, 8), task_names=("rg",))
-        inputs = model.inputs(pack([model.prepare(small_records[0])]))
+        inputs = model.inputs(model.prepare(small_records[0]))
         assert inputs.coords is None and inputs.emb is None
         assert "enc.embed" not in dict(model.store.items())
 
+    def test_a_model_without_the_pointwise_stack_reads_no_coordinates(self, small_records):
+        model = Model(tiny_model_config(ablate_pointwise=True), vocab=(1, 6, 7, 8), task_names=("rg",))
+        inputs = model.inputs(model.prepare(small_records[0]))
+        assert inputs.coords is None and inputs.emb is not None
+
     def test_given_inputs_replace_the_batch_arrays(self, tiny_model, small_records):
-        batch = pack([tiny_model.prepare(small_records[2])])
+        batch = tiny_model.prepare(small_records[2])
         default, _ = tiny_model.forward(batch)
         given_inputs, _ = tiny_model.forward(batch, inputs=tiny_model.inputs(batch))
         assert given_inputs.data.tobytes() == default.data.tobytes()
@@ -458,7 +489,7 @@ class TestProjectBeforeGather:
         cfg = ModelConfig(encoder=EncoderConfig(k=4), gnn=GnnConfig())
         record = make_records(1, seed=3, n_atoms_range=(12, 12))[0]
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=sorted(record.targets))
-        batch = pack([model.prepare(record)])
+        batch = model.prepare(record)
         n_edges, n_atoms = batch.graph.n_edges, batch.graph.n_nodes
         shapes = []
 
@@ -535,6 +566,6 @@ class TestPrepareChecksOnce:
         model = Model(cfg, vocab=(1, 6, 7, 8), task_names=("rg",))
         assert np.all(np.isfinite(model.predict(record)))
         with model.store.float32():
-            y_hat, u = model.forward(pack([lowered(model.prepare(record, training=True))]), training=True)
+            y_hat, u = model.forward(lowered(model.prepare(record, training=True)), training=True)
             ad.backward(loss(y_hat, np.ones((1, 1), dtype=np.float32), u, 0.1))
         assert all(np.all(np.isfinite(param.grad)) for _, param in model.store.items())

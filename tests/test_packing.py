@@ -11,7 +11,7 @@ from rotenc import autodiff as ad
 from rotenc.data import MoleculeRecord
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, NoData, ShapeError
-from rotenc.geometry import sample_rotations
+from rotenc.geometry import PointCloud, sample_rotations
 from rotenc.model import Model, loss, measure_invariance
 from rotenc.packing import lowered, pack
 from rotenc.synthetic import make_records
@@ -39,7 +39,7 @@ def _oracle_step(model, records, rotations, targets, lambda_l1):
     """The per-molecule training step: one tape per molecule (a batch of one), losses chained with ``add``."""
     terms = []
     for record, r, y in zip(records, rotations, targets):
-        y_hat, u = model.forward(pack([model.prepare(record, training=True)]), training=True, rotations=r)
+        y_hat, u = model.forward(model.prepare(record, training=True), training=True, rotations=r)
         terms.append(loss(y_hat, y[None], u, lambda_l1))
     total = terms[0]
     for term in terms[1:]:
@@ -189,7 +189,7 @@ class TestPack:
         molecules = [model.prepare(record) for record in records]
         batch = pack(molecules)
         sizes = [m.graph.n_nodes for m in molecules]
-        assert batch.ids == tuple(r.id for r in records) and len(batch) == 3
+        assert len(batch) == 3
         np.testing.assert_array_equal(batch.offsets, np.concatenate([[0], np.cumsum(sizes)]))
         for m, start in zip(molecules, batch.offsets):
             rows = slice(start, start + m.graph.n_nodes)
@@ -198,6 +198,20 @@ class TestPack:
             own = (batch.graph.edges[:, 0] >= start) & (batch.graph.edges[:, 0] < start + m.graph.n_nodes)
             np.testing.assert_array_equal(batch.graph.edges[own] - start, m.graph.edges)
         assert batch.graph.targets.shape == (3, 1)
+        np.testing.assert_array_equal(batch.order, np.concatenate([m.order for m in molecules]))
+
+    def test_joined_batches_equal_one_pack_of_their_molecules(self):
+        records = _records(True, n=5)
+        model = Model(tiny_model_config(), VOCAB, ("y",), seed=0, bonded=True)
+        molecules = [model.prepare(record) for record in records]
+        joined = pack([pack(molecules[:2]), molecules[2], pack(molecules[3:])])
+        flat = pack(molecules)
+        for a, b in ((joined.graph.node_feats, flat.graph.node_feats), (joined.graph.edges, flat.graph.edges),
+                     (joined.graph.edge_feats, flat.graph.edge_feats), (joined.targets, flat.targets),
+                     (joined.cloud.coords, flat.cloud.coords), (joined.offsets, flat.offsets),
+                     (joined.order, flat.order)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert model.predict_batch(joined).tobytes() == model.predict_batch(flat).tobytes()
 
     @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
     def test_union_keeps_the_edges_grouped_without_sorting(self, bonded, monkeypatch):
@@ -217,13 +231,14 @@ class TestPack:
         with pytest.raises(NoData):
             pack([])
 
-    def test_batch_of_one_keeps_the_molecule(self):
+    def test_prepare_gives_a_batch_of_one_that_packs_to_itself(self):
         model = Model(tiny_model_config(), VOCAB, ("y",), seed=0)
-        molecule = model.prepare(_records(False, n=1)[0])
-        batch = pack([molecule])
-        assert batch.graph is molecule.graph and batch.cloud is molecule.cloud
-        np.testing.assert_array_equal(batch.offsets, [0, molecule.graph.n_nodes])
-        np.testing.assert_array_equal(batch.targets, molecule.graph.targets[None])
+        record = _records(False, n=1)[0]
+        batch = model.prepare(record)
+        assert pack([batch]) is batch and len(batch) == 1
+        np.testing.assert_array_equal(batch.offsets, [0, record.n_atoms])
+        np.testing.assert_array_equal(batch.targets, [[record.targets["y"]]])
+        np.testing.assert_array_equal(np.sort(batch.order), np.arange(record.n_atoms))
 
     def test_offsets_must_cut_the_rows_into_molecules(self):
         records = _records(False, n=2)
@@ -231,6 +246,16 @@ class TestPack:
         batch = pack(model.prepare(record) for record in records)
         with pytest.raises(ShapeError, match="offsets"):
             model.forward(replace(batch, offsets=batch.offsets[::-1]))
+
+    @pytest.mark.parametrize("variant", ["default", "ablate_pointwise"])
+    def test_a_cloud_that_does_not_match_the_graph_stops_the_forward(self, variant):
+        # pack does not compare the atom counts of graph and cloud; the encoder's offsets checks do
+        records = _records(False, n=2)
+        model = Model(_variant(variant), VOCAB, ("y",), seed=0)
+        batch = pack(model.prepare(record) for record in records)
+        short = PointCloud.trusted(batch.cloud.coords[:-1], batch.cloud.atomic_numbers[:-1])
+        with pytest.raises(ShapeError, match="offsets"):
+            model.forward(replace(batch, cloud=short))
 
 
 class TestLowered:

@@ -21,7 +21,6 @@ from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, InvalidSplit, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
 from rotenc.model import Model, ModelConfig, measure_invariance
-from rotenc.packing import pack
 from rotenc.synthetic import make_records
 from rotenc.trainer import (
     AdamWState,
@@ -257,7 +256,7 @@ class TestTraining:
             model, history = state.model, state.history
             u_norms = []
             for record in records[:6]:
-                _, u = model.forward(pack([model.prepare(record)]))
+                _, u = model.forward(model.prepare(record))
                 u_norms.append(np.sum(np.abs(u.data)))
             norms[name] = np.mean(u_norms)
             assert np.isfinite(history[-1]["train_loss"])
@@ -272,7 +271,7 @@ class TestTraining:
             held_out = make_records(6, seed=999)
             u_norms = []
             for record in held_out:
-                _, u = model.forward(pack([model.prepare(record)]))
+                _, u = model.forward(model.prepare(record))
                 u_norms.append(np.sum(np.abs(u.data)))
             norms[lam] = np.mean(u_norms)
         assert norms[1e-2] < norms[0.0]
@@ -782,7 +781,7 @@ class TestAblations:
             assert np.isfinite(history[-1]["train_loss"]), name
             model, _ = model_from_checkpoint(ckpt)
             d_us[name] = model.cfg.d_u
-            _, u = model.forward(pack([model.prepare(records[0])]))
+            _, u = model.forward(model.prepare(records[0]))
             assert u.data.shape == (1, model.cfg.d_u), name
         # the three ablations have pairwise-distinct fused widths
         assert len({d_us["no_3d"], d_us["no_features"], d_us["no_pointnet"]}) == 3
