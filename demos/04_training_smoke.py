@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from rotenc.data import SplitSpec, split
+from rotenc.data import SplitSpec, dataset_targets, split
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig
 from rotenc.model import ModelConfig, measure_invariance
@@ -35,8 +35,10 @@ for state, entry in train_epochs(cfg, records):
 checkpoint = state.best
 
 _, test_idx = split(records, cfg.split)
+test_records = [records[i] for i in test_idx]
 model, normalizer = model_from_checkpoint(checkpoint)
-metrics = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in test_idx], cfg.batch_size)
+_, targets = dataset_targets(test_records)
+metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in test_records], targets, cfg.batch_size)
 print(f"\nheld-out ({len(test_idx)} molecules): MAE = {metrics.mae['rg']:.4f}  "
       f"RMSE = {metrics.rmse['rg']:.4f}  R2 = {metrics.r2['rg']:.3f}")
 

@@ -45,6 +45,7 @@ from .data import (
     SplitSpec,
     atomic_write,
     convert_xyz,
+    dataset_targets,
     load_dataset,
     write_dataset,
 )
@@ -240,8 +241,9 @@ def cmd_eval(args) -> int:
     with CommandRun(args) as run:
         ckpt = run.load_checkpoint()
         model, normalizer = model_from_checkpoint(ckpt)
-        batches = [model.prepare(record) for record in load_dataset(run.inputs["data"])]
-        metrics = evaluate_model(model, normalizer, batches, ckpt.train_config.batch_size)
+        records = load_dataset(run.inputs["data"])
+        metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records],
+                                 dataset_targets(records)[1], ckpt.train_config.batch_size)
         rows = [
             [t, f"{metrics.mae[t]:.8g}", f"{metrics.rmse[t]:.8g}", f"{metrics.r2[t]:.8g}"]
             for t in ckpt.task_names
@@ -313,25 +315,27 @@ def cmd_sweep_k(args) -> int:
         # prepare does not read k: the records are prepared once, by the checkpoint's or the first row's model
         batches = None
         if args.checkpoint:
-            model, normalizer = model_from_checkpoint(run.load_checkpoint())
-            base_cfg = model.cfg
+            ckpt = run.load_checkpoint()
+            model, normalizer = model_from_checkpoint(ckpt)
+            base_cfg = ckpt.train_config
             batches = [model.prepare(record) for record in records]
         else:
             base_cfg = resolve_config(args)
             run.record_config(base_cfg)
+        _, targets = dataset_targets(records)
         run.manifest["seeds"]["rotations"] = seed
         rows = []
         baseline_mae = None
         for k in k_values:
             start = time.time()
+            model_cfg = replace(base_cfg.model, encoder=replace(base_cfg.model.encoder, k=k))
             if args.checkpoint:
-                model.cfg = replace(base_cfg, encoder=replace(base_cfg.encoder, k=k))
+                model.cfg = model_cfg
             else:
-                enc = replace(base_cfg.model.encoder, k=k)
-                ckpt, _ = train(replace(base_cfg, model=replace(base_cfg.model, encoder=enc)), records)
+                ckpt, _ = train(replace(base_cfg, model=model_cfg), records)
                 model, normalizer = model_from_checkpoint(ckpt)
                 batches = batches or [model.prepare(record) for record in records]
-            metrics = evaluate_model(model, normalizer, batches)
+            metrics = evaluate_model(model, normalizer, batches, targets, base_cfg.batch_size)
             report = measure_invariance(model, records[: args.max_molecules],
                                         n_rotations=args.rotations, seed=seed)
             runtime = time.time() - start

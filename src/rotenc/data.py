@@ -32,8 +32,8 @@ from .errors import (
     DuplicateId,
     InvalidConfig,
     InvalidSplit,
+    NoData,
     ParseError,
-    TaskMismatch,
     UnknownElement,
 )
 from .gnn import MolecularGraph
@@ -261,7 +261,7 @@ def edge_width(bonded: bool, edge_features: str) -> int:
 
 
 def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
-                vocab, task_names, edge_features: str = "auto") -> MolecularGraph:
+                vocab, edge_features: str = "auto") -> MolecularGraph:
     """Turn a record into a molecular graph.
 
     With explicit bonds, edges are the bonds in both directions with
@@ -270,12 +270,8 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
     RBF expansion of the distance. ``edge_features="constant"`` replaces
     either featurization with a single constant column (the engineered
     feature ablation); ``edge_width`` gives the feature width. Node
-    features are one-hot over ``vocab``, and the targets are the record's
-    values of ``task_names``, in that order; a record with other task
-    names raises TaskMismatch.
+    features are one-hot over ``vocab``. The record's targets are not read.
     """
-    if sorted(record.targets) != sorted(task_names):
-        raise TaskMismatch(f"tasks do not match {tuple(task_names)}, got {tuple(sorted(record.targets))}")
     n = record.n_atoms
     # each pair becomes the directed edges (i, j) and (j, i), both with the pair's feature row;
     # the edges come out grouped by destination, as MolecularGraph stores them
@@ -312,9 +308,8 @@ def build_graph(record: MoleculeRecord, cutoff: float = DEFAULT_CUTOFF, *,
 
     node_feats = np.zeros((n, len(vocab)))
     node_feats[np.arange(n), vocab_rows(vocab, record.atomic_numbers)] = 1.0
-    targets = np.array([record.targets[t] for t in task_names], dtype=np.float64)
     # a record's atoms and bonds are checked as it is made, so the graph is not checked again
-    return MolecularGraph.trusted(node_feats, edges, edge_feats, targets)
+    return MolecularGraph.trusted(node_feats, edges, edge_feats)
 
 
 @dataclass
@@ -334,12 +329,7 @@ class Normalizer:
 
 def normalize_targets(records, train_indices) -> Normalizer:
     """Fit per-task mean/std (population) on the training indices."""
-    if len(train_indices) == 0:
-        raise InvalidConfig("train_indices must be non-empty")
-    task_names = tuple(sorted(records[0].targets))
-    values = np.array(
-        [[records[i].targets[t] for t in task_names] for i in train_indices], dtype=np.float64
-    )
+    task_names, values = dataset_targets([records[i] for i in train_indices])
     mean = values.mean(axis=0)
     std = values.std(axis=0)
     for t, s in zip(task_names, std):
@@ -501,9 +491,14 @@ def dataset_vocab(records) -> tuple[int, ...]:
     return tuple(sorted(zs))
 
 
-def dataset_task_names(records) -> tuple[str, ...]:
+def dataset_targets(records) -> tuple[tuple[str, ...], np.ndarray]:
+    """The records' task names, sorted, and their (n, n_tasks) float64 target matrix in that order.
+
+    A record whose task names differ from the first's raises InvalidConfig, and no records NoData."""
+    if not records:
+        raise NoData("no records to read targets from")
     names = tuple(sorted(records[0].targets))
     for r in records:
         if tuple(sorted(r.targets)) != names:
             raise InvalidConfig(f"record {r.id}: task names differ from {names}")
-    return names
+    return names, np.array([[r.targets[t] for t in names] for r in records], dtype=np.float64)

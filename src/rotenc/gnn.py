@@ -24,7 +24,7 @@ class MolecularGraph:
     ``edges`` holds directed (source, destination) pairs; an undirected
     bond contributes both directions. ``node_feats`` are the initial node
     features (one-hot atom identity, see ``build_graph``), ``edge_feats``
-    one row per directed edge, ``targets`` the regression targets.
+    one row per directed edge.
 
     The edges are stored grouped by destination: construction sorts them
     stably by destination, feature rows along, so the edges into one node
@@ -38,13 +38,11 @@ class MolecularGraph:
     node_feats: np.ndarray
     edges: np.ndarray
     edge_feats: np.ndarray
-    targets: np.ndarray
 
     def __post_init__(self):
         self.node_feats = np.asarray(self.node_feats, dtype=np.float64)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_feats = np.asarray(self.edge_feats, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
         n = self.node_feats.shape[0]
         if self.edges.size:
             if self.edges.min() < 0 or self.edges.max() >= n:
@@ -62,17 +60,16 @@ class MolecularGraph:
         self._index()
 
     @classmethod
-    def trusted(cls, node_feats: np.ndarray, edges: np.ndarray, edge_feats: np.ndarray,
-                targets: np.ndarray) -> MolecularGraph:
+    def trusted(cls, node_feats: np.ndarray, edges: np.ndarray, edge_feats: np.ndarray) -> MolecularGraph:
         """A graph of arrays that already satisfy every check, edges grouped by destination; not checked again.
 
         ``node_feats`` and ``edge_feats`` are float64 arrays, or both float32
-        (a training copy, see ``packing.lowered``), ``targets`` a float64
-        array, ``edges`` an int64 (E, 2) array of in-range, loop-free pairs
-        with non-decreasing destinations, one feature row each.
+        (a training copy, see ``packing.lowered``), ``edges`` an int64 (E, 2)
+        array of in-range, loop-free pairs with non-decreasing destinations,
+        one feature row each.
         """
         graph = cls.__new__(cls)
-        graph.node_feats, graph.edges, graph.edge_feats, graph.targets = node_feats, edges, edge_feats, targets
+        graph.node_feats, graph.edges, graph.edge_feats = node_feats, edges, edge_feats
         graph._index()
         return graph
 

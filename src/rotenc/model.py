@@ -25,7 +25,7 @@ from . import encoder3d, gnn
 from .autodiff import ParameterStore, Value
 from .data import DEFAULT_CUTOFF, MoleculeRecord, build_graph, edge_width, reorder_atoms, vocab_rows
 from .encoder3d import EncoderConfig
-from .errors import InputError, InvalidConfig, NoData
+from .errors import InputError, InvalidConfig, NoData, TaskMismatch
 from .geometry import PointCloud
 from .gnn import GnnConfig
 from .packing import Batch, pack
@@ -202,13 +202,15 @@ class Model:
         checked again.
         """
         with for_molecule(record):
+            if sorted(record.targets) != sorted(self.task_names):
+                raise TaskMismatch(f"tasks do not match {self.task_names}, got {tuple(sorted(record.targets))}")
             cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
             if not self.cfg.ablate_3d:
                 align = self.cfg.reads_coords and self.cfg.encoder.align_mode == "post" and not training
                 cloud = encoder3d.prepare_cloud(cloud, align)
             order = canonical_order(record, cloud)
             graph = build_graph(reorder_atoms(record, order), self.cfg.cutoff, vocab=self.vocab,
-                                task_names=self.task_names, edge_features=self.edge_features)
+                                edge_features=self.edge_features)
             # + 0.0 turns -0.0 into +0.0: the sort ties the two, the arrays must not differ
             cloud = PointCloud.trusted(cloud.coords[order] + 0.0, cloud.atomic_numbers[order])
             return Batch(graph, cloud, np.array([0, graph.n_nodes]), order)

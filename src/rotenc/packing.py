@@ -6,12 +6,13 @@ cloud; each molecule's edge indices are shifted by its offset, so no edge
 joins two molecules. The model runs every layer once per batch: message
 passing aggregates each destination on its own, and the readout and the
 pooling reduce each molecule on its own, in its canonical atom order
-(``Model.prepare``). At inference a molecule's values therefore do not
-depend on its batch companions. Training batchnorm is the exception: it
-normalizes each channel over the whole batch. One molecule is
-``offsets = [0, n]``, which ``Model.prepare`` returns; ``pack`` joins
-batches. A batch keeps its molecules' dtype: the float32 copies of
-``lowered`` pack into a float32 batch.
+(``Model.prepare``). At inference a molecule's values therefore match its
+values alone, to rounding only: a GEMM row's bits depend on the row count
+(``TestPackedInference`` checks rtol 1e-12). Training batchnorm normalizes
+each channel over the whole batch. A batch is model input only, without
+labels. One molecule is ``offsets = [0, n]``, which ``Model.prepare``
+returns; ``pack`` joins batches. A batch keeps its molecules' dtype: the
+float32 copies of ``lowered`` pack into a float32 batch.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ class Batch:
     offsets: np.ndarray
     order: np.ndarray
 
-    @property
-    def targets(self) -> np.ndarray:
-        """One row of targets per molecule, (B, n_tasks)."""
-        return self.graph.targets.reshape(len(self), -1)
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -63,7 +59,6 @@ def pack(batches) -> Batch:
         node_feats=np.concatenate([b.graph.node_feats for b in batches]),
         edges=np.concatenate([b.graph.edges + start for b, start in zip(batches, starts)]),
         edge_feats=np.concatenate([b.graph.edge_feats for b in batches]),
-        targets=np.concatenate([b.targets for b in batches]),
     )
     cloud = PointCloud.trusted(np.concatenate([b.cloud.coords for b in batches]),
                                np.concatenate([b.cloud.atomic_numbers for b in batches]))
@@ -86,11 +81,10 @@ def lowered(batch: Batch) -> Batch:
 
     Entries too small for a normal float32 become 0, not subnormals: an
     RBF edge feature reaches 1e-138, and a subnormal operand slows a GEMM
-    several times over. Edges, targets, offsets and the atom order are
-    shared with ``batch``, which is not changed.
+    several times over. Edges, offsets and the atom order are shared with
+    ``batch``, which is not changed.
     """
     graph = batch.graph
     return replace(batch,
-                   graph=MolecularGraph.trusted(_float32(graph.node_feats), graph.edges,
-                                                _float32(graph.edge_feats), graph.targets),
+                   graph=MolecularGraph.trusted(_float32(graph.node_feats), graph.edges, _float32(graph.edge_feats)),
                    cloud=PointCloud.trusted(_float32(batch.cloud.coords), batch.cloud.atomic_numbers))

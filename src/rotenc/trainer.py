@@ -40,12 +40,12 @@ from .data import (
     SplitSpec,
     _finite_number,
     atomic_write,
-    dataset_task_names,
+    dataset_targets,
     dataset_vocab,
     normalize_targets,
     split,
 )
-from .errors import Diverged, InvalidConfig, NoData, StaleGradient
+from .errors import Diverged, InvalidConfig, NoData, ShapeError, StaleGradient
 from .geometry import sample_rotations
 from .model import Model, ModelConfig, loss
 from .packing import Batch, lowered, pack
@@ -381,18 +381,20 @@ def _rotation_seed(base: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence((base, epoch, index)).generate_state(1)[0])
 
 
-def evaluate_model(model: Model, normalizer: Normalizer, batches,
-                   batch_size: int = TrainConfig.batch_size) -> Metrics:
+def evaluate_model(model: Model, normalizer: Normalizer, batches, targets: np.ndarray,
+                   batch_size: int) -> Metrics:
     """MAE / RMSE / R^2 per task of prepared molecules (``Model.prepare``'s batches of one), in original units.
 
-    ``batch_size`` of the batches are packed and predicted at a time; a
-    molecule's prediction does not depend on its batch companions.
+    ``targets`` are the molecules' rows in original units, columns in ``model.task_names`` order, as
+    ``data.dataset_targets`` reads them for a trained model. ``batch_size`` of the batches are packed and
+    predicted at a time; a prediction matches the molecule's alone to rounding only.
     """
     if not batches:
         raise NoData("no molecules to evaluate")
     preds = normalizer.invert(np.concatenate([model.predict_batch(pack(batches[start : start + batch_size]))
                                               for start in range(0, len(batches), batch_size)]))
-    targets = np.concatenate([batch.targets for batch in batches])
+    if np.shape(targets) != preds.shape:
+        raise ShapeError(f"targets {np.shape(targets)} != predictions {preds.shape}")
     mae, rmse, r2 = {}, {}, {}
     for j, task in enumerate(model.task_names):
         err = preds[:, j] - targets[:, j]
@@ -427,7 +429,8 @@ def _train_step(model: Model, opt: AdamWState, cfg: TrainConfig, batch, rotation
 class RunState:
     """A run between two epochs. ``epoch`` is the next one; the history and the best
     score and checkpoint so far span every fold, the other fields belong to ``fold``.
-    The molecules are prepared batches of one, float32 to train on; they are emptied when the fold ends."""
+    The molecules are prepared batches of one, float32 to train on, keyed by record index like their normalized
+    float32 target rows; the validation rows are in original units. All are emptied when the fold ends."""
 
     fold: int
     epoch: int
@@ -435,7 +438,9 @@ class RunState:
     opt: AdamWState
     normalizer: Normalizer
     train_molecules: dict[int, Batch]
+    train_targets: dict[int, np.ndarray]
     val_molecules: list[Batch]
+    val_targets: np.ndarray
     history: list[dict] = field(default_factory=list)
     best_score: float | None = None
     best: Checkpoint | None = None
@@ -452,11 +457,11 @@ def run_epoch(state: RunState, cfg: TrainConfig) -> dict:
         batch = pack(state.train_molecules[i] for i in members)
         rotations = (sample_rotations(cfg.model.encoder.k, [_rotation_seed(cfg.seed, epoch, i) for i in members])
                      .astype(np.float32) if cfg.model.reads_coords else None)
-        targets = state.normalizer.apply(batch.targets).astype(np.float32)
+        targets = np.stack([state.train_targets[i] for i in members])
         epoch_losses.append(_train_step(model, state.opt, cfg, batch, rotations, targets,
                                         epoch, b_start // cfg.batch_size))
 
-    val = evaluate_model(model, state.normalizer, state.val_molecules, cfg.batch_size)
+    val = evaluate_model(model, state.normalizer, state.val_molecules, state.val_targets, cfg.batch_size)
     score = float(np.mean(list(val.rmse.values())))
     entry = {
         "fold": state.fold,
@@ -481,7 +486,7 @@ def train_epochs(cfg: TrainConfig, records) -> typing.Iterator[tuple[RunState, d
     checkpoint is the run's first epoch, of any fold, with the lowest mean val RMSE."""
     if not records:
         raise InvalidConfig("dataset is empty")
-    task_names = dataset_task_names(records)
+    task_names, targets = dataset_targets(records)
     vocab = dataset_vocab(records)
     bondedness = {r.bonds is not None for r in records}
     if len(bondedness) > 1:
@@ -500,13 +505,15 @@ def train_epochs(cfg: TrainConfig, records) -> typing.Iterator[tuple[RunState, d
         # each molecule is prepared once per fold: a float32 copy to train on, the float64 one to validate
         fold_state = dict(fold=fold, epoch=0, model=model, opt=AdamWState(), normalizer=normalizer,
                           train_molecules={int(i): lowered(model.prepare(records[i], training=True)) for i in train_idx},
-                          val_molecules=[model.prepare(records[i]) for i in val_idx])
+                          train_targets=dict(zip(train_idx.tolist(),
+                                                 normalizer.apply(targets[train_idx]).astype(np.float32))),
+                          val_molecules=[model.prepare(records[i]) for i in val_idx], val_targets=targets[val_idx])
         # the history and the best so far carry over from the last fold
         state = RunState(**fold_state) if state is None else dataclasses.replace(state, **fold_state)
         while state.epoch < cfg.epochs:
             yield state, run_epoch(state, cfg)
         # the caller still holds this state: drop its molecules before the next fold's are made
-        state.train_molecules, state.val_molecules = {}, []
+        state.train_molecules, state.train_targets, state.val_molecules, state.val_targets = {}, {}, [], targets[:0]
 
 
 def train(cfg: TrainConfig, records) -> tuple[Checkpoint, list[dict]]:

@@ -14,7 +14,7 @@ import pytest
 from helpers import bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.alignment import canonical_align
-from rotenc.data import MoleculeRecord, SplitSpec, rbf_expand, split as split_records, vocab_rows
+from rotenc.data import MoleculeRecord, SplitSpec, dataset_targets, rbf_expand, split as split_records, vocab_rows
 from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params, prepare_cloud
 from rotenc.errors import RotencError
 from rotenc.geometry import (
@@ -192,7 +192,9 @@ def test_08_learning_smoke():
         train_idx, test_idx = split_records(records, cfg.split)
         assert len(test_idx) == 50
         model, normalizer = model_from_checkpoint(ckpt)
-        metrics = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in test_idx], cfg.batch_size)
+        test_records = [records[i] for i in test_idx]
+        metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in test_records],
+                                 dataset_targets(test_records)[1], cfg.batch_size)
         assert metrics.r2["rg"] > 0.3, metrics
 
 

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import activation_pattern, assert_close_to_scale, gradient_check
 from rotenc import autodiff as ad
 from rotenc.autodiff import BatchNormState, ParameterStore, Value
-from rotenc.data import dataset_task_names, dataset_vocab
+from rotenc.data import dataset_targets, dataset_vocab
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import NotScalar, ShapeError
 from rotenc.geometry import sample_rotations
@@ -278,7 +278,7 @@ class TestGatherBackward:
         monkeypatch.setattr(np, "argsort", counting)
         y_hat, u = model.forward(batch, training=True)
         phase = "backward"
-        ad.backward(loss(y_hat, batch.targets, u, 1e-3))
+        ad.backward(loss(y_hat, np.ones((4, 1)), u, 1e-3))
         assert calls == {"forward": 0, "backward": 2}
 
 
@@ -326,7 +326,7 @@ class TestBackward:
     def test_a_training_step_keeps_only_leaf_gradients(self):
         records = make_records(3, seed=2, n_atoms_range=(8, 12))
         model = Model(ModelConfig(encoder=EncoderConfig(), gnn=GnnConfig()), dataset_vocab(records),
-                      dataset_task_names(records), seed=0)
+                      dataset_targets(records)[0], seed=0)
         batch = pack(model.prepare(record, training=True) for record in records)
         y_hat, u = model.forward(batch, training=True, rotations=sample_rotations(model.cfg.encoder.k, [0, 1, 2]))
         root = loss(y_hat, np.zeros((3, 1)), u, 1e-4)
@@ -576,7 +576,7 @@ def _graph(src, dst, e, n, dtype=np.float64):
     """
     order = np.argsort(dst, kind="stable")
     edges = np.stack([src, dst], axis=1)[order].astype(np.int64)
-    return MolecularGraph.trusted(np.zeros((n, 1), dtype), edges, e[order].astype(dtype), np.zeros(1))
+    return MolecularGraph.trusted(np.zeros((n, 1), dtype), edges, e[order].astype(dtype))
 
 
 class TestMessageLayer:
@@ -647,7 +647,7 @@ class TestMessageLayer:
             edges += [(u, v), (v, u)]
             e0 += [row, row]
         edges, e0 = np.array(edges), np.array(e0)
-        graph = build_graph(record, vocab=(1, 6, 7, 8), task_names=("y",), edge_features=edge_features)
+        graph = build_graph(record, vocab=(1, 6, 7, 8), edge_features=edge_features)
         assert_same_bits(graph.edge_feats, _graph(edges[:, 0], edges[:, 1], e0, record.n_atoms).edge_feats)
         self.compare(edges[:, 0], edges[:, 1], e0, record.n_atoms, seed=6)
 

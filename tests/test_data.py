@@ -17,7 +17,7 @@ from rotenc.data import (
     atomic_write,
     build_graph,
     convert_xyz,
-    dataset_task_names,
+    dataset_targets,
     dataset_vocab,
     edge_width,
     load_dataset,
@@ -34,6 +34,7 @@ from rotenc.errors import (
     DuplicateId,
     InvalidConfig,
     InvalidSplit,
+    NoData,
     ParseError,
     TooFewPoints,
     UnknownElement,
@@ -53,8 +54,8 @@ def water_record(with_bonds=True):
 
 
 def own(record) -> dict:
-    """``build_graph``'s vocabulary and task names: the record's own elements and tasks."""
-    return {"vocab": dataset_vocab([record]), "task_names": dataset_task_names([record])}
+    """``build_graph``'s vocabulary: the record's own elements."""
+    return {"vocab": dataset_vocab([record])}
 
 
 class TestAtomicWrite:
@@ -267,12 +268,12 @@ class TestBuildGraph:
             MoleculeRecord(id="none", atomic_numbers=[], coords=np.zeros((0, 3)), bonds=None, targets={"e": 0.0})
 
     def test_vocab_one_hot_node_features(self):
-        graph = build_graph(water_record(), vocab=(1, 8), task_names=("u0",))
+        graph = build_graph(water_record(), vocab=(1, 8))
         np.testing.assert_array_equal(graph.node_feats, [[0, 1], [1, 0], [1, 0]])
 
     def test_unknown_element_with_vocab(self):
         with pytest.raises(UnknownElement):
-            build_graph(water_record(), vocab=(1, 6), task_names=("u0",))
+            build_graph(water_record(), vocab=(1, 6))
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     def test_vocab_rows_name_the_first_unknown_element(self, as_array):
@@ -476,7 +477,20 @@ class TestDatasetHelpers:
 
     def test_task_names_consistent(self, tmp_path):
         recs = load_dataset(GOLDEN / "golden.jsonl")
-        assert dataset_task_names(recs) == ("gap", "u0")
+        names, values = dataset_targets(recs)
+        assert names == ("gap", "u0")
+        assert values.dtype == np.float64
+        np.testing.assert_array_equal(values, [[r.targets["gap"], r.targets["u0"]] for r in recs])
+
+    def test_targets_of_a_record_with_other_tasks_are_refused_by_id(self):
+        other = MoleculeRecord(id="other", atomic_numbers=[1], coords=np.zeros((1, 3)), bonds=None,
+                               targets={"gap": 0.4})
+        with pytest.raises(InvalidConfig, match="^record other: task names differ from \\('u0',\\)$"):
+            dataset_targets([water_record(), other])
+
+    def test_targets_of_no_records_are_refused(self):
+        with pytest.raises(NoData):
+            dataset_targets([])
 
 
 class TestReorderAtoms:

@@ -27,7 +27,6 @@ def ring_graph(n=5, d0=3, d_e=2, seed=0):
         node_feats=rng.normal(size=(n, d0)),
         edges=np.array(edges),
         edge_feats=rng.normal(size=(len(edges), d_e)),
-        targets=np.array([1.0]),
     )
 
 
@@ -46,15 +45,15 @@ def forward_alone(graph, store, cfg):
 class TestGraphValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidConfig):
-            MolecularGraph(np.zeros((2, 1)), [[0, 0]], np.zeros((1, 1)), [0.0])
+            MolecularGraph(np.zeros((2, 1)), [[0, 0]], np.zeros((1, 1)))
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(InvalidConfig):
-            MolecularGraph(np.zeros((2, 1)), [[0, 5]], np.zeros((1, 1)), [0.0])
+            MolecularGraph(np.zeros((2, 1)), [[0, 5]], np.zeros((1, 1)))
 
     def test_edge_feature_count_must_match(self):
         with pytest.raises(InvalidConfig):
-            MolecularGraph(np.zeros((3, 1)), [[0, 1], [1, 0]], np.zeros((1, 4)), [0.0])
+            MolecularGraph(np.zeros((3, 1)), [[0, 1], [1, 0]], np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("field", ["layers", "hidden", "message_width"])
@@ -68,8 +67,7 @@ class TestMessagePass:
     def test_no_edges_means_zero_messages(self):
         cfg = GnnConfig(layers=1, hidden=4, message_width=4)
         rng = np.random.default_rng(1)
-        graph = MolecularGraph(rng.normal(size=(3, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
-                               np.array([0.0]))
+        graph = MolecularGraph(rng.normal(size=(3, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
         store = setup_gnn(graph, cfg)
         h = Value(rng.normal(size=(3, cfg.hidden)))
         out = message_pass(h, graph, store, cfg, layer=0)
@@ -84,7 +82,7 @@ class TestMessagePass:
         cfg = GnnConfig(layers=1, hidden=4, message_width=3)
         ring = ring_graph(n=6, d0=2, d_e=2, seed=18)
         graph = MolecularGraph(np.vstack([ring.node_feats, np.zeros((1, 2))]), np.vstack([ring.edges, [[0, 2]]]),
-                               np.vstack([ring.edge_feats, [[0.5, -1.0]]]), ring.targets)
+                               np.vstack([ring.edge_feats, [[0.5, -1.0]]]))
         store = setup_gnn(graph, cfg, seed=19)
         rng = np.random.default_rng(20)
         for name in ("msg1", "msg2", "upd"):
@@ -112,7 +110,6 @@ class TestMessagePass:
             node_feats=graph.node_feats[perm],
             edges=np.stack([inv[graph.edges[:, 0]], inv[graph.edges[:, 1]]], axis=1),
             edge_feats=graph.edge_feats,
-            targets=graph.targets,
         )
         h0 = np.random.default_rng(5).normal(size=(6, cfg.hidden))
         a = message_pass(Value(h0), graph, store, cfg, 0).data
@@ -123,7 +120,7 @@ class TestMessagePass:
         cfg = GnnConfig(layers=1, hidden=4, message_width=4)
         # two nodes with the same features, symmetric edges both ways
         feats = np.tile(np.array([[0.3, -0.2, 0.9]]), (2, 1))
-        graph = MolecularGraph(feats, [[0, 1], [1, 0]], np.ones((2, 2)), np.array([0.0]))
+        graph = MolecularGraph(feats, [[0, 1], [1, 0]], np.ones((2, 2)))
         store = setup_gnn(graph, cfg, seed=6)
         h = Value(np.tile(np.array([[0.1, 0.2, 0.3, 0.4]]), (2, 1)))
         out = message_pass(h, graph, store, cfg, 0).data
@@ -159,7 +156,6 @@ class TestEndToEnd:
             node_feats=np.vstack([graph.node_feats, graph.node_feats]),
             edges=np.vstack([graph.edges, graph.edges + 4]),
             edge_feats=np.vstack([graph.edge_feats, graph.edge_feats]),
-            targets=graph.targets,
         )
         np.testing.assert_allclose(forward_alone(doubled, store, cfg).data, single, rtol=1e-12)
 
@@ -205,7 +201,7 @@ class TestEndToEnd:
         cfg = GnnConfig(layers=3, hidden=5, message_width=4)
         ring = ring_graph(n=5, d0=3, d_e=2, seed=15)
         graph = MolecularGraph(np.vstack([ring.node_feats, np.random.default_rng(16).normal(size=(1, 3))]),
-                               ring.edges, ring.edge_feats, ring.targets)
+                               ring.edges, ring.edge_feats)
         store = setup_gnn(graph, cfg, seed=17)
 
         def f(s):
@@ -232,7 +228,7 @@ class TestEdgeGrouping:
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(len(edges), 2))
         node_feats = rng.normal(size=(n, 3))
-        graph = MolecularGraph(node_feats, edges, feats, np.array([0.0]))
+        graph = MolecularGraph(node_feats, edges, feats)
         # grouped by destination, each destination's edges in the order they came in
         order = sorted(range(len(edges)), key=lambda k: edges[k, 1])
         assert graph.edges.tobytes() == edges[order].tobytes()
@@ -242,12 +238,12 @@ class TestEdgeGrouping:
         # another arrival order that keeps each destination's own order: the same graph, bit for bit
         queues = {d: [k for k in order if edges[k, 1] == d] for d in range(n)}
         interleaved = [queues[d].pop(0) for d in rng.permutation(edges[:, 1])]
-        again = MolecularGraph(node_feats, edges[interleaved], feats[interleaved], np.array([0.0]))
+        again = MolecularGraph(node_feats, edges[interleaved], feats[interleaved])
         cfg = GnnConfig(layers=2, hidden=5, message_width=4)
         store = setup_gnn(graph, cfg, seed=seed % 1000)
         out = forward_alone(graph, store, cfg).data
         assert forward_alone(again, store, cfg).data.tobytes() == out.tobytes()
         # any other arrival order sums each destination in another order: equal up to rounding
         unshuffled = np.lexsort((edges[:, 0], edges[:, 1]))
-        other = MolecularGraph(node_feats, edges[unshuffled], feats[unshuffled], np.array([0.0]))
+        other = MolecularGraph(node_feats, edges[unshuffled], feats[unshuffled])
         np.testing.assert_allclose(forward_alone(other, store, cfg).data, out, rtol=1e-12, atol=1e-12)

@@ -73,7 +73,7 @@ def grid_records(draw):
 
 def molecule_arrays(molecule):
     graph, cloud = molecule.graph, molecule.cloud
-    return [a.tobytes() for a in (graph.node_feats, graph.edges, graph.edge_feats, graph.targets,
+    return [a.tobytes() for a in (graph.node_feats, graph.edges, graph.edge_feats,
                                   cloud.coords, cloud.atomic_numbers)]
 
 
@@ -473,6 +473,24 @@ class TestModelInputs:
         moved = tiny_model.inputs(batch)._replace(coords=Value(batch.cloud.coords * 2.0))
         assert not np.array_equal(tiny_model.forward(batch, inputs=moved)[0].data, default.data)
 
+    @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff", "bonded"])
+    def test_labels_are_not_model_input(self, tiny_cfg, bonded):
+        # two records that differ only in their target values prepare to the same bytes, to train on or to serve
+        record = bonded_record(seed=3) if bonded else make_records(1, seed=9, n_atoms_range=(7, 9))[0]
+        relabeled = replace(record, targets={task: 17.5 - 3.0 * value for task, value in record.targets.items()})
+        model = Model(tiny_cfg, vocab=(1, 6, 7, 8), task_names=tuple(record.targets), bonded=bonded)
+
+        def arrays(batch):
+            held = {f"{part}.{name}": value for part in ("graph", "cloud")
+                    for name, value in vars(getattr(batch, part)).items() if isinstance(value, np.ndarray)}
+            held.update(offsets=batch.offsets, order=batch.order)
+            return {name: value.tobytes() for name, value in held.items()}
+
+        for training in (False, True):
+            got = arrays(model.prepare(relabeled, training))
+            assert got == arrays(model.prepare(record, training))
+            assert {"graph.node_feats", "graph.edges", "graph.edge_feats", "cloud.coords"} <= set(got)
+
     def test_an_unknown_element_names_the_molecule(self, tiny_cfg, small_records):
         model = Model(tiny_cfg, vocab=(1, 6), task_names=("rg",))
         record = next(r for r in small_records if not set(r.atomic_numbers) <= {1, 6})
@@ -541,7 +559,7 @@ class TestPrepareChecksOnce:
         pack(molecules)
         assert checked == []
         graph = molecules[0].graph
-        MolecularGraph(graph.node_feats, graph.edges, graph.edge_feats, graph.targets)
+        MolecularGraph(graph.node_feats, graph.edges, graph.edge_feats)
         assert checked == [graph.n_edges]
 
     @pytest.mark.parametrize("edit,message", [

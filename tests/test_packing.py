@@ -8,7 +8,7 @@ import pytest
 
 from helpers import assert_close_to_scale, bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
-from rotenc.data import MoleculeRecord
+from rotenc.data import MoleculeRecord, dataset_targets
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, NoData, ShapeError
 from rotenc.geometry import PointCloud, sample_rotations
@@ -151,8 +151,9 @@ class TestPackedInference:
         model = Model(tiny_model_config(), VOCAB, ("rg",), seed=2)
         normalizer = normalize_targets(records, np.arange(7))
         molecules = [model.prepare(record) for record in records]
-        one = evaluate_model(model, normalizer, molecules, batch_size=1)
-        three = evaluate_model(model, normalizer, molecules, batch_size=3)
+        _, targets = dataset_targets(records)
+        one = evaluate_model(model, normalizer, molecules, targets, batch_size=1)
+        three = evaluate_model(model, normalizer, molecules, targets, batch_size=3)
         for metric in ("mae", "rmse", "r2"):
             np.testing.assert_allclose(getattr(three, metric)["rg"], getattr(one, metric)["rg"], rtol=1e-12)
 
@@ -177,7 +178,8 @@ class TestDegenerateMoleculeInABatch:
         records = make_records(4, seed=6) + [self._co()]
         normalizer = normalize_targets(records, np.arange(4))
         with pytest.raises(DegenerateCloud, match="molecule co:"):
-            evaluate_model(model, normalizer, [model.prepare(record) for record in records], batch_size=3)
+            evaluate_model(model, normalizer, [model.prepare(record) for record in records],
+                           dataset_targets(records)[1], batch_size=3)
         with pytest.raises(DegenerateCloud, match="molecule co:"):
             measure_invariance(model, records[3:], n_rotations=3)
 
@@ -197,7 +199,6 @@ class TestPack:
             np.testing.assert_array_equal(batch.graph.node_feats[rows], m.graph.node_feats)
             own = (batch.graph.edges[:, 0] >= start) & (batch.graph.edges[:, 0] < start + m.graph.n_nodes)
             np.testing.assert_array_equal(batch.graph.edges[own] - start, m.graph.edges)
-        assert batch.graph.targets.shape == (3, 1)
         np.testing.assert_array_equal(batch.order, np.concatenate([m.order for m in molecules]))
 
     def test_joined_batches_equal_one_pack_of_their_molecules(self):
@@ -207,7 +208,7 @@ class TestPack:
         joined = pack([pack(molecules[:2]), molecules[2], pack(molecules[3:])])
         flat = pack(molecules)
         for a, b in ((joined.graph.node_feats, flat.graph.node_feats), (joined.graph.edges, flat.graph.edges),
-                     (joined.graph.edge_feats, flat.graph.edge_feats), (joined.targets, flat.targets),
+                     (joined.graph.edge_feats, flat.graph.edge_feats),
                      (joined.cloud.coords, flat.cloud.coords), (joined.offsets, flat.offsets),
                      (joined.order, flat.order)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -237,7 +238,6 @@ class TestPack:
         batch = model.prepare(record)
         assert pack([batch]) is batch and len(batch) == 1
         np.testing.assert_array_equal(batch.offsets, [0, record.n_atoms])
-        np.testing.assert_array_equal(batch.targets, [[record.targets["y"]]])
         np.testing.assert_array_equal(np.sort(batch.order), np.arange(record.n_atoms))
 
     def test_offsets_must_cut_the_rows_into_molecules(self):

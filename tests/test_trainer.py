@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.autodiff import ParameterStore
-from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, dataset_vocab, split as split_records
+from rotenc.data import MoleculeRecord, Normalizer, SplitSpec, dataset_targets, dataset_vocab, split as split_records
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, Diverged, InvalidConfig, InvalidSplit, StaleGradient, TaskMismatch
 from rotenc.gnn import GnnConfig
@@ -133,8 +133,8 @@ def _metrics(preds, targets):
     records = [replace(r, targets={"e": float(t)}) for r, t in zip(make_records(len(targets), seed=1), targets[:, 0])]
     model = Model(tiny_model_config(), dataset_vocab(records), ("e",))
     molecules = [model.prepare(r) for r in records]
-    model.predict_batch = lambda batch: preds  # every molecule fits one batch of the default size
-    return evaluate_model(model, Normalizer(("e",), np.zeros(1), np.ones(1)), molecules)
+    model.predict_batch = lambda batch: preds  # every molecule fits one batch
+    return evaluate_model(model, Normalizer(("e",), np.zeros(1), np.ones(1)), molecules, targets, len(molecules))
 
 
 class TestMetrics:
@@ -296,7 +296,8 @@ class TestTraining:
         best = min(history, key=lambda entry: np.mean(list(entry["val_rmse"].values())))
         model, normalizer = model_from_checkpoint(ckpt)
         _, val_idx = split_records(records, cfg.split)
-        val = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in val_idx], cfg.batch_size)
+        val = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in val_idx],
+                             dataset_targets([records[i] for i in val_idx])[1], cfg.batch_size)
         assert (val.mae, val.rmse, val.r2) == (best["val_mae"], best["val_rmse"], best["val_r2"])
 
     def test_edgeless_batches_train(self):
@@ -647,13 +648,14 @@ class TestCheckpoint:
         cfg = smoke_config(epochs=1)
         ckpt, _ = train(cfg, records)
         model, normalizer = model_from_checkpoint(ckpt)
-        metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in records])
+        metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in records], dataset_targets(records)[1],
+                                 cfg.batch_size)
         assert set(metrics.mae) == {"rg"}
         assert metrics.rmse["rg"] >= metrics.mae["rg"] >= 0.0
         assert metrics.r2["rg"] <= 1.0
 
     def test_task_mismatch_detected(self):
-        # a record is refused where its targets are read, whether it lacks the model's task or carries another
+        # a record is refused as it is prepared, whether it lacks the model's task or carries another
         records = make_records(8, seed=16)
         ckpt, _ = train(smoke_config(epochs=1), records)
         model, _ = model_from_checkpoint(ckpt)
