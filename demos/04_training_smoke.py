@@ -38,7 +38,7 @@ _, test_idx = split(records, cfg.split)
 test_records = [records[i] for i in test_idx]
 model, normalizer = model_from_checkpoint(checkpoint)
 _, targets = dataset_targets(test_records)
-metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in test_records], targets, cfg.batch_size)
+metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in test_records], targets)
 print(f"\nheld-out ({len(test_idx)} molecules): MAE = {metrics.mae['rg']:.4f}  "
       f"RMSE = {metrics.rmse['rg']:.4f}  R2 = {metrics.r2['rg']:.3f}")
 

@@ -243,7 +243,7 @@ def cmd_eval(args) -> int:
         model, normalizer = model_from_checkpoint(ckpt)
         records = load_dataset(run.inputs["data"])
         metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records],
-                                 dataset_targets(records)[1], ckpt.train_config.batch_size)
+                                 dataset_targets(records)[1])
         rows = [
             [t, f"{metrics.mae[t]:.8g}", f"{metrics.rmse[t]:.8g}", f"{metrics.r2[t]:.8g}"]
             for t in ckpt.task_names
@@ -335,7 +335,7 @@ def cmd_sweep_k(args) -> int:
                 ckpt, _ = train(replace(base_cfg, model=model_cfg), records)
                 model, normalizer = model_from_checkpoint(ckpt)
                 batches = batches or [model.prepare(record) for record in records]
-            metrics = evaluate_model(model, normalizer, batches, targets, base_cfg.batch_size)
+            metrics = evaluate_model(model, normalizer, batches, targets)
             report = measure_invariance(model, records[: args.max_molecules],
                                         n_rotations=args.rotations, seed=seed)
             runtime = time.time() - start

@@ -155,6 +155,8 @@ class Model:
         self.cfg = cfg
         self.vocab = tuple(vocab)
         self.task_names = tuple(task_names)
+        if self.task_names != tuple(sorted(set(self.task_names))):  # the order of the target and normalizer columns
+            raise InvalidConfig(f"task names must be sorted and distinct, got {self.task_names}")
         self.bonded = bonded
         self.store = ParameterStore()
         self.bn_states = {}
@@ -202,7 +204,7 @@ class Model:
         checked again.
         """
         with for_molecule(record):
-            if sorted(record.targets) != sorted(self.task_names):
+            if tuple(sorted(record.targets)) != self.task_names:
                 raise TaskMismatch(f"tasks do not match {self.task_names}, got {tuple(sorted(record.targets))}")
             cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
             if not self.cfg.ablate_3d:

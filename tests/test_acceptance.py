@@ -194,7 +194,7 @@ def test_08_learning_smoke():
         model, normalizer = model_from_checkpoint(ckpt)
         test_records = [records[i] for i in test_idx]
         metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in test_records],
-                                 dataset_targets(test_records)[1], cfg.batch_size)
+                                 dataset_targets(test_records)[1])
         assert metrics.r2["rg"] > 0.3, metrics
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotenc import cli
+from rotenc import cli, trainer
 from rotenc.cli import build_parser, main, resolve_config
 from rotenc.data import MoleculeRecord, SplitSpec, dataset_targets, load_dataset, write_dataset
 from rotenc.encoder3d import EncoderConfig
@@ -284,7 +284,7 @@ class TestSweepK:
             model, normalizer = model_from_checkpoint(load_checkpoint(trained))
             model.cfg = replace(model.cfg, encoder=replace(model.cfg.encoder, k=k))
             models.append((model, normalizer))
-        self._assert_rows_match(read_csv(out / "sweep.csv"), models, records, TOY_CONFIG["batch_size"])
+        self._assert_rows_match(read_csv(out / "sweep.csv"), models, records)
 
     def test_train_mode_rows_match_a_fresh_run_per_k(self, workspace, tmp_path):
         # every row trains its own model; scoring it on the records prepared by the first row's model
@@ -300,40 +300,54 @@ class TestSweepK:
             ckpt, _ = cli.train(replace(cfg, model=replace(cfg.model, encoder=replace(cfg.model.encoder, k=k))),
                                 records)
             models.append(model_from_checkpoint(ckpt))
-        self._assert_rows_match(read_csv(tmp_path / "sweep_train_rows" / "sweep.csv"), models, records,
-                                cfg.batch_size)
+        self._assert_rows_match(read_csv(tmp_path / "sweep_train_rows" / "sweep.csv"), models, records)
 
     @staticmethod
-    def _assert_rows_match(rows, models, records, batch_size):
+    def _assert_rows_match(rows, models, records):
         """Each row's mae, relative_mae and mean_dev equal its model scored on records prepared for that row."""
         assert len(rows) == len(models)
         maes = []
         _, targets = dataset_targets(records)
         for row, (model, normalizer) in zip(rows, models):
             assert int(row["k"]) == model.cfg.encoder.k
-            metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records], targets,
-                                     batch_size)
+            metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records], targets)
             report = measure_invariance(model, records[:4], n_rotations=3, seed=0)
             maes.append(float(np.mean(list(metrics.mae.values()))))
             assert row["mae"] == f"{maes[-1]:.8g}"
             assert row["relative_mae"] == f"{maes[-1] / maes[0]:.6g}"
             assert row["mean_dev"] == f"{report.mean_dev:.10g}"
 
-    def test_checkpoint_sweep_scores_at_the_checkpoints_batch_size(self, workspace, trained, tmp_path, monkeypatch):
-        # eval packs the checkpoint's batch_size; a sweep of the same checkpoint packs the same
-        root, data, _ = workspace
-        sizes = []
-        real = cli.evaluate_model
+    @pytest.mark.parametrize("command", ["eval", "sweep-k", "train"])
+    def test_scoring_packs_16_molecules(self, workspace, trained, tmp_path, monkeypatch, command):
+        # whatever the training batch (8 here): every scoring call packs 16 molecules but its last pack
+        root, data, config = workspace
+        calls, scoring = [], []
+        real_score, real_predict = trainer.evaluate_model, Model.predict_batch
 
-        def spying(model, normalizer, batches, targets, batch_size):
-            sizes.append(batch_size)
-            return real(model, normalizer, batches, targets, batch_size)
+        def score(*args):
+            calls.append([])
+            scoring.append(True)
+            try:
+                return real_score(*args)
+            finally:
+                scoring.pop()
 
-        monkeypatch.setattr(cli, "evaluate_model", spying)
-        code = main(["sweep-k", "--data", str(data), "--checkpoint", str(trained), "--k-values", "1,2",
-                     "--rotations", "2", "--max-molecules", "2", "--out", str(tmp_path / "sweep_size")])
-        assert code == 0
-        assert sizes == [load_checkpoint(trained).train_config.batch_size] * 2 == [8, 8]
+        def predict(self, batch):
+            if scoring:  # the invariance probe packs a molecule with its rotated copies instead
+                calls[-1].append(len(batch))
+            return real_predict(self, batch)
+
+        monkeypatch.setattr(cli, "evaluate_model", score)
+        monkeypatch.setattr(trainer, "evaluate_model", score)
+        monkeypatch.setattr(Model, "predict_batch", predict)
+        argv = {"eval": ["--checkpoint", str(trained)],
+                "sweep-k": ["--checkpoint", str(trained), "--k-values", "1,2", "--rotations", "2",
+                            "--max-molecules", "2"],
+                "train": ["--config", str(config)]}[command]
+        assert main([command, "--data", str(data), *argv, "--out", str(tmp_path / "scored")]) == 0
+        expected = {"eval": [[16, 8]], "sweep-k": [[16, 8]] * 2, "train": [[5]] * TOY_CONFIG["epochs"]}[command]
+        assert calls == expected
+        assert all(max(packs) <= 16 and set(packs[:-1]) <= {16} for packs in calls)
 
     @pytest.mark.parametrize("mode", ["checkpoint", "train"])
     def test_scoring_prepares_each_record_once_per_sweep(self, workspace, trained, tmp_path, monkeypatch, mode):

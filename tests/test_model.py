@@ -1,4 +1,5 @@
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -497,6 +498,15 @@ class TestModelInputs:
         with pytest.raises(UnknownElement, match=rf"^molecule {record.id}: atomic number \d+ not in vocabulary"):
             model.prepare(record)
 
+
+    @pytest.mark.parametrize("tasks", [("u0", "gap"), ("gap", "gap")], ids=["unsorted", "repeated"])
+    def test_task_names_are_sorted_and_distinct(self, tiny_cfg, tasks):
+        # the target rows and the normalizer hold their columns in sorted task order and the head's columns
+        # pair with them by position: a model whose tasks were in another order would score u0 against gap
+        with pytest.raises(InvalidConfig, match=re.escape(f"task names must be sorted and distinct, got {tasks}")):
+            Model(tiny_cfg, vocab=(1, 6, 7, 8), task_names=tasks)
+        record = replace(make_records(1, seed=1)[0], targets={"u0": 1.0, "gap": 2.0})
+        assert Model(tiny_cfg, vocab=(1, 6, 7, 8), task_names=("gap", "u0")).prepare(record).graph.n_nodes > 0
 
 class TestProjectBeforeGather:
     def test_no_edge_or_view_input_is_built(self, monkeypatch):

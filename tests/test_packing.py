@@ -146,16 +146,22 @@ class TestPackedInference:
         np.testing.assert_allclose(together, alone, rtol=1e-12, atol=0)
         np.testing.assert_allclose(reversed_order, alone, rtol=1e-12, atol=0)
 
-    def test_evaluation_does_not_depend_on_the_batch_size(self):
-        records = make_records(7, seed=5)
+    def test_evaluation_matches_per_molecule_predictions(self, monkeypatch):
+        # 20 molecules score as one full pack and then a pack of 4, to rounding as if predicted one at a time
+        records = make_records(20, seed=5)
         model = Model(tiny_model_config(), VOCAB, ("rg",), seed=2)
-        normalizer = normalize_targets(records, np.arange(7))
-        molecules = [model.prepare(record) for record in records]
+        normalizer = normalize_targets(records, np.arange(20))
         _, targets = dataset_targets(records)
-        one = evaluate_model(model, normalizer, molecules, targets, batch_size=1)
-        three = evaluate_model(model, normalizer, molecules, targets, batch_size=3)
-        for metric in ("mae", "rmse", "r2"):
-            np.testing.assert_allclose(getattr(three, metric)["rg"], getattr(one, metric)["rg"], rtol=1e-12)
+        err = normalizer.invert(np.stack([model.predict(record) for record in records]))[:, 0] - targets[:, 0]
+        expected = {"mae": np.mean(np.abs(err)), "rmse": np.sqrt(np.mean(err**2)),
+                    "r2": 1.0 - np.sum(err**2) / np.sum((targets[:, 0] - targets[:, 0].mean()) ** 2)}
+        packs = []
+        real = Model.predict_batch
+        monkeypatch.setattr(Model, "predict_batch", lambda self, batch: packs.append(len(batch)) or real(self, batch))
+        metrics = evaluate_model(model, normalizer, [model.prepare(record) for record in records], targets)
+        assert packs == [16, 4]
+        for metric, value in expected.items():
+            np.testing.assert_allclose(getattr(metrics, metric)["rg"], value, rtol=1e-12)
 
 
 class TestDegenerateMoleculeInABatch:
@@ -179,7 +185,7 @@ class TestDegenerateMoleculeInABatch:
         normalizer = normalize_targets(records, np.arange(4))
         with pytest.raises(DegenerateCloud, match="molecule co:"):
             evaluate_model(model, normalizer, [model.prepare(record) for record in records],
-                           dataset_targets(records)[1], batch_size=3)
+                           dataset_targets(records)[1])
         with pytest.raises(DegenerateCloud, match="molecule co:"):
             measure_invariance(model, records[3:], n_rotations=3)
 

@@ -133,8 +133,8 @@ def _metrics(preds, targets):
     records = [replace(r, targets={"e": float(t)}) for r, t in zip(make_records(len(targets), seed=1), targets[:, 0])]
     model = Model(tiny_model_config(), dataset_vocab(records), ("e",))
     molecules = [model.prepare(r) for r in records]
-    model.predict_batch = lambda batch: preds  # every molecule fits one batch
-    return evaluate_model(model, Normalizer(("e",), np.zeros(1), np.ones(1)), molecules, targets, len(molecules))
+    model.predict_batch = lambda batch: preds  # at most 12 molecules: they fit one pack
+    return evaluate_model(model, Normalizer(("e",), np.zeros(1), np.ones(1)), molecules, targets)
 
 
 class TestMetrics:
@@ -297,7 +297,7 @@ class TestTraining:
         model, normalizer = model_from_checkpoint(ckpt)
         _, val_idx = split_records(records, cfg.split)
         val = evaluate_model(model, normalizer, [model.prepare(records[i]) for i in val_idx],
-                             dataset_targets([records[i] for i in val_idx])[1], cfg.batch_size)
+                             dataset_targets([records[i] for i in val_idx])[1])
         assert (val.mae, val.rmse, val.r2) == (best["val_mae"], best["val_rmse"], best["val_r2"])
 
     def test_edgeless_batches_train(self):
@@ -648,8 +648,7 @@ class TestCheckpoint:
         cfg = smoke_config(epochs=1)
         ckpt, _ = train(cfg, records)
         model, normalizer = model_from_checkpoint(ckpt)
-        metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in records], dataset_targets(records)[1],
-                                 cfg.batch_size)
+        metrics = evaluate_model(model, normalizer, [model.prepare(r) for r in records], dataset_targets(records)[1])
         assert set(metrics.mae) == {"rg"}
         assert metrics.rmse["rg"] >= metrics.mae["rg"] >= 0.0
         assert metrics.r2["rg"] <= 1.0
