@@ -37,7 +37,7 @@ def mean_deviation(cfg, align=False):
     states = init_encoder_params(store, cfg, rng)
     devs = []
     for cloud in clouds:
-        # the cloud and its rotated copies, encoded together as measure_invariance batches them
+        # the cloud and its rotated copies, encoded together as one packed batch
         base, *rotated = fingerprints([cloud] + [apply_rotation(cloud, rot) for rot in probes],
                                       align, store, cfg, states)
         devs += [np.linalg.norm(out - base) for out in rotated]

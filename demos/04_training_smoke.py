@@ -7,8 +7,6 @@
 # molecules. Also shows the measured rotational-invariance error of the
 # trained model with and without post-alignment.
 
-import numpy as np
-
 from rotenc.data import SplitSpec, dataset_targets, split
 from rotenc.encoder3d import EncoderConfig
 from rotenc.gnn import GnnConfig

@@ -8,8 +8,8 @@ passing aggregates each destination on its own, and the readout and the
 pooling reduce each molecule on its own, in its canonical atom order
 (``Model.prepare``). At inference a molecule's values therefore match its
 values alone, to rounding only: a GEMM row's bits depend on the row count
-(``TestPackedInference`` checks rtol 1e-12); scoring packs 16 molecules
-(``trainer.SCORING_PACK``). Training batchnorm normalizes each channel over
+(``TestPackedInference`` checks rtol 1e-12); inference packs 16 molecules
+(``Model.predict_prepared``). Training batchnorm normalizes each channel over
 the whole batch. A batch is model input only, without labels. One molecule is
 ``offsets = [0, n]``, which ``Model.prepare`` returns; ``pack`` joins batches,
 keeping their dtype: the float32 copies of ``lowered`` pack into float32.

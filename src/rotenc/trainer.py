@@ -7,7 +7,8 @@ shuffles, per-molecule view rotations, and parameter updates all derive
 from the config seed, so two runs produce bit-identical loss curves. Each
 training batch is one packed batch (``packing``): one forward pass, one
 tape and one backward sweep per step, and the tape dies with its step.
-Evaluation predicts in packed batches too, of ``SCORING_PACK`` molecules.
+Evaluation predicts in packed batches too, of ``model.SCORING_PACK`` molecules
+(``Model.predict_prepared``).
 
 A training step computes in float32 over float64 masters, as in
 Micikevicius et al. 2018: the forward and backward run on float32 copies
@@ -44,16 +45,13 @@ from .data import (
     normalize_targets,
     split,
 )
-from .errors import Diverged, InvalidConfig, NoData, ShapeError, StaleGradient
+from .errors import Diverged, InvalidConfig, ShapeError, StaleGradient
 from .geometry import sample_rotations
 from .model import Model, ModelConfig, loss
 from .packing import Batch, lowered, pack
 
 CHECKPOINT_MAGIC = b"ROTENC1\n"
 CHECKPOINT_VERSION = 5
-# molecules per scoring forward, whatever the training batch: 256 of 8-29 atoms scored 1,541 mol/s at an 11 MB traced
-# peak in packs of 16, 1,000 mol/s at 84 MB in packs of 128 (paper default; 2-core Xeon box, one BLAS thread)
-SCORING_PACK = 16
 
 
 @dataclass
@@ -383,13 +381,10 @@ def evaluate_model(model: Model, normalizer: Normalizer, batches, targets: np.nd
     """MAE / RMSE / R^2 per task of prepared molecules (``Model.prepare``'s batches of one), in original units.
 
     ``targets`` are the molecules' rows in original units, columns in ``model.task_names`` order, as
-    ``data.dataset_targets`` reads them for a trained model. ``SCORING_PACK`` (16) are packed and predicted at
-    a time; a prediction matches the molecule's alone to rounding only (so a lone last molecule may move).
+    ``data.dataset_targets`` reads them for a trained model. ``Model.predict_prepared`` predicts them,
+    ``model.SCORING_PACK`` (16) to a forward; an empty ``batches`` raises NoData.
     """
-    if not batches:
-        raise NoData("no molecules to evaluate")
-    preds = normalizer.invert(np.concatenate([model.predict_batch(pack(batches[start : start + SCORING_PACK]))
-                                              for start in range(0, len(batches), SCORING_PACK)]))
+    preds = normalizer.invert(model.predict_prepared(batches))
     if np.shape(targets) != preds.shape:
         raise ShapeError(f"targets {np.shape(targets)} != predictions {preds.shape}")
     mae, rmse, r2 = {}, {}, {}

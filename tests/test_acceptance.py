@@ -9,20 +9,13 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from helpers import bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc.alignment import canonical_align
 from rotenc.data import MoleculeRecord, SplitSpec, dataset_targets, rbf_expand, split as split_records, vocab_rows
 from rotenc.encoder3d import EncoderConfig, encode, init_encoder_params, prepare_cloud
-from rotenc.errors import RotencError
-from rotenc.geometry import (
-    PointCloud,
-    apply_rotation,
-    rotation_defect,
-    sample_rotations,
-)
+from rotenc.geometry import apply_rotation, rotation_defect, sample_rotations
 from rotenc.model import Model, loss as sample_loss, measure_invariance
 from rotenc.synthetic import make_records, mirror_cloud, random_cloud
 from rotenc.trainer import (

@@ -7,7 +7,8 @@ reads a graph by attribute and imports no other module of the package but
 ``errors``. Every layer that pools takes the packed batch's ``offsets``,
 so a pooled result always keeps one row per molecule. Checked on the
 source and the signatures, as ``test_bench_hooks`` checks the benchmark
-harness.
+harness. The same source walk finds every imported name a module of the
+package, the tests or the demos never reads.
 """
 
 import ast
@@ -18,7 +19,8 @@ import pytest
 
 from rotenc import autodiff, encoder3d, gnn
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rotenc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rotenc"
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -55,3 +57,25 @@ def test_every_pooling_layer_requires_offsets():
     for layer in (autodiff.mean_pool, encoder3d.encode, encoder3d.mean_embedding, gnn.gnn_forward):
         assert inspect.signature(layer).parameters["offsets"].default is inspect.Parameter.empty, layer.__name__
     assert not hasattr(gnn, "readout")
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names a source file imports and never reads; ``from __future__`` binds none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a package __init__ imports its public names to re-export them
+    paths = [path for folder in (SRC, ROOT / "tests", ROOT / "demos") for path in sorted(folder.rglob("*.py"))
+             if path.name != "__init__.py"]
+    assert SRC / "model.py" in paths and ROOT / "demos" / "04_training_smoke.py" in paths
+    unread = {str(path.relative_to(ROOT)): names for path in paths if (names := _unread_imports(path))}
+    assert not unread, unread

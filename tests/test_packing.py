@@ -1,13 +1,14 @@
 """Packed disjoint-union batches against the per-molecule path they replace."""
 
 import copy
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import assert_close_to_scale, bonded_record, gradient_check, tiny_model_config
-from rotenc import autodiff as ad
+from rotenc import autodiff as ad, encoder3d
 from rotenc.data import MoleculeRecord, dataset_targets
 from rotenc.encoder3d import EncoderConfig
 from rotenc.errors import DegenerateCloud, NoData, ShapeError
@@ -162,6 +163,50 @@ class TestPackedInference:
         assert packs == [16, 4]
         for metric, value in expected.items():
             np.testing.assert_allclose(getattr(metrics, metric)["rg"], value, rtol=1e-12)
+
+
+class TestInferencePacks:
+    """``Model.predict_prepared`` is the one inference packer: 16 prepared molecules to a forward."""
+
+    @staticmethod
+    def _model(align_mode="post"):
+        cfg = tiny_model_config()
+        return Model(replace(cfg, encoder=replace(cfg.encoder, align_mode=align_mode)), VOCAB, ("rg",), seed=2)
+
+    def test_invariance_probe_packs_16_copies_to_a_forward(self, monkeypatch):
+        # 40 rotated copies and the molecule itself, drawn and prepared one pack at a time
+        model, records = self._model(), make_records(2, seed=5)
+        events = []
+        real_prepare, real_predict = Model.prepare, Model.predict_batch
+        monkeypatch.setattr(Model, "prepare", lambda self, record, training=False:
+                            events.append("prepare") or real_prepare(self, record, training))
+        monkeypatch.setattr(Model, "predict_batch", lambda self, batch:
+                            events.append(len(batch)) or real_predict(self, batch))
+        measure_invariance(model, records, n_rotations=40)
+        packs = [event for event in events if event != "prepare"]
+        assert packs == [16, 16, 9] * 2
+        # each pack's copies are prepared just before its forward, so no more than 16 are held
+        prepared = [len(list(run)) for is_prepare, run in itertools.groupby(events, lambda e: e == "prepare")
+                    if is_prepare]
+        assert prepared == packs
+
+    @pytest.mark.parametrize("n_rotations", [2, 4, 15])
+    @pytest.mark.parametrize("align_mode", ["none", "post"])
+    def test_probes_in_one_pack_match_predicting_every_copy_together(self, n_rotations, align_mode):
+        model, records = self._model(align_mode), make_records(3, seed=5)
+        deviations = []
+        for record in records:
+            copies = [record] + [replace(record, coords=record.coords @ rotation.T)
+                                 for rotation in encoder3d.inference_views(n_rotations, 6)]
+            preds = model.predict_batch(pack([model.prepare(each) for each in copies]))
+            deviations.append(float(np.max(np.abs(preds[1:] - preds[0]))))
+        report = measure_invariance(model, records, n_rotations=n_rotations, seed=6)
+        assert report.mean_dev.hex() == float(np.mean(deviations)).hex()
+        assert report.max_dev.hex() == float(np.max(deviations)).hex()
+
+    def test_no_molecules_to_predict(self):
+        with pytest.raises(NoData):
+            self._model().predict_prepared(iter([]))
 
 
 class TestDegenerateMoleculeInABatch:
