@@ -4,12 +4,12 @@ The dataset file format is JSON Lines: UTF-8, one molecule per line, each
 line a JSON object with fields
 
     id       string, unique within the file
-    z        non-empty list of positive integers (atomic numbers)
+    z        non-empty list of positive JSON integers (atomic numbers)
     xyz      flat list of 3*len(z) finite floats (angstrom, row-major)
-    bonds    optional list of [u, v, order] triples, 0-based endpoints
+    bonds    optional list of [u, v, order] JSON integer triples, 0-based endpoints
     targets  non-empty object mapping task name -> finite float
 
-Lines are parsed strictly (no NaN/Infinity literals); parse failures carry
+Lines are parsed strictly (no NaN/Infinity literals, no bool as a number); parse failures carry
 the 1-based line number. ``load_dataset`` returns records sorted by id.
 """
 
@@ -96,9 +96,9 @@ def _reject_constant(token):
 
 
 def _finite_number(x) -> bool:
-    """A JSON number that converts to a finite float (an int beyond float range does not)."""
+    """A JSON number that converts to a finite float (an int beyond float range does not, nor a bool)."""
     try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
 
@@ -123,7 +123,7 @@ def _parse_record(obj, line_number: int) -> MoleculeRecord:
     if not isinstance(rid, str) or not rid:
         raise ParseError(line_number, "id must be a non-empty string")
     z = obj["z"]
-    if not isinstance(z, list) or not all(isinstance(x, int) and x >= 1 for x in z):
+    if not isinstance(z, list) or not all(type(x) is int and x >= 1 for x in z):
         raise ParseError(line_number, "z must be a list of positive integers")
     xyz = obj["xyz"]
     if not isinstance(xyz, list) or len(xyz) != 3 * len(z):
@@ -132,10 +132,10 @@ def _parse_record(obj, line_number: int) -> MoleculeRecord:
         raise ParseError(line_number, "xyz entries must be finite numbers")
     bonds = obj.get("bonds")
     if bonds is not None:
-        try:
-            bonds = [(int(u), int(v), int(order)) for u, v, order in bonds]
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(line_number, "bonds must be [u, v, order] triples") from None
+        if not isinstance(bonds, list) or not all(isinstance(b, list) and len(b) == 3
+                                                  and all(type(x) is int for x in b) for b in bonds):
+            raise ParseError(line_number, "bonds must be [u, v, order] triples of integers")
+        bonds = [tuple(b) for b in bonds]
     targets = obj["targets"]
     if not isinstance(targets, dict) or not targets:
         raise ParseError(line_number, "targets must be a non-empty object")

@@ -196,8 +196,9 @@ class Model:
         the align policy is read: inference aligns under ``post`` when the
         model ``reads_coords``, training never does. A record the model
         cannot take (coordinates out of range, an unknown element, task
-        names other than the model's, a molecule that cannot be aligned)
-        raises its InputError with the molecule's id in the message.
+        names other than the model's, bonds of a cutoff model or none of a
+        bonded one, a molecule that cannot be aligned) raises its
+        InputError with the molecule's id in the message.
 
         Graph and cloud then take ``canonical_order``, so any atom order of
         a record that prepares to the same cloud gives the same arrays (exact
@@ -211,6 +212,9 @@ class Model:
         with for_molecule(record):
             if tuple(sorted(record.targets)) != self.task_names:
                 raise TaskMismatch(f"tasks do not match {self.task_names}, got {tuple(sorted(record.targets))}")
+            if (record.bonds is not None) != self.bonded:
+                raise InvalidConfig("has bonds, the model reads cutoff graphs" if record.bonds is not None
+                                    else "has no bonds, the model reads bonded graphs")
             cloud = PointCloud(record.coords, np.asarray(record.atomic_numbers))
             if not self.cfg.ablate_3d:
                 align = self.cfg.reads_coords and self.cfg.encoder.align_mode == "post" and not training

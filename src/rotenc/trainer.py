@@ -163,9 +163,7 @@ def _matches(value, hint) -> bool:
         return len(value) == len(args) and all(_matches(v, a) for v, a in zip(value, args))
     if args:  # a union such as int | None
         return any(_matches(value, a) for a in args)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return _finite_number(value) if hint is float else isinstance(value, hint)
+    return _finite_number(value) if hint is float else type(value) is hint  # a bool is no int, nor a number
 
 
 def _non_finite(value) -> bool:
@@ -263,7 +261,8 @@ def _malformed_header_fields(header: dict) -> list[str]:
         "normalizer": isinstance(norm, dict)
         and _list_of(norm.get("task_names"), lambda t: isinstance(t, str))
         and all(_list_of(norm.get(key), _finite_number) and len(norm[key]) == len(norm["task_names"])
-                for key in ("mean", "std")),
+                for key in ("mean", "std"))
+        and all(s > 0 for s in norm["std"]),  # a zero std would map every prediction to the mean
         "params": _list_of(header["params"], lambda m: isinstance(m, dict) and isinstance(m.get("name"), str)
                            and _list_of(m.get("shape"), _count)),
         "bn_states": _list_of(header["bn_states"], lambda m: isinstance(m, dict)
@@ -480,10 +479,7 @@ def train_epochs(cfg: TrainConfig, records) -> typing.Iterator[tuple[RunState, d
         raise InvalidConfig("dataset is empty")
     task_names, targets = dataset_targets(records)
     vocab = dataset_vocab(records)
-    bondedness = {r.bonds is not None for r in records}
-    if len(bondedness) > 1:
-        raise InvalidConfig("records mix bonded and bond-free molecules")
-    bonded = bondedness.pop()
+    bonded = records[0].bonds is not None  # Model.prepare refuses a record of the other kind by its id
 
     if cfg.split.mode == "holdout":
         folds = [split(records, cfg.split)]

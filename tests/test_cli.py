@@ -935,6 +935,70 @@ def _with_record(tmp_path, record) -> Path:
     return path
 
 
+def _chain_bonded(records):
+    """The records with each atom bonded to the next."""
+    return [replace(r, bonds=[(i, i + 1, 1) for i in range(r.n_atoms - 1)]) for r in records]
+
+
+class TestRecordOfTheOtherGraphKind:
+    """A record whose bondedness differs from the model's exits 2 naming the molecule, and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def bonded_data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bonded") / "bonded.jsonl"
+        write_dataset(_chain_bonded(make_records(3, seed=5)), path)
+        return path
+
+    @staticmethod
+    def assert_refused(code, err, out, message):
+        assert code == 2
+        assert err == f"error: {message}\n"  # one line, no internal error, no traceback
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", []),
+        ("invariance", ["--rotations", "2"]),
+        ("importance", ["--id", "syn00001"]),
+        ("sweep-k", ["--k-values", "2", "--rotations", "2"]),
+    ], ids=["eval", "invariance", "importance", "sweep-k-checkpoint"])
+    def test_cutoff_checkpoint_on_bonded_records(self, trained, bonded_data, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(trained), "--data", str(bonded_data), *flags, "--out", str(out)])
+        molecule = "syn00001" if command == "importance" else "syn00000"
+        self.assert_refused(code, capsys.readouterr().err, out,
+                            f"molecule {molecule}: has bonds, the model reads cutoff graphs")
+
+    def test_no_features_checkpoint_on_bonded_records(self, workspace, bonded_data, tmp_path, capsys):
+        # without engineered features both graph kinds have one edge column: only the gate tells them apart
+        root, data, config = workspace
+        ckpt = tmp_path / "train" / "checkpoint.rotenc"
+        assert main(["train", "--data", str(data), "--config", str(config), "--ablate", "no-features",
+                     "--out", str(ckpt.parent)]) == 0
+        out = tmp_path / "ev"
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(bonded_data), "--out", str(out)])
+        self.assert_refused(code, capsys.readouterr().err, out,
+                            "molecule syn00000: has bonds, the model reads cutoff graphs")
+
+    def test_bonded_checkpoint_on_bond_free_records(self, workspace, tmp_path, capsys):
+        root, data, config = workspace
+        bonded = tmp_path / "bonded.jsonl"
+        write_dataset(_chain_bonded(load_dataset(data)), bonded)
+        ckpt = tmp_path / "train" / "checkpoint.rotenc"
+        assert main(["train", "--data", str(bonded), "--config", str(config), "--out", str(ckpt.parent)]) == 0
+        out = tmp_path / "ev"
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)])
+        self.assert_refused(code, capsys.readouterr().err, out,
+                            "molecule syn00000: has no bonds, the model reads bonded graphs")
+
+    def test_train_on_records_of_both_kinds(self, workspace, tmp_path, capsys):
+        # golden: ethanol (the first record, so the model reads cutoff graphs) and methane are bond-free, water is bonded
+        root, data, config = workspace
+        out = tmp_path / "train"
+        code = main(["train", "--data", str(GOLDEN / "golden.jsonl"), "--config", str(config), "--out", str(out)])
+        self.assert_refused(code, capsys.readouterr().err, out,
+                            "molecule water: has bonds, the model reads cutoff graphs")
+
+
 class TestMoleculeThatCannotBeAligned:
     def test_eval_of_degenerate_molecule_under_post_exits_2(self, workspace, tmp_path, capsys):
         root, data, config = workspace

@@ -149,8 +149,18 @@ class TestLoadDataset:
          b'"targets": {"e": 1}}', "bonds"),
         (b'{"id": "caf\xe9", "z": [1], "xyz": [0, 0, 0], "targets": {"e": 1}}', "UTF-8"),
         (b'{"id": "empty", "z": [], "xyz": [], "targets": {"e": 1}}', "record empty: a molecule needs at least one"),
+        (b'{"id": "a", "z": [true], "xyz": [0, 0, 0], "targets": {"e": 1}}', "z must be"),
+        (b'{"id": "a", "z": [1], "xyz": [false, 0, 0], "targets": {"e": 1}}', "xyz"),
+        (b'{"id": "a", "z": [1], "xyz": [0, 0, 0], "targets": {"e": true}}', "target 'e'"),
+        (b'{"id": "a", "z": [1, 1], "xyz": [0, 0, 0, 1, 0, 0], "bonds": [[0, "1", 1.9]], "targets": {"e": 1}}',
+         "bonds"),
+        (b'{"id": "a", "z": [1, 1], "xyz": [0, 0, 0, 1, 0, 0], "bonds": [[0, 1.7, 1]], "targets": {"e": 1}}',
+         "bonds"),
+        (b'{"id": "a", "z": [1, 1], "xyz": [0, 0, 0, 1, 0, 0], "bonds": [[0, 1, true]], "targets": {"e": 1}}',
+         "bonds"),
     ], ids=["not-object", "deep-nesting", "huge-int-coordinate", "huge-int-target", "infinite-bond",
-            "not-utf8", "no-atoms"])
+            "not-utf8", "no-atoms", "bool-atomic-number", "bool-coordinate", "bool-target", "string-and-float-bond",
+            "float-bond-endpoint", "bool-bond-order"])
     def test_malformed_line_named(self, tmp_path, line, message):
         path = tmp_path / "m.jsonl"
         path.write_bytes(GOLDEN.joinpath("golden.jsonl").read_bytes() + line + b"\n")

@@ -1,10 +1,11 @@
-"""Fuzz the three file readers: any input gives a result or a RotencError.
+"""Fuzz the three file readers: any input gives a result or an InputError.
 
 Each reader is fed arbitrary bytes, single-byte mutations of a valid file
 and truncations of it. Whatever the bytes, ``parse_xyz`` and
 ``load_dataset`` return records and ``load_checkpoint`` followed by
-``model_from_checkpoint`` returns a model, or the call raises a
-``RotencError``; no other exception may escape.
+``model_from_checkpoint`` returns a model, or the call raises an
+``InputError``: a corrupt file is bad input (exit 2), never a program
+fault, so no other ``RotencError`` or exception may escape.
 """
 
 import struct
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import tiny_model_config
 from rotenc.data import Normalizer, SplitSpec, load_dataset, parse_xyz
-from rotenc.errors import RotencError
+from rotenc.errors import InputError
 from rotenc.model import Model
 from rotenc.trainer import TrainConfig, checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 
@@ -41,10 +42,10 @@ def _variant(data, valid: bytes, hot_end: int | None = None) -> bytes:
     return valid[:pos] + bytes([data.draw(st.integers(0, 255))]) + valid[pos + 1 :]
 
 
-def _result_or_rotenc_error(call):
+def _result_or_input_error(call):
     try:
         return call()
-    except RotencError:
+    except InputError:
         return None
 
 
@@ -67,7 +68,7 @@ def valid_checkpoint(tmp_path_factory) -> bytes:
 @given(data=st.data())
 def test_parse_xyz(input_file, data):
     input_file.write_bytes(_variant(data, (GOLDEN / "golden.xyz").read_bytes()))
-    out = _result_or_rotenc_error(lambda: parse_xyz(input_file))
+    out = _result_or_input_error(lambda: parse_xyz(input_file))
     assert out is None or isinstance(out, list)
 
 
@@ -75,7 +76,7 @@ def test_parse_xyz(input_file, data):
 @given(data=st.data())
 def test_load_dataset(input_file, data):
     input_file.write_bytes(_variant(data, (GOLDEN / "golden.jsonl").read_bytes()))
-    out = _result_or_rotenc_error(lambda: load_dataset(input_file))
+    out = _result_or_input_error(lambda: load_dataset(input_file))
     assert out is None or isinstance(out, list)
 
 
@@ -84,7 +85,7 @@ def test_load_dataset(input_file, data):
 def test_load_checkpoint_then_model(input_file, valid_checkpoint, data):
     (header_len,) = struct.unpack_from("<I", valid_checkpoint, 8)
     input_file.write_bytes(_variant(data, valid_checkpoint, hot_end=12 + header_len))
-    out = _result_or_rotenc_error(lambda: model_from_checkpoint(load_checkpoint(input_file)))
+    out = _result_or_input_error(lambda: model_from_checkpoint(load_checkpoint(input_file)))
     assert out is None or isinstance(out[0], Model)
 
 

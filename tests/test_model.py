@@ -12,9 +12,10 @@ from helpers import bonded_record, gradient_check, tiny_model_config
 from rotenc import autodiff as ad
 from rotenc import encoder3d
 from rotenc.autodiff import ParameterStore, Value
+from rotenc.cli import ABLATIONS
 from rotenc.data import MoleculeRecord, SplitSpec
 from rotenc.encoder3d import EncoderConfig
-from rotenc.errors import InvalidConfig, NoData, ShapeError, TooFewPoints, UnknownElement
+from rotenc.errors import InputError, InvalidConfig, NoData, ShapeError, TooFewPoints, UnknownElement
 from rotenc.geometry import MAX_RADIUS, sample_rotations
 from rotenc.gnn import GnnConfig
 from rotenc.model import (
@@ -216,7 +217,8 @@ class TestCanonicalAtomOrder:
     @settings(max_examples=200, deadline=None)
     def test_prepare_is_exact_under_atom_permutation(self, case, ablate_3d):
         record, perm, rng = case
-        model = Model(tiny_model_config(ablate_3d=ablate_3d), vocab=(1, 6), task_names=("y",))
+        model = Model(tiny_model_config(ablate_3d=ablate_3d), vocab=(1, 6), task_names=("y",),
+                      bonded=record.bonds is not None)
         permuted = permuted_record(record, perm, rng)
         try:
             base = model.prepare(record)
@@ -597,3 +599,74 @@ class TestPrepareChecksOnce:
             y_hat, u = model.forward(lowered(model.prepare(record, training=True)), training=True)
             ad.backward(loss(y_hat, np.ones((1, 1), dtype=np.float32), u, 0.1))
         assert all(np.all(np.isfinite(param.grad)) for _, param in model.store.items())
+
+
+# the paper model and each --ablate variant, as ModelConfig overrides
+VARIANTS = {"default": {}} | {flag: {field: True} for flag, field in ABLATIONS.items()}
+
+
+@st.composite
+def gate_records(draw):
+    """1-12 atoms at a scale from 1e-8 to past MAX_RADIUS, some coincident or flat, bonded or not,
+    from a pool with one element (9) outside the gate models' vocabulary."""
+    n = draw(st.integers(1, 12))
+    coords = draw(arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0))) * 10.0 ** draw(st.floats(-8.0, 6.5))
+    shape = draw(st.sampled_from(["generic", "coincident", "zero-axis"]))
+    if shape == "coincident":
+        coords[draw(st.integers(0, n - 1))] = coords[0]
+    elif shape == "zero-axis":
+        coords[:, draw(st.integers(0, 2))] = 0.0
+    z = draw(st.lists(st.sampled_from([1, 6, 7, 8]), min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) == 0:
+        z[draw(st.integers(0, n - 1))] = 9
+    bonds = None
+    if draw(st.booleans()):
+        bonds = [(i, i + 1, 1) for i in range(n - 1)]
+        if n > 1:  # more bonds, each from an atom u to another atom u + step
+            extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from([1, 2, 3]))
+            bonds += [(u, (u + step) % n, order) for u, step, order in draw(st.lists(extra, max_size=n))]
+    return MoleculeRecord(id=f"gate{n}", atomic_numbers=z, coords=coords, bonds=bonds, targets={"y": 0.5})
+
+
+class TestPrepareIsTheGate:
+    """``Model.prepare`` decides whether a record fits a model: it refuses it with an InputError naming
+    the molecule, or every inference entry point returns finite values."""
+
+    @pytest.mark.parametrize("bonded", [False, True], ids=["cutoff-model", "bonded-model"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_a_record_of_the_other_graph_kind_is_refused_by_id(self, variant, bonded):
+        model = Model(tiny_model_config(**VARIANTS[variant]), vocab=(1, 6, 7, 8), task_names=("y",), bonded=bonded)
+        record = bonded_record(seed=3)
+        if bonded:
+            record = replace(record, id="free", bonds=None)
+        message = ("molecule free: has no bonds, the model reads bonded graphs" if bonded
+                   else "molecule bonded3: has bonds, the model reads cutoff graphs")
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            model.prepare(record)
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            model.prepare(record, training=True)
+
+    @given(gate_records(), st.booleans(), st.sampled_from(list(VARIANTS)), st.sampled_from(["none", "post"]))
+    @settings(max_examples=150, deadline=None)
+    def test_refused_by_id_or_finite_everywhere(self, record, bonded, variant, align_mode):
+        encoder = EncoderConfig(widths=(16, 8), embed_dim=4, k=3, seed=1, align_mode=align_mode)
+        model = Model(tiny_model_config(encoder=encoder, **VARIANTS[variant]), vocab=(1, 6, 7, 8),
+                      task_names=("y",), bonded=bonded)
+        try:
+            model.prepare(record)
+        except InputError as exc:
+            assert str(exc).startswith(f"molecule {record.id}: ")
+            return
+        assert (record.bonds is not None) == bonded
+        assert np.all(np.isfinite(model.predict(record)))
+        scores, coord_part = atom_importance(model, record, 0)
+        assert np.all(np.isfinite(scores)) and np.all(np.isfinite(coord_part))
+        try:
+            report = measure_invariance(model, [record], 2)
+        except InvalidConfig as exc:
+            # each rotated copy is prepared as a record of its own, and rounding in the rotation can put two
+            # bonded atoms of one element that lie an ulp apart (x = 0 and x = 3e-308 at y = z = 1) at one position
+            assert bonded and re.fullmatch(f"molecule {record.id}: bonded atoms .* are one element at one position",
+                                           str(exc))
+            return
+        assert np.isfinite(report.mean_dev) and np.isfinite(report.max_dev)

@@ -610,6 +610,9 @@ class TestCheckpoint:
         ("normalizer", {"task_names": ["y"], "mean": [1.0, 2.0], "std": [2.0]}),
         ("params", [["b", [1]]]), ("params", [{"name": "b", "shape": [-1]}]),
         ("bn_states", [{"name": "bn", "width": 2.5}]),
+        ("normalizer", {"task_names": ["y"], "mean": [1.0], "std": [True]}),
+        ("normalizer", {"task_names": ["y"], "mean": [1.0], "std": [0.0]}),
+        ("normalizer", {"task_names": ["y"], "mean": [1.0], "std": [-2.0]}),
     ])
     def test_header_field_of_wrong_type_rejected(self, tmp_path, field, value):
         blob = self.small_checkpoint_bytes(tmp_path)
