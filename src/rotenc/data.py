@@ -9,8 +9,10 @@ line a JSON object with fields
     bonds    optional list of [u, v, order] JSON integer triples, 0-based endpoints
     targets  non-empty object mapping task name -> finite float
 
-Lines are parsed strictly (no NaN/Infinity literals, no bool as a number); parse failures carry
-the 1-based line number. ``load_dataset`` returns records sorted by id.
+``MoleculeRecord`` checks these rules for files and Python alike, naming the record and the
+field in an InvalidConfig; in Python ``z`` may be numpy integers and ``xyz`` an (n, 3) array.
+The reader adds only JSON's rules (no NaN/Infinity literals, an object with the required
+fields) and names the 1-based line of a failure. ``load_dataset`` returns records sorted by id.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,9 +57,22 @@ ELEMENT_SYMBOLS = {
 }
 
 
+def _numbers(values, kinds: str) -> np.ndarray | None:
+    """``values`` as an int64 (``kinds`` "iu") or a float64 ("iuf") array when it is a list, tuple or array of
+    Python or numpy numbers of those numpy kinds (a bool is of neither), else None."""
+    dtype = np.float64 if "f" in kinds else np.int64
+    if isinstance(values, (list, tuple)):
+        python = (int, np.integer, float, np.floating) if "f" in kinds else (int, np.integer)
+        if not all(issubclass(t, python) and t is not bool for t in set(map(type, values))):
+            return None
+        with suppress(OverflowError):  # an int beyond the dtype's range leaves ``values`` a list
+            values = np.array(values, dtype=dtype)
+    return values.astype(dtype, copy=False) if isinstance(values, np.ndarray) and values.dtype.kind in kinds else None
+
+
 @dataclass
 class MoleculeRecord:
-    """One molecule: coordinates, atomic numbers, optional bonds, targets."""
+    """One molecule; the constructor checks every rule of the dataset format (see the module docstring)."""
 
     id: str
     atomic_numbers: list[int]
@@ -66,25 +81,34 @@ class MoleculeRecord:
     targets: dict[str, float]
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 3)
-        n = len(self.atomic_numbers)
+        rid = self.id
+        if not isinstance(rid, str) or not rid:
+            raise InvalidConfig(f"record {rid!r}: id must be a non-empty string")
+        z = _numbers(self.atomic_numbers, "iu")
+        if z is None or z.ndim != 1 or not (z >= 1).all():
+            raise InvalidConfig(f"record {rid}: z must be a list of positive integers")
+        n = len(z)
         if n == 0:
-            raise InvalidConfig(f"record {self.id}: a molecule needs at least one atom")
-        if self.coords.shape != (n, 3):
-            raise InvalidConfig(f"record {self.id}: coords shape {self.coords.shape} != ({n}, 3)")
-        if not np.all(np.isfinite(self.coords)):
-            raise InvalidConfig(f"record {self.id}: non-finite coordinates")
-        if any(z < 1 for z in self.atomic_numbers):
-            raise InvalidConfig(f"record {self.id}: atomic numbers must be positive")
+            raise InvalidConfig(f"record {rid}: a molecule needs at least one atom")
+        self.atomic_numbers = z.tolist()
+        xyz = _numbers(self.coords, "iuf")
+        if xyz is None or xyz.shape not in ((n, 3), (3 * n,)) or not np.isfinite(xyz).all():
+            raise InvalidConfig(f"record {rid}: xyz must be {3 * n} finite numbers, flat or as ({n}, 3)")
+        self.coords = xyz.reshape(n, 3)
         if self.bonds is not None:
+            bonds = [_numbers(b, "iu") for b in self.bonds] if isinstance(self.bonds, (list, tuple)) else [None]
+            if not all(b is not None and b.shape == (3,) for b in bonds):
+                raise InvalidConfig(f"record {rid}: bonds must be [u, v, order] triples of integers")
+            self.bonds = [tuple(b.tolist()) for b in bonds]
             for u, v, _ in self.bonds:
                 if not (0 <= u < n and 0 <= v < n) or u == v:
-                    raise InvalidConfig(f"record {self.id}: bond ({u}, {v}) references invalid atoms")
-        if not self.targets:
-            raise InvalidConfig(f"record {self.id}: targets must be non-empty")
+                    raise InvalidConfig(f"record {rid}: bond ({u}, {v}) references invalid atoms")
+        if not isinstance(self.targets, dict) or not self.targets:
+            raise InvalidConfig(f"record {rid}: targets must be a non-empty dict")
         for name, value in self.targets.items():
-            if not math.isfinite(value):
-                raise InvalidConfig(f"record {self.id}: target {name!r} is not finite")
+            if not isinstance(name, str) or not _finite_number(value):
+                raise InvalidConfig(f"record {rid}: target {name!r} needs a string name and a finite number")
+        self.targets = {name: float(value) for name, value in self.targets.items()}
 
     @property
     def n_atoms(self) -> int:
@@ -96,9 +120,9 @@ def _reject_constant(token):
 
 
 def _finite_number(x) -> bool:
-    """A JSON number that converts to a finite float (an int beyond float range does not, nor a bool)."""
+    """A number that converts to a finite float (an int beyond float range does not, nor a bool)."""
     try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
 
@@ -114,50 +138,22 @@ def _not_utf8(path) -> ParseError:
 
 
 def _parse_record(obj, line_number: int) -> MoleculeRecord:
+    """A line's record: ``MoleculeRecord`` judges the values, and its refusal becomes a ParseError naming the line."""
     if not isinstance(obj, dict):
         raise ParseError(line_number, "record must be a JSON object")
     for key in ("id", "z", "xyz", "targets"):
         if key not in obj:
             raise ParseError(line_number, f"missing field {key!r}")
-    rid = obj["id"]
-    if not isinstance(rid, str) or not rid:
-        raise ParseError(line_number, "id must be a non-empty string")
-    z = obj["z"]
-    if not isinstance(z, list) or not all(type(x) is int and x >= 1 for x in z):
-        raise ParseError(line_number, "z must be a list of positive integers")
-    xyz = obj["xyz"]
-    if not isinstance(xyz, list) or len(xyz) != 3 * len(z):
-        raise ParseError(line_number, f"xyz must hold {3 * len(z)} floats")
-    if not all(_finite_number(x) for x in xyz):
-        raise ParseError(line_number, "xyz entries must be finite numbers")
-    bonds = obj.get("bonds")
-    if bonds is not None:
-        if not isinstance(bonds, list) or not all(isinstance(b, list) and len(b) == 3
-                                                  and all(type(x) is int for x in b) for b in bonds):
-            raise ParseError(line_number, "bonds must be [u, v, order] triples of integers")
-        bonds = [tuple(b) for b in bonds]
-    targets = obj["targets"]
-    if not isinstance(targets, dict) or not targets:
-        raise ParseError(line_number, "targets must be a non-empty object")
-    for name, value in targets.items():
-        if not _finite_number(value):
-            raise ParseError(line_number, f"target {name!r} must be a finite number")
     try:
-        return MoleculeRecord(
-            id=rid,
-            atomic_numbers=list(z),
-            coords=np.asarray(xyz, dtype=np.float64).reshape(-1, 3),
-            bonds=bonds,
-            targets={str(k): float(v) for k, v in targets.items()},
-        )
+        return MoleculeRecord(id=obj["id"], atomic_numbers=obj["z"], coords=obj["xyz"],
+                              bonds=obj.get("bonds"), targets=obj["targets"])
     except InvalidConfig as exc:
         raise ParseError(line_number, str(exc)) from None
 
 
 def load_dataset(path) -> list[MoleculeRecord]:
     """Read a JSONL dataset file; records come back sorted by id."""
-    records = []
-    seen = set()
+    records = {}  # id -> record
     with open(path, encoding="utf-8") as fh:
         try:
             for line_number, line in enumerate(fh, 1):
@@ -169,14 +165,12 @@ def load_dataset(path) -> list[MoleculeRecord]:
                 except (ValueError, RecursionError) as exc:
                     raise ParseError(line_number, f"invalid JSON: {exc}") from None
                 record = _parse_record(obj, line_number)
-                if record.id in seen:
+                if record.id in records:
                     raise DuplicateId(f"duplicate id {record.id!r} at line {line_number}")
-                seen.add(record.id)
-                records.append(record)
+                records[record.id] = record
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
-    records.sort(key=lambda r: r.id)
-    return records
+    return [records[rid] for rid in sorted(records)]
 
 
 @contextmanager
@@ -199,12 +193,17 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 
 def write_dataset(records, path) -> None:
+    """Write records as JSONL in the order given; a repeated id raises DuplicateId and leaves ``path`` as it was."""
+    seen = set()
     with atomic_write(path, encoding="utf-8") as fh:
         for r in records:
-            obj = {"id": r.id, "z": list(r.atomic_numbers), "xyz": [float(x) for x in r.coords.ravel()]}
+            if r.id in seen:
+                raise DuplicateId(f"duplicate id {r.id!r}")
+            seen.add(r.id)
+            obj = {"id": r.id, "z": r.atomic_numbers, "xyz": r.coords.ravel().tolist()}
             if r.bonds is not None:
-                obj["bonds"] = [[u, v, order] for u, v, order in r.bonds]
-            obj["targets"] = dict(r.targets)
+                obj["bonds"] = r.bonds
+            obj["targets"] = r.targets
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 

@@ -115,6 +115,12 @@ class TestConvert:
         assert code == 2
         assert "line 4" in err and "line 2" in err and "'m1'" in err and "Traceback" not in err
 
+    def test_two_blocks_with_one_id_exit_2_naming_it_and_leave_no_out(self, tmp_path, capsys):
+        code, err = self.convert_with(tmp_path, capsys, b"1\nm1\nC 0 0 0\n1\nm1\nO 0 0 1\n", b"id,y\nm1,1.0\n")
+        assert code == 2
+        assert "duplicate id 'm1'" in err and "Traceback" not in err
+        assert not (tmp_path / "conv").exists()
+
 
 class TestInputPathIsADirectory:
     """Every input-file flag given a directory exits 2 with a typed message."""

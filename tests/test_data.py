@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +169,102 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=message) as exc:
             load_dataset(path)
         assert exc.value.line_number == 4
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            return
+        if isinstance(obj, dict) and {"id", "z", "xyz", "targets"} <= obj.keys():
+            # the constructor every record goes through refuses what the reader refuses, in the same words
+            with pytest.raises(InvalidConfig, match=message):
+                MoleculeRecord(id=obj["id"], atomic_numbers=obj["z"], coords=obj["xyz"], bonds=obj.get("bonds"),
+                               targets=obj["targets"])
+
+
+WATER = {"id": "w", "atomic_numbers": [8, 1, 1], "coords": [0, 0, 0.1, 0, 0.8, -0.5, 0, -0.8, -0.5], "bonds": None,
+         "targets": {"e": 1.0}}
+
+
+class TestMoleculeRecord:
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", 5, "^record 5: id must be a non-empty string$"),
+        ("id", "", "^record '': id must be a non-empty string$"),
+        ("atomic_numbers", "CC", "^record w: z must be"),
+        ("atomic_numbers", [8, 1.0, 1], "^record w: z must be"),
+        ("atomic_numbers", np.array([8.0, 1.0, 1.0]), "^record w: z must be"),
+        ("atomic_numbers", [8, 0, 1], "^record w: z must be"),
+        ("coords", [0.0] * 4, "^record w: xyz must be 9 finite numbers"),
+        ("coords", [0.0] * 8 + ["0"], "^record w: xyz must be"),
+        ("coords", [[0.0] * 3] * 3, "^record w: xyz must be"),
+        ("coords", np.zeros((3, 3), dtype=bool), "^record w: xyz must be"),
+        ("coords", np.zeros((1, 9)), "^record w: xyz must be"),
+        ("bonds", [(0, 1)], "^record w: bonds must be"),
+        ("bonds", [(0, np.float64(1.0), 1)], "^record w: bonds must be"),
+        ("bonds", [(0, 3, 1)], r"^record w: bond \(0, 3\) references invalid atoms$"),
+        ("targets", {"e": "1"}, "^record w: target 'e' needs a string name and a finite number$"),
+        ("targets", {"e": np.bool_(True)}, "^record w: target 'e' needs a string name and a finite number$"),
+        ("targets", {}, "^record w: targets must be a non-empty dict$"),
+    ], ids=["int-id", "empty-id", "string-z", "float-in-z", "float-array-z", "zero-z", "four-coordinates",
+            "string-coordinate", "nested-list-coordinates", "bool-array-coordinates", "one-by-nine-coordinates",
+            "two-field-bond", "numpy-float-endpoint", "endpoint-out-of-range", "string-target", "numpy-bool-target",
+            "no-targets"])
+    def test_a_broken_rule_is_an_invalid_config_naming_the_record(self, field, value, message):
+        with pytest.raises(InvalidConfig, match=message):
+            MoleculeRecord(**{**WATER, field: value})
+
+    def test_numpy_input_is_stored_as_python_values(self):
+        record = MoleculeRecord(id="w", atomic_numbers=np.array([8, 1, 1], dtype=np.uint8),
+                                coords=np.arange(9, dtype=np.float32).reshape(3, 3),
+                                bonds=[np.array([0, 1, 1]), (np.int64(0), np.int32(2), 1)],
+                                targets={"e": np.float32(0.5), "f": np.int64(2)})
+        assert record.atomic_numbers == [8, 1, 1] and all(type(z) is int for z in record.atomic_numbers)
+        assert record.coords.dtype == np.float64 and record.coords.shape == (3, 3)
+        assert record.bonds == [(0, 1, 1), (0, 2, 1)] and all(type(x) is int for b in record.bonds for x in b)
+        assert record.targets == {"e": 0.5, "f": 2.0} and all(type(v) is float for v in record.targets.values())
+
+
+@st.composite
+def record_lists(draw):
+    """1-5 records of 1-12 atoms, bonded or not, with Python or numpy integers, flat or (n, 3) coordinates,
+    1-3 targets, and ids drawn from a pool small enough to repeat."""
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 12))
+        z = draw(st.lists(st.integers(1, 53), min_size=n, max_size=n))
+        z = draw(st.sampled_from([z, [np.int64(x) for x in z], np.array(z, dtype=np.int32)]))
+        coords = draw(arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)))
+        coords = coords if draw(st.booleans()) else coords.ravel().tolist()
+        bonds = None
+        if draw(st.booleans()):
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)), st.integers(1, 4))
+            bonds = [(u, (u + step) % n, order) for u, step, order in draw(st.lists(pairs, max_size=n)) if n > 1]
+        names = draw(st.lists(st.sampled_from(["gap", "mu", "u0"]), min_size=1, max_size=3, unique=True))
+        targets = {t: draw(st.floats(allow_nan=False, allow_infinity=False)) for t in names}
+        records.append(MoleculeRecord(id=draw(st.sampled_from(["m0", "m1", "m2", "m3", "m4", "m5"])),
+                                      atomic_numbers=z, coords=coords, bonds=bonds, targets=targets))
+    return records
+
+
+class TestWriteThenLoad:
+    @given(record_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_records_come_back_sorted_and_equal_or_a_repeated_id_writes_nothing(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            ids = [r.id for r in records]
+            repeated = [rid for k, rid in enumerate(ids) if rid in ids[:k]]
+            if repeated:
+                with pytest.raises(DuplicateId, match=f"^duplicate id '{repeated[0]}'$"):
+                    write_dataset(records, path)
+                assert not path.exists() and not os.listdir(tmp)
+                return
+            write_dataset(records, path)
+            back = load_dataset(path)
+        assert [r.id for r in back] == sorted(ids)
+        for a, b in zip(sorted(records, key=lambda r: r.id), back):
+            assert a.atomic_numbers == b.atomic_numbers
+            assert a.coords.tobytes() == b.coords.tobytes()
+            assert a.bonds == b.bonds
+            assert a.targets == b.targets
 
 
 def _per_pair_graph(record, cutoff, edge_features="auto"):
